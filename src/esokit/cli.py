@@ -38,6 +38,12 @@ EXIT_UNSUPPORTED = 3
 SCHEMA_VERSION = 1
 
 
+def _require_object(payload, source: str) -> dict:
+    if not isinstance(payload, dict):
+        raise ParseError(f"{source} must hold a JSON object, not a {type(payload).__name__}")
+    return payload
+
+
 def _load_sampling(arg: str) -> samplings.SamplingSpec:
     text = arg.strip()
     if not text.startswith("{"):
@@ -49,10 +55,10 @@ def _load_sampling(arg: str) -> samplings.SamplingSpec:
         payload = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"bad sampling JSON: {e.msg}", e.lineno) from e
-    return samplings.spec_from_dict(payload)
+    return samplings.spec_from_dict(_require_object(payload, "the sampling spec"))
 
 
-def _load_json(path: str) -> dict:
+def _read_json(path: str):
     p = Path(path)
     if not p.exists():
         raise ParseError(f"file not found: {path}")
@@ -62,10 +68,13 @@ def _load_json(path: str) -> dict:
         raise ParseError(f"bad JSON in {path}: {e.msg}", e.lineno) from e
 
 
+def _load_json(path: str) -> dict:
+    return _require_object(_read_json(path), path)
+
+
 def _load_v(path: str, n: int) -> np.ndarray:
     """Accept a bare vector, {"v": [...]}, or a full compute-v report."""
-    payload = _load_json(path)
-    raw = payload
+    raw = _read_json(path)
     if isinstance(raw, dict) and "result" in raw:
         raw = raw["result"]
     if isinstance(raw, dict):
@@ -271,6 +280,9 @@ def cmd_tradeoff(args) -> int:
 def cmd_design_serial(args) -> int:
     data = read_matrix(args.matrix)
     payload = _load_json(args.points)
+    missing = [key for key in ("x0", "xstar") if key not in payload]
+    if missing:
+        raise ParseError(f"{args.points} lacks {' and '.join(missing)}")
     x0 = np.asarray(payload["x0"], dtype=float)
     xstar = np.asarray(payload["xstar"], dtype=float)
     design = solver.optimal_serial_sampling(data, x0, xstar)
@@ -389,7 +401,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, FileNotFoundError, KeyError) as e:
+    except (ParseError, ValidationError, FileNotFoundError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except (UnsupportedMethodError, CapacityError, CertificateUnavailableError) as e:

@@ -21,7 +21,8 @@ class ValidationError(EsoKitError):
 class CapacityError(EsoKitError):
     """Exact enumeration would exceed the configured caps.
 
-    Callers should fall back to the Monte-Carlo path.
+    The exact probability matrix and the cardinality moments need no
+    enumeration; checks that do can be asked for in Monte-Carlo mode.
     """
 
 

@@ -100,23 +100,22 @@ def eso_uncoupled(
 ) -> EsoResult:
     """v_i = min(lambda'(P), lambda'(A'A)) * w_i.
 
-    lambda'(P) is exact when the probability matrix is exactly computable and
-    small enough to eigen-solve, otherwise it falls back to the cardinality
-    cap bound. lambda'(A'A) may be supplied to skip the dense solve.
+    lambda'(P) is eigen-solved on the exact probability matrix when n is
+    small enough, otherwise replaced by the cardinality cap bound.
+    lambda'(A'A) may be supplied to skip the dense solve.
     """
     p = _require_proper(spec)
     w = data.column_sq_norms
     cost = 2.0 * data.nnz
 
-    # Exact lambda'(P) when P is exactly computable and small enough to
-    # eigen-solve; otherwise the cardinality-cap upper bound (any upper bound
-    # keeps the overapproximation valid).
+    # Past the dense cap, the cardinality-cap upper bound stands in for
+    # lambda'(P): any upper bound keeps the overapproximation valid.
     lp_sampling = float(samplings.cardinality_cap(spec))
     if spec.n <= dense_cap:
         pm = probability.prob_matrix(spec, "auto", cap=cap)
-        if pm.is_exact:
-            lp_sampling = spectral.lambda_prime(pm.entries).value
-            cost += float(spec.n) ** 3
+        probability.require_exact(pm, "the uncoupled formula")
+        lp_sampling = spectral.lambda_prime(pm.entries).value
+        cost += float(spec.n) ** 3
 
     if lambda_prime_ata is None:
         if data.n > dense_cap:

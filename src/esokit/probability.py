@@ -2,9 +2,10 @@
 
 P is the expectation of the 0/1 indicator matrix of the drawn set, so it is
 symmetric, positive semidefinite, and carries the marginals on its diagonal.
-Exact matrices come from per-kind closed forms or support enumeration;
-Monte-Carlo estimates are tagged with their sample count and per-entry
-standard errors and are never accepted as PSD certificates.
+Exact matrices come from per-kind closed forms or support enumeration and
+exist for every kind. Monte-Carlo estimates are made only on request, are
+tagged with their sample count and per-entry standard errors, and are never
+accepted as PSD certificates.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config, samplings
-from .errors import CapacityError, CertificateUnavailableError, UnsupportedMethodError, ValidationError
+from .errors import CertificateUnavailableError, UnsupportedMethodError, ValidationError
 from .samplings import SamplingSpec
 
 PROVENANCE_CLOSED = "closed_form"
@@ -22,6 +23,8 @@ PROVENANCE_ENUM = "enumerated"
 PROVENANCE_MC = "monte_carlo"
 
 _PROVENANCE_RANK = {PROVENANCE_CLOSED: 0, PROVENANCE_ENUM: 1, PROVENANCE_MC: 2}
+
+_MC_BLOCK_ROWS = 128
 
 _CLOSED_FORM_KINDS = (
     samplings.KIND_ELEMENTARY,
@@ -119,14 +122,14 @@ def prob_matrix(
 
     method:
       * ``auto`` - exact structural path (closed forms on leaves, enumeration
-        where supports are explicit, combination rules on composites), falling
-        back to enumeration and finally Monte-Carlo when exactness is out of
-        reach.
+        where supports are explicit, combination rules on composites). It is
+        exact for every kind at any n and never draws.
       * ``closed_form`` - per-kind closed form; only elementary, serial,
         tau-nice, (c,tau)-distributed, doubly-uniform and product kinds.
       * ``enumerate`` - exact expectation over the enumerated support.
       * ``monte_carlo`` - empirical mean of indicator matrices over
-        ``mc_samples`` draws split across ``streams`` replica streams.
+        ``mc_samples`` draws of :func:`samplings.draw_masks`, split across
+        ``streams`` replica streams. The only method that draws.
     """
     samplings.validate_spec(spec)
     if method == "closed_form":
@@ -138,11 +141,8 @@ def prob_matrix(
     if method == "monte_carlo":
         return _monte_carlo(spec, mc_samples, rng_seed, streams)
     if method == "auto":
-        try:
-            entries, tag = _exact_entries(spec, cap)
-            return ProbMatrix(spec.n, entries, tag)
-        except CapacityError:
-            return _monte_carlo(spec, mc_samples, rng_seed, streams)
+        entries, tag = _exact_entries(spec, cap)
+        return ProbMatrix(spec.n, entries, tag)
     raise UnsupportedMethodError(f"unknown method {method!r}")
 
 
@@ -228,19 +228,13 @@ def _from_enumeration(spec: SamplingSpec, cap: int) -> ProbMatrix:
 def _monte_carlo(spec: SamplingSpec, samples: int, rng_seed: int, streams: int) -> ProbMatrix:
     if samples < 1:
         raise ValidationError("mc_samples", "must be positive")
-    streams = max(1, int(streams))
+    masks = samplings.draw_masks(spec, samples, rng_seed, streams)
+    # Counts are integers, so summing blocks of rows is exact in any order;
+    # the blocks keep the float copy of the masks small.
     counts = np.zeros((spec.n, spec.n))
-    per_stream = [samples // streams] * streams
-    for r in range(samples % streams):
-        per_stream[r] += 1
-    # Per-stream sums merged in stream order: deterministic under parallel eval.
-    for stream_index, count in enumerate(per_stream):
-        rng = config.rng_for_stream(rng_seed, stream_index)
-        local = np.zeros_like(counts)
-        for _ in range(count):
-            idx = sorted(samplings._draw(spec, rng))
-            local[np.ix_(idx, idx)] += 1.0
-        counts += local
+    for start in range(0, samples, _MC_BLOCK_ROWS):
+        block = masks[start : start + _MC_BLOCK_ROWS].astype(float)
+        counts += block.T @ block
     mean = counts / samples
     mean = np.clip(0.5 * (mean + mean.T), 0.0, 1.0)
     stderr = np.sqrt(np.clip(mean * (1.0 - mean), 0.0, None) / samples)
@@ -360,8 +354,8 @@ def check_identities(
 
     With ``trials == 0`` the expectations are computed exactly by summing over
     the enumerated support; otherwise they are Monte-Carlo averages over
-    ``trials`` draws (requires trials >= 1000). Discrepancies are data, not
-    errors.
+    ``trials`` draws of stream 0 (requires trials >= 1000). Discrepancies are
+    data, not errors.
     """
     samplings.validate_spec(spec)
     m_matrix = np.asarray(m_matrix, dtype=float)
@@ -383,11 +377,8 @@ def check_identities(
     else:
         if trials < 1000:
             raise ValidationError("trials", "Monte-Carlo mode requires trials >= 1000")
-        rng = config.rng_for_stream(rng_seed, 0)
         w = 1.0 / trials
-        draws = [
-            (np.asarray(sorted(samplings._draw(spec, rng)), dtype=int), w) for _ in range(trials)
-        ]
+        draws = [(np.flatnonzero(row), w) for row in samplings.draw_masks(spec, trials, rng_seed)]
         mode = "monte_carlo"
 
     exp_hadamard = np.zeros((n, n))

@@ -447,6 +447,27 @@ def draw(spec: SamplingSpec, rng_seed: int, stream_index: int = 0) -> frozenset[
     return _draw(spec, config.rng_for_stream(rng_seed, stream_index))
 
 
+def draw_masks(spec: SamplingSpec, count: int, rng_seed: int = 0, streams: int = 1) -> np.ndarray:
+    """``count`` realizations of the sampling as the rows of a (count, n) bool array.
+
+    Rows come stream by stream: stream s draws from
+    ``config.rng_for_stream(rng_seed, s)``, and the first ``count % streams``
+    streams take one draw more than the rest. The result is a pure function
+    of (spec, count, rng_seed, streams). Every Monte-Carlo estimate in the
+    package reads its draws from here.
+    """
+    validate_spec(spec)
+    streams = max(1, int(streams))
+    masks = np.zeros((count, spec.n), dtype=bool)
+    row = 0
+    for stream_index in range(streams):
+        rng = config.rng_for_stream(rng_seed, stream_index)
+        for _ in range(count // streams + (stream_index < count % streams)):
+            masks[row, list(_draw(spec, rng))] = True
+            row += 1
+    return masks
+
+
 # ---------------------------------------------------------------------------
 # Exact enumeration
 
@@ -463,8 +484,10 @@ def enumerate_support(
 
     Kinds with exponential support require n <= cap; kinds whose support is
     explicit in the parameters enumerate at any n (subject to the global
-    support-size guard). Raises CapacityError when enumeration is infeasible;
-    the Monte-Carlo paths remain available in that case.
+    support-size guard). Raises CapacityError when enumeration is infeasible.
+    Neither the exact probability matrix (``prob_matrix(spec, "auto")``) nor
+    :func:`cardinality_moments` needs enumeration, and no caller falls back
+    to Monte-Carlo.
     """
     validate_spec(spec)
     dist = _enumerate(spec, cap)
@@ -626,45 +649,28 @@ class Moments:
 
     first: float
     second: float
-    method: str  # closed_form | enumerated | monte_carlo
-    stderr_first: float = 0.0
-    stderr_second: float = 0.0
+    method: str  # closed_form | enumerated: the provenance of the exact value
 
     def __iter__(self):
         return iter((self.first, self.second))
 
 
-def cardinality_moments(
-    spec: SamplingSpec,
-    mc_samples: int = 100_000,
-    rng_seed: int = 0,
-    cap: int = config.ENUMERATION_CAP,
-) -> Moments:
-    """(E|S-hat|, E|S-hat|^2), exact via closed form or enumeration when
-    feasible, otherwise Monte-Carlo with reported standard errors."""
+def cardinality_moments(spec: SamplingSpec) -> Moments:
+    """(E|S-hat|, E|S-hat|^2), exact for every kind.
+
+    Kinds with a closed form use it. The rest (intersections, restrictions
+    and mixtures containing them) read E|S-hat| = tr P and E|S-hat|^2 = 1'P1
+    off the exact probability matrix ``prob_matrix(spec, "auto")``: no
+    enumeration and no draws.
+    """
     validate_spec(spec)
     closed = _closed_form_moments(spec)
     if closed is not None:
         return closed
-    try:
-        support = enumerate_support(spec, cap)
-    except CapacityError:
-        rng = config.rng_for_stream(rng_seed, 0)
-        sizes = np.fromiter(
-            (len(_draw(spec, rng)) for _ in range(mc_samples)), dtype=float, count=mc_samples
-        )
-        sq = sizes**2
-        root = math.sqrt(mc_samples)
-        return Moments(
-            float(sizes.mean()),
-            float(sq.mean()),
-            "monte_carlo",
-            float(sizes.std(ddof=1) / root),
-            float(sq.std(ddof=1) / root),
-        )
-    first = math.fsum(len(s) * p for s, p in support)
-    second = math.fsum(len(s) ** 2 * p for s, p in support)
-    return Moments(first, second, "enumerated")
+    from . import probability  # deferred: probability imports this module
+
+    pm = probability.prob_matrix(spec, "auto")
+    return Moments(float(np.trace(pm.entries)), float(pm.entries.sum()), pm.provenance)
 
 
 def _closed_form_moments(spec: SamplingSpec) -> Moments | None:
@@ -697,8 +703,8 @@ def _closed_form_moments(spec: SamplingSpec) -> Moments | None:
         first = sum(w * p.first for w, p in zip(spec.weights, parts))
         second = sum(w * p.second for w, p in zip(spec.weights, parts))
         return Moments(float(first), float(second), "closed_form")
-    # Intersections and restrictions need the joint pairwise law; handled by
-    # enumeration or Monte-Carlo in cardinality_moments.
+    # Intersections and restrictions need the joint pairwise law: read off P
+    # in cardinality_moments.
     return None
 
 

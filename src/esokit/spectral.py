@@ -190,7 +190,9 @@ def lambda_bounds(spec: SamplingSpec, tau_cap: int | None = None) -> BoundsRepor
     ratio (undefined for nil samplings - reported, not raised); the upper
     bound is the certified cardinality cap. lambda is sandwiched between
     E|S|^2/n and E|S|, with the sharper E|S| tau/n upper bound applied for
-    structurally uniform kinds.
+    structurally uniform kinds. The moments are exact for every kind (see
+    :func:`samplings.cardinality_moments`), so every bound is certified; no
+    Monte-Carlo estimate enters.
     """
     samplings.validate_spec(spec)
     first, second = samplings.cardinality_moments(spec)

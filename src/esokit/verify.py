@@ -61,7 +61,7 @@ def canonical_points(
 ) -> list[tuple[np.ndarray, np.ndarray, str]]:
     """The canonical (x, h) grid: x in {0, ones, random unit}, h in the basis
     vectors, ones, a random unit vector, and the certificate's bottom
-    eigenvector when an exact certificate exists."""
+    eigenvector when n is small enough to eigen-solve."""
     n = data.n
     rng = config.rng_for_stream(rng_seed, 0)
     x_rand = rng.standard_normal(n)
@@ -72,8 +72,8 @@ def canonical_points(
     hs: list[tuple[np.ndarray, str]] = [(np.eye(n)[i], f"e{i}") for i in range(n)]
     hs.append((np.ones(n), "ones"))
     hs.append((h_rand, "random_unit"))
-    pm = probability.prob_matrix(spec, "auto")
-    if pm.is_exact and n <= config.DENSE_EIG_CAP:
+    if n <= config.DENSE_EIG_CAP:
+        pm = probability.require_exact(probability.prob_matrix(spec, "auto"), "the certificate point")
         certificate = np.diag(np.asarray(v) * samplings.marginals(spec)) - pm.entries * data.gram()
         _, vecs = np.linalg.eigh(certificate)
         hs.append((vecs[:, 0], "certificate_bottom"))
@@ -121,7 +121,7 @@ def check_eso_quadratic(
     elif mode == "monte_carlo":
         if trials < 1:
             raise ValidationError("trials", "must be positive")
-        masks = _draw_masks(spec, trials, rng_seed, streams)
+        masks = samplings.draw_masks(spec, trials, rng_seed, streams)
         weights = np.full(masks.shape[0], 1.0 / masks.shape[0])
         trials_used = masks.shape[0]
     else:
@@ -165,21 +165,6 @@ def check_eso_quadratic(
         points_tested=len(details),
         details=tuple(details),
     )
-
-
-def _draw_masks(spec: SamplingSpec, trials: int, rng_seed: int, streams: int) -> np.ndarray:
-    streams = max(1, int(streams))
-    per_stream = [trials // streams] * streams
-    for r in range(trials % streams):
-        per_stream[r] += 1
-    chunks = []
-    for stream_index, count in enumerate(per_stream):
-        rng = config.rng_for_stream(rng_seed, stream_index)
-        chunk = np.zeros((count, spec.n))
-        for row in range(count):
-            chunk[row, sorted(samplings._draw(spec, rng))] = 1.0
-        chunks.append(chunk)
-    return np.vstack(chunks)
 
 
 # ---------------------------------------------------------------------------

@@ -352,3 +352,37 @@ def test_criterion_11_tradeoff_reproduces_table_structure():
             f"passes {coupled['preprocessing_passes']:.1f} > {generic['preprocessing_passes']:.1f}"
         )
     _report(11, ok, "; ".join(details))
+
+
+# -- 12 ----------------------------------------------------------------------
+
+
+def test_criterion_12_exact_moments_of_large_intersection_within_budget():
+    # Past the enumeration cap, the cardinality moments of an intersection come
+    # from its exact probability matrix; 100k Python draws once took 23.5 s
+    # (compute_v) and 25 s (lambda_bounds) here.
+    spec = ek.intersection(ek.tau_nice(100, 30), ek.tau_nice(100, 40))
+    data = random_sparse_matrix(ek.rng_for_stream(112, 0), 150, 100, 0.05)
+    start = time.monotonic()
+    result = ek.compute_v(data, spec, "auto")
+    margin = ek.certify(data, spec, result.v)
+    v_elapsed = time.monotonic() - start
+    start = time.monotonic()
+    bounds = ek.lambda_bounds(spec)
+    bounds_elapsed = time.monotonic() - start
+    first = 100 * 0.3 * 0.4
+    ok = (
+        result.formula_id == "GENERIC_TAU"
+        and margin >= -1e-8
+        and abs(bounds.lambda_upper - first) <= 1e-12
+        and bounds.lambda_prime_upper == 30.0
+        and v_elapsed < 1.0
+        and bounds_elapsed < 1.0
+    )
+    _report(
+        12,
+        ok,
+        f"intersection(tau_nice(100,30), tau_nice(100,40)): {result.formula_id}, margin "
+        f"{margin:.2e}, {v_elapsed:.3f}s to certified v, {bounds_elapsed:.3f}s to bounds "
+        f"(budget 1s each)",
+    )

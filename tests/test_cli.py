@@ -152,3 +152,26 @@ def test_missing_sampling_file_is_input_error(workdir, capsys):
     _, matrix, _ = workdir
     code = main(["compute-v", "--matrix", str(matrix), "--sampling", "missing.json"])
     assert code == 2
+
+
+def test_non_object_sampling_json_is_input_error(workdir, capsys):
+    tmp, matrix, _ = workdir
+    array = tmp / "array.json"
+    array.write_text("[1, 2]")
+    code = main(["compute-v", "--matrix", str(matrix), "--sampling", str(array)])
+    assert code == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_design_serial_points_errors_are_input_errors(workdir, capsys):
+    tmp, matrix, _ = workdir
+    points = tmp / "points.json"
+    points.write_text(json.dumps({"x0": [1.0] * 4}))
+    code = main(["design-serial", "--matrix", str(matrix), "--points", str(points)])
+    assert code == 2
+    assert "xstar" in capsys.readouterr().err
+
+    points.write_text("[1.0, 2.0]")
+    code = main(["design-serial", "--matrix", str(matrix), "--points", str(points)])
+    assert code == 2
+    assert "JSON object" in capsys.readouterr().err

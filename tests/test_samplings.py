@@ -6,7 +6,7 @@ import pytest
 
 import esokit as ek
 from esokit.errors import CapacityError, ValidationError
-from esokit.samplings import spec_from_dict, spec_to_dict
+from esokit.samplings import draw_masks, spec_from_dict, spec_to_dict
 
 
 def test_elementary_draw_is_deterministic():
@@ -124,14 +124,40 @@ def test_moments_match_enumeration():
         assert second == pytest.approx(sum(len(s) ** 2 * p for s, p in support), abs=1e-12)
 
 
-def test_monte_carlo_moments_report_stderr():
-    big = ek.intersection(ek.tau_nice(30, 7), ek.tau_nice(30, 11))
-    moments = ek.cardinality_moments(big, mc_samples=20_000, rng_seed=0)
-    assert moments.method == "monte_carlo"
-    assert moments.stderr_first > 0
-    # E|S1 ^ S2| = sum p1*p2 = 30 * (7/30)*(11/30)
-    expected = 30 * (7 / 30) * (11 / 30)
-    assert moments.first == pytest.approx(expected, abs=5 * moments.stderr_first)
+def test_intersection_moments_are_exact():
+    first_spec, second_spec = ek.tau_nice(30, 7), ek.tau_nice(30, 11)
+    moments = ek.cardinality_moments(ek.intersection(first_spec, second_spec))
+    assert moments.method != "monte_carlo"
+    # E|S1 ^ S2| = sum_i p1_i p2_i and E|S1 ^ S2|^2 = 1'(P1 o P2)1.
+    assert moments.first == pytest.approx(30 * (7 / 30) * (11 / 30), abs=1e-12)
+    p1 = ek.prob_matrix(first_spec, "closed_form").entries
+    p2 = ek.prob_matrix(second_spec, "closed_form").entries
+    assert moments.second == pytest.approx((p1 * p2).sum(), abs=1e-12)
+
+
+def test_draw_masks_match_per_stream_draws():
+    composite = ek.convex_combination(
+        [0.4, 0.6],
+        [
+            ek.intersection(ek.tau_nice(6, 4), ek.doubly_uniform([0.1, 0.2, 0.3, 0.1, 0.1, 0.1, 0.1])),
+            ek.restriction(ek.serial([0.1, 0.2, 0.3, 0.1, 0.2, 0.1]), [0, 2, 3]),
+        ],
+    )
+    count, seed = 11, 7
+    for spec in (ek.tau_nice(6, 2), composite):
+        for streams in (1, 4):
+            # Reference: the first count % streams streams take one draw more.
+            per_stream = [count // streams] * streams
+            for r in range(count % streams):
+                per_stream[r] += 1
+            expected = []
+            for stream_index, draws in enumerate(per_stream):
+                rng = ek.rng_for_stream(seed, stream_index)
+                expected += [sorted(ek.samplings._draw(spec, rng)) for _ in range(draws)]
+            masks = draw_masks(spec, count, rng_seed=seed, streams=streams)
+            assert masks.dtype == bool and masks.shape == (count, spec.n)
+            assert [np.flatnonzero(row).tolist() for row in masks] == expected
+        assert np.array_equal(draw_masks(spec, count, seed, streams=0), draw_masks(spec, count, seed))
 
 
 def test_cardinality_cap_certifies_support_sizes():
