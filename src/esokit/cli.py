@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import eso, probability, samplings, solver, verify
+from . import config, eso, probability, samplings, solver, verify
 from .datamatrix import read_matrix
 from .errors import (
     CapacityError,
@@ -332,9 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute-v", help="compute stepsize parameters for a sampling and matrix")
     p.add_argument("--matrix", required=True)
     p.add_argument("--sampling", required=True, help="spec file path or inline JSON")
-    p.add_argument("--formula", default="auto", choices=list(eso.FORMULA_CHOICES))
+    p.add_argument("--formula", default="auto", choices=list(eso.FORMULAS))
     p.add_argument("--tau-cap", type=int, default=None, dest="tau_cap")
-    p.add_argument("--power-iterations", type=int, default=10, dest="power_iterations")
+    p.add_argument("--power-iterations", type=int, default=config.POWER_ITERATIONS, dest="power_iterations")
     p.add_argument("--certify", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_compute_v)
@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", default=None, help="JSON sidecar {lambda, b, x0}")
     p.add_argument("--ridge", type=float, default=0.0)
     p.add_argument("--v", default=None, help="JSON v vector; computed from --formula when absent")
-    p.add_argument("--formula", default="auto", choices=list(eso.FORMULA_CHOICES))
+    p.add_argument("--formula", default="auto", choices=list(eso.FORMULAS))
     p.add_argument("--epsilon", type=float, default=1e-6)
     p.add_argument("--max-iter", type=int, default=1_000_000, dest="max_iter")
     p.add_argument("--seeds", type=int, default=1, help="number of independent runs")
@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--sampling", required=True)
     p.add_argument("--formulas", default="conservative,generic,coupled")
-    p.add_argument("--power-iterations", type=int, default=10, dest="power_iterations")
+    p.add_argument("--power-iterations", type=int, default=config.POWER_ITERATIONS, dest="power_iterations")
     p.add_argument("--lambda-sc", type=float, default=1.0, dest="lambda_sc")
     p.add_argument("--epsilon", type=float, default=1e-6)
     p.add_argument("--out", default=None)

@@ -14,7 +14,9 @@ tightness against preprocessing cost:
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -136,24 +138,11 @@ def eso_conservative(
     p = _require_proper(spec)
     tau = int(tau_cap) if tau_cap is not None else samplings.cardinality_cap(spec)
     factor = float(min(tau, data.max_row_support))
-    return EsoResult(
-        _floor(factor * data.column_sq_norms),
-        p,
-        FORMULA_CONSERVATIVE,
-        cost_estimate=2.0 * data.nnz,
-    )
+    return _one_pass(data, p, factor * data.column_sq_norms, FORMULA_CONSERVATIVE)
 
 
 # ---------------------------------------------------------------------------
 # Formula: coupling the sampling with the data row supports
-
-
-_COUPLED_IDS = {
-    "exact": FORMULA_COUPLED_EXACT,
-    "bound": FORMULA_COUPLED_BOUND,
-    "formula": FORMULA_TAU_NICE,
-    "power": FORMULA_COUPLED_POWER,
-}
 
 
 def eso_coupled(
@@ -167,14 +156,20 @@ def eso_coupled(
     """v_i = sum_j lambda'(J_j intersect S-hat) * A_ji^2.
 
     The per-row restricted eigenvalue comes from the requested method (exact
-    eigen-solve, safeguarded power iteration, tau-nice closed form, or the
-    tightest structural bound). Rows sharing a support reuse the multiplier.
+    eigen-solve, safeguarded power iteration, or the tightest structural
+    bound). Rows sharing a support reuse the multiplier. ``formula`` takes
+    the tau-nice closed form, which is the ``taunice`` formula itself.
     """
-    if restricted_eig_method not in _COUPLED_IDS:
-        raise UnsupportedMethodError(
-            f"unknown restricted eigenvalue method {restricted_eig_method!r}"
-        )
+    entry = FORMULAS.get(f"coupled-{restricted_eig_method}")
+    if entry is None:
+        raise UnsupportedMethodError(f"unknown restricted eigenvalue method {restricted_eig_method!r}")
     p = _require_proper(spec)
+    if restricted_eig_method == "formula":
+        if spec.kind != samplings.KIND_TAU_NICE:
+            raise UnsupportedMethodError(
+                f"restricted closed form only exists for tau-nice samplings, not {spec.kind!r}"
+            )
+        return eso_specialized(data, spec)
 
     precomputed = None
     cost = 2.0 * data.nnz
@@ -214,7 +209,7 @@ def eso_coupled(
     return EsoResult(
         _floor(_accumulate_rows(data, multipliers)),
         p,
-        _COUPLED_IDS[restricted_eig_method],
+        entry.formula_id,
         cost_estimate=cost,
         row_methods=tuple(methods),
     )
@@ -238,71 +233,37 @@ def eso_specialized(
     the coupled formula).
     """
     p = _require_proper(spec)
-    sizes = np.array([len(s) for s in data.row_supports], dtype=float)
-    cost = 2.0 * data.nnz
-
     if case == "generic":
-        return _generic_tau(data, spec, tau_cap, p, sizes, cost)
+        return _generic_tau(data, spec, tau_cap, p)
     if case != "auto":
         raise UnsupportedMethodError(f"unknown specialization case {case!r}")
 
     kind = spec.kind
     if kind == samplings.KIND_GRAPH:
         _check_graph_matches_data(data, spec)
-        return EsoResult(_floor(data.column_sq_norms), p, FORMULA_GRAPH, cost_estimate=cost)
-    if kind == samplings.KIND_SERIAL:
-        return EsoResult(_floor(data.column_sq_norms), p, FORMULA_SERIAL, cost_estimate=cost)
-    if kind == samplings.KIND_CTAU:
-        multipliers = np.array(
-            [
-                spectral.ctau_restricted_bound(spec, s) if s else 0.0
-                for s in data.row_supports
-            ]
-        )
-        return EsoResult(
-            _floor(_accumulate_rows(data, multipliers)),
-            p,
-            FORMULA_CTAU,
-            cost_estimate=cost,
-        )
-    if kind == samplings.KIND_TAU_NICE:
-        multipliers = np.array(
-            [spectral.tau_nice_restricted_value(spec.n, spec.tau, len(s)) for s in data.row_supports]
-        )
-        return EsoResult(
-            _floor(_accumulate_rows(data, multipliers)),
-            p,
-            FORMULA_TAU_NICE,
-            cost_estimate=cost,
-        )
-    if kind == samplings.KIND_DOUBLY_UNIFORM:
-        first, second = samplings.cardinality_moments(spec)
-        beta = (second / first - 1.0) / max(spec.n - 1, 1)
-        multipliers = 1.0 + (sizes - 1.0) * beta
-        return EsoResult(
-            _floor(_accumulate_rows(data, multipliers)),
-            p,
-            FORMULA_DOUBLY_UNIFORM,
-            cost_estimate=cost,
-        )
+    if kind in (samplings.KIND_GRAPH, samplings.KIND_SERIAL):
+        return _one_pass(data, p, data.column_sq_norms, _FAMILY_IDS[kind])
+    family = spectral.restricted_closed_form(spec, data.row_supports)
+    if family is not None:
+        return _one_pass(data, p, _accumulate_rows(data, family[0]), _FAMILY_IDS[kind])
     first, second = samplings.cardinality_moments(spec)
     if (first, second) == (1.0, 1.0):
         # |S-hat| = 1 almost surely: the serial case in disguise.
-        return EsoResult(_floor(data.column_sq_norms), p, FORMULA_SERIAL, cost_estimate=cost)
-    return _generic_tau(data, spec, tau_cap, p, sizes, cost)
+        return _one_pass(data, p, data.column_sq_norms, FORMULA_SERIAL)
+    return _generic_tau(data, spec, tau_cap, p)
 
 
-def _generic_tau(data, spec, tau_cap, p, sizes, cost) -> EsoResult:
+def _one_pass(data: DataMatrix, p: np.ndarray, v: np.ndarray, formula_id: str) -> EsoResult:
+    return EsoResult(_floor(v), p, formula_id, cost_estimate=2.0 * data.nnz)
+
+
+def _generic_tau(data, spec, tau_cap, p) -> EsoResult:
     tau = int(tau_cap) if tau_cap is not None else samplings.cardinality_cap(spec)
     if tau <= 0:
         raise UnsupportedMethodError("generic case needs a positive certified cardinality cap")
+    sizes = np.array([len(s) for s in data.row_supports], dtype=float)
     multipliers = np.minimum(sizes, float(tau))
-    return EsoResult(
-        _floor(_accumulate_rows(data, multipliers)),
-        p,
-        FORMULA_GENERIC_TAU,
-        cost_estimate=cost,
-    )
+    return _one_pass(data, p, _accumulate_rows(data, multipliers), FORMULA_GENERIC_TAU)
 
 
 def _check_graph_matches_data(data: DataMatrix, spec: SamplingSpec) -> None:
@@ -325,20 +286,16 @@ def _check_graph_matches_data(data: DataMatrix, spec: SamplingSpec) -> None:
 # The PSD certificate
 
 
-def certify(
+def certificate_matrix(
     data: DataMatrix,
     spec: SamplingSpec,
     v: np.ndarray,
     cap: int = config.ENUMERATION_CAP,
     dense_cap: int = config.DENSE_EIG_CAP,
-) -> float:
-    """Smallest eigenvalue of Diag(v o p) - P o (A'A).
-
-    Nonnegative (within -1e-8) certifies the overapproximation for every
-    function whose curvature is dominated by A'A. Requires an exactly
-    computed probability matrix; statistical estimates cannot certify a
-    deterministic matrix inequality.
-    """
+) -> np.ndarray:
+    """Diag(v o p) - P o (A'A), PSD exactly when v certifies the overapproximation
+    for every function whose curvature is dominated by A'A. Needs the exact
+    probability matrix: an estimate cannot certify a matrix inequality."""
     v = np.asarray(v, dtype=float)
     if v.shape != (data.n,):
         raise ValidationError("v", f"expected shape ({data.n},)")
@@ -346,38 +303,68 @@ def certify(
         raise ValidationError("n", f"certification needs n <= {dense_cap}")
     pm = probability.prob_matrix(spec, "auto", cap=cap)
     probability.require_exact(pm, "the PSD certificate")
-    p = samplings.marginals(spec)
-    certificate = np.diag(v * p) - pm.entries * data.gram(dense_cap)
-    return float(np.linalg.eigvalsh(certificate)[0])
+    return np.diag(v * samplings.marginals(spec)) - pm.entries * data.gram(dense_cap)
+
+
+def certify(
+    data: DataMatrix,
+    spec: SamplingSpec,
+    v: np.ndarray,
+    cap: int = config.ENUMERATION_CAP,
+    dense_cap: int = config.DENSE_EIG_CAP,
+) -> float:
+    """Smallest eigenvalue of :func:`certificate_matrix`; nonnegative (within
+    -1e-8) certifies the overapproximation."""
+    return float(np.linalg.eigvalsh(certificate_matrix(data, spec, v, cap, dense_cap))[0])
 
 
 # ---------------------------------------------------------------------------
-# Name-based dispatch (CLI and estimator facade)
+# The formula table: every name compute_v, the CLI and the estimator accept
 
-FORMULA_CHOICES = (
-    "auto",
-    "uncoupled",
-    "coupled-exact",
-    "coupled-bound",
-    "coupled-power",
-    "coupled-formula",
-    "generic",
-    "specialized",
-    "taunice",
-    "ctau",
-    "doubly-uniform",
-    "graph",
-    "serial",
-    "conservative",
-)
 
-_FAMILY_FORMULAS = {
-    "taunice": samplings.KIND_TAU_NICE,
-    "ctau": samplings.KIND_CTAU,
-    "doubly-uniform": samplings.KIND_DOUBLY_UNIFORM,
-    "graph": samplings.KIND_GRAPH,
-    "serial": samplings.KIND_SERIAL,
+@dataclass(frozen=True)
+class Formula:
+    """One formula by name: the id it reports (None: the sampling decides),
+    ``run(data, spec, options)`` with compute_v's keyword arguments as
+    ``options``, and the sampling kind it requires (None: any)."""
+
+    formula_id: str | None
+    run: Callable[[DataMatrix, SamplingSpec, SimpleNamespace], EsoResult]
+    kind: str | None = None
+
+
+def _auto(data, spec, options):
+    try:
+        return eso_specialized(data, spec, options.tau_cap)
+    except UnsupportedMethodError:
+        return eso_coupled(data, spec, "bound")
+
+
+def _specialized(data, spec, options):
+    return eso_specialized(data, spec, options.tau_cap)
+
+
+FORMULAS: dict[str, Formula] = {
+    "auto": Formula(None, _auto),
+    "uncoupled": Formula(FORMULA_UNCOUPLED, lambda d, s, o: eso_uncoupled(d, s, o.lambda_prime_ata)),
+    "coupled-exact": Formula(FORMULA_COUPLED_EXACT, lambda d, s, o: eso_coupled(d, s, "exact")),
+    "coupled-bound": Formula(FORMULA_COUPLED_BOUND, lambda d, s, o: eso_coupled(d, s, "bound")),
+    "coupled-power": Formula(
+        FORMULA_COUPLED_POWER,
+        lambda d, s, o: eso_coupled(d, s, "power", o.power_iterations, o.safeguard),
+    ),
+    "coupled-formula": Formula(FORMULA_TAU_NICE, lambda d, s, o: eso_coupled(d, s, "formula")),
+    "generic": Formula(FORMULA_GENERIC_TAU, lambda d, s, o: eso_specialized(d, s, o.tau_cap, "generic")),
+    "specialized": Formula(None, _specialized),
+    "taunice": Formula(FORMULA_TAU_NICE, _specialized, samplings.KIND_TAU_NICE),
+    "ctau": Formula(FORMULA_CTAU, _specialized, samplings.KIND_CTAU),
+    "doubly-uniform": Formula(FORMULA_DOUBLY_UNIFORM, _specialized, samplings.KIND_DOUBLY_UNIFORM),
+    "graph": Formula(FORMULA_GRAPH, _specialized, samplings.KIND_GRAPH),
+    "serial": Formula(FORMULA_SERIAL, _specialized, samplings.KIND_SERIAL),
+    "conservative": Formula(FORMULA_CONSERVATIVE, lambda d, s, o: eso_conservative(d, s, o.tau_cap)),
 }
+
+_FAMILY_IDS = {f.kind: f.formula_id for f in FORMULAS.values() if f.kind is not None}
 
 
 def compute_v(
@@ -389,37 +376,24 @@ def compute_v(
     safeguard: float = config.POWER_SAFEGUARD,
     lambda_prime_ata: float | None = None,
 ) -> EsoResult:
-    """Compute stepsizes by formula name.
+    """Compute stepsizes by a name of :data:`FORMULAS`.
 
-    ``auto`` prefers the per-family closed form and falls back to the coupled
-    bound formula for kinds without one.
+    ``auto`` runs :func:`eso_specialized`, whose generic case covers every
+    proper sampling. It falls back to ``coupled-bound`` only when that raises
+    UnsupportedMethodError: for a graph sampling whose conflict graph does not
+    cover the data, or for a ``tau_cap`` below 1.
     """
-    if formula == "auto":
-        try:
-            return eso_specialized(data, spec, tau_cap=tau_cap)
-        except UnsupportedMethodError:
-            return eso_coupled(data, spec, "bound")
-    if formula == "uncoupled":
-        return eso_uncoupled(data, spec, lambda_prime_ata=lambda_prime_ata)
-    if formula == "coupled-exact":
-        return eso_coupled(data, spec, "exact")
-    if formula == "coupled-bound":
-        return eso_coupled(data, spec, "bound")
-    if formula == "coupled-power":
-        return eso_coupled(data, spec, "power", power_iterations, safeguard)
-    if formula == "coupled-formula":
-        return eso_coupled(data, spec, "formula")
-    if formula == "generic":
-        return eso_specialized(data, spec, tau_cap=tau_cap, case="generic")
-    if formula == "specialized":
-        return eso_specialized(data, spec, tau_cap=tau_cap)
-    if formula in _FAMILY_FORMULAS:
-        if spec.kind != _FAMILY_FORMULAS[formula]:
-            raise UnsupportedMethodError(
-                f"formula {formula!r} applies to {_FAMILY_FORMULAS[formula]} samplings, "
-                f"not {spec.kind!r}"
-            )
-        return eso_specialized(data, spec, tau_cap=tau_cap)
-    if formula == "conservative":
-        return eso_conservative(data, spec, tau_cap=tau_cap)
-    raise UnsupportedMethodError(f"unknown formula {formula!r}")
+    entry = FORMULAS.get(formula)
+    if entry is None:
+        raise UnsupportedMethodError(f"unknown formula {formula!r}")
+    if entry.kind is not None and spec.kind != entry.kind:
+        raise UnsupportedMethodError(
+            f"formula {formula!r} applies to {entry.kind} samplings, not {spec.kind!r}"
+        )
+    options = SimpleNamespace(
+        tau_cap=tau_cap,
+        power_iterations=power_iterations,
+        safeguard=safeguard,
+        lambda_prime_ata=lambda_prime_ata,
+    )
+    return entry.run(data, spec, options)

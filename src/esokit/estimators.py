@@ -45,7 +45,7 @@ class EsoStepsizes(ParamsMixin):
     sampling : SamplingSpec | dict | str
         The sampling distribution (spec object, payload dict, or JSON).
     formula : str
-        One of ``eso.FORMULA_CHOICES``; ``auto`` prefers the per-family
+        A name of ``eso.FORMULAS``; ``auto`` prefers the per-family
         closed form.
     tau_cap : int, optional
         Externally certified cardinality cap for the generic formula.

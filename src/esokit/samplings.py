@@ -353,35 +353,47 @@ def spec_to_dict(spec: SamplingSpec) -> dict:
     return out
 
 
-def spec_from_dict(payload: dict) -> SamplingSpec:
+def _parsed(payload: dict, key: str, convert):
+    """convert(payload[key]), or None when absent; malformed values name the key."""
+    if key not in payload:
+        return None
     try:
-        n = int(payload["n"])
-        kind = str(payload["kind"])
-    except KeyError as e:
-        raise ValidationError(str(e.args[0]), "missing required key") from e
-    graph = None
-    if "graph_edges" in payload:
-        graph = ConflictGraph(n=n, edges=tuple((int(a), int(b)) for a, b in payload["graph_edges"]))
+        return convert(payload[key])
+    except (TypeError, ValueError) as e:
+        raise ValidationError(key, f"malformed value {payload[key]!r}") from e
+
+
+def _index_set(raw) -> tuple[int, ...]:
+    return tuple(sorted(int(i) for i in raw))
+
+
+def _index_sets(raw) -> tuple[tuple[int, ...], ...]:
+    return tuple(_index_set(s) for s in raw)
+
+
+def _floats(raw) -> tuple[float, ...]:
+    return tuple(float(x) for x in raw)
+
+
+def spec_from_dict(payload: dict) -> SamplingSpec:
+    if not isinstance(payload, dict):
+        raise TypeError(f"a sampling spec is a dict, not a {type(payload).__name__}")
+    for key in ("n", "kind"):
+        if key not in payload:
+            raise ValidationError(key, "missing required key")
+    n = _parsed(payload, "n", int)
     spec = SamplingSpec(
         n=n,
-        kind=kind,
-        set=tuple(sorted(int(i) for i in payload["set"])) if "set" in payload else None,
-        q=tuple(float(x) for x in payload["q"]) if "q" in payload else None,
-        tau=int(payload["tau"]) if "tau" in payload else None,
-        partition=tuple(tuple(sorted(int(i) for i in b)) for b in payload["partition"])
-        if "partition" in payload
-        else None,
-        blocks=tuple(tuple(sorted(int(i) for i in b)) for b in payload["blocks"])
-        if "blocks" in payload
-        else None,
-        members=tuple(tuple(sorted(int(i) for i in s)) for s in payload["members"])
-        if "members" in payload
-        else None,
-        weights=tuple(float(w) for w in payload["weights"]) if "weights" in payload else None,
-        components=tuple(spec_from_dict(c) for c in payload["components"])
-        if "components" in payload
-        else None,
-        graph=graph,
+        kind=_parsed(payload, "kind", str),
+        set=_parsed(payload, "set", _index_set),
+        q=_parsed(payload, "q", _floats),
+        tau=_parsed(payload, "tau", int),
+        partition=_parsed(payload, "partition", _index_sets),
+        blocks=_parsed(payload, "blocks", _index_sets),
+        members=_parsed(payload, "members", _index_sets),
+        weights=_parsed(payload, "weights", _floats),
+        components=_parsed(payload, "components", lambda cs: tuple(spec_from_dict(c) for c in cs)),
+        graph=_parsed(payload, "graph_edges", lambda e: ConflictGraph(n, tuple((int(a), int(b)) for a, b in e))),
     )
     return spec.validate()
 
@@ -497,11 +509,16 @@ def enumerate_support(
     return sorted(dist.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
 
+_WITHOUT_ENUMERATION = (
+    'prob_matrix(spec, "auto") (probmatrix --method auto) gives the exact probability matrix '
+    "without enumeration; support-wide checks have a Monte-Carlo mode"
+)
+
+
 def _require_cap(spec: SamplingSpec, cap: int) -> None:
     if spec.n > cap:
         raise CapacityError(
-            f"{spec.kind} with n={spec.n} exceeds the enumeration cap {cap}; "
-            "use the Monte-Carlo path instead"
+            f"{spec.kind} with n={spec.n} exceeds the enumeration cap {cap}; {_WITHOUT_ENUMERATION}"
         )
 
 
@@ -509,7 +526,7 @@ def _guard_support(size: int) -> None:
     if size > config.MAX_ENUM_SUPPORT:
         raise CapacityError(
             f"support of {size} sets exceeds the {config.MAX_ENUM_SUPPORT} ceiling; "
-            "use the Monte-Carlo path instead"
+            + _WITHOUT_ENUMERATION
         )
 
 

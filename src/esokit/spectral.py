@@ -220,11 +220,33 @@ def lambda_bounds(spec: SamplingSpec, tau_cap: int | None = None) -> BoundsRepor
 # Restricted samplings
 
 
-def tau_nice_restricted_value(n: int, tau: int, j_size: int) -> float:
-    """Exact lambda'(J intersect S-hat) for the tau-nice sampling."""
+def tau_nice_restricted_value(n: int, tau: int, j_size):
+    """Exact lambda'(J intersect S-hat) for the tau-nice sampling; ``j_size``
+    = |J| may be an array of sizes."""
     if tau == 0:
-        return 0.0
+        return 0.0 * j_size
     return 1.0 + (j_size - 1) * (tau - 1) / max(n - 1, 1)
+
+
+def restricted_closed_form(spec: SamplingSpec, sets) -> tuple[np.ndarray, str] | None:
+    """lambda'(J intersect S-hat) for each set J in ``sets`` by the sampling
+    family's proposition (exact for tau-nice, an upper bound for the
+    (c,tau)-distributed and doubly-uniform families), with the proposition's
+    name; None for other kinds and the nil doubly-uniform sampling."""
+    k = spec.kind
+    if k == samplings.KIND_CTAU:
+        values = [ctau_restricted_bound(spec, j) if len(j) else 0.0 for j in sets]
+        return np.array(values, dtype=float), "ctau_restriction"
+    sizes = np.array([len(j) for j in sets], dtype=float)
+    if k == samplings.KIND_TAU_NICE:
+        return tau_nice_restricted_value(spec.n, spec.tau, sizes), "tau_nice_restriction"
+    if k == samplings.KIND_DOUBLY_UNIFORM:
+        first, second = samplings.cardinality_moments(spec)
+        if first == 0.0:
+            return None
+        beta = (second / first - 1.0) / max(spec.n - 1, 1)
+        return 1.0 + (sizes - 1.0) * beta, "doubly_uniform_restriction"
+    return None
 
 
 def lambda_prime_restricted(
@@ -281,21 +303,13 @@ def lambda_prime_restricted(
 
 
 def _restriction_bound_candidates(spec: SamplingSpec, j_idx: list[int]) -> dict[str, float]:
-    j_size = len(j_idx)
     candidates: dict[str, float] = {
-        "generic_cardinality": float(min(j_size, samplings.cardinality_cap(spec)))
+        "generic_cardinality": float(min(len(j_idx), samplings.cardinality_cap(spec)))
     }
-    k = spec.kind
-    if k == samplings.KIND_TAU_NICE:
-        candidates["tau_nice_restriction"] = tau_nice_restricted_value(spec.n, spec.tau, j_size)
-    elif k == samplings.KIND_CTAU:
-        candidates["ctau_restriction"] = ctau_restricted_bound(spec, j_idx)
-    elif k == samplings.KIND_DOUBLY_UNIFORM:
-        first, second = samplings.cardinality_moments(spec)
-        if first > 0.0:
-            candidates["doubly_uniform_restriction"] = 1.0 + (j_size - 1) * (
-                second / first - 1.0
-            ) / max(spec.n - 1, 1)
+    family = restricted_closed_form(spec, [j_idx])
+    if family is not None:
+        values, source = family
+        candidates[source] = float(values[0])
     return candidates
 
 

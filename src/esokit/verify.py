@@ -20,7 +20,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from . import config, probability, samplings
+from . import config, eso, probability, samplings
 from .datamatrix import DataMatrix
 from .errors import ValidationError
 from .samplings import SamplingSpec
@@ -73,9 +73,7 @@ def canonical_points(
     hs.append((np.ones(n), "ones"))
     hs.append((h_rand, "random_unit"))
     if n <= config.DENSE_EIG_CAP:
-        pm = probability.require_exact(probability.prob_matrix(spec, "auto"), "the certificate point")
-        certificate = np.diag(np.asarray(v) * samplings.marginals(spec)) - pm.entries * data.gram()
-        _, vecs = np.linalg.eigh(certificate)
+        _, vecs = np.linalg.eigh(eso.certificate_matrix(data, spec, v))
         hs.append((vecs[:, 0], "certificate_bottom"))
 
     xs = [(np.zeros(n), "zero"), (np.ones(n), "ones"), (x_rand, "random_unit")]
@@ -191,11 +189,7 @@ def check_eso_matrix_form(
     data: DataMatrix, spec: SamplingSpec, v: np.ndarray, tol: float = 1e-8
 ) -> MatrixFormReport:
     """PSD certificate with a violating direction when the margin is negative."""
-    v = np.asarray(v, dtype=float)
-    pm = probability.prob_matrix(spec, "auto")
-    probability.require_exact(pm, "the matrix-form check")
-    p = samplings.marginals(spec)
-    certificate = np.diag(v * p) - pm.entries * data.gram()
+    certificate = eso.certificate_matrix(data, spec, v)
     eigvals, eigvecs = np.linalg.eigh(certificate)
     margin = float(eigvals[0])
     if margin < -tol:

@@ -175,3 +175,26 @@ def test_design_serial_points_errors_are_input_errors(workdir, capsys):
     code = main(["design-serial", "--matrix", str(matrix), "--points", str(points)])
     assert code == 2
     assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"n": "abc", "kind": "tau_nice", "tau": 2}, "n"),
+        ({"n": 4, "kind": "tau_nice", "tau": [1]}, "tau"),
+        ({"n": 4, "kind": "convex_combination", "components": [1, 2], "weights": [0.5, 0.5]}, "components"),
+    ],
+)
+def test_mistyped_sampling_field_is_input_error(workdir, capsys, payload, field):
+    _, matrix, _ = workdir
+    code = main(["compute-v", "--matrix", str(matrix), "--sampling", json.dumps(payload)])
+    assert code == 2
+    assert f"input error: {field}:" in capsys.readouterr().err
+
+
+def test_enumeration_cap_names_the_exact_auto_method(capsys):
+    spec = json.dumps({"n": 20, "kind": "tau_nice", "tau": 3})
+    code = main(["probmatrix", "--sampling", spec, "--method", "enumerate"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "--method auto" in err and "Monte-Carlo" in err

@@ -5,7 +5,7 @@ import pytest
 
 import esokit as ek
 from esokit.errors import UnsupportedMethodError, ValidationError
-from esokit.spectral import ctau_restricted_bound, tau_nice_restricted_value
+from esokit.spectral import ctau_restricted_bound, restricted_closed_form, tau_nice_restricted_value
 
 
 def test_lambda_max_examples():
@@ -262,3 +262,30 @@ def test_bounds_report_serializes():
 def test_ctau_bound_requires_ctau_kind():
     with pytest.raises(UnsupportedMethodError):
         ctau_restricted_bound(ek.tau_nice(4, 2), [0, 1])
+
+
+def test_restricted_closed_form_matches_per_set_reference():
+    # The family closed forms run on many sets at once; each entry equals the
+    # same proposition evaluated on one set in Python arithmetic.
+    rng = ek.rng_for_stream(44, 0)
+    n = 8
+    sets = [tuple(sorted(rng.choice(n, size=k, replace=False).tolist())) for k in range(1, n + 1) for _ in range(3)]
+    for tau in range(n + 1):
+        values, source = restricted_closed_form(ek.tau_nice(n, tau), sets)
+        assert source == "tau_nice_restriction"
+        assert values.tolist() == [tau_nice_restricted_value(n, tau, len(j)) for j in sets]
+
+    ctau = ek.ctau_distributed([range(4), range(4, 8)], 3)
+    values, source = restricted_closed_form(ctau, sets)
+    assert source == "ctau_restriction"
+    assert values.tolist() == [ctau_restricted_bound(ctau, j) for j in sets]
+
+    du = ek.doubly_uniform([0.0, 0.2, 0.3, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05])
+    first, second = ek.cardinality_moments(du)
+    values, source = restricted_closed_form(du, sets)
+    assert source == "doubly_uniform_restriction"
+    expected = [1.0 + (len(j) - 1) * (second / first - 1.0) / (n - 1) for j in sets]
+    assert values.tolist() == pytest.approx(expected, rel=4 * np.finfo(float).eps)
+
+    assert restricted_closed_form(ek.serial([1.0 / n] * n), sets) is None
+    assert restricted_closed_form(ek.doubly_uniform([1.0] + [0.0] * n), sets) is None

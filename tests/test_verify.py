@@ -3,6 +3,7 @@ import pytest
 
 import esokit as ek
 from conftest import random_sparse_matrix
+from esokit.errors import ValidationError
 from esokit.verify import write_junit
 
 FIXTURE_A = ek.DataMatrix.from_dense(np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 0.0]]))
@@ -143,3 +144,8 @@ def test_identity_battery_passes_and_writes_junit(tmp_path):
     write_junit(report, path)
     text = path.read_text()
     assert "<testsuite" in text and 'failures="0"' in text
+
+
+def test_matrix_form_rejects_wrong_length_v():
+    with pytest.raises(ValidationError):
+        ek.check_eso_matrix_form(FIXTURE_A, SPEC, V_OK[:-1])
