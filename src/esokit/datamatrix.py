@@ -19,9 +19,31 @@ from . import config
 from .errors import ParseError, ValidationError
 
 
+# Products of entry pairs per np.bincount call in DataMatrix.gram: bounds the
+# temporaries (a few arrays of this length) however dense the rows are.
+_GRAM_PAIRS = 1 << 20
+
+
+def _pointers(index: np.ndarray, size: int) -> np.ndarray:
+    """Offsets (length size + 1) of each index value's run once the entries
+    are sorted by index."""
+    return np.concatenate(([0], np.cumsum(np.bincount(index, minlength=size))))
+
+
 @dataclass(frozen=True)
 class DataMatrix:
-    """m-by-n real matrix stored as (row, col, value) triplets."""
+    """m-by-n real matrix stored as (row, col, value) triplets.
+
+    The triplets are kept in row-major order (by row, then column), which
+    makes them compressed sparse rows with pointer :attr:`row_ptr`: row j's
+    entries are ``cols/values[row_ptr[j]:row_ptr[j + 1]]``. The column-major
+    copy (compressed sparse columns) is ``col_ptr``, ``col_rows`` and
+    ``col_values``, built on first use. These arrays are the only storage;
+    ``row_supports``, ``row_entries`` and ``column_entries`` are per-row and
+    per-column views split from them, and products with A and A' read them
+    directly, so nothing here builds a dense m-by-n array except
+    :meth:`to_dense`.
+    """
 
     m: int
     n: int
@@ -44,13 +66,14 @@ class DataMatrix:
                 raise ValidationError("cols", f"column indices must lie in [0, {self.n})")
             if not np.all(np.isfinite(values)):
                 raise ValidationError("values", "non-finite entry")
-            keys = rows * self.n + cols
-            if np.unique(keys).size != keys.size:
-                raise ValidationError("triplets", "duplicate (row, col) entries are rejected")
-        # Canonical order, explicit zeros dropped.
-        keep = values != 0.0
-        rows, cols, values = rows[keep], cols[keep], values[keep]
-        order = np.lexsort((cols, rows))
+        # Canonical order by one sort of the (row, col) keys; duplicates are
+        # then adjacent. Explicit zeros are dropped after the duplicate check.
+        keys = rows * self.n + cols
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        if np.any(keys[1:] == keys[:-1]):
+            raise ValidationError("triplets", "duplicate (row, col) entries are rejected")
+        order = order[values[order] != 0.0]
         object.__setattr__(self, "rows", rows[order])
         object.__setattr__(self, "cols", cols[order])
         object.__setattr__(self, "values", values[order])
@@ -73,72 +96,112 @@ class DataMatrix:
         rows, cols = np.nonzero(a)
         return DataMatrix(a.shape[0], a.shape[1], rows, cols, a[rows, cols])
 
-    # -- derived quantities --------------------------------------------------
+    # -- compressed row and column storage -----------------------------------
 
     @property
     def nnz(self) -> int:
         return int(self.values.size)
 
     @cached_property
+    def row_ptr(self) -> np.ndarray:
+        """CSR pointer (length m + 1) into ``cols`` and ``values``."""
+        return _pointers(self.rows, self.m)
+
+    @cached_property
+    def row_sizes(self) -> np.ndarray:
+        """|J_j| for every row j."""
+        return np.diff(self.row_ptr)
+
+    @cached_property
+    def _col_order(self) -> np.ndarray:
+        # Stable, so each column keeps its entries in row order.
+        return np.argsort(self.cols, kind="stable")
+
+    @cached_property
+    def col_ptr(self) -> np.ndarray:
+        """CSC pointer (length n + 1) into ``col_rows`` and ``col_values``."""
+        return _pointers(self.cols, self.n)
+
+    @cached_property
+    def col_rows(self) -> np.ndarray:
+        return self.rows[self._col_order]
+
+    @cached_property
+    def col_values(self) -> np.ndarray:
+        return self.values[self._col_order]
+
+    # -- derived quantities --------------------------------------------------
+
+    @cached_property
     def row_supports(self) -> tuple[tuple[int, ...], ...]:
         """J_j: columns with a nonzero entry in row j."""
-        supports: list[list[int]] = [[] for _ in range(self.m)]
-        for r, c in zip(self.rows, self.cols):
-            supports[r].append(int(c))
-        return tuple(tuple(s) for s in supports)
+        cols = self.cols.tolist()
+        bounds = self.row_ptr.tolist()
+        return tuple(tuple(cols[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
 
     @cached_property
     def column_sq_norms(self) -> np.ndarray:
         """w_i = sum_j A_ji^2."""
-        w = np.zeros(self.n)
-        np.add.at(w, self.cols, self.values**2)
-        return w
+        return np.bincount(self.cols, weights=self.values**2, minlength=self.n)
 
     @property
     def max_row_support(self) -> int:
         """omega: degree of partial separability."""
-        return max((len(s) for s in self.row_supports), default=0)
+        return int(self.row_sizes.max())
 
     @cached_property
     def row_entries(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per-row (column indices, values) views."""
-        idx: list[list[int]] = [[] for _ in range(self.m)]
-        vals: list[list[float]] = [[] for _ in range(self.m)]
-        for r, c, v in zip(self.rows, self.cols, self.values):
-            idx[r].append(int(c))
-            vals[r].append(float(v))
-        return tuple(
-            (np.asarray(i, dtype=np.int64), np.asarray(v, dtype=float))
-            for i, v in zip(idx, vals)
-        )
+        cuts = self.row_ptr[1:-1]
+        return tuple(zip(np.split(self.cols, cuts), np.split(self.values, cuts)))
 
     @cached_property
     def column_entries(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per-column (row indices, values) views."""
-        idx: list[list[int]] = [[] for _ in range(self.n)]
-        vals: list[list[float]] = [[] for _ in range(self.n)]
-        for r, c, v in zip(self.rows, self.cols, self.values):
-            idx[c].append(int(r))
-            vals[c].append(float(v))
-        return tuple(
-            (np.asarray(i, dtype=np.int64), np.asarray(v, dtype=float))
-            for i, v in zip(idx, vals)
-        )
+        cuts = self.col_ptr[1:-1]
+        return tuple(zip(np.split(self.col_rows, cuts), np.split(self.col_values, cuts)))
 
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.m, self.n))
         a[self.rows, self.cols] = self.values
         return a
 
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A x."""
+        return np.bincount(self.rows, weights=self.values * x[self.cols], minlength=self.m)
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """A' y."""
+        return np.bincount(self.cols, weights=self.values * y[self.rows], minlength=self.n)
+
     def gram(self, cap: int = config.DENSE_EIG_CAP) -> np.ndarray:
-        """Dense A^T A; refused beyond the dense cap."""
+        """Dense A^T A; refused beyond the dense cap.
+
+        Entry (a, b) sums A_ja A_jb over the rows j in row order: the entry
+        pairs of each row go into one bincount per ``_GRAM_PAIRS`` pairs.
+        """
         if self.n > cap:
             raise ValidationError("n", f"gram matrix of size {self.n} exceeds dense cap {cap}")
-        g = np.zeros((self.n, self.n))
-        for idx, vals in self.row_entries:
-            if idx.size:
-                g[np.ix_(idx, idx)] += np.outer(vals, vals)
-        return g
+        n = self.n
+        reps = self.row_sizes[self.rows]
+        # Entry e owns pairs pair_start[e] .. pair_start[e + 1] - 1, one with
+        # each entry of its row, which start at first[e].
+        pair_start = np.concatenate(([0], np.cumsum(reps)))
+        first = self.row_ptr[self.rows]
+        g = np.zeros(n * n)
+        lo = 0
+        while lo < self.nnz:
+            hi = int(np.searchsorted(pair_start, pair_start[lo] + _GRAM_PAIRS, side="right")) - 1
+            hi = max(hi, lo + 1)
+            left = np.repeat(np.arange(lo, hi), reps[lo:hi])
+            right = first[left] + np.arange(pair_start[lo], pair_start[hi]) - pair_start[left]
+            g += np.bincount(
+                self.cols[left] * n + self.cols[right],
+                weights=self.values[left] * self.values[right],
+                minlength=n * n,
+            )
+            lo = hi
+        return g.reshape(n, n)
 
     def scaled(self, factor: float) -> "DataMatrix":
         return DataMatrix(self.m, self.n, self.rows, self.cols, self.values * factor)

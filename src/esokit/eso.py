@@ -82,11 +82,8 @@ def _floor(v: np.ndarray) -> np.ndarray:
 
 
 def _accumulate_rows(data: DataMatrix, multipliers: np.ndarray) -> np.ndarray:
-    v = np.zeros(data.n)
-    for j, (idx, vals) in enumerate(data.row_entries):
-        if idx.size:
-            v[idx] += multipliers[j] * vals**2
-    return v
+    """v_i = sum_j multipliers_j A_ji^2."""
+    return np.bincount(data.cols, weights=multipliers[data.rows] * data.values**2, minlength=data.n)
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +173,11 @@ def eso_coupled(
     if restricted_eig_method in ("exact", "power"):
         pm = probability.prob_matrix(spec, "auto", cap=cap)
         precomputed = probability.require_exact(pm, "coupled restricted eigenvalue")
-        sum_sq = float(sum(len(s) ** 2 for s in data.row_supports))
+        sizes = data.row_sizes
         if restricted_eig_method == "power":
-            cost += power_iterations * sum_sq
+            cost += power_iterations * float(np.sum(sizes**2))
         else:
-            cost += float(sum(len(s) ** 3 for s in data.row_supports))
+            cost += float(np.sum(sizes**3))
 
     multipliers = np.zeros(data.m)
     methods: list[str] = []
@@ -261,8 +258,7 @@ def _generic_tau(data, spec, tau_cap, p) -> EsoResult:
     tau = int(tau_cap) if tau_cap is not None else samplings.cardinality_cap(spec)
     if tau <= 0:
         raise UnsupportedMethodError("generic case needs a positive certified cardinality cap")
-    sizes = np.array([len(s) for s in data.row_supports], dtype=float)
-    multipliers = np.minimum(sizes, float(tau))
+    multipliers = np.minimum(data.row_sizes.astype(float), float(tau))
     return _one_pass(data, p, _accumulate_rows(data, multipliers), FORMULA_GENERIC_TAU)
 
 

@@ -402,14 +402,16 @@ def spec_from_dict(payload: dict) -> SamplingSpec:
 # Drawing
 
 
-def _partial_fisher_yates(pool: np.ndarray, tau: int, rng: np.random.Generator) -> np.ndarray:
-    # Exact uniform tau-subset in O(len(pool)) memory, O(tau) swaps.
-    arr = pool.copy()
-    n = len(arr)
+def _partial_fisher_yates(size: int, tau: int, rng: np.random.Generator) -> list[int]:
+    """Positions of an exact uniform tau-subset of range(size): tau swaps of
+    a virtual identity array, whose moved slots alone are stored."""
+    moved: dict[int, int] = {}
+    picked = []
     for k in range(tau):
-        j = int(rng.integers(k, n))
-        arr[k], arr[j] = arr[j], arr[k]
-    return arr[:tau]
+        j = int(rng.integers(k, size))
+        picked.append(moved.get(j, j))
+        moved[j] = moved.get(k, k)
+    return picked
 
 
 def _draw(spec: SamplingSpec, rng: np.random.Generator) -> frozenset[int]:
@@ -420,18 +422,15 @@ def _draw(spec: SamplingSpec, rng: np.random.Generator) -> frozenset[int]:
         i = int(rng.choice(spec.n, p=np.asarray(spec.q)))
         return frozenset((i,))
     if k == KIND_TAU_NICE:
-        picked = _partial_fisher_yates(np.arange(spec.n), spec.tau, rng)
-        return frozenset(int(i) for i in picked)
+        return frozenset(_partial_fisher_yates(spec.n, spec.tau, rng))
     if k == KIND_CTAU:
         out: set[int] = set()
         for block in spec.partition:
-            picked = _partial_fisher_yates(np.asarray(block), spec.tau, rng)
-            out.update(int(i) for i in picked)
+            out.update(block[i] for i in _partial_fisher_yates(len(block), spec.tau, rng))
         return frozenset(out)
     if k == KIND_DOUBLY_UNIFORM:
         tau = int(rng.choice(spec.n + 1, p=np.asarray(spec.q)))
-        picked = _partial_fisher_yates(np.arange(spec.n), tau, rng)
-        return frozenset(int(i) for i in picked)
+        return frozenset(_partial_fisher_yates(spec.n, tau, rng))
     if k == KIND_PRODUCT:
         return frozenset(int(b[int(rng.integers(len(b)))]) for b in spec.blocks)
     if k in (KIND_GRAPH, KIND_EXPLICIT):

@@ -4,8 +4,11 @@ quadratics, plus the complexity estimators and sampling-design utilities.
 The update draws a set S from the sampling and moves every selected
 coordinate by its partial gradient scaled with 1/v_i, where v comes from one
 of the stepsize formulas (computed on the ridge-augmented data matrix so the
-full objective's curvature is covered). The residual r = Ax is maintained
-incrementally, so one coordinate update costs O(column support).
+full objective's curvature is covered). A is never densified: the solver reads
+the compressed columns of the data matrix and maintains the residual r = Ax
+incrementally, so the update of one iteration costs
+O(sum_{i in S} |column support of i|). The objective is then recomputed in
+full from r and x, which costs O(m + n) per iteration.
 """
 
 from __future__ import annotations
@@ -55,12 +58,11 @@ class QuadraticProblem:
         return self.data.gram() + self.ridge * np.eye(self.data.n)
 
     def objective(self, x: np.ndarray) -> float:
-        ax = self.data.to_dense() @ x
+        ax = self.data.matvec(x)
         return 0.5 * float(ax @ ax) + 0.5 * self.ridge * float(x @ x) - float(self.b @ x)
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        a = self.data.to_dense()
-        return a.T @ (a @ x) + self.ridge * x - self.b
+        return self.data.rmatvec(self.data.matvec(x)) + self.ridge * x - self.b
 
     def x_star(self) -> np.ndarray:
         if self._x_star is None:
@@ -161,6 +163,14 @@ def solve(
     The sampling must be proper and v must certify (or be trusted to certify)
     the overapproximation on the ridge-augmented data. A 10x gap growth over
     a 10-iteration window aborts with a divergence diagnostic.
+
+    No dense copy of A is made. Each iteration takes the partial gradients
+    of every selected coordinate from the same residual r = Ax, then adds
+    each coordinate's step to r one column at a time: O(sum_{i in S}
+    |column support of i|). The objective 0.5 ||r||^2 + 0.5 ridge ||x||^2 -
+    b'x that the stop test reads is recomputed in full, in O(m + n); an
+    incremental update would have to track the cross terms between selected
+    columns that share rows.
     """
     samplings.validate_spec(spec)
     p = samplings.marginals(spec)
@@ -172,12 +182,11 @@ def solve(
 
     x = np.zeros(problem.n) if x0 is None else np.asarray(x0, dtype=float).copy()
     f_star = problem.f_star()
-    a_dense = problem.data.to_dense()
     cols = problem.data.column_entries
     b = problem.b
     ridge = problem.ridge
 
-    r = a_dense @ x
+    r = problem.data.matvec(x)
     gap0 = problem.objective(x) - f_star
     if epsilon > 0:
         bound = complexity_estimate(
@@ -413,7 +422,7 @@ def tradeoff_report(
         raise ValidationError("spec", "trade-off report needs a sampling with |S| >= 1 possible")
     if lambda_sc <= 0 or epsilon <= 0:
         raise ValidationError("lambda_sc", "lambda_sc and epsilon must be positive")
-    sum_sq_supports = float(sum(len(s) ** 2 for s in data.row_supports))
+    sum_sq_supports = float(np.sum(data.row_sizes**2))
     nnz = max(data.nnz, 1)
     log_term = math.log(1.0 / epsilon)
 

@@ -106,7 +106,6 @@ def check_eso_quadratic(
 
     p = samplings.marginals(spec)
     a_dense = data.to_dense()
-    gram = a_dense.T @ a_dense
 
     if mode == "exhaustive":
         support = samplings.enumerate_support(spec, cap)
@@ -127,8 +126,9 @@ def check_eso_quadratic(
 
     details = []
     for x, h, label in labelled:
-        fx = 0.5 * float(np.dot(a_dense @ x, a_dense @ x))
-        grad = gram @ x
+        ax = a_dense @ x
+        fx = 0.5 * float(np.dot(ax, ax))
+        grad = a_dense.T @ ax
         rhs = fx + float(np.sum(p * grad * h)) + 0.5 * float(np.sum(p * v * h * h))
         # f(x + h_S) for every S at once: rows of masks select coordinates.
         shifted = a_dense @ (x[None, :] + masks * h[None, :]).T

@@ -94,3 +94,25 @@ def test_composed_function_rejects_bad_pieces():
         ComposedFunction(((0.0, np.eye(2)),))
     with pytest.raises(ValidationError, match="column"):
         ComposedFunction(((1.0, np.eye(2)), (1.0, np.eye(3))))
+
+
+def test_canonical_order_is_row_major_from_one_sort():
+    rng = np.random.default_rng(31)
+    for m, n, nnz in ((7, 5, 20), (50, 40, 600), (1, 9, 9), (9, 1, 9)):
+        keys = rng.choice(m * n, size=nnz, replace=False)
+        rows, cols = np.divmod(keys, n)
+        values = rng.standard_normal(nnz)
+        values[rng.random(nnz) < 0.2] = 0.0
+        data = ek.DataMatrix(m, n, rows, cols, values)
+        keep = values != 0.0
+        order = np.lexsort((cols[keep], rows[keep]))
+        assert np.array_equal(data.rows, rows[keep][order])
+        assert np.array_equal(data.cols, cols[keep][order])
+        assert np.array_equal(data.values, values[keep][order])
+
+
+@pytest.mark.parametrize("second", [2.0, 0.0])
+def test_duplicate_pair_is_rejected_even_when_one_copy_is_zero(second):
+    with pytest.raises(ValidationError) as info:
+        ek.DataMatrix(3, 3, [2, 0, 1, 0], [1, 2, 0, 2], [1.0, 3.0, 4.0, second])
+    assert info.value.field == "triplets"

@@ -258,3 +258,45 @@ def test_tau_zero_is_nil():
     spec = ek.tau_nice(5, 0)
     assert ek.is_nil(spec)
     assert ek.enumerate_support(spec) == [((), 1.0)]
+
+
+def _reference_fisher_yates(pool, tau, rng):
+    # The pool-copying partial shuffle the tau-subset draws used before.
+    arr = pool.copy()
+    n = len(arr)
+    for k in range(tau):
+        j = int(rng.integers(k, n))
+        arr[k], arr[j] = arr[j], arr[k]
+    return arr[:tau]
+
+
+def _reference_draw(spec, rng):
+    if spec.kind == ek.samplings.KIND_TAU_NICE:
+        return frozenset(int(i) for i in _reference_fisher_yates(np.arange(spec.n), spec.tau, rng))
+    if spec.kind == ek.samplings.KIND_CTAU:
+        out = set()
+        for block in spec.partition:
+            out.update(int(i) for i in _reference_fisher_yates(np.asarray(block), spec.tau, rng))
+        return frozenset(out)
+    tau = int(rng.choice(spec.n + 1, p=np.asarray(spec.q)))
+    return frozenset(int(i) for i in _reference_fisher_yates(np.arange(spec.n), tau, rng))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ek.tau_nice(2000, 8),
+        ek.tau_nice(10, 3),
+        ek.tau_nice(10, 10),
+        ek.tau_nice(1, 1),
+        ek.ctau_distributed([[0, 5, 7, 9], [1, 2, 3, 4], [6, 8, 10, 11]], 2),
+        ek.ctau_distributed([[3, 1, 2], [0, 4, 5]], 3),
+        ek.doubly_uniform([0.1, 0.2, 0.0, 0.3, 0.1, 0.3]),
+    ],
+    ids=["nice-2000-8", "nice-10-3", "nice-10-10", "nice-1-1", "ctau-2", "ctau-full", "doubly-uniform"],
+)
+def test_subset_draws_and_generator_state_match_the_pool_copying_shuffle(spec):
+    ours, theirs = ek.rng_for_stream(61, 0), ek.rng_for_stream(61, 0)
+    for _ in range(300):
+        assert ek.samplings._draw(spec, ours) == _reference_draw(spec, theirs)
+    assert ours.bit_generator.state == theirs.bit_generator.state

@@ -1,0 +1,186 @@
+"""The sparse core: compressed row/column storage, products with A and A',
+the Gram matrix, and a solver that never densifies A.
+
+Each sparse result is compared with a dense reference built from
+``to_dense()``; the solver is compared with the dense loop it replaced.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+import esokit as ek
+from esokit import datamatrix, samplings
+from esokit.cli import main
+from esokit.datamatrix import DataMatrix, write_matrix
+
+
+def _with_edge_cases() -> DataMatrix:
+    """Empty rows, an empty column, a full row and a full column."""
+    rng = np.random.default_rng(5)
+    a = np.where(rng.random((9, 7)) < 0.35, rng.standard_normal((9, 7)), 0.0)
+    a[2] = 0.0
+    a[6] = 0.0
+    a[:, 4] = 0.0
+    a[0] = rng.standard_normal(7)
+    a[:, 1] = rng.standard_normal(9)
+    return DataMatrix.from_dense(a)
+
+
+def _dense_beyond_one_gram_chunk() -> DataMatrix:
+    """A full matrix whose entry pairs exceed one gram chunk."""
+    n = 32
+    m = datamatrix._GRAM_PAIRS // (n * n) + 3
+    return DataMatrix.from_dense(np.random.default_rng(6).standard_normal((m, n)))
+
+
+MATRICES = {
+    "edge-cases": _with_edge_cases,
+    "random": lambda: DataMatrix.from_dense(
+        np.where(np.random.default_rng(7).random((40, 15)) < 0.2,
+                 np.random.default_rng(8).standard_normal((40, 15)), 0.0)
+    ),
+    "no-entries": lambda: DataMatrix(3, 2, [], [], []),
+    "beyond-one-chunk": _dense_beyond_one_gram_chunk,
+}
+
+
+@pytest.mark.parametrize("name", list(MATRICES))
+def test_views_products_and_gram_match_dense(name):
+    data = MATRICES[name]()
+    a = data.to_dense()
+    m, n = a.shape
+    rng = np.random.default_rng(9)
+    x, y = rng.standard_normal(n), rng.standard_normal(m)
+
+    assert np.array_equal(data.row_ptr, np.concatenate(([0], np.cumsum(np.count_nonzero(a, axis=1)))))
+    assert np.array_equal(data.col_ptr, np.concatenate(([0], np.cumsum(np.count_nonzero(a, axis=0)))))
+    assert data.row_supports == tuple(tuple(np.flatnonzero(row).tolist()) for row in a)
+    assert data.max_row_support == max(len(s) for s in data.row_supports)
+    for j, (idx, vals) in enumerate(data.row_entries):
+        assert np.array_equal(idx, np.flatnonzero(a[j]))
+        assert np.array_equal(vals, a[j, idx])
+    for i, (idx, vals) in enumerate(data.column_entries):
+        assert np.array_equal(idx, np.flatnonzero(a[:, i]))
+        assert np.array_equal(vals, a[idx, i])
+    assert len(data.row_entries) == m and len(data.column_entries) == n
+
+    np.testing.assert_allclose(data.matvec(x), a @ x, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(data.rmatvec(y), a.T @ y, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(data.gram(), a.T @ a, rtol=1e-12, atol=1e-10)
+    np.testing.assert_allclose(data.column_sq_norms, np.sum(a * a, axis=0), rtol=1e-12)
+
+
+def test_gram_chunks_give_the_single_chunk_sums(monkeypatch):
+    data = _with_edge_cases()
+    whole = data.gram()
+    monkeypatch.setattr(datamatrix, "_GRAM_PAIRS", 5)
+    np.testing.assert_allclose(data.gram(), whole, rtol=1e-14, atol=1e-14)
+
+
+def test_gram_keeps_the_dense_cap():
+    data = DataMatrix(1, 5, [0], [4], [1.0])
+    with pytest.raises(ek.ValidationError):
+        data.gram(cap=4)
+
+
+# ---------------------------------------------------------------------------
+# The solver against the dense loop it replaced
+
+
+def _dense_reference_solve(problem, spec, v, x0, epsilon, max_iter, rng_seed, stream_index):
+    """The solver loop as it was with a dense A: same draws, the same
+    per-iteration arithmetic, every product taken on the dense matrix."""
+    a = problem.data.to_dense()
+    b, ridge = problem.b, problem.ridge
+
+    def objective(z):
+        az = a @ z
+        return 0.5 * float(az @ az) + 0.5 * ridge * float(z @ z) - float(b @ z)
+
+    cols = [(np.flatnonzero(a[:, i]), a[np.flatnonzero(a[:, i]), i]) for i in range(a.shape[1])]
+    x = np.asarray(x0, dtype=float).copy()
+    f_star = objective(problem.x_star())
+    r = a @ x
+    gap = objective(x) - f_star
+    rng = ek.rng_for_stream(rng_seed, stream_index)
+    k = 0
+    while gap > epsilon and k < max_iter:
+        idx = list(samplings._draw(spec, rng))
+        deltas = []
+        for i in idx:
+            rows_i, vals_i = cols[i]
+            deltas.append(-(float(vals_i @ r[rows_i]) + ridge * x[i] - b[i]) / v[i])
+        for i, d in zip(idx, deltas):
+            x[i] += d
+            rows_i, vals_i = cols[i]
+            r[rows_i] += d * vals_i
+        k += 1
+        gap = 0.5 * float(r @ r) + 0.5 * ridge * float(x @ x) - float(b @ x) - f_star
+    return k, x
+
+
+def _shared_rows_problem(seed):
+    # Few rows, many entries per row: sampled columns share rows in most
+    # iterations, so a step that dropped shared-row updates would show.
+    rng = np.random.default_rng(seed)
+    m, n = 10, 12
+    a = np.where(rng.random((m, n)) < 0.5, rng.standard_normal((m, n)), 0.0)
+    a[0] = rng.standard_normal(n)
+    return ek.QuadraticProblem(DataMatrix.from_dense(a), ridge=0.3, b=rng.standard_normal(n))
+
+
+@pytest.mark.parametrize(
+    "seed, spec",
+    [
+        (11, ek.tau_nice(12, 4)),
+        (12, ek.tau_nice(12, 7)),
+        (13, ek.ctau_distributed([list(range(6)), list(range(6, 12))], 2)),
+    ],
+)
+def test_solver_matches_the_dense_loop(seed, spec):
+    problem = _shared_rows_problem(seed)
+    v = problem.stepsizes(spec).v
+    x0 = np.random.default_rng(seed + 100).standard_normal(problem.n)
+    for stream in range(3):
+        trace = ek.solve(problem, spec, v, x0=x0, epsilon=1e-9, max_iter=20_000,
+                         rng_seed=seed, stream_index=stream)
+        k, x = _dense_reference_solve(problem, spec, v, x0, 1e-9, 20_000, seed, stream)
+        assert trace.converged and trace.iterations > 1
+        assert trace.iterations == k
+        np.testing.assert_allclose(trace.x_final, x, rtol=1e-9, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# No dense copy of A on the solve, stepsize and certificate paths
+
+
+def test_solve_and_certify_paths_never_densify(tmp_path, monkeypatch):
+    problem = _shared_rows_problem(21)
+    matrix = tmp_path / "A.mtx"
+    write_matrix(problem.data, matrix)
+    sampling = tmp_path / "sampling.json"
+    sampling.write_text(json.dumps(ek.tau_nice(problem.n, 3).to_dict()))
+    sidecar = tmp_path / "problem.json"
+    sidecar.write_text(json.dumps({"lambda": problem.ridge, "b": problem.b.tolist(),
+                                   "x0": [1.0] * problem.n}))
+    x = np.linspace(-1.0, 1.0, problem.n)
+    a = problem.data.to_dense()
+    expected_objective = 0.5 * float((a @ x) @ (a @ x)) + 0.5 * problem.ridge * float(x @ x) - float(problem.b @ x)
+    expected_gradient = a.T @ (a @ x) + problem.ridge * x - problem.b
+    expected_x_star = np.linalg.solve(a.T @ a + problem.ridge * np.eye(problem.n), problem.b)
+
+    def refuse(self):
+        raise AssertionError("A was densified")
+
+    monkeypatch.setattr(DataMatrix, "to_dense", refuse)
+    assert main(["solve", "--matrix", str(matrix), "--sampling", str(sampling),
+                 "--problem", str(sidecar), "--seeds", "2", "--epsilon", "1e-8",
+                 "--out", str(tmp_path / "solve.json")]) == 0
+    assert main(["compute-v", "--matrix", str(matrix), "--sampling", str(sampling),
+                 "--certify", "--out", str(tmp_path / "v.json")]) == 0
+    assert math.isclose(problem.objective(x), expected_objective, rel_tol=1e-12)
+    np.testing.assert_allclose(problem.gradient(x), expected_gradient, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(problem.x_star(), expected_x_star, rtol=1e-9, atol=1e-12)
