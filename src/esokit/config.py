@@ -23,9 +23,6 @@ DENSE_EIG_CAP = 4096
 # Probability mass must sum to one within this.
 PROB_SUM_TOL = 1e-12
 
-# Exact probability matrices must be PSD within this on the minimum eigenvalue.
-PSD_TOL = 1e-10
-
 # Stepsize entries for empty columns are floored at this so v > 0 holds.
 V_FLOOR = 1e-12
 

@@ -174,12 +174,13 @@ class DataMatrix:
         """A' y."""
         return np.bincount(self.cols, weights=self.values * y[self.rows], minlength=self.n)
 
-    def gram(self, cap: int = config.DENSE_EIG_CAP) -> np.ndarray:
-        """Dense A^T A; refused beyond the dense cap.
+    def gram(self) -> np.ndarray:
+        """Dense A^T A; refused beyond ``config.DENSE_EIG_CAP``.
 
         Entry (a, b) sums A_ja A_jb over the rows j in row order: the entry
         pairs of each row go into one bincount per ``_GRAM_PAIRS`` pairs.
         """
+        cap = config.DENSE_EIG_CAP
         if self.n > cap:
             raise ValidationError("n", f"gram matrix of size {self.n} exceeds dense cap {cap}")
         n = self.n

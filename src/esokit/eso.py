@@ -15,7 +15,7 @@ tightness against preprocessing cost:
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -47,7 +47,6 @@ class EsoResult:
     formula_id: str
     certificate_margin: float | None = None
     cost_estimate: float = 0.0
-    row_methods: tuple[str, ...] = field(default=(), compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -59,9 +58,7 @@ class EsoResult:
         }
 
     def with_margin(self, margin: float) -> "EsoResult":
-        return EsoResult(
-            self.v, self.p, self.formula_id, margin, self.cost_estimate, self.row_methods
-        )
+        return EsoResult(self.v, self.p, self.formula_id, margin, self.cost_estimate)
 
 
 def _require_proper(spec: SamplingSpec) -> np.ndarray:
@@ -94,8 +91,6 @@ def eso_uncoupled(
     data: DataMatrix,
     spec: SamplingSpec,
     lambda_prime_ata: float | None = None,
-    cap: int = config.ENUMERATION_CAP,
-    dense_cap: int = config.DENSE_EIG_CAP,
 ) -> EsoResult:
     """v_i = min(lambda'(P), lambda'(A'A)) * w_i.
 
@@ -110,18 +105,18 @@ def eso_uncoupled(
     # Past the dense cap, the cardinality-cap upper bound stands in for
     # lambda'(P): any upper bound keeps the overapproximation valid.
     lp_sampling = float(samplings.cardinality_cap(spec))
-    if spec.n <= dense_cap:
-        pm = probability.prob_matrix(spec, "auto", cap=cap)
+    if spec.n <= config.DENSE_EIG_CAP:
+        pm = probability.prob_matrix(spec, "auto")
         probability.require_exact(pm, "the uncoupled formula")
         lp_sampling = spectral.lambda_prime(pm.entries).value
         cost += float(spec.n) ** 3
 
     if lambda_prime_ata is None:
-        if data.n > dense_cap:
+        if data.n > config.DENSE_EIG_CAP:
             raise ValidationError(
                 "n", "A'A beyond dense cap; pass lambda_prime_ata computed externally"
             )
-        lambda_prime_ata = spectral.lambda_prime(data.gram(dense_cap)).value
+        lambda_prime_ata = spectral.lambda_prime(data.gram()).value
         cost += float(data.n) ** 3
 
     factor = min(lp_sampling, float(lambda_prime_ata))
@@ -148,14 +143,14 @@ def eso_coupled(
     restricted_eig_method: str = "exact",
     power_iterations: int = config.POWER_ITERATIONS,
     safeguard: float = config.POWER_SAFEGUARD,
-    cap: int = config.ENUMERATION_CAP,
 ) -> EsoResult:
     """v_i = sum_j lambda'(J_j intersect S-hat) * A_ji^2.
 
-    The per-row restricted eigenvalue comes from the requested method (exact
-    eigen-solve, safeguarded power iteration, or the tightest structural
-    bound). Rows sharing a support reuse the multiplier. ``formula`` takes
-    the tau-nice closed form, which is the ``taunice`` formula itself.
+    The restricted eigenvalues of all row supports come from one
+    :func:`spectral.restricted_lambda_primes` call with the requested method
+    (exact eigen-solve, safeguarded power iteration, or the tightest
+    structural bound). ``formula`` takes the tau-nice closed form, which is
+    the ``taunice`` formula itself.
     """
     entry = FORMULAS.get(f"coupled-{restricted_eig_method}")
     if entry is None:
@@ -168,47 +163,17 @@ def eso_coupled(
             )
         return eso_specialized(data, spec)
 
-    precomputed = None
     cost = 2.0 * data.nnz
-    if restricted_eig_method in ("exact", "power"):
-        pm = probability.prob_matrix(spec, "auto", cap=cap)
-        precomputed = probability.require_exact(pm, "coupled restricted eigenvalue")
-        sizes = data.row_sizes
-        if restricted_eig_method == "power":
-            cost += power_iterations * float(np.sum(sizes**2))
-        else:
-            cost += float(np.sum(sizes**3))
-
-    multipliers = np.zeros(data.m)
-    methods: list[str] = []
-    memo: dict[tuple[int, ...], tuple[float, str]] = {}
-    for j, support in enumerate(data.row_supports):
-        if not support:
-            methods.append("empty")
-            continue
-        cached = memo.get(support)
-        if cached is None:
-            est = spectral.lambda_prime_restricted(
-                spec,
-                support,
-                method=restricted_eig_method,
-                power_iterations=power_iterations,
-                safeguard=safeguard,
-                precomputed=precomputed,
-                cap=cap,
-            )
-            tag = est.bound_source or est.method
-            cached = (est.value, f"{restricted_eig_method}:{tag}")
-            memo[support] = cached
-        multipliers[j] = cached[0]
-        methods.append(cached[1])
-
+    sizes = data.row_sizes
+    if restricted_eig_method == "power":
+        cost += power_iterations * float(np.sum(sizes**2))
+    elif restricted_eig_method == "exact":
+        cost += float(np.sum(sizes**3))
+    multipliers = spectral.restricted_lambda_primes(
+        spec, data.row_supports, restricted_eig_method, power_iterations, safeguard
+    )
     return EsoResult(
-        _floor(_accumulate_rows(data, multipliers)),
-        p,
-        entry.formula_id,
-        cost_estimate=cost,
-        row_methods=tuple(methods),
+        _floor(_accumulate_rows(data, multipliers)), p, entry.formula_id, cost_estimate=cost
     )
 
 
@@ -282,36 +247,24 @@ def _check_graph_matches_data(data: DataMatrix, spec: SamplingSpec) -> None:
 # The PSD certificate
 
 
-def certificate_matrix(
-    data: DataMatrix,
-    spec: SamplingSpec,
-    v: np.ndarray,
-    cap: int = config.ENUMERATION_CAP,
-    dense_cap: int = config.DENSE_EIG_CAP,
-) -> np.ndarray:
+def certificate_matrix(data: DataMatrix, spec: SamplingSpec, v: np.ndarray) -> np.ndarray:
     """Diag(v o p) - P o (A'A), PSD exactly when v certifies the overapproximation
     for every function whose curvature is dominated by A'A. Needs the exact
     probability matrix: an estimate cannot certify a matrix inequality."""
     v = np.asarray(v, dtype=float)
     if v.shape != (data.n,):
         raise ValidationError("v", f"expected shape ({data.n},)")
-    if data.n > dense_cap:
-        raise ValidationError("n", f"certification needs n <= {dense_cap}")
-    pm = probability.prob_matrix(spec, "auto", cap=cap)
+    if data.n > config.DENSE_EIG_CAP:
+        raise ValidationError("n", f"certification needs n <= {config.DENSE_EIG_CAP}")
+    pm = probability.prob_matrix(spec, "auto")
     probability.require_exact(pm, "the PSD certificate")
-    return np.diag(v * samplings.marginals(spec)) - pm.entries * data.gram(dense_cap)
+    return np.diag(v * samplings.marginals(spec)) - pm.entries * data.gram()
 
 
-def certify(
-    data: DataMatrix,
-    spec: SamplingSpec,
-    v: np.ndarray,
-    cap: int = config.ENUMERATION_CAP,
-    dense_cap: int = config.DENSE_EIG_CAP,
-) -> float:
+def certify(data: DataMatrix, spec: SamplingSpec, v: np.ndarray) -> float:
     """Smallest eigenvalue of :func:`certificate_matrix`; nonnegative (within
     -1e-8) certifies the overapproximation."""
-    return float(np.linalg.eigvalsh(certificate_matrix(data, spec, v, cap, dense_cap))[0])
+    return float(np.linalg.eigvalsh(certificate_matrix(data, spec, v))[0])
 
 
 # ---------------------------------------------------------------------------

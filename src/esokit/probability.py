@@ -77,10 +77,6 @@ class ProbMatrix:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.entries)[0])
 
-    def check_psd(self, tol: float = config.PSD_TOL) -> bool:
-        slack = tol + (3.0 * self.max_stderr if self.provenance == PROVENANCE_MC else 0.0)
-        return self.min_eigenvalue() >= -slack
-
     def to_dict(self) -> dict:
         out = {
             "n": self.n,
@@ -91,15 +87,6 @@ class ProbMatrix:
             out["mc_samples"] = self.mc_samples
             out["max_stderr"] = self.max_stderr
         return out
-
-    @staticmethod
-    def from_dict(payload: dict) -> "ProbMatrix":
-        return ProbMatrix(
-            n=int(payload["n"]),
-            entries=np.asarray(payload["entries"], dtype=float),
-            provenance=str(payload["provenance"]),
-            mc_samples=payload.get("mc_samples"),
-        )
 
 
 def _worst_provenance(tags) -> str:
@@ -116,7 +103,6 @@ def prob_matrix(
     mc_samples: int = 100_000,
     rng_seed: int = 0,
     streams: int = 1,
-    cap: int = config.ENUMERATION_CAP,
 ) -> ProbMatrix:
     """Probability matrix of a sampling.
 
@@ -131,17 +117,16 @@ def prob_matrix(
         ``mc_samples`` draws of :func:`samplings.draw_masks`, split across
         ``streams`` replica streams. The only method that draws.
     """
-    samplings.validate_spec(spec)
     if method == "closed_form":
         if spec.kind not in _CLOSED_FORM_KINDS:
             raise UnsupportedMethodError(f"no closed-form probability matrix for kind {spec.kind!r}")
         return ProbMatrix(spec.n, _closed_form(spec), PROVENANCE_CLOSED)
     if method == "enumerate":
-        return _from_enumeration(spec, cap)
+        return _from_enumeration(spec)
     if method == "monte_carlo":
         return _monte_carlo(spec, mc_samples, rng_seed, streams)
     if method == "auto":
-        entries, tag = _exact_entries(spec, cap)
+        entries, tag = _exact_entries(spec)
         return ProbMatrix(spec.n, entries, tag)
     raise UnsupportedMethodError(f"unknown method {method!r}")
 
@@ -190,7 +175,7 @@ def _closed_form(spec: SamplingSpec) -> np.ndarray:
     raise UnsupportedMethodError(f"no closed form for kind {k!r}")
 
 
-def _exact_entries(spec: SamplingSpec, cap: int) -> tuple[np.ndarray, str]:
+def _exact_entries(spec: SamplingSpec) -> tuple[np.ndarray, str]:
     k = spec.kind
     if k in _CLOSED_FORM_KINDS:
         return _closed_form(spec), PROVENANCE_CLOSED
@@ -200,26 +185,26 @@ def _exact_entries(spec: SamplingSpec, cap: int) -> tuple[np.ndarray, str]:
         for w, comp in zip(spec.weights, spec.components):
             if w == 0.0:
                 continue
-            entries, tag = _exact_entries(comp, cap)
+            entries, tag = _exact_entries(comp)
             total += w * entries
             tags.append(tag)
         return total, _worst_provenance(tags)
     if k == samplings.KIND_INTERSECTION:
-        e1, t1 = _exact_entries(spec.components[0], cap)
-        e2, t2 = _exact_entries(spec.components[1], cap)
+        e1, t1 = _exact_entries(spec.components[0])
+        e2, t2 = _exact_entries(spec.components[1])
         return e1 * e2, _worst_provenance([t1, t2])
     if k == samplings.KIND_RESTRICTION:
-        entries, tag = _exact_entries(spec.components[0], cap)
+        entries, tag = _exact_entries(spec.components[0])
         mask = np.zeros(spec.n)
         mask[list(spec.set)] = 1.0
         return entries * np.outer(mask, mask), tag
     # graph / explicit: support is explicit in the parameters.
-    return _from_enumeration(spec, cap).entries, PROVENANCE_ENUM
+    return _from_enumeration(spec).entries, PROVENANCE_ENUM
 
 
-def _from_enumeration(spec: SamplingSpec, cap: int) -> ProbMatrix:
+def _from_enumeration(spec: SamplingSpec) -> ProbMatrix:
     out = np.zeros((spec.n, spec.n))
-    for s, p in samplings.enumerate_support(spec, cap):
+    for s, p in samplings.enumerate_support(spec):
         idx = list(s)
         out[np.ix_(idx, idx)] += p
     return ProbMatrix(spec.n, out, PROVENANCE_ENUM)
@@ -348,7 +333,6 @@ def check_identities(
     h: np.ndarray,
     trials: int = 0,
     rng_seed: int = 0,
-    cap: int = config.ENUMERATION_CAP,
 ) -> IdentityReport:
     """Verify the six identities tying P(S-hat) to expectations over draws.
 
@@ -357,7 +341,6 @@ def check_identities(
     ``trials`` draws of stream 0 (requires trials >= 1000). Discrepancies are
     data, not errors.
     """
-    samplings.validate_spec(spec)
     m_matrix = np.asarray(m_matrix, dtype=float)
     h = np.asarray(h, dtype=float)
     n = spec.n
@@ -366,12 +349,12 @@ def check_identities(
     if h.shape != (n,):
         raise ValidationError("h", f"expected shape ({n},)")
 
-    pm = prob_matrix(spec, "auto", cap=cap)
+    pm = prob_matrix(spec, "auto")
     p_entries = pm.entries
     e = np.ones(n)
 
     if trials == 0:
-        support = samplings.enumerate_support(spec, cap)
+        support = samplings.enumerate_support(spec)
         draws = [(np.asarray(s, dtype=int), w) for s, w in support]
         mode = "exact"
     else:

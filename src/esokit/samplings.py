@@ -92,6 +92,7 @@ class SamplingSpec:
 
     Only the fields relevant to ``kind`` are set; see the factory functions
     (:func:`tau_nice`, :func:`serial`, ...) for the per-kind payloads.
+    Construction runs :func:`validate_spec`.
     """
 
     n: int
@@ -106,9 +107,8 @@ class SamplingSpec:
     components: tuple["SamplingSpec", ...] | None = None
     graph: ConflictGraph | None = field(default=None, compare=False)
 
-    def validate(self) -> "SamplingSpec":
+    def __post_init__(self):
         validate_spec(self)
-        return self
 
     def to_dict(self) -> dict:
         return spec_to_dict(self)
@@ -124,36 +124,36 @@ class SamplingSpec:
 
 def elementary(n: int, s: Iterable[int]) -> SamplingSpec:
     """Deterministic sampling that always returns the set ``s``."""
-    return SamplingSpec(n=n, kind=KIND_ELEMENTARY, set=_as_index_tuple(s, n, "set")).validate()
+    return SamplingSpec(n=n, kind=KIND_ELEMENTARY, set=_as_index_tuple(s, n, "set"))
 
 
 def serial(q: Sequence[float]) -> SamplingSpec:
     """Singleton sampling: {i} is drawn with probability q[i]."""
-    return SamplingSpec(n=len(q), kind=KIND_SERIAL, q=tuple(float(x) for x in q)).validate()
+    return SamplingSpec(n=len(q), kind=KIND_SERIAL, q=tuple(float(x) for x in q))
 
 
 def tau_nice(n: int, tau: int) -> SamplingSpec:
     """Uniform law over all subsets of cardinality tau (tau = 0 is nil)."""
-    return SamplingSpec(n=n, kind=KIND_TAU_NICE, tau=int(tau)).validate()
+    return SamplingSpec(n=n, kind=KIND_TAU_NICE, tau=int(tau))
 
 
 def ctau_distributed(partition: Sequence[Iterable[int]], tau: int) -> SamplingSpec:
     """Union of independent tau-nice draws on c equal-size blocks of a partition."""
     blocks = tuple(tuple(sorted(int(i) for i in b)) for b in partition)
     n = sum(len(b) for b in blocks)
-    return SamplingSpec(n=n, kind=KIND_CTAU, partition=blocks, tau=int(tau)).validate()
+    return SamplingSpec(n=n, kind=KIND_CTAU, partition=blocks, tau=int(tau))
 
 
 def doubly_uniform(q: Sequence[float]) -> SamplingSpec:
     """Cardinality-distribution sampling: draw tau ~ q then a uniform tau-subset."""
-    return SamplingSpec(n=len(q) - 1, kind=KIND_DOUBLY_UNIFORM, q=tuple(float(x) for x in q)).validate()
+    return SamplingSpec(n=len(q) - 1, kind=KIND_DOUBLY_UNIFORM, q=tuple(float(x) for x in q))
 
 
 def product_sampling(blocks: Sequence[Iterable[int]]) -> SamplingSpec:
     """One uniformly chosen element per block of a partition (blocks may differ in size)."""
     blk = tuple(tuple(sorted(int(i) for i in b)) for b in blocks)
     n = sum(len(b) for b in blk)
-    return SamplingSpec(n=n, kind=KIND_PRODUCT, blocks=blk).validate()
+    return SamplingSpec(n=n, kind=KIND_PRODUCT, blocks=blk)
 
 
 def graph_sampling(
@@ -174,7 +174,7 @@ def graph_sampling(
         members=mem,
         weights=tuple(float(w) for w in weights),
         graph=graph,
-    ).validate()
+    )
 
 
 def convex_combination(
@@ -188,12 +188,12 @@ def convex_combination(
         kind=KIND_CONVEX,
         weights=tuple(float(w) for w in weights),
         components=comps,
-    ).validate()
+    )
 
 
 def intersection(first: SamplingSpec, second: SamplingSpec) -> SamplingSpec:
     """Intersection of two samplings drawn independently."""
-    return SamplingSpec(n=first.n, kind=KIND_INTERSECTION, components=(first, second)).validate()
+    return SamplingSpec(n=first.n, kind=KIND_INTERSECTION, components=(first, second))
 
 
 def restriction(spec: SamplingSpec, j: Iterable[int]) -> SamplingSpec:
@@ -203,7 +203,7 @@ def restriction(spec: SamplingSpec, j: Iterable[int]) -> SamplingSpec:
         kind=KIND_RESTRICTION,
         components=(spec,),
         set=_as_index_tuple(j, spec.n, "set"),
-    ).validate()
+    )
 
 
 def explicit(n: int, members: Sequence[Iterable[int]], weights: Sequence[float]) -> SamplingSpec:
@@ -211,7 +211,7 @@ def explicit(n: int, members: Sequence[Iterable[int]], weights: Sequence[float])
     mem = tuple(_as_index_tuple(s, n, "members") for s in members)
     return SamplingSpec(
         n=n, kind=KIND_EXPLICIT, members=mem, weights=tuple(float(w) for w in weights)
-    ).validate()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +246,10 @@ def _check_partition(blocks: Sequence[tuple[int, ...]], n: int, field_name: str)
 
 
 def validate_spec(spec: SamplingSpec) -> None:
-    """Check all invariants of ``spec``, raising ValidationError with the field name."""
+    """Check all invariants of ``spec``, raising ValidationError with the field name.
+
+    Runs when a SamplingSpec is built, so every spec in hand is valid; the
+    components of a composite were checked when they were built."""
     if spec.n <= 0:
         raise ValidationError("n", "must be positive")
     if spec.kind not in ALL_KINDS:
@@ -307,14 +310,12 @@ def validate_spec(spec: SamplingSpec) -> None:
         for c in spec.components:
             if c.n != spec.n:
                 raise ValidationError("components", "all components must share n")
-            validate_spec(c)
     elif k == KIND_INTERSECTION:
         if spec.components is None or len(spec.components) != 2:
             raise ValidationError("components", "exactly two components required")
         for c in spec.components:
             if c.n != spec.n:
                 raise ValidationError("components", "components must share n")
-            validate_spec(c)
     elif k == KIND_RESTRICTION:
         if spec.components is None or len(spec.components) != 1:
             raise ValidationError("components", "exactly one component required")
@@ -323,7 +324,6 @@ def validate_spec(spec: SamplingSpec) -> None:
         _as_index_tuple(spec.set, spec.n, "set")
         if spec.components[0].n != spec.n:
             raise ValidationError("components", "component must share n")
-        validate_spec(spec.components[0])
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +382,7 @@ def spec_from_dict(payload: dict) -> SamplingSpec:
         if key not in payload:
             raise ValidationError(key, "missing required key")
     n = _parsed(payload, "n", int)
-    spec = SamplingSpec(
+    return SamplingSpec(
         n=n,
         kind=_parsed(payload, "kind", str),
         set=_parsed(payload, "set", _index_set),
@@ -395,7 +395,6 @@ def spec_from_dict(payload: dict) -> SamplingSpec:
         components=_parsed(payload, "components", lambda cs: tuple(spec_from_dict(c) for c in cs)),
         graph=_parsed(payload, "graph_edges", lambda e: ConflictGraph(n, tuple((int(a), int(b)) for a, b in e))),
     )
-    return spec.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +453,6 @@ def draw(spec: SamplingSpec, rng_seed: int, stream_index: int = 0) -> frozenset[
     The result is a pure function of (spec, rng_seed, stream_index); replicas
     running in parallel use distinct stream indices.
     """
-    validate_spec(spec)
     return _draw(spec, config.rng_for_stream(rng_seed, stream_index))
 
 
@@ -467,7 +465,6 @@ def draw_masks(spec: SamplingSpec, count: int, rng_seed: int = 0, streams: int =
     of (spec, count, rng_seed, streams). Every Monte-Carlo estimate in the
     package reads its draws from here.
     """
-    validate_spec(spec)
     streams = max(1, int(streams))
     masks = np.zeros((count, spec.n), dtype=bool)
     row = 0
@@ -488,20 +485,17 @@ def _merge(into: dict[tuple[int, ...], float], key: tuple[int, ...], prob: float
         into[key] = into.get(key, 0.0) + prob
 
 
-def enumerate_support(
-    spec: SamplingSpec, cap: int = config.ENUMERATION_CAP
-) -> list[tuple[tuple[int, ...], float]]:
+def enumerate_support(spec: SamplingSpec) -> list[tuple[tuple[int, ...], float]]:
     """Exact distribution of the sampling as a sorted list of (set, probability).
 
-    Kinds with exponential support require n <= cap; kinds whose support is
+    Kinds with exponential support require n <= ``config.ENUMERATION_CAP``; kinds whose support is
     explicit in the parameters enumerate at any n (subject to the global
     support-size guard). Raises CapacityError when enumeration is infeasible.
     Neither the exact probability matrix (``prob_matrix(spec, "auto")``) nor
     :func:`cardinality_moments` needs enumeration, and no caller falls back
     to Monte-Carlo.
     """
-    validate_spec(spec)
-    dist = _enumerate(spec, cap)
+    dist = _enumerate(spec)
     total = math.fsum(dist.values())
     if abs(total - 1.0) > 10 * config.PROB_SUM_TOL:
         raise ValidationError("weights", f"enumerated mass {total!r} differs from 1")
@@ -514,10 +508,11 @@ _WITHOUT_ENUMERATION = (
 )
 
 
-def _require_cap(spec: SamplingSpec, cap: int) -> None:
-    if spec.n > cap:
+def _require_cap(spec: SamplingSpec) -> None:
+    if spec.n > config.ENUMERATION_CAP:
         raise CapacityError(
-            f"{spec.kind} with n={spec.n} exceeds the enumeration cap {cap}; {_WITHOUT_ENUMERATION}"
+            f"{spec.kind} with n={spec.n} exceeds the enumeration cap {config.ENUMERATION_CAP}; "
+            + _WITHOUT_ENUMERATION
         )
 
 
@@ -529,7 +524,7 @@ def _guard_support(size: int) -> None:
         )
 
 
-def _enumerate(spec: SamplingSpec, cap: int) -> dict[tuple[int, ...], float]:
+def _enumerate(spec: SamplingSpec) -> dict[tuple[int, ...], float]:
     k = spec.kind
     out: dict[tuple[int, ...], float] = {}
     if k == KIND_ELEMENTARY:
@@ -538,14 +533,14 @@ def _enumerate(spec: SamplingSpec, cap: int) -> dict[tuple[int, ...], float]:
         for i, qi in enumerate(spec.q):
             _merge(out, (i,), qi)
     elif k == KIND_TAU_NICE:
-        _require_cap(spec, cap)
+        _require_cap(spec)
         count = math.comb(spec.n, spec.tau)
         _guard_support(count)
         prob = 1.0 / count
         for s in itertools.combinations(range(spec.n), spec.tau):
             out[s] = prob
     elif k == KIND_CTAU:
-        _require_cap(spec, cap)
+        _require_cap(spec)
         per_block = [list(itertools.combinations(b, spec.tau)) for b in spec.partition]
         size = math.prod(len(ch) for ch in per_block)
         _guard_support(size)
@@ -554,7 +549,7 @@ def _enumerate(spec: SamplingSpec, cap: int) -> dict[tuple[int, ...], float]:
             s = tuple(sorted(i for part in combo for i in part))
             out[s] = prob
     elif k == KIND_DOUBLY_UNIFORM:
-        _require_cap(spec, cap)
+        _require_cap(spec)
         _guard_support(sum(math.comb(spec.n, t) for t, qt in enumerate(spec.q) if qt > 0))
         for t, qt in enumerate(spec.q):
             if qt == 0.0:
@@ -575,12 +570,12 @@ def _enumerate(spec: SamplingSpec, cap: int) -> dict[tuple[int, ...], float]:
         for w, comp in zip(spec.weights, spec.components):
             if w == 0.0:
                 continue
-            for s, p in _enumerate(comp, cap).items():
+            for s, p in _enumerate(comp).items():
                 _merge(out, s, w * p)
             _guard_support(len(out))
     elif k == KIND_INTERSECTION:
-        first = _enumerate(spec.components[0], cap)
-        second = _enumerate(spec.components[1], cap)
+        first = _enumerate(spec.components[0])
+        second = _enumerate(spec.components[1])
         _guard_support(len(first) * len(second))
         for s1, p1 in first.items():
             set1 = set(s1)
@@ -588,7 +583,7 @@ def _enumerate(spec: SamplingSpec, cap: int) -> dict[tuple[int, ...], float]:
                 _merge(out, tuple(sorted(set1.intersection(s2))), p1 * p2)
     elif k == KIND_RESTRICTION:
         j = set(spec.set)
-        for s, p in _enumerate(spec.components[0], cap).items():
+        for s, p in _enumerate(spec.components[0]).items():
             _merge(out, tuple(sorted(j.intersection(s))), p)
     else:
         raise ValidationError("kind", f"unknown kind {k!r}")
@@ -601,11 +596,6 @@ def _enumerate(spec: SamplingSpec, cap: int) -> dict[tuple[int, ...], float]:
 
 def marginals(spec: SamplingSpec) -> np.ndarray:
     """Inclusion probabilities p_i = Prob(i in S-hat), exact for every kind."""
-    validate_spec(spec)
-    return _marginals(spec)
-
-
-def _marginals(spec: SamplingSpec) -> np.ndarray:
     k = spec.kind
     n = spec.n
     if k == KIND_ELEMENTARY:
@@ -635,12 +625,12 @@ def _marginals(spec: SamplingSpec) -> np.ndarray:
     if k == KIND_CONVEX:
         p = np.zeros(n)
         for w, comp in zip(spec.weights, spec.components):
-            p += w * _marginals(comp)
+            p += w * marginals(comp)
         return p
     if k == KIND_INTERSECTION:
-        return _marginals(spec.components[0]) * _marginals(spec.components[1])
+        return marginals(spec.components[0]) * marginals(spec.components[1])
     if k == KIND_RESTRICTION:
-        p = _marginals(spec.components[0]).copy()
+        p = marginals(spec.components[0]).copy()
         mask = np.zeros(n, dtype=bool)
         mask[list(spec.set)] = True
         p[~mask] = 0.0
@@ -679,7 +669,6 @@ def cardinality_moments(spec: SamplingSpec) -> Moments:
     off the exact probability matrix ``prob_matrix(spec, "auto")``: no
     enumeration and no draws.
     """
-    validate_spec(spec)
     closed = _closed_form_moments(spec)
     if closed is not None:
         return closed

@@ -172,7 +172,6 @@ def solve(
     incremental update would have to track the cross terms between selected
     columns that share rows.
     """
-    samplings.validate_spec(spec)
     p = samplings.marginals(spec)
     if np.any(p <= 0):
         raise ValidationError("spec", "sampling is not proper")

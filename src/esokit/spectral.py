@@ -24,6 +24,10 @@ METHOD_POWER = "power_method"
 METHOD_FORMULA = "closed_form"
 METHOD_BOUND = "bound"
 
+# restricted_lambda_primes eigen-solves its restricted matrices in stacks of
+# at most this many entries, so temporaries stay bounded for long rows.
+_STACK_ENTRIES = 1 << 20
+
 
 @dataclass(frozen=True)
 class EigenEstimate:
@@ -194,7 +198,6 @@ def lambda_bounds(spec: SamplingSpec, tau_cap: int | None = None) -> BoundsRepor
     :func:`samplings.cardinality_moments`), so every bound is certified; no
     Monte-Carlo estimate enters.
     """
-    samplings.validate_spec(spec)
     first, second = samplings.cardinality_moments(spec)
     tau = int(tau_cap) if tau_cap is not None else samplings.cardinality_cap(spec)
     notes: list[str] = []
@@ -256,7 +259,6 @@ def lambda_prime_restricted(
     power_iterations: int = config.POWER_ITERATIONS,
     safeguard: float = config.POWER_SAFEGUARD,
     precomputed: ProbMatrix | None = None,
-    cap: int = config.ENUMERATION_CAP,
 ) -> EigenEstimate:
     """lambda' of the restriction of a sampling to the nonempty set ``j``.
 
@@ -266,8 +268,10 @@ def lambda_prime_restricted(
     * ``bound``  - tightest applicable structural upper bound; the winning
       proposition is recorded in ``bound_source`` and all candidates in
       ``candidates``.
+
+    :func:`restricted_lambda_primes` gives the same values for many sets at
+    once; this one-set form is its reference.
     """
-    samplings.validate_spec(spec)
     j_idx = sorted(int(i) for i in j)
     if not j_idx:
         raise ValidationError("set", "restriction set must be nonempty")
@@ -275,7 +279,7 @@ def lambda_prime_restricted(
         raise ValidationError("set", f"indices must lie in [0, {spec.n})")
 
     if method in ("exact", "power"):
-        pm = precomputed if precomputed is not None else probability.prob_matrix(spec, "auto", cap=cap)
+        pm = precomputed if precomputed is not None else probability.prob_matrix(spec, "auto")
         sub = pm.entries[np.ix_(j_idx, j_idx)]
         eig_method = METHOD_DENSE if method == "exact" else METHOD_POWER
         return lambda_prime(sub, eig_method, power_iterations, safeguard)
@@ -289,7 +293,7 @@ def lambda_prime_restricted(
         return EigenEstimate(value, METHOD_FORMULA, 0.0, bound_source="tau_nice_restriction")
 
     if method == "bound":
-        candidates = _restriction_bound_candidates(spec, j_idx)
+        candidates = {name: float(c[0]) for name, c in _bound_candidates(spec, [j_idx]).items()}
         source = min(candidates, key=candidates.get)
         return EigenEstimate(
             candidates[source],
@@ -302,15 +306,61 @@ def lambda_prime_restricted(
     raise UnsupportedMethodError(f"unknown restricted-eigenvalue method {method!r}")
 
 
-def _restriction_bound_candidates(spec: SamplingSpec, j_idx: list[int]) -> dict[str, float]:
-    candidates: dict[str, float] = {
-        "generic_cardinality": float(min(len(j_idx), samplings.cardinality_cap(spec)))
-    }
-    family = restricted_closed_form(spec, [j_idx])
+def _bound_candidates(spec: SamplingSpec, sets) -> dict[str, np.ndarray]:
+    """Upper bounds on lambda'(J intersect S-hat) for each set J, by source."""
+    sizes = np.array([len(j) for j in sets], dtype=float)
+    candidates = {"generic_cardinality": np.minimum(sizes, samplings.cardinality_cap(spec))}
+    family = restricted_closed_form(spec, sets)
     if family is not None:
-        values, source = family
-        candidates[source] = float(values[0])
+        candidates[family[1]] = family[0]
     return candidates
+
+
+def restricted_lambda_primes(
+    spec: SamplingSpec,
+    sets,
+    method: str = "exact",
+    power_iterations: int = config.POWER_ITERATIONS,
+    safeguard: float = config.POWER_SAFEGUARD,
+    precomputed: ProbMatrix | None = None,
+) -> np.ndarray:
+    """lambda'(J intersect S-hat) for every set J in ``sets`` of a proper
+    sampling, by the ``exact``, ``power`` or ``bound`` method of
+    :func:`lambda_prime_restricted` and bit-identical to it; an empty set
+    gives 0.
+
+    The restricted matrices of the sets of one size are cut from the exact
+    probability matrix together and normalized as one stack; ``exact`` makes
+    one ``eigh`` call per stack of at most ``_STACK_ENTRIES`` entries. A
+    proper sampling has a positive diagonal, so every restricted matrix is
+    normalized on its whole set.
+    """
+    if method == "bound":
+        return np.min(list(_bound_candidates(spec, sets).values()), axis=0)
+    if method not in ("exact", "power"):
+        raise UnsupportedMethodError(f"unknown restricted-eigenvalue method {method!r}")
+    pm = precomputed if precomputed is not None else probability.prob_matrix(spec, "auto")
+    entries = _check_square_symmetric(pm.entries)
+    sizes = np.array([len(j) for j in sets], dtype=int)
+    out = np.zeros(len(sizes))
+    for size in np.unique(sizes[sizes > 0]):
+        members = np.flatnonzero(sizes == size)
+        idx = np.sort(np.array([sets[i] for i in members], dtype=int), axis=1)
+        step = max(1, _STACK_ENTRIES // (size * size))
+        for lo in range(0, members.size, step):
+            # lambda_prime's then lambda_max's operations, in their order, so
+            # each value is bit-identical to the one-set form.
+            j = idx[lo : lo + step]
+            sub = entries[j[:, :, None], j[:, None, :]]
+            scale = 1.0 / np.sqrt(np.diagonal(sub, axis1=1, axis2=2))
+            m = sub * (scale[:, :, None] * scale[:, None, :])
+            m = 0.5 * (m + m.transpose(0, 2, 1))
+            if method == "exact":
+                top = np.maximum(np.linalg.eigh(m)[0][:, -1], 0.0)
+            else:
+                top = [_power_method(b, power_iterations, safeguard).value for b in m]
+            out[members[lo : lo + step]] = top
+    return out
 
 
 def ctau_restricted_bound(spec: SamplingSpec, j_idx) -> float:

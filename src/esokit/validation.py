@@ -24,7 +24,7 @@ def as_data_matrix(x) -> DataMatrix:
 def as_sampling_spec(s) -> SamplingSpec:
     """Accept a SamplingSpec, a payload dict, or a JSON string."""
     if isinstance(s, SamplingSpec):
-        return s.validate()
+        return s
     if isinstance(s, dict):
         return spec_from_dict(s)
     if isinstance(s, str):

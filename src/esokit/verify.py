@@ -69,7 +69,7 @@ def canonical_points(
     h_rand = rng.standard_normal(n)
     h_rand /= np.linalg.norm(h_rand)
 
-    hs: list[tuple[np.ndarray, str]] = [(np.eye(n)[i], f"e{i}") for i in range(n)]
+    hs: list[tuple[np.ndarray, str]] = [(e, f"e{i}") for i, e in enumerate(np.eye(n))]
     hs.append((np.ones(n), "ones"))
     hs.append((h_rand, "random_unit"))
     if n <= config.DENSE_EIG_CAP:
@@ -89,7 +89,6 @@ def check_eso_quadratic(
     trials: int = 100_000,
     rng_seed: int = 0,
     streams: int = 1,
-    cap: int = config.ENUMERATION_CAP,
 ) -> EsoCheckReport:
     """Check the three-term inequality at each point; the report summarizes
     the worst point and carries per-point details."""
@@ -108,7 +107,7 @@ def check_eso_quadratic(
     a_dense = data.to_dense()
 
     if mode == "exhaustive":
-        support = samplings.enumerate_support(spec, cap)
+        support = samplings.enumerate_support(spec)
         masks = np.zeros((len(support), data.n))
         weights = np.empty(len(support))
         for row, (s, prob) in enumerate(support):

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -199,10 +200,18 @@ def test_compute_v_auto_covers_composite_kinds():
     assert ek.certify(FIXTURE_A, spec, result.v) >= -1e-8
 
 
-def test_coupled_row_methods_recorded():
-    result = ek.eso_coupled(FIXTURE_A, TAU_NICE_32, "bound")
-    assert len(result.row_methods) == FIXTURE_A.m
-    assert all(m.startswith("bound:") for m in result.row_methods)
+def test_no_public_callable_takes_a_cap():
+    # The enumeration and dense-eigen caps are read from esokit.config at call time.
+    for name in ek.__all__:
+        obj = getattr(ek, name)
+        for target in [obj, *vars(obj).values()] if inspect.isclass(obj) else [obj]:
+            if not callable(target):
+                continue
+            try:
+                params = inspect.signature(target).parameters
+            except (TypeError, ValueError):
+                continue
+            assert not {"cap", "dense_cap"} & set(params), f"{name}: {target}"
 
 
 def test_eso_result_serialization():

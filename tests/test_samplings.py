@@ -201,6 +201,12 @@ def test_graph_sampling_rejects_dependent_sets():
         ek.graph_sampling(3, [[0, 1]], [1.0], graph)
 
 
+def test_spec_is_validated_when_built():
+    with pytest.raises(ValidationError, match="tau") as info:
+        ek.SamplingSpec(n=3, kind="tau_nice", tau=5)
+    assert info.value.field == "tau"
+
+
 def test_validation_reports_offending_field():
     with pytest.raises(ValidationError, match="q"):
         ek.serial([0.5, 0.6])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import esokit as ek
-from esokit import datamatrix, samplings
+from esokit import config, datamatrix, samplings
 from esokit.cli import main
 from esokit.datamatrix import DataMatrix, write_matrix
 
@@ -80,10 +80,11 @@ def test_gram_chunks_give_the_single_chunk_sums(monkeypatch):
     np.testing.assert_allclose(data.gram(), whole, rtol=1e-14, atol=1e-14)
 
 
-def test_gram_keeps_the_dense_cap():
+def test_gram_keeps_the_dense_cap(monkeypatch):
     data = DataMatrix(1, 5, [0], [4], [1.0])
+    monkeypatch.setattr(config, "DENSE_EIG_CAP", 4)
     with pytest.raises(ek.ValidationError):
-        data.gram(cap=4)
+        data.gram()
 
 
 # ---------------------------------------------------------------------------

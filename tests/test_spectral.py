@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 import esokit as ek
+from esokit import spectral
 from esokit.errors import UnsupportedMethodError, ValidationError
-from esokit.spectral import ctau_restricted_bound, restricted_closed_form, tau_nice_restricted_value
+from esokit.spectral import (
+    ctau_restricted_bound,
+    restricted_closed_form,
+    restricted_lambda_primes,
+    tau_nice_restricted_value,
+)
 
 
 def test_lambda_max_examples():
@@ -289,3 +295,37 @@ def test_restricted_closed_form_matches_per_set_reference():
 
     assert restricted_closed_form(ek.serial([1.0 / n] * n), sets) is None
     assert restricted_closed_form(ek.doubly_uniform([1.0] + [0.0] * n), sets) is None
+
+
+@pytest.mark.parametrize("stack_entries", [spectral._STACK_ENTRIES, 50])
+@pytest.mark.parametrize("method", ["exact", "power", "bound"])
+def test_restricted_lambda_primes_match_the_one_set_form(method, stack_entries, monkeypatch):
+    # The batch path equals the one-set reference bit for bit, also when a
+    # small stack budget splits the sets of one size into several chunks.
+    from conftest import random_sparse_matrix
+
+    monkeypatch.setattr(spectral, "_STACK_ENTRIES", stack_entries)
+    rng = np.random.default_rng(7)
+    n = 48
+    data = random_sparse_matrix(rng, 60, n, 0.12).with_ridge_rows(0.5)
+    sets = list(data.row_supports) + [tuple(range(2, 46)), tuple(range(47, 5, -1)), tuple(range(n))]
+    specs = [
+        ek.tau_nice(n, 5),
+        ek.ctau_distributed([range(k, k + 12) for k in range(0, n, 12)], 3),
+        ek.doubly_uniform(rng.dirichlet(np.ones(n + 1))),
+        ek.product_sampling([range(0, 10), range(10, 30), range(30, n)]),
+        ek.intersection(ek.tau_nice(n, 30), ek.ctau_distributed([range(0, 24), range(24, n)], 20)),
+        ek.convex_combination(
+            [0.5, 0.5], [ek.restriction(ek.tau_nice(n, 10), range(0, 30)), ek.tau_nice(n, 4)]
+        ),
+    ]
+    assert max(map(len, sets)) >= 40 and min(map(len, sets)) == 1
+    pairs = [(spec, ek.prob_matrix(spec, "auto")) for spec in specs]
+    # A supplied P may be asymmetric within ProbMatrix's 1e-12 tolerance.
+    tilted = pairs[0][1].entries + 1e-13 * np.triu(rng.random((n, n)), 1)
+    pairs.append((specs[0], ek.ProbMatrix(n, tilted, pairs[0][1].provenance)))
+    for spec, pm in pairs:
+        batch = restricted_lambda_primes(spec, sets, method, precomputed=pm)
+        reference = [ek.lambda_prime_restricted(spec, j, method, precomputed=pm).value for j in sets]
+        assert np.array_equal(batch, reference), spec.kind
+        assert restricted_lambda_primes(spec, [()], method, precomputed=pm).tolist() == [0.0]
