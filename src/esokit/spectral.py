@@ -11,6 +11,7 @@ propositions) substitute for eigen-solves on large problems.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -322,12 +323,11 @@ def restricted_lambda_primes(
     method: str = "exact",
     power_iterations: int = config.POWER_ITERATIONS,
     safeguard: float = config.POWER_SAFEGUARD,
-    precomputed: ProbMatrix | None = None,
 ) -> np.ndarray:
     """lambda'(J intersect S-hat) for every set J in ``sets`` of a proper
     sampling, by the ``exact``, ``power`` or ``bound`` method of
     :func:`lambda_prime_restricted` and bit-identical to it; an empty set
-    gives 0.
+    gives 0. Indices outside [0, n) raise ``ValidationError``.
 
     The restricted matrices of the sets of one size are cut from the exact
     probability matrix together and normalized as one stack; ``exact`` makes
@@ -335,12 +335,14 @@ def restricted_lambda_primes(
     proper sampling has a positive diagonal, so every restricted matrix is
     normalized on its whole set.
     """
+    flat = np.fromiter(chain.from_iterable(sets), dtype=int)
+    if flat.size and (flat.min() < 0 or flat.max() >= spec.n):
+        raise ValidationError("set", f"indices must lie in [0, {spec.n})")
     if method == "bound":
         return np.min(list(_bound_candidates(spec, sets).values()), axis=0)
     if method not in ("exact", "power"):
         raise UnsupportedMethodError(f"unknown restricted-eigenvalue method {method!r}")
-    pm = precomputed if precomputed is not None else probability.prob_matrix(spec, "auto")
-    entries = _check_square_symmetric(pm.entries)
+    entries = _check_square_symmetric(probability.prob_matrix(spec, "auto").entries)
     sizes = np.array([len(j) for j in sets], dtype=int)
     out = np.zeros(len(sizes))
     for size in np.unique(sizes[sizes > 0]):
@@ -348,13 +350,13 @@ def restricted_lambda_primes(
         idx = np.sort(np.array([sets[i] for i in members], dtype=int), axis=1)
         step = max(1, _STACK_ENTRIES // (size * size))
         for lo in range(0, members.size, step):
-            # lambda_prime's then lambda_max's operations, in their order, so
-            # each value is bit-identical to the one-set form.
+            # lambda_prime's normalization, so each value is bit-identical to
+            # the one-set form. Blocks of the symmetrized P stay exactly
+            # symmetric, so lambda_max's symmetrization would change nothing.
             j = idx[lo : lo + step]
             sub = entries[j[:, :, None], j[:, None, :]]
             scale = 1.0 / np.sqrt(np.diagonal(sub, axis1=1, axis2=2))
             m = sub * (scale[:, :, None] * scale[:, None, :])
-            m = 0.5 * (m + m.transpose(0, 2, 1))
             if method == "exact":
                 top = np.maximum(np.linalg.eigh(m)[0][:, -1], 0.0)
             else:

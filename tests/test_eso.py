@@ -55,6 +55,13 @@ def test_coupled_diagonal_data():
     assert result.v == pytest.approx([1.0, 4.0, 9.0])
 
 
+@pytest.mark.parametrize("name", ["coupled-exact", "coupled-power", "coupled-bound"])
+def test_coupled_rejects_columns_beyond_the_sampling(name):
+    data = ek.DataMatrix.from_dense(np.ones((2, 4)))
+    with pytest.raises(ValidationError, match="indices"):
+        ek.compute_v(data, ek.tau_nice(3, 2), name)
+
+
 def test_specialized_tau_nice_equals_coupled_formula_bit_for_bit():
     rng = ek.rng_for_stream(52, 0)
     for _ in range(10):

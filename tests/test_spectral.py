@@ -320,12 +320,11 @@ def test_restricted_lambda_primes_match_the_one_set_form(method, stack_entries, 
         ),
     ]
     assert max(map(len, sets)) >= 40 and min(map(len, sets)) == 1
-    pairs = [(spec, ek.prob_matrix(spec, "auto")) for spec in specs]
-    # A supplied P may be asymmetric within ProbMatrix's 1e-12 tolerance.
-    tilted = pairs[0][1].entries + 1e-13 * np.triu(rng.random((n, n)), 1)
-    pairs.append((specs[0], ek.ProbMatrix(n, tilted, pairs[0][1].provenance)))
-    for spec, pm in pairs:
-        batch = restricted_lambda_primes(spec, sets, method, precomputed=pm)
-        reference = [ek.lambda_prime_restricted(spec, j, method, precomputed=pm).value for j in sets]
+    for spec in specs:
+        batch = restricted_lambda_primes(spec, sets, method)
+        reference = [ek.lambda_prime_restricted(spec, j, method).value for j in sets]
         assert np.array_equal(batch, reference), spec.kind
-        assert restricted_lambda_primes(spec, [()], method, precomputed=pm).tolist() == [0.0]
+        assert restricted_lambda_primes(spec, [()], method).tolist() == [0.0]
+        for bad in ([0, n], [-1, 2]):
+            with pytest.raises(ValidationError, match="indices"):
+                restricted_lambda_primes(spec, [bad], method)
