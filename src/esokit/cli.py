@@ -154,16 +154,13 @@ def cmd_verify(args) -> int:
         if not matrix_report.passed and matrix_report.witness is not None:
             print("certificate violated; witness direction:")
             print(np.array2string(matrix_report.witness, precision=6))
-    if args.mode == "exhaustive":
-        report = verify.check_eso_quadratic(data, spec, v, mode="exhaustive", rng_seed=args.seed)
-        results["quadratic"] = report.to_dict()
-        passed &= report.passed
-    elif args.mode == "monte-carlo":
+    if args.mode in ("exhaustive", "monte-carlo"):
+        # The exhaustive mode reads neither trials nor streams.
         report = verify.check_eso_quadratic(
             data,
             spec,
             v,
-            mode="monte_carlo",
+            mode=args.mode.replace("-", "_"),
             trials=args.trials,
             rng_seed=args.seed,
             streams=args.threads,

@@ -5,7 +5,8 @@ symmetric, positive semidefinite, and carries the marginals on its diagonal.
 Exact matrices come from per-kind closed forms or support enumeration and
 exist for every kind. Monte-Carlo estimates are made only on request, are
 tagged with their sample count and per-entry standard errors, and are never
-accepted as PSD certificates.
+accepted as PSD certificates. Enumerated and Monte-Carlo matrices and
+:func:`check_identities` read their sets from :func:`samplings.weighted_masks`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ PROVENANCE_MC = "monte_carlo"
 
 _PROVENANCE_RANK = {PROVENANCE_CLOSED: 0, PROVENANCE_ENUM: 1, PROVENANCE_MC: 2}
 
-_MC_BLOCK_ROWS = 128
+_BLOCK_ROWS = 128
 
 _CLOSED_FORM_KINDS = (
     samplings.KIND_ELEMENTARY,
@@ -122,7 +123,7 @@ def prob_matrix(
             raise UnsupportedMethodError(f"no closed-form probability matrix for kind {spec.kind!r}")
         return ProbMatrix(spec.n, _closed_form(spec), PROVENANCE_CLOSED)
     if method == "enumerate":
-        return _from_enumeration(spec)
+        return ProbMatrix(spec.n, _outer_sum(*samplings.weighted_masks(spec)), PROVENANCE_ENUM)
     if method == "monte_carlo":
         return _monte_carlo(spec, mc_samples, rng_seed, streams)
     if method == "auto":
@@ -199,31 +200,28 @@ def _exact_entries(spec: SamplingSpec) -> tuple[np.ndarray, str]:
         mask[list(spec.set)] = 1.0
         return entries * np.outer(mask, mask), tag
     # graph / explicit: support is explicit in the parameters.
-    return _from_enumeration(spec).entries, PROVENANCE_ENUM
-
-
-def _from_enumeration(spec: SamplingSpec) -> ProbMatrix:
-    out = np.zeros((spec.n, spec.n))
-    for s, p in samplings.enumerate_support(spec):
-        idx = list(s)
-        out[np.ix_(idx, idx)] += p
-    return ProbMatrix(spec.n, out, PROVENANCE_ENUM)
+    return _outer_sum(*samplings.weighted_masks(spec)), PROVENANCE_ENUM
 
 
 def _monte_carlo(spec: SamplingSpec, samples: int, rng_seed: int, streams: int) -> ProbMatrix:
     if samples < 1:
         raise ValidationError("mc_samples", "must be positive")
-    masks = samplings.draw_masks(spec, samples, rng_seed, streams)
-    # Counts are integers, so summing blocks of rows is exact in any order;
-    # the blocks keep the float copy of the masks small.
-    counts = np.zeros((spec.n, spec.n))
-    for start in range(0, samples, _MC_BLOCK_ROWS):
-        block = masks[start : start + _MC_BLOCK_ROWS].astype(float)
-        counts += block.T @ block
-    mean = counts / samples
-    mean = np.clip(0.5 * (mean + mean.T), 0.0, 1.0)
-    stderr = np.sqrt(np.clip(mean * (1.0 - mean), 0.0, None) / samples)
+    masks, _ = samplings.weighted_masks(spec, samples, rng_seed, streams)
+    # Integer counts sum exactly in any order: the mean is symmetric, in [0, 1].
+    mean = _outer_sum(masks) / samples
+    stderr = np.sqrt(mean * (1.0 - mean) / samples)
     return ProbMatrix(spec.n, mean, PROVENANCE_MC, mc_samples=samples, stderr=stderr)
+
+
+def _outer_sum(masks: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """sum_k weights[k] 1_{S_k} 1_{S_k}' (unit weights when None), over
+    blocks of rows so the float copy of the masks stays small."""
+    out = np.zeros((masks.shape[1], masks.shape[1]))
+    for start in range(0, masks.shape[0], _BLOCK_ROWS):
+        block = masks[start : start + _BLOCK_ROWS].astype(float)
+        scaled = block if weights is None else block * weights[start : start + _BLOCK_ROWS, None]
+        out += scaled.T @ block
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -317,16 +315,6 @@ class IdentityReport:
         return {"mode": self.mode, "trials": self.trials, "results": self.results}
 
 
-IDENTITY_NAMES = (
-    "hadamard_matrix",
-    "quadratic_form",
-    "square_of_sum",
-    "diagonal_linear",
-    "second_moment",
-    "first_moment",
-)
-
-
 def check_identities(
     spec: SamplingSpec,
     m_matrix: np.ndarray,
@@ -348,63 +336,35 @@ def check_identities(
         raise ValidationError("m_matrix", f"expected shape ({n},{n})")
     if h.shape != (n,):
         raise ValidationError("h", f"expected shape ({n},)")
+    if 0 < trials < 1000:
+        raise ValidationError("trials", "Monte-Carlo mode requires trials >= 1000")
 
-    pm = prob_matrix(spec, "auto")
-    p_entries = pm.entries
+    p_entries = prob_matrix(spec, "auto").entries
     e = np.ones(n)
-
-    if trials == 0:
-        support = samplings.enumerate_support(spec)
-        draws = [(np.asarray(s, dtype=int), w) for s, w in support]
-        mode = "exact"
-    else:
-        if trials < 1000:
-            raise ValidationError("trials", "Monte-Carlo mode requires trials >= 1000")
-        w = 1.0 / trials
-        draws = [(np.flatnonzero(row), w) for row in samplings.draw_masks(spec, trials, rng_seed)]
-        mode = "monte_carlo"
-
-    exp_hadamard = np.zeros((n, n))
-    exp_quad = 0.0
-    exp_sq_sum = 0.0
-    exp_lin = 0.0
-    exp_card2 = 0.0
-    exp_card = 0.0
-    for idx, w in draws:
-        if idx.size:
-            sub = m_matrix[np.ix_(idx, idx)]
-            hs = h[idx]
-            exp_hadamard[np.ix_(idx, idx)] += w * sub
-            exp_quad += w * float(hs @ sub @ hs)
-            total = float(hs.sum())
-            exp_sq_sum += w * total * total
-            exp_lin += w * total
-            exp_card2 += w * float(idx.size) ** 2
-            exp_card += w * float(idx.size)
-
-    lhs_quad = float(h @ (p_entries * m_matrix) @ h)
-    lhs_sq = float(h @ p_entries @ h)
-    lhs_lin = float(np.diag(p_entries) @ h)
-    lhs_card2 = float(e @ p_entries @ e)
-    lhs_card = float(np.trace(p_entries))
-
-    results = {
-        "hadamard_matrix": {
-            "lhs": None,
-            "rhs": None,
-            "discrepancy": float(np.max(np.abs(p_entries * m_matrix - exp_hadamard))),
-        },
-        "quadratic_form": {
-            "lhs": lhs_quad,
-            "rhs": exp_quad,
-            "discrepancy": abs(lhs_quad - exp_quad),
-        },
-        "square_of_sum": {"lhs": lhs_sq, "rhs": exp_sq_sum, "discrepancy": abs(lhs_sq - exp_sq_sum)},
-        "diagonal_linear": {"lhs": lhs_lin, "rhs": exp_lin, "discrepancy": abs(lhs_lin - exp_lin)},
-        "second_moment": {"lhs": lhs_card2, "rhs": exp_card2, "discrepancy": abs(lhs_card2 - exp_card2)},
-        "first_moment": {"lhs": lhs_card, "rhs": exp_card, "discrepancy": abs(lhs_card - exp_card)},
+    lhs = {
+        "quadratic_form": float(h @ (p_entries * m_matrix) @ h),
+        "square_of_sum": float(h @ p_entries @ h),
+        "diagonal_linear": float(np.diag(p_entries) @ h),
+        "second_moment": float(e @ p_entries @ e),
+        "first_moment": float(np.trace(p_entries)),
     }
-    return IdentityReport(mode=mode, trials=trials, results=results)
+    # Each expectation sum_k w_k g(S_k) as array algebra over the rows.
+    masks, weights = samplings.weighted_masks(spec, trials, rng_seed)
+    h_s = masks * h
+    totals = h_s.sum(axis=1)
+    sizes = masks.sum(axis=1)
+    rhs = {
+        "quadratic_form": float(weights @ np.einsum("ki,ki->k", h_s @ m_matrix, h_s)),
+        "square_of_sum": float(weights @ (totals * totals)),
+        "diagonal_linear": float(weights @ totals),
+        "second_moment": float(weights @ (sizes * sizes)),
+        "first_moment": float(weights @ sizes),
+    }
+    hadamard = np.max(np.abs(p_entries * m_matrix - m_matrix * _outer_sum(masks, weights)))
+    results = {"hadamard_matrix": {"lhs": None, "rhs": None, "discrepancy": float(hadamard)}}
+    for name, value in lhs.items():
+        results[name] = {"lhs": value, "rhs": rhs[name], "discrepancy": abs(value - rhs[name])}
+    return IdentityReport(mode="monte_carlo" if trials else "exact", trials=trials, results=results)
 
 
 # ---------------------------------------------------------------------------

@@ -47,9 +47,6 @@ ALL_KINDS = (
     KIND_EXPLICIT,
 )
 
-# Kinds whose support is explicit in the parameters (enumerable at any n).
-_POLY_SUPPORT_KINDS = {KIND_ELEMENTARY, KIND_SERIAL, KIND_PRODUCT, KIND_GRAPH, KIND_EXPLICIT}
-
 
 def _as_index_tuple(items: Iterable[int], n: int, field_name: str) -> tuple[int, ...]:
     out = tuple(sorted(int(i) for i in items))
@@ -112,10 +109,6 @@ class SamplingSpec:
 
     def to_dict(self) -> dict:
         return spec_to_dict(self)
-
-    @staticmethod
-    def from_dict(payload: dict) -> "SamplingSpec":
-        return spec_from_dict(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +493,22 @@ def enumerate_support(spec: SamplingSpec) -> list[tuple[tuple[int, ...], float]]
     if abs(total - 1.0) > 10 * config.PROB_SUM_TOL:
         raise ValidationError("weights", f"enumerated mass {total!r} differs from 1")
     return sorted(dist.items(), key=lambda kv: (len(kv[0]), kv[0]))
+
+
+def weighted_masks(
+    spec: SamplingSpec, trials: int = 0, rng_seed: int = 0, streams: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bool rows of sets and weights w with E[g(S-hat)] = sum_k w[k] g(masks[k]):
+    the support of :func:`enumerate_support` with its probabilities when
+    ``trials == 0``, else the :func:`draw_masks` rows weighted 1/trials."""
+    if trials < 0:
+        raise ValidationError("trials", "must be nonnegative")
+    if trials:
+        return draw_masks(spec, trials, rng_seed, streams), np.full(trials, 1.0 / trials)
+    sets, probs = zip(*enumerate_support(spec))
+    masks = np.zeros((len(sets), spec.n), dtype=bool)
+    masks[np.repeat(np.arange(len(sets)), [len(s) for s in sets]), list(itertools.chain(*sets))] = True
+    return masks, np.array(probs)
 
 
 _WITHOUT_ENUMERATION = (

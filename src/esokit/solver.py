@@ -157,8 +157,9 @@ def solve(
     rng_seed: int = 0,
     stream_index: int = 0,
 ) -> SolverTrace:
-    """Run randomized coordinate descent until the objective gap drops below
-    epsilon or max_iter is hit.
+    """Run randomized coordinate descent until the objective gap is at most
+    epsilon (``gap <= epsilon``, for every epsilon, also epsilon <= 0) or
+    max_iter is hit; a start with gap <= epsilon runs no iteration.
 
     The sampling must be proper and v must certify (or be trusted to certify)
     the overapproximation on the ridge-augmented data. A 10x gap growth over
@@ -197,7 +198,7 @@ def solve(
             gap0=gap0,
         )
     else:
-        # epsilon <= 0 means "run to max_iter"; no finite bound applies.
+        # No finite bound for epsilon <= 0; the stop rule is still gap <= epsilon.
         bound = math.inf
 
     rng = config.rng_for_stream(rng_seed, stream_index)
@@ -399,6 +400,9 @@ class TradeoffReport:
         }
 
 
+_TRADEOFF_FORMULAS = {"coupled": "coupled-exact", "generic": "generic", "conservative": "conservative"}
+
+
 def tradeoff_report(
     data: DataMatrix,
     spec: SamplingSpec,
@@ -427,17 +431,10 @@ def tradeoff_report(
 
     rows = []
     for name in formulas:
-        if name == "coupled":
-            result = eso.eso_coupled(data, spec, "exact")
-            preprocessing = power_iterations * sum_sq_supports / nnz
-        elif name == "generic":
-            result = eso.eso_specialized(data, spec, case="generic")
-            preprocessing = 1.0
-        elif name == "conservative":
-            result = eso.eso_conservative(data, spec)
-            preprocessing = 1.0
-        else:
+        if name not in _TRADEOFF_FORMULAS:
             raise UnsupportedMethodError(f"unknown trade-off formula {name!r}")
+        result = eso.compute_v(data, spec, _TRADEOFF_FORMULAS[name])
+        preprocessing = power_iterations * sum_sq_supports / nnz if name == "coupled" else 1.0
         max_ratio = float(np.max(result.v * tau / (result.p * data.n)))
         iteration_passes = max_ratio * log_term / lambda_sc
         rows.append(

@@ -90,7 +90,13 @@ def lambda_max(
     safeguard: float = config.POWER_SAFEGUARD,
 ) -> EigenEstimate:
     """Largest eigenvalue of a symmetric PSD matrix."""
-    m = _check_square_symmetric(m)
+    return _top_eigenvalue(_check_square_symmetric(m), method, power_iterations, safeguard)
+
+
+def _top_eigenvalue(
+    m: np.ndarray, method: str, power_iterations: int, safeguard: float
+) -> EigenEstimate:
+    """:func:`lambda_max` of a matrix that is already checked and symmetric."""
     if m.size == 0 or not np.any(m):
         return EigenEstimate(0.0, method, 0.0)
     if method == METHOD_DENSE:
@@ -142,22 +148,22 @@ def lambda_prime(
     """
     m = _check_square_symmetric(m)
     diag = np.diag(m)
-    if np.any(diag < -1e-12 * max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)):
+    atol = 1e-12 * max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
+    if np.any(diag < -atol):
         raise ValidationError("matrix", "negative diagonal entry; not PSD")
     support = np.flatnonzero(diag > 0.0)
     off_support = np.flatnonzero(diag <= 0.0)
-    if off_support.size:
-        atol = 1e-12 * max(1.0, float(np.max(np.abs(m))))
-        if np.max(np.abs(m[off_support, :])) > atol:
-            raise ValidationError(
-                "matrix", "zero diagonal entry with nonzero row; not positive semidefinite"
-            )
+    if off_support.size and np.max(np.abs(m[off_support, :])) > atol:
+        raise ValidationError(
+            "matrix", "zero diagonal entry with nonzero row; not positive semidefinite"
+        )
     if support.size == 0:
         return EigenEstimate(0.0, method, 0.0)
     sub = m[np.ix_(support, support)]
     scale = 1.0 / np.sqrt(diag[support])
+    # Exactly symmetric, as m is: lambda_max's check would change nothing.
     normalized = sub * np.outer(scale, scale)
-    return lambda_max(normalized, method, power_iterations, safeguard)
+    return _top_eigenvalue(normalized, method, power_iterations, safeguard)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +245,7 @@ def restricted_closed_form(spec: SamplingSpec, sets) -> tuple[np.ndarray, str] |
     name; None for other kinds and the nil doubly-uniform sampling."""
     k = spec.kind
     if k == samplings.KIND_CTAU:
-        values = [ctau_restricted_bound(spec, j) if len(j) else 0.0 for j in sets]
-        return np.array(values, dtype=float), "ctau_restriction"
+        return _ctau_restricted_bounds(spec, sets), "ctau_restriction"
     sizes = np.array([len(j) for j in sets], dtype=float)
     if k == samplings.KIND_TAU_NICE:
         return tau_nice_restricted_value(spec.n, spec.tau, sizes), "tau_nice_restriction"
@@ -362,6 +367,34 @@ def restricted_lambda_primes(
             else:
                 top = [_power_method(b, power_iterations, safeguard).value for b in m]
             out[members[lo : lo + step]] = top
+    return out
+
+
+def _ctau_restricted_bounds(spec: SamplingSpec, sets) -> np.ndarray:
+    """:func:`ctau_restricted_bound` of every set (0 for an empty one) in the
+    same float operations; each set's distinct indices and the blocks they
+    meet are counted with one ``bincount`` each."""
+    out = np.zeros(len(sets))
+    n, c, tau = spec.n, len(spec.partition), spec.tau
+    s = len(spec.partition[0])
+    s1 = max(s - 1, 1)
+    block_of = np.empty(n, dtype=int)
+    block_of[np.concatenate(spec.partition)] = np.repeat(np.arange(c), s)
+    owner = np.repeat(np.arange(len(sets)), [len(j) for j in sets])
+    flat = np.fromiter(chain.from_iterable(sets), dtype=int, count=owner.size)
+    if flat.size and (flat.min() < 0 or flat.max() >= n):
+        raise ValidationError("set", f"indices must lie in [0, {n})")
+    # Unique (set, index) keys: a duplicate index counts once, as in the one-set form.
+    keys = np.unique(owner * n + flat)
+    j_size = np.bincount(keys // n, minlength=len(sets))
+    omega = np.bincount(np.unique(keys // n * c + block_of[keys % n]) // c, minlength=len(sets))
+    hit = (j_size > 0) & (tau > 0)
+    j_size, omega = j_size[hit], omega[hit]
+    out[hit] = (
+        1.0
+        + (j_size - 1) * (tau - 1) / s1
+        + j_size * (tau / s - (tau - 1) / s1) * (omega - 1) / omega
+    )
     return out
 
 

@@ -6,7 +6,9 @@ inequality
     E[f(x + h_S)] <= f(x) + sum_i p_i grad_i f(x) h_i + 0.5 sum_i p_i v_i h_i^2
 
 over the enumerated support (exact) or over seeded draws (statistical, with a
-one-sided z-slack). The matrix-form check re-exports the PSD certificate and
+one-sided z-slack), both from :func:`samplings.weighted_masks`, as
+f(x + h_S) = f(x) + grad f(x)'h_S + 0.5 h_S'(A'A)h_S: no dense A, no
+m-by-trials array. The matrix-form check re-exports the PSD certificate and
 produces a violating direction when the margin is negative. The identity
 battery sweeps random samplings and matrices against brute-force expectation
 oracles.
@@ -26,6 +28,9 @@ from .errors import ValidationError
 from .samplings import SamplingSpec
 
 EXHAUSTIVE_TOL = 1e-10
+
+# Largest float temporary, in entries, of check_eso_quadratic's chunks.
+_CHUNK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -61,7 +66,7 @@ def canonical_points(
 ) -> list[tuple[np.ndarray, np.ndarray, str]]:
     """The canonical (x, h) grid: x in {0, ones, random unit}, h in the basis
     vectors, ones, a random unit vector, and the certificate's bottom
-    eigenvector when n is small enough to eigen-solve."""
+    eigenvector (so n <= ``config.DENSE_EIG_CAP``)."""
     n = data.n
     rng = config.rng_for_stream(rng_seed, 0)
     x_rand = rng.standard_normal(n)
@@ -69,12 +74,9 @@ def canonical_points(
     h_rand = rng.standard_normal(n)
     h_rand /= np.linalg.norm(h_rand)
 
-    hs: list[tuple[np.ndarray, str]] = [(e, f"e{i}") for i, e in enumerate(np.eye(n))]
-    hs.append((np.ones(n), "ones"))
-    hs.append((h_rand, "random_unit"))
-    if n <= config.DENSE_EIG_CAP:
-        _, vecs = np.linalg.eigh(eso.certificate_matrix(data, spec, v))
-        hs.append((vecs[:, 0], "certificate_bottom"))
+    _, vecs = np.linalg.eigh(eso.certificate_matrix(data, spec, v))
+    hs = [(e, f"e{i}") for i, e in enumerate(np.eye(n))]
+    hs += [(np.ones(n), "ones"), (h_rand, "random_unit"), (vecs[:, 0], "certificate_bottom")]
 
     xs = [(np.zeros(n), "zero"), (np.ones(n), "ones"), (x_rand, "random_unit")]
     return [(x, h, f"x={xl},h={hl}") for x, xl in xs for h, hl in hs]
@@ -91,49 +93,50 @@ def check_eso_quadratic(
     streams: int = 1,
 ) -> EsoCheckReport:
     """Check the three-term inequality at each point; the report summarizes
-    the worst point and carries per-point details."""
+    the worst point and carries per-point details. Needs n <=
+    ``config.DENSE_EIG_CAP``: it reads the Gram matrix."""
     v = np.asarray(v, dtype=float)
     if np.any(v <= 0):
         raise ValidationError("v", "stepsize parameters must be positive")
+    n = data.n
+    if n > config.DENSE_EIG_CAP:
+        raise ValidationError("n", f"the quadratic check needs n <= {config.DENSE_EIG_CAP}")
+    if mode not in ("exhaustive", "monte_carlo"):
+        raise ValidationError("mode", f"unknown mode {mode!r}")
+    exhaustive = mode == "exhaustive"
+    if not exhaustive and trials < 1:
+        raise ValidationError("trials", "must be positive")
     if points is None:
         labelled = canonical_points(data, spec, v, rng_seed)
     else:
         labelled = [(np.asarray(x, float), np.asarray(h, float), f"point{i}") for i, (x, h) in enumerate(points)]
     for x, h, _ in labelled:
+        if x.shape != (n,) or h.shape != (n,):
+            raise ValidationError("points", f"points must have shape ({n},)")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(h))):
             raise ValidationError("points", "points must be finite")
 
+    trials_used = 0 if exhaustive else trials
+    masks, weights = samplings.weighted_masks(spec, trials_used, rng_seed, streams)
     p = samplings.marginals(spec)
-    a_dense = data.to_dense()
-
-    if mode == "exhaustive":
-        support = samplings.enumerate_support(spec)
-        masks = np.zeros((len(support), data.n))
-        weights = np.empty(len(support))
-        for row, (s, prob) in enumerate(support):
-            masks[row, list(s)] = 1.0
-            weights[row] = prob
-        trials_used = 0
-    elif mode == "monte_carlo":
-        if trials < 1:
-            raise ValidationError("trials", "must be positive")
-        masks = samplings.draw_masks(spec, trials, rng_seed, streams)
-        weights = np.full(masks.shape[0], 1.0 / masks.shape[0])
-        trials_used = masks.shape[0]
-    else:
-        raise ValidationError("mode", f"unknown mode {mode!r}")
+    gram = data.gram()
+    chunk = max(1, _CHUNK_ENTRIES // max(n, 1))
 
     details = []
     for x, h, label in labelled:
-        ax = a_dense @ x
+        ax = data.matvec(x)
         fx = 0.5 * float(np.dot(ax, ax))
-        grad = a_dense.T @ ax
+        grad = data.rmatvec(ax)
         rhs = fx + float(np.sum(p * grad * h)) + 0.5 * float(np.sum(p * v * h * h))
-        # f(x + h_S) for every S at once: rows of masks select coordinates.
-        shifted = a_dense @ (x[None, :] + masks * h[None, :]).T
-        values = 0.5 * np.sum(shifted * shifted, axis=0)
+        # f(x + h_S) = f(x) + grad'h_S + 0.5 h_S'(A'A)h_S for a chunk of sets at once.
+        linear, curvature = grad * h, gram * np.outer(h, h)
+        values = np.empty(masks.shape[0])
+        for lo in range(0, masks.shape[0], chunk):
+            block = masks[lo : lo + chunk].astype(float)
+            quad = np.einsum("ki,ki->k", block @ curvature, block)
+            values[lo : lo + chunk] = fx + block @ linear + 0.5 * quad
         lhs = float(weights @ values)
-        if mode == "exhaustive":
+        if exhaustive:
             stderr = 0.0
             ok = (rhs - lhs) >= -EXHAUSTIVE_TOL
         else:

@@ -4,6 +4,7 @@ import pytest
 import esokit as ek
 from esokit.errors import CertificateUnavailableError, UnsupportedMethodError, ValidationError
 from esokit.probability import read_csv, require_exact, write_csv
+from esokit.samplings import draw_masks
 
 
 def test_tau_nice_closed_form_entries():
@@ -206,6 +207,72 @@ def test_check_identities_monte_carlo():
     assert report.max_discrepancy < 0.1
     with pytest.raises(ValidationError, match="trials"):
         ek.check_identities(spec, np.eye(4), np.ones(4), trials=10)
+
+
+def _identities_by_loop(spec, m, h, trials, rng_seed):
+    """The six expectations of check_identities summed one set at a time."""
+    if trials == 0:
+        draws = [(np.asarray(s, dtype=int), w) for s, w in ek.enumerate_support(spec)]
+    else:
+        draws = [(np.flatnonzero(row), 1.0 / trials) for row in draw_masks(spec, trials, rng_seed)]
+    hadamard = np.zeros((spec.n, spec.n))
+    quad = sq_sum = lin = card2 = card = 0.0
+    for idx, w in draws:
+        sub = m[np.ix_(idx, idx)]
+        hs = h[idx]
+        hadamard[np.ix_(idx, idx)] += w * sub
+        quad += w * float(hs @ sub @ hs)
+        sq_sum += w * float(hs.sum()) ** 2
+        lin += w * float(hs.sum())
+        card2 += w * idx.size**2
+        card += w * idx.size
+    p = ek.prob_matrix(spec, "auto").entries
+    return {
+        "hadamard_matrix": float(np.max(np.abs(p * m - hadamard))),
+        "quadratic_form": quad,
+        "square_of_sum": sq_sum,
+        "diagonal_linear": lin,
+        "second_moment": card2,
+        "first_moment": card,
+    }
+
+
+def test_check_identities_match_the_per_set_loop():
+    rng = ek.rng_for_stream(27, 0)
+    for k in range(30):
+        spec = ek.random_spec(rng, int(rng.integers(2, 7)))
+        m = rng.standard_normal((spec.n, spec.n))
+        h = rng.standard_normal(spec.n)
+        trials = 0 if k % 3 else 1_500
+        report = ek.check_identities(spec, m, h, trials=trials, rng_seed=k)
+        expected = _identities_by_loop(spec, m, h, trials, k)
+        for name, value in expected.items():
+            got = report.results[name]
+            if name == "hadamard_matrix":
+                assert got["discrepancy"] == pytest.approx(value, rel=1e-9, abs=1e-12)
+            else:
+                assert got["rhs"] == pytest.approx(value, rel=1e-12, abs=1e-12)
+
+
+def test_monte_carlo_matrix_is_the_mean_of_integer_counts():
+    # Counts are integers, so any summation order gives the same matrix bits.
+    spec = ek.convex_combination([0.5, 0.5], [ek.tau_nice(6, 3), ek.serial([1 / 6] * 6)])
+    for samples, streams in ((700, 1), (301, 3)):
+        masks = draw_masks(spec, samples, rng_seed=9, streams=streams).astype(np.int64)
+        mean = (masks.T @ masks) / samples
+        mean = np.clip(0.5 * (mean + mean.T), 0.0, 1.0)
+        pm = ek.prob_matrix(spec, "monte_carlo", mc_samples=samples, rng_seed=9, streams=streams)
+        assert np.array_equal(pm.entries, mean)
+
+
+def test_enumerated_matrix_is_the_weighted_sum_over_the_support():
+    rng = ek.rng_for_stream(28, 0)
+    for _ in range(30):
+        spec = ek.random_spec(rng, int(rng.integers(2, 8)))
+        expected = np.zeros((spec.n, spec.n))
+        for s, w in ek.enumerate_support(spec):
+            expected[np.ix_(s, s)] += w
+        np.testing.assert_allclose(ek.prob_matrix(spec, "enumerate").entries, expected, rtol=0, atol=1e-14)
 
 
 def test_monte_carlo_probability_matrix():

@@ -6,7 +6,7 @@ import pytest
 
 import esokit as ek
 from esokit.errors import CapacityError, ValidationError
-from esokit.samplings import draw_masks, spec_from_dict, spec_to_dict
+from esokit.samplings import draw_masks, spec_from_dict, spec_to_dict, weighted_masks
 
 
 def test_elementary_draw_is_deterministic():
@@ -158,6 +158,23 @@ def test_draw_masks_match_per_stream_draws():
             assert masks.dtype == bool and masks.shape == (count, spec.n)
             assert [np.flatnonzero(row).tolist() for row in masks] == expected
         assert np.array_equal(draw_masks(spec, count, seed, streams=0), draw_masks(spec, count, seed))
+
+
+def test_weighted_masks_are_the_support_or_the_draws():
+    rng = ek.rng_for_stream(39, 0)
+    for _ in range(40):
+        spec = ek.random_spec(rng, int(rng.integers(1, 8)))
+        masks, weights = weighted_masks(spec)
+        support = ek.enumerate_support(spec)
+        assert masks.dtype == bool and masks.shape == (len(support), spec.n)
+        assert [tuple(np.flatnonzero(row).tolist()) for row in masks] == [s for s, _ in support]
+        assert weights.tolist() == [p for _, p in support]
+
+        masks, weights = weighted_masks(spec, 7, rng_seed=3, streams=2)
+        assert np.array_equal(masks, draw_masks(spec, 7, rng_seed=3, streams=2))
+        assert weights.tolist() == [1.0 / 7] * 7
+    with pytest.raises(ValidationError, match="trials"):
+        weighted_masks(ek.tau_nice(3, 1), -1)
 
 
 def test_cardinality_cap_certifies_support_sizes():

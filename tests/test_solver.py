@@ -49,6 +49,8 @@ def test_optimum_is_fixed_point_for_every_sampling():
         v = problem.stepsizes(spec, "generic").v
         trace = ek.solve(problem, spec, v, x0=x_star, epsilon=0.0, max_iter=25)
         assert trace.final_gap <= 1e-10
+        # The stop rule is gap <= epsilon also for epsilon = 0: no iteration runs.
+        assert trace.iterations == 0 and trace.converged
 
 
 def test_mean_gap_is_nonincreasing_and_meets_bound():

@@ -155,7 +155,7 @@ def test_solver_matches_the_dense_loop(seed, spec):
 
 
 # ---------------------------------------------------------------------------
-# No dense copy of A on the solve, stepsize and certificate paths
+# No dense copy of A on the solve, stepsize, certificate and check paths
 
 
 def test_solve_and_certify_paths_never_densify(tmp_path, monkeypatch):
@@ -182,6 +182,10 @@ def test_solve_and_certify_paths_never_densify(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "solve.json")]) == 0
     assert main(["compute-v", "--matrix", str(matrix), "--sampling", str(sampling),
                  "--certify", "--out", str(tmp_path / "v.json")]) == 0
+    spec = ek.tau_nice(problem.n, 3)
+    v = ek.compute_v(problem.data, spec, "taunice").v
+    assert ek.check_eso_quadratic(problem.data, spec, v, mode="exhaustive").passed
+    assert ek.check_eso_quadratic(problem.data, spec, v, mode="monte_carlo", trials=2_000).passed
     assert math.isclose(problem.objective(x), expected_objective, rel_tol=1e-12)
     np.testing.assert_allclose(problem.gradient(x), expected_gradient, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(problem.x_star(), expected_x_star, rtol=1e-9, atol=1e-12)

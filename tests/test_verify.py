@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import esokit as ek
 from conftest import random_sparse_matrix
+from esokit import config, samplings, verify
 from esokit.errors import ValidationError
 from esokit.verify import write_junit
 
@@ -149,3 +152,99 @@ def test_identity_battery_passes_and_writes_junit(tmp_path):
 def test_matrix_form_rejects_wrong_length_v():
     with pytest.raises(ValidationError):
         ek.check_eso_matrix_form(FIXTURE_A, SPEC, V_OK[:-1])
+
+
+# ---------------------------------------------------------------------------
+# The quadratic check reads the Gram matrix, not a dense A
+
+
+def _dense_reference_details(data, spec, v, labelled, mode, trials, rng_seed, streams):
+    """Per-point results of the check as it was with a dense A: f(x + h_S)
+    taken as 0.5 ||A (x + h_S)||^2 for every set at once."""
+    p = ek.marginals(spec)
+    a_dense = data.to_dense()
+    if mode == "exhaustive":
+        support = ek.enumerate_support(spec)
+        masks = np.zeros((len(support), data.n))
+        weights = np.empty(len(support))
+        for row, (s, prob) in enumerate(support):
+            masks[row, list(s)] = 1.0
+            weights[row] = prob
+    else:
+        masks = samplings.draw_masks(spec, trials, rng_seed, streams)
+        weights = np.full(masks.shape[0], 1.0 / masks.shape[0])
+    details = []
+    for x, h, label in labelled:
+        ax = a_dense @ x
+        fx = 0.5 * float(np.dot(ax, ax))
+        grad = a_dense.T @ ax
+        rhs = fx + float(np.sum(p * grad * h)) + 0.5 * float(np.sum(p * v * h * h))
+        shifted = a_dense @ (x[None, :] + masks * h[None, :]).T
+        values = 0.5 * np.sum(shifted * shifted, axis=0)
+        lhs = float(weights @ values)
+        if mode == "exhaustive":
+            stderr = 0.0
+            ok = (rhs - lhs) >= -verify.EXHAUSTIVE_TOL
+        else:
+            stderr = float(values.std(ddof=1) / np.sqrt(values.size))
+            ok = (rhs - lhs) >= -3.0 * stderr
+        details.append({"label": label, "lhs": lhs, "rhs": rhs, "stderr": stderr, "pass": bool(ok)})
+    return details
+
+
+@pytest.mark.parametrize("chunk_entries", [verify._CHUNK_ENTRIES, 50])
+@pytest.mark.parametrize("mode", ["exhaustive", "monte_carlo"])
+def test_quadratic_check_matches_the_dense_formula(mode, chunk_entries, monkeypatch):
+    monkeypatch.setattr(verify, "_CHUNK_ENTRIES", chunk_entries)
+    rng = ek.rng_for_stream(64, 0)
+    for k in range(6):
+        n = int(rng.integers(4, 10))
+        data = random_sparse_matrix(rng, int(rng.integers(3, 15)), n, 0.4)
+        spec = [ek.tau_nice(n, 2), ek.serial(np.full(n, 1.0 / n)), ek.doubly_uniform(np.full(n + 1, 1.0 / (n + 1)))][k % 3]
+        v = ek.compute_v(data, spec, "auto").v * (1.0 if k < 3 else 0.7)
+        report = ek.check_eso_quadratic(data, spec, v, mode=mode, trials=3_000, rng_seed=k, streams=2)
+        labelled = verify.canonical_points(data, spec, v, rng_seed=k)
+        expected = _dense_reference_details(data, spec, v, labelled, mode, 3_000, k, 2)
+        assert [d["label"] for d in report.details] == [d["label"] for d in expected]
+        for got, want in zip(report.details, expected):
+            scale = max(1.0, abs(want["lhs"]))
+            for key in ("lhs", "rhs", "stderr"):
+                assert abs(got[key] - want[key]) <= 1e-12 * scale, (k, got["label"], key)
+            assert got["pass"] == want["pass"]
+
+
+def test_quadratic_check_memory_stays_below_an_m_by_trials_array():
+    # At 4000 x 40 with 5000 draws, an m x trials float array alone is 160 MB.
+    rng = ek.rng_for_stream(65, 0)
+    data = random_sparse_matrix(rng, 4000, 40, 0.05)
+    spec = ek.tau_nice(40, 4)
+    v = ek.compute_v(data, spec, "taunice").v
+    tracemalloc.start()
+    try:
+        report = ek.check_eso_quadratic(data, spec, v, mode="monte_carlo", trials=5_000, rng_seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.trials == 5_000
+    assert peak < 16 * 2**20, peak
+
+
+def test_quadratic_check_refuses_n_above_the_dense_cap(monkeypatch):
+    data = ek.DataMatrix.from_dense(np.eye(5))
+    spec = ek.tau_nice(5, 2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the check drew or enumerated before refusing")
+
+    monkeypatch.setattr(config, "DENSE_EIG_CAP", 4)
+    monkeypatch.setattr(samplings, "weighted_masks", refuse)
+    for mode in ("exhaustive", "monte_carlo"):
+        with pytest.raises(ValidationError, match="n <= 4"):
+            ek.check_eso_quadratic(data, spec, np.ones(5), mode=mode, trials=100)
+        with pytest.raises(ValidationError, match="n <= 4"):
+            ek.check_eso_quadratic(data, spec, np.ones(5), points=[(np.zeros(5), np.ones(5))], mode=mode)
+
+
+def test_quadratic_check_rejects_points_of_the_wrong_length():
+    with pytest.raises(ValidationError, match="shape"):
+        ek.check_eso_quadratic(FIXTURE_A, SPEC, V_OK, points=[(np.zeros(4), np.ones(4))])
