@@ -256,9 +256,14 @@ def certificate_matrix(data: DataMatrix, spec: SamplingSpec, v: np.ndarray) -> n
         raise ValidationError("v", f"expected shape ({data.n},)")
     if data.n > config.DENSE_EIG_CAP:
         raise ValidationError("n", f"certification needs n <= {config.DENSE_EIG_CAP}")
+    return _certificate(data.gram(), spec, v)
+
+
+def _certificate(gram: np.ndarray, spec: SamplingSpec, v: np.ndarray) -> np.ndarray:
+    """:func:`certificate_matrix` from the Gram matrix A'A, unchecked."""
     pm = probability.prob_matrix(spec, "auto")
     probability.require_exact(pm, "the PSD certificate")
-    return np.diag(v * samplings.marginals(spec)) - pm.entries * data.gram()
+    return np.diag(v * samplings.marginals(spec)) - pm.entries * gram
 
 
 def certify(data: DataMatrix, spec: SamplingSpec, v: np.ndarray) -> float:
@@ -338,6 +343,10 @@ def compute_v(
     if entry.kind is not None and spec.kind != entry.kind:
         raise UnsupportedMethodError(
             f"formula {formula!r} applies to {entry.kind} samplings, not {spec.kind!r}"
+        )
+    if data.n != spec.n:
+        raise ValidationError(
+            "sampling", f"spec is over {spec.n} coordinates (indices in [0, {spec.n})), data has {data.n}"
         )
     options = SimpleNamespace(
         tau_cap=tau_cap,

@@ -13,7 +13,6 @@ import inspect
 import numpy as np
 
 from . import eso, solver
-from .errors import ValidationError
 from .validation import as_data_matrix, as_sampling_spec, as_vector
 
 
@@ -77,8 +76,6 @@ class EsoStepsizes(ParamsMixin):
     def fit(self, X, y=None):
         data = as_data_matrix(X)
         spec = as_sampling_spec(self.sampling)
-        if spec.n != data.n:
-            raise ValidationError("sampling", f"spec is over {spec.n} coordinates, data has {data.n}")
         result = eso.compute_v(data, spec, formula=self.formula, tau_cap=self.tau_cap)
         if self.certify:
             result = result.with_margin(eso.certify(data, spec, result.v))

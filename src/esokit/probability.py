@@ -26,6 +26,8 @@ PROVENANCE_MC = "monte_carlo"
 _PROVENANCE_RANK = {PROVENANCE_CLOSED: 0, PROVENANCE_ENUM: 1, PROVENANCE_MC: 2}
 
 _BLOCK_ROWS = 128
+# Entries of the largest (sets, |S|, |S|) stack check_identities gathers.
+_STACK_ENTRIES = 1 << 16
 
 _CLOSED_FORM_KINDS = (
     samplings.KIND_ELEMENTARY,
@@ -206,7 +208,7 @@ def _exact_entries(spec: SamplingSpec) -> tuple[np.ndarray, str]:
 def _monte_carlo(spec: SamplingSpec, samples: int, rng_seed: int, streams: int) -> ProbMatrix:
     if samples < 1:
         raise ValidationError("mc_samples", "must be positive")
-    masks, _ = samplings.weighted_masks(spec, samples, rng_seed, streams)
+    masks = samplings.draw_masks(spec, samples, rng_seed, streams)
     # Integer counts sum exactly in any order: the mean is symmetric, in [0, 1].
     mean = _outer_sum(masks) / samples
     stderr = np.sqrt(mean * (1.0 - mean) / samples)
@@ -348,19 +350,33 @@ def check_identities(
         "second_moment": float(e @ p_entries @ e),
         "first_moment": float(np.trace(p_entries)),
     }
-    # Each expectation sum_k w_k g(S_k) as array algebra over the rows.
+    # Each expectation sum_k w_k g(S_k) over stacks of equal-size sets, each
+    # gathering at most _STACK_ENTRIES entries: sum_k |S_k|^2 work in all.
     masks, weights = samplings.weighted_masks(spec, trials, rng_seed)
-    h_s = masks * h
-    totals = h_s.sum(axis=1)
     sizes = masks.sum(axis=1)
+    p_hat = np.zeros(n * n)
+    quad = square = linear = 0.0
+    for s in np.unique(sizes[sizes > 0]):
+        rows = np.flatnonzero(sizes == s)
+        step = max(1, _STACK_ENTRIES // (s * s))
+        for lo in range(0, rows.size, step):
+            r = rows[lo : lo + step]
+            idx = np.nonzero(masks[r])[1].reshape(r.size, s)
+            pairs = idx[:, :, None] * n + idx[:, None, :]
+            w, h_s = weights[r], h[idx]
+            p_hat += np.bincount(pairs.ravel(), np.repeat(w, s * s), n * n)
+            quad += w @ np.einsum("ki,kij,kj->k", h_s, m_matrix.ravel()[pairs], h_s)
+            totals = h_s.sum(axis=1)
+            square += w @ (totals * totals)
+            linear += w @ totals
     rhs = {
-        "quadratic_form": float(weights @ np.einsum("ki,ki->k", h_s @ m_matrix, h_s)),
-        "square_of_sum": float(weights @ (totals * totals)),
-        "diagonal_linear": float(weights @ totals),
+        "quadratic_form": float(quad),
+        "square_of_sum": float(square),
+        "diagonal_linear": float(linear),
         "second_moment": float(weights @ (sizes * sizes)),
         "first_moment": float(weights @ sizes),
     }
-    hadamard = np.max(np.abs(p_entries * m_matrix - m_matrix * _outer_sum(masks, weights)))
+    hadamard = np.max(np.abs(p_entries * m_matrix - m_matrix * p_hat.reshape(n, n)))
     results = {"hadamard_matrix": {"lhs": None, "rhs": None, "discrepancy": float(hadamard)}}
     for name, value in lhs.items():
         results[name] = {"lhs": value, "rhs": rhs[name], "discrepancy": abs(value - rhs[name])}

@@ -245,7 +245,8 @@ def restricted_closed_form(spec: SamplingSpec, sets) -> tuple[np.ndarray, str] |
     name; None for other kinds and the nil doubly-uniform sampling."""
     k = spec.kind
     if k == samplings.KIND_CTAU:
-        return _ctau_restricted_bounds(spec, sets), "ctau_restriction"
+        values = [ctau_restricted_bound(spec, j) if len(j) else 0.0 for j in sets]
+        return np.array(values, dtype=float), "ctau_restriction"
     sizes = np.array([len(j) for j in sets], dtype=float)
     if k == samplings.KIND_TAU_NICE:
         return tau_nice_restricted_value(spec.n, spec.tau, sizes), "tau_nice_restriction"
@@ -367,34 +368,6 @@ def restricted_lambda_primes(
             else:
                 top = [_power_method(b, power_iterations, safeguard).value for b in m]
             out[members[lo : lo + step]] = top
-    return out
-
-
-def _ctau_restricted_bounds(spec: SamplingSpec, sets) -> np.ndarray:
-    """:func:`ctau_restricted_bound` of every set (0 for an empty one) in the
-    same float operations; each set's distinct indices and the blocks they
-    meet are counted with one ``bincount`` each."""
-    out = np.zeros(len(sets))
-    n, c, tau = spec.n, len(spec.partition), spec.tau
-    s = len(spec.partition[0])
-    s1 = max(s - 1, 1)
-    block_of = np.empty(n, dtype=int)
-    block_of[np.concatenate(spec.partition)] = np.repeat(np.arange(c), s)
-    owner = np.repeat(np.arange(len(sets)), [len(j) for j in sets])
-    flat = np.fromiter(chain.from_iterable(sets), dtype=int, count=owner.size)
-    if flat.size and (flat.min() < 0 or flat.max() >= n):
-        raise ValidationError("set", f"indices must lie in [0, {n})")
-    # Unique (set, index) keys: a duplicate index counts once, as in the one-set form.
-    keys = np.unique(owner * n + flat)
-    j_size = np.bincount(keys // n, minlength=len(sets))
-    omega = np.bincount(np.unique(keys // n * c + block_of[keys % n]) // c, minlength=len(sets))
-    hit = (j_size > 0) & (tau > 0)
-    j_size, omega = j_size[hit], omega[hit]
-    out[hit] = (
-        1.0
-        + (j_size - 1) * (tau - 1) / s1
-        + j_size * (tau / s - (tau - 1) / s1) * (omega - 1) / omega
-    )
     return out
 
 

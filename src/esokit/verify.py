@@ -29,7 +29,7 @@ from .samplings import SamplingSpec
 
 EXHAUSTIVE_TOL = 1e-10
 
-# Largest float temporary, in entries, of check_eso_quadratic's chunks.
+# Entries of each chunk-by-n float temporary of check_eso_quadratic.
 _CHUNK_ENTRIES = 1 << 20
 
 
@@ -67,14 +67,18 @@ def canonical_points(
     """The canonical (x, h) grid: x in {0, ones, random unit}, h in the basis
     vectors, ones, a random unit vector, and the certificate's bottom
     eigenvector (so n <= ``config.DENSE_EIG_CAP``)."""
-    n = data.n
+    return _canonical_points(eso.certificate_matrix(data, spec, v), rng_seed)
+
+
+def _canonical_points(certificate: np.ndarray, rng_seed: int) -> list[tuple[np.ndarray, np.ndarray, str]]:
+    n = certificate.shape[0]
     rng = config.rng_for_stream(rng_seed, 0)
     x_rand = rng.standard_normal(n)
     x_rand /= np.linalg.norm(x_rand)
     h_rand = rng.standard_normal(n)
     h_rand /= np.linalg.norm(h_rand)
 
-    _, vecs = np.linalg.eigh(eso.certificate_matrix(data, spec, v))
+    _, vecs = np.linalg.eigh(certificate)
     hs = [(e, f"e{i}") for i, e in enumerate(np.eye(n))]
     hs += [(np.ones(n), "ones"), (h_rand, "random_unit"), (vecs[:, 0], "certificate_bottom")]
 
@@ -96,9 +100,11 @@ def check_eso_quadratic(
     the worst point and carries per-point details. Needs n <=
     ``config.DENSE_EIG_CAP``: it reads the Gram matrix."""
     v = np.asarray(v, dtype=float)
+    n = data.n
+    if v.shape != (n,):
+        raise ValidationError("v", f"expected shape ({n},)")
     if np.any(v <= 0):
         raise ValidationError("v", "stepsize parameters must be positive")
-    n = data.n
     if n > config.DENSE_EIG_CAP:
         raise ValidationError("n", f"the quadratic check needs n <= {config.DENSE_EIG_CAP}")
     if mode not in ("exhaustive", "monte_carlo"):
@@ -106,8 +112,9 @@ def check_eso_quadratic(
     exhaustive = mode == "exhaustive"
     if not exhaustive and trials < 1:
         raise ValidationError("trials", "must be positive")
+    gram = data.gram()
     if points is None:
-        labelled = canonical_points(data, spec, v, rng_seed)
+        labelled = _canonical_points(eso._certificate(gram, spec, v), rng_seed)
     else:
         labelled = [(np.asarray(x, float), np.asarray(h, float), f"point{i}") for i, (x, h) in enumerate(points)]
     for x, h, _ in labelled:
@@ -119,7 +126,6 @@ def check_eso_quadratic(
     trials_used = 0 if exhaustive else trials
     masks, weights = samplings.weighted_masks(spec, trials_used, rng_seed, streams)
     p = samplings.marginals(spec)
-    gram = data.gram()
     chunk = max(1, _CHUNK_ENTRIES // max(n, 1))
 
     details = []
@@ -129,12 +135,11 @@ def check_eso_quadratic(
         grad = data.rmatvec(ax)
         rhs = fx + float(np.sum(p * grad * h)) + 0.5 * float(np.sum(p * v * h * h))
         # f(x + h_S) = f(x) + grad'h_S + 0.5 h_S'(A'A)h_S for a chunk of sets at once.
-        linear, curvature = grad * h, gram * np.outer(h, h)
         values = np.empty(masks.shape[0])
         for lo in range(0, masks.shape[0], chunk):
-            block = masks[lo : lo + chunk].astype(float)
-            quad = np.einsum("ki,ki->k", block @ curvature, block)
-            values[lo : lo + chunk] = fx + block @ linear + 0.5 * quad
+            h_s = masks[lo : lo + chunk] * h
+            quad = np.einsum("ki,ki->k", h_s @ gram, h_s)
+            values[lo : lo + chunk] = fx + h_s @ grad + 0.5 * quad
         lhs = float(weights @ values)
         if exhaustive:
             stderr = 0.0

@@ -6,6 +6,7 @@ import pytest
 
 import esokit as ek
 from conftest import capped_partition_spec, graph_spec_for, random_sparse_matrix
+from esokit import eso
 from esokit.errors import UnsupportedMethodError, ValidationError
 
 FIXTURE_A = ek.DataMatrix.from_dense(np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 0.0]]))
@@ -60,6 +61,16 @@ def test_coupled_rejects_columns_beyond_the_sampling(name):
     data = ek.DataMatrix.from_dense(np.ones((2, 4)))
     with pytest.raises(ValidationError, match="indices"):
         ek.compute_v(data, ek.tau_nice(3, 2), name)
+
+
+def test_every_formula_rejects_a_matrix_of_another_width():
+    # Without the check, specialized and auto returned a v of length 10 beside a p of length 8.
+    names = [name for name, entry in eso.FORMULAS.items() if entry.kind in (None, "tau_nice")]
+    for cols in (10, 6):
+        data = ek.DataMatrix.from_dense(np.ones((3, cols)))
+        for name in names:
+            with pytest.raises(ValidationError, match="coordinates"):
+                ek.compute_v(data, ek.tau_nice(8, 2), name)
 
 
 def test_specialized_tau_nice_equals_coupled_formula_bit_for_bit():

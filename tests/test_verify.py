@@ -248,3 +248,5 @@ def test_quadratic_check_refuses_n_above_the_dense_cap(monkeypatch):
 def test_quadratic_check_rejects_points_of_the_wrong_length():
     with pytest.raises(ValidationError, match="shape"):
         ek.check_eso_quadratic(FIXTURE_A, SPEC, V_OK, points=[(np.zeros(4), np.ones(4))])
+    with pytest.raises(ValidationError, match="v"):
+        ek.check_eso_quadratic(FIXTURE_A, SPEC, V_OK[:1], points=[(np.zeros(3), np.ones(3))])
