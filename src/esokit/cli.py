@@ -3,7 +3,9 @@
 Subcommands: compute-v, verify, probmatrix, solve, tradeoff, design-serial,
 battery. All randomness flows from --seed; reports are deterministic JSON
 (byte-identical across runs apart from the generated_at timestamp) carrying a
-schema_version and the resolved configuration.
+schema_version and the resolved configuration, with the RNG scheme
+(``config.RNG_SCHEME``) and, where Monte-Carlo draws are split across
+streams, the --threads value that sets them.
 
 Exit codes: 0 success/pass, 1 a check failed, 2 input error, 3 unsupported
 formula/spec combination.
@@ -91,7 +93,7 @@ def _write_report(out: str | None, command: str, resolved: dict, result: dict) -
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "config": resolved,
+        "config": {**resolved, "rng_scheme": config.RNG_SCHEME},
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "result": result,
     }
@@ -171,7 +173,7 @@ def cmd_verify(args) -> int:
     _write_report(
         args.out,
         "verify",
-        _resolved(args, ["matrix", "sampling", "v", "mode", "trials", "seed", "tolerance"]),
+        _resolved(args, ["matrix", "sampling", "v", "mode", "trials", "seed", "threads", "tolerance"]),
         results,
     )
     print(f"verify: {'PASS' if passed else 'FAIL'}")
@@ -191,7 +193,7 @@ def cmd_probmatrix(args) -> int:
         _write_report(
             args.out,
             "probmatrix",
-            _resolved(args, ["sampling", "method", "samples", "seed"]),
+            _resolved(args, ["sampling", "method", "samples", "seed", "threads"]),
             pm.to_dict(),
         )
     return EXIT_OK

@@ -4,11 +4,24 @@ Every random draw in the library flows through :func:`rng_for_stream`, so a
 (seed, stream_index) pair pins the full sequence of results bit-for-bit on
 any platform. Parallel work (Monte-Carlo replicas, multi-seed solver runs)
 uses disjoint stream indices and merges results in stream order.
+
+``RNG_SCHEME`` versions how draws consume a stream, and CLI reports record
+it. Scheme 2 draws in blocks (``samplings._draw_block``): one vectorized
+call per kind fills many rows at once, e.g. tau rounds of Fisher-Yates swaps
+over a chunk of rows for tau-nice sets, or one sized ``rng.choice`` for a
+serial or explicit sampling. ``samplings.draw_masks`` fills stream s's rows
+with one block; the solver takes blocks of 64 draws per stream. Scheme 1
+drew one set at a time, so the same seed gives other sets under scheme 2.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ValidationError
+
+# Version of the way draws consume a random stream (see the module docstring).
+RNG_SCHEME = 2
 
 # Kinds with exponential support enumerate only up to this ground-set size.
 ENUMERATION_CAP = 16
@@ -41,6 +54,6 @@ def rng_for_stream(seed: int, stream_index: int = 0) -> np.random.Generator:
     reproducible.
     """
     if stream_index < 0:
-        raise ValueError("stream_index must be nonnegative")
+        raise ValidationError("stream_index", "must be nonnegative")
     ss = np.random.SeedSequence(entropy=int(seed) & _MASK64, spawn_key=(stream_index,))
     return np.random.default_rng(ss)

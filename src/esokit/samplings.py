@@ -394,78 +394,144 @@ def spec_from_dict(payload: dict) -> SamplingSpec:
 # Drawing
 
 
-def _partial_fisher_yates(size: int, tau: int, rng: np.random.Generator) -> list[int]:
-    """Positions of an exact uniform tau-subset of range(size): tau swaps of
-    a virtual identity array, whose moved slots alone are stored."""
-    moved: dict[int, int] = {}
-    picked = []
-    for k in range(tau):
-        j = int(rng.integers(k, size))
-        picked.append(moved.get(j, j))
-        moved[j] = moved.get(k, k)
-    return picked
+# Entries of one Fisher-Yates permutation chunk (rows x size), and of one
+# row chunk of product-sampling integers.
+_CHUNK_ENTRIES = 1 << 16
 
 
-def _draw(spec: SamplingSpec, rng: np.random.Generator) -> frozenset[int]:
-    k = spec.kind
+def _row_chunks(count: int, width: int):
+    """(start, stop) row ranges of at most max(1, _CHUNK_ENTRIES // width) rows."""
+    step = max(1, _CHUNK_ENTRIES // max(width, 1))
+    for start in range(0, count, step):
+        yield start, min(start + step, count)
+
+
+def _uniform_subsets(sizes: np.ndarray, size: int, rng: np.random.Generator):
+    """Exact uniform sizes[r]-subsets of range(size), one per row r.
+
+    Yields (rows, positions) per chunk of rows: a partial Fisher-Yates
+    shuffle of a (rows, size) identity block, one vectorized swap round per
+    position up to the chunk's largest size; row r keeps its first sizes[r]
+    positions. Round k draws one ``rng.integers(k, size)`` per row of the
+    chunk, so the draws are a pure function of the generator and the sizes.
+    """
+    chunks = list(_row_chunks(len(sizes), size))
+    # One buffer for every chunk: a fresh one per chunk costs page faults.
+    buffer = np.empty((chunks[0][1], size), dtype=np.intp)
+    for start, stop in chunks:
+        rows = np.arange(stop - start)
+        perm = buffer[: len(rows)]
+        perm[:] = np.arange(size)
+        rounds = int(sizes[start:stop].max())
+        for k in range(rounds):
+            j = rng.integers(k, size, size=len(rows))
+            held = perm[rows, k]
+            perm[rows, k] = perm[rows, j]
+            perm[rows, j] = held
+        keep = np.arange(rounds) < sizes[start:stop, None]
+        yield np.broadcast_to(start + rows[:, None], keep.shape)[keep], perm[:, :rounds][keep]
+
+
+def _index_mask(n: int, sets) -> np.ndarray:
+    """(len(sets), n) bool rows with row k set on sets[k]."""
+    masks = np.zeros((len(sets), n), dtype=bool)
+    masks[np.repeat(np.arange(len(sets)), [len(s) for s in sets]), list(itertools.chain(*sets))] = True
+    return masks
+
+
+def _draw_block(spec: SamplingSpec, out: np.ndarray, rng: np.random.Generator) -> None:
+    """Set the zeroed (count, n) bool rows of ``out`` to count independent
+    draws of the sampling, consuming ``rng`` in a fixed order per kind.
+
+    Permutation chunks and product-sampling integers hold at most
+    ``_CHUNK_ENTRIES`` entries (or one row of n), so no leaf kind builds a
+    count x n temporary; a mixture or an intersection holds one bool block
+    of its rows beside ``out``.
+    """
+    count, k = out.shape[0], spec.kind
+    if count == 0:
+        return
     if k == KIND_ELEMENTARY:
-        return frozenset(spec.set)
-    if k == KIND_SERIAL:
-        i = int(rng.choice(spec.n, p=np.asarray(spec.q)))
-        return frozenset((i,))
-    if k == KIND_TAU_NICE:
-        return frozenset(_partial_fisher_yates(spec.n, spec.tau, rng))
-    if k == KIND_CTAU:
-        out: set[int] = set()
-        for block in spec.partition:
-            out.update(block[i] for i in _partial_fisher_yates(len(block), spec.tau, rng))
-        return frozenset(out)
-    if k == KIND_DOUBLY_UNIFORM:
-        tau = int(rng.choice(spec.n + 1, p=np.asarray(spec.q)))
-        return frozenset(_partial_fisher_yates(spec.n, tau, rng))
-    if k == KIND_PRODUCT:
-        return frozenset(int(b[int(rng.integers(len(b)))]) for b in spec.blocks)
-    if k in (KIND_GRAPH, KIND_EXPLICIT):
-        idx = int(rng.choice(len(spec.members), p=np.asarray(spec.weights)))
-        return frozenset(spec.members[idx])
-    if k == KIND_CONVEX:
-        t = int(rng.choice(len(spec.components), p=np.asarray(spec.weights)))
-        return _draw(spec.components[t], rng)
-    if k == KIND_INTERSECTION:
-        first = _draw(spec.components[0], rng)
-        second = _draw(spec.components[1], rng)
-        return first & second
-    if k == KIND_RESTRICTION:
-        return _draw(spec.components[0], rng) & frozenset(spec.set)
-    raise ValidationError("kind", f"unknown kind {k!r}")
+        out[:, list(spec.set)] = True
+    elif k == KIND_SERIAL:
+        out[np.arange(count), rng.choice(spec.n, size=count, p=np.asarray(spec.q))] = True
+    elif k in (KIND_TAU_NICE, KIND_DOUBLY_UNIFORM):
+        if k == KIND_TAU_NICE:
+            sizes = np.full(count, spec.tau)
+        else:
+            sizes = rng.choice(spec.n + 1, size=count, p=np.asarray(spec.q))
+        for rows, cols in _uniform_subsets(sizes, spec.n, rng):
+            out[rows, cols] = True
+    elif k == KIND_CTAU:
+        # Every (row, block) pair is one tau-subset of the block's positions.
+        part = np.asarray(spec.partition)
+        blocks = len(part)
+        for pairs, positions in _uniform_subsets(np.full(count * blocks, spec.tau), part.shape[1], rng):
+            out[pairs // blocks, part[pairs % blocks, positions]] = True
+    elif k == KIND_PRODUCT:
+        lengths = np.array([len(b) for b in spec.blocks])
+        offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+        flat = np.concatenate(spec.blocks)
+        for start, stop in _row_chunks(count, len(lengths)):
+            picks = rng.integers(0, lengths, size=(stop - start, len(lengths)))
+            out[np.arange(start, stop)[:, None], flat[offsets + picks]] = True
+    elif k in (KIND_GRAPH, KIND_EXPLICIT):
+        picks = rng.choice(len(spec.members), size=count, p=np.asarray(spec.weights))
+        # mode="clip" writes straight into out; "raise" would copy it first.
+        np.take(_index_mask(spec.n, spec.members), picks, axis=0, out=out, mode="clip")
+    elif k == KIND_CONVEX:
+        picks = rng.choice(len(spec.components), size=count, p=np.asarray(spec.weights))
+        for t, comp in enumerate(spec.components):
+            rows = np.flatnonzero(picks == t)
+            if rows.size:
+                part = np.zeros((rows.size, spec.n), dtype=bool)
+                _draw_block(comp, part, rng)
+                out[rows] = part
+    elif k == KIND_INTERSECTION:
+        _draw_block(spec.components[0], out, rng)
+        second = np.zeros_like(out)
+        _draw_block(spec.components[1], second, rng)
+        out &= second
+    elif k == KIND_RESTRICTION:
+        _draw_block(spec.components[0], out, rng)
+        out &= _index_mask(spec.n, [spec.set])[0]
+    else:
+        raise ValidationError("kind", f"unknown kind {k!r}")
 
 
 def draw(spec: SamplingSpec, rng_seed: int, stream_index: int = 0) -> frozenset[int]:
-    """Draw one realization of the sampling.
+    """Draw one realization of the sampling: the one-row case of the block
+    draw on ``config.rng_for_stream(rng_seed, stream_index)``, so it equals
+    the first row of ``draw_masks(spec, 1, rng_seed)`` for stream 0.
 
     The result is a pure function of (spec, rng_seed, stream_index); replicas
     running in parallel use distinct stream indices.
     """
-    return _draw(spec, config.rng_for_stream(rng_seed, stream_index))
+    row = np.zeros((1, spec.n), dtype=bool)
+    _draw_block(spec, row, config.rng_for_stream(rng_seed, stream_index))
+    return frozenset(np.flatnonzero(row[0]).tolist())
 
 
 def draw_masks(spec: SamplingSpec, count: int, rng_seed: int = 0, streams: int = 1) -> np.ndarray:
     """``count`` realizations of the sampling as the rows of a (count, n) bool array.
 
-    Rows come stream by stream: stream s draws from
+    Rows come stream by stream: stream s fills its rows with one block draw
+    (RNG scheme ``config.RNG_SCHEME``) from
     ``config.rng_for_stream(rng_seed, s)``, and the first ``count % streams``
     streams take one draw more than the rest. The result is a pure function
-    of (spec, count, rng_seed, streams). Every Monte-Carlo estimate in the
+    of (spec, count, rng_seed, streams). For the leaf kinds the temporaries
+    beside the output stay a fixed size. Every Monte-Carlo estimate in the
     package reads its draws from here.
     """
+    if count < 0:
+        raise ValidationError("count", "must be nonnegative")
     streams = max(1, int(streams))
     masks = np.zeros((count, spec.n), dtype=bool)
     row = 0
     for stream_index in range(streams):
-        rng = config.rng_for_stream(rng_seed, stream_index)
-        for _ in range(count // streams + (stream_index < count % streams)):
-            masks[row, list(_draw(spec, rng))] = True
-            row += 1
+        rows = count // streams + (stream_index < count % streams)
+        _draw_block(spec, masks[row : row + rows], config.rng_for_stream(rng_seed, stream_index))
+        row += rows
     return masks
 
 
@@ -506,9 +572,7 @@ def weighted_masks(
     if trials:
         return draw_masks(spec, trials, rng_seed, streams), np.full(trials, 1.0 / trials)
     sets, probs = zip(*enumerate_support(spec))
-    masks = np.zeros((len(sets), spec.n), dtype=bool)
-    masks[np.repeat(np.arange(len(sets)), [len(s) for s in sets]), list(itertools.chain(*sets))] = True
-    return masks, np.array(probs)
+    return _index_mask(spec.n, sets), np.array(probs)
 
 
 _WITHOUT_ENUMERATION = (

@@ -8,7 +8,9 @@ full objective's curvature is covered). A is never densified: the solver reads
 the compressed columns of the data matrix and maintains the residual r = Ax
 incrementally, so the update of one iteration costs
 O(sum_{i in S} |column support of i|). The objective is then recomputed in
-full from r and x, which costs O(m + n) per iteration.
+full from r and x, which costs O(m + n) per iteration. The sets come from the
+sampling's block draw (``config.RNG_SCHEME`` 2) in blocks of 64 per run, so a
+run's draws are a pure function of its (seed, stream index).
 """
 
 from __future__ import annotations
@@ -172,6 +174,11 @@ def solve(
     b'x that the stop test reads is recomputed in full, in O(m + n); an
     incremental update would have to track the cross terms between selected
     columns that share rows.
+
+    The sets S are taken from ``config.rng_for_stream(rng_seed,
+    stream_index)`` in blocks of 64 draws (``samplings._draw_block``), each
+    turned into index lists by one ``np.nonzero``; the run's output is a
+    pure function of (rng_seed, stream_index).
     """
     p = samplings.marginals(spec)
     if np.any(p <= 0):
@@ -201,7 +208,7 @@ def solve(
         # No finite bound for epsilon <= 0; the stop rule is still gap <= epsilon.
         bound = math.inf
 
-    rng = config.rng_for_stream(rng_seed, stream_index)
+    draws = _index_lists(spec, config.rng_for_stream(rng_seed, stream_index))
     epoch = max(problem.n, 1)
     gaps: list[tuple[int, float]] = [(0, gap0)]
     window: deque[float] = deque([gap0], maxlen=11)
@@ -210,9 +217,8 @@ def solve(
     k = 0
     gap_floor = 10.0 * np.finfo(float).eps * max(1.0, abs(f_star))
     while not converged and k < max_iter:
-        selected = samplings._draw(spec, rng)
-        if selected:
-            idx = list(selected)
+        idx = next(draws)
+        if idx:
             deltas = []
             for i in idx:
                 rows_i, vals_i = cols[i]
@@ -256,6 +262,25 @@ def solve(
         final_gap=gap,
         x_final=x,
     )
+
+
+# Draws per block: one block draw and one np.nonzero serve this many iterations.
+_DRAW_BLOCK = 64
+
+
+def _index_lists(spec: SamplingSpec, rng: np.random.Generator):
+    """Endless draws of the sampling as ascending index lists, taken from
+    ``rng`` in blocks of ``_DRAW_BLOCK`` rows of ``samplings._draw_block``."""
+    while True:
+        masks = np.zeros((_DRAW_BLOCK, spec.n), dtype=bool)
+        samplings._draw_block(spec, masks, rng)
+        # One nonzero over the raveled block: far faster than the 2-D form.
+        rows, cols = np.divmod(np.flatnonzero(masks), spec.n)
+        cols = cols.tolist()
+        start = 0
+        for end in np.cumsum(np.bincount(rows, minlength=_DRAW_BLOCK)).tolist():
+            yield cols[start:end]
+            start = end
 
 
 def solve_many(

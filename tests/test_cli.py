@@ -148,6 +148,28 @@ def test_reports_are_deterministic_modulo_timestamp(workdir):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+def test_reports_record_the_rng_scheme_and_the_streams(workdir):
+    tmp, matrix, sampling = workdir
+    vfile = tmp / "v.json"
+    assert main(["compute-v", "--matrix", str(matrix), "--sampling", str(sampling), "--out", str(vfile)]) == 0
+    assert json.loads(vfile.read_text())["config"]["rng_scheme"] == ek.config.RNG_SCHEME
+    commands = {
+        "probmatrix": ["probmatrix", "--sampling", str(sampling), "--method", "monte-carlo", "--samples", "500"],
+        "verify": ["verify", "--matrix", str(matrix), "--sampling", str(sampling), "--v", str(vfile),
+                   "--mode", "monte-carlo", "--trials", "500"],
+    }
+    for name, argv in commands.items():
+        reports = {}
+        for threads in (1, 4):
+            out = tmp / f"{name}-{threads}.json"
+            assert main(["--seed", "5", "--threads", str(threads)] + argv + ["--out", str(out)]) == 0
+            reports[threads] = json.loads(out.read_text())
+            assert reports[threads]["config"]["threads"] == threads
+            assert reports[threads]["config"]["rng_scheme"] == ek.config.RNG_SCHEME
+        # The streams change the draws, so the results differ.
+        assert reports[1]["result"] != reports[4]["result"]
+
+
 def test_missing_sampling_file_is_input_error(workdir, capsys):
     _, matrix, _ = workdir
     code = main(["compute-v", "--matrix", str(matrix), "--sampling", "missing.json"])

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,13 +23,11 @@ def test_tau_nice_full_cardinality_is_whole_set():
 def test_tau_nice_draw_frequencies_match_uniform_law():
     # Oracle: the three 2-subsets of {0,1,2}, each with probability 1/3.
     spec = ek.tau_nice(3, 2)
-    rng = ek.rng_for_stream(42, 0)
     counts = {}
     n_draws = 30_000
-    from esokit.samplings import _draw
-
-    for _ in range(n_draws):
-        s = tuple(sorted(_draw(spec, rng)))
+    # The block draw of stream 0 of seed 42.
+    for row in draw_masks(spec, n_draws, rng_seed=42):
+        s = tuple(np.flatnonzero(row).tolist())
         counts[s] = counts.get(s, 0) + 1
     assert set(counts) == {(0, 1), (0, 2), (1, 2)}
     for subset, count in counts.items():
@@ -152,12 +151,30 @@ def test_draw_masks_match_per_stream_draws():
                 per_stream[r] += 1
             expected = []
             for stream_index, draws in enumerate(per_stream):
-                rng = ek.rng_for_stream(seed, stream_index)
-                expected += [sorted(ek.samplings._draw(spec, rng)) for _ in range(draws)]
+                block = np.zeros((draws, spec.n), dtype=bool)
+                ek.samplings._draw_block(spec, block, ek.rng_for_stream(seed, stream_index))
+                expected += [np.flatnonzero(row).tolist() for row in block]
             masks = draw_masks(spec, count, rng_seed=seed, streams=streams)
             assert masks.dtype == bool and masks.shape == (count, spec.n)
             assert [np.flatnonzero(row).tolist() for row in masks] == expected
         assert np.array_equal(draw_masks(spec, count, seed, streams=0), draw_masks(spec, count, seed))
+        # draw() is the one-row block of its stream.
+        for stream_index in range(3):
+            one = np.zeros((1, spec.n), dtype=bool)
+            ek.samplings._draw_block(spec, one, ek.rng_for_stream(seed, stream_index))
+            assert ek.draw(spec, seed, stream_index) == frozenset(np.flatnonzero(one[0]).tolist())
+        assert ek.draw(spec, seed) == frozenset(np.flatnonzero(draw_masks(spec, 1, seed)[0]).tolist())
+
+
+def test_draw_inputs_are_checked():
+    spec = ek.tau_nice(4, 2)
+    with pytest.raises(ValidationError) as info:
+        draw_masks(spec, -1)
+    assert info.value.field == "count"
+    assert draw_masks(spec, 0, streams=3).shape == (0, 4)
+    with pytest.raises(ValidationError) as info:
+        ek.draw(spec, 0, -1)
+    assert info.value.field == "stream_index"
 
 
 def test_weighted_masks_are_the_support_or_the_draws():
@@ -283,32 +300,45 @@ def test_tau_zero_is_nil():
     assert ek.enumerate_support(spec) == [((), 1.0)]
 
 
-def _reference_fisher_yates(pool, tau, rng):
-    # The pool-copying partial shuffle the tau-subset draws used before.
-    arr = pool.copy()
-    n = len(arr)
-    for k in range(tau):
-        j = int(rng.integers(k, n))
-        arr[k], arr[j] = arr[j], arr[k]
-    return arr[:tau]
+def _reference_subsets(sizes, size, rng):
+    """The pool-copying partial shuffle, one row at a time, fed the integers
+    the vectorized shuffle draws: rows in chunks of _CHUNK_ENTRIES // size
+    (at least one), and per chunk one rng.integers(k, size, size=rows) for
+    every round k up to the chunk's largest size."""
+    step = max(1, ek.samplings._CHUNK_ENTRIES // size)
+    out = []
+    for start in range(0, len(sizes), step):
+        chunk = sizes[start : start + step]
+        swaps = [rng.integers(k, size, size=len(chunk)) for k in range(max(chunk))]
+        for r, tau in enumerate(chunk):
+            arr = np.arange(size)
+            for k in range(tau):
+                j = swaps[k][r]
+                arr[k], arr[j] = arr[j], arr[k]
+            out.append(arr[:tau].tolist())
+    return out
 
 
-def _reference_draw(spec, rng):
+def _reference_draws(spec, count, rng):
     if spec.kind == ek.samplings.KIND_TAU_NICE:
-        return frozenset(int(i) for i in _reference_fisher_yates(np.arange(spec.n), spec.tau, rng))
+        return [frozenset(s) for s in _reference_subsets([spec.tau] * count, spec.n, rng)]
     if spec.kind == ek.samplings.KIND_CTAU:
-        out = set()
-        for block in spec.partition:
-            out.update(int(i) for i in _reference_fisher_yates(np.asarray(block), spec.tau, rng))
-        return frozenset(out)
-    tau = int(rng.choice(spec.n + 1, p=np.asarray(spec.q)))
-    return frozenset(int(i) for i in _reference_fisher_yates(np.arange(spec.n), tau, rng))
+        # One tau-subset per (row, block) pair, pairs in row-major order.
+        blocks = spec.partition
+        picked = _reference_subsets([spec.tau] * (count * len(blocks)), len(blocks[0]), rng)
+        return [
+            frozenset(blocks[b][i] for b in range(len(blocks)) for i in picked[r * len(blocks) + b])
+            for r in range(count)
+        ]
+    sizes = rng.choice(spec.n + 1, size=count, p=np.asarray(spec.q)).tolist()
+    return [frozenset(s) for s in _reference_subsets(sizes, spec.n, rng)]
 
 
 @pytest.mark.parametrize(
     "spec",
     [
         ek.tau_nice(2000, 8),
+        ek.tau_nice(70_000, 2),
         ek.tau_nice(10, 3),
         ek.tau_nice(10, 10),
         ek.tau_nice(1, 1),
@@ -316,10 +346,61 @@ def _reference_draw(spec, rng):
         ek.ctau_distributed([[3, 1, 2], [0, 4, 5]], 3),
         ek.doubly_uniform([0.1, 0.2, 0.0, 0.3, 0.1, 0.3]),
     ],
-    ids=["nice-2000-8", "nice-10-3", "nice-10-10", "nice-1-1", "ctau-2", "ctau-full", "doubly-uniform"],
+    ids=["nice-2000-8", "nice-70000-2", "nice-10-3", "nice-10-10", "nice-1-1", "ctau-2", "ctau-full",
+         "doubly-uniform"],
 )
 def test_subset_draws_and_generator_state_match_the_pool_copying_shuffle(spec):
     ours, theirs = ek.rng_for_stream(61, 0), ek.rng_for_stream(61, 0)
-    for _ in range(300):
-        assert ek.samplings._draw(spec, ours) == _reference_draw(spec, theirs)
+    count = 300
+    masks = np.zeros((count, spec.n), dtype=bool)
+    ek.samplings._draw_block(spec, masks, ours)
+    assert [frozenset(np.flatnonzero(row).tolist()) for row in masks] == _reference_draws(spec, count, theirs)
     assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def _every_kind(n=6):
+    graph = ek.ConflictGraph(n, ((0, 1), (2, 3)))
+    return [
+        ek.elementary(n, [1, 3]),
+        ek.serial([0.1, 0.2, 0.3, 0.1, 0.2, 0.1]),
+        ek.tau_nice(n, 3),
+        ek.ctau_distributed([[0, 5, 2], [1, 3, 4]], 2),
+        ek.doubly_uniform([0.2, 0.1, 0.1, 0.2, 0.1, 0.2, 0.1]),  # mass at size 0
+        ek.product_sampling([[0, 2], [1], [3, 4, 5]]),
+        ek.graph_sampling(n, [[0, 2], [1, 3], [4, 5]], [0.5, 0.3, 0.2], graph),
+        # A zero-weight component is never drawn.
+        ek.convex_combination([0.0, 0.4, 0.6], [ek.elementary(n, [0]), ek.tau_nice(n, 2), ek.serial([1 / n] * n)]),
+        ek.intersection(ek.tau_nice(n, 4), ek.doubly_uniform([0.1, 0.1, 0.2, 0.2, 0.2, 0.1, 0.1])),
+        ek.restriction(ek.product_sampling([[0, 1], [2, 3], [4, 5]]), [0, 2, 3]),
+        ek.explicit(n, [[0], [1, 2], []], [0.3, 0.3, 0.4]),
+    ]
+
+
+@pytest.mark.parametrize("spec", _every_kind(), ids=lambda spec: spec.kind)
+def test_every_kind_draws_its_law(spec):
+    # 40k rows over three streams: each set's frequency is within 5 standard
+    # errors of its enumerated probability, no set outside the support shows
+    # up, and the column means match the exact marginals the same way.
+    trials, z = 40_000, 5.0
+    masks = draw_masks(spec, trials, rng_seed=17, streams=3)
+    support = dict(ek.enumerate_support(spec))
+    rows, counts = np.unique(masks, axis=0, return_counts=True)
+    drawn = {tuple(np.flatnonzero(row).tolist()): int(c) for row, c in zip(rows, counts)}
+    assert set(drawn) <= set(support)
+    for s, p in support.items():
+        assert abs(drawn.get(s, 0) / trials - p) <= z * math.sqrt(p * (1 - p) / trials)
+    p = ek.marginals(spec)
+    assert np.all(np.abs(masks.mean(axis=0) - p) <= z * np.sqrt(p * (1 - p) / trials))
+
+
+def test_block_draws_keep_temporaries_small():
+    # The output is 5000 x 1000 bools (5 MB); the permutation chunks beside
+    # it hold at most 2^16 integers, never a 5000 x 1000 integer array.
+    tracemalloc.start()
+    try:
+        masks = draw_masks(ek.tau_nice(1000, 8), 5000, rng_seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert masks.nbytes == 5_000_000 and np.all(masks.sum(axis=1) == 8)
+    assert peak < masks.nbytes + 2_000_000

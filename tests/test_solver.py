@@ -116,6 +116,24 @@ def test_solve_many_is_deterministic_and_thread_invariant():
     assert [t.stream_index for t in serial_runs] == [0, 1, 2, 3]
 
 
+def test_a_run_depends_only_on_its_seed_and_stream():
+    # Runs past several 64-draw blocks; stream s alone and inside a batch of
+    # 7 runs (in sequence or on threads) agree bit for bit.
+    problem = _fixture_problem()
+    spec = ek.doubly_uniform([0.0, 0.3, 0.3, 0.2, 0.1, 0.05, 0.05])
+    v = problem.stepsizes(spec).v
+    kwargs = dict(x0=np.ones(problem.n), epsilon=1e-12, max_iter=700)
+    for threads in (1, 2):
+        batch = ek.solve_many(problem, spec, v, n_runs=7, rng_seed=19, threads=threads, **kwargs)
+        for s in (0, 3, 6):
+            alone = ek.solve(problem, spec, v, rng_seed=19, stream_index=s, **kwargs)
+            assert alone.iterations == batch[s].iterations > 64
+            assert alone.gaps == batch[s].gaps
+            assert np.array_equal(alone.x_final, batch[s].x_final)
+    with pytest.raises(ValidationError, match="stream_index"):
+        ek.solve(problem, spec, v, stream_index=-1)
+
+
 def test_trace_records_epochs_and_serializes(tmp_path):
     problem = _fixture_problem()
     spec = ek.serial(np.full(problem.n, 1 / problem.n))

@@ -107,9 +107,15 @@ def _dense_reference_solve(problem, spec, v, x0, epsilon, max_iter, rng_seed, st
     r = a @ x
     gap = objective(x) - f_star
     rng = ek.rng_for_stream(rng_seed, stream_index)
+    pending = []
     k = 0
     while gap > epsilon and k < max_iter:
-        idx = list(samplings._draw(spec, rng))
+        if not pending:
+            # The solver takes its draws in blocks of 64 per stream.
+            block = np.zeros((64, spec.n), dtype=bool)
+            samplings._draw_block(spec, block, rng)
+            pending = [np.flatnonzero(row).tolist() for row in block[::-1]]
+        idx = pending.pop()
         deltas = []
         for i in idx:
             rows_i, vals_i = cols[i]
