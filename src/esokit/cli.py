@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
         "coordinate descent with arbitrary samplings.",
     )
     parser.add_argument("--seed", type=int, default=0, help="master RNG seed (default 0)")
-    parser.add_argument("--threads", type=int, default=1, help="parallel streams for MC/multi-seed work")
+    parser.add_argument("--threads", type=int, default=1, help="Monte-Carlo streams for probmatrix and verify (solve ignores it)")
     parser.add_argument("--tolerance", type=float, default=1e-8, help="certificate tolerance")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", default="auto", choices=list(eso.FORMULAS))
     p.add_argument("--epsilon", type=float, default=1e-6)
     p.add_argument("--max-iter", type=int, default=1_000_000, dest="max_iter")
-    p.add_argument("--seeds", type=int, default=1, help="number of independent runs")
+    p.add_argument("--seeds", type=int, default=1, help="number of independent runs (at least 1)")
     p.add_argument("--trace-csv", default=None, dest="trace_csv")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_solve)

@@ -361,7 +361,8 @@ def check_identities(
         step = max(1, _STACK_ENTRIES // (s * s))
         for lo in range(0, rows.size, step):
             r = rows[lo : lo + step]
-            idx = np.nonzero(masks[r])[1].reshape(r.size, s)
+            # One nonzero over the raveled rows: far faster than the 2-D form.
+            idx = (np.flatnonzero(masks[r]) % n).reshape(r.size, s)
             pairs = idx[:, :, None] * n + idx[:, None, :]
             w, h_s = weights[r], h[idx]
             p_hat += np.bincount(pairs.ravel(), np.repeat(w, s * s), n * n)

@@ -4,20 +4,29 @@ quadratics, plus the complexity estimators and sampling-design utilities.
 The update draws a set S from the sampling and moves every selected
 coordinate by its partial gradient scaled with 1/v_i, where v comes from one
 of the stepsize formulas (computed on the ridge-augmented data matrix so the
-full objective's curvature is covered). A is never densified: the solver reads
-the compressed columns of the data matrix and maintains the residual r = Ax
-incrementally, so the update of one iteration costs
-O(sum_{i in S} |column support of i|). The objective is then recomputed in
-full from r and x, which costs O(m + n) per iteration. The sets come from the
-sampling's block draw (``config.RNG_SCHEME`` 2) in blocks of 64 per run, so a
-run's draws are a pure function of its (seed, stream index).
+full objective's curvature is covered).
+
+One kernel runs every solve: ``solve_many`` steps all its runs in lockstep,
+holding x as (runs, n) and the residual r = Ax as (runs, m), and ``solve`` is
+its one-run case. A is never densified. Each iteration selects every run's
+set with one ``nonzero`` over the runs' raveled current draws, gathers the
+selected compressed columns, takes every partial gradient from the same r by
+one ``bincount`` and adds the steps to r in (run, ascending coordinate)
+order, so rows shared by a set's columns take the steps one at a time. That
+costs O(sum over runs of sum_{i in S} |column support of i|). The objective
+is then recomputed in full from r and x, O(runs * (m + n)). Runs are grouped
+in batches whose per-run state (r, x and a block of draws) fits a fixed
+entry budget; a run leaves its batch when it stops.
+
+Each run draws from its own ``config.rng_for_stream(seed, stream)``, in
+blocks of 64 sets of the sampling's block draw (``config.RNG_SCHEME`` 2), and
+no operation mixes runs, so a run's output is a pure function of its (seed,
+stream index), the same alone or in any batch.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -167,34 +176,67 @@ def solve(
     the overapproximation on the ridge-augmented data. A 10x gap growth over
     a 10-iteration window aborts with a divergence diagnostic.
 
-    No dense copy of A is made. Each iteration takes the partial gradients
-    of every selected coordinate from the same residual r = Ax, then adds
-    each coordinate's step to r one column at a time: O(sum_{i in S}
-    |column support of i|). The objective 0.5 ||r||^2 + 0.5 ridge ||x||^2 -
-    b'x that the stop test reads is recomputed in full, in O(m + n); an
-    incremental update would have to track the cross terms between selected
-    columns that share rows.
-
-    The sets S are taken from ``config.rng_for_stream(rng_seed,
-    stream_index)`` in blocks of 64 draws (``samplings._draw_block``), each
-    turned into index lists by one ``np.nonzero``; the run's output is a
-    pure function of (rng_seed, stream_index).
+    This is the one-stream case of :func:`solve_many`'s lockstep kernel. An
+    iteration costs O(sum_{i in S} |column support of i|) for the update
+    plus O(m + n) for the objective, with a fixed overhead of a few dozen
+    array calls. The sets S are taken from ``config.rng_for_stream(rng_seed,
+    stream_index)`` in blocks of 64 draws (``samplings._draw_block``), and
+    the run's output is a pure function of (rng_seed, stream_index), the
+    same alone or inside any batch.
     """
+    return _solve_streams(problem, spec, v, [stream_index], x0, epsilon, max_iter, rng_seed)[0]
+
+
+def solve_many(
+    problem: QuadraticProblem,
+    spec: SamplingSpec,
+    v: np.ndarray,
+    n_runs: int,
+    rng_seed: int = 0,
+    threads: int = 1,
+    x0: np.ndarray | None = None,
+    epsilon: float = 1e-6,
+    max_iter: int = 1_000_000,
+) -> list[SolverTrace]:
+    """Independent runs on streams 0 .. n_runs - 1 of ``rng_seed``, in stream
+    order; run s equals ``solve(..., rng_seed=rng_seed, stream_index=s)``
+    bit for bit.
+
+    The runs step in lockstep, in batches whose per-run state (m residuals,
+    n coordinates and a 64 x n block of draws per run) stays within
+    ``_BATCH_ENTRIES`` entries. An iteration of a batch costs
+    O(sum_{i in S} |column support of i|) summed over its active runs for
+    the updates, plus O(active runs * (m + n)) for the objectives.
+    ``threads`` is accepted for callers that pass it and changes nothing:
+    every run of a batch advances in the same array operations, on one
+    thread. ``n_runs`` below 1 raises ``ValidationError``.
+    """
+    if n_runs < 1:
+        raise ValidationError("n_runs", "must be at least 1")
+    return _solve_streams(problem, spec, v, range(n_runs), x0, epsilon, max_iter, rng_seed)
+
+
+# Draws per block: each run's mask block holds this many draws of its stream.
+_DRAW_BLOCK = 64
+
+# Entries of per-run state one lockstep batch may hold (see solve_many).
+_BATCH_ENTRIES = 1 << 22
+
+
+def _solve_streams(problem, spec, v, streams, x0, epsilon, max_iter, rng_seed) -> list[SolverTrace]:
+    """Validate once, then run the streams in batches of the lockstep kernel."""
     p = samplings.marginals(spec)
     if np.any(p <= 0):
         raise ValidationError("spec", "sampling is not proper")
     v = np.asarray(v, dtype=float)
     if v.shape != (problem.n,) or np.any(v <= 0):
         raise ValidationError("v", "v must be positive with one entry per coordinate")
+    x0 = np.zeros(problem.n) if x0 is None else np.asarray(x0, dtype=float)
+    if x0.shape != (problem.n,):
+        raise ValidationError("x0", f"expected shape ({problem.n},)")
 
-    x = np.zeros(problem.n) if x0 is None else np.asarray(x0, dtype=float).copy()
     f_star = problem.f_star()
-    cols = problem.data.column_entries
-    b = problem.b
-    ridge = problem.ridge
-
-    r = problem.data.matvec(x)
-    gap0 = problem.objective(x) - f_star
+    gap0 = problem.objective(x0) - f_star
     if epsilon > 0:
         bound = complexity_estimate(
             "NSYNC",
@@ -208,99 +250,121 @@ def solve(
         # No finite bound for epsilon <= 0; the stop rule is still gap <= epsilon.
         bound = math.inf
 
-    draws = _index_lists(spec, config.rng_for_stream(rng_seed, stream_index))
-    epoch = max(problem.n, 1)
-    gaps: list[tuple[int, float]] = [(0, gap0)]
-    window: deque[float] = deque([gap0], maxlen=11)
-    gap = gap0
-    converged = gap <= epsilon
-    k = 0
-    gap_floor = 10.0 * np.finfo(float).eps * max(1.0, abs(f_star))
-    while not converged and k < max_iter:
-        idx = next(draws)
-        if idx:
-            deltas = []
-            for i in idx:
-                rows_i, vals_i = cols[i]
-                g = float(vals_i @ r[rows_i]) + ridge * x[i] - b[i]
-                deltas.append(-g / v[i])
-            for i, d in zip(idx, deltas):
-                x[i] += d
-                rows_i, vals_i = cols[i]
-                r[rows_i] += d * vals_i
-        k += 1
-        f = 0.5 * float(r @ r) + 0.5 * ridge * float(x @ x) - float(b @ x)
-        if not math.isfinite(f):
-            raise DivergenceError(f"objective became non-finite at iteration {k}")
-        gap = f - f_star
-        if (
-            len(window) == 11
-            and gap > 10.0 * window[0]
-            and gap > max(epsilon, gap_floor)
-            and window[0] > gap_floor
-        ):
-            raise DivergenceError(
-                f"gap grew from {window[0]:.3e} to {gap:.3e} within 10 iterations; "
-                "the supplied stepsizes are likely invalid"
+    per_batch = max(1, _BATCH_ENTRIES // (problem.data.m + (_DRAW_BLOCK + 1) * problem.n))
+    traces = []
+    for lo in range(0, len(streams), per_batch):
+        batch = streams[lo : lo + per_batch]
+        runs = _lockstep(problem, spec, v, x0, rng_seed, batch, epsilon, max_iter, gap0, f_star)
+        for s, run in zip(batch, runs):
+            traces.append(
+                SolverTrace(
+                    **run, seed=rng_seed, stream_index=s, spec=spec, v=v, p=p,
+                    theoretical_iteration_bound=bound,
+                )
             )
-        window.append(gap)
-        if k % epoch == 0:
-            gaps.append((k, gap))
-        converged = gap <= epsilon
-    if gaps[-1][0] != k:
-        gaps.append((k, gap))
-    return SolverTrace(
-        iterations=k,
-        gaps=tuple(gaps),
-        seed=rng_seed,
-        stream_index=stream_index,
-        spec=spec,
-        v=v,
-        p=p,
-        theoretical_iteration_bound=bound,
-        converged=converged,
-        final_gap=gap,
-        x_final=x,
-    )
+    return traces
 
 
-# Draws per block: one block draw and one np.nonzero serve this many iterations.
-_DRAW_BLOCK = 64
+def _lockstep(problem, spec, v, x0, rng_seed, streams, epsilon, max_iter, gap0, f_star) -> list[dict]:
+    """Step one run per stream from x0, all at once; return the
+    ``SolverTrace`` fields of each run's outcome (iterations, gaps,
+    converged, final_gap, x_final).
 
+    Row j of ``x`` (runs, n) and ``r`` (runs, m) is the state of the active
+    run ``ids[j]``. All runs share the iteration counter k, so draw blocks,
+    the divergence window and the epoch records line up across runs; a run
+    leaves the arrays (one compaction) only in the iteration it stops.
+    """
+    data = problem.data
+    m, n = data.m, data.n
+    b, ridge = problem.b, problem.ridge
+    col_ptr, col_rows, col_values = data.col_ptr, data.col_rows, data.col_values
+    col_sizes = np.diff(col_ptr)
+    epoch = max(n, 1)
+    gap_floor = 10.0 * np.finfo(float).eps * max(1.0, abs(f_star))
 
-def _index_lists(spec: SamplingSpec, rng: np.random.Generator):
-    """Endless draws of the sampling as ascending index lists, taken from
-    ``rng`` in blocks of ``_DRAW_BLOCK`` rows of ``samplings._draw_block``."""
+    rngs = [config.rng_for_stream(rng_seed, s) for s in streams]
+    count = len(rngs)
+    ids = np.arange(count)
+    x = np.tile(x0, (count, 1))
+    r = np.tile(data.matvec(x0), (count, 1))
+    gap = np.full(count, gap0)
+    # Gap of iteration k in slot k % 11: slot k % 11 still holds the gap of
+    # iteration k - 11 when iteration k's gap is tested against it.
+    window = np.full((count, 11), gap0)
+    masks = np.empty((count, _DRAW_BLOCK, n), dtype=bool)
+    epochs: list[tuple[int, np.ndarray, list[float]]] = []
+    finished: list = [None] * count
+    k = 0
     while True:
-        masks = np.zeros((_DRAW_BLOCK, spec.n), dtype=bool)
-        samplings._draw_block(spec, masks, rng)
-        # One nonzero over the raveled block: far faster than the 2-D form.
-        rows, cols = np.divmod(np.flatnonzero(masks), spec.n)
-        cols = cols.tolist()
-        start = 0
-        for end in np.cumsum(np.bincount(rows, minlength=_DRAW_BLOCK)).tolist():
-            yield cols[start:end]
-            start = end
+        if k >= max_iter or gap.min() <= epsilon:
+            stop = (gap <= epsilon) | (k >= max_iter)
+            for j in np.flatnonzero(stop).tolist():
+                finished[ids[j]] = dict(
+                    iterations=k, converged=bool(gap[j] <= epsilon), final_gap=float(gap[j]), x_final=x[j].copy()
+                )
+            keep = ~stop
+            if not keep.any():
+                break
+            ids, x, r, gap, window, masks = ids[keep], x[keep], r[keep], gap[keep], window[keep], masks[keep]
+            rngs = [g for g, kept in zip(rngs, keep.tolist()) if kept]
 
+        t = k % _DRAW_BLOCK
+        if t == 0:
+            masks[:] = False
+            for j, g in enumerate(rngs):
+                samplings._draw_block(spec, masks[j], g)
+        # Flat positions run * n + i of every selected (run, coordinate),
+        # runs in order and coordinates ascending within a run.
+        sel = masks[:, t].ravel().nonzero()[0]
+        if sel.size:
+            run, col = np.divmod(sel, n)
+            sizes = col_sizes[col]
+            seg = np.arange(sel.size).repeat(sizes)
+            ends = sizes.cumsum()
+            pos = np.arange(ends[-1]) + (col_ptr[col] - (ends - sizes)).repeat(sizes)
+            flat_rows = run[seg] * m + col_rows[pos]
+            vals = col_values[pos]
+            x_flat, r_flat = x.reshape(-1), r.reshape(-1)
+            # Every partial gradient from the same r, then every step.
+            dots = np.bincount(seg, weights=vals * r_flat[flat_rows], minlength=sel.size)
+            # b - (dot + ridge x) is exactly -((dot + ridge x) - b), the gradient negated.
+            delta = (b[col] - (dots + ridge * x_flat[sel])) / v[col]
+            x_flat[sel] += delta
+            # Sequential adds in entry order: rows shared by a run's columns
+            # take the steps one coordinate at a time, ascending.
+            np.add.at(r_flat, flat_rows, delta[seg] * vals)
+        k += 1
+        f = 0.5 * np.vecdot(r, r) + 0.5 * ridge * np.vecdot(x, x) - np.vecdot(x, b)
+        finite = np.isfinite(f)
+        if not finite.all():
+            s = streams[ids[np.argmin(finite)]]
+            raise DivergenceError(f"objective of stream {s} became non-finite at iteration {k}")
+        gap = f - f_star
+        if k >= 11:
+            oldest = window[:, k % 11]
+            grew = gap > 10.0 * oldest
+            if grew.any():
+                grew &= (gap > max(epsilon, gap_floor)) & (oldest > gap_floor)
+                if grew.any():
+                    j = int(np.argmax(grew))
+                    raise DivergenceError(
+                        f"gap of stream {streams[ids[j]]} grew from {oldest[j]:.3e} to {gap[j]:.3e} "
+                        "within 10 iterations; the supplied stepsizes are likely invalid"
+                    )
+        window[:, k % 11] = gap
+        if k % epoch == 0:
+            epochs.append((k, ids, gap.tolist()))
 
-def solve_many(
-    problem: QuadraticProblem,
-    spec: SamplingSpec,
-    v: np.ndarray,
-    n_runs: int,
-    rng_seed: int = 0,
-    threads: int = 1,
-    **kwargs,
-) -> list[SolverTrace]:
-    """Independent solver runs on per-run streams, merged in stream order."""
-
-    def run(stream_index: int) -> SolverTrace:
-        return solve(problem, spec, v, rng_seed=rng_seed, stream_index=stream_index, **kwargs)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, range(n_runs)))
-    return [run(s) for s in range(n_runs)]
+    gaps = [[(0, gap0)] for _ in range(count)]
+    for at, members, values in epochs:
+        for i, g in zip(members.tolist(), values):
+            gaps[i].append((at, g))
+    for run, run_gaps in zip(finished, gaps):
+        if run["iterations"] % epoch:
+            run_gaps.append((run["iterations"], run["final_gap"]))
+        run["gaps"] = tuple(run_gaps)
+    return finished
 
 
 # ---------------------------------------------------------------------------

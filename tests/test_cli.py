@@ -106,6 +106,16 @@ def test_solve_writes_trace_and_summary(workdir):
     assert len(lines) > 2
 
 
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_solve_without_runs_is_an_input_error(workdir, capsys, seeds):
+    tmp, matrix, sampling = workdir
+    code = main(["solve", "--matrix", str(matrix), "--sampling", str(sampling), "--ridge", "0.2",
+                 "--seeds", seeds, "--out", str(tmp / "solve.json")])
+    assert code == 2
+    assert "n_runs" in capsys.readouterr().err
+    assert not (tmp / "solve.json").exists()
+
+
 def test_tradeoff_and_design_serial(workdir):
     tmp, matrix, sampling = workdir
     out = tmp / "tradeoff.json"

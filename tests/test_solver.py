@@ -1,10 +1,12 @@
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
 import esokit as ek
 from conftest import random_sparse_matrix
+from esokit import samplings, solver
 from esokit.errors import DivergenceError, UnsupportedMethodError, ValidationError
 
 
@@ -270,3 +272,172 @@ def test_reference_optimum_accuracy():
     residual = problem.hessian() @ x_star - problem.b
     assert np.linalg.norm(residual) <= 1e-10 * max(1.0, np.linalg.norm(problem.b))
     assert np.linalg.norm(problem.gradient(x_star)) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# The lockstep kernel against the per-run loop it replaced
+
+
+def _reference_solve(problem, spec, v, x0, epsilon, max_iter, rng_seed, stream_index):
+    """The per-run solver loop as it was before the lockstep kernel: one
+    coordinate at a time, same draws (blocks of 64 rows per stream)."""
+    cols = problem.data.column_entries
+    b, ridge = problem.b, problem.ridge
+    x = np.asarray(x0, dtype=float).copy()
+    f_star = problem.f_star()
+    r = problem.data.matvec(x)
+    gap0 = problem.objective(x) - f_star
+    rng = ek.rng_for_stream(rng_seed, stream_index)
+    pending = []
+    epoch = max(problem.n, 1)
+    gaps = [(0, gap0)]
+    window = deque([gap0], maxlen=11)
+    gap = gap0
+    converged = gap <= epsilon
+    k = 0
+    gap_floor = 10.0 * np.finfo(float).eps * max(1.0, abs(f_star))
+    while not converged and k < max_iter:
+        if not pending:
+            block = np.zeros((64, spec.n), dtype=bool)
+            samplings._draw_block(spec, block, rng)
+            pending = [np.flatnonzero(row).tolist() for row in block[::-1]]
+        idx = pending.pop()
+        deltas = []
+        for i in idx:
+            rows_i, vals_i = cols[i]
+            g = float(vals_i @ r[rows_i]) + ridge * x[i] - b[i]
+            deltas.append(-g / v[i])
+        for i, d in zip(idx, deltas):
+            x[i] += d
+            rows_i, vals_i = cols[i]
+            r[rows_i] += d * vals_i
+        k += 1
+        f = 0.5 * float(r @ r) + 0.5 * ridge * float(x @ x) - float(b @ x)
+        if not math.isfinite(f):
+            raise DivergenceError(f"objective became non-finite at iteration {k}")
+        gap = f - f_star
+        if (
+            len(window) == 11
+            and gap > 10.0 * window[0]
+            and gap > max(epsilon, gap_floor)
+            and window[0] > gap_floor
+        ):
+            raise DivergenceError("gap grew within 10 iterations")
+        window.append(gap)
+        if k % epoch == 0:
+            gaps.append((k, gap))
+        converged = gap <= epsilon
+    if gaps[-1][0] != k:
+        gaps.append((k, gap))
+    return k, tuple(gaps), converged, x
+
+
+def _shared_rows_problem(seed):
+    # 10 rows for 12 columns, half of the entries nonzero and row 0 full:
+    # selected columns share rows in most iterations. Column 11 is empty,
+    # so some gathers select a column with no entries.
+    rng = np.random.default_rng(seed)
+    m, n = 10, 12
+    a = np.where(rng.random((m, n)) < 0.5, rng.standard_normal((m, n)), 0.0)
+    a[0] = rng.standard_normal(n)
+    a[:, 11] = 0.0
+    return ek.QuadraticProblem(ek.DataMatrix.from_dense(a), ridge=0.3, b=rng.standard_normal(n))
+
+
+def _assert_matches_reference(problem, spec, v, traces, x0, epsilon, max_iter, seed):
+    for trace in traces:
+        k, gaps, converged, x = _reference_solve(
+            problem, spec, v, x0, epsilon, max_iter, seed, trace.stream_index
+        )
+        assert trace.iterations == k
+        assert trace.converged == converged
+        assert [at for at, _ in trace.gaps] == [at for at, _ in gaps]
+        # A gap is f - f*, so its rounding error scales with |f*|.
+        slack = 1e-12 * max(1.0, abs(problem.f_star()))
+        np.testing.assert_allclose([g for _, g in trace.gaps], [g for _, g in gaps], rtol=0, atol=slack)
+        assert np.linalg.norm(trace.x_final - x) <= 1e-12 * np.linalg.norm(x)
+
+
+LOCKSTEP_SPECS = {
+    "tau-nice-1": ek.tau_nice(12, 1),
+    "tau-nice-3": ek.tau_nice(12, 3),
+    "tau-nice-7": ek.tau_nice(12, 7),
+    "ctau": ek.ctau_distributed([list(range(6)), list(range(6, 12))], 2),
+    "serial": ek.serial(np.arange(1, 13) / 78.0),
+    "doubly-uniform-with-empty-draws": ek.doubly_uniform([0.2, 0.1, 0.2, 0.2, 0.1, 0.1, 0.1] + [0.0] * 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOCKSTEP_SPECS))
+def test_lockstep_runs_match_the_per_run_loop(name):
+    spec = LOCKSTEP_SPECS[name]
+    problem = _shared_rows_problem(31)
+    v = problem.stepsizes(spec).v
+    x0 = np.random.default_rng(32).standard_normal(problem.n)
+    traces = ek.solve_many(problem, spec, v, n_runs=5, rng_seed=33, x0=x0, epsilon=1e-9, max_iter=20_000)
+    assert all(t.converged and t.iterations > 64 for t in traces)
+    _assert_matches_reference(problem, spec, v, traces, x0, 1e-9, 20_000, 33)
+
+
+def test_batch_where_some_runs_hit_max_iter():
+    spec = ek.tau_nice(12, 3)
+    problem = _shared_rows_problem(34)
+    v = problem.stepsizes(spec).v
+    x0 = np.ones(problem.n)
+    counts = sorted(
+        t.iterations for t in ek.solve_many(problem, spec, v, n_runs=9, x0=x0, epsilon=1e-10)
+    )
+    cap = counts[4]
+    traces = ek.solve_many(problem, spec, v, n_runs=9, x0=x0, epsilon=1e-10, max_iter=cap)
+    stopped = [t for t in traces if not t.converged]
+    assert stopped and len(stopped) < len(traces)
+    assert all(t.iterations == cap and t.final_gap > 1e-10 for t in stopped)
+    assert all(t.iterations <= cap and t.final_gap <= 1e-10 for t in traces if t.converged)
+    _assert_matches_reference(problem, spec, v, traces, x0, 1e-10, cap, 0)
+
+
+def test_divergence_inside_a_batch_raises():
+    problem = _fixture_problem(ridge=0.05)
+    spec = ek.tau_nice(problem.n, 3)
+    v = problem.stepsizes(spec, "taunice").v / 200.0
+    with pytest.raises(DivergenceError, match="stream"):
+        ek.solve_many(problem, spec, v, n_runs=6, x0=np.ones(problem.n), max_iter=5_000)
+    with pytest.raises(DivergenceError):
+        _reference_solve(problem, spec, v, np.ones(problem.n), 1e-6, 5_000, 0, 0)
+
+
+def test_batch_budget_does_not_change_runs(monkeypatch):
+    spec = ek.doubly_uniform([0.1, 0.3, 0.3, 0.2, 0.1, 0.0, 0.0])
+    problem = _fixture_problem()
+    v = problem.stepsizes(spec).v
+    kwargs = dict(rng_seed=36, x0=np.ones(problem.n), epsilon=1e-10, max_iter=3_000)
+    whole = ek.solve_many(problem, spec, v, n_runs=7, **kwargs)
+    # The runs stop in different iterations, so batches compact as they run.
+    assert len({t.iterations for t in whole}) > 3 and all(t.converged for t in whole)
+    per_run = problem.data.m + (solver._DRAW_BLOCK + 1) * problem.n
+    for runs_per_batch in (1, 2, 3):
+        monkeypatch.setattr(solver, "_BATCH_ENTRIES", runs_per_batch * per_run)
+        batched = ek.solve_many(problem, spec, v, n_runs=7, **kwargs)
+        for a, b in zip(whole, batched, strict=True):
+            assert a.stream_index == b.stream_index
+            assert a.iterations == b.iterations
+            assert a.gaps == b.gaps
+            assert a.final_gap == b.final_gap
+            assert np.array_equal(a.x_final, b.x_final)
+
+
+@pytest.mark.parametrize("n_runs", [0, -2])
+def test_solve_many_needs_a_run(n_runs):
+    problem = _fixture_problem()
+    spec = ek.tau_nice(problem.n, 2)
+    with pytest.raises(ValidationError, match="n_runs"):
+        ek.solve_many(problem, spec, np.ones(problem.n), n_runs=n_runs)
+
+
+@pytest.mark.parametrize("length", [5, 7])
+def test_solver_rejects_x0_of_wrong_length(length):
+    # The kernel indexes x as (runs, n) rows; a longer x0 must not shift them.
+    problem = _fixture_problem()
+    spec = ek.tau_nice(problem.n, 2)
+    with pytest.raises(ValidationError, match="x0"):
+        ek.solve(problem, spec, np.ones(problem.n), x0=np.ones(length))
