@@ -219,7 +219,6 @@ def cmd_solve(args) -> int:
         v,
         n_runs=args.seeds,
         rng_seed=args.seed,
-        threads=args.threads,
         x0=x0,
         epsilon=args.epsilon,
         max_iter=args.max_iter,
@@ -324,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         "coordinate descent with arbitrary samplings.",
     )
     parser.add_argument("--seed", type=int, default=0, help="master RNG seed (default 0)")
-    parser.add_argument("--threads", type=int, default=1, help="Monte-Carlo streams for probmatrix and verify (solve ignores it)")
+    parser.add_argument("--threads", type=int, default=1, help="Monte-Carlo streams for probmatrix and verify")
     parser.add_argument("--tolerance", type=float, default=1e-8, help="certificate tolerance")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -8,13 +8,14 @@ full objective's curvature is covered).
 
 One kernel runs every solve: ``solve_many`` steps all its runs in lockstep,
 holding x as (runs, n) and the residual r = Ax as (runs, m), and ``solve`` is
-its one-run case. A is never densified. Each iteration selects every run's
-set with one ``nonzero`` over the runs' raveled current draws, gathers the
-selected compressed columns, takes every partial gradient from the same r by
-one ``bincount`` and adds the steps to r in (run, ascending coordinate)
-order, so rows shared by a set's columns take the steps one at a time. That
-costs O(sum over runs of sum_{i in S} |column support of i|). The objective
-is then recomputed in full from r and x, O(runs * (m + n)). Runs are grouped
+its one-run case. A is never densified. The runs draw their sets in blocks
+of 64; one ``nonzero`` over a block finds every run's selections, and the
+selected compressed columns are gathered for many iterations at once. An
+iteration then takes every partial gradient from the same r by one
+``bincount`` and adds the steps to r in (run, ascending coordinate) order,
+so rows shared by a set's columns take the steps one at a time. That costs
+O(sum over runs of sum_{i in S} |column support of i|). The objective is
+then recomputed in full from r and x, O(runs * (m + n)). Runs are grouped
 in batches whose per-run state (r, x and a block of draws) fits a fixed
 entry budget; a run leaves its batch when it stops.
 
@@ -26,6 +27,7 @@ stream index), the same alone or in any batch.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -178,7 +180,7 @@ def solve(
 
     This is the one-stream case of :func:`solve_many`'s lockstep kernel. An
     iteration costs O(sum_{i in S} |column support of i|) for the update
-    plus O(m + n) for the objective, with a fixed overhead of a few dozen
+    plus O(m + n) for the objective, with a fixed overhead of about 25
     array calls. The sets S are taken from ``config.rng_for_stream(rng_seed,
     stream_index)`` in blocks of 64 draws (``samplings._draw_block``), and
     the run's output is a pure function of (rng_seed, stream_index), the
@@ -221,6 +223,10 @@ _DRAW_BLOCK = 64
 
 # Entries of per-run state one lockstep batch may hold (see solve_many).
 _BATCH_ENTRIES = 1 << 22
+
+# Entries one index of a block may hold: draws scanned by one nonzero, and
+# column entries gathered at once (see _steps).
+_INDEX_ENTRIES = 1 << 14
 
 
 def _solve_streams(problem, spec, v, streams, x0, epsilon, max_iter, rng_seed) -> list[SolverTrace]:
@@ -273,13 +279,12 @@ def _lockstep(problem, spec, v, x0, rng_seed, streams, epsilon, max_iter, gap0, 
     Row j of ``x`` (runs, n) and ``r`` (runs, m) is the state of the active
     run ``ids[j]``. All runs share the iteration counter k, so draw blocks,
     the divergence window and the epoch records line up across runs; a run
-    leaves the arrays (one compaction) only in the iteration it stops.
+    leaves the arrays (one compaction, and a new index of the rest of the
+    block) only in the iteration it stops.
     """
     data = problem.data
     m, n = data.m, data.n
     b, ridge = problem.b, problem.ridge
-    col_ptr, col_rows, col_values = data.col_ptr, data.col_rows, data.col_values
-    col_sizes = np.diff(col_ptr)
     epoch = max(n, 1)
     gap_floor = 10.0 * np.finfo(float).eps * max(1.0, abs(f_star))
 
@@ -288,83 +293,138 @@ def _lockstep(problem, spec, v, x0, rng_seed, streams, epsilon, max_iter, gap0, 
     ids = np.arange(count)
     x = np.tile(x0, (count, 1))
     r = np.tile(data.matvec(x0), (count, 1))
+    # Flat views: x_flat[j * n + i] is x[j, i] and r_flat[j * m + row] is r[j, row].
+    x_flat, r_flat = x.reshape(-1), r.reshape(-1)
     gap = np.full(count, gap0)
     # Gap of iteration k in slot k % 11: slot k % 11 still holds the gap of
     # iteration k - 11 when iteration k's gap is tested against it.
     window = np.full((count, 11), gap0)
     masks = np.empty((count, _DRAW_BLOCK, n), dtype=bool)
-    epochs: list[tuple[int, np.ndarray, list[float]]] = []
+    gaps = [[(0, gap0)] for _ in range(count)]
     finished: list = [None] * count
+    steps = None
+    stopping = gap0 <= epsilon
     k = 0
     while True:
-        if k >= max_iter or gap.min() <= epsilon:
+        if stopping or k >= max_iter:
             stop = (gap <= epsilon) | (k >= max_iter)
             for j in np.flatnonzero(stop).tolist():
-                finished[ids[j]] = dict(
-                    iterations=k, converged=bool(gap[j] <= epsilon), final_gap=float(gap[j]), x_final=x[j].copy()
+                run, final = int(ids[j]), float(gap[j])
+                if k % epoch:
+                    gaps[run].append((k, final))
+                finished[run] = dict(
+                    iterations=k, gaps=tuple(gaps[run]), converged=final <= epsilon,
+                    final_gap=final, x_final=x[j].copy(),
                 )
             keep = ~stop
             if not keep.any():
                 break
             ids, x, r, gap, window, masks = ids[keep], x[keep], r[keep], gap[keep], window[keep], masks[keep]
+            x_flat, r_flat = x.reshape(-1), r.reshape(-1)
             rngs = [g for g, kept in zip(rngs, keep.tolist()) if kept]
+            steps, stopping = None, False
 
         t = k % _DRAW_BLOCK
         if t == 0:
             masks[:] = False
             for j, g in enumerate(rngs):
                 samplings._draw_block(spec, masks[j], g)
-        # Flat positions run * n + i of every selected (run, coordinate),
-        # runs in order and coordinates ascending within a run.
-        sel = masks[:, t].ravel().nonzero()[0]
+            steps = _steps(masks, 0, _DRAW_BLOCK, data, b, v)
+        elif steps is None:
+            # After a compaction the rest of the block is indexed one step
+            # at a time: runs stop in clusters, and indexing the whole rest
+            # again at every stop costs more than it saves.
+            steps = _steps(masks, t, 1, data, b, v)
+        sel, b_sel, v_sel, seg, rows, vals = next(steps)
         if sel.size:
-            run, col = np.divmod(sel, n)
-            sizes = col_sizes[col]
-            seg = np.arange(sel.size).repeat(sizes)
-            ends = sizes.cumsum()
-            pos = np.arange(ends[-1]) + (col_ptr[col] - (ends - sizes)).repeat(sizes)
-            flat_rows = run[seg] * m + col_rows[pos]
-            vals = col_values[pos]
-            x_flat, r_flat = x.reshape(-1), r.reshape(-1)
             # Every partial gradient from the same r, then every step.
-            dots = np.bincount(seg, weights=vals * r_flat[flat_rows], minlength=sel.size)
+            dots = np.bincount(seg, weights=vals * r_flat[rows], minlength=sel.size)
             # b - (dot + ridge x) is exactly -((dot + ridge x) - b), the gradient negated.
-            delta = (b[col] - (dots + ridge * x_flat[sel])) / v[col]
-            x_flat[sel] += delta
+            x_sel = x_flat[sel]
+            delta = (b_sel - (dots + ridge * x_sel)) / v_sel
+            x_flat[sel] = x_sel + delta
             # Sequential adds in entry order: rows shared by a run's columns
             # take the steps one coordinate at a time, ascending.
-            np.add.at(r_flat, flat_rows, delta[seg] * vals)
+            np.add.at(r_flat, rows, delta[seg] * vals)
         k += 1
         f = 0.5 * np.vecdot(r, r) + 0.5 * ridge * np.vecdot(x, x) - np.vecdot(x, b)
-        finite = np.isfinite(f)
-        if not finite.all():
-            s = streams[ids[np.argmin(finite)]]
-            raise DivergenceError(f"objective of stream {s} became non-finite at iteration {k}")
         gap = f - f_star
-        if k >= 11:
-            oldest = window[:, k % 11]
-            grew = gap > 10.0 * oldest
-            if grew.any():
-                grew &= (gap > max(epsilon, gap_floor)) & (oldest > gap_floor)
+        oldest = window[:, k % 11]
+        # One test passes the usual iteration: every gap finite, above
+        # epsilon and below ten times the run's gap 11 iterations back (gap0
+        # in the first 10). Anything else takes the exact checks below.
+        if not ((gap > epsilon) & (gap < 10.0 * oldest)).all():
+            finite = np.isfinite(f)
+            if not finite.all():
+                s = streams[ids[np.argmin(finite)]]
+                raise DivergenceError(f"objective of stream {s} became non-finite at iteration {k}")
+            if k >= 11:
+                grew = (gap > 10.0 * oldest) & (gap > max(epsilon, gap_floor)) & (oldest > gap_floor)
                 if grew.any():
                     j = int(np.argmax(grew))
                     raise DivergenceError(
                         f"gap of stream {streams[ids[j]]} grew from {oldest[j]:.3e} to {gap[j]:.3e} "
                         "within 10 iterations; the supplied stepsizes are likely invalid"
                     )
+            stopping = bool((gap <= epsilon).any())
         window[:, k % 11] = gap
         if k % epoch == 0:
-            epochs.append((k, ids, gap.tolist()))
-
-    gaps = [[(0, gap0)] for _ in range(count)]
-    for at, members, values in epochs:
-        for i, g in zip(members.tolist(), values):
-            gaps[i].append((at, g))
-    for run, run_gaps in zip(finished, gaps):
-        if run["iterations"] % epoch:
-            run_gaps.append((run["iterations"], run["final_gap"]))
-        run["gaps"] = tuple(run_gaps)
+            for run, g in zip(ids.tolist(), gap.tolist()):
+                gaps[run].append((k, g))
     return finished
+
+
+def _steps(masks, t0, span, data, b, v):
+    """Yield the index arrays of the lockstep steps t0, t0 + 1, ... of a
+    block of draws.
+
+    ``masks`` (runs, 64, n) holds the active runs' draws; step t selects
+    coordinate i of row j where ``masks[j, t, i]``. Each step yields, over
+    its selections in (row, ascending coordinate) order, their flat
+    positions j * n + i into x, b_i and v_i, and over the nonzeros of their
+    columns the index of the entry's selection within the step, the flat
+    position j * m + row into r and the value. One ``nonzero`` indexes up to
+    ``span`` steps, and fewer if they hold more than ``_INDEX_ENTRIES``
+    draws; the columns are gathered for as many steps as fit that many
+    entries.
+    """
+    count, depth, n = masks.shape
+    span = max(1, min(span, _INDEX_ENTRIES // (count * n)))
+    for lo in range(t0, depth, span):
+        yield from _gathered_steps(masks[:, lo : lo + span], data, b, v)
+
+
+def _gathered_steps(masks, data, b, v):
+    """``_steps`` over every step of ``masks`` (runs, steps, n)."""
+    count, depth, n = masks.shape
+    col_ptr, col_rows, col_values = data.col_ptr, data.col_rows, data.col_values
+    # Selections in (step, row, coordinate) order.
+    step, rest = np.divmod(np.flatnonzero(masks.transpose(1, 0, 2)), count * n)
+    row, col = np.divmod(rest, n)
+    sizes = (col_ptr[1:] - col_ptr[:-1])[col]
+    # Offsets of each step's first selection and first entry.
+    starts = np.searchsorted(step, np.arange(depth + 1))
+    ent_at = np.concatenate(([0], sizes.cumsum()))[starts].tolist()
+    # Index of each selection within its step.
+    within = np.arange(step.size) - starts[step]
+    sel_at = starts.tolist()
+    lo = 0
+    while lo < depth:
+        hi = max(lo + 1, bisect.bisect_right(ent_at, ent_at[lo] + _INDEX_ENTRIES) - 1)
+        a, c = sel_at[lo], sel_at[hi]
+        g_col, g_sizes = col[a:c], sizes[a:c]
+        ends = g_sizes.cumsum()
+        pos = np.arange(ent_at[hi] - ent_at[lo]) + (col_ptr[g_col] - (ends - g_sizes)).repeat(g_sizes)
+        rows = row[a:c].repeat(g_sizes) * data.m + col_rows[pos]
+        vals = col_values[pos]
+        seg = within[a:c].repeat(g_sizes)
+        sel = row[a:c] * n + g_col
+        b_sel, v_sel = b[g_col], v[g_col]
+        for t in range(lo, hi):
+            i, j = sel_at[t] - a, sel_at[t + 1] - a
+            e, f = ent_at[t] - ent_at[lo], ent_at[t + 1] - ent_at[lo]
+            yield sel[i:j], b_sel[i:j], v_sel[i:j], seg[e:f], rows[e:f], vals[e:f]
+        lo = hi
 
 
 # ---------------------------------------------------------------------------

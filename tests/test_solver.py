@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -406,6 +407,15 @@ def test_divergence_inside_a_batch_raises():
         _reference_solve(problem, spec, v, np.ones(problem.n), 1e-6, 5_000, 0, 0)
 
 
+def _assert_same_runs(whole, batched):
+    for a, b in zip(whole, batched, strict=True):
+        assert a.stream_index == b.stream_index
+        assert a.iterations == b.iterations
+        assert a.gaps == b.gaps
+        assert a.final_gap == b.final_gap
+        assert np.array_equal(a.x_final, b.x_final)
+
+
 def test_batch_budget_does_not_change_runs(monkeypatch):
     spec = ek.doubly_uniform([0.1, 0.3, 0.3, 0.2, 0.1, 0.0, 0.0])
     problem = _fixture_problem()
@@ -417,13 +427,37 @@ def test_batch_budget_does_not_change_runs(monkeypatch):
     per_run = problem.data.m + (solver._DRAW_BLOCK + 1) * problem.n
     for runs_per_batch in (1, 2, 3):
         monkeypatch.setattr(solver, "_BATCH_ENTRIES", runs_per_batch * per_run)
-        batched = ek.solve_many(problem, spec, v, n_runs=7, **kwargs)
-        for a, b in zip(whole, batched, strict=True):
-            assert a.stream_index == b.stream_index
-            assert a.iterations == b.iterations
-            assert a.gaps == b.gaps
-            assert a.final_gap == b.final_gap
-            assert np.array_equal(a.x_final, b.x_final)
+        _assert_same_runs(whole, ek.solve_many(problem, spec, v, n_runs=7, **kwargs))
+
+
+def test_index_budget_does_not_change_runs(monkeypatch):
+    # A budget of 1 entry indexes and gathers one step at a time, 200 a
+    # few steps (5 runs x 12 draws per step).
+    spec = ek.tau_nice(12, 3)
+    problem = _shared_rows_problem(37)
+    v = problem.stepsizes(spec).v
+    kwargs = dict(rng_seed=38, x0=np.ones(problem.n), epsilon=1e-10, max_iter=3_000)
+    whole = ek.solve_many(problem, spec, v, n_runs=5, **kwargs)
+    assert len({t.iterations for t in whole}) > 2 and all(t.converged for t in whole)
+    for entries in (1, 200):
+        monkeypatch.setattr(solver, "_INDEX_ENTRIES", entries)
+        _assert_same_runs(whole, ek.solve_many(problem, spec, v, n_runs=5, **kwargs))
+
+
+def test_block_index_memory_is_bounded():
+    # 20 runs of 500 coordinates out of 1000: a block of 64 draws selects
+    # 640,000 (run, coordinate) pairs, about 5 MB per int64 index array.
+    n = 1000
+    problem = ek.QuadraticProblem(ek.DataMatrix.from_dense(np.eye(n)), ridge=0.5, b=np.ones(n))
+    problem.f_star()
+    spec = ek.tau_nice(n, 500)
+    tracemalloc.start()
+    try:
+        ek.solve_many(problem, spec, np.full(n, 2.0), n_runs=20, epsilon=-1.0, max_iter=64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("n_runs", [0, -2])
