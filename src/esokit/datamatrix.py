@@ -235,41 +235,87 @@ def write_matrix(data: DataMatrix, path) -> None:
 
 
 def read_matrix(path) -> DataMatrix:
-    """Parse the triplet text format, reporting 1-based line numbers on errors."""
+    """Parse the triplet text format, reporting 1-based line numbers on errors.
+
+    A file of exactly ``m n nnz`` and nnz triplet lines, with no comment or
+    blank line, is parsed in bulk by one ``split``. Any other file, and any
+    file whose tokens the bulk parse does not accept, is parsed line by line,
+    so both parsers accept the same files, give the same arrays and raise the
+    same line-numbered errors.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    bulk = _parse_bulk(text)
+    try:
+        return _parse_lines(text) if bulk is None else DataMatrix(*bulk)
+    except ValidationError as e:
+        raise ParseError(str(e)) from e
+
+
+# Stands for each line break in the bulk parse; files holding it (or a '%'
+# anywhere) go to the line parser.
+_LINE_MARK = "\x00"
+
+
+def _parse_bulk(text: str):
+    """(m, n, rows, cols, values), with 0-based indices, when every line of
+    ``text`` holds three tokens that convert as the line parser converts
+    them, with indices of at least 1 and the header's count; otherwise None,
+    and the line parser decides."""
+    if "%" in text or _LINE_MARK in text:
+        return None
+    if not text.endswith("\n"):
+        text += "\n"
+    # Each line break becomes a token of its own. Every line holds three
+    # tokens exactly when every fourth token is a break: a break anywhere
+    # else fails to parse as a number below.
+    tokens = text.replace("\n", f" {_LINE_MARK} ").split()
+    lines = len(tokens) // 4
+    if len(tokens) != 4 * lines or tokens[3::4].count(_LINE_MARK) != lines:
+        return None
+    try:
+        m, n, nnz = (int(t) for t in tokens[:3])
+        rows = np.array(list(map(int, tokens[4::4])), dtype=np.int64)
+        cols = np.array(list(map(int, tokens[5::4])), dtype=np.int64)
+        values = np.array(list(map(float, tokens[6::4])), dtype=float)
+    except (ValueError, OverflowError):
+        return None
+    if nnz != lines - 1 or (rows.size and min(rows.min(), cols.min()) < 1):
+        return None
+    return m, n, rows - 1, cols - 1, values
+
+
+def _parse_lines(text: str) -> DataMatrix:
     header: tuple[int, int, int] | None = None
     triplets: list[tuple[int, int, float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("%"):
-                continue
-            parts = line.split()
-            if header is None:
-                if len(parts) != 3:
-                    raise ParseError("header must be 'm n nnz'", lineno)
-                try:
-                    header = (int(parts[0]), int(parts[1]), int(parts[2]))
-                except ValueError as e:
-                    raise ParseError(f"bad header: {e}", lineno) from e
-                continue
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("%"):
+            continue
+        parts = line.split()
+        if header is None:
             if len(parts) != 3:
-                raise ParseError("expected 'row col value'", lineno)
+                raise ParseError("header must be 'm n nnz'", lineno)
             try:
-                r, c, v = int(parts[0]), int(parts[1]), float(parts[2])
+                header = (int(parts[0]), int(parts[1]), int(parts[2]))
             except ValueError as e:
-                raise ParseError(f"bad triplet: {e}", lineno) from e
-            if r < 1 or c < 1:
-                raise ParseError("row and col are 1-based and must be >= 1", lineno)
-            triplets.append((r - 1, c - 1, v))
+                raise ParseError(f"bad header: {e}", lineno) from e
+            continue
+        if len(parts) != 3:
+            raise ParseError("expected 'row col value'", lineno)
+        try:
+            r, c, v = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError as e:
+            raise ParseError(f"bad triplet: {e}", lineno) from e
+        if r < 1 or c < 1:
+            raise ParseError("row and col are 1-based and must be >= 1", lineno)
+        triplets.append((r - 1, c - 1, v))
     if header is None:
         raise ParseError("empty matrix file")
     m, n, nnz = header
     if len(triplets) != nnz:
         raise ParseError(f"header promises {nnz} entries, file has {len(triplets)}")
-    try:
-        return DataMatrix.from_triplets(m, n, triplets)
-    except ValidationError as e:
-        raise ParseError(str(e)) from e
+    return DataMatrix.from_triplets(m, n, triplets)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ PSD order, which is the sufficient condition certifying the overapproximation
 for all functions whose curvature is dominated by A'A. The formulas trade
 tightness against preprocessing cost:
 
-* uncoupled      - one global eigenvalue pair, v_i = min(l'(P), l'(A'A)) w_i
+* uncoupled      - two global eigenvalues, v_i = min(l'(P), l'(A'A)) w_i; l'(P)
+                   is solved only when its moment bound cannot rule it out
 * coupled        - per-row restricted eigenvalues, v_i = sum_j l'(J_j ^ S) A_ji^2
 * specialized    - closed forms per sampling family, no eigen-solves
 * conservative   - min(tau, max row support) * w, a one-pass upper envelope
@@ -94,21 +95,22 @@ def eso_uncoupled(
 ) -> EsoResult:
     """v_i = min(lambda'(P), lambda'(A'A)) * w_i.
 
-    lambda'(P) is eigen-solved on the exact probability matrix when n is
-    small enough, otherwise replaced by the cardinality cap bound.
-    lambda'(A'A) may be supplied to skip the dense solve.
+    lambda'(A'A) comes first: eigen-solved on the Gram matrix, or supplied as
+    ``lambda_prime_ata``, which must be at least 1 (lambda' of any nonzero PSD
+    matrix is; NaN is rejected, +inf is a vacuous bound). lambda'(P) is needed
+    only when it can be the minimum. The all-ones vector gives the exact
+    moment bound lambda'(P) >= E|S|^2 / E|S|, so when lambda'(A'A) lies below
+    it by more than a relative 1e-9, far above the rounding of ``eigh``, the
+    minimum is lambda'(A'A) and P is neither built nor solved. Otherwise
+    lambda'(P) is eigen-solved on the exact probability matrix when n is at
+    most the dense cap, and replaced by the cardinality cap beyond it.
+    ``cost_estimate`` is the worst case, with every eigen-solve.
     """
     p = _require_proper(spec)
     w = data.column_sq_norms
     cost = 2.0 * data.nnz
-
-    # Past the dense cap, the cardinality-cap upper bound stands in for
-    # lambda'(P): any upper bound keeps the overapproximation valid.
-    lp_sampling = float(samplings.cardinality_cap(spec))
-    if spec.n <= config.DENSE_EIG_CAP:
-        pm = probability.prob_matrix(spec, "auto")
-        probability.require_exact(pm, "the uncoupled formula")
-        lp_sampling = spectral.lambda_prime(pm.entries).value
+    dense_p = spec.n <= config.DENSE_EIG_CAP
+    if dense_p:
         cost += float(spec.n) ** 3
 
     if lambda_prime_ata is None:
@@ -118,9 +120,33 @@ def eso_uncoupled(
             )
         lambda_prime_ata = spectral.lambda_prime(data.gram()).value
         cost += float(data.n) ** 3
+    else:
+        lambda_prime_ata = float(lambda_prime_ata)
+        if not lambda_prime_ata >= 1.0:
+            raise ValidationError(
+                "lambda_prime_ata",
+                f"must be at least 1, as lambda' of a nonzero PSD matrix is; got {lambda_prime_ata}",
+            )
 
-    factor = min(lp_sampling, float(lambda_prime_ata))
+    if not dense_p:
+        # Past the dense cap, the cardinality-cap upper bound stands in for
+        # lambda'(P): any upper bound keeps the overapproximation valid.
+        factor = min(float(samplings.cardinality_cap(spec)), lambda_prime_ata)
+    elif _rules_out_sampling(spec, lambda_prime_ata):
+        factor = lambda_prime_ata
+    else:
+        pm = probability.prob_matrix(spec, "auto")
+        probability.require_exact(pm, "the uncoupled formula")
+        factor = min(spectral.lambda_prime(pm.entries).value, lambda_prime_ata)
     return EsoResult(_floor(factor * w), p, FORMULA_UNCOUPLED, cost_estimate=cost)
+
+
+def _rules_out_sampling(spec: SamplingSpec, lambda_prime_ata: float) -> bool:
+    """True when lambda_prime_ata is below the moment bound E|S|^2 / E|S| <=
+    lambda'(P) by more than a relative 1e-9, so min(lambda'(P),
+    lambda_prime_ata) is lambda_prime_ata without solving for lambda'(P)."""
+    lower = spectral.lambda_bounds(spec).lambda_prime_lower
+    return lower is not None and lambda_prime_ata < lower * (1.0 - 1e-9)
 
 
 def eso_conservative(

@@ -56,14 +56,19 @@ class ProbMatrix:
             raise ValidationError("entries", f"expected shape ({self.n},{self.n})")
         if self.provenance not in _PROVENANCE_RANK:
             raise ValidationError("provenance", f"unknown tag {self.provenance!r}")
+        if not entries.size:
+            return
         slack = 1e-12 + (3.0 * self.max_stderr if self.provenance == PROVENANCE_MC else 0.0)
-        if not np.allclose(entries, entries.T, atol=1e-12, rtol=0.0):
-            raise ValidationError("entries", "matrix is not symmetric")
-        if entries.size and (entries.min() < -slack or entries.max() > 1.0 + slack):
+        if entries.min() < -slack or entries.max() > 1.0 + slack:
             raise ValidationError("entries", "entries outside [0, 1]")
+        # One n x n buffer serves both pairwise checks. A NaN entry passes the
+        # range check and fails the symmetry check, as it compares false.
+        work = np.subtract(entries, entries.T)
+        if not np.abs(work, out=work).max() <= 1e-12:
+            raise ValidationError("entries", "matrix is not symmetric")
         diag = np.diag(entries)
-        cap = np.minimum.outer(diag, diag)
-        if entries.size and np.max(entries - cap) > slack:
+        np.minimum.outer(diag, diag, out=work)
+        if np.subtract(entries, work, out=work).max() > slack:
             raise ValidationError("entries", "off-diagonal exceeds min of its diagonal pair")
 
     @property

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import esokit as ek
+from esokit import datamatrix
 from esokit.datamatrix import ComposedFunction, read_matrix, write_matrix
 from esokit.errors import ParseError, ValidationError
 
@@ -48,6 +49,108 @@ def test_file_parser_tolerates_comments_and_reports_line_numbers(tmp_path):
     path.write_text("2 2 3\n1 1 1.0\n2 2 2.0\n")
     with pytest.raises(ParseError, match="promises 3"):
         read_matrix(path)
+
+
+def _reference_read(path) -> ek.DataMatrix:
+    """The line-by-line parser read_matrix falls back to, as a reference."""
+    header = None
+    triplets = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("%"):
+                continue
+            parts = line.split()
+            if header is None:
+                if len(parts) != 3:
+                    raise ParseError("header must be 'm n nnz'", lineno)
+                try:
+                    header = (int(parts[0]), int(parts[1]), int(parts[2]))
+                except ValueError as e:
+                    raise ParseError(f"bad header: {e}", lineno) from e
+                continue
+            if len(parts) != 3:
+                raise ParseError("expected 'row col value'", lineno)
+            try:
+                r, c, v = int(parts[0]), int(parts[1]), float(parts[2])
+            except ValueError as e:
+                raise ParseError(f"bad triplet: {e}", lineno) from e
+            if r < 1 or c < 1:
+                raise ParseError("row and col are 1-based and must be >= 1", lineno)
+            triplets.append((r - 1, c - 1, v))
+    if header is None:
+        raise ParseError("empty matrix file")
+    m, n, nnz = header
+    if len(triplets) != nnz:
+        raise ParseError(f"header promises {nnz} entries, file has {len(triplets)}")
+    try:
+        return ek.DataMatrix.from_triplets(m, n, triplets)
+    except ValidationError as e:
+        raise ParseError(str(e)) from e
+
+
+def _outcome(read, path):
+    try:
+        data = read(path)
+    except ParseError as e:
+        return ("error", str(e), e.line)
+    return (data.m, data.n, data.rows.tolist(), data.cols.tolist(), data.values.tolist())
+
+
+@pytest.mark.parametrize(
+    "text, bulk",
+    [
+        ("3 2 3\n1 1 1.5\n2 2 -2.0\n3 1 1e-3\n", True),
+        ("3 2 3\n1 1 1.5\n2 2 -2.0\n3 1 1e-3", True),  # no final line break
+        ("3 2 3\r\n1\t1 1.5\r\n2 2   -2.0\r\n  3 1 1e-3  \r\n", True),
+        ("2 2 0\n", True),
+        ("2 2 2\n1 1 0.0\n2 1 4.0\n", True),  # an explicit zero is dropped
+        ("% comment\n2 2 2\n1 1 1.0\n% another\n2 2 3.0\n", False),
+        ("2 2 2\n1 1 1.0 % trailing\n2 2 3.0\n", False),
+        ("2 2 2\n\n1 1 1.0\n2 2 3.0\n", False),
+        ("2 2 2\n1 1 1.0\n2 2 3.0\n\n  \n", False),
+        ("2 2 2\n1.0 1 1.0\n2 2 3.0\n", False),
+        ("2 2 2\n1 2.0 1.0\n2 2 3.0\n", False),
+        ("2 2 2\n0 1 1.0\n2 2 3.0\n", False),
+        ("2 2 2\n1 -1 1.0\n2 2 3.0\n", False),
+        ("2 2 3\n1 1 1.0\n2 2 3.0\n", False),  # the header promises more
+        ("2 2 1\n1 1 1.0\n2 2 3.0\n", False),  # and fewer
+        ("2 2 2\n1 1 oops\n2 2 3.0\n", False),
+        ("2 2 2\n1 1\n1.0 2 2 3.0\n", False),  # right token count, wrong lines
+        ("2 2 2\n1 1 1.0 9 2 2 3.0\n", False),  # seven tokens on one line
+        ("2 2 2 1\n1 1 1.0\n2 2\n", False),
+        ("2 x 2\n1 1 1.0\n2 2 3.0\n", False),
+        ("", False),
+        ("2 2 2\n1 1 1.0\n1 1 3.0\n", True),  # duplicate: a ValidationError
+        ("2 2 2\n1 1 nan\n2 2 3.0\n", True),  # non-finite: a ValidationError
+        ("2 2 1\n3 1 1.0\n", True),  # out of range: a ValidationError
+        ("0 2 0\n", True),
+        ("2 2 1\n99999999999999999999 1 1.0\n", False),
+        ("2 2 1\n1 1 1\x00\n", False),
+    ],
+)
+def test_bulk_parse_matches_the_line_parser(tmp_path, text, bulk):
+    path = tmp_path / "a.mtx"
+    path.write_bytes(text.encode("utf-8"))
+    assert (datamatrix._parse_bulk(path.read_text(encoding="utf-8")) is not None) == bulk
+    try:
+        expected = _outcome(_reference_read, path)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            read_matrix(path)
+        return
+    assert _outcome(read_matrix, path) == expected
+
+
+def test_bulk_parse_reads_a_written_matrix(tmp_path):
+    rng = ek.rng_for_stream(71, 0)
+    a = np.where(rng.random((40, 30)) < 0.2, rng.standard_normal((40, 30)), 0.0)
+    data = ek.DataMatrix.from_dense(a)
+    path = tmp_path / "a.mtx"
+    write_matrix(data, path)
+    assert datamatrix._parse_bulk(path.read_text(encoding="utf-8")) is not None
+    assert _outcome(read_matrix, path) == _outcome(_reference_read, path)
+    assert np.array_equal(read_matrix(path).to_dense(), a)
 
 
 def test_ridge_rows_extend_gram():

@@ -34,6 +34,110 @@ def test_uncoupled_single_dense_row():
     assert result.v == pytest.approx(np.full(4, 2.0))
 
 
+@pytest.mark.parametrize("bad", [-1.0, 0.0, 0.5, float("nan"), -math.inf])
+def test_uncoupled_rejects_an_invalid_lambda_prime_ata(bad):
+    data = ek.DataMatrix.from_dense(np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0], [3.0, 0.0, 0.0]]))
+    with pytest.raises(ValidationError) as err:
+        eso.compute_v(data, TAU_NICE_32, "uncoupled", lambda_prime_ata=bad)
+    assert err.value.field == "lambda_prime_ata"
+
+
+def test_uncoupled_accepts_an_infinite_lambda_prime_ata():
+    # +inf bounds nothing: the factor is lambda'(P) = tau.
+    result = eso.compute_v(FIXTURE_A, TAU_NICE_32, "uncoupled", lambda_prime_ata=math.inf)
+    assert result.v[:2] == pytest.approx([2.0, 10.0])
+
+
+def _unskipped_uncoupled_v(data, spec, lambda_prime_ata):
+    """v by min(lambda'(P), lambda'(A'A)) with both eigen-solves."""
+    lp_sampling = ek.spectral.lambda_prime(ek.prob_matrix(spec, "auto").entries).value
+    return eso._floor(min(lp_sampling, lambda_prime_ata) * data.column_sq_norms)
+
+
+def _forbid_p_and_gram(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a dense matrix the uncoupled formula does not need")
+
+    monkeypatch.setattr(ek.probability, "prob_matrix", refuse)
+    monkeypatch.setattr(ek.DataMatrix, "gram", refuse)
+
+
+def test_uncoupled_below_the_moment_bound_builds_neither_p_nor_gram(monkeypatch):
+    data = random_sparse_matrix(ek.rng_for_stream(61, 0), 9, 7, 0.4)
+    spec = ek.tau_nice(7, 4)  # lambda'(P) >= E|S|^2 / E|S| = 4
+    lp_ata = 4.0 * (1.0 - 2e-9)
+    expected = _unskipped_uncoupled_v(data, spec, lp_ata)
+    _forbid_p_and_gram(monkeypatch)
+    result = eso.compute_v(data, spec, "uncoupled", lambda_prime_ata=lp_ata)
+    assert np.array_equal(result.v, expected)
+    assert np.array_equal(result.v, eso._floor(lp_ata * data.column_sq_norms))
+
+
+@pytest.mark.parametrize(
+    "spec, lp_ata",
+    [
+        (ek.serial([0.1, 0.2, 0.3, 0.15, 0.05, 0.1, 0.1]), 1.0),  # moment bound 1
+        (ek.tau_nice(7, 4), 4.0 * (1.0 - 5e-10)),  # a near tie, inside the margin
+        (ek.tau_nice(7, 4), 4.0),
+    ],
+)
+def test_uncoupled_solves_p_when_it_can_be_the_minimum(monkeypatch, spec, lp_ata):
+    data = random_sparse_matrix(ek.rng_for_stream(62, 0), 9, 7, 0.4)
+    expected = _unskipped_uncoupled_v(data, spec, lp_ata)
+    assert np.array_equal(eso.compute_v(data, spec, "uncoupled", lambda_prime_ata=lp_ata).v, expected)
+    _forbid_p_and_gram(monkeypatch)
+    with pytest.raises(AssertionError, match="does not need"):
+        eso.compute_v(data, spec, "uncoupled", lambda_prime_ata=lp_ata)
+
+
+def test_uncoupled_equals_the_unskipped_minimum_bit_for_bit():
+    rng = ek.rng_for_stream(63, 0)
+    specs = [ek.tau_nice(8, tau) for tau in range(1, 9)] + [
+        ek.serial(rng.dirichlet(np.ones(8))),
+        ek.doubly_uniform([0.0, 0.3, 0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.2]),
+        ek.ctau_distributed([[0, 1, 2, 3], [4, 5, 6, 7]], 2),
+    ]
+    for density in (0.15, 0.5, 1.0):
+        data = random_sparse_matrix(rng, 10, 8, density)
+        lp_ata = ek.spectral.lambda_prime(data.gram()).value
+        for spec in specs:
+            result = eso.compute_v(data, spec, "uncoupled")
+            assert np.array_equal(result.v, _unskipped_uncoupled_v(data, spec, lp_ata)), (density, spec)
+            assert result.cost_estimate == 2.0 * data.nnz + 8.0**3 + 8.0**3
+
+
+def test_eigen_solves_per_formula_on_a_tau_nice_fixture(monkeypatch):
+    # Rows of one or two entries: lambda'(A'A) <= 2 < tau = lambda'(P), so
+    # uncoupled solves A'A only, and coupled-exact solves one stack per row size.
+    rng = ek.rng_for_stream(64, 0)
+    dense = np.zeros((14, 8))
+    for j in range(14):
+        support = rng.choice(8, size=1 + j % 2, replace=False)
+        dense[j, support] = rng.standard_normal(support.size)
+    data = ek.DataMatrix.from_dense(dense)
+    spec = ek.tau_nice(8, 3)
+    calls = []
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return call
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    expected = {"uncoupled": ["eigh"], "coupled-exact": ["eigh", "eigh"]}
+    for formula, entry in eso.FORMULAS.items():
+        if entry.kind not in (None, spec.kind):
+            continue
+        calls.clear()
+        eso.compute_v(data, spec, formula)
+        assert calls == expected.get(formula, []), formula
+
+
 def test_coupled_fixture_by_every_method():
     expected = np.array([1.5, 5.5, 1e-12])
     for method in ("exact", "formula", "bound"):

@@ -333,3 +333,23 @@ def test_import_validates_symmetry(tmp_path):
 def test_invariant_off_diagonal_dominated_by_diagonal():
     with pytest.raises(ValidationError):
         ek.ProbMatrix(2, np.array([[0.2, 0.4], [0.4, 0.9]]), "enumerated")
+
+
+@pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+def test_nan_entry_is_rejected(where):
+    # NaN passes the range and diagonal-cap comparisons; the symmetry check
+    # is what rejects it, on the diagonal as off it.
+    entries = np.array([[0.5, 0.25], [0.25, 0.5]])
+    entries[where] = np.nan
+    with pytest.raises(ValidationError, match="not symmetric"):
+        ek.ProbMatrix(2, entries, "enumerated")
+
+
+@pytest.mark.parametrize("bad, message", [(np.inf, "outside"), (-0.1, "outside"), (0.3, "not symmetric")])
+def test_invalid_entries_are_named(bad, message):
+    entries = np.array([[0.5, 0.25], [0.25, 0.5]])
+    entries[1, 0] = bad
+    if message == "outside":
+        entries[0, 1] = bad
+    with pytest.raises(ValidationError, match=message):
+        ek.ProbMatrix(2, entries, "enumerated")
