@@ -101,9 +101,11 @@ def eso_uncoupled(
     only when it can be the minimum. The all-ones vector gives the exact
     moment bound lambda'(P) >= E|S|^2 / E|S|, so when lambda'(A'A) lies below
     it by more than a relative 1e-9, far above the rounding of ``eigh``, the
-    minimum is lambda'(A'A) and P is neither built nor solved. Otherwise
-    lambda'(P) is eigen-solved on the exact probability matrix when n is at
-    most the dense cap, and replaced by the cardinality cap beyond it.
+    minimum is lambda'(A'A) and P is not solved. Otherwise lambda'(P) is
+    eigen-solved on the exact probability matrix when n is at most the dense
+    cap, and replaced by the cardinality cap beyond it. P is built at most
+    once: kinds without closed-form moments read the bound off the same P
+    the solve uses, and the others build it only for the solve.
     ``cost_estimate`` is the worst case, with every eigen-solve.
     """
     p = _require_proper(spec)
@@ -132,21 +134,30 @@ def eso_uncoupled(
         # Past the dense cap, the cardinality-cap upper bound stands in for
         # lambda'(P): any upper bound keeps the overapproximation valid.
         factor = min(float(samplings.cardinality_cap(spec)), lambda_prime_ata)
-    elif _rules_out_sampling(spec, lambda_prime_ata):
-        factor = lambda_prime_ata
     else:
-        pm = probability.prob_matrix(spec, "auto")
-        probability.require_exact(pm, "the uncoupled formula")
-        factor = min(spectral.lambda_prime(pm.entries).value, lambda_prime_ata)
+        # Kinds without closed-form moments read them off P; the solve reuses it.
+        pm = None
+        moments = samplings.closed_form_moments(spec)
+        if moments is None:
+            pm = probability.prob_matrix(spec, "auto")
+            moments = samplings.matrix_moments(pm)
+        if _rules_out_sampling(moments, lambda_prime_ata):
+            factor = lambda_prime_ata
+        else:
+            if pm is None:
+                pm = probability.prob_matrix(spec, "auto")
+            probability.require_exact(pm, "the uncoupled formula")
+            factor = min(spectral.lambda_prime(pm.entries).value, lambda_prime_ata)
     return EsoResult(_floor(factor * w), p, FORMULA_UNCOUPLED, cost_estimate=cost)
 
 
-def _rules_out_sampling(spec: SamplingSpec, lambda_prime_ata: float) -> bool:
+def _rules_out_sampling(moments: samplings.Moments, lambda_prime_ata: float) -> bool:
     """True when lambda_prime_ata is below the moment bound E|S|^2 / E|S| <=
-    lambda'(P) by more than a relative 1e-9, so min(lambda'(P),
+    lambda'(P) (``lambda_bounds``' lambda_prime_lower, undefined for a nil
+    sampling) by more than a relative 1e-9, so min(lambda'(P),
     lambda_prime_ata) is lambda_prime_ata without solving for lambda'(P)."""
-    lower = spectral.lambda_bounds(spec).lambda_prime_lower
-    return lower is not None and lambda_prime_ata < lower * (1.0 - 1e-9)
+    first, second = moments
+    return first != 0.0 and lambda_prime_ata < second / first * (1.0 - 1e-9)
 
 
 def eso_conservative(

@@ -5,8 +5,9 @@ symmetric, positive semidefinite, and carries the marginals on its diagonal.
 Exact matrices come from per-kind closed forms or support enumeration and
 exist for every kind. Monte-Carlo estimates are made only on request, are
 tagged with their sample count and per-entry standard errors, and are never
-accepted as PSD certificates. Enumerated and Monte-Carlo matrices and
-:func:`check_identities` read their sets from :func:`samplings.weighted_masks`.
+accepted as PSD certificates. Enumerated matrices and
+:func:`check_identities` read their sets from :func:`samplings.weighted_masks`;
+Monte-Carlo matrices sum the raw rows of :func:`samplings.draw_masks`.
 """
 
 from __future__ import annotations

@@ -564,13 +564,25 @@ def enumerate_support(spec: SamplingSpec) -> list[tuple[tuple[int, ...], float]]
 def weighted_masks(
     spec: SamplingSpec, trials: int = 0, rng_seed: int = 0, streams: int = 1
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Bool rows of sets and weights w with E[g(S-hat)] = sum_k w[k] g(masks[k]):
-    the support of :func:`enumerate_support` with its probabilities when
-    ``trials == 0``, else the :func:`draw_masks` rows weighted 1/trials."""
+    """Distinct bool rows of sets and weights w with E[g(S-hat)] = sum_k w[k]
+    g(masks[k]): the support of :func:`enumerate_support` with its
+    probabilities when ``trials == 0``, else the distinct rows of
+    ``draw_masks(spec, trials, rng_seed, streams)`` weighted count / trials.
+
+    Monte-Carlo rows come sorted by their packed bits and their weights sum
+    to 1 up to rounding; an expectation costs one evaluation per distinct
+    set, not per draw.
+    """
     if trials < 0:
         raise ValidationError("trials", "must be nonnegative")
     if trials:
-        return draw_masks(spec, trials, rng_seed, streams), np.full(trials, 1.0 / trials)
+        masks = draw_masks(spec, trials, rng_seed, streams)
+        packed = np.packbits(masks, axis=1)
+        # One opaque bytes key per row: sorting it is a memcmp, far faster
+        # than np.unique(axis=0)'s one field per column.
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        return masks[first], counts / trials
     sets, probs = zip(*enumerate_support(spec))
     return _index_mask(spec.n, sets), np.array(probs)
 
@@ -742,16 +754,23 @@ def cardinality_moments(spec: SamplingSpec) -> Moments:
     off the exact probability matrix ``prob_matrix(spec, "auto")``: no
     enumeration and no draws.
     """
-    closed = _closed_form_moments(spec)
+    closed = closed_form_moments(spec)
     if closed is not None:
         return closed
     from . import probability  # deferred: probability imports this module
 
-    pm = probability.prob_matrix(spec, "auto")
-    return Moments(float(np.trace(pm.entries)), float(pm.entries.sum()), pm.provenance)
+    return matrix_moments(probability.prob_matrix(spec, "auto"))
 
 
-def _closed_form_moments(spec: SamplingSpec) -> Moments | None:
+def matrix_moments(matrix) -> Moments:
+    """(E|S-hat|, E|S-hat|^2) = (tr P, 1'P1) of a probability matrix, with
+    its provenance as the method."""
+    return Moments(float(np.trace(matrix.entries)), float(matrix.entries.sum()), matrix.provenance)
+
+
+def closed_form_moments(spec: SamplingSpec) -> Moments | None:
+    """The closed-form cardinality moments, or None for the kinds that read
+    them off P (intersections, restrictions and mixtures containing them)."""
     k = spec.kind
     if k == KIND_ELEMENTARY:
         c = float(len(spec.set))
@@ -775,7 +794,7 @@ def _closed_form_moments(spec: SamplingSpec) -> Moments | None:
         w = np.asarray(spec.weights)
         return Moments(float(w @ sizes), float(w @ sizes**2), "closed_form")
     if k == KIND_CONVEX:
-        parts = [_closed_form_moments(c) for c in spec.components]
+        parts = [closed_form_moments(c) for c in spec.components]
         if any(p is None for p in parts):
             return None
         first = sum(w * p.first for w, p in zip(spec.weights, parts))

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import config, probability, samplings
 from .errors import UnsupportedMethodError, ValidationError
-from .probability import ProbMatrix
 from .samplings import SamplingSpec
 
 METHOD_DENSE = "dense_exact"
@@ -265,7 +264,6 @@ def lambda_prime_restricted(
     method: str = "exact",
     power_iterations: int = config.POWER_ITERATIONS,
     safeguard: float = config.POWER_SAFEGUARD,
-    precomputed: ProbMatrix | None = None,
 ) -> EigenEstimate:
     """lambda' of the restriction of a sampling to the nonempty set ``j``.
 
@@ -286,8 +284,7 @@ def lambda_prime_restricted(
         raise ValidationError("set", f"indices must lie in [0, {spec.n})")
 
     if method in ("exact", "power"):
-        pm = precomputed if precomputed is not None else probability.prob_matrix(spec, "auto")
-        sub = pm.entries[np.ix_(j_idx, j_idx)]
+        sub = probability.prob_matrix(spec, "auto").entries[np.ix_(j_idx, j_idx)]
         eig_method = METHOD_DENSE if method == "exact" else METHOD_POWER
         return lambda_prime(sub, eig_method, power_iterations, safeguard)
 

@@ -8,10 +8,12 @@ inequality
 over the enumerated support (exact) or over seeded draws (statistical, with a
 one-sided z-slack), both from :func:`samplings.weighted_masks`, as
 f(x + h_S) = f(x) + grad f(x)'h_S + 0.5 h_S'(A'A)h_S: no dense A, no
-m-by-trials array. The matrix-form check re-exports the PSD certificate and
-produces a violating direction when the margin is negative. The identity
-battery sweeps random samplings and matrices against brute-force expectation
-oracles.
+m-by-trials array. Draws collapse to their distinct sets weighted by count,
+so the cost grows with the sets a sampling can draw, not with the trials,
+and the quadratic term is computed once per distinct h. The matrix-form
+check re-exports the PSD certificate and produces a violating direction when
+the margin is negative. The identity battery sweeps random samplings and
+matrices against brute-force expectation oracles.
 """
 
 from __future__ import annotations
@@ -97,8 +99,14 @@ def check_eso_quadratic(
     streams: int = 1,
 ) -> EsoCheckReport:
     """Check the three-term inequality at each point; the report summarizes
-    the worst point and carries per-point details. Needs n <=
-    ``config.DENSE_EIG_CAP``: it reads the Gram matrix."""
+    the worst point and carries per-point details in the order of the
+    points. Needs n <= ``config.DENSE_EIG_CAP``: it reads the Gram matrix.
+
+    In Monte-Carlo mode the expectation is the weighted sum over the
+    distinct drawn sets, with weight count / trials, and the standard error
+    is that of the trials raw draws, sqrt(sum_s w_s (value_s - lhs)^2 /
+    (trials - 1)), or 0 for a single trial.
+    """
     v = np.asarray(v, dtype=float)
     n = data.n
     if v.shape != (n,):
@@ -126,29 +134,43 @@ def check_eso_quadratic(
     trials_used = 0 if exhaustive else trials
     masks, weights = samplings.weighted_masks(spec, trials_used, rng_seed, streams)
     p = samplings.marginals(spec)
+    rows = masks.shape[0]
     chunk = max(1, _CHUNK_ENTRIES // max(n, 1))
 
-    details = []
-    for x, h, label in labelled:
-        ax = data.matvec(x)
-        fx = 0.5 * float(np.dot(ax, ax))
-        grad = data.rmatvec(ax)
-        rhs = fx + float(np.sum(p * grad * h)) + 0.5 * float(np.sum(p * v * h * h))
-        # f(x + h_S) = f(x) + grad'h_S + 0.5 h_S'(A'A)h_S for a chunk of sets at once.
-        values = np.empty(masks.shape[0])
-        for lo in range(0, masks.shape[0], chunk):
+    # f(x + h_S) = f(x) + grad'h_S + 0.5 h_S'(A'A)h_S over chunks of sets.
+    # The quadratic term does not depend on x, so it is computed once per
+    # distinct h and read by every point that shares that h.
+    groups: dict[bytes, list[int]] = {}
+    for k, (_, h, _) in enumerate(labelled):
+        groups.setdefault(h.tobytes(), []).append(k)
+    details = [None] * len(labelled)
+    for group in groups.values():
+        h = labelled[group[0]][1]
+        quad = np.empty(rows)
+        for lo in range(0, rows, chunk):
             h_s = masks[lo : lo + chunk] * h
-            quad = np.einsum("ki,ki->k", h_s @ gram, h_s)
-            values[lo : lo + chunk] = fx + h_s @ grad + 0.5 * quad
-        lhs = float(weights @ values)
-        if exhaustive:
-            stderr = 0.0
-            ok = (rhs - lhs) >= -EXHAUSTIVE_TOL
-        else:
-            stderr = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
-            ok = (rhs - lhs) >= -3.0 * stderr
-        details.append(
-            {
+            quad[lo : lo + chunk] = np.einsum("ki,ki->k", h_s @ gram, h_s)
+        for k in group:
+            x, _, label = labelled[k]
+            ax = data.matvec(x)
+            fx = 0.5 * float(np.dot(ax, ax))
+            grad = data.rmatvec(ax)
+            rhs = fx + float(np.sum(p * grad * h)) + 0.5 * float(np.sum(p * v * h * h))
+            values = np.empty(rows)
+            for lo in range(0, rows, chunk):
+                h_s = masks[lo : lo + chunk] * h
+                values[lo : lo + chunk] = fx + h_s @ grad + 0.5 * quad[lo : lo + chunk]
+            lhs = float(weights @ values)
+            if exhaustive:
+                stderr = 0.0
+                ok = (rhs - lhs) >= -EXHAUSTIVE_TOL
+            else:
+                # The sample standard error over the draws: each distinct set
+                # stands for its count = weight * trials draws.
+                spread = float(weights @ np.square(values - lhs))
+                stderr = math.sqrt(spread / (trials - 1)) if trials > 1 else 0.0
+                ok = (rhs - lhs) >= -3.0 * stderr
+            details[k] = {
                 "label": label,
                 "lhs": lhs,
                 "rhs": rhs,
@@ -156,7 +178,6 @@ def check_eso_quadratic(
                 "stderr": stderr,
                 "pass": bool(ok),
             }
-        )
 
     worst = min(details, key=lambda d: d["slack"])
     return EsoCheckReport(

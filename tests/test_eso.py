@@ -106,6 +106,33 @@ def test_uncoupled_equals_the_unskipped_minimum_bit_for_bit():
             assert result.cost_estimate == 2.0 * data.nnz + 8.0**3 + 8.0**3
 
 
+@pytest.mark.parametrize("lp_ata", [None, 1.0, 1e6])
+def test_uncoupled_builds_p_once_for_kinds_without_closed_form_moments(monkeypatch, lp_ata):
+    # The moment bound and lambda'(P) both come from one exact P: 1.0 is
+    # ruled out by the bound, 1e6 forces the solve.
+    data = random_sparse_matrix(ek.rng_for_stream(66, 0), 12, 8, 0.4)
+    specs = [
+        ek.intersection(ek.tau_nice(8, 4), ek.tau_nice(8, 3)),
+        ek.restriction(ek.tau_nice(8, 5), range(8)),
+        ek.convex_combination([0.5, 0.5], [ek.intersection(ek.tau_nice(8, 6), ek.tau_nice(8, 5)), ek.tau_nice(8, 2)]),
+    ]
+    ata = ek.spectral.lambda_prime(data.gram()).value if lp_ata is None else lp_ata
+    expected = [_unskipped_uncoupled_v(data, spec, ata) for spec in specs]
+    build = ek.probability.prob_matrix
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(ek.probability, "prob_matrix", counting)
+    for spec, want in zip(specs, expected):
+        calls.clear()
+        result = eso.compute_v(data, spec, "uncoupled", lambda_prime_ata=lp_ata)
+        assert len(calls) == 1, spec.kind
+        assert np.array_equal(result.v, want), spec.kind
+
+
 def test_eigen_solves_per_formula_on_a_tau_nice_fixture(monkeypatch):
     # Rows of one or two entries: lambda'(A'A) <= 2 < tau = lambda'(P), so
     # uncoupled solves A'A only, and coupled-exact solves one stack per row size.

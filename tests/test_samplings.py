@@ -187,9 +187,17 @@ def test_weighted_masks_are_the_support_or_the_draws():
         assert [tuple(np.flatnonzero(row).tolist()) for row in masks] == [s for s, _ in support]
         assert weights.tolist() == [p for _, p in support]
 
-        masks, weights = weighted_masks(spec, 7, rng_seed=3, streams=2)
-        assert np.array_equal(masks, draw_masks(spec, 7, rng_seed=3, streams=2))
-        assert weights.tolist() == [1.0 / 7] * 7
+        # Monte-Carlo: the distinct draws, each weighted count / trials.
+        for trials in (7, 200):
+            masks, weights = weighted_masks(spec, trials, rng_seed=3, streams=2)
+            draws = draw_masks(spec, trials, rng_seed=3, streams=2)
+            assert masks.dtype == bool and masks.shape[1] == spec.n
+            assert len({row.tobytes() for row in masks}) == masks.shape[0]
+            counts = np.rint(weights * trials)
+            assert np.array_equal(weights, counts / trials)
+            assert counts.min() >= 1 and counts.sum() == trials
+            repeated = np.repeat(masks, counts.astype(int), axis=0)
+            assert sorted(row.tobytes() for row in repeated) == sorted(row.tobytes() for row in draws)
     with pytest.raises(ValidationError, match="trials"):
         weighted_masks(ek.tau_nice(3, 1), -1)
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -250,3 +251,107 @@ def test_quadratic_check_rejects_points_of_the_wrong_length():
         ek.check_eso_quadratic(FIXTURE_A, SPEC, V_OK, points=[(np.zeros(4), np.ones(4))])
     with pytest.raises(ValidationError, match="v"):
         ek.check_eso_quadratic(FIXTURE_A, SPEC, V_OK[:1], points=[(np.zeros(3), np.ones(3))])
+
+
+# ---------------------------------------------------------------------------
+# Monte-Carlo expectations over the distinct drawn sets
+
+
+def _per_draw_quadratic(data, spec, v, labelled, trials, rng_seed, streams):
+    """Per-point Monte-Carlo results summed over every draw, one value per
+    draw, with the standard error of the raw values."""
+    masks = samplings.draw_masks(spec, trials, rng_seed, streams)
+    gram, p = data.gram(), ek.marginals(spec)
+    details = []
+    for x, h, label in labelled:
+        ax = data.matvec(x)
+        fx = 0.5 * float(np.dot(ax, ax))
+        grad = data.rmatvec(ax)
+        rhs = fx + float(np.sum(p * grad * h)) + 0.5 * float(np.sum(p * v * h * h))
+        h_s = masks * h
+        values = fx + h_s @ grad + 0.5 * np.einsum("ki,ki->k", h_s @ gram, h_s)
+        lhs = float(values.mean())
+        stderr = float(values.std(ddof=1) / np.sqrt(trials))
+        details.append({"label": label, "lhs": lhs, "rhs": rhs, "stderr": stderr, "pass": rhs - lhs >= -3.0 * stderr})
+    return details
+
+
+def _per_draw_identities(spec, m, h, trials, rng_seed):
+    """The Monte-Carlo sides of check_identities, one draw at a time."""
+    hadamard = np.zeros((spec.n, spec.n))
+    sums = dict.fromkeys(("quadratic_form", "square_of_sum", "diagonal_linear", "second_moment", "first_moment"), 0.0)
+    for row in samplings.draw_masks(spec, trials, rng_seed):
+        idx = np.flatnonzero(row)
+        sub, h_s = m[np.ix_(idx, idx)], h[idx]
+        hadamard[np.ix_(idx, idx)] += sub / trials
+        sums["quadratic_form"] += float(h_s @ sub @ h_s) / trials
+        sums["square_of_sum"] += float(h_s.sum()) ** 2 / trials
+        sums["diagonal_linear"] += float(h_s.sum()) / trials
+        sums["second_moment"] += idx.size**2 / trials
+        sums["first_moment"] += idx.size / trials
+    sums["hadamard_matrix"] = float(np.max(np.abs(ek.prob_matrix(spec, "auto").entries * m - hadamard)))
+    return sums
+
+
+_DISTINCT_SET_SPECS = [
+    ("tau_nice", lambda n: ek.tau_nice(n, 3)),
+    ("explicit", lambda n: ek.explicit(n, [range(0, n, 2), range(1, n, 2), range(n // 2)], [0.5, 0.3, 0.2])),
+    ("intersection", lambda n: ek.intersection(ek.tau_nice(n, 5), ek.tau_nice(n, 4))),
+    ("doubly_uniform", lambda n: ek.doubly_uniform(np.full(n + 1, 1.0 / (n + 1)))),
+    ("all_distinct", lambda n: ek.tau_nice(40, 4)),
+]
+
+
+@pytest.mark.parametrize("streams", [1, 4])
+@pytest.mark.parametrize("name, make", _DISTINCT_SET_SPECS, ids=[name for name, _ in _DISTINCT_SET_SPECS])
+def test_monte_carlo_checks_match_the_per_draw_sums(name, make, streams):
+    rng = ek.rng_for_stream(67, 0)
+    spec = make(int(rng.integers(6, 10)))
+    n = spec.n
+    data = random_sparse_matrix(rng, int(rng.integers(n, 2 * n)), n, 0.4)
+    trials = 2_000
+    v = ek.compute_v(data, spec, "uncoupled").v
+    for scale in (1.0, 0.6):
+        report = ek.check_eso_quadratic(data, spec, scale * v, mode="monte_carlo", trials=trials, rng_seed=5, streams=streams)
+        labelled = verify.canonical_points(data, spec, scale * v, rng_seed=5)
+        expected = _per_draw_quadratic(data, spec, scale * v, labelled, trials, 5, streams)
+        assert report.trials == trials
+        assert [d["label"] for d in report.details] == [d["label"] for d in expected]
+        for got, want in zip(report.details, expected):
+            bound = 1e-12 * max(1.0, abs(want["lhs"]))
+            for key in ("lhs", "rhs", "stderr"):
+                assert abs(got[key] - want[key]) <= bound, (name, got["label"], key)
+            assert got["pass"] == want["pass"], (name, got["label"])
+
+    m, h = rng.standard_normal((n, n)), rng.standard_normal(n)
+    identities = ek.check_identities(spec, m, h, trials=1_000, rng_seed=streams)
+    for key, want in _per_draw_identities(spec, m, h, 1_000, streams).items():
+        got = identities.results[key]
+        value = got["discrepancy"] if key == "hadamard_matrix" else got["rhs"]
+        assert abs(value - want) <= 1e-12 * max(1.0, abs(want)), (name, key)
+
+
+def test_monte_carlo_points_sharing_an_h_keep_their_order():
+    rng = ek.rng_for_stream(68, 0)
+    data = random_sparse_matrix(rng, 9, 6, 0.5)
+    spec = ek.tau_nice(6, 2)
+    v = ek.compute_v(data, spec, "auto").v
+    h1, h2 = rng.standard_normal(6), rng.standard_normal(6)
+    points = [(rng.standard_normal(6), h) for h in (h1, h2, h1, h1.copy(), h2)]
+    report = ek.check_eso_quadratic(data, spec, v, points=points, mode="monte_carlo", trials=500, rng_seed=2)
+    labelled = [(x, h, f"point{i}") for i, (x, h) in enumerate(points)]
+    expected = _per_draw_quadratic(data, spec, v, labelled, 500, 2, 1)
+    assert [d["label"] for d in report.details] == [f"point{i}" for i in range(5)]
+    for got, want in zip(report.details, expected):
+        for key in ("lhs", "rhs", "stderr"):
+            assert abs(got[key] - want[key]) <= 1e-12 * max(1.0, abs(want["lhs"])), (got["label"], key)
+
+
+def test_one_monte_carlo_trial_has_zero_stderr_and_no_warning():
+    v = ek.eso_specialized(FIXTURE_A, SPEC).v
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = ek.check_eso_quadratic(FIXTURE_A, SPEC, v, mode="monte_carlo", trials=1, rng_seed=4)
+    assert report.trials == 1
+    assert all(d["stderr"] == 0.0 for d in report.details)
+    assert report.lhs_stderr == 0.0
