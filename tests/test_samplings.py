@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import esokit as ek
+from conftest import random_sparse_matrix
 from esokit.errors import CapacityError, ValidationError
 from esokit.samplings import draw_masks, spec_from_dict, spec_to_dict, weighted_masks
 
@@ -412,3 +414,77 @@ def test_block_draws_keep_temporaries_small():
         tracemalloc.stop()
     assert masks.nbytes == 5_000_000 and np.all(masks.sum(axis=1) == 8)
     assert peak < masks.nbytes + 2_000_000
+
+
+def _masks_digest(spec, streams):
+    """SHA-256 of draw_masks at an odd count that spans several permutation
+    chunks on one stream and splits unevenly over three, and at a count
+    below the number of rows of one draw block."""
+    digest = hashlib.sha256()
+    for count in (30_001, 7):
+        digest.update(draw_masks(spec, count, rng_seed=83, streams=streams).tobytes())
+    return digest.hexdigest()
+
+
+# Recorded with RNG scheme 2; any change to how a draw consumes its stream
+# changes them and needs a new scheme number.
+_MASK_DIGESTS = {
+    ("elementary", 1): "17999c31caf795ec500102e9ef4d91476c7fb0e7fe1bc6819d5de10f4005c82b",
+    ("elementary", 3): "17999c31caf795ec500102e9ef4d91476c7fb0e7fe1bc6819d5de10f4005c82b",
+    ("serial", 1): "873cbf341ae92e980c28f730581268c03bd565b67a8e2217bd2262eb43fa7b3f",
+    ("serial", 3): "4e3fe8f83ef5bf437bdb5de6ff003e31c45b3299b4bcb55c11bf80a2be765418",
+    ("tau_nice", 1): "cd0ff8366b1cefc812a53889bde04bb92c1d7549b8ba1237c9fa9d91b85fb4ad",
+    ("tau_nice", 3): "d2a6e1d7d01672f7ff01fd351c5fef621e44f3ce3973f36e95a2399872b31093",
+    ("ctau_distributed", 1): "f22110126761e17f052203758081e96ecfdeb39ecc182d600f6dfe3ab7c81267",
+    ("ctau_distributed", 3): "ea2a9efa9e18aa2da84c810ef4653dfedda17ae8c527653f554cd396796f0938",
+    ("doubly_uniform", 1): "3afdfa4a386cfe8fb1a8b57894efb4c5c69d2fe22fc24c759cff680868eecb1f",
+    ("doubly_uniform", 3): "34cc8d84a0a66271886ddc3edffae19f7d147ceb60935b0ee7714f3e52f3d1cd",
+    ("product", 1): "bacb1bd524d9bef45cee59eaccc3a1ae52b4d51421186f5306d00824de3396f0",
+    ("product", 3): "16aea793b9016840198fa9ef6ca1140156714a00eb92bccf0ace0ee90d334be0",
+    ("graph", 1): "30a494aa98cd27f1fbaf73b97c7f450f559f1a4e5e6fcf6b4de00c5daee1c9f5",
+    ("graph", 3): "a2e6528c0ff5f93ff83295b7abd15714648e23d82c70a31d2ed769df62f27b10",
+    ("convex_combination", 1): "28ab79bc2d4f939d3cddd458dbd288f752a93f00245df1496c2eb090f241c938",
+    ("convex_combination", 3): "a532cd673608bc2155c396b5f02ddbdec33f60ddcf037e2ca4fb0018f12492c5",
+    ("intersection", 1): "1550e89367101fca7cb34918b2c2ffc1fb943c02899f65256015638c5fb0c7b9",
+    ("intersection", 3): "28f0abd1e391c238723d93c921d9df6f66db1645dccf8c3c0a5c39193eab19f1",
+    ("restriction", 1): "4ee88dfce922bfd9c649bd433d092beff4a839af3350f79ce4e5c4749fff00f1",
+    ("restriction", 3): "5268273641736359ddf67296b87e809f4bc7fd1985acd817a50a6888962915e0",
+    ("explicit", 1): "f428bdff4ef701d22e31f5f01a992b2ba8688dba9bd9d67c8e7744bdc3258f1b",
+    ("explicit", 3): "1e70041de28db8d9c3cb883cb7999f57222f51f88f99c450d370c4b20403d727",
+}
+
+
+@pytest.mark.parametrize("spec", _every_kind(), ids=lambda spec: spec.kind)
+@pytest.mark.parametrize("streams", [1, 3])
+def test_draw_masks_digests_are_pinned(spec, streams):
+    assert _masks_digest(spec, streams) == _MASK_DIGESTS[spec.kind, streams]
+
+
+def _traces_digest(spec):
+    """SHA-256 of three solve_many runs' iterations, gaps and final points on
+    a 12 x 6 ridge problem, with the conservative stepsizes cap * (column
+    norm^2 + ridge), which need no stepsize formula."""
+    rng = ek.rng_for_stream(29, 0)
+    data = random_sparse_matrix(rng, 12, 6, 0.4)
+    problem = ek.QuadraticProblem(data, ridge=0.2, b=rng.standard_normal(6))
+    v = ek.cardinality_cap(spec) * (data.column_sq_norms + problem.ridge)
+    digest = hashlib.sha256()
+    for trace in ek.solve_many(problem, spec, v, n_runs=3, rng_seed=5, epsilon=1e-10):
+        digest.update(repr((trace.iterations, trace.gaps)).encode())
+        digest.update(trace.x_final.tobytes())
+    return digest.hexdigest()
+
+
+_TRACE_DIGESTS = {
+    "tau_nice": "a9f15ff28d872f230c4840867b34331b400c1f55fd69c49f578b39818866c3df",
+    "convex_combination": "608e1aae99460f4e7add71acccad75180d0d123c14044abaf9eb56b505129ce4",
+}
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ek.tau_nice(6, 3), ek.convex_combination([0.3, 0.7], [ek.serial([1 / 6] * 6), ek.tau_nice(6, 2)])],
+    ids=["tau_nice", "convex_combination"],
+)
+def test_solve_many_trace_digests_are_pinned(spec):
+    assert _traces_digest(spec) == _TRACE_DIGESTS[spec.kind]
