@@ -83,9 +83,14 @@ def _load_v(path: str, n: int) -> np.ndarray:
         if "v" not in raw:
             raise ParseError(f"no 'v' vector found in {path}")
         raw = raw["v"]
-    v = np.asarray(raw, dtype=float)
+    try:
+        v = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"v in {path} is not a vector of numbers") from e
     if v.shape != (n,):
         raise ParseError(f"v has length {v.size}, expected {n}")
+    if not np.all(np.isfinite(v)):
+        raise ParseError(f"v in {path} has non-finite entries")
     return v
 
 

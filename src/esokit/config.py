@@ -6,12 +6,18 @@ any platform. Parallel work (Monte-Carlo replicas, multi-seed solver runs)
 uses disjoint stream indices and merges results in stream order.
 
 ``RNG_SCHEME`` versions how draws consume a stream, and CLI reports record
-it. Scheme 2 draws in blocks (``samplings._draw_block``): one vectorized
-call per kind fills many rows at once, e.g. tau rounds of Fisher-Yates swaps
-over a chunk of rows for tau-nice sets, or one sized ``rng.choice`` for a
-serial or explicit sampling. ``samplings.draw_masks`` fills stream s's rows
-with one block; the solver takes blocks of 64 draws per stream. Scheme 1
-drew one set at a time, so the same seed gives other sets under scheme 2.
+it. Scheme 2 draws in blocks: one vectorized call per kind fills many rows
+of a stream at once, e.g. tau rounds of Fisher-Yates swap positions for a
+chunk of rows of tau-nice sets, or one sized ``rng.choice`` for a serial or
+explicit sampling. ``samplings._draw_blocks`` is the one draw primitive: it
+draws the rows of several streams in one pass, each stream's generator
+making exactly the calls it would make alone, and runs the arithmetic on
+the draws once over all the rows; merging a chunk's rounds into one
+array-bound ``rng.integers`` call consumes the stream as the per-round calls
+do, so batching left scheme 2 unchanged. ``samplings.draw_masks`` draws all
+its streams in one such call; the solver draws 64 sets per stream of every
+active run in one call. Scheme 1 drew one set at a time, so the same seed
+gives other sets under scheme 2.
 """
 
 from __future__ import annotations

@@ -27,6 +27,9 @@ PROVENANCE_MC = "monte_carlo"
 _PROVENANCE_RANK = {PROVENANCE_CLOSED: 0, PROVENANCE_ENUM: 1, PROVENANCE_MC: 2}
 
 _BLOCK_ROWS = 128
+# Entries of one float32 block of unweighted masks in _outer_sum (below
+# 2^24 rows at any n).
+_COUNT_BLOCK_ENTRIES = 1 << 16
 # Entries of the largest (sets, |S|, |S|) stack check_identities gathers.
 _STACK_ENTRIES = 1 << 16
 
@@ -223,12 +226,24 @@ def _monte_carlo(spec: SamplingSpec, samples: int, rng_seed: int, streams: int) 
 
 def _outer_sum(masks: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
     """sum_k weights[k] 1_{S_k} 1_{S_k}' (unit weights when None), over
-    blocks of rows so the float copy of the masks stays small."""
-    out = np.zeros((masks.shape[1], masks.shape[1]))
+    blocks of rows so the float copy of the masks stays small.
+
+    Unit weights count co-occurrences in float32 blocks of at most
+    ``_COUNT_BLOCK_ENTRIES`` entries, so of fewer than 2^24 rows: every
+    partial sum is an integer below 2^24, exact in float32, and the float64
+    total is the exact count, whatever the summation order.
+    """
+    n = masks.shape[1]
+    out = np.zeros((n, n))
+    if weights is None:
+        step = max(1, _COUNT_BLOCK_ENTRIES // max(n, 1))
+        for start in range(0, masks.shape[0], step):
+            block = masks[start : start + step].astype(np.float32)
+            out += block.T @ block
+        return out
     for start in range(0, masks.shape[0], _BLOCK_ROWS):
         block = masks[start : start + _BLOCK_ROWS].astype(float)
-        scaled = block if weights is None else block * weights[start : start + _BLOCK_ROWS, None]
-        out += scaled.T @ block
+        out += (block * weights[start : start + _BLOCK_ROWS, None]).T @ block
     return out
 
 

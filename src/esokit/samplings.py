@@ -398,38 +398,88 @@ def spec_from_dict(payload: dict) -> SamplingSpec:
 # row chunk of product-sampling integers.
 _CHUNK_ENTRIES = 1 << 16
 
+# A Fisher-Yates chunk of at most this many rows draws all its rounds in one
+# array-bound rng.integers call, which yields the same integers and leaves
+# the same generator state as one scalar-bound call per round. The merged
+# call saves the fixed cost of a call per round (about 10 us) but costs
+# about 2.5 times as much per integer, so longer chunks draw round by round.
+_MERGED_ROWS = 512
 
-def _row_chunks(count: int, width: int):
-    """(start, stop) row ranges of at most max(1, _CHUNK_ENTRIES // width) rows."""
-    step = max(1, _CHUNK_ENTRIES // max(width, 1))
-    for start in range(0, count, step):
-        yield start, min(start + step, count)
 
+def _groups(counts: Sequence[int], width: int):
+    """Chunks of the rows of a block, packed into groups.
 
-def _uniform_subsets(sizes: np.ndarray, size: int, rng: np.random.Generator):
-    """Exact uniform sizes[r]-subsets of range(size), one per row r.
-
-    Yields (rows, positions) per chunk of rows: a partial Fisher-Yates
-    shuffle of a (rows, size) identity block, one vectorized swap round per
-    position up to the chunk's largest size; row r keeps its first sizes[r]
-    positions. Round k draws one ``rng.integers(k, size)`` per row of the
-    chunk, so the draws are a pure function of the generator and the sizes.
+    Generator g owns counts[g] consecutive rows of the block, in generator
+    order. Its rows are cut into chunks of at most ``step = max(1,
+    _CHUNK_ENTRIES // width)`` rows, as they would be cut were they the only
+    rows. Consecutive whole chunks are packed into groups of at most
+    ``step`` rows. Yields (start, stop, chunks) per group, with each chunk
+    a (g, lo, hi) range of rows of the block.
     """
-    chunks = list(_row_chunks(len(sizes), size))
-    # One buffer for every chunk: a fresh one per chunk costs page faults.
-    buffer = np.empty((chunks[0][1], size), dtype=np.intp)
-    for start, stop in chunks:
+    step = max(1, _CHUNK_ENTRIES // max(width, 1))
+    group, start, row = [], 0, 0
+    for g, count in enumerate(counts):
+        for lo in range(row, row + count, step):
+            hi = min(lo + step, row + count)
+            if hi - start > step:
+                yield start, lo, group
+                group, start = [], lo
+            group.append((g, lo, hi))
+        row += count
+    if group:
+        yield start, row, group
+
+
+def _uniform_subsets(
+    sizes: np.ndarray, size: int, rngs: Sequence[np.random.Generator], counts: Sequence[int]
+):
+    """Exact uniform sizes[r]-subsets of range(size), one per row r, with
+    counts[g] consecutive rows drawn from rngs[g].
+
+    A partial Fisher-Yates shuffle of a (rows, size) identity block keeps
+    row r's first sizes[r] positions. Each chunk of a generator's rows (see
+    :func:`_groups`) draws ``rng.integers(k, size)`` per row for every round
+    k up to the chunk's largest size, round by round (merged into one call
+    for chunks of at most ``_MERGED_ROWS`` rows), so the draws are a pure
+    function of the generator and its rows' sizes. The swaps then run once
+    per round over a whole group of chunks; a row whose chunk has fewer
+    rounds than the group swaps with itself in the rest. Yields (rows,
+    positions) per group, as equal-length index arrays or, when every row
+    of the group keeps all its positions, as a column of rows beside a
+    (rows, rounds) block of positions.
+    """
+    buffer = np.empty((min(max(1, _CHUNK_ENTRIES // size), len(sizes)), size), dtype=np.intp)
+    lows: dict[tuple[int, int], np.ndarray] = {}
+    for start, stop, chunks in _groups(counts, size):
+        tops = np.maximum.reduceat(sizes[start:stop], [lo - start for _, lo, _ in chunks]).tolist()
+        rounds = max(tops)
+        swaps = np.empty((rounds, stop - start), dtype=np.intp)
+        swaps[:] = np.arange(rounds)[:, None]
+        for (g, lo, hi), top in zip(chunks, tops):
+            if top > 1 and hi - lo <= _MERGED_ROWS:
+                low = lows.get((top, hi - lo))
+                if low is None:
+                    low = lows[top, hi - lo] = np.repeat(np.arange(top), hi - lo)
+                swaps[:top, lo - start : hi - start] = rngs[g].integers(low, size).reshape(top, hi - lo)
+            else:
+                for k in range(top):
+                    swaps[k, lo - start : hi - start] = rngs[g].integers(k, size, size=hi - lo)
         rows = np.arange(stop - start)
         perm = buffer[: len(rows)]
         perm[:] = np.arange(size)
-        rounds = int(sizes[start:stop].max())
+        flat = perm.reshape(-1)
+        swaps += rows * size  # flat positions of the swap partners
         for k in range(rounds):
-            j = rng.integers(k, size, size=len(rows))
-            held = perm[rows, k]
-            perm[rows, k] = perm[rows, j]
-            perm[rows, j] = held
-        keep = np.arange(rounds) < sizes[start:stop, None]
-        yield np.broadcast_to(start + rows[:, None], keep.shape)[keep], perm[:, :rounds][keep]
+            j = swaps[k]
+            held = perm[:, k].copy()
+            perm[:, k] = flat[j]
+            flat[j] = held
+        picked = perm[:, :rounds]
+        if sizes[start:stop].min() == rounds:
+            yield start + rows[:, None], picked
+        else:
+            keep = np.arange(rounds) < sizes[start:stop, None]
+            yield np.broadcast_to(start + rows[:, None], keep.shape)[keep], picked[keep]
 
 
 def _index_mask(n: int, sets) -> np.ndarray:
@@ -439,64 +489,89 @@ def _index_mask(n: int, sets) -> np.ndarray:
     return masks
 
 
-def _draw_block(spec: SamplingSpec, out: np.ndarray, rng: np.random.Generator) -> None:
-    """Set the zeroed (count, n) bool rows of ``out`` to count independent
-    draws of the sampling, consuming ``rng`` in a fixed order per kind.
+def _choices(rngs, counts, options: int, p) -> np.ndarray:
+    """``rng.choice(options, size=count, p=p)`` of every generator with rows,
+    concatenated in generator order."""
+    p = np.asarray(p)
+    picks = [rng.choice(options, size=count, p=p) for rng, count in zip(rngs, counts) if count]
+    return np.concatenate(picks) if picks else np.zeros(0, dtype=np.intp)
 
-    Permutation chunks and product-sampling integers hold at most
-    ``_CHUNK_ENTRIES`` entries (or one row of n), so no leaf kind builds a
-    count x n temporary; a mixture or an intersection holds one bool block
-    of its rows beside ``out``.
+
+def _draw_blocks(
+    spec: SamplingSpec, out: np.ndarray, rngs: Sequence[np.random.Generator], rows_per_rng: Sequence[int]
+) -> None:
+    """Set the zeroed bool rows of ``out`` to independent draws of the
+    sampling: rows_per_rng[g] consecutive rows, in generator order, drawn
+    from rngs[g].
+
+    Each generator makes the calls it would make drawing its rows alone, in
+    the same order, and one with no rows makes none (RNG scheme 2, see
+    ``config.RNG_SCHEME``). The arithmetic on the draws (Fisher-Yates swaps,
+    mask scatters, the composite kinds' operations) runs once over the rows
+    of every generator. Permutation chunks and product-sampling integers
+    hold at most ``_CHUNK_ENTRIES`` entries (or one row of n), so no leaf
+    kind builds a rows x n temporary; a mixture or an intersection holds
+    one bool block of its rows beside ``out``.
     """
-    count, k = out.shape[0], spec.kind
-    if count == 0:
+    counts = [int(c) for c in rows_per_rng]
+    total, k = out.shape[0], spec.kind
+    if total == 0:
         return
     if k == KIND_ELEMENTARY:
         out[:, list(spec.set)] = True
     elif k == KIND_SERIAL:
-        out[np.arange(count), rng.choice(spec.n, size=count, p=np.asarray(spec.q))] = True
+        out[np.arange(total), _choices(rngs, counts, spec.n, spec.q)] = True
     elif k in (KIND_TAU_NICE, KIND_DOUBLY_UNIFORM):
         if k == KIND_TAU_NICE:
-            sizes = np.full(count, spec.tau)
+            sizes = np.full(total, spec.tau)
         else:
-            sizes = rng.choice(spec.n + 1, size=count, p=np.asarray(spec.q))
-        for rows, cols in _uniform_subsets(sizes, spec.n, rng):
+            sizes = _choices(rngs, counts, spec.n + 1, spec.q)
+        for rows, cols in _uniform_subsets(sizes, spec.n, rngs, counts):
             out[rows, cols] = True
     elif k == KIND_CTAU:
         # Every (row, block) pair is one tau-subset of the block's positions.
         part = np.asarray(spec.partition)
         blocks = len(part)
-        for pairs, positions in _uniform_subsets(np.full(count * blocks, spec.tau), part.shape[1], rng):
+        sizes = np.full(total * blocks, spec.tau)
+        for pairs, positions in _uniform_subsets(sizes, part.shape[1], rngs, [c * blocks for c in counts]):
             out[pairs // blocks, part[pairs % blocks, positions]] = True
     elif k == KIND_PRODUCT:
         lengths = np.array([len(b) for b in spec.blocks])
         offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
         flat = np.concatenate(spec.blocks)
-        for start, stop in _row_chunks(count, len(lengths)):
-            picks = rng.integers(0, lengths, size=(stop - start, len(lengths)))
+        for start, stop, chunks in _groups(counts, len(lengths)):
+            picks = np.concatenate(
+                [rngs[g].integers(0, lengths, size=(hi - lo, len(lengths))) for g, lo, hi in chunks]
+            )
             out[np.arange(start, stop)[:, None], flat[offsets + picks]] = True
     elif k in (KIND_GRAPH, KIND_EXPLICIT):
-        picks = rng.choice(len(spec.members), size=count, p=np.asarray(spec.weights))
+        picks = _choices(rngs, counts, len(spec.members), spec.weights)
         # mode="clip" writes straight into out; "raise" would copy it first.
         np.take(_index_mask(spec.n, spec.members), picks, axis=0, out=out, mode="clip")
     elif k == KIND_CONVEX:
-        picks = rng.choice(len(spec.components), size=count, p=np.asarray(spec.weights))
+        picks = _choices(rngs, counts, len(spec.components), spec.weights)
+        owner = np.repeat(np.arange(len(counts)), counts)
         for t, comp in enumerate(spec.components):
             rows = np.flatnonzero(picks == t)
             if rows.size:
                 part = np.zeros((rows.size, spec.n), dtype=bool)
-                _draw_block(comp, part, rng)
+                _draw_blocks(comp, part, rngs, np.bincount(owner[rows], minlength=len(counts)))
                 out[rows] = part
     elif k == KIND_INTERSECTION:
-        _draw_block(spec.components[0], out, rng)
+        _draw_blocks(spec.components[0], out, rngs, counts)
         second = np.zeros_like(out)
-        _draw_block(spec.components[1], second, rng)
+        _draw_blocks(spec.components[1], second, rngs, counts)
         out &= second
     elif k == KIND_RESTRICTION:
-        _draw_block(spec.components[0], out, rng)
+        _draw_blocks(spec.components[0], out, rngs, counts)
         out &= _index_mask(spec.n, [spec.set])[0]
     else:
         raise ValidationError("kind", f"unknown kind {k!r}")
+
+
+def _draw_block(spec: SamplingSpec, out: np.ndarray, rng: np.random.Generator) -> None:
+    """:func:`_draw_blocks` with every row of ``out`` drawn from ``rng``."""
+    _draw_blocks(spec, out, [rng], [out.shape[0]])
 
 
 def draw(spec: SamplingSpec, rng_seed: int, stream_index: int = 0) -> frozenset[int]:
@@ -515,23 +590,20 @@ def draw(spec: SamplingSpec, rng_seed: int, stream_index: int = 0) -> frozenset[
 def draw_masks(spec: SamplingSpec, count: int, rng_seed: int = 0, streams: int = 1) -> np.ndarray:
     """``count`` realizations of the sampling as the rows of a (count, n) bool array.
 
-    Rows come stream by stream: stream s fills its rows with one block draw
-    (RNG scheme ``config.RNG_SCHEME``) from
-    ``config.rng_for_stream(rng_seed, s)``, and the first ``count % streams``
-    streams take one draw more than the rest. The result is a pure function
-    of (spec, count, rng_seed, streams). For the leaf kinds the temporaries
-    beside the output stay a fixed size. Every Monte-Carlo estimate in the
-    package reads its draws from here.
+    Rows come stream by stream: stream s fills its rows from
+    ``config.rng_for_stream(rng_seed, s)`` (RNG scheme ``config.RNG_SCHEME``),
+    and the first ``count % streams`` streams take one draw more than the
+    rest; one :func:`_draw_blocks` call draws them all. The result is a pure
+    function of (spec, count, rng_seed, streams). For the leaf kinds the
+    temporaries beside the output stay a fixed size. Every Monte-Carlo
+    estimate in the package reads its draws from here.
     """
     if count < 0:
         raise ValidationError("count", "must be nonnegative")
     streams = max(1, int(streams))
     masks = np.zeros((count, spec.n), dtype=bool)
-    row = 0
-    for stream_index in range(streams):
-        rows = count // streams + (stream_index < count % streams)
-        _draw_block(spec, masks[row : row + rows], config.rng_for_stream(rng_seed, stream_index))
-        row += rows
+    rngs = [config.rng_for_stream(rng_seed, s) for s in range(streams)]
+    _draw_blocks(spec, masks, rngs, [count // streams + (s < count % streams) for s in range(streams)])
     return masks
 
 
@@ -578,9 +650,16 @@ def weighted_masks(
     if trials:
         masks = draw_masks(spec, trials, rng_seed, streams)
         packed = np.packbits(masks, axis=1)
-        # One opaque bytes key per row: sorting it is a memcmp, far faster
-        # than np.unique(axis=0)'s one field per column.
-        keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+        if spec.n <= 64:
+            # The packed bytes as one big-endian integer per row: it sorts
+            # as the bytes compare, and faster than a bytes key.
+            wide = np.zeros((trials, 8), dtype=np.uint8)
+            wide[:, : packed.shape[1]] = packed
+            keys = wide.view(">u8").ravel().astype(np.uint64)
+        else:
+            # One opaque bytes key per row: sorting it is a memcmp, far
+            # faster than np.unique(axis=0)'s one field per column.
+            keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
         _, first, counts = np.unique(keys, return_index=True, return_counts=True)
         return masks[first], counts / trials
     sets, probs = zip(*enumerate_support(spec))

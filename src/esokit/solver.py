@@ -19,10 +19,12 @@ then recomputed in full from r and x, O(runs * (m + n)). Runs are grouped
 in batches whose per-run state (r, x and a block of draws) fits a fixed
 entry budget; a run leaves its batch when it stops.
 
-Each run draws from its own ``config.rng_for_stream(seed, stream)``, in
-blocks of 64 sets of the sampling's block draw (``config.RNG_SCHEME`` 2), and
-no operation mixes runs, so a run's output is a pure function of its (seed,
-stream index), the same alone or in any batch.
+Each run draws from its own ``config.rng_for_stream(seed, stream)``, 64 sets
+at a time. One ``samplings._draw_blocks`` call draws the block of every
+active run: each run's generator makes the calls it would make alone
+(``config.RNG_SCHEME`` 2, unchanged), and only the arithmetic on the draws
+is shared. No operation mixes runs' values, so a run's output is a pure
+function of its (seed, stream index), the same alone or in any batch.
 """
 
 from __future__ import annotations
@@ -182,7 +184,7 @@ def solve(
     iteration costs O(sum_{i in S} |column support of i|) for the update
     plus O(m + n) for the objective, with a fixed overhead of about 25
     array calls. The sets S are taken from ``config.rng_for_stream(rng_seed,
-    stream_index)`` in blocks of 64 draws (``samplings._draw_block``), and
+    stream_index)`` in blocks of 64 draws (``samplings._draw_blocks``), and
     the run's output is a pure function of (rng_seed, stream_index), the
     same alone or inside any batch.
     """
@@ -235,8 +237,8 @@ def _solve_streams(problem, spec, v, streams, x0, epsilon, max_iter, rng_seed) -
     if np.any(p <= 0):
         raise ValidationError("spec", "sampling is not proper")
     v = np.asarray(v, dtype=float)
-    if v.shape != (problem.n,) or np.any(v <= 0):
-        raise ValidationError("v", "v must be positive with one entry per coordinate")
+    if v.shape != (problem.n,) or not np.all(np.isfinite(v) & (v > 0)):
+        raise ValidationError("v", "v must be finite and positive with one entry per coordinate")
     x0 = np.zeros(problem.n) if x0 is None else np.asarray(x0, dtype=float)
     if x0.shape != (problem.n,):
         raise ValidationError("x0", f"expected shape ({problem.n},)")
@@ -327,8 +329,7 @@ def _lockstep(problem, spec, v, x0, rng_seed, streams, epsilon, max_iter, gap0, 
         t = k % _DRAW_BLOCK
         if t == 0:
             masks[:] = False
-            for j, g in enumerate(rngs):
-                samplings._draw_block(spec, masks[j], g)
+            samplings._draw_blocks(spec, masks.reshape(-1, n), rngs, [_DRAW_BLOCK] * len(rngs))
             steps = _steps(masks, 0, _DRAW_BLOCK, data, b, v)
         elif steps is None:
             # After a compaction the rest of the block is indexed one step

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -116,6 +120,20 @@ def test_solve_without_runs_is_an_input_error(workdir, capsys, seeds):
     assert not (tmp / "solve.json").exists()
 
 
+@pytest.mark.parametrize("entries", ['[1.0, "a", 1.0, 1.0]', "[1.0, NaN, 1.0, 1.0]", "[1.0, 1.0, Infinity, 1.0]",
+                                     "[1.0, null, 1.0, 1.0]"])
+@pytest.mark.parametrize("command", ["verify", "solve"])
+def test_non_numeric_or_non_finite_v_is_an_input_error(workdir, capsys, entries, command):
+    tmp, matrix, sampling = workdir
+    vfile = tmp / "v.json"
+    vfile.write_text('{"v": ' + entries + "}")
+    extra = ["--mode", "matrix"] if command == "verify" else ["--ridge", "0.2"]
+    code = main([command, "--matrix", str(matrix), "--sampling", str(sampling), "--v", str(vfile), *extra])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "v.json" in err and "Traceback" not in err
+
+
 def test_tradeoff_and_design_serial(workdir):
     tmp, matrix, sampling = workdir
     out = tmp / "tradeoff.json"
@@ -230,3 +248,13 @@ def test_enumeration_cap_names_the_exact_auto_method(capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "--method auto" in err and "Monte-Carlo" in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(ek.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "esokit", "--help"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert "compute-v" in done.stdout

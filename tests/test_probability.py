@@ -275,10 +275,12 @@ def test_monte_carlo_identities_memory_stays_near_the_masks():
 
 
 def test_monte_carlo_matrix_is_the_mean_of_integer_counts():
-    # Counts are integers, so any summation order gives the same matrix bits.
-    spec = ek.convex_combination([0.5, 0.5], [ek.tau_nice(6, 3), ek.serial([1 / 6] * 6)])
-    for samples, streams in ((700, 1), (301, 3)):
-        masks = draw_masks(spec, samples, rng_seed=9, streams=streams).astype(np.int64)
+    # Counts are integers, so any summation order and any float type that
+    # holds them exactly give the same matrix bits as a float64 product.
+    mixture = ek.convex_combination([0.5, 0.5], [ek.tau_nice(6, 3), ek.serial([1 / 6] * 6)])
+    # The last case spans several float32 count blocks.
+    for spec, samples, streams in ((mixture, 700, 1), (mixture, 301, 3), (ek.tau_nice(200, 8), 3001, 2)):
+        masks = draw_masks(spec, samples, rng_seed=9, streams=streams).astype(np.float64)
         mean = (masks.T @ masks) / samples
         mean = np.clip(0.5 * (mean + mean.T), 0.0, 1.0)
         pm = ek.prob_matrix(spec, "monte_carlo", mc_samples=samples, rng_seed=9, streams=streams)

@@ -204,6 +204,20 @@ def test_weighted_masks_are_the_support_or_the_draws():
         weighted_masks(ek.tau_nice(3, 1), -1)
 
 
+@pytest.mark.parametrize("n", [9, 64, 65])
+def test_weighted_masks_rows_come_in_packed_bit_order(n):
+    # Up to 64 columns a row's key is one integer, beyond that a bytes key;
+    # either way the distinct rows sort as their packed bits compare.
+    members = [[0], [n - 1], [n // 2], [0, n - 1], [], [1, n // 2], list(range(n))]
+    spec = ek.explicit(n, members, [1 / len(members)] * len(members))
+    masks, weights = weighted_masks(spec, 500, rng_seed=4)
+    keys = [row.tobytes() for row in np.packbits(draw_masks(spec, 500, rng_seed=4), axis=1)]
+    expected = sorted(set(keys))
+    assert len(expected) == len(members)
+    assert [row.tobytes() for row in np.packbits(masks, axis=1)] == expected
+    assert weights.tolist() == [keys.count(k) / 500 for k in expected]
+
+
 def test_cardinality_cap_certifies_support_sizes():
     rng = ek.rng_for_stream(6, 0)
     for _ in range(40):

@@ -101,8 +101,12 @@ def test_solver_rejects_improper_sampling_and_bad_v():
     problem = _fixture_problem()
     with pytest.raises(ValidationError, match="proper"):
         ek.solve(problem, ek.elementary(problem.n, [0]), np.ones(problem.n))
-    with pytest.raises(ValidationError, match="v"):
-        ek.solve(problem, ek.tau_nice(problem.n, 1), np.zeros(problem.n))
+    for bad in (0.0, np.nan, np.inf):
+        v = np.ones(problem.n)
+        v[2] = bad
+        with pytest.raises(ValidationError, match="finite and positive") as info:
+            ek.solve_many(problem, ek.tau_nice(problem.n, 1), v, n_runs=2)
+        assert info.value.field == "v"
 
 
 def test_solve_many_is_deterministic_and_thread_invariant():
