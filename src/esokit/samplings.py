@@ -493,8 +493,7 @@ def _choices(rngs, counts, options: int, p) -> np.ndarray:
     """``rng.choice(options, size=count, p=p)`` of every generator with rows,
     concatenated in generator order."""
     p = np.asarray(p)
-    picks = [rng.choice(options, size=count, p=p) for rng, count in zip(rngs, counts) if count]
-    return np.concatenate(picks) if picks else np.zeros(0, dtype=np.intp)
+    return np.concatenate([rng.choice(options, size=count, p=p) for rng, count in zip(rngs, counts) if count])
 
 
 def _draw_blocks(

@@ -400,6 +400,23 @@ def _every_kind(n=6):
     ]
 
 
+@pytest.mark.parametrize("spec", [*_every_kind(), ek.tau_nice(600, 3)], ids=lambda spec: f"{spec.kind}-{spec.n}")
+def test_one_batched_draw_equals_each_generator_drawing_alone(spec):
+    # A generator without rows, chunks above and below _MERGED_ROWS, and
+    # (at n = 6) a generator whose rows span two permutation chunks.
+    counts = [5, 0, 700, 64, 12_000] if spec.n <= 16 else [5, 0, 300, 64]
+    batched = [ek.rng_for_stream(7, s) for s in range(len(counts))]
+    alone = [ek.rng_for_stream(7, s) for s in range(len(counts))]
+    out = np.zeros((sum(counts), spec.n), dtype=bool)
+    ek.samplings._draw_blocks(spec, out, batched, counts)
+    parts = []
+    for rng, count in zip(alone, counts):
+        parts.append(np.zeros((count, spec.n), dtype=bool))
+        ek.samplings._draw_block(spec, parts[-1], rng)
+    assert np.array_equal(out, np.concatenate(parts))
+    assert [g.bit_generator.state for g in batched] == [g.bit_generator.state for g in alone]
+
+
 @pytest.mark.parametrize("spec", _every_kind(), ids=lambda spec: spec.kind)
 def test_every_kind_draws_its_law(spec):
     # 40k rows over three streams: each set's frequency is within 5 standard
@@ -489,6 +506,7 @@ def _traces_digest(spec):
     return digest.hexdigest()
 
 
+# These pin the solver's arithmetic as well as its draws.
 _TRACE_DIGESTS = {
     "tau_nice": "a9f15ff28d872f230c4840867b34331b400c1f55fd69c49f578b39818866c3df",
     "convex_combination": "608e1aae99460f4e7add71acccad75180d0d123c14044abaf9eb56b505129ce4",
