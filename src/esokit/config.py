@@ -9,15 +9,11 @@ uses disjoint stream indices and merges results in stream order.
 it. Scheme 2 draws in blocks: one vectorized call per kind fills many rows
 of a stream at once, e.g. tau rounds of Fisher-Yates swap positions for a
 chunk of rows of tau-nice sets, or one sized ``rng.choice`` for a serial or
-explicit sampling. ``samplings._draw_blocks`` is the one draw primitive: it
-draws the rows of several streams in one pass, each stream's generator
-making exactly the calls it would make alone, and runs the arithmetic on
-the draws once over all the rows; merging a chunk's rounds into one
-array-bound ``rng.integers`` call consumes the stream as the per-round calls
-do, so batching left scheme 2 unchanged. ``samplings.draw_masks`` draws all
-its streams in one such call; the solver draws 64 sets per stream of every
-active run in one call. Scheme 1 drew one set at a time, so the same seed
-gives other sets under scheme 2.
+explicit sampling. ``samplings._draw_blocks`` draws the rows of many streams
+in one pass (``samplings.draw_masks`` all its streams, the solver 64 sets for
+each active run); each stream's generator makes exactly the calls it would
+make alone, so batching leaves scheme 2 unchanged. Scheme 1 drew one set at
+a time, so the same seed gives other sets under scheme 2.
 """
 
 from __future__ import annotations
