@@ -93,3 +93,22 @@ def matching_stepsizes(rng: np.random.Generator, data: ek.DataMatrix):
     serial_spec = ek.serial(qs / qs.sum())
     out.append(("case-vi serial", serial_spec, ek.eso_specialized(data, serial_spec)))
     return out
+
+
+def every_kind(n: int = 6) -> list[ek.SamplingSpec]:
+    """One small spec of every sampling kind, in a fixed order."""
+    graph = ek.ConflictGraph(n, ((0, 1), (2, 3)))
+    return [
+        ek.elementary(n, [1, 3]),
+        ek.serial([0.1, 0.2, 0.3, 0.1, 0.2, 0.1]),
+        ek.tau_nice(n, 3),
+        ek.ctau_distributed([[0, 5, 2], [1, 3, 4]], 2),
+        ek.doubly_uniform([0.2, 0.1, 0.1, 0.2, 0.1, 0.2, 0.1]),  # mass at size 0
+        ek.product_sampling([[0, 2], [1], [3, 4, 5]]),
+        ek.graph_sampling(n, [[0, 2], [1, 3], [4, 5]], [0.5, 0.3, 0.2], graph),
+        # A zero-weight component is never drawn.
+        ek.convex_combination([0.0, 0.4, 0.6], [ek.elementary(n, [0]), ek.tau_nice(n, 2), ek.serial([1 / n] * n)]),
+        ek.intersection(ek.tau_nice(n, 4), ek.doubly_uniform([0.1, 0.1, 0.2, 0.2, 0.2, 0.1, 0.1])),
+        ek.restriction(ek.product_sampling([[0, 1], [2, 3], [4, 5]]), [0, 2, 3]),
+        ek.explicit(n, [[0], [1, 2], []], [0.3, 0.3, 0.4]),
+    ]

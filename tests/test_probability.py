@@ -1,10 +1,13 @@
+import hashlib
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import esokit as ek
-from esokit import probability
+from conftest import every_kind
+from esokit import probability, spectral
 from esokit.errors import CertificateUnavailableError, UnsupportedMethodError, ValidationError
 from esokit.probability import read_csv, require_exact, write_csv
 from esokit.samplings import draw_masks
@@ -355,3 +358,97 @@ def test_invalid_entries_are_named(bad, message):
         entries[0, 1] = bad
     with pytest.raises(ValidationError, match=message):
         ek.ProbMatrix(2, entries, "enumerated")
+
+
+def _explicit_mixture():
+    """A mixture whose explicit component has an enumerated P that is not
+    exactly symmetric: the matrix product that sums its weighted sets adds
+    the terms of P_ij and P_ji in different orders."""
+    n, count = 100, 110
+    rng = ek.rng_for_stream(47, 0)
+    members = [rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist() for _ in range(count)]
+    explicit = ek.explicit(n, members, rng.dirichlet(np.ones(count)))
+    return ek.convex_combination([0.5, 0.5], [explicit, ek.tau_nice(n, 3)])
+
+
+_DIGEST_SPECS = [*every_kind(), _explicit_mixture()]
+_DIGEST_IDS = [spec.kind for spec in every_kind()] + ["explicit_mixture"]
+
+
+def _restriction_sets(spec):
+    """Every subset of the support of the marginals at n = 6 (the empty set
+    too); at n = 100, 150 random sets of up to 12 indices and one of 40."""
+    support = np.flatnonzero(ek.marginals(spec) > 0).tolist()
+    if spec.n <= 6:
+        return [c for r in range(len(support) + 1) for c in itertools.combinations(support, r)]
+    rng = ek.rng_for_stream(48, 0)
+    sets = [rng.choice(spec.n, size=int(rng.integers(0, 13)), replace=False).tolist() for _ in range(150)]
+    return sets + [list(range(30, 70))]
+
+
+def _sha256(array):
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+# Recorded before the exact rules for P were merged into one; a change to
+# the arithmetic that builds P or its restricted blocks changes them.
+_P_DIGESTS = {
+    "elementary": "1e46e88433e0abac4b78858e1e786a023f0f237191ef32424c4aa9c0d5dd176f",
+    "serial": "21cd5e1080008104d3d0c91d076856a9c62d921ede866ec818c0ef21756dfc3e",
+    "tau_nice": "1fc343bce3d240650447b0ba0d4dc78132a412da180c67c876f6e839127bf9d6",
+    "ctau_distributed": "37c6d39f3a8d135a983262ae2a2d1b61ea33f4bcaf883cdec53781a435727626",
+    "doubly_uniform": "a53aa0ab600c91785160b26267b9ba2a12f004ee82519cf4776b28a7bb6ff3a0",
+    "product": "eac8a2b067dfc7c78e299cffc3ea0ce3cf9ba53bb7561fc2c31d1633d998c47d",
+    "graph": "69cff160bcfd5336a9202af3dad087353c853e96c2139c2cf4550cb8d3ec2060",
+    "convex_combination": "c041f1dbb789a52a726a1a1b77105f985fa4e2f7b1443b03aac850004d8c7479",
+    "intersection": "31a2754b2a070e2fe62456759d3d73a95527b5d114dc0688f6274278aa47ddfb",
+    "restriction": "9368e7b7ec16dd7adae0dc72cf9069028333106053f8a67bc489510579a073be",
+    "explicit": "b4418454c0f74ee026e29bf5e027b23dbca22e7d2ab96993ecdd38a7fc5d42c6",
+    "explicit_mixture": "484097f473b7cf9a407072a90e364279c9539ccd4a6dd07ea5be968e54e5062c",
+}
+_RESTRICTED_DIGESTS = {
+    ("elementary", "exact"): "92bc32054257afb5ba8fdf868f59032d54c96f2f290b80f757b14c797faaa81e",
+    ("elementary", "power"): "bae539229879402464d4f68b9646b9fa9ef59ef3582bd25458fe465b65fa0166",
+    ("serial", "exact"): "f2d7d9f3661db7766dadb964a7ce00867056d1e792c7d4c2003a8532a744f427",
+    ("serial", "power"): "ff226dd895ffa77a2aace8d451909db659d9153cb62a1434f678db6c5f1c0574",
+    ("tau_nice", "exact"): "e1475a597a508aa0cc2d4b8e69a3331c0054aafa7a65e6776bb612b250e9b321",
+    ("tau_nice", "power"): "4b3648dae4e01360572a9e475cb6fb7a3de4011d03fc0981eee1f093cee84b53",
+    ("ctau_distributed", "exact"): "97428dac3edf33705273b8d9dfa9e3b7ec0b8aea5e63466485e2debd0710d97e",
+    ("ctau_distributed", "power"): "a953c38205a83c3668b87de75ff29e0bf74cacf2faee851236b98b47cba638c4",
+    ("doubly_uniform", "exact"): "d732a84b9f84c9c4cdb907a26f3e54446807c23473ca103abb4c68befdd8ca86",
+    ("doubly_uniform", "power"): "484c76546d7168e97da4adfc8c1096584cdbb1319fc15d80946b9b8c022e2aba",
+    ("product", "exact"): "820f15538ae51e8cac4f9123a081e03229ea4d09ebed1e925fae78bc93adba7d",
+    ("product", "power"): "eb7a7ce10a72259980b77574a89c3dfda3ad72c498d62da739d023c2464c06f6",
+    ("graph", "exact"): "74d48357b9e7ebefc9b3a71ad43034d298e3570c9ad5acc9399660945967bf81",
+    ("graph", "power"): "6f4954825b3699587c86c977c62e1f57d48e8b61446bf2ed0f70cb8992082318",
+    ("convex_combination", "exact"): "4340ca28c42dd124fa99a021d8a1a4d62bdd5df4fb20e0ba2a4c7074a0761d72",
+    ("convex_combination", "power"): "18ff944e362f987842b8d5ecd2a1a92910f9f9334a8d6ea63f5c4cd635848a4b",
+    ("intersection", "exact"): "36ab03d361bc0295f18ff290e71d0fc14525922a2a6cd5b6af9f920445cd9927",
+    ("intersection", "power"): "f52c390a7a8ec3adc13c46d44b843318fd34c6c7bb5f9b7d9236bb7bdea38ec5",
+    ("restriction", "exact"): "59fbaccd53b63055e85fee2231273cee81239aba4dda2ec9eb408bd0c4ff11c1",
+    ("restriction", "power"): "f3f244947b9147664d41d00473d2eba64f4c2f6c6c2ad8c762d35051ac1935cf",
+    ("explicit", "exact"): "cf4806372c85ee3801709b9075dc7daaa4cf09c01a797fd226225a88a41f1c15",
+    ("explicit", "power"): "fd7abaadac621ce7ab5f29a2fcf3cca9744214630dc16d8caf5664badf14dc2f",
+    ("explicit_mixture", "exact"): "ad798b28e3404011a546adcb5f28456302a894d8e7d14745fe210fd36a11f45a",
+    ("explicit_mixture", "power"): "0d01c79f5fbf7030220decf1a065744d622631714b431f374dccaa0c5570729b",
+}
+
+
+@pytest.mark.parametrize("spec", _DIGEST_SPECS, ids=_DIGEST_IDS)
+def test_exact_probability_matrix_digests_are_pinned(spec, request):
+    name = request.node.callspec.id
+    assert _sha256(ek.prob_matrix(spec, "auto").entries) == _P_DIGESTS[name]
+
+
+@pytest.mark.parametrize("method", ["exact", "power"])
+@pytest.mark.parametrize("spec", _DIGEST_SPECS, ids=_DIGEST_IDS)
+def test_restricted_lambda_prime_digests_are_pinned(spec, method, request):
+    name = request.node.callspec.id.rsplit("-", 1)[0]
+    values = spectral.restricted_lambda_primes(spec, _restriction_sets(spec), method)
+    assert _sha256(values) == _RESTRICTED_DIGESTS[name, method]
+
+
+def test_the_explicit_mixture_has_an_asymmetric_exact_p():
+    # What makes its restricted digests pin the symmetrization of the blocks.
+    entries = ek.prob_matrix(_explicit_mixture(), "auto").entries
+    assert not np.array_equal(entries, entries.T)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import esokit as ek
-from conftest import random_sparse_matrix
+from conftest import every_kind, random_sparse_matrix
 from esokit.errors import CapacityError, ValidationError
 from esokit.samplings import draw_masks, spec_from_dict, spec_to_dict, weighted_masks
 
@@ -382,25 +382,7 @@ def test_subset_draws_and_generator_state_match_the_pool_copying_shuffle(spec):
     assert ours.bit_generator.state == theirs.bit_generator.state
 
 
-def _every_kind(n=6):
-    graph = ek.ConflictGraph(n, ((0, 1), (2, 3)))
-    return [
-        ek.elementary(n, [1, 3]),
-        ek.serial([0.1, 0.2, 0.3, 0.1, 0.2, 0.1]),
-        ek.tau_nice(n, 3),
-        ek.ctau_distributed([[0, 5, 2], [1, 3, 4]], 2),
-        ek.doubly_uniform([0.2, 0.1, 0.1, 0.2, 0.1, 0.2, 0.1]),  # mass at size 0
-        ek.product_sampling([[0, 2], [1], [3, 4, 5]]),
-        ek.graph_sampling(n, [[0, 2], [1, 3], [4, 5]], [0.5, 0.3, 0.2], graph),
-        # A zero-weight component is never drawn.
-        ek.convex_combination([0.0, 0.4, 0.6], [ek.elementary(n, [0]), ek.tau_nice(n, 2), ek.serial([1 / n] * n)]),
-        ek.intersection(ek.tau_nice(n, 4), ek.doubly_uniform([0.1, 0.1, 0.2, 0.2, 0.2, 0.1, 0.1])),
-        ek.restriction(ek.product_sampling([[0, 1], [2, 3], [4, 5]]), [0, 2, 3]),
-        ek.explicit(n, [[0], [1, 2], []], [0.3, 0.3, 0.4]),
-    ]
-
-
-@pytest.mark.parametrize("spec", [*_every_kind(), ek.tau_nice(600, 3)], ids=lambda spec: f"{spec.kind}-{spec.n}")
+@pytest.mark.parametrize("spec", [*every_kind(), ek.tau_nice(600, 3)], ids=lambda spec: f"{spec.kind}-{spec.n}")
 def test_one_batched_draw_equals_each_generator_drawing_alone(spec):
     # A generator without rows, chunks above and below _MERGED_ROWS, and
     # (at n = 6) a generator whose rows span two permutation chunks.
@@ -417,7 +399,7 @@ def test_one_batched_draw_equals_each_generator_drawing_alone(spec):
     assert [g.bit_generator.state for g in batched] == [g.bit_generator.state for g in alone]
 
 
-@pytest.mark.parametrize("spec", _every_kind(), ids=lambda spec: spec.kind)
+@pytest.mark.parametrize("spec", every_kind(), ids=lambda spec: spec.kind)
 def test_every_kind_draws_its_law(spec):
     # 40k rows over three streams: each set's frequency is within 5 standard
     # errors of its enumerated probability, no set outside the support shows
@@ -485,7 +467,7 @@ _MASK_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("spec", _every_kind(), ids=lambda spec: spec.kind)
+@pytest.mark.parametrize("spec", every_kind(), ids=lambda spec: spec.kind)
 @pytest.mark.parametrize("streams", [1, 3])
 def test_draw_masks_digests_are_pinned(spec, streams):
     assert _masks_digest(spec, streams) == _MASK_DIGESTS[spec.kind, streams]
