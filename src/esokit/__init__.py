@@ -33,7 +33,7 @@ from .eso import (
     eso_uncoupled,
 )
 from .estimators import EsoStepsizes, SamplingCoordinateDescent
-from .probability import ProbMatrix, combine_convex, check_identities, intersect, prob_matrix, restrict
+from .probability import ProbMatrix, check_identities, prob_matrix
 from .samplings import (
     ConflictGraph,
     SamplingSpec,

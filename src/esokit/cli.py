@@ -74,6 +74,18 @@ def _load_json(path: str) -> dict:
     return _require_object(_read_json(path), path)
 
 
+def _numbers(raw, what: str) -> np.ndarray:
+    """raw as a float array of finite numbers; anything else is an input
+    error naming ``what``."""
+    try:
+        out = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"{what} is not a number or a vector of numbers") from e
+    if not np.all(np.isfinite(out)):
+        raise ParseError(f"{what} has non-finite entries")
+    return out
+
+
 def _load_v(path: str, n: int) -> np.ndarray:
     """Accept a bare vector, {"v": [...]}, or a full compute-v report."""
     raw = _read_json(path)
@@ -83,14 +95,9 @@ def _load_v(path: str, n: int) -> np.ndarray:
         if "v" not in raw:
             raise ParseError(f"no 'v' vector found in {path}")
         raw = raw["v"]
-    try:
-        v = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as e:
-        raise ParseError(f"v in {path} is not a vector of numbers") from e
+    v = _numbers(raw, f"v in {path}")
     if v.shape != (n,):
         raise ParseError(f"v has length {v.size}, expected {n}")
-    if not np.all(np.isfinite(v)):
-        raise ParseError(f"v in {path} has non-finite entries")
     return v
 
 
@@ -208,10 +215,13 @@ def cmd_solve(args) -> int:
     data = read_matrix(args.matrix)
     spec = _load_sampling(args.sampling)
     sidecar = _load_json(args.problem) if args.problem else {}
-    ridge = float(sidecar.get("lambda", args.ridge))
-    b = np.asarray(sidecar["b"], dtype=float) if "b" in sidecar else None
-    x0 = np.asarray(sidecar["x0"], dtype=float) if "x0" in sidecar else None
-    problem = solver.QuadraticProblem(data, ridge=ridge, b=b)
+    ridge, b, x0 = (
+        _numbers(sidecar[key], f"{key} in {args.problem}") if key in sidecar else None
+        for key in ("lambda", "b", "x0")
+    )
+    if ridge is not None and ridge.ndim:
+        raise ParseError(f"lambda in {args.problem} is not a number")
+    problem = solver.QuadraticProblem(data, ridge=args.ridge if ridge is None else float(ridge), b=b)
 
     if args.v:
         v = _load_v(args.v, data.n)
@@ -286,8 +296,7 @@ def cmd_design_serial(args) -> int:
     missing = [key for key in ("x0", "xstar") if key not in payload]
     if missing:
         raise ParseError(f"{args.points} lacks {' and '.join(missing)}")
-    x0 = np.asarray(payload["x0"], dtype=float)
-    xstar = np.asarray(payload["xstar"], dtype=float)
+    x0, xstar = (_numbers(payload[key], f"{key} in {args.points}") for key in ("x0", "xstar"))
     design = solver.optimal_serial_sampling(data, x0, xstar)
     _write_report(args.out, "design-serial", _resolved(args, ["matrix", "points"]), design.to_dict())
     print(f"design-serial: C_opt={design.c_opt:.6g} C_unif={design.c_unif:.6g} ratio={design.ratio:.6g}")
@@ -295,7 +304,10 @@ def cmd_design_serial(args) -> int:
 
 
 def cmd_battery(args) -> int:
-    sizes = tuple(int(s) for s in args.sizes.split(","))
+    try:
+        sizes = tuple(int(s) for s in args.sizes.split(","))
+    except ValueError as e:
+        raise ParseError(f"--sizes takes comma-separated integers, not {args.sizes!r}") from e
     report = verify.run_identity_battery(
         rng_seed=args.seed,
         sizes=sizes,

@@ -2,21 +2,26 @@
 
 P is the expectation of the 0/1 indicator matrix of the drawn set, so it is
 symmetric, positive semidefinite, and carries the marginals on its diagonal.
-Exact matrices come from per-kind closed forms or support enumeration and
-exist for every kind. Monte-Carlo estimates are made only on request, are
-tagged with their sample count and per-entry standard errors, and are never
-accepted as PSD certificates. Enumerated matrices and
+Exact matrices exist for every kind and come from one set of rules,
+:func:`exact_rule`: per-kind closed forms, support enumeration for graph and
+explicit kinds, and the mixture, intersection and restriction rules for
+composites. A rule gives P_ij at any index arrays, so :func:`prob_matrix`
+evaluates it on the full grid and :func:`spectral.restricted_lambda_primes`
+only on the blocks it needs. Monte-Carlo estimates are made only on request,
+are tagged with their sample count and per-entry standard errors, and are
+never accepted as PSD certificates. Enumerated matrices and
 :func:`check_identities` read their sets from :func:`samplings.weighted_masks`;
 Monte-Carlo matrices sum the raw rows of :func:`samplings.draw_masks`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import config, samplings
+from . import samplings
 from .errors import CertificateUnavailableError, UnsupportedMethodError, ValidationError
 from .samplings import SamplingSpec
 
@@ -119,99 +124,117 @@ def prob_matrix(
     """Probability matrix of a sampling.
 
     method:
-      * ``auto`` - exact structural path (closed forms on leaves, enumeration
-        where supports are explicit, combination rules on composites). It is
-        exact for every kind at any n and never draws.
-      * ``closed_form`` - per-kind closed form; only elementary, serial,
+      * ``auto`` - :func:`exact_rule` on the full grid (closed forms on
+        leaves, enumeration where supports are explicit, combination rules on
+        composites). It is exact for every kind at any n and never draws.
+      * ``closed_form`` - the same, only for the elementary, serial,
         tau-nice, (c,tau)-distributed, doubly-uniform and product kinds.
       * ``enumerate`` - exact expectation over the enumerated support.
       * ``monte_carlo`` - empirical mean of indicator matrices over
         ``mc_samples`` draws of :func:`samplings.draw_masks`, split across
         ``streams`` replica streams. The only method that draws.
     """
-    if method == "closed_form":
-        if spec.kind not in _CLOSED_FORM_KINDS:
+    if method in ("auto", "closed_form"):
+        if method == "closed_form" and spec.kind not in _CLOSED_FORM_KINDS:
             raise UnsupportedMethodError(f"no closed-form probability matrix for kind {spec.kind!r}")
-        return ProbMatrix(spec.n, _closed_form(spec), PROVENANCE_CLOSED)
+        return ProbMatrix(spec.n, *_on_grid(spec))
     if method == "enumerate":
         return ProbMatrix(spec.n, _outer_sum(*samplings.weighted_masks(spec)), PROVENANCE_ENUM)
     if method == "monte_carlo":
         return _monte_carlo(spec, mc_samples, rng_seed, streams)
-    if method == "auto":
-        entries, tag = _exact_entries(spec)
-        return ProbMatrix(spec.n, entries, tag)
     raise UnsupportedMethodError(f"unknown method {method!r}")
 
 
-def _closed_form(spec: SamplingSpec) -> np.ndarray:
+Entry = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def exact_rule(spec: SamplingSpec) -> tuple[Entry, str]:
+    """The exact P of a sampling as a rule: (entry, provenance).
+
+    ``entry(i, j)`` gives P_ij at integer index arrays that broadcast
+    together, so a caller evaluates the whole grid or only the blocks it
+    needs. Leaf kinds use their closed forms; a convex combination sums its
+    nonzero-weight components in order, an intersection multiplies its two
+    components' entries and a restriction masks its component's. Graph and
+    explicit kinds enumerate their P once, when the rule is built.
+    """
+    k = spec.kind
+    if k in _CLOSED_FORM_KINDS:
+        return _closed_rule(spec), PROVENANCE_CLOSED
+    if k == samplings.KIND_CONVEX:
+        parts = [(w, exact_rule(comp)) for w, comp in zip(spec.weights, spec.components) if w != 0.0]
+
+        def mixture(i, j):
+            total = _zeros(i, j)
+            for w, (entry, _) in parts:
+                total += w * entry(i, j)
+            return total
+
+        return mixture, _worst_provenance([PROVENANCE_CLOSED] + [tag for _, (_, tag) in parts])
+    if k == samplings.KIND_INTERSECTION:
+        (first, t1), (second, t2) = map(exact_rule, spec.components)
+        return (lambda i, j: first(i, j) * second(i, j)), _worst_provenance([t1, t2])
+    if k == samplings.KIND_RESTRICTION:
+        entry, tag = exact_rule(spec.components[0])
+        mask = np.zeros(spec.n)
+        mask[list(spec.set)] = 1.0
+        return (lambda i, j: entry(i, j) * (mask[i] * mask[j])), tag
+    # graph / explicit: support is explicit in the parameters.
+    entries = _outer_sum(*samplings.weighted_masks(spec))
+    return (lambda i, j: entries[i, j]), PROVENANCE_ENUM
+
+
+def _closed_rule(spec: SamplingSpec) -> Entry:
     n = spec.n
     k = spec.kind
+    p = samplings.marginals(spec)
     if k == samplings.KIND_ELEMENTARY:
-        ind = np.zeros(n)
-        ind[list(spec.set)] = 1.0
-        return np.outer(ind, ind)
+        return lambda i, j: p[i] * p[j]
     if k == samplings.KIND_SERIAL:
-        return np.diag(np.asarray(spec.q, dtype=float))
-    if k == samplings.KIND_TAU_NICE:
-        tau = spec.tau
-        if tau == 0:
-            return np.zeros((n, n))
-        beta = (tau - 1) / max(n - 1, 1)
-        return (tau / n) * ((1.0 - beta) * np.eye(n) + beta * np.ones((n, n)))
-    if k == samplings.KIND_CTAU:
-        s = len(spec.partition[0])
-        tau = spec.tau
-        if tau == 0:
-            return np.zeros((n, n))
-        s1 = max(s - 1, 1)
-        out = np.full((n, n), (tau / s) ** 2)
-        for block in spec.partition:
-            idx = list(block)
-            out[np.ix_(idx, idx)] = tau * (tau - 1) / (s * s1)
-        np.fill_diagonal(out, tau / s)
-        return out
+        return lambda i, j: np.where(i == j, p[i], 0.0)
+    if k == samplings.KIND_PRODUCT:
+        block = _block_ids(n, spec.blocks)
+        return lambda i, j: np.where(i == j, p[i], np.where(block[i] == block[j], 0.0, p[i] * p[j]))
     if k == samplings.KIND_DOUBLY_UNIFORM:
         first, second = samplings.cardinality_moments(spec)
         if first == 0.0:
-            return np.zeros((n, n))
-        beta = (second / first - 1.0) / max(n - 1, 1)
-        return (first / n) * ((1.0 - beta) * np.eye(n) + beta * np.ones((n, n)))
-    if k == samplings.KIND_PRODUCT:
-        p = samplings.marginals(spec)
-        out = np.outer(p, p)
-        for block in spec.blocks:
-            idx = list(block)
-            out[np.ix_(idx, idx)] = 0.0
-        np.fill_diagonal(out, p)
-        return out
-    raise UnsupportedMethodError(f"no closed form for kind {k!r}")
+            return _zeros
+        return _uniform(first / n, (second / first - 1.0) / max(n - 1, 1))
+    tau = spec.tau
+    if tau == 0:
+        return _zeros
+    if k == samplings.KIND_TAU_NICE:
+        return _uniform(tau / n, (tau - 1) / max(n - 1, 1))
+    # (c,tau)-distributed
+    s = len(spec.partition[0])
+    diagonal, inner, outer = tau / s, tau * (tau - 1) / (s * max(s - 1, 1)), (tau / s) ** 2
+    block = _block_ids(n, spec.partition)
+    return lambda i, j: np.where(i == j, diagonal, np.where(block[i] == block[j], inner, outer))
 
 
-def _exact_entries(spec: SamplingSpec) -> tuple[np.ndarray, str]:
-    k = spec.kind
-    if k in _CLOSED_FORM_KINDS:
-        return _closed_form(spec), PROVENANCE_CLOSED
-    if k == samplings.KIND_CONVEX:
-        total = np.zeros((spec.n, spec.n))
-        tags = [PROVENANCE_CLOSED]
-        for w, comp in zip(spec.weights, spec.components):
-            if w == 0.0:
-                continue
-            entries, tag = _exact_entries(comp)
-            total += w * entries
-            tags.append(tag)
-        return total, _worst_provenance(tags)
-    if k == samplings.KIND_INTERSECTION:
-        e1, t1 = _exact_entries(spec.components[0])
-        e2, t2 = _exact_entries(spec.components[1])
-        return e1 * e2, _worst_provenance([t1, t2])
-    if k == samplings.KIND_RESTRICTION:
-        entries, tag = _exact_entries(spec.components[0])
-        mask = np.zeros(spec.n)
-        mask[list(spec.set)] = 1.0
-        return entries * np.outer(mask, mask), tag
-    # graph / explicit: support is explicit in the parameters.
-    return _outer_sum(*samplings.weighted_masks(spec)), PROVENANCE_ENUM
+def _on_grid(spec: SamplingSpec) -> tuple[np.ndarray, str]:
+    """:func:`exact_rule` evaluated on the full grid. The rule, and with it
+    an enumerated P, is freed on return, before the result is validated."""
+    entry, tag = exact_rule(spec)
+    idx = np.arange(spec.n)
+    return entry(idx[:, None], idx[None, :]), tag
+
+
+def _zeros(i, j) -> np.ndarray:
+    return np.zeros(np.broadcast(i, j).shape)
+
+
+def _uniform(c: float, beta: float) -> Entry:
+    """Entries of c * ((1 - beta) I + beta 11')."""
+    return lambda i, j: c * ((1.0 - beta) * (i == j) + beta)
+
+
+def _block_ids(n: int, blocks) -> np.ndarray:
+    """Block number of each index of a partition of [n]."""
+    out = np.empty(n, dtype=int)
+    for b, members in enumerate(blocks):
+        out[list(members)] = b
+    return out
 
 
 def _monte_carlo(spec: SamplingSpec, samples: int, rng_seed: int, streams: int) -> ProbMatrix:
@@ -245,76 +268,6 @@ def _outer_sum(masks: np.ndarray, weights: np.ndarray | None = None) -> np.ndarr
         block = masks[start : start + _BLOCK_ROWS].astype(float)
         out += (block * weights[start : start + _BLOCK_ROWS, None]).T @ block
     return out
-
-
-# ---------------------------------------------------------------------------
-# Operations
-
-
-def combine_convex(parts: list[tuple[float, ProbMatrix]]) -> ProbMatrix:
-    """Weighted sum of probability matrices (mixture sampling)."""
-    if not parts:
-        raise ValidationError("parts", "empty combination")
-    weights = np.array([w for w, _ in parts], dtype=float)
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > config.PROB_SUM_TOL:
-        raise ValidationError("weights", "must be nonnegative and sum to 1")
-    n = parts[0][1].n
-    if any(p.n != n for _, p in parts):
-        raise ValidationError("parts", "dimension mismatch")
-    entries = sum(w * p.entries for w, p in parts)
-    stderr = None
-    if any(p.provenance == PROVENANCE_MC for _, p in parts):
-        stderr = sum(
-            w * (p.stderr if p.stderr is not None else np.zeros((n, n))) for w, p in parts
-        )
-    return ProbMatrix(
-        n,
-        entries,
-        _worst_provenance([p.provenance for _, p in parts]),
-        mc_samples=min(
-            (p.mc_samples for _, p in parts if p.mc_samples is not None), default=None
-        ),
-        stderr=stderr,
-    )
-
-
-def intersect(first: ProbMatrix, second: ProbMatrix) -> ProbMatrix:
-    """Hadamard product; valid when the underlying samplings are independent
-    (caller's responsibility)."""
-    if first.n != second.n:
-        raise ValidationError("entries", "dimension mismatch")
-    entries = first.entries * second.entries
-    stderr = None
-    if first.provenance == PROVENANCE_MC or second.provenance == PROVENANCE_MC:
-        se1 = first.stderr if first.stderr is not None else np.zeros_like(entries)
-        se2 = second.stderr if second.stderr is not None else np.zeros_like(entries)
-        stderr = np.abs(first.entries) * se2 + np.abs(second.entries) * se1
-    return ProbMatrix(
-        first.n,
-        entries,
-        _worst_provenance([first.provenance, second.provenance]),
-        mc_samples=min(
-            (p.mc_samples for p in (first, second) if p.mc_samples is not None), default=None
-        ),
-        stderr=stderr,
-    )
-
-
-def restrict(matrix: ProbMatrix, j) -> ProbMatrix:
-    """Zero all rows and columns outside the index set ``j``."""
-    idx = sorted(int(i) for i in j)
-    if idx and (idx[0] < 0 or idx[-1] >= matrix.n):
-        raise ValidationError("set", f"indices must lie in [0, {matrix.n})")
-    mask = np.zeros(matrix.n)
-    mask[idx] = 1.0
-    outer = np.outer(mask, mask)
-    return ProbMatrix(
-        matrix.n,
-        matrix.entries * outer,
-        matrix.provenance,
-        mc_samples=matrix.mc_samples,
-        stderr=matrix.stderr * outer if matrix.stderr is not None else None,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -417,20 +370,24 @@ def write_csv(matrix: ProbMatrix, path) -> None:
 
 
 def read_csv(path) -> ProbMatrix:
+    """Read a :func:`write_csv` file; malformed text raises ValidationError."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header.startswith("# prob_matrix"):
             raise ValidationError("header", "missing prob_matrix header")
+        lines = [line for line in fh if line.strip()]
+    try:
         fields = dict(part.split("=", 1) for part in header.split()[2:])
         n = int(fields["n"])
-        provenance = fields.get("provenance", PROVENANCE_ENUM)
-        rows = [
-            [float(x) for x in line.strip().split(",")] for line in fh if line.strip()
-        ]
-    entries = np.asarray(rows, dtype=float)
-    if entries.shape != (n, n):
+    except (KeyError, ValueError) as e:
+        raise ValidationError("header", f"expected n=<int> and key=value tokens, got {header!r}") from e
+    try:
+        rows = [[float(x) for x in line.split(",")] for line in lines]
+    except ValueError as e:
+        raise ValidationError("entries", f"non-numeric entry: {e}") from e
+    if len(rows) != n or any(len(row) != n for row in rows):
         raise ValidationError("entries", f"expected {n} rows of {n} entries")
-    return ProbMatrix(n, entries, provenance)
+    return ProbMatrix(n, np.asarray(rows, dtype=float), fields.get("provenance", PROVENANCE_ENUM))
 
 
 def require_exact(matrix: ProbMatrix, purpose: str) -> ProbMatrix:

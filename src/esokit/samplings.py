@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -356,8 +357,18 @@ def _parsed(payload: dict, key: str, convert):
         raise ValidationError(key, f"malformed value {payload[key]!r}") from e
 
 
+def _integer(raw) -> int:
+    """An integral number such as 4 or 4.0. A bool, a string or a fraction
+    is malformed, not truncated."""
+    if isinstance(raw, bool) or not (
+        isinstance(raw, numbers.Integral) or isinstance(raw, float) and raw.is_integer()
+    ):
+        raise ValueError(f"{raw!r} is not an integer")
+    return int(raw)
+
+
 def _index_set(raw) -> tuple[int, ...]:
-    return tuple(sorted(int(i) for i in raw))
+    return tuple(sorted(_integer(i) for i in raw))
 
 
 def _index_sets(raw) -> tuple[tuple[int, ...], ...]:
@@ -374,19 +385,19 @@ def spec_from_dict(payload: dict) -> SamplingSpec:
     for key in ("n", "kind"):
         if key not in payload:
             raise ValidationError(key, "missing required key")
-    n = _parsed(payload, "n", int)
+    n = _parsed(payload, "n", _integer)
     return SamplingSpec(
         n=n,
         kind=_parsed(payload, "kind", str),
         set=_parsed(payload, "set", _index_set),
         q=_parsed(payload, "q", _floats),
-        tau=_parsed(payload, "tau", int),
+        tau=_parsed(payload, "tau", _integer),
         partition=_parsed(payload, "partition", _index_sets),
         blocks=_parsed(payload, "blocks", _index_sets),
         members=_parsed(payload, "members", _index_sets),
         weights=_parsed(payload, "weights", _floats),
         components=_parsed(payload, "components", lambda cs: tuple(spec_from_dict(c) for c in cs)),
-        graph=_parsed(payload, "graph_edges", lambda e: ConflictGraph(n, tuple((int(a), int(b)) for a, b in e))),
+        graph=_parsed(payload, "graph_edges", lambda e: ConflictGraph(n, tuple((_integer(a), _integer(b)) for a, b in e))),
     )
 
 

@@ -5,7 +5,10 @@ maximizes it subject to h'Diag(M)h <= 1 and equals the top eigenvalue of
 D^{-1/2} M D^{-1/2} on the support of the diagonal. For probability matrices
 of samplings these quantities drive every stepsize formula, and cheap
 structural bounds on them (cardinality caps, moment ratios, restriction
-propositions) substitute for eigen-solves on large problems.
+propositions) substitute for eigen-solves on large problems. The restricted
+values lambda'(J intersect S-hat) of the coupled formula are eigen-solved on
+|J|-by-|J| blocks of P evaluated from :func:`probability.exact_rule`, so they
+need no n-by-n matrix unless the sampling's support is enumerated.
 """
 
 from __future__ import annotations
@@ -332,11 +335,13 @@ def restricted_lambda_primes(
     :func:`lambda_prime_restricted` and bit-identical to it; an empty set
     gives 0. Indices outside [0, n) raise ``ValidationError``.
 
-    The restricted matrices of the sets of one size are cut from the exact
-    probability matrix together and normalized as one stack; ``exact`` makes
-    one ``eigh`` call per stack of at most ``_STACK_ENTRIES`` entries. A
-    proper sampling has a positive diagonal, so every restricted matrix is
-    normalized on its whole set.
+    The restricted matrices of the sets of one size are evaluated from
+    :func:`probability.exact_rule` in stacks of at most ``_STACK_ENTRIES``
+    entries, each symmetrized and normalized as the one-set form treats its
+    block; ``exact`` makes one ``eigh`` call per stack. No n x n matrix is
+    built unless the sampling's support is enumerated. A proper sampling
+    has a positive diagonal, so every restricted matrix is normalized on its
+    whole set.
     """
     flat = np.fromiter(chain.from_iterable(sets), dtype=int)
     if flat.size and (flat.min() < 0 or flat.max() >= spec.n):
@@ -345,7 +350,7 @@ def restricted_lambda_primes(
         return np.min(list(_bound_candidates(spec, sets).values()), axis=0)
     if method not in ("exact", "power"):
         raise UnsupportedMethodError(f"unknown restricted-eigenvalue method {method!r}")
-    entries = _check_square_symmetric(probability.prob_matrix(spec, "auto").entries)
+    entry, _ = probability.exact_rule(spec)
     sizes = np.array([len(j) for j in sets], dtype=int)
     out = np.zeros(len(sizes))
     for size in np.unique(sizes[sizes > 0]):
@@ -353,11 +358,11 @@ def restricted_lambda_primes(
         idx = np.sort(np.array([sets[i] for i in members], dtype=int), axis=1)
         step = max(1, _STACK_ENTRIES // (size * size))
         for lo in range(0, members.size, step):
-            # lambda_prime's normalization, so each value is bit-identical to
-            # the one-set form. Blocks of the symmetrized P stay exactly
-            # symmetric, so lambda_max's symmetrization would change nothing.
+            # lambda_prime's symmetrization and normalization, so each value
+            # is bit-identical to the one-set form.
             j = idx[lo : lo + step]
-            sub = entries[j[:, :, None], j[:, None, :]]
+            sub = entry(j[:, :, None], j[:, None, :])
+            sub = 0.5 * (sub + sub.transpose(0, 2, 1))
             scale = 1.0 / np.sqrt(np.diagonal(sub, axis1=1, axis2=2))
             m = sub * (scale[:, :, None] * scale[:, None, :])
             if method == "exact":

@@ -319,11 +319,12 @@ def run_identity_battery(
             j = np.flatnonzero(rng.random(n) < 0.6)
             if j.size == 0:
                 j = np.array([int(rng.integers(n))])
-            restricted_mix = probability.restrict(
-                probability.prob_matrix(mixture, "enumerate"), j
-            ).entries
+            mask = np.zeros(n)
+            mask[j] = 1.0
+            outer = np.outer(mask, mask)
+            restricted_mix = probability.prob_matrix(mixture, "enumerate").entries * outer
             mix_restricted = sum(
-                wi * probability.restrict(probability.prob_matrix(c, "enumerate"), j).entries
+                wi * (probability.prob_matrix(c, "enumerate").entries * outer)
                 for wi, c in zip(w, comps)
             )
             record("restriction_chain", np.max(np.abs(restricted_mix - mix_restricted)))

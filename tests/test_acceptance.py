@@ -7,6 +7,7 @@ lines; stated runtime budgets are asserted alongside the numeric tolerances.
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -384,4 +385,35 @@ def test_criterion_12_exact_moments_of_large_intersection_within_budget():
         f"intersection(tau_nice(100,30), tau_nice(100,40)): {result.formula_id}, margin "
         f"{margin:.2e}, {v_elapsed:.3f}s to certified v, {bounds_elapsed:.3f}s to bounds "
         f"(budget 1s each)",
+    )
+
+
+# -- 13 ----------------------------------------------------------------------
+
+
+def test_criterion_13_coupled_exact_past_the_dense_cap():
+    # coupled-exact reads only the row supports' blocks of P, so at n = 50k
+    # it builds no 50k x 50k P (20 GB); v equals the tau-nice closed form.
+    m, n, nnz = 100_000, 50_000, 500_000
+    rng = ek.rng_for_stream(113, 0)
+    keys = rng.choice(m * n, size=nnz, replace=False)
+    data = ek.DataMatrix(m, n, keys // n, keys % n, rng.standard_normal(nnz))
+    spec = ek.tau_nice(n, 16)
+    tracemalloc.start()
+    try:
+        start = time.monotonic()
+        result = ek.compute_v(data, spec, "coupled-exact")
+        elapsed = time.monotonic() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    reference = ek.compute_v(data, spec, "taunice").v
+    error = float(np.max(np.abs(result.v - reference) / reference))
+    ok = error <= 1e-12 and peak < 256 * 2**20 and elapsed < 20.0
+    _report(
+        13,
+        ok,
+        f"coupled-exact on tau_nice({n}, 16), {m}x{n} with {nnz} nonzeros: max relative "
+        f"error {error:.1e} against taunice (tol 1e-12), traced peak {peak / 2**20:.0f} MB "
+        f"(cap 256 MB), {elapsed:.2f}s (budget 20s)",
     )

@@ -226,6 +226,15 @@ def test_design_serial_points_errors_are_input_errors(workdir, capsys):
     assert code == 2
     assert "JSON object" in capsys.readouterr().err
 
+    for payload, key in (
+        ({"x0": ["a", 1, 1, 1], "xstar": [0] * 4}, "x0"),
+        ({"x0": [1] * 4, "xstar": [0, 0, "b", 0]}, "xstar"),
+    ):
+        points.write_text(json.dumps(payload))
+        code = main(["design-serial", "--matrix", str(matrix), "--points", str(points)])
+        assert code == 2
+        assert f"input error: {key} in " in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "payload, field",
@@ -233,6 +242,13 @@ def test_design_serial_points_errors_are_input_errors(workdir, capsys):
         ({"n": "abc", "kind": "tau_nice", "tau": 2}, "n"),
         ({"n": 4, "kind": "tau_nice", "tau": [1]}, "tau"),
         ({"n": 4, "kind": "convex_combination", "components": [1, 2], "weights": [0.5, 0.5]}, "components"),
+        # Integer fields take integral numbers only: no truncation, no bools, no strings.
+        ({"n": 4, "kind": "tau_nice", "tau": 2.5}, "tau"),
+        ({"n": 4.9, "kind": "tau_nice", "tau": 2}, "n"),
+        ({"n": 4, "kind": "tau_nice", "tau": True}, "tau"),
+        ({"n": "4", "kind": "tau_nice", "tau": 2}, "n"),
+        ({"n": 4, "kind": "elementary", "set": [0.7, 1]}, "set"),
+        ({"n": 4, "kind": "elementary", "set": [0, "1"]}, "set"),
     ],
 )
 def test_mistyped_sampling_field_is_input_error(workdir, capsys, payload, field):
@@ -240,6 +256,38 @@ def test_mistyped_sampling_field_is_input_error(workdir, capsys, payload, field)
     code = main(["compute-v", "--matrix", str(matrix), "--sampling", json.dumps(payload)])
     assert code == 2
     assert f"input error: {field}:" in capsys.readouterr().err
+
+
+def test_integral_float_sampling_fields_are_accepted(workdir):
+    tmp, matrix, sampling = workdir
+    outs = {}
+    for name, spec in (("float", {"n": 4.0, "kind": "tau_nice", "tau": 2.0}), ("int", sampling)):
+        outs[name] = tmp / f"{name}.json"
+        arg = json.dumps(spec) if isinstance(spec, dict) else str(spec)
+        assert main(["compute-v", "--matrix", str(matrix), "--sampling", arg, "--out", str(outs[name])]) == 0
+    assert json.loads(outs["float"].read_text())["result"] == json.loads(outs["int"].read_text())["result"]
+
+
+@pytest.mark.parametrize(
+    "sidecar, field",
+    [({"lambda": "a"}, "lambda"), ({"lambda": [0.1, 0.2]}, "lambda"), ({"b": ["a", 1, 1, 1]}, "b"),
+     ({"x0": {"a": 1}}, "x0"), ({"x0": [1, [2], 3, 4]}, "x0"), ({"lambda": None}, "lambda"),
+     ({"b": [1.0, float("nan"), 1.0, 1.0]}, "b")],
+)
+def test_non_numeric_solve_sidecar_is_an_input_error(workdir, capsys, sidecar, field):
+    tmp, matrix, sampling = workdir
+    problem = tmp / "problem.json"
+    problem.write_text(json.dumps(sidecar))
+    code = main(["solve", "--matrix", str(matrix), "--sampling", str(sampling), "--problem", str(problem),
+                 "--ridge", "0.2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"input error: {field} in " in err and "Traceback" not in err
+
+
+def test_non_integer_battery_sizes_are_an_input_error(capsys):
+    assert main(["battery", "--sizes", "3,a"]) == 2
+    assert "input error: --sizes" in capsys.readouterr().err
 
 
 def test_enumeration_cap_names_the_exact_auto_method(capsys):

@@ -100,54 +100,54 @@ def test_auto_is_exact_for_composites_of_closed_form_kinds():
     assert np.max(np.abs(pm.entries[10:, :])) == 0.0
 
 
+def _p(spec):
+    return ek.prob_matrix(spec, "auto").entries
+
+
 def test_combine_convex_identity_and_mixture():
-    pm = ek.prob_matrix(ek.tau_nice(3, 2))
-    assert ek.combine_convex([(1.0, pm)]).entries == pytest.approx(pm.entries)
+    nice = _p(ek.tau_nice(3, 2))
+    assert np.array_equal(_p(ek.convex_combination([1.0], [ek.tau_nice(3, 2)])), nice)
 
-    mix = ek.combine_convex(
-        [(0.5, ek.prob_matrix(ek.tau_nice(3, 1))), (0.5, ek.prob_matrix(ek.tau_nice(3, 3)))]
-    )
-    du = ek.prob_matrix(ek.doubly_uniform([0.0, 0.5, 0.0, 0.5]))
-    assert mix.entries == pytest.approx(du.entries, abs=1e-15)
+    mix = _p(ek.convex_combination([0.5, 0.5], [ek.tau_nice(3, 1), ek.tau_nice(3, 3)]))
+    assert np.array_equal(mix, 0.5 * _p(ek.tau_nice(3, 1)) + 0.5 * _p(ek.tau_nice(3, 3)))
+    du = _p(ek.doubly_uniform([0.0, 0.5, 0.0, 0.5]))
+    assert mix == pytest.approx(du, abs=1e-15)
 
-    points = ek.combine_convex(
-        [
-            (0.5, ek.prob_matrix(ek.elementary(2, [0]))),
-            (0.5, ek.prob_matrix(ek.elementary(2, [1]))),
-        ]
-    )
-    assert points.entries == pytest.approx(np.diag([0.5, 0.5]))
+    points = _p(ek.convex_combination([0.5, 0.5], [ek.elementary(2, [0]), ek.elementary(2, [1])]))
+    assert np.array_equal(points, np.diag([0.5, 0.5]))
 
 
 def test_intersect_hadamard():
-    pm = ek.prob_matrix(ek.tau_nice(3, 2))
-    ones = ek.prob_matrix(ek.elementary(3, [0, 1, 2]))
-    assert ek.intersect(pm, ones).entries == pytest.approx(pm.entries)
+    nice = _p(ek.tau_nice(3, 2))
+    assert np.array_equal(_p(ek.intersection(ek.tau_nice(3, 2), ek.elementary(3, [0, 1, 2]))), nice)
 
-    block = ek.intersect(pm, ek.prob_matrix(ek.elementary(3, [0, 1])))
+    block = _p(ek.intersection(ek.tau_nice(3, 2), ek.elementary(3, [0, 1])))
+    assert np.array_equal(block, nice * _p(ek.elementary(3, [0, 1])))
     expected = np.zeros((3, 3))
     expected[:2, :2] = [[2 / 3, 1 / 3], [1 / 3, 2 / 3]]
-    assert block.entries == pytest.approx(expected)
+    assert block == pytest.approx(expected)
     # Same law as the restricted sampling.
     direct = ek.prob_matrix(ek.restriction(ek.tau_nice(3, 2), [0, 1]), "enumerate")
-    assert block.entries == pytest.approx(direct.entries, abs=1e-12)
+    assert block == pytest.approx(direct.entries, abs=1e-12)
 
     q1, q2 = np.array([0.2, 0.3, 0.5]), np.array([0.6, 0.1, 0.3])
-    prod = ek.intersect(ek.prob_matrix(ek.serial(q1)), ek.prob_matrix(ek.serial(q2)))
-    assert prod.entries == pytest.approx(np.diag(q1 * q2))
+    prod = _p(ek.intersection(ek.serial(q1), ek.serial(q2)))
+    assert np.array_equal(prod, np.diag(q1 * q2))
 
 
 def test_restrict_matrix():
-    pm = ek.prob_matrix(ek.tau_nice(4, 2))
-    assert ek.restrict(pm, range(4)).entries == pytest.approx(pm.entries)
+    nice = _p(ek.tau_nice(4, 2))
+    assert np.array_equal(_p(ek.restriction(ek.tau_nice(4, 2), range(4))), nice)
 
-    sub = ek.restrict(pm, [0, 1, 2])
+    sub = _p(ek.restriction(ek.tau_nice(4, 2), [0, 1, 2]))
+    mask = np.array([1.0, 1.0, 1.0, 0.0])
+    assert np.array_equal(sub, nice * np.outer(mask, mask))
     expected = np.zeros((4, 4))
     expected[:3, :3] = np.full((3, 3), 1 / 6)
     np.fill_diagonal(expected[:3, :3], 1 / 2)
-    assert sub.entries == pytest.approx(expected)
+    assert sub == pytest.approx(expected)
 
-    assert not np.any(ek.restrict(pm, []).entries)
+    assert not np.any(_p(ek.restriction(ek.tau_nice(4, 2), [])))
 
 
 def test_probability_matrices_are_psd_with_marginal_diagonal():
@@ -167,12 +167,9 @@ def test_mixture_spec_matches_combined_components():
         w = rng.dirichlet(np.ones(3))
         w = w / w.sum()
         spec = ek.convex_combination(w, comps)
-        combined = ek.combine_convex(
-            [(float(wi), ek.prob_matrix(c, "auto")) for wi, c in zip(w, comps)]
-        )
-        assert ek.prob_matrix(spec, "auto").entries == pytest.approx(
-            combined.entries, abs=1e-12
-        )
+        # The mixture rule sums its components' entries in order.
+        combined = sum(wi * _p(c) for wi, c in zip(spec.weights, comps))
+        assert np.array_equal(_p(spec), combined)
 
 
 def test_uniform_specs_have_constant_diagonal():
@@ -335,6 +332,25 @@ def test_import_validates_symmetry(tmp_path):
         read_csv(path)
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("# prob_matrix provenance=enumerated\n1.0\n", "header"),
+        ("# prob_matrix n=1 stray\n1.0\n", "header"),
+        ("# prob_matrix n=one\n1.0\n", "header"),
+        ("# prob_matrix n=2\n0.5,x\n0.25,0.5\n", "entries"),
+        ("# prob_matrix n=2\n0.5,0.25\n0.25\n", "entries"),
+        ("# prob_matrix n=2\n0.5,0.25\n", "entries"),
+    ],
+    ids=["no-n", "stray-token", "non-integer-n", "non-numeric-cell", "short-row", "missing-row"],
+)
+def test_malformed_csv_is_a_validation_error(tmp_path, text, field):
+    path = tmp_path / "p.csv"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=f"^{field}:"):
+        read_csv(path)
+
+
 def test_invariant_off_diagonal_dominated_by_diagonal():
     with pytest.raises(ValidationError):
         ek.ProbMatrix(2, np.array([[0.2, 0.4], [0.4, 0.9]]), "enumerated")
@@ -390,8 +406,8 @@ def _sha256(array):
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
-# Recorded before the exact rules for P were merged into one; a change to
-# the arithmetic that builds P or its restricted blocks changes them.
+# Any change to the arithmetic that builds the exact P or its restricted
+# blocks changes these.
 _P_DIGESTS = {
     "elementary": "1e46e88433e0abac4b78858e1e786a023f0f237191ef32424c4aa9c0d5dd176f",
     "serial": "21cd5e1080008104d3d0c91d076856a9c62d921ede866ec818c0ef21756dfc3e",
@@ -450,5 +466,5 @@ def test_restricted_lambda_prime_digests_are_pinned(spec, method, request):
 
 def test_the_explicit_mixture_has_an_asymmetric_exact_p():
     # What makes its restricted digests pin the symmetrization of the blocks.
-    entries = ek.prob_matrix(_explicit_mixture(), "auto").entries
+    entries = _p(_explicit_mixture())
     assert not np.array_equal(entries, entries.T)
