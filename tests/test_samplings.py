@@ -502,3 +502,29 @@ _TRACE_DIGESTS = {
 )
 def test_solve_many_trace_digests_are_pinned(spec):
     assert _traces_digest(spec) == _TRACE_DIGESTS[spec.kind]
+
+
+def _many_runs_digest(tau):
+    """SHA-256 of 200 solve_many runs on criterion 08's 20 x 10 problem at
+    epsilon 1e-6: many runs stop inside one block of draws."""
+    rng = ek.rng_for_stream(108, 0)
+    data = random_sparse_matrix(rng, 20, 10, 0.3)
+    problem = ek.QuadraticProblem(data, ridge=0.1, b=rng.standard_normal(10))
+    spec = ek.tau_nice(10, tau)
+    v = problem.stepsizes(spec, "taunice").v
+    digest = hashlib.sha256()
+    for trace in ek.solve_many(problem, spec, v, n_runs=200, rng_seed=8, x0=np.ones(10), epsilon=1e-6):
+        digest.update(repr((trace.iterations, trace.gaps)).encode())
+        digest.update(trace.x_final.tobytes())
+    return digest.hexdigest()
+
+
+_MANY_RUNS_DIGESTS = {
+    1: "9ed0a96f56ffe747e088ed7cffd3ced4ee3206f8c5a55d93c6ac1ce2a5520c2d",
+    3: "a686ad549039761b2fcdfcdf49a137fa09f565884e4c0b02d70a3afdc064c186",
+}
+
+
+@pytest.mark.parametrize("tau", [1, 3])
+def test_many_runs_trace_digests_are_pinned(tau):
+    assert _many_runs_digest(tau) == _MANY_RUNS_DIGESTS[tau]
