@@ -17,7 +17,8 @@ so rows shared by a set's columns take the steps one at a time. That costs
 O(sum over runs of sum_{i in S} |column support of i|). The objective is
 then recomputed in full from r and x, O(runs * (m + n)). Runs are grouped
 in batches whose per-run state (r, x and a block of draws) fits a fixed
-entry budget; a run leaves its batch when it stops.
+entry budget. A stopped run's row steps on, unread, to the end of its
+block of draws, so each block is drawn and indexed once.
 
 Each run draws from its own ``config.rng_for_stream(seed, stream)``, 64 sets
 at a time. One ``samplings._draw_blocks`` call draws the block of every
@@ -180,13 +181,9 @@ def solve(
     the overapproximation on the ridge-augmented data. A 10x gap growth over
     a 10-iteration window aborts with a divergence diagnostic.
 
-    This is the one-stream case of :func:`solve_many`'s lockstep kernel. An
-    iteration costs O(sum_{i in S} |column support of i|) for the update
-    plus O(m + n) for the objective, with a fixed overhead of about 25
-    array calls. The sets S are taken from ``config.rng_for_stream(rng_seed,
-    stream_index)`` in blocks of 64 draws (``samplings._draw_blocks``), and
-    the run's output is a pure function of (rng_seed, stream_index), the
-    same alone or inside any batch.
+    This is the one-stream case of :func:`solve_many` (see the module
+    docstring for its cost and its draws); the run's output is a pure
+    function of (rng_seed, stream_index), the same alone or inside any batch.
     """
     return _solve_streams(problem, spec, v, [stream_index], x0, epsilon, max_iter, rng_seed)[0]
 
@@ -208,9 +205,10 @@ def solve_many(
 
     The runs step in lockstep, in batches whose per-run state (m residuals,
     n coordinates and a 64 x n block of draws per run) stays within
-    ``_BATCH_ENTRIES`` entries. An iteration of a batch costs
-    O(sum_{i in S} |column support of i|) summed over its active runs for
-    the updates, plus O(active runs * (m + n)) for the objectives.
+    ``_BATCH_ENTRIES`` entries. An iteration costs O(sum_{i in S} |column
+    support of i|) per row for the update and O(m + n) per row for the
+    objective. A stopped run keeps its row, unread, to the end of its block
+    of 64 draws: at most 63 extra iterations of array work.
     ``threads`` is accepted for callers that pass it and changes nothing:
     every run of a batch advances in the same array operations, on one
     thread. ``n_runs`` below 1 raises ``ValidationError``.
@@ -278,14 +276,14 @@ def _lockstep(problem, spec, v, x0, rng_seed, streams, epsilon, max_iter, gap0, 
     ``SolverTrace`` fields of each run's outcome (iterations, gaps,
     converged, final_gap, x_final).
 
-    Row j of ``x`` (runs, n) and ``r`` (runs, m) is the state of the active
-    run ``ids[j]``. All runs share the iteration counter k, so draw blocks,
-    the divergence window and the epoch records line up across runs; a run
-    leaves the arrays (one compaction, and a new index of the rest of the
-    block) only in the iteration it stops.
+    Row j of ``x`` (runs, n) and ``r`` (runs, m) is the state of run
+    ``ids[j]``. All runs share the iteration counter k, so draw blocks, the
+    divergence window and the epoch records line up across runs. A stopped
+    run's outcome is recorded at once; its row is flagged ``done``, steps on
+    unread, and is dropped before the next block is drawn.
     """
     data = problem.data
-    m, n = data.m, data.n
+    n = data.n
     b, ridge = problem.b, problem.ridge
     epoch = max(n, 1)
     gap_floor = 10.0 * np.finfo(float).eps * max(1.0, abs(f_star))
@@ -304,12 +302,12 @@ def _lockstep(problem, spec, v, x0, rng_seed, streams, epsilon, max_iter, gap0, 
     masks = np.empty((count, _DRAW_BLOCK, n), dtype=bool)
     gaps = [[(0, gap0)] for _ in range(count)]
     finished: list = [None] * count
-    steps = None
+    done = np.zeros(count, dtype=bool)
     stopping = gap0 <= epsilon
     k = 0
     while True:
         if stopping or k >= max_iter:
-            stop = (gap <= epsilon) | (k >= max_iter)
+            stop = ((gap <= epsilon) | (k >= max_iter)) & ~done
             for j in np.flatnonzero(stop).tolist():
                 run, final = int(ids[j]), float(gap[j])
                 if k % epoch:
@@ -318,24 +316,20 @@ def _lockstep(problem, spec, v, x0, rng_seed, streams, epsilon, max_iter, gap0, 
                     iterations=k, gaps=tuple(gaps[run]), converged=final <= epsilon,
                     final_gap=final, x_final=x[j].copy(),
                 )
-            keep = ~stop
-            if not keep.any():
+            done |= stop
+            if done.all():
                 break
-            ids, x, r, gap, window, masks = ids[keep], x[keep], r[keep], gap[keep], window[keep], masks[keep]
-            x_flat, r_flat = x.reshape(-1), r.reshape(-1)
-            rngs = [g for g, kept in zip(rngs, keep.tolist()) if kept]
-            steps, stopping = None, False
+            stopping = False
 
-        t = k % _DRAW_BLOCK
-        if t == 0:
+        if k % _DRAW_BLOCK == 0:
+            if done.any():
+                keep = ~done
+                ids, x, r, gap, window, done = ids[keep], x[keep], r[keep], gap[keep], window[keep], done[keep]
+                x_flat, r_flat, masks = x.reshape(-1), r.reshape(-1), masks[: ids.size]
+                rngs = [g for g, kept in zip(rngs, keep.tolist()) if kept]
             masks[:] = False
             samplings._draw_blocks(spec, masks.reshape(-1, n), rngs, [_DRAW_BLOCK] * len(rngs))
-            steps = _steps(masks, 0, _DRAW_BLOCK, data, b, v)
-        elif steps is None:
-            # After a compaction the rest of the block is indexed one step
-            # at a time: runs stop in clusters, and indexing the whole rest
-            # again at every stop costs more than it saves.
-            steps = _steps(masks, t, 1, data, b, v)
+            steps = _steps(masks, data, b, v)
         sel, b_sel, v_sel, seg, rows, vals = next(steps)
         if sel.size:
             # Every partial gradient from the same r, then every step.
@@ -351,47 +345,46 @@ def _lockstep(problem, spec, v, x0, rng_seed, streams, epsilon, max_iter, gap0, 
         f = 0.5 * np.vecdot(r, r) + 0.5 * ridge * np.vecdot(x, x) - np.vecdot(x, b)
         gap = f - f_star
         oldest = window[:, k % 11]
-        # One test passes the usual iteration: every gap finite, above
+        # One test passes the usual iteration: every live gap finite, above
         # epsilon and below ten times the run's gap 11 iterations back (gap0
         # in the first 10). Anything else takes the exact checks below.
-        if not ((gap > epsilon) & (gap < 10.0 * oldest)).all():
-            finite = np.isfinite(f)
+        if not (((gap > epsilon) & (gap < 10.0 * oldest)) | done).all():
+            finite = np.isfinite(f) | done
             if not finite.all():
                 s = streams[ids[np.argmin(finite)]]
                 raise DivergenceError(f"objective of stream {s} became non-finite at iteration {k}")
             if k >= 11:
-                grew = (gap > 10.0 * oldest) & (gap > max(epsilon, gap_floor)) & (oldest > gap_floor)
+                grew = (gap > 10.0 * oldest) & (gap > max(epsilon, gap_floor)) & (oldest > gap_floor) & ~done
                 if grew.any():
                     j = int(np.argmax(grew))
                     raise DivergenceError(
                         f"gap of stream {streams[ids[j]]} grew from {oldest[j]:.3e} to {gap[j]:.3e} "
                         "within 10 iterations; the supplied stepsizes are likely invalid"
                     )
-            stopping = bool((gap <= epsilon).any())
+            stopping = bool(((gap <= epsilon) & ~done).any())
         window[:, k % 11] = gap
         if k % epoch == 0:
+            # A stopped run's list was copied when it stopped; it is not read again.
             for run, g in zip(ids.tolist(), gap.tolist()):
                 gaps[run].append((k, g))
     return finished
 
 
-def _steps(masks, t0, span, data, b, v):
-    """Yield the index arrays of the lockstep steps t0, t0 + 1, ... of a
-    block of draws.
+def _steps(masks, data, b, v):
+    """Yield the index arrays of each lockstep step of a block of draws.
 
-    ``masks`` (runs, 64, n) holds the active runs' draws; step t selects
+    ``masks`` (runs, 64, n) holds the runs' draws; step t selects
     coordinate i of row j where ``masks[j, t, i]``. Each step yields, over
     its selections in (row, ascending coordinate) order, their flat
     positions j * n + i into x, b_i and v_i, and over the nonzeros of their
     columns the index of the entry's selection within the step, the flat
-    position j * m + row into r and the value. One ``nonzero`` indexes up to
-    ``span`` steps, and fewer if they hold more than ``_INDEX_ENTRIES``
-    draws; the columns are gathered for as many steps as fit that many
-    entries.
+    position j * m + row into r and the value. One ``nonzero`` indexes as
+    many steps as hold at most ``_INDEX_ENTRIES`` draws (at least one); the
+    columns are gathered for as many steps as fit that many entries.
     """
     count, depth, n = masks.shape
-    span = max(1, min(span, _INDEX_ENTRIES // (count * n)))
-    for lo in range(t0, depth, span):
+    span = max(1, _INDEX_ENTRIES // (count * n))
+    for lo in range(0, depth, span):
         yield from _gathered_steps(masks[:, lo : lo + span], data, b, v)
 
 

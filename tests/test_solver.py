@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from collections import deque
 
 import numpy as np
@@ -420,18 +421,75 @@ def _assert_same_runs(whole, batched):
         assert np.array_equal(a.x_final, b.x_final)
 
 
-def test_batch_budget_does_not_change_runs(monkeypatch):
+def _stops_in_many_iterations():
+    """Seven runs that stop in more than three distinct iterations."""
     spec = ek.doubly_uniform([0.1, 0.3, 0.3, 0.2, 0.1, 0.0, 0.0])
     problem = _fixture_problem()
     v = problem.stepsizes(spec).v
-    kwargs = dict(rng_seed=36, x0=np.ones(problem.n), epsilon=1e-10, max_iter=3_000)
-    whole = ek.solve_many(problem, spec, v, n_runs=7, **kwargs)
+    return problem, spec, v, dict(n_runs=7, rng_seed=36, x0=np.ones(problem.n), epsilon=1e-10, max_iter=3_000)
+
+
+def test_batch_budget_does_not_change_runs(monkeypatch):
+    problem, spec, v, kwargs = _stops_in_many_iterations()
+    whole = ek.solve_many(problem, spec, v, **kwargs)
     # The runs stop in different iterations, so batches compact as they run.
     assert len({t.iterations for t in whole}) > 3 and all(t.converged for t in whole)
     per_run = problem.data.m + (solver._DRAW_BLOCK + 1) * problem.n
     for runs_per_batch in (1, 2, 3):
         monkeypatch.setattr(solver, "_BATCH_ENTRIES", runs_per_batch * per_run)
-        _assert_same_runs(whole, ek.solve_many(problem, spec, v, n_runs=7, **kwargs))
+        _assert_same_runs(whole, ek.solve_many(problem, spec, v, **kwargs))
+
+
+def test_each_block_is_indexed_once(monkeypatch):
+    problem, spec, v, kwargs = _stops_in_many_iterations()
+    calls = []
+    steps = solver._steps
+
+    def counted(*args):
+        calls.append(args[0].shape[0])
+        return steps(*args)
+
+    monkeypatch.setattr(solver, "_steps", counted)
+    traces = ek.solve_many(problem, spec, v, **kwargs)
+    last = max(t.iterations for t in traces)
+    assert len({t.iterations for t in traces}) > 3 and last > 64
+    # Runs stopped inside a block leave the arrays when the next one is drawn.
+    assert len(calls) == math.ceil(last / solver._DRAW_BLOCK)
+    assert calls == sorted(calls, reverse=True) and calls[-1] < calls[0]
+
+
+def test_stopped_runs_stepping_to_the_block_end_stay_quiet():
+    problem, spec, v, kwargs = _stops_in_many_iterations()
+    whole = ek.solve_many(problem, spec, v, **kwargs)
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_same_runs(whole, ek.solve_many(problem, spec, v, **kwargs))
+
+
+def test_divergence_after_a_run_stopped_names_the_live_run():
+    # On x = b with v_1 far too small, a run whose first draw is {0} stops at
+    # once (gap 5e-7), and any other run's gap grows 841-fold per draw of
+    # {1}. Streams 0 and 1 of seed 5 stop in iteration 1, stream 2 diverges
+    # in the same block while their rows step on.
+    problem = ek.QuadraticProblem(ek.DataMatrix.from_dense(np.eye(2)), b=np.array([1.0, 1e-3]))
+    spec, v = ek.serial([0.5, 0.5]), np.array([1.0, 1 / 30])
+    for s in (0, 1):
+        assert ek.solve(problem, spec, v, epsilon=1e-5, rng_seed=5, stream_index=s).iterations == 1
+    with pytest.raises(DivergenceError, match="gap of stream 2 grew"):
+        ek.solve_many(problem, spec, v, n_runs=3, rng_seed=5, epsilon=1e-5)
+
+
+def test_a_stopped_run_whose_row_overflows_is_not_reported():
+    # |S| is 0 with probability 0.8, else {0} or {1}. Each of streams 0-2 of
+    # seed 5 stops when it first draws {0} (iterations 12, 3 and 4); the row
+    # of stream 2 then draws {1} in iteration 10, and v_1 = 1e-200 sends it
+    # to infinity while stream 0 is still running.
+    problem = ek.QuadraticProblem(ek.DataMatrix.from_dense(np.eye(2)), b=np.array([1.0, 1e-3]))
+    spec, v = ek.doubly_uniform([0.8, 0.2, 0.0]), np.array([1.0, 1e-200])
+    with np.errstate(over="ignore", invalid="ignore"):
+        traces = ek.solve_many(problem, spec, v, n_runs=3, rng_seed=5, epsilon=1e-5)
+    assert [t.iterations for t in traces] == [12, 3, 4]
+    assert all(t.converged and np.array_equal(t.x_final, [1.0, 0.0]) for t in traces)
 
 
 def test_index_budget_does_not_change_runs(monkeypatch):
