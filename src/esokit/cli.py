@@ -75,8 +75,10 @@ def _load_json(path: str) -> dict:
 
 
 def _numbers(raw, what: str) -> np.ndarray:
-    """raw as a float array of finite numbers; anything else is an input
-    error naming ``what``."""
+    """raw as a float array of finite numbers; anything else, true, false and
+    "0.2" too (which np.asarray converts), is an input error naming ``what``."""
+    if any(isinstance(e, (bool, str)) for e in np.asarray(raw, dtype=object).flat):
+        raise ParseError(f"{what} holds true, false or a string where a number belongs")
     try:
         out = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as e:

@@ -376,6 +376,8 @@ def _index_sets(raw) -> tuple[tuple[int, ...], ...]:
 
 
 def _floats(raw) -> tuple[float, ...]:
+    if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in raw):
+        raise ValueError(f"{raw!r} holds a bool, a string or another non-number")
     return tuple(float(x) for x in raw)
 
 
@@ -841,7 +843,7 @@ def cardinality_moments(spec: SamplingSpec) -> Moments:
     Kinds with a closed form use it. The rest (intersections, restrictions
     and mixtures containing them) read E|S-hat| = tr P and E|S-hat|^2 = 1'P1
     off the exact probability matrix ``prob_matrix(spec, "auto")``: no
-    enumeration and no draws.
+    enumeration and no draws, but n at most ``config.DENSE_EIG_CAP``.
     """
     closed = closed_form_moments(spec)
     if closed is not None:

@@ -121,7 +121,7 @@ def test_solve_without_runs_is_an_input_error(workdir, capsys, seeds):
 
 
 @pytest.mark.parametrize("entries", ['[1.0, "a", 1.0, 1.0]', "[1.0, NaN, 1.0, 1.0]", "[1.0, 1.0, Infinity, 1.0]",
-                                     "[1.0, null, 1.0, 1.0]"])
+                                     "[1.0, null, 1.0, 1.0]", "[1.0, true, 1.0, 1.0]", '[1.0, "2", 1.0, 1.0]'])
 @pytest.mark.parametrize("command", ["verify", "solve"])
 def test_non_numeric_or_non_finite_v_is_an_input_error(workdir, capsys, entries, command):
     tmp, matrix, sampling = workdir
@@ -229,6 +229,8 @@ def test_design_serial_points_errors_are_input_errors(workdir, capsys):
     for payload, key in (
         ({"x0": ["a", 1, 1, 1], "xstar": [0] * 4}, "x0"),
         ({"x0": [1] * 4, "xstar": [0, 0, "b", 0]}, "xstar"),
+        ({"x0": [1, 1, True, 1], "xstar": [0] * 4}, "x0"),
+        ({"x0": [1] * 4, "xstar": [0, 0, "0", 0]}, "xstar"),
     ):
         points.write_text(json.dumps(payload))
         code = main(["design-serial", "--matrix", str(matrix), "--points", str(points)])
@@ -249,6 +251,13 @@ def test_design_serial_points_errors_are_input_errors(workdir, capsys):
         ({"n": "4", "kind": "tau_nice", "tau": 2}, "n"),
         ({"n": 4, "kind": "elementary", "set": [0.7, 1]}, "set"),
         ({"n": 4, "kind": "elementary", "set": [0, "1"]}, "set"),
+        # Float fields take numbers only: no bools, no numeric strings.
+        ({"n": 4, "kind": "serial", "q": [True, 0, 0, 0]}, "q"),
+        ({"n": 4, "kind": "serial", "q": [0.25, "0.25", 0.25, 0.25]}, "q"),
+        ({"n": 4, "kind": "doubly_uniform", "q": [0, [1], 0, 0, 0]}, "q"),
+        ({"n": 4, "kind": "convex_combination", "components": [{"n": 4, "kind": "tau_nice", "tau": 1}] * 2,
+          "weights": ["1", False]}, "weights"),
+        ({"n": 4, "kind": "explicit", "members": [[0, 1], [2, 3]], "weights": [True, 0.0]}, "weights"),
     ],
 )
 def test_mistyped_sampling_field_is_input_error(workdir, capsys, payload, field):
@@ -272,7 +281,8 @@ def test_integral_float_sampling_fields_are_accepted(workdir):
     "sidecar, field",
     [({"lambda": "a"}, "lambda"), ({"lambda": [0.1, 0.2]}, "lambda"), ({"b": ["a", 1, 1, 1]}, "b"),
      ({"x0": {"a": 1}}, "x0"), ({"x0": [1, [2], 3, 4]}, "x0"), ({"lambda": None}, "lambda"),
-     ({"b": [1.0, float("nan"), 1.0, 1.0]}, "b")],
+     ({"b": [1.0, float("nan"), 1.0, 1.0]}, "b"), ({"lambda": "0.2"}, "lambda"), ({"lambda": True}, "lambda"),
+     ({"b": [True, 1, 1, 1]}, "b"), ({"x0": [1, 1, 1, "1"]}, "x0"), ({"x0": [[1, 1], [1, False]]}, "x0")],
 )
 def test_non_numeric_solve_sidecar_is_an_input_error(workdir, capsys, sidecar, field):
     tmp, matrix, sampling = workdir
@@ -306,3 +316,11 @@ def test_python_dash_m_runs_the_cli():
     )
     assert done.returncode == 0, done.stderr
     assert "compute-v" in done.stdout
+
+
+def test_probmatrix_above_the_dense_cap_is_an_input_error(monkeypatch, capsys):
+    monkeypatch.setattr(ek.config, "DENSE_EIG_CAP", 4)
+    spec = json.dumps({"n": 5, "kind": "tau_nice", "tau": 2})
+    for method in ("auto", "monte-carlo"):
+        assert main(["probmatrix", "--sampling", spec, "--method", method]) == 2
+        assert "input error: n: a dense probability matrix needs n <= 4" in capsys.readouterr().err
