@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import samplings
+from . import config, samplings
 from .errors import CertificateUnavailableError, UnsupportedMethodError, ValidationError
 from .samplings import SamplingSpec
 
@@ -121,12 +121,13 @@ def prob_matrix(
     rng_seed: int = 0,
     streams: int = 1,
 ) -> ProbMatrix:
-    """Probability matrix of a sampling.
+    """Dense probability matrix of a sampling. Every method builds it n x n,
+    so n above ``config.DENSE_EIG_CAP`` raises ``ValidationError`` first.
 
     method:
       * ``auto`` - :func:`exact_rule` on the full grid (closed forms on
         leaves, enumeration where supports are explicit, combination rules on
-        composites). It is exact for every kind at any n and never draws.
+        composites). It is exact for every kind and never draws.
       * ``closed_form`` - the same, only for the elementary, serial,
         tau-nice, (c,tau)-distributed, doubly-uniform and product kinds.
       * ``enumerate`` - exact expectation over the enumerated support.
@@ -134,6 +135,8 @@ def prob_matrix(
         ``mc_samples`` draws of :func:`samplings.draw_masks`, split across
         ``streams`` replica streams. The only method that draws.
     """
+    if spec.n > config.DENSE_EIG_CAP:
+        raise ValidationError("n", f"a dense probability matrix needs n <= {config.DENSE_EIG_CAP}")
     if method in ("auto", "closed_form"):
         if method == "closed_form" and spec.kind not in _CLOSED_FORM_KINDS:
             raise UnsupportedMethodError(f"no closed-form probability matrix for kind {spec.kind!r}")

@@ -468,3 +468,19 @@ def test_the_explicit_mixture_has_an_asymmetric_exact_p():
     # What makes its restricted digests pin the symmetrization of the blocks.
     entries = _p(_explicit_mixture())
     assert not np.array_equal(entries, entries.T)
+
+
+@pytest.mark.parametrize("method", ["auto", "closed_form", "enumerate", "monte_carlo"])
+def test_probability_matrix_refuses_n_above_the_dense_cap(monkeypatch, method):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the probability matrix was evaluated, enumerated or drawn before refusing")
+
+    specs = (ek.tau_nice(5, 2), ek.explicit(5, [[0, 1], [2, 3, 4]], [0.5, 0.5]))
+    monkeypatch.setattr(ek.config, "DENSE_EIG_CAP", 4)
+    for name in ("weighted_masks", "draw_masks"):
+        monkeypatch.setattr(ek.samplings, name, refuse)
+    monkeypatch.setattr(probability, "exact_rule", refuse)
+    for spec in specs:
+        with pytest.raises(ValidationError, match="n <= 4") as info:
+            ek.prob_matrix(spec, method, mc_samples=100)
+        assert info.value.field == "n"
