@@ -140,12 +140,19 @@ def prob_matrix(
     if method in ("auto", "closed_form"):
         if method == "closed_form" and spec.kind not in _CLOSED_FORM_KINDS:
             raise UnsupportedMethodError(f"no closed-form probability matrix for kind {spec.kind!r}")
-        return ProbMatrix(spec.n, *_on_grid(spec))
+        return exact_matrix(spec)
     if method == "enumerate":
         return ProbMatrix(spec.n, _outer_sum(*samplings.weighted_masks(spec)), PROVENANCE_ENUM)
     if method == "monte_carlo":
         return _monte_carlo(spec, mc_samples, rng_seed, streams)
     raise UnsupportedMethodError(f"unknown method {method!r}")
+
+
+def exact_matrix(spec: SamplingSpec) -> ProbMatrix:
+    """The exact P at any n, unchecked against ``config.DENSE_EIG_CAP``.
+    The cardinality moments, the restricted-lambda' reference and
+    :func:`check_identities` read it, so they work above the cap."""
+    return ProbMatrix(spec.n, *_on_grid(spec))
 
 
 Entry = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -318,7 +325,7 @@ def check_identities(
     if 0 < trials < 1000:
         raise ValidationError("trials", "Monte-Carlo mode requires trials >= 1000")
 
-    p_entries = prob_matrix(spec, "auto").entries
+    p_entries = exact_matrix(spec).entries
     e = np.ones(n)
     lhs = {
         "quadratic_form": float(h @ (p_entries * m_matrix) @ h),

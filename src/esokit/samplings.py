@@ -842,15 +842,15 @@ def cardinality_moments(spec: SamplingSpec) -> Moments:
 
     Kinds with a closed form use it. The rest (intersections, restrictions
     and mixtures containing them) read E|S-hat| = tr P and E|S-hat|^2 = 1'P1
-    off the exact probability matrix ``prob_matrix(spec, "auto")``: no
-    enumeration and no draws, but n at most ``config.DENSE_EIG_CAP``.
+    off the exact probability matrix (``probability.exact_matrix``): no
+    enumeration and no draws, at any n.
     """
     closed = closed_form_moments(spec)
     if closed is not None:
         return closed
     from . import probability  # deferred: probability imports this module
 
-    return matrix_moments(probability.prob_matrix(spec, "auto"))
+    return matrix_moments(probability.exact_matrix(spec))
 
 
 def matrix_moments(matrix) -> Moments:

@@ -287,7 +287,7 @@ def lambda_prime_restricted(
         raise ValidationError("set", f"indices must lie in [0, {spec.n})")
 
     if method in ("exact", "power"):
-        sub = probability.prob_matrix(spec, "auto").entries[np.ix_(j_idx, j_idx)]
+        sub = probability.exact_matrix(spec).entries[np.ix_(j_idx, j_idx)]
         eig_method = METHOD_DENSE if method == "exact" else METHOD_POWER
         return lambda_prime(sub, eig_method, power_iterations, safeguard)
 

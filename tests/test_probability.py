@@ -484,3 +484,32 @@ def test_probability_matrix_refuses_n_above_the_dense_cap(monkeypatch, method):
         with pytest.raises(ValidationError, match="n <= 4") as info:
             ek.prob_matrix(spec, method, mc_samples=100)
         assert info.value.field == "n"
+
+
+def test_moments_and_references_work_above_the_dense_cap(monkeypatch):
+    # Only the dense P a caller asks for is refused; the moments of kinds
+    # without a closed form, the restricted-lambda' reference and the
+    # identity checks read the exact P at any n.
+    rng = np.random.default_rng(41)
+    data = ek.DataMatrix.from_dense(rng.standard_normal((6, 5)))
+    specs = (
+        ek.intersection(ek.tau_nice(5, 3), ek.tau_nice(5, 4)),
+        ek.convex_combination([0.5, 0.5], [ek.restriction(ek.tau_nice(5, 2), [0, 2, 3]), ek.serial([0.2] * 5)]),
+    )
+    gram, h = data.gram(), rng.standard_normal(5)
+
+    def results(spec):
+        v = ek.compute_v(data, spec)
+        return (
+            v.v.tolist(),
+            v.formula_id,
+            ek.lambda_bounds(spec),
+            ek.lambda_prime_restricted(spec, [0, 2, 4]).value,
+            probability.check_identities(spec, gram, h).to_dict(),
+        )
+
+    below = [results(spec) for spec in specs]
+    monkeypatch.setattr(ek.config, "DENSE_EIG_CAP", 4)
+    assert [results(spec) for spec in specs] == below
+    with pytest.raises(ValidationError, match="n <= 4"):
+        ek.prob_matrix(specs[0])
