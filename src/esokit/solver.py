@@ -17,8 +17,8 @@ so rows shared by a set's columns take the steps one at a time. That costs
 O(sum over runs of sum_{i in S} |column support of i|). The objective is
 then recomputed in full from r and x, O(runs * (m + n)). Runs are grouped
 in batches whose per-run state (r, x and a block of draws) fits a fixed
-entry budget. A stopped run's row steps on, unread, to the end of its
-block of draws, so each block is drawn and indexed once.
+entry budget. A stopped run's row is carried, frozen and unread, to the
+end of its block of draws, so each block is drawn and indexed once.
 
 Each run draws from its own ``config.rng_for_stream(seed, stream)``, 64 sets
 at a time. One ``samplings._draw_blocks`` call draws the block of every
@@ -207,8 +207,8 @@ def solve_many(
     n coordinates and a 64 x n block of draws per run) stays within
     ``_BATCH_ENTRIES`` entries. An iteration costs O(sum_{i in S} |column
     support of i|) per row for the update and O(m + n) per row for the
-    objective. A stopped run keeps its row, unread, to the end of its block
-    of 64 draws: at most 63 extra iterations of array work.
+    objective. A stopped run keeps its row, frozen and unread, to the end of
+    its block of 64 draws: at most 63 extra iterations of array work.
     ``threads`` is accepted for callers that pass it and changes nothing:
     every run of a batch advances in the same array operations, on one
     thread. ``n_runs`` below 1 raises ``ValidationError``.
@@ -279,8 +279,9 @@ def _lockstep(problem, spec, v, x0, rng_seed, streams, epsilon, max_iter, gap0, 
     Row j of ``x`` (runs, n) and ``r`` (runs, m) is the state of run
     ``ids[j]``. All runs share the iteration counter k, so draw blocks, the
     divergence window and the epoch records line up across runs. A stopped
-    run's outcome is recorded at once; its row is flagged ``done``, steps on
-    unread, and is dropped before the next block is drawn.
+    run's outcome is recorded at once; its row is flagged ``done``, its
+    steps are zeroed (so it can neither overflow nor warn), and it is
+    dropped before the next block is drawn.
     """
     data = problem.data
     n = data.n
@@ -303,6 +304,7 @@ def _lockstep(problem, spec, v, x0, rng_seed, streams, epsilon, max_iter, gap0, 
     gaps = [[(0, gap0)] for _ in range(count)]
     finished: list = [None] * count
     done = np.zeros(count, dtype=bool)
+    frozen = False
     stopping = gap0 <= epsilon
     k = 0
     while True:
@@ -319,7 +321,7 @@ def _lockstep(problem, spec, v, x0, rng_seed, streams, epsilon, max_iter, gap0, 
             done |= stop
             if done.all():
                 break
-            stopping = False
+            frozen, stopping = bool(done.any()), False
 
         if k % _DRAW_BLOCK == 0:
             if done.any():
@@ -327,6 +329,7 @@ def _lockstep(problem, spec, v, x0, rng_seed, streams, epsilon, max_iter, gap0, 
                 ids, x, r, gap, window, done = ids[keep], x[keep], r[keep], gap[keep], window[keep], done[keep]
                 x_flat, r_flat, masks = x.reshape(-1), r.reshape(-1), masks[: ids.size]
                 rngs = [g for g, kept in zip(rngs, keep.tolist()) if kept]
+                frozen = False
             masks[:] = False
             samplings._draw_blocks(spec, masks.reshape(-1, n), rngs, [_DRAW_BLOCK] * len(rngs))
             steps = _steps(masks, data, b, v)
@@ -337,6 +340,9 @@ def _lockstep(problem, spec, v, x0, rng_seed, streams, epsilon, max_iter, gap0, 
             # b - (dot + ridge x) is exactly -((dot + ridge x) - b), the gradient negated.
             x_sel = x_flat[sel]
             delta = (b_sel - (dots + ridge * x_sel)) / v_sel
+            if frozen:
+                # A stopped run's row holds still until the compaction drops it.
+                delta[done[sel // n]] = 0.0
             x_flat[sel] = x_sel + delta
             # Sequential adds in entry order: rows shared by a run's columns
             # take the steps one coordinate at a time, ascending.
