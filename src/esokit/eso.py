@@ -146,7 +146,6 @@ def eso_uncoupled(
         else:
             if pm is None:
                 pm = probability.prob_matrix(spec, "auto")
-            probability.require_exact(pm, "the uncoupled formula")
             factor = min(spectral.lambda_prime(pm.entries).value, lambda_prime_ata)
     return EsoResult(_floor(factor * w), p, FORMULA_UNCOUPLED, cost_estimate=cost)
 
@@ -298,9 +297,7 @@ def certificate_matrix(data: DataMatrix, spec: SamplingSpec, v: np.ndarray) -> n
 
 def _certificate(gram: np.ndarray, spec: SamplingSpec, v: np.ndarray) -> np.ndarray:
     """:func:`certificate_matrix` from the Gram matrix A'A, unchecked."""
-    pm = probability.prob_matrix(spec, "auto")
-    probability.require_exact(pm, "the PSD certificate")
-    return np.diag(v * samplings.marginals(spec)) - pm.entries * gram
+    return np.diag(v * samplings.marginals(spec)) - probability.prob_matrix(spec, "auto").entries * gram
 
 
 def certify(data: DataMatrix, spec: SamplingSpec, v: np.ndarray) -> float:

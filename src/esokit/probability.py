@@ -121,8 +121,7 @@ def prob_matrix(
     rng_seed: int = 0,
     streams: int = 1,
 ) -> ProbMatrix:
-    """Dense probability matrix of a sampling. Every method builds it n x n,
-    so n above ``config.DENSE_EIG_CAP`` raises ``ValidationError`` first.
+    """Dense n x n probability matrix; refused above ``config.DENSE_EIG_CAP``.
 
     method:
       * ``auto`` - :func:`exact_rule` on the full grid (closed forms on
@@ -149,10 +148,12 @@ def prob_matrix(
 
 
 def exact_matrix(spec: SamplingSpec) -> ProbMatrix:
-    """The exact P at any n, unchecked against ``config.DENSE_EIG_CAP``.
-    The cardinality moments, the restricted-lambda' reference and
-    :func:`check_identities` read it, so they work above the cap."""
-    return ProbMatrix(spec.n, *_on_grid(spec))
+    """:func:`exact_rule` on the full grid at any n (no dense cap). The rule,
+    and with it an enumerated P, is freed before the result is validated."""
+    entry, tag = exact_rule(spec)
+    entries = entry(*np.ix_(range(spec.n), range(spec.n)))
+    del entry
+    return ProbMatrix(spec.n, entries, tag)
 
 
 Entry = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -220,14 +221,6 @@ def _closed_rule(spec: SamplingSpec) -> Entry:
     diagonal, inner, outer = tau / s, tau * (tau - 1) / (s * max(s - 1, 1)), (tau / s) ** 2
     block = _block_ids(n, spec.partition)
     return lambda i, j: np.where(i == j, diagonal, np.where(block[i] == block[j], inner, outer))
-
-
-def _on_grid(spec: SamplingSpec) -> tuple[np.ndarray, str]:
-    """:func:`exact_rule` evaluated on the full grid. The rule, and with it
-    an enumerated P, is freed on return, before the result is validated."""
-    entry, tag = exact_rule(spec)
-    idx = np.arange(spec.n)
-    return entry(idx[:, None], idx[None, :]), tag
 
 
 def _zeros(i, j) -> np.ndarray:

@@ -279,9 +279,8 @@ def _lockstep(problem, spec, v, x0, rng_seed, streams, epsilon, max_iter, gap0, 
     Row j of ``x`` (runs, n) and ``r`` (runs, m) is the state of run
     ``ids[j]``. All runs share the iteration counter k, so draw blocks, the
     divergence window and the epoch records line up across runs. A stopped
-    run's outcome is recorded at once; its row is flagged ``done``, its
-    steps are zeroed (so it can neither overflow nor warn), and it is
-    dropped before the next block is drawn.
+    run's outcome is recorded at once; its row is flagged ``done`` and frozen
+    (its steps are zeroed), and is dropped before the next block is drawn.
     """
     data = problem.data
     n = data.n
@@ -303,8 +302,7 @@ def _lockstep(problem, spec, v, x0, rng_seed, streams, epsilon, max_iter, gap0, 
     masks = np.empty((count, _DRAW_BLOCK, n), dtype=bool)
     gaps = [[(0, gap0)] for _ in range(count)]
     finished: list = [None] * count
-    done = np.zeros(count, dtype=bool)
-    frozen = False
+    done, frozen = np.zeros(count, dtype=bool), False
     stopping = gap0 <= epsilon
     k = 0
     while True:
@@ -341,7 +339,6 @@ def _lockstep(problem, spec, v, x0, rng_seed, streams, epsilon, max_iter, gap0, 
             x_sel = x_flat[sel]
             delta = (b_sel - (dots + ridge * x_sel)) / v_sel
             if frozen:
-                # A stopped run's row holds still until the compaction drops it.
                 delta[done[sel // n]] = 0.0
             x_flat[sel] = x_sel + delta
             # Sequential adds in entry order: rows shared by a run's columns
