@@ -144,8 +144,7 @@ def eso_uncoupled(
         if _rules_out_sampling(moments, lambda_prime_ata):
             factor = lambda_prime_ata
         else:
-            if pm is None:
-                pm = probability.prob_matrix(spec, "auto")
+            pm = pm or probability.prob_matrix(spec, "auto")
             factor = min(spectral.lambda_prime(pm.entries).value, lambda_prime_ata)
     return EsoResult(_floor(factor * w), p, FORMULA_UNCOUPLED, cost_estimate=cost)
 

@@ -151,7 +151,8 @@ def exact_matrix(spec: SamplingSpec) -> ProbMatrix:
     """:func:`exact_rule` on the full grid at any n (no dense cap). The rule,
     and with it an enumerated P, is freed before the result is validated."""
     entry, tag = exact_rule(spec)
-    entries = entry(*np.ix_(range(spec.n), range(spec.n)))
+    idx = np.arange(spec.n)
+    entries = entry(idx[:, None], idx[None, :])
     del entry
     return ProbMatrix(spec.n, entries, tag)
 
