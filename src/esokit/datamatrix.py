@@ -38,11 +38,12 @@ class DataMatrix:
     makes them compressed sparse rows with pointer :attr:`row_ptr`: row j's
     entries are ``cols/values[row_ptr[j]:row_ptr[j + 1]]``. The column-major
     copy (compressed sparse columns) is ``col_ptr``, ``col_rows`` and
-    ``col_values``, built on first use. These arrays are the only storage;
-    ``row_supports``, ``row_entries`` and ``column_entries`` are per-row and
-    per-column views split from them, and products with A and A' read them
-    directly, so nothing here builds a dense m-by-n array except
-    :meth:`to_dense`.
+    ``col_values``, built on first use. These arrays are the only storage.
+    The package reads them directly (the stepsize formulas, the graph checks
+    and the products with A and A'), and nothing here builds a dense m-by-n
+    array except :meth:`to_dense`. ``row_supports``, ``row_entries`` and
+    ``column_entries`` are per-row and per-column Python views split from
+    them for callers; no module of the package reads them.
     """
 
     m: int
@@ -361,20 +362,14 @@ def _is_binary_diagonal(m: np.ndarray) -> bool:
 def assemble_from_pieces(pieces: ComposedFunction) -> DataMatrix:
     """Single data matrix whose Gram matrix equals the composite one.
 
-    Recognizes the three structured cases (coordinate-subset indicators ->
-    diagonal matrix; a single map -> scaled map; all-scalar rows -> row-scaled
-    stack); otherwise stacks the scaled maps.
+    Coordinate-subset indicators give a diagonal matrix; otherwise the scaled
+    maps are stacked, which also covers a single map (the scaled map) and
+    all-scalar rows (a row-scaled stack).
     """
     parts = pieces.pieces
-    n = pieces.n
     if all(_is_binary_diagonal(m) for _, m in parts):
-        weights = np.zeros(n)
+        weights = np.zeros(pieces.n)
         for g, m in parts:
             weights += g * np.diag(m)
         return DataMatrix.from_dense(np.diag(np.sqrt(weights)))
-    if len(parts) == 1:
-        g, m = parts[0]
-        return DataMatrix.from_dense(np.sqrt(g) * m)
-    # Row-scaled and general cases coincide under stacking.
-    stacked = np.vstack([np.sqrt(g) * m for g, m in parts])
-    return DataMatrix.from_dense(stacked)
+    return DataMatrix.from_dense(np.vstack([np.sqrt(g) * m for g, m in parts]))

@@ -164,6 +164,8 @@ def eso_conservative(
     """One-pass envelope v_i = min(tau, max_j |J_j|) * w_i."""
     p = _require_proper(spec)
     tau = int(tau_cap) if tau_cap is not None else samplings.cardinality_cap(spec)
+    if tau <= 0:
+        raise UnsupportedMethodError("conservative formula needs a positive cardinality cap")
     factor = float(min(tau, data.max_row_support))
     return _one_pass(data, p, factor * data.column_sq_norms, FORMULA_CONSERVATIVE)
 
@@ -205,7 +207,7 @@ def eso_coupled(
     elif restricted_eig_method == "exact":
         cost += float(np.sum(sizes**3))
     multipliers = spectral.restricted_lambda_primes(
-        spec, data.row_supports, restricted_eig_method, power_iterations, safeguard
+        spec, data.row_ptr, data.cols, restricted_eig_method, power_iterations, safeguard
     )
     return EsoResult(
         _floor(_accumulate_rows(data, multipliers)), p, entry.formula_id, cost_estimate=cost
@@ -240,7 +242,7 @@ def eso_specialized(
         _check_graph_matches_data(data, spec)
     if kind in (samplings.KIND_GRAPH, samplings.KIND_SERIAL):
         return _one_pass(data, p, data.column_sq_norms, _FAMILY_IDS[kind])
-    family = spectral.restricted_closed_form(spec, data.row_supports)
+    family = spectral.restricted_closed_form(spec, data.row_ptr, data.cols)
     if family is not None:
         return _one_pass(data, p, _accumulate_rows(data, family[0]), _FAMILY_IDS[kind])
     first, second = samplings.cardinality_moments(spec)
@@ -264,18 +266,18 @@ def _generic_tau(data, spec, tau_cap, p) -> EsoResult:
 
 def _check_graph_matches_data(data: DataMatrix, spec: SamplingSpec) -> None:
     # The graph closed form needs every drawable set to hit each row support
-    # at most once; check that directly on the supplied support sets.
-    supports = [frozenset(s) for s in data.row_supports]
+    # at most once; check that directly by counting each set's hits per row.
     for member, weight in zip(spec.members, spec.weights):
         if weight == 0.0:
             continue
-        mset = set(member)
-        for j, support in enumerate(supports):
-            if len(mset & support) > 1:
-                raise UnsupportedMethodError(
-                    f"graph sampling set {tuple(sorted(mset))} meets row {j} support in more "
-                    "than one coordinate; its conflict graph does not cover this data"
-                )
+        member_mask = np.zeros(data.n, dtype=bool)
+        member_mask[list(member)] = True
+        hits = np.bincount(data.rows, weights=member_mask[data.cols], minlength=data.m)
+        if hits.max() > 1:
+            raise UnsupportedMethodError(
+                f"graph sampling set {tuple(sorted(member))} meets row {np.argmax(hits > 1)} support in more "
+                "than one coordinate; its conflict graph does not cover this data"
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -937,14 +937,11 @@ def is_certified_uniform(spec: SamplingSpec) -> bool:
 
 def build_conflict_graph(data) -> ConflictGraph:
     """Graph joining coordinate pairs that co-occur in some row support of
-    ``data`` (any object exposing ``n`` and ``row_supports``)."""
-    edges: set[tuple[int, int]] = set()
-    for support in data.row_supports:
-        items = sorted(int(i) for i in support)
-        for a_idx in range(len(items)):
-            for b_idx in range(a_idx + 1, len(items)):
-                edges.add((items[a_idx], items[b_idx]))
-    return ConflictGraph(n=data.n, edges=tuple(sorted(edges)))
+    the :class:`~esokit.datamatrix.DataMatrix` ``data``, read from its
+    sorted CSR slices ``cols[row_ptr[j]:row_ptr[j + 1]]``."""
+    cols, cuts = data.cols.tolist(), data.row_ptr.tolist()
+    pairs = (itertools.combinations(cols[a:b], 2) for a, b in zip(cuts, cuts[1:]))
+    return ConflictGraph(n=data.n, edges=tuple(sorted(set(itertools.chain.from_iterable(pairs)))))
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,13 @@ structural bounds on them (cardinality caps, moment ratios, restriction
 propositions) substitute for eigen-solves on large problems. The restricted
 values lambda'(J intersect S-hat) of the coupled formula are eigen-solved on
 |J|-by-|J| blocks of P evaluated from :func:`probability.exact_rule`, so they
-need no n-by-n matrix unless the sampling's support is enumerated.
+need no n-by-n matrix unless the sampling's support is enumerated. Sets J
+arrive as CSR ``(ptr, indices)``, set k being ``indices[ptr[k]:ptr[k + 1]]``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -240,16 +240,17 @@ def tau_nice_restricted_value(n: int, tau: int, j_size):
     return 1.0 + (j_size - 1) * (tau - 1) / max(n - 1, 1)
 
 
-def restricted_closed_form(spec: SamplingSpec, sets) -> tuple[np.ndarray, str] | None:
-    """lambda'(J intersect S-hat) for each set J in ``sets`` by the sampling
-    family's proposition (exact for tau-nice, an upper bound for the
+def restricted_closed_form(spec: SamplingSpec, ptr, indices) -> tuple[np.ndarray, str] | None:
+    """lambda'(J intersect S-hat) for each set J of ``(ptr, indices)`` by the
+    sampling family's proposition (exact for tau-nice, an upper bound for the
     (c,tau)-distributed and doubly-uniform families), with the proposition's
     name; None for other kinds and the nil doubly-uniform sampling."""
     k = spec.kind
     if k == samplings.KIND_CTAU:
-        values = [ctau_restricted_bound(spec, j) if len(j) else 0.0 for j in sets]
+        cuts = np.asarray(ptr).tolist()
+        values = [ctau_restricted_bound(spec, indices[a:b]) if b > a else 0.0 for a, b in zip(cuts, cuts[1:])]
         return np.array(values, dtype=float), "ctau_restriction"
-    sizes = np.array([len(j) for j in sets], dtype=float)
+    sizes = np.diff(ptr).astype(float)
     if k == samplings.KIND_TAU_NICE:
         return tau_nice_restricted_value(spec.n, spec.tau, sizes), "tau_nice_restriction"
     if k == samplings.KIND_DOUBLY_UNIFORM:
@@ -300,7 +301,7 @@ def lambda_prime_restricted(
         return EigenEstimate(value, METHOD_FORMULA, 0.0, bound_source="tau_nice_restriction")
 
     if method == "bound":
-        candidates = {name: float(c[0]) for name, c in _bound_candidates(spec, [j_idx]).items()}
+        candidates = {name: float(c[0]) for name, c in _bound_candidates(spec, [0, len(j_idx)], j_idx).items()}
         source = min(candidates, key=candidates.get)
         return EigenEstimate(
             candidates[source],
@@ -313,11 +314,11 @@ def lambda_prime_restricted(
     raise UnsupportedMethodError(f"unknown restricted-eigenvalue method {method!r}")
 
 
-def _bound_candidates(spec: SamplingSpec, sets) -> dict[str, np.ndarray]:
+def _bound_candidates(spec: SamplingSpec, ptr, indices) -> dict[str, np.ndarray]:
     """Upper bounds on lambda'(J intersect S-hat) for each set J, by source."""
-    sizes = np.array([len(j) for j in sets], dtype=float)
+    sizes = np.diff(ptr).astype(float)
     candidates = {"generic_cardinality": np.minimum(sizes, samplings.cardinality_cap(spec))}
-    family = restricted_closed_form(spec, sets)
+    family = restricted_closed_form(spec, ptr, indices)
     if family is not None:
         candidates[family[1]] = family[0]
     return candidates
@@ -325,13 +326,14 @@ def _bound_candidates(spec: SamplingSpec, sets) -> dict[str, np.ndarray]:
 
 def restricted_lambda_primes(
     spec: SamplingSpec,
-    sets,
+    ptr,
+    indices,
     method: str = "exact",
     power_iterations: int = config.POWER_ITERATIONS,
     safeguard: float = config.POWER_SAFEGUARD,
 ) -> np.ndarray:
-    """lambda'(J intersect S-hat) for every set J in ``sets`` of a proper
-    sampling, by the ``exact``, ``power`` or ``bound`` method of
+    """lambda'(J intersect S-hat) for every set J of ``(ptr, indices)`` of a
+    proper sampling, by the ``exact``, ``power`` or ``bound`` method of
     :func:`lambda_prime_restricted` and bit-identical to it; an empty set
     gives 0. Indices outside [0, n) raise ``ValidationError``.
 
@@ -343,19 +345,19 @@ def restricted_lambda_primes(
     has a positive diagonal, so every restricted matrix is normalized on its
     whole set.
     """
-    flat = np.fromiter(chain.from_iterable(sets), dtype=int)
-    if flat.size and (flat.min() < 0 or flat.max() >= spec.n):
+    ptr, indices = np.asarray(ptr, dtype=np.int64), np.asarray(indices, dtype=np.int64)
+    if indices.size and (indices.min() < 0 or indices.max() >= spec.n):
         raise ValidationError("set", f"indices must lie in [0, {spec.n})")
     if method == "bound":
-        return np.min(list(_bound_candidates(spec, sets).values()), axis=0)
+        return np.min(list(_bound_candidates(spec, ptr, indices).values()), axis=0)
     if method not in ("exact", "power"):
         raise UnsupportedMethodError(f"unknown restricted-eigenvalue method {method!r}")
     entry, _ = probability.exact_rule(spec)
-    sizes = np.array([len(j) for j in sets], dtype=int)
+    sizes = np.diff(ptr)
     out = np.zeros(len(sizes))
     for size in np.unique(sizes[sizes > 0]):
         members = np.flatnonzero(sizes == size)
-        idx = np.sort(np.array([sets[i] for i in members], dtype=int), axis=1)
+        idx = np.sort(indices[ptr[members, None] + np.arange(size)], axis=1)
         step = max(1, _STACK_ENTRIES // (size * size))
         for lo in range(0, members.size, step):
             # lambda_prime's symmetrization and normalization, so each value

@@ -120,6 +120,8 @@ def check_eso_quadratic(
     exhaustive = mode == "exhaustive"
     if not exhaustive and trials < 1:
         raise ValidationError("trials", "must be positive")
+    if points is not None and not len(points):
+        raise ValidationError("points", "needs at least one point")
     gram = data.gram()
     if points is None:
         labelled = _canonical_points(eso._certificate(gram, spec, v), rng_seed)

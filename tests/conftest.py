@@ -21,6 +21,13 @@ def random_sparse_matrix(rng: np.random.Generator, m: int, n: int, density: floa
     return ek.DataMatrix.from_dense(a)
 
 
+def csr(sets) -> tuple[np.ndarray, np.ndarray]:
+    """Index sets in the ``(ptr, indices)`` form the spectral functions take:
+    set k is ``indices[ptr[k]:ptr[k + 1]]``, in the order given."""
+    ptr = np.concatenate(([0], np.cumsum([len(j) for j in sets]))).astype(np.int64)
+    return ptr, np.array([int(i) for j in sets for i in j], dtype=np.int64)
+
+
 def greedy_independent_partition(graph: ek.ConflictGraph) -> list[list[int]]:
     """Greedy coloring of the conflict graph: classes are independent sets
     covering every vertex."""

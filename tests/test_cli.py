@@ -56,6 +56,17 @@ def test_unsupported_formula_pairing_exits_3(workdir, capsys):
     assert "unsupported" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_conservative_with_a_cap_below_one_exits_3(workdir, capsys, cap):
+    tmp, matrix, sampling = workdir
+    code = main(
+        ["compute-v", "--matrix", str(matrix), "--sampling", str(sampling), "--formula",
+         "conservative", f"--tau-cap={cap}", "--certify"]
+    )
+    assert code == 3
+    assert "positive cardinality cap" in capsys.readouterr().err
+
+
 def test_verify_pass_and_fail_with_witness(workdir, capsys):
     tmp, matrix, sampling = workdir
     vfile = tmp / "v.json"

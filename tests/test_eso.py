@@ -232,6 +232,19 @@ def test_specialized_graph_mismatch_rejected():
     with pytest.raises(UnsupportedMethodError, match="conflict graph"):
         ek.eso_specialized(data, spec)
 
+    # The first nonzero-weight set that meets a row twice, at its first such
+    # row; the zero-weight set meets row 0 twice and is skipped.
+    data = ek.DataMatrix.from_dense(
+        [[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]]
+    )
+    spec = ek.graph_sampling(4, [[0, 1], [1, 3], [0, 2, 3]], [0.0, 0.5, 0.5], ek.ConflictGraph(4, ()))
+    with pytest.raises(UnsupportedMethodError) as info:
+        ek.eso_specialized(data, spec)
+    assert str(info.value) == (
+        "graph sampling set (1, 3) meets row 3 support in more than one coordinate; "
+        "its conflict graph does not cover this data"
+    )
+
 
 def test_specialized_generic_with_cap_one_matches_serial_values():
     rng = ek.rng_for_stream(53, 0)
@@ -256,6 +269,10 @@ def test_conservative_variant():
     assert result.v == pytest.approx(
         np.maximum(min(3, omega) * data.column_sq_norms, 1e-12)
     )
+    # A cap below 1 certifies nothing, as in the generic case.
+    for cap in (0, -3):
+        with pytest.raises(UnsupportedMethodError, match="positive"):
+            ek.compute_v(data, spec, "conservative", tau_cap=cap)
 
 
 def test_specialized_ctau_and_doubly_uniform_examples():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import esokit as ek
-from conftest import every_kind
+from conftest import csr, every_kind
 from esokit import probability, spectral
 from esokit.errors import CertificateUnavailableError, UnsupportedMethodError, ValidationError
 from esokit.probability import read_csv, require_exact, write_csv
@@ -460,7 +460,7 @@ def test_exact_probability_matrix_digests_are_pinned(spec, request):
 @pytest.mark.parametrize("spec", _DIGEST_SPECS, ids=_DIGEST_IDS)
 def test_restricted_lambda_prime_digests_are_pinned(spec, method, request):
     name = request.node.callspec.id.rsplit("-", 1)[0]
-    values = spectral.restricted_lambda_primes(spec, _restriction_sets(spec), method)
+    values = spectral.restricted_lambda_primes(spec, *csr(_restriction_sets(spec)), method)
     assert _sha256(values) == _RESTRICTED_DIGESTS[name, method]
 
 

@@ -290,6 +290,12 @@ def test_conflict_graph_from_row_supports():
         (a, b) for a, b in itertools.combinations(range(4), 2)
     )
 
+    rng = np.random.default_rng(17)
+    data = ek.DataMatrix.from_dense(np.where(rng.random((30, 12)) < 0.25, rng.standard_normal((30, 12)), 0.0))
+    dense = data.to_dense()
+    pairs = {(i, k) for i, k in itertools.combinations(range(12), 2) if np.any(dense[:, i] * dense[:, k])}
+    assert ek.build_conflict_graph(data).edges == tuple(sorted(pairs))
+
 
 def test_json_round_trip_all_kinds():
     graph = ek.ConflictGraph(4, ((0, 1), (2, 3)))

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 import esokit as ek
-from esokit import config, datamatrix, samplings
+from conftest import capped_partition_spec, graph_spec_for
+from esokit import config, datamatrix, eso, samplings
 from esokit.cli import main
 from esokit.datamatrix import DataMatrix, write_matrix
 
@@ -195,3 +196,41 @@ def test_solve_and_certify_paths_never_densify(tmp_path, monkeypatch):
     assert math.isclose(problem.objective(x), expected_objective, rel_tol=1e-12)
     np.testing.assert_allclose(problem.gradient(x), expected_gradient, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(problem.x_star(), expected_x_star, rtol=1e-9, atol=1e-12)
+
+
+def test_the_package_reads_the_csr_arrays_not_the_python_views(monkeypatch):
+    # Every formula, the certificate, the conflict graph, the quadratic check
+    # and the solver work from row_ptr/cols; the tuple views are for callers.
+    problem = _shared_rows_problem(22)
+    data, n = problem.data, problem.n
+    halves = [list(range(6)), list(range(6, 12))]
+    specs = [
+        ek.tau_nice(n, 3),
+        ek.ctau_distributed(halves, 2),
+        ek.doubly_uniform([0.0, 0.1, 0.3, 0.2, 0.2, 0.2] + [0.0] * 7),
+        graph_spec_for(data),
+        ek.intersection(ek.tau_nice(n, 8), ek.ctau_distributed(halves, 4)),
+        capped_partition_spec(np.random.default_rng(23), n, 3),
+    ]
+
+    def refuse(self):
+        raise AssertionError("a Python view of the rows or columns was read")
+
+    for name in ("row_supports", "row_entries", "column_entries"):
+        monkeypatch.setattr(DataMatrix, name, property(refuse))
+    assert ek.build_conflict_graph(data).n == n
+    for spec in specs:
+        computed = 0
+        for formula in eso.FORMULAS:
+            try:
+                result = ek.compute_v(data, spec, formula)
+            except ek.UnsupportedMethodError:
+                continue
+            computed += 1
+            assert np.all(result.v > 0)
+        assert computed >= 5, spec.kind
+        assert ek.certify(data, spec, ek.compute_v(data, spec, "coupled-exact").v) >= -1e-8
+    spec = specs[0]
+    v = problem.stepsizes(spec).v
+    assert ek.check_eso_quadratic(data, spec, ek.compute_v(data, spec, "auto").v).passed
+    assert ek.solve(problem, spec, v, epsilon=1e-6, max_iter=20_000).converged

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import esokit as ek
+from conftest import csr
 from esokit import spectral
 from esokit.errors import UnsupportedMethodError, ValidationError
 from esokit.spectral import (
@@ -276,24 +277,24 @@ def test_restricted_closed_form_matches_per_set_reference():
     n = 8
     sets = [tuple(sorted(rng.choice(n, size=k, replace=False).tolist())) for k in range(1, n + 1) for _ in range(3)]
     for tau in range(n + 1):
-        values, source = restricted_closed_form(ek.tau_nice(n, tau), sets)
+        values, source = restricted_closed_form(ek.tau_nice(n, tau), *csr(sets))
         assert source == "tau_nice_restriction"
         assert values.tolist() == [tau_nice_restricted_value(n, tau, len(j)) for j in sets]
 
     ctau = ek.ctau_distributed([range(4), range(4, 8)], 3)
-    values, source = restricted_closed_form(ctau, sets)
+    values, source = restricted_closed_form(ctau, *csr(sets))
     assert source == "ctau_restriction"
     assert values.tolist() == [ctau_restricted_bound(ctau, j) for j in sets]
 
     du = ek.doubly_uniform([0.0, 0.2, 0.3, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05])
     first, second = ek.cardinality_moments(du)
-    values, source = restricted_closed_form(du, sets)
+    values, source = restricted_closed_form(du, *csr(sets))
     assert source == "doubly_uniform_restriction"
     expected = [1.0 + (len(j) - 1) * (second / first - 1.0) / (n - 1) for j in sets]
     assert values.tolist() == pytest.approx(expected, rel=4 * np.finfo(float).eps)
 
-    assert restricted_closed_form(ek.serial([1.0 / n] * n), sets) is None
-    assert restricted_closed_form(ek.doubly_uniform([1.0] + [0.0] * n), sets) is None
+    assert restricted_closed_form(ek.serial([1.0 / n] * n), *csr(sets)) is None
+    assert restricted_closed_form(ek.doubly_uniform([1.0] + [0.0] * n), *csr(sets)) is None
 
 
 @pytest.mark.parametrize("stack_entries", [spectral._STACK_ENTRIES, 50])
@@ -320,10 +321,10 @@ def test_restricted_lambda_primes_match_the_one_set_form(method, stack_entries, 
     ]
     assert max(map(len, sets)) >= 40 and min(map(len, sets)) == 1
     for spec in specs:
-        batch = restricted_lambda_primes(spec, sets, method)
+        batch = restricted_lambda_primes(spec, *csr(sets), method)
         reference = [ek.lambda_prime_restricted(spec, j, method).value for j in sets]
         assert np.array_equal(batch, reference), spec.kind
-        assert restricted_lambda_primes(spec, [()], method).tolist() == [0.0]
+        assert restricted_lambda_primes(spec, *csr([()]), method).tolist() == [0.0]
         for bad in ([0, n], [-1, 2]):
             with pytest.raises(ValidationError, match="indices"):
-                restricted_lambda_primes(spec, [bad], method)
+                restricted_lambda_primes(spec, *csr([bad]), method)

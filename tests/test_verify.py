@@ -253,6 +253,18 @@ def test_quadratic_check_rejects_points_of_the_wrong_length():
         ek.check_eso_quadratic(FIXTURE_A, SPEC, V_OK[:1], points=[(np.zeros(3), np.ones(3))])
 
 
+def test_quadratic_check_rejects_an_empty_point_list(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the check did work before refusing")
+
+    monkeypatch.setattr(ek.DataMatrix, "gram", refuse)
+    monkeypatch.setattr(samplings, "weighted_masks", refuse)
+    for mode in ("exhaustive", "monte_carlo"):
+        with pytest.raises(ValidationError, match="at least one point") as info:
+            ek.check_eso_quadratic(FIXTURE_A, SPEC, V_OK, points=[], mode=mode)
+        assert info.value.field == "points"
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo expectations over the distinct drawn sets
 
