@@ -100,7 +100,7 @@ def eso_uncoupled(
     matrix is; NaN is rejected, +inf is a vacuous bound). lambda'(P) is needed
     only when it can be the minimum. The all-ones vector gives the exact
     moment bound lambda'(P) >= E|S|^2 / E|S|, so when lambda'(A'A) lies below
-    it by more than a relative 1e-9, far above the rounding of ``eigh``, the
+    it by more than a relative 1e-9, far above the rounding of ``eigvalsh``, the
     minimum is lambda'(A'A) and P is not solved. Otherwise lambda'(P) is
     eigen-solved on the exact probability matrix when n is at most the dense
     cap, and replaced by the cardinality cap beyond it. P is built at most

@@ -36,9 +36,10 @@ _STACK_ENTRIES = 1 << 20
 class EigenEstimate:
     """A (possibly safeguarded or bounded) eigenvalue estimate.
 
-    ``residual`` is the relative eigenpair residual in dense mode and the
-    last-two-iterate relative gap in power mode; formula values carry 0.0 and
-    pure bounds carry None.
+    ``residual`` is the absolute eigenpair residual ||Mv - lambda v||_2 of
+    :func:`lambda_max` in dense mode and the last-two-iterate relative gap in
+    power mode; formula values carry 0.0, and pure bounds and the dense
+    lambda' values, which come from a values-only eigen-solve, carry None.
     """
 
     value: float
@@ -77,14 +78,6 @@ def _check_square_symmetric(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-def _dense_top_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray, float]:
-    eigvals, eigvecs = np.linalg.eigh(m)
-    value = float(eigvals[-1])
-    vector = eigvecs[:, -1]
-    residual = float(np.linalg.norm(m @ vector - value * vector))
-    return value, vector, residual
-
-
 def lambda_max(
     m: np.ndarray,
     method: str = METHOD_DENSE,
@@ -102,7 +95,9 @@ def _top_eigenvalue(
     if m.size == 0 or not np.any(m):
         return EigenEstimate(0.0, method, 0.0)
     if method == METHOD_DENSE:
-        value, _, residual = _dense_top_eigenpair(m)
+        eigvals, eigvecs = np.linalg.eigh(m)
+        value, vector = float(eigvals[-1]), eigvecs[:, -1]
+        residual = float(np.linalg.norm(m @ vector - value * vector))
         return EigenEstimate(max(value, 0.0), METHOD_DENSE, residual)
     if method == METHOD_POWER:
         return _power_method(m, power_iterations, safeguard)
@@ -161,10 +156,14 @@ def lambda_prime(
         )
     if support.size == 0:
         return EigenEstimate(0.0, method, 0.0)
-    sub = m[np.ix_(support, support)]
+    sub = m if support.size == m.shape[0] else m[np.ix_(support, support)]
     scale = 1.0 / np.sqrt(diag[support])
     # Exactly symmetric, as m is: lambda_max's check would change nothing.
     normalized = sub * np.outer(scale, scale)
+    if method == METHOD_DENSE:
+        # Values only: lambda' needs no eigenvector (and the unit diagonal is nonzero).
+        value = float(np.linalg.eigvalsh(normalized)[-1])
+        return EigenEstimate(max(value, 0.0), METHOD_DENSE, None)
     return _top_eigenvalue(normalized, method, power_iterations, safeguard)
 
 
@@ -340,10 +339,10 @@ def restricted_lambda_primes(
     The restricted matrices of the sets of one size are evaluated from
     :func:`probability.exact_rule` in stacks of at most ``_STACK_ENTRIES``
     entries, each symmetrized and normalized as the one-set form treats its
-    block; ``exact`` makes one ``eigh`` call per stack. No n x n matrix is
-    built unless the sampling's support is enumerated. A proper sampling
-    has a positive diagonal, so every restricted matrix is normalized on its
-    whole set.
+    block; ``exact`` makes one values-only ``eigvalsh`` call per stack. No
+    n x n matrix is built unless the sampling's support is enumerated. A
+    proper sampling has a positive diagonal, so every restricted matrix is
+    normalized on its whole set.
     """
     ptr, indices = np.asarray(ptr, dtype=np.int64), np.asarray(indices, dtype=np.int64)
     if indices.size and (indices.min() < 0 or indices.max() >= spec.n):
@@ -368,7 +367,7 @@ def restricted_lambda_primes(
             scale = 1.0 / np.sqrt(np.diagonal(sub, axis1=1, axis2=2))
             m = sub * (scale[:, :, None] * scale[:, None, :])
             if method == "exact":
-                top = np.maximum(np.linalg.eigh(m)[0][:, -1], 0.0)
+                top = np.maximum(np.linalg.eigvalsh(m)[:, -1], 0.0)
             else:
                 top = [_power_method(b, power_iterations, safeguard).value for b in m]
             out[members[lo : lo + step]] = top

@@ -156,7 +156,7 @@ def test_eigen_solves_per_formula_on_a_tau_nice_fixture(monkeypatch):
 
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted(name))
-    expected = {"uncoupled": ["eigh"], "coupled-exact": ["eigh", "eigh"]}
+    expected = {"uncoupled": ["eigvalsh"], "coupled-exact": ["eigvalsh", "eigvalsh"]}
     for formula, entry in eso.FORMULAS.items():
         if entry.kind not in (None, spec.kind):
             continue

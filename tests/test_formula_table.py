@@ -9,7 +9,10 @@ of the numbers is intended, with ``PYTHONPATH=src python tests/test_formula_tabl
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +93,44 @@ def test_table_formula_ids_are_the_reported_ids():
         formula_id = eso.FORMULAS[key.rsplit("/", 1)[1]].formula_id
         if formula_id is not None and "formula_id" in expected:
             assert expected["formula_id"] == formula_id, key
+
+
+# Samplings whose P is evaluated elementwise, without BLAS; graph and explicit
+# kinds sum their P with a matrix product, whose rounding follows the thread count.
+_THREAD_FREE_LABELS = (
+    "tau_nice", "ctau_distributed", "doubly_uniform", "intersection", "mixture_with_restriction"
+)
+_V_BYTES_SCRIPT = f"""
+import json
+from esokit import eso
+from test_formula_table import FIXTURES, fixture_specs
+out = {{}}
+for name in FIXTURES:
+    data, specs = fixture_specs(name)
+    for label in {_THREAD_FREE_LABELS!r}:
+        for formula in ("uncoupled", "coupled-exact"):
+            v = eso.compute_v(data, specs[label], formula).v
+            out[f"{{name}}/{{label}}/{{formula}}"] = v.tobytes().hex()
+print(json.dumps(out))
+"""
+
+
+def _v_bytes(threads: int) -> dict:
+    paths = [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=os.pathsep.join(paths))
+    done = subprocess.run(
+        [sys.executable, "-c", _V_BYTES_SCRIPT],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    return json.loads(done.stdout)
+
+
+def test_eigen_solved_v_does_not_depend_on_the_blas_thread_count():
+    # The uncoupled and coupled-exact eigen-solves at golden sizes give the
+    # same bits with one BLAS thread and with two.
+    one, two = _v_bytes(1), _v_bytes(2)
+    assert len(one) == 2 * len(FIXTURES) * len(_THREAD_FREE_LABELS)
+    assert one == two
 
 
 def _formula_choices(command: str) -> list:

@@ -427,17 +427,17 @@ _RESTRICTED_DIGESTS = {
     ("elementary", "power"): "bae539229879402464d4f68b9646b9fa9ef59ef3582bd25458fe465b65fa0166",
     ("serial", "exact"): "f2d7d9f3661db7766dadb964a7ce00867056d1e792c7d4c2003a8532a744f427",
     ("serial", "power"): "ff226dd895ffa77a2aace8d451909db659d9153cb62a1434f678db6c5f1c0574",
-    ("tau_nice", "exact"): "e1475a597a508aa0cc2d4b8e69a3331c0054aafa7a65e6776bb612b250e9b321",
+    ("tau_nice", "exact"): "a46ef5652a48424e16af6f49954ff280a77889585ef74084ee2cc720603d833b",
     ("tau_nice", "power"): "4b3648dae4e01360572a9e475cb6fb7a3de4011d03fc0981eee1f093cee84b53",
-    ("ctau_distributed", "exact"): "97428dac3edf33705273b8d9dfa9e3b7ec0b8aea5e63466485e2debd0710d97e",
+    ("ctau_distributed", "exact"): "04ab3650afc97ab542369f2cd516e8f2018519cae5f04d89942bbf5bf21ab1fb",
     ("ctau_distributed", "power"): "a953c38205a83c3668b87de75ff29e0bf74cacf2faee851236b98b47cba638c4",
-    ("doubly_uniform", "exact"): "d732a84b9f84c9c4cdb907a26f3e54446807c23473ca103abb4c68befdd8ca86",
+    ("doubly_uniform", "exact"): "b3b11ebea4987649a02a6d4c744c68a4fc54cf0525505aacd40b8985e41df983",
     ("doubly_uniform", "power"): "484c76546d7168e97da4adfc8c1096584cdbb1319fc15d80946b9b8c022e2aba",
-    ("product", "exact"): "820f15538ae51e8cac4f9123a081e03229ea4d09ebed1e925fae78bc93adba7d",
+    ("product", "exact"): "ceddb331e776c646fe41d3863967bfb6b613a02370a8f90bd8fb08ed2cba774e",
     ("product", "power"): "eb7a7ce10a72259980b77574a89c3dfda3ad72c498d62da739d023c2464c06f6",
     ("graph", "exact"): "74d48357b9e7ebefc9b3a71ad43034d298e3570c9ad5acc9399660945967bf81",
     ("graph", "power"): "6f4954825b3699587c86c977c62e1f57d48e8b61446bf2ed0f70cb8992082318",
-    ("convex_combination", "exact"): "4340ca28c42dd124fa99a021d8a1a4d62bdd5df4fb20e0ba2a4c7074a0761d72",
+    ("convex_combination", "exact"): "f4b5a086f4e33de0a6f29fe690d54cb1160b5bbae9a2b59912ba7c2bf423a451",
     ("convex_combination", "power"): "18ff944e362f987842b8d5ecd2a1a92910f9f9334a8d6ea63f5c4cd635848a4b",
     ("intersection", "exact"): "36ab03d361bc0295f18ff290e71d0fc14525922a2a6cd5b6af9f920445cd9927",
     ("intersection", "power"): "f52c390a7a8ec3adc13c46d44b843318fd34c6c7bb5f9b7d9236bb7bdea38ec5",
@@ -445,7 +445,7 @@ _RESTRICTED_DIGESTS = {
     ("restriction", "power"): "f3f244947b9147664d41d00473d2eba64f4c2f6c6c2ad8c762d35051ac1935cf",
     ("explicit", "exact"): "cf4806372c85ee3801709b9075dc7daaa4cf09c01a797fd226225a88a41f1c15",
     ("explicit", "power"): "fd7abaadac621ce7ab5f29a2fcf3cca9744214630dc16d8caf5664badf14dc2f",
-    ("explicit_mixture", "exact"): "ad798b28e3404011a546adcb5f28456302a894d8e7d14745fe210fd36a11f45a",
+    ("explicit_mixture", "exact"): "5c08d5155acd7bb487b78aeef10d2f3a5ce8ab31be7cbdd87d8ac58a8a0180e2",
     ("explicit_mixture", "power"): "0d01c79f5fbf7030220decf1a065744d622631714b431f374dccaa0c5570729b",
 }
 

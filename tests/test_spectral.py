@@ -328,3 +328,63 @@ def test_restricted_lambda_primes_match_the_one_set_form(method, stack_entries, 
         for bad in ([0, n], [-1, 2]):
             with pytest.raises(ValidationError, match="indices"):
                 restricted_lambda_primes(spec, *csr([bad]), method)
+
+
+def _eigh_top_normalized(m):
+    """Top eigenvalue by ``eigh`` (with eigenvectors) of the matrix that
+    lambda_prime normalizes: m symmetrized, cut to its positive diagonal and
+    scaled to a unit diagonal; 0 when no diagonal entry is positive."""
+    m = 0.5 * (m + m.T)
+    diag = np.diag(m)
+    support = np.flatnonzero(diag > 0.0)
+    if support.size == 0:
+        return 0.0, 0
+    scale = 1.0 / np.sqrt(diag[support])
+    normalized = m[np.ix_(support, support)] * np.outer(scale, scale)
+    return max(float(np.linalg.eigh(normalized)[0][-1]), 0.0), support.size
+
+
+def test_values_only_lambda_prime_is_the_eigh_top_eigenvalue_to_rounding():
+    # lambda' is read from eigvalsh, not from eigh's eigenpair; the two agree
+    # within 8 n eps lambda' on random PSD matrices of every size 1..60, also
+    # with rank deficiency and zero rows (zero diagonal entries off support).
+    rng = ek.rng_for_stream(83, 0)
+    eps = np.finfo(float).eps
+    zero_rows = 0
+    for n in range(1, 61):
+        for _ in range(3):
+            g = rng.standard_normal((n, int(rng.integers(1, n + 1))))
+            g[rng.random(n) < 0.2] = 0.0
+            zero_rows += int(np.sum(~g.any(axis=1)))
+            m = g @ g.T
+            reference, size = _eigh_top_normalized(m)
+            est = ek.lambda_prime(m)
+            assert est.residual is None or size == 0
+            assert abs(est.value - reference) <= 8 * max(size, 1) * eps * reference, n
+    assert zero_rows > 0
+
+
+def test_values_only_restricted_lambda_primes_are_the_eigh_top_eigenvalues(monkeypatch):
+    # The stacked eigvalsh of restricted_lambda_primes, split into many small
+    # stacks, against eigh on each normalized restricted block of exact P.
+    monkeypatch.setattr(spectral, "_STACK_ENTRIES", 50)
+    rng = ek.rng_for_stream(84, 0)
+    eps = np.finfo(float).eps
+    n = 60
+    sets = [rng.choice(n, size=int(rng.integers(1, 21)), replace=False).tolist() for _ in range(80)]
+    specs = [
+        ek.tau_nice(n, 7),
+        ek.ctau_distributed([range(k, k + 15) for k in range(0, n, 15)], 4),
+        ek.doubly_uniform(rng.dirichlet(np.ones(n + 1))),
+        ek.intersection(ek.tau_nice(n, 40), ek.tau_nice(n, 25)),
+        ek.convex_combination(
+            [0.3, 0.7], [ek.restriction(ek.tau_nice(n, 12), range(0, 35)), ek.tau_nice(n, 5)]
+        ),
+    ]
+    for spec in specs:
+        values = restricted_lambda_primes(spec, *csr(sets), "exact")
+        entries = ek.probability.exact_matrix(spec).entries
+        for j, value in zip(sets, values):
+            reference, size = _eigh_top_normalized(entries[np.ix_(j, j)])
+            assert size == len(j)
+            assert abs(value - reference) <= 8 * size * eps * reference, (spec.kind, j)
