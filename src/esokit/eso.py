@@ -297,8 +297,18 @@ def certificate_matrix(data: DataMatrix, spec: SamplingSpec, v: np.ndarray) -> n
 
 
 def _certificate(gram: np.ndarray, spec: SamplingSpec, v: np.ndarray) -> np.ndarray:
-    """:func:`certificate_matrix` from the Gram matrix A'A, unchecked."""
-    return np.diag(v * samplings.marginals(spec)) - probability.prob_matrix(spec, "auto").entries * gram
+    """:func:`certificate_matrix` from the Gram matrix A'A, unchecked.
+
+    Assembled in the fresh entries of P, never in ``gram``, which callers
+    reuse. 0 - x (not -x) keeps the zeros of P o G positive, and adding v o p
+    to the diagonal afterwards rounds as subtracting from it does, so the
+    result is bit-identical to Diag(v o p) - P o G.
+    """
+    c = probability.prob_matrix(spec, "auto").entries
+    np.multiply(c, gram, out=c)
+    np.subtract(0.0, c, out=c)
+    c[np.diag_indices_from(c)] += v * samplings.marginals(spec)
+    return c
 
 
 def certify(data: DataMatrix, spec: SamplingSpec, v: np.ndarray) -> float:

@@ -49,6 +49,12 @@ class QuadraticProblem:
     Strong convexity requires ridge > 0 or A with full column rank; the
     optimum is computed once by a direct solve with iterative refinement and
     cached for gap reporting.
+
+    The ridge-augmented data matrix of :meth:`augmented_data` is cached too,
+    with the ``data`` object and the ``ridge`` value it was built from, and
+    rebuilt on the next call after either field is reassigned. Every
+    stepsize and certificate computed through the problem then shares one
+    matrix and the CSR/CSC views and column norms it builds on first use.
     """
 
     data: DataMatrix
@@ -56,6 +62,10 @@ class QuadraticProblem:
     b: np.ndarray | None = None
     _x_star: np.ndarray | None = field(default=None, repr=False)
     _f_star: float | None = field(default=None, repr=False)
+    # (data, ridge, augmented matrix); holding data keeps the identity test sound.
+    _augmented: tuple[DataMatrix, float, DataMatrix] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.ridge < 0:
@@ -71,7 +81,9 @@ class QuadraticProblem:
         return self.data.n
 
     def hessian(self) -> np.ndarray:
-        return self.data.gram() + self.ridge * np.eye(self.data.n)
+        h = self.data.gram()
+        h[np.diag_indices_from(h)] += self.ridge
+        return h
 
     def objective(self, x: np.ndarray) -> float:
         ax = self.data.matvec(x)
@@ -118,8 +130,12 @@ class QuadraticProblem:
     def augmented_data(self) -> DataMatrix:
         """Data matrix whose Gram matrix includes the ridge term; stepsize
         formulas run on this so the overapproximation covers the full
-        objective."""
-        return self.data.with_ridge_rows(self.ridge)
+        objective. Built once per (data, ridge) and cached; with ridge 0 it
+        is ``data`` itself."""
+        cached = self._augmented
+        if cached is None or cached[0] is not self.data or cached[1] != self.ridge:
+            cached = self._augmented = (self.data, self.ridge, self.data.with_ridge_rows(self.ridge))
+        return cached[2]
 
     def stepsizes(self, spec: SamplingSpec, formula: str = "auto", **kwargs) -> eso.EsoResult:
         return eso.compute_v(self.augmented_data(), spec, formula=formula, **kwargs)

@@ -18,9 +18,9 @@ matrices against brute-force expectation oracles.
 
 from __future__ import annotations
 
+import html
 import math
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -358,7 +358,7 @@ def write_junit(report: BatteryReport, path) -> None:
     ]
     for name, check in report.checks.items():
         lines.append(
-            f'  <testcase name="{escape(name)}" classname="identity_battery">'
+            f'  <testcase name="{html.escape(name, quote=True)}" classname="identity_battery">'
             + (
                 ""
                 if check["pass"]

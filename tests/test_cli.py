@@ -329,6 +329,23 @@ def test_python_dash_m_runs_the_cli():
     assert "compute-v" in done.stdout
 
 
+def test_importing_the_package_loads_no_network_modules():
+    # These come in only through heavy imports (xml.sax pulls in urllib and
+    # email), which would cost every interpreter start and CLI call.
+    src = str(Path(ek.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = (
+        "import sys, numpy\n"
+        "before = set(sys.modules)\n"
+        "import esokit\n"
+        "new = set(sys.modules) - before\n"
+        "print(sorted(new & {'urllib.request', 'http.client', 'ssl', 'email.parser'}))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 def test_probmatrix_above_the_dense_cap_is_an_input_error(monkeypatch, capsys):
     monkeypatch.setattr(ek.config, "DENSE_EIG_CAP", 4)
     spec = json.dumps({"n": 5, "kind": "tau_nice", "tau": 2})

@@ -307,6 +307,22 @@ def test_certify_examples():
     assert ek.certify(empty, TAU_NICE_32, np.full(3, 1e-12)) > 0
 
 
+def test_certificate_is_bit_identical_to_the_reference_formula():
+    # Assembled in place in P's entries; the Gram matrix is left untouched.
+    rng = ek.rng_for_stream(92, 0)
+    for _ in range(80):
+        n = int(rng.integers(2, 9))
+        data = random_sparse_matrix(rng, n + 2, n, 0.5)
+        spec = ek.random_spec(rng, n)
+        v = rng.random(n) + 0.05
+        gram = data.gram()
+        kept = gram.copy()
+        reference = np.diag(v * ek.marginals(spec)) - ek.prob_matrix(spec, "auto").entries * gram
+        assert eso._certificate(gram, spec, v).tobytes() == reference.tobytes()
+        assert gram.tobytes() == kept.tobytes()
+        assert eso.certificate_matrix(data, spec, v).tobytes() == reference.tobytes()
+
+
 def test_certify_tight_case_serial_identity():
     data = ek.DataMatrix.from_dense(np.eye(4))
     spec = ek.serial([0.25] * 4)

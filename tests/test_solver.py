@@ -280,6 +280,51 @@ def test_reference_optimum_accuracy():
     assert np.linalg.norm(problem.gradient(x_star)) <= 1e-8
 
 
+def test_hessian_adds_the_ridge_to_the_gram_diagonal_bit_for_bit():
+    problem = _fixture_problem(seed=78, m=15, n=7, ridge=0.3)
+    reference = problem.data.gram() + problem.ridge * np.eye(problem.n)
+    assert problem.hessian().tobytes() == reference.tobytes()
+
+
+def test_augmented_data_is_built_once_per_data_and_ridge():
+    problem = _fixture_problem()
+    first = problem.augmented_data()
+    assert problem.augmented_data() is first
+    # stepsizes read the cached matrix, so its views are built once.
+    problem.stepsizes(ek.tau_nice(problem.n, 2), "taunice")
+    assert problem.augmented_data() is first and "row_ptr" in vars(first)
+
+    problem.ridge = 0.5
+    second = problem.augmented_data()
+    assert second is not first and problem.augmented_data() is second
+    assert np.array_equal(second.to_dense(), problem.data.with_ridge_rows(0.5).to_dense())
+
+    problem.data = problem.data.scaled(2.0)
+    third = problem.augmented_data()
+    assert third is not second and problem.augmented_data() is third
+    assert np.array_equal(third.to_dense(), problem.data.with_ridge_rows(0.5).to_dense())
+
+    problem.ridge = 0.0
+    assert problem.augmented_data() is problem.data
+
+
+def test_cached_stepsizes_and_certificates_match_a_fresh_augmented_matrix():
+    rng = ek.rng_for_stream(79, 0)
+    for _ in range(12):
+        n = int(rng.integers(2, 8))
+        problem = _fixture_problem(seed=int(rng.integers(1 << 30)), m=n + 4, n=n, ridge=0.25)
+        fresh = problem.data.with_ridge_rows(problem.ridge)
+        spec = ek.random_spec(rng, n, require_nonnil=True)
+        if not ek.is_proper(spec):
+            continue
+        for formula in ("auto", "uncoupled", "coupled-exact", "coupled-bound"):
+            for _ in range(2):  # the second call reads the cached matrix
+                v = problem.stepsizes(spec, formula).v
+                assert v.tobytes() == ek.compute_v(fresh, spec, formula).v.tobytes()
+                margin = ek.certify(problem.augmented_data(), spec, v)
+                assert margin == ek.certify(fresh, spec, v)
+
+
 # ---------------------------------------------------------------------------
 # The lockstep kernel against the per-run loop it replaced
 

@@ -330,6 +330,23 @@ def test_restricted_lambda_primes_match_the_one_set_form(method, stack_entries, 
                 restricted_lambda_primes(spec, *csr([bad]), method)
 
 
+def test_exactly_symmetric_input_is_returned_and_near_symmetric_input_symmetrized():
+    rng = ek.rng_for_stream(84, 0)
+    g = rng.standard_normal((6, 6))
+    m = (g + g.T) / (2.0 * np.max(np.abs(g)))  # exactly symmetric, entries within [-1, 1]
+    assert spectral._check_square_symmetric(m) is m
+    assert np.array_equal(0.5 * (m + m.T), m)
+    near = m.copy()
+    near[0, 1] += 1e-13
+    out = spectral._check_square_symmetric(near)
+    assert out is not near and np.array_equal(out, out.T)
+    assert np.array_equal(out, 0.5 * (near + near.T))
+    far = m.copy()
+    far[0, 1] += 1e-9
+    with pytest.raises(ValidationError, match="symmetric"):
+        spectral._check_square_symmetric(far)
+
+
 def _eigh_top_normalized(m):
     """Top eigenvalue by ``eigh`` (with eigenvectors) of the matrix that
     lambda_prime normalizes: m symmetrized, cut to its positive diagonal and

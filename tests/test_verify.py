@@ -150,6 +150,13 @@ def test_identity_battery_passes_and_writes_junit(tmp_path):
     assert "<testsuite" in text and 'failures="0"' in text
 
 
+def test_junit_escapes_quotes_and_markup_in_check_names(tmp_path):
+    checks = {'a"b<c>&d': {"max_discrepancy": 0.0, "cases": 1, "pass": True}}
+    path = tmp_path / "battery.xml"
+    write_junit(verify.BatteryReport(checks=checks, tolerance=1e-9, seed=0, sizes=(3,)), path)
+    assert '<testcase name="a&quot;b&lt;c&gt;&amp;d" classname="identity_battery">' in path.read_text()
+
+
 def test_matrix_form_rejects_wrong_length_v():
     with pytest.raises(ValidationError):
         ek.check_eso_matrix_form(FIXTURE_A, SPEC, V_OK[:-1])
