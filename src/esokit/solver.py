@@ -55,6 +55,8 @@ class QuadraticProblem:
     rebuilt on the next call after either field is reassigned. Every
     stepsize and certificate computed through the problem then shares one
     matrix and the CSR/CSC views and column norms it builds on first use.
+    With ridge > 0 that matrix (A with n ridge rows below it) and its views
+    stay in memory as long as the problem does, beside ``data`` itself.
     """
 
     data: DataMatrix
@@ -64,7 +66,7 @@ class QuadraticProblem:
     _f_star: float | None = field(default=None, repr=False)
     # (data, ridge, augmented matrix); holding data keeps the identity test sound.
     _augmented: tuple[DataMatrix, float, DataMatrix] | None = field(
-        default=None, repr=False, compare=False
+        default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self):

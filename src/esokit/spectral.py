@@ -72,9 +72,6 @@ def _check_square_symmetric(m: np.ndarray) -> np.ndarray:
         raise ValidationError("matrix", "must be square")
     if not np.all(np.isfinite(m)):
         raise ValidationError("matrix", "contains NaN or infinite entries")
-    if np.array_equal(m, m.T):
-        # 0.5 * (m + m') would equal m; callers only read the array.
-        return m
     scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
     if m.size and np.max(np.abs(m - m.T)) > 1e-10 * scale:
         raise ValidationError("matrix", "not symmetric within 1e-10")

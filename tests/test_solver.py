@@ -306,6 +306,9 @@ def test_augmented_data_is_built_once_per_data_and_ridge():
 
     problem.ridge = 0.0
     assert problem.augmented_data() is problem.data
+    # The cache is not a constructor argument, so no caller can seed it.
+    with pytest.raises(TypeError):
+        ek.QuadraticProblem(problem.data, ridge=0.5, _augmented=(problem.data, 0.5, problem.data))
 
 
 def test_cached_stepsizes_and_certificates_match_a_fresh_augmented_matrix():

@@ -330,12 +330,11 @@ def test_restricted_lambda_primes_match_the_one_set_form(method, stack_entries, 
                 restricted_lambda_primes(spec, *csr([bad]), method)
 
 
-def test_exactly_symmetric_input_is_returned_and_near_symmetric_input_symmetrized():
+def test_symmetry_check_symmetrizes_near_symmetric_input_and_rejects_the_rest():
     rng = ek.rng_for_stream(84, 0)
     g = rng.standard_normal((6, 6))
     m = (g + g.T) / (2.0 * np.max(np.abs(g)))  # exactly symmetric, entries within [-1, 1]
-    assert spectral._check_square_symmetric(m) is m
-    assert np.array_equal(0.5 * (m + m.T), m)
+    assert np.array_equal(spectral._check_square_symmetric(m), m)
     near = m.copy()
     near[0, 1] += 1e-13
     out = spectral._check_square_symmetric(near)
