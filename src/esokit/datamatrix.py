@@ -9,6 +9,7 @@ they never contribute to supports or norms.
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -238,11 +239,11 @@ def write_matrix(data: DataMatrix, path) -> None:
 def read_matrix(path) -> DataMatrix:
     """Parse the triplet text format, reporting 1-based line numbers on errors.
 
-    A file of exactly ``m n nnz`` and nnz triplet lines, with no comment or
-    blank line, is parsed in bulk by one ``split``. Any other file, and any
-    file whose tokens the bulk parse does not accept, is parsed line by line,
-    so both parsers accept the same files, give the same arrays and raise the
-    same line-numbered errors.
+    A file with no '%' whose first line is the header ``m n nnz`` and whose
+    other lines ``np.loadtxt`` reads as nnz triplets is parsed in bulk by
+    that one call. Any other file is parsed line by line, so both parsers
+    accept the same files, give the same arrays and raise the same
+    line-numbered errors.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -253,37 +254,34 @@ def read_matrix(path) -> DataMatrix:
         raise ParseError(str(e)) from e
 
 
-# Stands for each line break in the bulk parse; files holding it (or a '%'
-# anywhere) go to the line parser.
-_LINE_MARK = "\x00"
+_TRIPLET = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
 
 
 def _parse_bulk(text: str):
-    """(m, n, rows, cols, values), with 0-based indices, when every line of
-    ``text`` holds three tokens that convert as the line parser converts
-    them, with indices of at least 1 and the header's count; otherwise None,
-    and the line parser decides."""
-    if "%" in text or _LINE_MARK in text:
+    """(m, n, rows, cols, values), with 0-based indices, when the first line
+    of ``text`` is the header and ``np.loadtxt`` reads the rest as the
+    header's count of triplets with indices of at least 1; otherwise None,
+    and the line parser decides. loadtxt splits at the whitespace ``split``
+    splits at, skips blank lines and refuses every token that ``int`` or
+    ``float`` refuses (and some they accept, such as ``1_0``)."""
+    if "%" in text:
         return None
-    if not text.endswith("\n"):
-        text += "\n"
-    # Each line break becomes a token of its own. Every line holds three
-    # tokens exactly when every fourth token is a break: a break anywhere
-    # else fails to parse as a number below.
-    tokens = text.replace("\n", f" {_LINE_MARK} ").split()
-    lines = len(tokens) // 4
-    if len(tokens) != 4 * lines or tokens[3::4].count(_LINE_MARK) != lines:
-        return None
+    header, _, body = text.partition("\n")
     try:
-        m, n, nnz = (int(t) for t in tokens[:3])
-        rows = np.array(list(map(int, tokens[4::4])), dtype=np.int64)
-        cols = np.array(list(map(int, tokens[5::4])), dtype=np.int64)
-        values = np.array(list(map(float, tokens[6::4])), dtype=float)
-    except (ValueError, OverflowError):
+        m, n, nnz = (int(t) for t in header.split())
+    except ValueError:
         return None
-    if nnz != lines - 1 or (rows.size and min(rows.min(), cols.min()) < 1):
+    if body.strip():
+        try:
+            entries = np.loadtxt(io.StringIO(body), dtype=_TRIPLET, comments=None, ndmin=1)
+        except (ValueError, OverflowError):
+            return None
+    else:
+        # No triplets; loadtxt would warn on input without data.
+        entries = np.zeros(0, dtype=_TRIPLET)
+    if entries.size != nnz or (nnz and min(entries["row"].min(), entries["col"].min()) < 1):
         return None
-    return m, n, rows - 1, cols - 1, values
+    return m, n, entries["row"] - 1, entries["col"] - 1, entries["value"]
 
 
 def _parse_lines(text: str) -> DataMatrix:

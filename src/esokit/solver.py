@@ -26,6 +26,14 @@ active run: each run's generator makes the calls it would make alone
 (``config.RNG_SCHEME`` 2, unchanged), and only the arithmetic on the draws
 is shared. No operation mixes runs' values, so a run's output is a pure
 function of its (seed, stream index), the same alone or in any batch.
+
+The stop rule ``gap <= epsilon`` reads f* = ``QuadraticProblem.f_star()``,
+the objective at the cached optimum. With ridge > 0 that optimum comes from
+conjugate gradients at O(nnz) per step, with no n x n array and no cap on n,
+and its excess over the true minimum is certified at most
+``||grad f||^2 / (2 ridge)``. The dense direct solve runs only with ridge 0
+or as the fallback when conjugate gradients miss their tolerance, and only
+for n <= ``config.DENSE_EIG_CAP``.
 """
 
 from __future__ import annotations
@@ -46,9 +54,15 @@ from .samplings import SamplingSpec
 class QuadraticProblem:
     """f(x) = 0.5 ||Ax||^2 + (ridge/2) ||x||^2 - b'x.
 
-    Strong convexity requires ridge > 0 or A with full column rank; the
-    optimum is computed once by a direct solve with iterative refinement and
-    cached for gap reporting.
+    Strong convexity requires ridge > 0 or A with full column rank. The
+    optimum x* and f* = ``objective(x*)`` are cached for gap reporting,
+    keyed on the ``data`` object, the ``ridge`` value and a copy of ``b``.
+    Every x* passes ``||grad f(x*)|| <= 1e-12 max(1, ||b||)``. With ridge > 0
+    it comes from conjugate gradients, two sparse products per step and no
+    n x n array, and ``f(x*) - min f <= ||grad f(x*)||^2 / (2 ridge)``
+    certifies f*. The dense solve (:meth:`hessian`, n <= ``config.DENSE_EIG_CAP``)
+    runs with ridge 0 and as the fallback when conjugate gradients miss the
+    test within n + 100 steps; above the cap both raise ``ValidationError``.
 
     The ridge-augmented data matrix of :meth:`augmented_data` is cached too,
     with the ``data`` object and the ``ridge`` value it was built from, and
@@ -62,9 +76,11 @@ class QuadraticProblem:
     data: DataMatrix
     ridge: float = 0.0
     b: np.ndarray | None = None
-    _x_star: np.ndarray | None = field(default=None, repr=False)
-    _f_star: float | None = field(default=None, repr=False)
-    # (data, ridge, augmented matrix); holding data keeps the identity test sound.
+    # (data, ridge, copy of b, x*, f*); holding data keeps the identity test sound.
+    _optimum: tuple[DataMatrix, float, np.ndarray, np.ndarray, float] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    # (data, ridge, augmented matrix), held as _optimum holds data.
     _augmented: tuple[DataMatrix, float, DataMatrix] | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -95,29 +111,77 @@ class QuadraticProblem:
         return self.data.rmatvec(self.data.matvec(x)) + self.ridge * x - self.b
 
     def x_star(self) -> np.ndarray:
-        if self._x_star is None:
-            h = self.hessian()
-            try:
-                x = np.linalg.solve(h, self.b)
-            except np.linalg.LinAlgError as e:
-                raise ValidationError(
-                    "problem", "not strongly convex: ridge = 0 and A lacks full column rank"
-                ) from e
-            # Iterative refinement keeps the reference optimum trustworthy on
-            # ill-conditioned fixtures.
-            scale = max(1.0, float(np.linalg.norm(self.b)))
-            for _ in range(50):
-                residual = self.b - h @ x
-                if np.linalg.norm(residual) <= 1e-12 * scale:
-                    break
-                x = x + np.linalg.solve(h, residual)
-            self._x_star = x
-            self._f_star = self.objective(x)
-        return self._x_star
+        cached = self._optimum
+        if (
+            cached is None
+            or cached[0] is not self.data
+            or cached[1] != self.ridge
+            or not np.array_equal(cached[2], self.b)
+        ):
+            if self.ridge > 0:
+                x = self._conjugate_gradients()
+            else:
+                x = self._dense_optimum(f"ridge = {self.ridge!r} leaves conjugate gradients no certificate")
+            cached = self._optimum = (self.data, self.ridge, np.array(self.b, dtype=float), x, self.objective(x))
+        return cached[3]
 
     def f_star(self) -> float:
         self.x_star()
-        return self._f_star
+        return self._optimum[4]
+
+    def _conjugate_gradients(self) -> np.ndarray:
+        """Conjugate gradients from x = 0 until ``||grad f(x)|| <= 1e-12
+        max(1, ||b||)``; the dense solve when n + _CG_EXTRA_STEPS steps miss
+        that test. The residual b - (A'A + ridge I)x is recomputed from the
+        data every 25 steps and before x is accepted."""
+        data, ridge, n = self.data, self.ridge, self.n
+        tol = 1e-12 * max(1.0, float(np.linalg.norm(self.b)))
+        x = np.zeros(n)
+        r = p = np.array(self.b, dtype=float)  # the residual, exact at x = 0
+        rr = r @ r
+        steps = n + _CG_EXTRA_STEPS
+        for step in range(steps + 1):
+            if step % 25 == 0 or rr <= tol * tol:
+                r = -self.gradient(x)
+                rr = r @ r
+                if np.linalg.norm(r) <= tol:
+                    return x
+            if step == steps:
+                break
+            q = data.rmatvec(data.matvec(p)) + ridge * p
+            alpha = rr / (p @ q)
+            x = x + alpha * p
+            r = r - alpha * q
+            rr, rr_old = r @ r, rr
+            p = r + (rr / rr_old) * p
+        return self._dense_optimum(
+            f"conjugate gradients stopped at gradient norm {np.linalg.norm(self.gradient(x)):.3e} "
+            f"after {steps} steps, above the tolerance {tol:.3e}"
+        )
+
+    def _dense_optimum(self, reason: str) -> np.ndarray:
+        """x* by a dense direct solve with iterative refinement; above the
+        dense cap a ``ValidationError`` that gives ``reason``."""
+        if self.n > config.DENSE_EIG_CAP:
+            raise ValidationError(
+                "problem", f"{reason}, and the dense solve is refused for n = {self.n} > {config.DENSE_EIG_CAP}"
+            )
+        h, b = self.hessian(), self.b
+        try:
+            x = np.linalg.solve(h, b)
+        except np.linalg.LinAlgError as e:
+            raise ValidationError(
+                "problem", "not strongly convex: ridge = 0 and A lacks full column rank"
+            ) from e
+        # Iterative refinement keeps the reference optimum trustworthy on
+        # ill-conditioned fixtures.
+        scale = max(1.0, float(np.linalg.norm(b)))
+        for _ in range(50):
+            residual = b - h @ x
+            if np.linalg.norm(residual) <= 1e-12 * scale:
+                break
+            x = x + np.linalg.solve(h, residual)
+        return x
 
     def strong_convexity(self) -> float:
         """The ridge when positive (a certified underestimate), otherwise the
@@ -141,6 +205,11 @@ class QuadraticProblem:
 
     def stepsizes(self, spec: SamplingSpec, formula: str = "auto", **kwargs) -> eso.EsoResult:
         return eso.compute_v(self.augmented_data(), spec, formula=formula, **kwargs)
+
+
+# Conjugate-gradient steps allowed beyond n (exact arithmetic needs at most n)
+# before QuadraticProblem.x_star falls back to the dense solve.
+_CG_EXTRA_STEPS = 100
 
 
 @dataclass(frozen=True)

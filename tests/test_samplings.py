@@ -496,8 +496,8 @@ def _traces_digest(spec):
 
 # These pin the solver's arithmetic as well as its draws.
 _TRACE_DIGESTS = {
-    "tau_nice": "a9f15ff28d872f230c4840867b34331b400c1f55fd69c49f578b39818866c3df",
-    "convex_combination": "608e1aae99460f4e7add71acccad75180d0d123c14044abaf9eb56b505129ce4",
+    "tau_nice": "dd7f6c4061ab5488b3690960777a19a0100cc08672723e11f4556a10b7b1fa43",
+    "convex_combination": "dcd02fefb20e8c411c9b955ee80fb612c6165dd5a88406b3214ea81a305cb3c1",
 }
 
 

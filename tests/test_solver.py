@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import warnings
@@ -309,6 +310,136 @@ def test_augmented_data_is_built_once_per_data_and_ridge():
     # The cache is not a constructor argument, so no caller can seed it.
     with pytest.raises(TypeError):
         ek.QuadraticProblem(problem.data, ridge=0.5, _augmented=(problem.data, 0.5, problem.data))
+
+
+def _dense_reference_optimum(problem):
+    """The dense solve with iterative refinement, as x* was computed for
+    every ridge before conjugate gradients."""
+    h, b = problem.hessian(), problem.b
+    x = np.linalg.solve(h, b)
+    scale = max(1.0, float(np.linalg.norm(b)))
+    for _ in range(50):
+        residual = b - h @ x
+        if np.linalg.norm(residual) <= 1e-12 * scale:
+            break
+        x = x + np.linalg.solve(h, residual)
+    return x
+
+
+def _fresh_f_star(problem):
+    return ek.QuadraticProblem(problem.data, ridge=problem.ridge, b=problem.b.copy()).f_star()
+
+
+def test_optimum_follows_reassigned_fields_and_b_changed_in_place():
+    problem = _fixture_problem(seed=81, m=14, n=6, ridge=0.3)
+    first = problem.f_star()
+    assert problem.x_star() is problem.x_star()
+
+    problem.data = random_sparse_matrix(ek.rng_for_stream(82, 0), 14, 6, 0.4)
+    assert problem.f_star() == _fresh_f_star(problem) != first
+    problem.ridge = 0.7
+    assert problem.f_star() == _fresh_f_star(problem)
+    problem.ridge = 0.0  # the dense path
+    assert problem.f_star() == _fresh_f_star(problem)
+    problem.ridge = 0.7
+    problem.b = ek.rng_for_stream(83, 0).standard_normal(6)
+    assert problem.f_star() == _fresh_f_star(problem)
+    before = problem.f_star()
+    problem.b[2] += 1.0
+    assert problem.f_star() == _fresh_f_star(problem) != before
+    problem.b *= -2.0
+    assert problem.f_star() == _fresh_f_star(problem)
+    with pytest.raises(TypeError):
+        ek.QuadraticProblem(problem.data, ridge=0.5, _optimum=None)
+
+
+def test_optimum_with_a_ridge_builds_no_dense_array(monkeypatch, tmp_path):
+    from esokit.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense solve")
+
+    problem = _fixture_problem(seed=84, m=30, n=12, ridge=0.4)
+    spec = ek.tau_nice(problem.n, 3)
+    v = problem.stepsizes(spec, "taunice").v
+    matrix, sampling = tmp_path / "A.mtx", tmp_path / "sampling.json"
+    ek.write_matrix(problem.data, matrix)
+    sampling.write_text(json.dumps(spec.to_dict()))
+    monkeypatch.setattr(ek.DataMatrix, "gram", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+
+    assert ek.solve(problem, spec, v, epsilon=1e-8).converged
+    assert all(t.converged for t in ek.solve_many(_fixture_problem(seed=84, m=30, n=12, ridge=0.4), spec, v, 2))
+    model = ek.SamplingCoordinateDescent(sampling=spec, ridge=0.4, formula="taunice").fit(problem.data, problem.b)
+    assert model.converged_
+    code = main(["solve", "--matrix", str(matrix), "--sampling", str(sampling), "--ridge", "0.4",
+                 "--formula", "taunice", "--out", str(tmp_path / "solve.json")])
+    assert code == 0
+
+
+def test_solve_runs_above_the_dense_cap_with_a_ridge(monkeypatch):
+    problem = _fixture_problem(seed=85, m=40, n=20, ridge=0.5)
+    spec = ek.tau_nice(20, 4)
+    v = ek.cardinality_cap(spec) * (problem.data.column_sq_norms + problem.ridge)
+    below = ek.QuadraticProblem(problem.data, ridge=0.5, b=problem.b).f_star()
+    monkeypatch.setattr(ek.config, "DENSE_EIG_CAP", 8)
+    trace = ek.solve(problem, spec, v, epsilon=1e-8)
+    assert trace.converged and trace.final_gap <= 1e-8
+    # Conjugate gradients do not read the cap, so f* is the same on both sides of it.
+    assert problem.f_star() == below
+
+
+def test_optimum_above_the_dense_cap_without_a_ridge_is_refused(monkeypatch, tmp_path, capsys):
+    from esokit.cli import main
+
+    problem = _fixture_problem(seed=85, m=40, n=20, ridge=0.0)
+    spec = ek.tau_nice(20, 4)
+    v = ek.cardinality_cap(spec) * problem.data.column_sq_norms
+    matrix, sampling = tmp_path / "A.mtx", tmp_path / "sampling.json"
+    ek.write_matrix(problem.data, matrix)
+    sampling.write_text(json.dumps(spec.to_dict()))
+    monkeypatch.setattr(ek.config, "DENSE_EIG_CAP", 8)
+    with pytest.raises(ValidationError, match=r"ridge = 0\.0 .* n = 20 > 8"):
+        ek.solve(problem, spec, v)
+    capsys.readouterr()
+    code = main(["solve", "--matrix", str(matrix), "--sampling", str(sampling), "--formula", "taunice"])
+    assert code == 2
+    assert "ridge = 0.0" in capsys.readouterr().err
+    # Conjugate gradients that miss their test have no fallback above the cap either.
+    monkeypatch.setattr(solver, "_CG_EXTRA_STEPS", -problem.n)
+    problem.ridge = 0.5
+    with pytest.raises(ValidationError, match="gradient norm"):
+        problem.f_star()
+
+
+def test_conjugate_gradient_optimum_is_certified_and_matches_the_dense_solve(monkeypatch):
+    rng = ek.rng_for_stream(86, 0)
+    for _ in range(30):
+        n = int(rng.integers(2, 16))
+        m = int(rng.integers(2, 30))
+        data = random_sparse_matrix(rng, m, n, float(rng.uniform(0.15, 0.6)))
+        ridge = float(10.0 ** rng.uniform(-4, 0))
+        b = rng.standard_normal(n)
+        problem = ek.QuadraticProblem(data, ridge=ridge, b=b)
+        x, f = problem.x_star(), problem.f_star()
+        assert f == problem.objective(x)
+        grad = np.linalg.norm(problem.gradient(x))
+        assert grad <= 1e-12 * max(1.0, np.linalg.norm(b))
+        assert grad**2 / (2 * ridge) <= 1e-10 * max(1.0, abs(f))
+
+        # Steps cap 0: conjugate gradients miss their test, so the dense
+        # fallback runs and gives the dense optimum bit for bit.
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_CG_EXTRA_STEPS", -n)
+            dense = ek.QuadraticProblem(data, ridge=ridge, b=b)
+            assert dense.x_star().tobytes() == _dense_reference_optimum(dense).tobytes()
+        assert abs(f - dense.f_star()) <= 1e-12 * max(1.0, abs(dense.f_star()))
+
+        spec = ek.tau_nice(n, int(rng.integers(1, n + 1)))
+        v = ek.cardinality_cap(spec) * (data.column_sq_norms + ridge)
+        runs = [ek.solve_many(p, spec, v, 2, rng_seed=3, max_iter=3000) for p in (problem, dense)]
+        assert [t.iterations for t in runs[0]] == [t.iterations for t in runs[1]]
+        assert all(a.x_final.tobytes() == b.x_final.tobytes() for a, b in zip(*runs))
 
 
 def test_cached_stepsizes_and_certificates_match_a_fresh_augmented_matrix():
