@@ -8,7 +8,8 @@ tightness against preprocessing cost:
 
 * uncoupled      - two global eigenvalues, v_i = min(l'(P), l'(A'A)) w_i; l'(P)
                    is solved only when its moment bound cannot rule it out
-* coupled        - per-row restricted eigenvalues, v_i = sum_j l'(J_j ^ S) A_ji^2
+* coupled        - per-row restricted eigenvalues, v_i = sum_j l'(J_j ^ S) A_ji^2,
+                   each l' eigen-solved exactly or replaced by a structural bound
 * specialized    - closed forms per sampling family, no eigen-solves
 * conservative   - min(tau, max row support) * w, a one-pass upper envelope
 """
@@ -29,7 +30,6 @@ from .samplings import SamplingSpec
 FORMULA_UNCOUPLED = "UNCOUPLED"
 FORMULA_COUPLED_EXACT = "COUPLED_EXACT"
 FORMULA_COUPLED_BOUND = "COUPLED_BOUND"
-FORMULA_COUPLED_POWER = "COUPLED_POWER"
 FORMULA_GENERIC_TAU = "GENERIC_TAU"
 FORMULA_CTAU = "CTAU_DISTRIBUTED"
 FORMULA_TAU_NICE = "TAU_NICE"
@@ -174,41 +174,22 @@ def eso_conservative(
 # Formula: coupling the sampling with the data row supports
 
 
-def eso_coupled(
-    data: DataMatrix,
-    spec: SamplingSpec,
-    restricted_eig_method: str = "exact",
-    power_iterations: int = config.POWER_ITERATIONS,
-    safeguard: float = config.POWER_SAFEGUARD,
-) -> EsoResult:
+def eso_coupled(data: DataMatrix, spec: SamplingSpec, restricted_eig_method: str = "exact") -> EsoResult:
     """v_i = sum_j lambda'(J_j intersect S-hat) * A_ji^2.
 
     The restricted eigenvalues of all row supports come from one
-    :func:`spectral.restricted_lambda_primes` call with the requested method
-    (exact eigen-solve, safeguarded power iteration, or the tightest
-    structural bound). ``formula`` takes the tau-nice closed form, which is
-    the ``taunice`` formula itself.
+    :func:`spectral.restricted_lambda_primes` call with the requested method:
+    ``exact`` eigen-solves them, ``bound`` takes the tightest structural
+    upper bound. Either gives a valid v; ``exact`` gives the tightest.
     """
     entry = FORMULAS.get(f"coupled-{restricted_eig_method}")
     if entry is None:
         raise UnsupportedMethodError(f"unknown restricted eigenvalue method {restricted_eig_method!r}")
     p = _require_proper(spec)
-    if restricted_eig_method == "formula":
-        if spec.kind != samplings.KIND_TAU_NICE:
-            raise UnsupportedMethodError(
-                f"restricted closed form only exists for tau-nice samplings, not {spec.kind!r}"
-            )
-        return eso_specialized(data, spec)
-
     cost = 2.0 * data.nnz
-    sizes = data.row_sizes
-    if restricted_eig_method == "power":
-        cost += power_iterations * float(np.sum(sizes**2))
-    elif restricted_eig_method == "exact":
-        cost += float(np.sum(sizes**3))
-    multipliers = spectral.restricted_lambda_primes(
-        spec, data.row_ptr, data.cols, restricted_eig_method, power_iterations, safeguard
-    )
+    if restricted_eig_method == "exact":
+        cost += float(np.sum(data.row_sizes**3))
+    multipliers = spectral.restricted_lambda_primes(spec, data.row_ptr, data.cols, restricted_eig_method)
     return EsoResult(
         _floor(_accumulate_rows(data, multipliers)), p, entry.formula_id, cost_estimate=cost
     )
@@ -348,11 +329,6 @@ FORMULAS: dict[str, Formula] = {
     "uncoupled": Formula(FORMULA_UNCOUPLED, lambda d, s, o: eso_uncoupled(d, s, o.lambda_prime_ata)),
     "coupled-exact": Formula(FORMULA_COUPLED_EXACT, lambda d, s, o: eso_coupled(d, s, "exact")),
     "coupled-bound": Formula(FORMULA_COUPLED_BOUND, lambda d, s, o: eso_coupled(d, s, "bound")),
-    "coupled-power": Formula(
-        FORMULA_COUPLED_POWER,
-        lambda d, s, o: eso_coupled(d, s, "power", o.power_iterations, o.safeguard),
-    ),
-    "coupled-formula": Formula(FORMULA_TAU_NICE, lambda d, s, o: eso_coupled(d, s, "formula")),
     "generic": Formula(FORMULA_GENERIC_TAU, lambda d, s, o: eso_specialized(d, s, o.tau_cap, "generic")),
     "specialized": Formula(None, _specialized),
     "taunice": Formula(FORMULA_TAU_NICE, _specialized, samplings.KIND_TAU_NICE),
@@ -371,12 +347,12 @@ def compute_v(
     spec: SamplingSpec,
     formula: str = "auto",
     tau_cap: int | None = None,
-    power_iterations: int = config.POWER_ITERATIONS,
-    safeguard: float = config.POWER_SAFEGUARD,
     lambda_prime_ata: float | None = None,
 ) -> EsoResult:
     """Compute stepsizes by a name of :data:`FORMULAS`.
 
+    The coupled formula has two names: ``coupled-exact`` eigen-solves every
+    restricted lambda', ``coupled-bound`` replaces it by a structural bound.
     ``auto`` runs :func:`eso_specialized`, whose generic case covers every
     proper sampling. It falls back to ``coupled-bound`` only when that raises
     UnsupportedMethodError: for a graph sampling whose conflict graph does not
@@ -393,10 +369,5 @@ def compute_v(
         raise ValidationError(
             "sampling", f"spec is over {spec.n} coordinates (indices in [0, {spec.n})), data has {data.n}"
         )
-    options = SimpleNamespace(
-        tau_cap=tau_cap,
-        power_iterations=power_iterations,
-        safeguard=safeguard,
-        lambda_prime_ata=lambda_prime_ata,
-    )
+    options = SimpleNamespace(tau_cap=tau_cap, lambda_prime_ata=lambda_prime_ata)
     return entry.run(data, spec, options)

@@ -647,15 +647,17 @@ def tradeoff_report(
     """Per-formula preprocessing passes, iteration passes and the stepsize
     quality ratio max_i v_i tau / (p_i n).
 
-    Pass counts follow the at-scale cost model: the coupled formula is priced
-    as power_iterations * sum_j |J_j|^2 / nnz passes (the power-method
-    preprocessing pipeline), the closed forms as a constant number of passes.
-    At desk scale the coupled multipliers themselves are eigen-solved exactly,
-    so they agree bit-for-bit with the closed forms at tau = 1.
+    Pass counts price an at-scale pipeline: the coupled formula as
+    power_iterations * sum_j |J_j|^2 / nnz passes of a power method on every
+    restricted matrix, the closed forms as a constant number of passes. The
+    ``coupled`` row's stepsizes are computed by ``coupled-exact`` all the
+    same, so they agree bit-for-bit with the closed forms at tau = 1.
     """
     tau = samplings.cardinality_cap(spec)
     if tau < 1:
         raise ValidationError("spec", "trade-off report needs a sampling with |S| >= 1 possible")
+    if power_iterations < 1:
+        raise ValidationError("power_iterations", f"must be at least 1, got {power_iterations}")
     if lambda_sc <= 0 or epsilon <= 0:
         raise ValidationError("lambda_sc", "lambda_sc and epsilon must be positive")
     sum_sq_supports = float(np.sum(data.row_sizes**2))

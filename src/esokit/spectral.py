@@ -85,7 +85,17 @@ def lambda_max(
     safeguard: float = config.POWER_SAFEGUARD,
 ) -> EigenEstimate:
     """Largest eigenvalue of a symmetric PSD matrix."""
+    _check_power_inputs(method, power_iterations, safeguard)
     return _top_eigenvalue(_check_square_symmetric(m), method, power_iterations, safeguard)
+
+
+def _check_power_inputs(method: str, iterations: int, safeguard: float) -> None:
+    """The power method takes at least one iteration and scales its Rayleigh
+    quotient by a finite safeguard of at least 1."""
+    if method == METHOD_POWER and iterations < 1:
+        raise ValidationError("power_iterations", f"must be at least 1, got {iterations}")
+    if method == METHOD_POWER and not (np.isfinite(safeguard) and safeguard >= 1.0):
+        raise ValidationError("safeguard", f"must be finite and at least 1, got {safeguard}")
 
 
 def _top_eigenvalue(
@@ -143,6 +153,7 @@ def lambda_prime(
     convention. A zero diagonal entry with a nonzero row violates positive
     semidefiniteness and is rejected.
     """
+    _check_power_inputs(method, power_iterations, safeguard)
     m = _check_square_symmetric(m)
     diag = np.diag(m)
     atol = 1e-12 * max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
@@ -261,17 +272,10 @@ def restricted_closed_form(spec: SamplingSpec, ptr, indices) -> tuple[np.ndarray
     return None
 
 
-def lambda_prime_restricted(
-    spec: SamplingSpec,
-    j,
-    method: str = "exact",
-    power_iterations: int = config.POWER_ITERATIONS,
-    safeguard: float = config.POWER_SAFEGUARD,
-) -> EigenEstimate:
+def lambda_prime_restricted(spec: SamplingSpec, j, method: str = "exact") -> EigenEstimate:
     """lambda' of the restriction of a sampling to the nonempty set ``j``.
 
     * ``exact``  - eigen-solve on the restricted probability matrix.
-    * ``power``  - safeguarded power iteration on the same matrix.
     * ``formula``- tau-nice closed form (an equality, not a bound).
     * ``bound``  - tightest applicable structural upper bound; the winning
       proposition is recorded in ``bound_source`` and all candidates in
@@ -286,10 +290,9 @@ def lambda_prime_restricted(
     if j_idx[0] < 0 or j_idx[-1] >= spec.n:
         raise ValidationError("set", f"indices must lie in [0, {spec.n})")
 
-    if method in ("exact", "power"):
+    if method == "exact":
         sub = probability.exact_matrix(spec).entries[np.ix_(j_idx, j_idx)]
-        eig_method = METHOD_DENSE if method == "exact" else METHOD_POWER
-        return lambda_prime(sub, eig_method, power_iterations, safeguard)
+        return lambda_prime(sub)
 
     if method == "formula":
         if spec.kind != samplings.KIND_TAU_NICE:
@@ -323,16 +326,9 @@ def _bound_candidates(spec: SamplingSpec, ptr, indices) -> dict[str, np.ndarray]
     return candidates
 
 
-def restricted_lambda_primes(
-    spec: SamplingSpec,
-    ptr,
-    indices,
-    method: str = "exact",
-    power_iterations: int = config.POWER_ITERATIONS,
-    safeguard: float = config.POWER_SAFEGUARD,
-) -> np.ndarray:
+def restricted_lambda_primes(spec: SamplingSpec, ptr, indices, method: str = "exact") -> np.ndarray:
     """lambda'(J intersect S-hat) for every set J of ``(ptr, indices)`` of a
-    proper sampling, by the ``exact``, ``power`` or ``bound`` method of
+    proper sampling, by the ``exact`` or ``bound`` method of
     :func:`lambda_prime_restricted` and bit-identical to it; an empty set
     gives 0. Indices outside [0, n) raise ``ValidationError``.
 
@@ -349,7 +345,7 @@ def restricted_lambda_primes(
         raise ValidationError("set", f"indices must lie in [0, {spec.n})")
     if method == "bound":
         return np.min(list(_bound_candidates(spec, ptr, indices).values()), axis=0)
-    if method not in ("exact", "power"):
+    if method != "exact":
         raise UnsupportedMethodError(f"unknown restricted-eigenvalue method {method!r}")
     entry, _ = probability.exact_rule(spec)
     sizes = np.diff(ptr)
@@ -366,11 +362,7 @@ def restricted_lambda_primes(
             sub = 0.5 * (sub + sub.transpose(0, 2, 1))
             scale = 1.0 / np.sqrt(np.diagonal(sub, axis1=1, axis2=2))
             m = sub * (scale[:, :, None] * scale[:, None, :])
-            if method == "exact":
-                top = np.maximum(np.linalg.eigvalsh(m)[:, -1], 0.0)
-            else:
-                top = [_power_method(b, power_iterations, safeguard).value for b in m]
-            out[members[lo : lo + step]] = top
+            out[members[lo : lo + step]] = np.maximum(np.linalg.eigvalsh(m)[:, -1], 0.0)
     return out
 
 

@@ -67,6 +67,20 @@ def test_conservative_with_a_cap_below_one_exits_3(workdir, capsys, cap):
     assert "positive cardinality cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_a_cap_below_one_leaves_max_ratio_to_the_sampling(workdir, cap):
+    # auto and taunice ignore such a cap; the ratio must not read it either.
+    tmp, matrix, sampling = workdir
+    ratios = []
+    for extra in ([], [f"--tau-cap={cap}"]):
+        out = tmp / "v.json"
+        assert main(["compute-v", "--matrix", str(matrix), "--sampling", str(sampling),
+                     "--out", str(out), *extra]) == 0
+        ratios.append(json.loads(out.read_text())["result"]["max_ratio"])
+    assert ratios[0] > 0.0
+    assert ratios[1] == ratios[0]
+
+
 def test_verify_pass_and_fail_with_witness(workdir, capsys):
     tmp, matrix, sampling = workdir
     vfile = tmp / "v.json"
@@ -161,6 +175,14 @@ def test_tradeoff_and_design_serial(workdir):
     design = json.loads(out2.read_text())["result"]
     assert design["c_opt"] <= design["c_unif"]
     assert design["p"][2] == 0.0
+
+
+def test_tradeoff_with_no_power_iterations_is_an_input_error(workdir, capsys):
+    tmp, matrix, sampling = workdir
+    code = main(["tradeoff", "--matrix", str(matrix), "--sampling", str(sampling),
+                 "--power-iterations", "-5"])
+    assert code == 2
+    assert "power_iterations" in capsys.readouterr().err
 
 
 def test_battery_command(workdir):

@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 import esokit as ek
 from conftest import capped_partition_spec, graph_spec_for, random_sparse_matrix
 from esokit import eso
+from esokit.cli import main
+from esokit.datamatrix import write_matrix
 from esokit.errors import UnsupportedMethodError, ValidationError
 
 FIXTURE_A = ek.DataMatrix.from_dense(np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 0.0]]))
@@ -167,9 +170,10 @@ def test_eigen_solves_per_formula_on_a_tau_nice_fixture(monkeypatch):
 
 def test_coupled_fixture_by_every_method():
     expected = np.array([1.5, 5.5, 1e-12])
-    for method in ("exact", "formula", "bound"):
+    for method in ("exact", "bound"):
         result = ek.eso_coupled(FIXTURE_A, TAU_NICE_32, method)
         assert result.v == pytest.approx(expected, rel=1e-10), method
+    assert ek.eso_specialized(FIXTURE_A, TAU_NICE_32).v == pytest.approx(expected, rel=1e-10)
     assert ek.eso_coupled(FIXTURE_A, TAU_NICE_32, "exact").formula_id == "COUPLED_EXACT"
 
 
@@ -187,11 +191,36 @@ def test_coupled_diagonal_data():
     assert result.v == pytest.approx([1.0, 4.0, 9.0])
 
 
-@pytest.mark.parametrize("name", ["coupled-exact", "coupled-power", "coupled-bound"])
+@pytest.mark.parametrize("name", ["coupled-exact", "coupled-bound"])
 def test_coupled_rejects_columns_beyond_the_sampling(name):
     data = ek.DataMatrix.from_dense(np.ones((2, 4)))
     with pytest.raises(ValidationError, match="indices"):
         ek.compute_v(data, ek.tau_nice(3, 2), name)
+
+
+def test_removed_coupled_names_are_refused(tmp_path, capsys):
+    # The power-iteration route and the taunice alias are gone end to end.
+    data = ek.DataMatrix.from_dense(np.ones((2, 3)))
+    spec = ek.tau_nice(3, 2)
+    for name in ("coupled-power", "coupled-formula"):
+        with pytest.raises(UnsupportedMethodError):
+            ek.compute_v(data, spec, name)
+    for method in ("power", "formula"):
+        with pytest.raises(UnsupportedMethodError):
+            ek.eso_coupled(data, spec, method)
+    with pytest.raises(UnsupportedMethodError):
+        ek.spectral.restricted_lambda_primes(spec, [0, 2], [0, 1], "power")
+    with pytest.raises(UnsupportedMethodError):
+        ek.lambda_prime_restricted(spec, [0, 1], "power")
+
+    matrix = tmp_path / "A.mtx"
+    write_matrix(data, matrix)
+    base = ["compute-v", "--matrix", str(matrix), "--sampling", json.dumps(spec.to_dict())]
+    for extra in (["--formula", "coupled-power"], ["--power-iterations", "5"]):
+        with pytest.raises(SystemExit) as info:
+            main(base + extra)
+        assert info.value.code == 2, extra
+    capsys.readouterr()
 
 
 def test_every_formula_rejects_a_matrix_of_another_width():
@@ -202,17 +231,6 @@ def test_every_formula_rejects_a_matrix_of_another_width():
         for name in names:
             with pytest.raises(ValidationError, match="coordinates"):
                 ek.compute_v(data, ek.tau_nice(8, 2), name)
-
-
-def test_specialized_tau_nice_equals_coupled_formula_bit_for_bit():
-    rng = ek.rng_for_stream(52, 0)
-    for _ in range(10):
-        data = random_sparse_matrix(rng, 8, 6, 0.3)
-        spec = ek.tau_nice(6, int(rng.integers(1, 7)))
-        a = ek.eso_specialized(data, spec)
-        b = ek.eso_coupled(data, spec, "formula")
-        assert np.array_equal(a.v, b.v)
-        assert a.formula_id == b.formula_id == "TAU_NICE"
 
 
 def test_specialized_graph_fixture():

@@ -424,29 +424,17 @@ _P_DIGESTS = {
 }
 _RESTRICTED_DIGESTS = {
     ("elementary", "exact"): "92bc32054257afb5ba8fdf868f59032d54c96f2f290b80f757b14c797faaa81e",
-    ("elementary", "power"): "bae539229879402464d4f68b9646b9fa9ef59ef3582bd25458fe465b65fa0166",
     ("serial", "exact"): "f2d7d9f3661db7766dadb964a7ce00867056d1e792c7d4c2003a8532a744f427",
-    ("serial", "power"): "ff226dd895ffa77a2aace8d451909db659d9153cb62a1434f678db6c5f1c0574",
     ("tau_nice", "exact"): "a46ef5652a48424e16af6f49954ff280a77889585ef74084ee2cc720603d833b",
-    ("tau_nice", "power"): "4b3648dae4e01360572a9e475cb6fb7a3de4011d03fc0981eee1f093cee84b53",
     ("ctau_distributed", "exact"): "04ab3650afc97ab542369f2cd516e8f2018519cae5f04d89942bbf5bf21ab1fb",
-    ("ctau_distributed", "power"): "a953c38205a83c3668b87de75ff29e0bf74cacf2faee851236b98b47cba638c4",
     ("doubly_uniform", "exact"): "b3b11ebea4987649a02a6d4c744c68a4fc54cf0525505aacd40b8985e41df983",
-    ("doubly_uniform", "power"): "484c76546d7168e97da4adfc8c1096584cdbb1319fc15d80946b9b8c022e2aba",
     ("product", "exact"): "ceddb331e776c646fe41d3863967bfb6b613a02370a8f90bd8fb08ed2cba774e",
-    ("product", "power"): "eb7a7ce10a72259980b77574a89c3dfda3ad72c498d62da739d023c2464c06f6",
     ("graph", "exact"): "74d48357b9e7ebefc9b3a71ad43034d298e3570c9ad5acc9399660945967bf81",
-    ("graph", "power"): "6f4954825b3699587c86c977c62e1f57d48e8b61446bf2ed0f70cb8992082318",
     ("convex_combination", "exact"): "f4b5a086f4e33de0a6f29fe690d54cb1160b5bbae9a2b59912ba7c2bf423a451",
-    ("convex_combination", "power"): "18ff944e362f987842b8d5ecd2a1a92910f9f9334a8d6ea63f5c4cd635848a4b",
     ("intersection", "exact"): "36ab03d361bc0295f18ff290e71d0fc14525922a2a6cd5b6af9f920445cd9927",
-    ("intersection", "power"): "f52c390a7a8ec3adc13c46d44b843318fd34c6c7bb5f9b7d9236bb7bdea38ec5",
     ("restriction", "exact"): "59fbaccd53b63055e85fee2231273cee81239aba4dda2ec9eb408bd0c4ff11c1",
-    ("restriction", "power"): "f3f244947b9147664d41d00473d2eba64f4c2f6c6c2ad8c762d35051ac1935cf",
     ("explicit", "exact"): "cf4806372c85ee3801709b9075dc7daaa4cf09c01a797fd226225a88a41f1c15",
-    ("explicit", "power"): "fd7abaadac621ce7ab5f29a2fcf3cca9744214630dc16d8caf5664badf14dc2f",
     ("explicit_mixture", "exact"): "5c08d5155acd7bb487b78aeef10d2f3a5ce8ab31be7cbdd87d8ac58a8a0180e2",
-    ("explicit_mixture", "power"): "0d01c79f5fbf7030220decf1a065744d622631714b431f374dccaa0c5570729b",
 }
 
 
@@ -456,7 +444,7 @@ def test_exact_probability_matrix_digests_are_pinned(spec, request):
     assert _sha256(ek.prob_matrix(spec, "auto").entries) == _P_DIGESTS[name]
 
 
-@pytest.mark.parametrize("method", ["exact", "power"])
+@pytest.mark.parametrize("method", ["exact"])
 @pytest.mark.parametrize("spec", _DIGEST_SPECS, ids=_DIGEST_IDS)
 def test_restricted_lambda_prime_digests_are_pinned(spec, method, request):
     name = request.node.callspec.id.rsplit("-", 1)[0]

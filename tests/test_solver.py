@@ -245,6 +245,13 @@ def test_tradeoff_preprocessing_pass_arithmetic():
     assert rows["generic"]["preprocessing_passes"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("iterations", [0, -5])
+def test_tradeoff_refuses_fewer_than_one_power_iteration(iterations):
+    data = ek.DataMatrix.from_dense(np.eye(3))
+    with pytest.raises(ValidationError, match="power_iterations"):
+        ek.tradeoff_report(data, ek.tau_nice(3, 2), power_iterations=iterations)
+
+
 def test_tradeoff_serial_case_all_formulas_coincide():
     rng = ek.rng_for_stream(75, 0)
     data = random_sparse_matrix(rng, 8, 5, 0.4)

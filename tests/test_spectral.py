@@ -256,6 +256,21 @@ def test_power_method_reports_iteration_gap():
     assert est.residual is not None and est.residual >= 0.0
 
 
+@pytest.mark.parametrize("function", [ek.lambda_max, ek.lambda_prime])
+@pytest.mark.parametrize(
+    "iterations, safeguard, field",
+    [(0, 1.01, "power_iterations"), (10, -1.0, "safeguard"), (10, 0.5, "safeguard"),
+     (10, np.inf, "safeguard"), (10, np.nan, "safeguard")],
+)
+def test_power_method_refuses_invalid_iterations_and_safeguards(function, iterations, safeguard, field):
+    # At the default iteration count a safeguard of -1 gave -2.0 for 2 I.
+    with pytest.raises(ValidationError, match=field):
+        function(2.0 * np.eye(3), "power_method", iterations, safeguard)
+    assert function(2.0 * np.eye(3), "dense_exact", iterations, safeguard).value == pytest.approx(
+        1.0 if function is ek.lambda_prime else 2.0
+    )
+
+
 def test_bounds_report_serializes():
     payload = ek.lambda_bounds(ek.tau_nice(4, 2)).to_dict()
     assert set(payload) >= {"lambda_prime_lower", "lambda_prime_upper", "lambda_lower", "lambda_upper"}
@@ -298,7 +313,7 @@ def test_restricted_closed_form_matches_per_set_reference():
 
 
 @pytest.mark.parametrize("stack_entries", [spectral._STACK_ENTRIES, 50])
-@pytest.mark.parametrize("method", ["exact", "power", "bound"])
+@pytest.mark.parametrize("method", ["exact", "bound"])
 def test_restricted_lambda_primes_match_the_one_set_form(method, stack_entries, monkeypatch):
     # The batch path equals the one-set reference bit for bit, also when a
     # small stack budget splits the sets of one size into several chunks.
