@@ -6,14 +6,15 @@ any platform. Parallel work (Monte-Carlo replicas, multi-seed solver runs)
 uses disjoint stream indices and merges results in stream order.
 
 ``RNG_SCHEME`` versions how draws consume a stream, and CLI reports record
-it. Scheme 2 draws in blocks: one vectorized call per kind fills many rows
+it. Scheme 2 draws in blocks: one vectorized call per kind draws many sets
 of a stream at once, e.g. tau rounds of Fisher-Yates swap positions for a
-chunk of rows of tau-nice sets, or one sized ``rng.choice`` for a serial or
-explicit sampling. ``samplings._draw_blocks`` draws the rows of many streams
-in one pass (``samplings.draw_masks`` all its streams, the solver 64 sets for
-each active run); each stream's generator makes exactly the calls it would
-make alone, so batching leaves scheme 2 unchanged. Scheme 1 drew one set at
-a time, so the same seed gives other sets under scheme 2.
+chunk of tau-nice sets, or one sized ``rng.choice`` for a serial or
+explicit sampling. ``samplings._draw_blocks`` draws the sets of many streams
+in one pass (``samplings.draw_sets`` all its streams, the solver 64 sets for
+each active run) and returns them as CSR index lists; each stream's
+generator makes exactly the calls it would make alone, so batching and the
+set layout leave scheme 2 unchanged. Scheme 1 drew one set at a time, so
+the same seed gives other sets under scheme 2.
 """
 
 from __future__ import annotations

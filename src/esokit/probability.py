@@ -10,8 +10,13 @@ evaluates it on the full grid and :func:`spectral.restricted_lambda_primes`
 only on the blocks it needs. Monte-Carlo estimates are made only on request,
 are tagged with their sample count and per-entry standard errors, and are
 never accepted as PSD certificates. Enumerated matrices and
-:func:`check_identities` read their sets from :func:`samplings.weighted_masks`;
-Monte-Carlo matrices sum the raw rows of :func:`samplings.draw_masks`.
+:func:`check_identities` read their sets from :func:`samplings.weighted_sets`,
+and Monte-Carlo matrices the raw draws of :func:`samplings.draw_sets`, all
+as CSR index lists. One kernel, :func:`_pair_sum`, sums every P built from
+sets: it scatters each set's weight into its index pairs, O(sum_k |S_k|^2)
+work without BLAS, so the enumerated P of a graph or explicit sampling is
+exactly symmetric and the same at any BLAS thread count, and a Monte-Carlo
+P is the exact integer counts over the sample count.
 """
 
 from __future__ import annotations
@@ -31,11 +36,8 @@ PROVENANCE_MC = "monte_carlo"
 
 _PROVENANCE_RANK = {PROVENANCE_CLOSED: 0, PROVENANCE_ENUM: 1, PROVENANCE_MC: 2}
 
-_BLOCK_ROWS = 128
-# Entries of one float32 block of unweighted masks in _outer_sum (below
-# 2^24 rows at any n).
-_COUNT_BLOCK_ENTRIES = 1 << 16
-# Entries of the largest (sets, |S|, |S|) stack check_identities gathers.
+# Index pairs of the largest chunk of sets _pair_sum scatters, and of the
+# largest (sets, |S|, |S|) stack of equal-size sets check_identities gathers.
 _STACK_ENTRIES = 1 << 16
 
 _CLOSED_FORM_KINDS = (
@@ -131,7 +133,7 @@ def prob_matrix(
         tau-nice, (c,tau)-distributed, doubly-uniform and product kinds.
       * ``enumerate`` - exact expectation over the enumerated support.
       * ``monte_carlo`` - empirical mean of indicator matrices over
-        ``mc_samples`` draws of :func:`samplings.draw_masks`, split across
+        ``mc_samples`` draws of :func:`samplings.draw_sets`, split across
         ``streams`` replica streams. The only method that draws.
     """
     if spec.n > config.DENSE_EIG_CAP:
@@ -141,7 +143,7 @@ def prob_matrix(
             raise UnsupportedMethodError(f"no closed-form probability matrix for kind {spec.kind!r}")
         return exact_matrix(spec)
     if method == "enumerate":
-        return ProbMatrix(spec.n, _outer_sum(*samplings.weighted_masks(spec)), PROVENANCE_ENUM)
+        return ProbMatrix(spec.n, _pair_sum(spec.n, *samplings.weighted_sets(spec)), PROVENANCE_ENUM)
     if method == "monte_carlo":
         return _monte_carlo(spec, mc_samples, rng_seed, streams)
     raise UnsupportedMethodError(f"unknown method {method!r}")
@@ -168,7 +170,8 @@ def exact_rule(spec: SamplingSpec) -> tuple[Entry, str]:
     needs. Leaf kinds use their closed forms; a convex combination sums its
     nonzero-weight components in order, an intersection multiplies its two
     components' entries and a restriction masks its component's. Graph and
-    explicit kinds enumerate their P once, when the rule is built.
+    explicit kinds enumerate their P once, when the rule is built. Every
+    rule is exactly symmetric: entry(i, j) and entry(j, i) are the same bits.
     """
     k = spec.kind
     if k in _CLOSED_FORM_KINDS:
@@ -192,7 +195,7 @@ def exact_rule(spec: SamplingSpec) -> tuple[Entry, str]:
         mask[list(spec.set)] = 1.0
         return (lambda i, j: entry(i, j) * (mask[i] * mask[j])), tag
     # graph / explicit: support is explicit in the parameters.
-    entries = _outer_sum(*samplings.weighted_masks(spec))
+    entries = _pair_sum(spec.n, *samplings.weighted_sets(spec))
     return (lambda i, j: entries[i, j]), PROVENANCE_ENUM
 
 
@@ -244,34 +247,75 @@ def _block_ids(n: int, blocks) -> np.ndarray:
 def _monte_carlo(spec: SamplingSpec, samples: int, rng_seed: int, streams: int) -> ProbMatrix:
     if samples < 1:
         raise ValidationError("mc_samples", "must be positive")
-    masks = samplings.draw_masks(spec, samples, rng_seed, streams)
-    # Integer counts sum exactly in any order: the mean is symmetric, in [0, 1].
-    mean = _outer_sum(masks) / samples
+    # Integer counts: the mean is exactly symmetric, in [0, 1].
+    mean = _pair_sum(spec.n, *samplings.draw_sets(spec, samples, rng_seed, streams)) / samples
     stderr = np.sqrt(mean * (1.0 - mean) / samples)
     return ProbMatrix(spec.n, mean, PROVENANCE_MC, mc_samples=samples, stderr=stderr)
 
 
-def _outer_sum(masks: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """sum_k weights[k] 1_{S_k} 1_{S_k}' (unit weights when None), over
-    blocks of rows so the float copy of the masks stays small.
+def _size_stacks(ptr: np.ndarray, indices: np.ndarray, entries: int):
+    """Stacks of the nonempty sets of ``(ptr, indices)`` that share a size s:
+    yields (sets, idx) with ``idx[r]`` the indices of set ``sets[r]``, at
+    most ``entries`` index pairs (and at least one set) per stack, sizes
+    ascending and sets in order within a size."""
+    sizes = np.diff(ptr)
+    for s in np.unique(sizes[sizes > 0]).tolist():
+        rows = np.flatnonzero(sizes == s)
+        step = max(1, entries // (s * s))
+        for lo in range(0, rows.size, step):
+            sets = rows[lo : lo + step]
+            yield sets, indices[ptr[sets, None] + np.arange(s)]
 
-    Unit weights count co-occurrences in float32 blocks of at most
-    ``_COUNT_BLOCK_ENTRIES`` entries, so of fewer than 2^24 rows: every
-    partial sum is an integer below 2^24, exact in float32, and the float64
-    total is the exact count, whatever the summation order.
+
+def _upper_pairs(position: np.ndarray, after: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The position pairs (p, q) with p in ``position`` and p <= q < p +
+    after[p]: an index and the ones after it in its set."""
+    return np.repeat(position, after), samplings._spans(position, after)
+
+
+def _pair_sum(n: int, ptr: np.ndarray, indices: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """sum_k weights[k] 1_{S_k} 1_{S_k}' over the sets of ``(ptr, indices)``:
+    O(sum_k |S_k|^2) work, no BLAS.
+
+    The sets are taken in order, in chunks of consecutive sets that hold at
+    most ``_STACK_ENTRIES`` index pairs i <= j (each set ascends; at least
+    one set). A chunk of sets of one size is a (sets, size) block of the
+    indices; any other chunk lists, for each index, the indices after it in
+    its set. Each chunk scatters its weights into its pairs with one
+    ``bincount``, so every entry is summed in set order, and the entries
+    below the diagonal mirror those above: the result is exactly symmetric
+    and a function of the inputs alone. Unit weights (None) give the exact
+    integer counts, which any order sums alike: ``np.add.at`` adds them in
+    place, in O(pairs) and not the O(n^2) of a ``bincount`` per chunk.
     """
-    n = masks.shape[1]
-    out = np.zeros((n, n))
-    if weights is None:
-        step = max(1, _COUNT_BLOCK_ENTRIES // max(n, 1))
-        for start in range(0, masks.shape[0], step):
-            block = masks[start : start + step].astype(np.float32)
-            out += block.T @ block
-        return out
-    for start in range(0, masks.shape[0], _BLOCK_ROWS):
-        block = masks[start : start + _BLOCK_ROWS].astype(float)
-        out += (block * weights[start : start + _BLOCK_ROWS, None]).T @ block
-    return out
+    sizes = np.diff(ptr)
+    half = sizes * (sizes + 1) // 2
+    ends = np.cumsum(half)
+    out = np.zeros(n * n, dtype=float if weights is not None else np.int64)
+    lo = 0
+    while lo < sizes.size:
+        done = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + _STACK_ENTRIES, "right")))
+        own, start, stop = sizes[lo:hi], ptr[lo], ptr[hi]
+        if own.min() == own.max():
+            block = indices[start:stop].reshape(hi - lo, -1)
+            column = np.arange(block.shape[1])
+            first, second = _upper_pairs(column, block.shape[1] - column)
+            pairs = block[:, first] * n + block[:, second]
+        else:
+            entry = np.arange(start, stop)
+            first, second = _upper_pairs(entry, np.repeat(ptr[lo + 1 : hi + 1], own) - entry)
+            pairs = indices[first] * n + indices[second]
+        if weights is None:
+            np.add.at(out, pairs.reshape(-1), 1)
+        else:
+            out += np.bincount(pairs.reshape(-1), np.repeat(weights[lo:hi], half[lo:hi]), n * n)
+        lo = hi
+    upper = out.reshape(n, n)
+    # Each entry off the diagonal is zero on one side, so the sum is exact.
+    full = upper + upper.T
+    np.fill_diagonal(full, np.diagonal(upper))
+    return full
 
 
 # ---------------------------------------------------------------------------
@@ -330,24 +374,16 @@ def check_identities(
     }
     # Each expectation sum_k w_k g(S_k) over stacks of equal-size sets, each
     # gathering at most _STACK_ENTRIES entries: sum_k |S_k|^2 work in all.
-    masks, weights = samplings.weighted_masks(spec, trials, rng_seed)
-    sizes = masks.sum(axis=1)
-    p_hat = np.zeros(n * n)
+    ptr, indices, weights = samplings.weighted_sets(spec, trials, rng_seed)
+    sizes = np.diff(ptr)
+    p_hat = _pair_sum(n, ptr, indices, weights)
     quad = square = linear = 0.0
-    for s in np.unique(sizes[sizes > 0]):
-        rows = np.flatnonzero(sizes == s)
-        step = max(1, _STACK_ENTRIES // (s * s))
-        for lo in range(0, rows.size, step):
-            r = rows[lo : lo + step]
-            # One nonzero over the raveled rows: far faster than the 2-D form.
-            idx = (np.flatnonzero(masks[r]) % n).reshape(r.size, s)
-            pairs = idx[:, :, None] * n + idx[:, None, :]
-            w, h_s = weights[r], h[idx]
-            p_hat += np.bincount(pairs.ravel(), np.repeat(w, s * s), n * n)
-            quad += w @ np.einsum("ki,kij,kj->k", h_s, m_matrix.ravel()[pairs], h_s)
-            totals = h_s.sum(axis=1)
-            square += w @ (totals * totals)
-            linear += w @ totals
+    for sets, idx in _size_stacks(ptr, indices, _STACK_ENTRIES):
+        w, h_s = weights[sets], h[idx]
+        quad += w @ np.einsum("ki,kij,kj->k", h_s, m_matrix[idx[:, :, None], idx[:, None, :]], h_s)
+        totals = h_s.sum(axis=1)
+        square += w @ (totals * totals)
+        linear += w @ totals
     rhs = {
         "quadratic_form": float(quad),
         "square_of_sum": float(square),
@@ -355,7 +391,7 @@ def check_identities(
         "second_moment": float(weights @ (sizes * sizes)),
         "first_moment": float(weights @ sizes),
     }
-    hadamard = np.max(np.abs(p_entries * m_matrix - m_matrix * p_hat.reshape(n, n)))
+    hadamard = np.max(np.abs(p_entries * m_matrix - m_matrix * p_hat))
     results = {"hadamard_matrix": {"lhs": None, "rhs": None, "discrepancy": float(hadamard)}}
     for name, value in lhs.items():
         results[name] = {"lhs": value, "rhs": rhs[name], "discrepancy": abs(value - rhs[name])}

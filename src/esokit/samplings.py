@@ -405,6 +405,11 @@ def spec_from_dict(payload: dict) -> SamplingSpec:
 
 # ---------------------------------------------------------------------------
 # Drawing
+#
+# A block of drawn sets is held as CSR ``(ptr, indices)``: set k is
+# ``indices[ptr[k]:ptr[k + 1]]``, ascending, the layout of ``DataMatrix``
+# rows. No draw path builds a sets x n array; ``draw_masks`` and
+# ``weighted_masks`` scatter the sets into bool rows for their callers.
 
 
 # Entries of one Fisher-Yates permutation chunk (rows x size), and of one
@@ -417,6 +422,52 @@ _CHUNK_ENTRIES = 1 << 16
 # call saves the fixed cost of a call per round (about 10 us) but costs
 # about 2.5 times as much per integer, so longer chunks draw round by round.
 _MERGED_ROWS = 512
+
+
+def _ptr(sizes) -> np.ndarray:
+    """CSR row pointer of sets of the given sizes."""
+    return np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
+
+
+def _csr(sets) -> tuple[np.ndarray, np.ndarray]:
+    """``(ptr, indices)`` of a sequence of sorted index tuples."""
+    return _ptr([len(s) for s in sets]), np.fromiter(itertools.chain(*sets), dtype=np.intp)
+
+
+def _row_of(ptr: np.ndarray) -> np.ndarray:
+    """The set number of each index of ``(ptr, indices)``."""
+    return np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
+
+
+def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges ``range(starts[k], starts[k] + lengths[k])``, concatenated."""
+    ends = np.cumsum(lengths, dtype=np.intp)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total) + np.repeat(starts - (ends - lengths), lengths)
+
+
+def _take(ptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sets ``rows`` of ``(ptr, indices)``, in that order, as CSR."""
+    starts = ptr[rows]
+    lengths = ptr[rows + 1] - starts
+    if lengths.size and lengths.min() == lengths.max():
+        # Sets of one size: a single 2-D gather.
+        size = int(lengths[0])
+        return np.arange(rows.size + 1) * size, indices[starts[:, None] + np.arange(size)].reshape(-1)
+    return _ptr(lengths), indices[_spans(starts, lengths)]
+
+
+def _filter(ptr: np.ndarray, indices: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(ptr, indices)`` with the indices where ``keep`` is false dropped."""
+    kept = np.concatenate(([0], np.cumsum(keep, dtype=np.intp)))
+    return kept[ptr], indices[keep]
+
+
+def _scatter(n: int, ptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """(sets, n) bool rows with row k set on set k of ``(ptr, indices)``."""
+    masks = np.zeros((len(ptr) - 1, n), dtype=bool)
+    masks[_row_of(ptr), indices] = True
+    return masks
 
 
 def _groups(counts: Sequence[int], width: int):
@@ -445,9 +496,10 @@ def _groups(counts: Sequence[int], width: int):
 
 def _uniform_subsets(
     sizes: np.ndarray, size: int, rngs: Sequence[np.random.Generator], counts: Sequence[int]
-):
+) -> np.ndarray:
     """Exact uniform sizes[r]-subsets of range(size), one per row r, with
-    counts[g] consecutive rows drawn from rngs[g].
+    counts[g] consecutive rows drawn from rngs[g]; returned as the indices
+    of CSR rows of those sizes, each row ascending.
 
     A partial Fisher-Yates shuffle of a (rows, size) identity block keeps
     row r's first sizes[r] positions. Each chunk of a generator's rows (see
@@ -456,11 +508,10 @@ def _uniform_subsets(
     for chunks of at most ``_MERGED_ROWS`` rows), so the draws are a pure
     function of the generator and its rows' sizes. The swaps then run once
     per round over a whole group of chunks; a row whose chunk has fewer
-    rounds than the group swaps with itself in the rest. Yields (rows,
-    positions) per group, as equal-length index arrays or, when every row
-    of the group keeps all its positions, as a column of rows beside a
-    (rows, rounds) block of positions.
+    rounds than the group swaps with itself in the rest.
     """
+    ends = np.cumsum(sizes, dtype=np.intp)
+    out = np.empty(int(ends[-1]) if ends.size else 0, dtype=np.intp)
     buffer = np.empty((min(max(1, _CHUNK_ENTRIES // size), len(sizes)), size), dtype=np.intp)
     lows: dict[tuple[int, int], np.ndarray] = {}
     for start, stop, chunks in _groups(counts, size):
@@ -487,19 +538,16 @@ def _uniform_subsets(
             held = perm[:, k].copy()
             perm[:, k] = flat[j]
             flat[j] = held
-        picked = perm[:, :rounds]
+        picked, first, last = perm[:, :rounds], ends[start] - sizes[start], ends[stop - 1]
         if sizes[start:stop].min() == rounds:
-            yield start + rows[:, None], picked
+            out[first:last] = np.sort(picked, axis=1).reshape(-1)
         else:
+            # A row keeps its first sizes[r] picks: the rest sort past them.
             keep = np.arange(rounds) < sizes[start:stop, None]
-            yield np.broadcast_to(start + rows[:, None], keep.shape)[keep], picked[keep]
-
-
-def _index_mask(n: int, sets) -> np.ndarray:
-    """(len(sets), n) bool rows with row k set on sets[k]."""
-    masks = np.zeros((len(sets), n), dtype=bool)
-    masks[np.repeat(np.arange(len(sets)), [len(s) for s in sets]), list(itertools.chain(*sets))] = True
-    return masks
+            picked = np.where(keep, picked, size)
+            picked.sort(axis=1)
+            out[first:last] = picked[keep]
+    return out
 
 
 def _choices(rngs, counts, options: int, p) -> np.ndarray:
@@ -510,113 +558,131 @@ def _choices(rngs, counts, options: int, p) -> np.ndarray:
 
 
 def _draw_blocks(
-    spec: SamplingSpec, out: np.ndarray, rngs: Sequence[np.random.Generator], rows_per_rng: Sequence[int]
-) -> None:
-    """Set the zeroed bool rows of ``out`` to independent draws of the
-    sampling: rows_per_rng[g] consecutive rows, in generator order, drawn
-    from rngs[g].
+    spec: SamplingSpec, rngs: Sequence[np.random.Generator], rows_per_rng: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Independent draws of the sampling as CSR ``(ptr, indices)``, each
+    set ascending: rows_per_rng[g] consecutive sets, in generator order,
+    drawn from rngs[g].
 
-    Each generator makes the calls it would make drawing its rows alone, in
-    the same order, and one with no rows makes none (RNG scheme 2, see
-    ``config.RNG_SCHEME``). The arithmetic on the draws (Fisher-Yates swaps,
-    mask scatters, the composite kinds' operations) runs once over the rows
-    of every generator. Permutation chunks and product-sampling integers
-    hold at most ``_CHUNK_ENTRIES`` entries (or one row of n), so no leaf
-    kind builds a rows x n temporary; a mixture or an intersection holds
-    one bool block of its rows beside ``out``.
+    Each generator makes the calls it would make drawing its sets alone, in
+    the same order, and one with no sets makes none (RNG scheme 2, see
+    ``config.RNG_SCHEME``). The arithmetic on the draws runs once over the
+    sets of every generator: tau-nice, (c,tau) and doubly-uniform sets sort
+    their Fisher-Yates picks, serial, product, graph and explicit sets
+    gather theirs, a mixture merges its components' sets back into set
+    order, an intersection keeps the indices found in both of a set's
+    draws and a restriction those in its set. Permutation chunks and
+    product-sampling integers hold at most ``_CHUNK_ENTRIES`` entries (or
+    one row of n), so no kind builds a sets x n temporary.
     """
     counts = [int(c) for c in rows_per_rng]
-    total, k = out.shape[0], spec.kind
+    total, k, n = sum(counts), spec.kind, spec.n
     if total == 0:
-        return
+        return np.zeros(1, dtype=np.intp), np.empty(0, dtype=np.intp)
     if k == KIND_ELEMENTARY:
-        out[:, list(spec.set)] = True
-    elif k == KIND_SERIAL:
-        out[np.arange(total), _choices(rngs, counts, spec.n, spec.q)] = True
-    elif k in (KIND_TAU_NICE, KIND_DOUBLY_UNIFORM):
+        return np.arange(total + 1) * len(spec.set), np.tile(np.array(spec.set, dtype=np.intp), total)
+    if k == KIND_SERIAL:
+        return np.arange(total + 1), _choices(rngs, counts, n, spec.q)
+    if k in (KIND_TAU_NICE, KIND_DOUBLY_UNIFORM):
         if k == KIND_TAU_NICE:
             sizes = np.full(total, spec.tau)
         else:
-            sizes = _choices(rngs, counts, spec.n + 1, spec.q)
-        for rows, cols in _uniform_subsets(sizes, spec.n, rngs, counts):
-            out[rows, cols] = True
-    elif k == KIND_CTAU:
-        # Every (row, block) pair is one tau-subset of the block's positions.
+            sizes = _choices(rngs, counts, n + 1, spec.q)
+        return _ptr(sizes), _uniform_subsets(sizes, n, rngs, counts)
+    if k == KIND_CTAU:
+        # Every (set, block) pair is one tau-subset of the block's positions.
         part = np.asarray(spec.partition)
-        blocks = len(part)
+        blocks, width = len(part), spec.tau * len(part)
         sizes = np.full(total * blocks, spec.tau)
-        for pairs, positions in _uniform_subsets(sizes, part.shape[1], rngs, [c * blocks for c in counts]):
-            out[pairs // blocks, part[pairs % blocks, positions]] = True
-    elif k == KIND_PRODUCT:
+        positions = _uniform_subsets(sizes, part.shape[1], rngs, [c * blocks for c in counts])
+        picks = part[np.arange(blocks).repeat(spec.tau), positions.reshape(total, width)]
+        picks.sort(axis=1)
+        return np.arange(total + 1) * width, picks.reshape(-1)
+    if k == KIND_PRODUCT:
         lengths = np.array([len(b) for b in spec.blocks])
         offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
         flat = np.concatenate(spec.blocks)
+        picks = np.empty((total, len(lengths)), dtype=np.intp)
         for start, stop, chunks in _groups(counts, len(lengths)):
-            picks = np.concatenate(
+            drawn = np.concatenate(
                 [rngs[g].integers(0, lengths, size=(hi - lo, len(lengths))) for g, lo, hi in chunks]
             )
-            out[np.arange(start, stop)[:, None], flat[offsets + picks]] = True
-    elif k in (KIND_GRAPH, KIND_EXPLICIT):
+            picks[start:stop] = flat[offsets + drawn]
+        picks.sort(axis=1)
+        return np.arange(total + 1) * len(lengths), picks.reshape(-1)
+    if k in (KIND_GRAPH, KIND_EXPLICIT):
         picks = _choices(rngs, counts, len(spec.members), spec.weights)
-        # mode="clip" writes straight into out; "raise" would copy it first.
-        np.take(_index_mask(spec.n, spec.members), picks, axis=0, out=out, mode="clip")
-    elif k == KIND_CONVEX:
+        return _take(*_csr(spec.members), picks)
+    if k == KIND_CONVEX:
         picks = _choices(rngs, counts, len(spec.components), spec.weights)
         owner = np.repeat(np.arange(len(counts)), counts)
+        sizes, parts = np.zeros(total, dtype=np.intp), []
         for t, comp in enumerate(spec.components):
             rows = np.flatnonzero(picks == t)
             if rows.size:
-                part = np.zeros((rows.size, spec.n), dtype=bool)
-                _draw_blocks(comp, part, rngs, np.bincount(owner[rows], minlength=len(counts)))
-                out[rows] = part
-    elif k == KIND_INTERSECTION:
-        _draw_blocks(spec.components[0], out, rngs, counts)
-        second = np.zeros_like(out)
-        _draw_blocks(spec.components[1], second, rngs, counts)
-        out &= second
-    elif k == KIND_RESTRICTION:
-        _draw_blocks(spec.components[0], out, rngs, counts)
-        out &= _index_mask(spec.n, [spec.set])[0]
-    else:
-        raise ValidationError("kind", f"unknown kind {k!r}")
+                part_ptr, part_indices = _draw_blocks(comp, rngs, np.bincount(owner[rows], minlength=len(counts)))
+                sizes[rows] = np.diff(part_ptr)
+                parts.append((rows, part_indices))
+        ptr = _ptr(sizes)
+        indices = np.empty(ptr[-1], dtype=np.intp)
+        for rows, part_indices in parts:
+            indices[_spans(ptr[rows], sizes[rows])] = part_indices
+        return ptr, indices
+    if k == KIND_INTERSECTION:
+        ptr, indices = _draw_blocks(spec.components[0], rngs, counts)
+        other_ptr, other = _draw_blocks(spec.components[1], rngs, counts)
+        # Both key arrays ascend: set number first, then index.
+        keys = _row_of(ptr) * n + indices
+        return _filter(ptr, indices, np.isin(keys, _row_of(other_ptr) * n + other, assume_unique=True))
+    if k == KIND_RESTRICTION:
+        ptr, indices = _draw_blocks(spec.components[0], rngs, counts)
+        member = np.zeros(n, dtype=bool)
+        member[list(spec.set)] = True
+        return _filter(ptr, indices, member[indices])
+    raise ValidationError("kind", f"unknown kind {k!r}")
 
 
-def _draw_block(spec: SamplingSpec, out: np.ndarray, rng: np.random.Generator) -> None:
-    """:func:`_draw_blocks` with every row of ``out`` drawn from ``rng``."""
-    _draw_blocks(spec, out, [rng], [out.shape[0]])
+def _draw_block(spec: SamplingSpec, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_draw_blocks` of ``count`` sets, all drawn from ``rng``."""
+    return _draw_blocks(spec, [rng], [count])
 
 
 def draw(spec: SamplingSpec, rng_seed: int, stream_index: int = 0) -> frozenset[int]:
-    """Draw one realization of the sampling: the one-row case of the block
+    """Draw one realization of the sampling: the one-set case of the block
     draw on ``config.rng_for_stream(rng_seed, stream_index)``, so it equals
     the first row of ``draw_masks(spec, 1, rng_seed)`` for stream 0.
 
     The result is a pure function of (spec, rng_seed, stream_index); replicas
     running in parallel use distinct stream indices.
     """
-    row = np.zeros((1, spec.n), dtype=bool)
-    _draw_block(spec, row, config.rng_for_stream(rng_seed, stream_index))
-    return frozenset(np.flatnonzero(row[0]).tolist())
+    _, indices = _draw_block(spec, 1, config.rng_for_stream(rng_seed, stream_index))
+    return frozenset(indices.tolist())
 
 
-def draw_masks(spec: SamplingSpec, count: int, rng_seed: int = 0, streams: int = 1) -> np.ndarray:
-    """``count`` realizations of the sampling as the rows of a (count, n) bool array.
+def draw_sets(
+    spec: SamplingSpec, count: int, rng_seed: int = 0, streams: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` realizations of the sampling as CSR ``(ptr, indices)``,
+    each set ascending.
 
-    Rows come stream by stream: stream s fills its rows from
+    Sets come stream by stream: stream s draws its sets from
     ``config.rng_for_stream(rng_seed, s)`` (RNG scheme ``config.RNG_SCHEME``),
     and the first ``count % streams`` streams take one draw more than the
     rest; one :func:`_draw_blocks` call draws them all. The result is a pure
-    function of (spec, count, rng_seed, streams). For the leaf kinds the
-    temporaries beside the output stay a fixed size. Every Monte-Carlo
-    estimate in the package reads its draws from here.
+    function of (spec, count, rng_seed, streams), and its memory is
+    O(count + sum of the set sizes). Every Monte-Carlo estimate in the
+    package reads its draws from here.
     """
     if count < 0:
         raise ValidationError("count", "must be nonnegative")
     streams = max(1, int(streams))
-    masks = np.zeros((count, spec.n), dtype=bool)
     rngs = [config.rng_for_stream(rng_seed, s) for s in range(streams)]
-    _draw_blocks(spec, masks, rngs, [count // streams + (s < count % streams) for s in range(streams)])
-    return masks
+    return _draw_blocks(spec, rngs, [count // streams + (s < count % streams) for s in range(streams)])
+
+
+def draw_masks(spec: SamplingSpec, count: int, rng_seed: int = 0, streams: int = 1) -> np.ndarray:
+    """The sets of :func:`draw_sets` as the rows of a (count, n) bool array."""
+    return _scatter(spec.n, *draw_sets(spec, count, rng_seed, streams))
 
 
 # ---------------------------------------------------------------------------
@@ -645,37 +711,56 @@ def enumerate_support(spec: SamplingSpec) -> list[tuple[tuple[int, ...], float]]
     return sorted(dist.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
 
-def weighted_masks(
-    spec: SamplingSpec, trials: int = 0, rng_seed: int = 0, streams: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct bool rows of sets and weights w with E[g(S-hat)] = sum_k w[k]
-    g(masks[k]): the support of :func:`enumerate_support` with its
-    probabilities when ``trials == 0``, else the distinct rows of
-    ``draw_masks(spec, trials, rng_seed, streams)`` weighted count / trials.
+# Bit of index i in a big-endian 64-bit key, and of index i % 8 in its byte.
+_BIT64 = np.left_shift(np.uint64(1), np.arange(63, -1, -1, dtype=np.uint64))
+_BIT8 = np.right_shift(128, np.arange(8)).astype(np.uint8)
 
-    Monte-Carlo rows come sorted by their packed bits and their weights sum
-    to 1 up to rounding; an expectation costs one evaluation per distinct
-    set, not per draw.
+
+def weighted_sets(
+    spec: SamplingSpec, trials: int = 0, rng_seed: int = 0, streams: int = 1
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct sets as CSR ``(ptr, indices)`` and weights w with
+    E[g(S-hat)] = sum_k w[k] g(set k): the support of
+    :func:`enumerate_support` with its probabilities when ``trials == 0``,
+    else the distinct sets of ``draw_sets(spec, trials, rng_seed, streams)``
+    weighted count / trials.
+
+    Monte-Carlo sets come sorted by their packed bits (the bytes of
+    ``np.packbits`` of their bool rows) and their weights sum to 1 up to
+    rounding; an expectation costs one evaluation per distinct set, not per
+    draw. The keys are packed from the indices: no trials x n array.
     """
     if trials < 0:
         raise ValidationError("trials", "must be nonnegative")
-    if trials:
-        masks = draw_masks(spec, trials, rng_seed, streams)
-        packed = np.packbits(masks, axis=1)
-        if spec.n <= 64:
-            # The packed bytes as one big-endian integer per row: it sorts
-            # as the bytes compare, and faster than a bytes key.
-            wide = np.zeros((trials, 8), dtype=np.uint8)
-            wide[:, : packed.shape[1]] = packed
-            keys = wide.view(">u8").ravel().astype(np.uint64)
-        else:
-            # One opaque bytes key per row: sorting it is a memcmp, far
-            # faster than np.unique(axis=0)'s one field per column.
-            keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-        _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-        return masks[first], counts / trials
-    sets, probs = zip(*enumerate_support(spec))
-    return _index_mask(spec.n, sets), np.array(probs)
+    if not trials:
+        sets, probs = zip(*enumerate_support(spec))
+        return *_csr(sets), np.array(probs)
+    ptr, indices = draw_sets(spec, trials, rng_seed, streams)
+    rows = _row_of(ptr)
+    if spec.n <= 64:
+        # The packed bytes as one big-endian integer per set (index i is
+        # bit 63 - i): it sorts as the bytes compare, and faster than a bytes key.
+        keys = np.zeros(trials, dtype=np.uint64)
+        np.add.at(keys, rows, _BIT64[indices])
+    else:
+        # One opaque bytes key per set (index i is bit 7 - i % 8 of byte
+        # i // 8): sorting it is a memcmp, far faster than np.unique(axis=0)'s
+        # one field per column.
+        width = (spec.n + 7) // 8
+        packed = np.zeros(trials * width, dtype=np.uint8)
+        np.add.at(packed, rows * width + indices // 8, _BIT8[indices % 8])
+        keys = packed.view(np.dtype((np.void, width)))
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    return *_take(ptr, indices, first), counts / trials
+
+
+def weighted_masks(
+    spec: SamplingSpec, trials: int = 0, rng_seed: int = 0, streams: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sets of :func:`weighted_sets` as distinct bool rows, with their
+    weights."""
+    ptr, indices, weights = weighted_sets(spec, trials, rng_seed, streams)
+    return _scatter(spec.n, ptr, indices), weights
 
 
 _WITHOUT_ENUMERATION = (

@@ -9,8 +9,9 @@ full objective's curvature is covered).
 One kernel runs every solve: ``solve_many`` steps all its runs in lockstep,
 holding x as (runs, n) and the residual r = Ax as (runs, m), and ``solve`` is
 its one-run case. A is never densified. The runs draw their sets in blocks
-of 64; one ``nonzero`` over a block finds every run's selections, and the
-selected compressed columns are gathered for many iterations at once. An
+of 64, as CSR index lists; each block's sets are taken in (iteration, run)
+order, and the selected compressed columns are gathered for many
+iterations at once, so no array of a block is n wide. An
 iteration then takes every partial gradient from the same r by one
 ``bincount`` and adds the steps to r in (run, ascending coordinate) order,
 so rows shared by a set's columns take the steps one at a time. That costs
@@ -291,8 +292,8 @@ def solve_many(
     bit for bit.
 
     The runs step in lockstep, in batches whose per-run state (m residuals,
-    n coordinates and a 64 x n block of draws per run) stays within
-    ``_BATCH_ENTRIES`` entries. An iteration costs O(sum_{i in S} |column
+    n coordinates and a block of 64 drawn sets, bounded by 64 n indices)
+    stays within ``_BATCH_ENTRIES`` entries. An iteration costs O(sum_{i in S} |column
     support of i|) per row for the update and O(m + n) per row for the
     objective. A stopped run keeps its row, frozen and unread, to the end of
     its block of 64 draws: at most 63 extra iterations of array work.
@@ -305,13 +306,13 @@ def solve_many(
     return _solve_streams(problem, spec, v, range(n_runs), x0, epsilon, max_iter, rng_seed)
 
 
-# Draws per block: each run's mask block holds this many draws of its stream.
+# Draws per block: each run draws this many sets of its stream at a time.
 _DRAW_BLOCK = 64
 
 # Entries of per-run state one lockstep batch may hold (see solve_many).
 _BATCH_ENTRIES = 1 << 22
 
-# Entries one index of a block may hold: draws scanned by one nonzero, and
+# Entries one index of a block may hold: selections indexed at once, and
 # column entries gathered at once (see _steps).
 _INDEX_ENTRIES = 1 << 14
 
@@ -386,7 +387,6 @@ def _lockstep(problem, spec, v, x0, rng_seed, streams, epsilon, max_iter, gap0, 
     # Gap of iteration k in slot k % 11: slot k % 11 still holds the gap of
     # iteration k - 11 when iteration k's gap is tested against it.
     window = np.full((count, 11), gap0)
-    masks = np.empty((count, _DRAW_BLOCK, n), dtype=bool)
     gaps = [[(0, gap0)] for _ in range(count)]
     finished: list = [None] * count
     done, frozen = np.zeros(count, dtype=bool), False
@@ -412,12 +412,11 @@ def _lockstep(problem, spec, v, x0, rng_seed, streams, epsilon, max_iter, gap0, 
             if done.any():
                 keep = ~done
                 ids, x, r, gap, window, done = ids[keep], x[keep], r[keep], gap[keep], window[keep], done[keep]
-                x_flat, r_flat, masks = x.reshape(-1), r.reshape(-1), masks[: ids.size]
+                x_flat, r_flat = x.reshape(-1), r.reshape(-1)
                 rngs = [g for g, kept in zip(rngs, keep.tolist()) if kept]
                 frozen = False
-            masks[:] = False
-            samplings._draw_blocks(spec, masks.reshape(-1, n), rngs, [_DRAW_BLOCK] * len(rngs))
-            steps = _steps(masks, data, b, v)
+            ptr, indices = samplings._draw_blocks(spec, rngs, [_DRAW_BLOCK] * len(rngs))
+            steps = _steps(ptr, indices, len(rngs), data, b, v)
         sel, b_sel, v_sel, seg, rows, vals = next(steps)
         if sel.size:
             # Every partial gradient from the same r, then every step.
@@ -460,31 +459,38 @@ def _lockstep(problem, spec, v, x0, rng_seed, streams, epsilon, max_iter, gap0, 
     return finished
 
 
-def _steps(masks, data, b, v):
+def _steps(ptr, indices, count, data, b, v):
     """Yield the index arrays of each lockstep step of a block of draws.
 
-    ``masks`` (runs, 64, n) holds the runs' draws; step t selects
-    coordinate i of row j where ``masks[j, t, i]``. Each step yields, over
-    its selections in (row, ascending coordinate) order, their flat
-    positions j * n + i into x, b_i and v_i, and over the nonzeros of their
-    columns the index of the entry's selection within the step, the flat
-    position j * m + row into r and the value. One ``nonzero`` indexes as
-    many steps as hold at most ``_INDEX_ENTRIES`` draws (at least one); the
-    columns are gathered for as many steps as fit that many entries.
+    ``(ptr, indices)`` holds the runs' draws as CSR, set j * 64 + t being
+    run j's draw for step t; step t selects the coordinates i of that set
+    in row j. Each step yields, over its selections in (row, ascending
+    coordinate) order, their flat positions j * n + i into x, b_i and v_i,
+    and over the nonzeros of their columns the index of the entry's
+    selection within the step, the flat position j * m + row into r and the
+    value. The selections are indexed for as many steps as hold at most
+    ``_INDEX_ENTRIES`` of them (at least one); the columns are gathered for
+    as many steps as fit that many entries.
     """
-    count, depth, n = masks.shape
-    span = max(1, _INDEX_ENTRIES // (count * n))
-    for lo in range(0, depth, span):
-        yield from _gathered_steps(masks[:, lo : lo + span], data, b, v)
+    depth = _DRAW_BLOCK
+    sel_at = np.concatenate(([0], np.diff(ptr).reshape(count, depth).sum(axis=0).cumsum())).tolist()
+    lo = 0
+    while lo < depth:
+        hi = max(lo + 1, bisect.bisect_right(sel_at, sel_at[lo] + _INDEX_ENTRIES) - 1)
+        # The sets of steps lo .. hi - 1 in (step, row) order.
+        sets = (np.arange(lo, hi)[:, None] + depth * np.arange(count)).reshape(-1)
+        set_ptr, col = samplings._take(ptr, indices, sets)
+        step, row = np.divmod(samplings._row_of(set_ptr), count)
+        yield from _gathered_steps(step, row, col, hi - lo, data, b, v)
+        lo = hi
 
 
-def _gathered_steps(masks, data, b, v):
-    """``_steps`` over every step of ``masks`` (runs, steps, n)."""
-    count, depth, n = masks.shape
+def _gathered_steps(step, row, col, depth, data, b, v):
+    """``_steps`` over the selections of ``depth`` steps, in (step, row,
+    coordinate) order: selection k picks coordinate col[k] of row row[k]
+    in step step[k]."""
+    n = data.n
     col_ptr, col_rows, col_values = data.col_ptr, data.col_rows, data.col_values
-    # Selections in (step, row, coordinate) order.
-    step, rest = np.divmod(np.flatnonzero(masks.transpose(1, 0, 2)), count * n)
-    row, col = np.divmod(rest, n)
     sizes = (col_ptr[1:] - col_ptr[:-1])[col]
     # Offsets of each step's first selection and first entry.
     starts = np.searchsorted(step, np.arange(depth + 1))
@@ -497,8 +503,7 @@ def _gathered_steps(masks, data, b, v):
         hi = max(lo + 1, bisect.bisect_right(ent_at, ent_at[lo] + _INDEX_ENTRIES) - 1)
         a, c = sel_at[lo], sel_at[hi]
         g_col, g_sizes = col[a:c], sizes[a:c]
-        ends = g_sizes.cumsum()
-        pos = np.arange(ent_at[hi] - ent_at[lo]) + (col_ptr[g_col] - (ends - g_sizes)).repeat(g_sizes)
+        pos = samplings._spans(col_ptr[g_col], g_sizes)
         rows = row[a:c].repeat(g_sizes) * data.m + col_rows[pos]
         vals = col_values[pos]
         seg = within[a:c].repeat(g_sizes)

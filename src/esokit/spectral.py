@@ -90,8 +90,11 @@ def lambda_max(
 
 
 def _check_power_inputs(method: str, iterations: int, safeguard: float) -> None:
-    """The power method takes at least one iteration and scales its Rayleigh
+    """The method is dense or power, checked before any early return; the
+    power method takes at least one iteration and scales its Rayleigh
     quotient by a finite safeguard of at least 1."""
+    if method not in (METHOD_DENSE, METHOD_POWER):
+        raise UnsupportedMethodError(f"unknown eigenvalue method {method!r}")
     if method == METHOD_POWER and iterations < 1:
         raise ValidationError("power_iterations", f"must be at least 1, got {iterations}")
     if method == METHOD_POWER and not (np.isfinite(safeguard) and safeguard >= 1.0):
@@ -109,9 +112,7 @@ def _top_eigenvalue(
         value, vector = float(eigvals[-1]), eigvecs[:, -1]
         residual = float(np.linalg.norm(m @ vector - value * vector))
         return EigenEstimate(max(value, 0.0), METHOD_DENSE, residual)
-    if method == METHOD_POWER:
-        return _power_method(m, power_iterations, safeguard)
-    raise UnsupportedMethodError(f"unknown eigenvalue method {method!r}")
+    return _power_method(m, power_iterations, safeguard)
 
 
 def _power_method(m: np.ndarray, iterations: int, safeguard: float) -> EigenEstimate:
@@ -334,8 +335,9 @@ def restricted_lambda_primes(spec: SamplingSpec, ptr, indices, method: str = "ex
 
     The restricted matrices of the sets of one size are evaluated from
     :func:`probability.exact_rule` in stacks of at most ``_STACK_ENTRIES``
-    entries, each symmetrized and normalized as the one-set form treats its
-    block; ``exact`` makes one values-only ``eigvalsh`` call per stack. No
+    entries, each normalized as the one-set form treats its block (every
+    rule is exactly symmetric, so the one-set form's symmetrization changes
+    no bit); ``exact`` makes one values-only ``eigvalsh`` call per stack. No
     n x n matrix is built unless the sampling's support is enumerated. A
     proper sampling has a positive diagonal, so every restricted matrix is
     normalized on its whole set.
@@ -348,21 +350,15 @@ def restricted_lambda_primes(spec: SamplingSpec, ptr, indices, method: str = "ex
     if method != "exact":
         raise UnsupportedMethodError(f"unknown restricted-eigenvalue method {method!r}")
     entry, _ = probability.exact_rule(spec)
-    sizes = np.diff(ptr)
-    out = np.zeros(len(sizes))
-    for size in np.unique(sizes[sizes > 0]):
-        members = np.flatnonzero(sizes == size)
-        idx = np.sort(indices[ptr[members, None] + np.arange(size)], axis=1)
-        step = max(1, _STACK_ENTRIES // (size * size))
-        for lo in range(0, members.size, step):
-            # lambda_prime's symmetrization and normalization, so each value
-            # is bit-identical to the one-set form.
-            j = idx[lo : lo + step]
-            sub = entry(j[:, :, None], j[:, None, :])
-            sub = 0.5 * (sub + sub.transpose(0, 2, 1))
-            scale = 1.0 / np.sqrt(np.diagonal(sub, axis1=1, axis2=2))
-            m = sub * (scale[:, :, None] * scale[:, None, :])
-            out[members[lo : lo + step]] = np.maximum(np.linalg.eigvalsh(m)[:, -1], 0.0)
+    out = np.zeros(len(ptr) - 1)
+    for sets, idx in probability._size_stacks(ptr, indices, _STACK_ENTRIES):
+        # lambda_prime's normalization, so each value is bit-identical to
+        # the one-set form.
+        j = np.sort(idx, axis=1)
+        sub = entry(j[:, :, None], j[:, None, :])
+        scale = 1.0 / np.sqrt(np.diagonal(sub, axis1=1, axis2=2))
+        m = sub * (scale[:, :, None] * scale[:, None, :])
+        out[sets] = np.maximum(np.linalg.eigvalsh(m)[:, -1], 0.0)
     return out
 
 

@@ -301,11 +301,10 @@ def run_identity_battery(
             w = rng.dirichlet(np.ones(2))
             w = w / w.sum()
             mixture = samplings.convex_combination(w, comps)
-            lhs = probability.prob_matrix(mixture, "enumerate").entries
-            rhs = sum(
-                wi * probability.prob_matrix(c, "enumerate").entries for wi, c in zip(w, comps)
-            )
-            record("convex_combination_rule", np.max(np.abs(lhs - rhs)))
+            mix_p = probability.prob_matrix(mixture, "enumerate").entries
+            comp_ps = [probability.prob_matrix(c, "enumerate").entries for c in comps]
+            rhs = sum(wi * pc for wi, pc in zip(w, comp_ps))
+            record("convex_combination_rule", np.max(np.abs(mix_p - rhs)))
 
             # Intersection rule: enumerate the joint law vs Hadamard product.
             pair = (samplings.random_spec(rng, n), samplings.random_spec(rng, n))
@@ -324,11 +323,8 @@ def run_identity_battery(
             mask = np.zeros(n)
             mask[j] = 1.0
             outer = np.outer(mask, mask)
-            restricted_mix = probability.prob_matrix(mixture, "enumerate").entries * outer
-            mix_restricted = sum(
-                wi * (probability.prob_matrix(c, "enumerate").entries * outer)
-                for wi, c in zip(w, comps)
-            )
+            restricted_mix = mix_p * outer
+            mix_restricted = sum(wi * (pc * outer) for wi, pc in zip(w, comp_ps))
             record("restriction_chain", np.max(np.abs(restricted_mix - mix_restricted)))
 
     checks = {

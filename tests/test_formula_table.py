@@ -95,10 +95,11 @@ def test_table_formula_ids_are_the_reported_ids():
             assert expected["formula_id"] == formula_id, key
 
 
-# Samplings whose P is evaluated elementwise, without BLAS; graph and explicit
-# kinds sum their P with a matrix product, whose rounding follows the thread count.
+# Every P is evaluated without BLAS: elementwise, or for graph and explicit
+# kinds by scattering each set's weight into its index pairs.
 _THREAD_FREE_LABELS = (
-    "tau_nice", "ctau_distributed", "doubly_uniform", "intersection", "mixture_with_restriction"
+    "tau_nice", "ctau_distributed", "doubly_uniform", "graph", "graph_uncovered", "explicit",
+    "intersection", "mixture_with_restriction",
 )
 _V_BYTES_SCRIPT = f"""
 import json

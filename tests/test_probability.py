@@ -1,6 +1,11 @@
 import hashlib
 import itertools
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,8 @@ from esokit import probability, spectral
 from esokit.errors import CertificateUnavailableError, UnsupportedMethodError, ValidationError
 from esokit.probability import read_csv, require_exact, write_csv
 from esokit.samplings import draw_masks
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_tau_nice_closed_form_entries():
@@ -377,9 +384,9 @@ def test_invalid_entries_are_named(bad, message):
 
 
 def _explicit_mixture():
-    """A mixture whose explicit component has an enumerated P that is not
-    exactly symmetric: the matrix product that sums its weighted sets adds
-    the terms of P_ij and P_ji in different orders."""
+    """A mixture whose explicit component sums 110 weighted sets of up to 100
+    indices into its enumerated P: any change to the order of that sum
+    moves its digests."""
     n, count = 100, 110
     rng = ek.rng_for_stream(47, 0)
     members = [rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist() for _ in range(count)]
@@ -420,7 +427,7 @@ _P_DIGESTS = {
     "intersection": "31a2754b2a070e2fe62456759d3d73a95527b5d114dc0688f6274278aa47ddfb",
     "restriction": "9368e7b7ec16dd7adae0dc72cf9069028333106053f8a67bc489510579a073be",
     "explicit": "b4418454c0f74ee026e29bf5e027b23dbca22e7d2ab96993ecdd38a7fc5d42c6",
-    "explicit_mixture": "484097f473b7cf9a407072a90e364279c9539ccd4a6dd07ea5be968e54e5062c",
+    "explicit_mixture": "3eca2f32029ce74144be031fe19c0f58ed7d6273b15464645382b53bed561eb1",
 }
 _RESTRICTED_DIGESTS = {
     ("elementary", "exact"): "92bc32054257afb5ba8fdf868f59032d54c96f2f290b80f757b14c797faaa81e",
@@ -434,7 +441,7 @@ _RESTRICTED_DIGESTS = {
     ("intersection", "exact"): "36ab03d361bc0295f18ff290e71d0fc14525922a2a6cd5b6af9f920445cd9927",
     ("restriction", "exact"): "59fbaccd53b63055e85fee2231273cee81239aba4dda2ec9eb408bd0c4ff11c1",
     ("explicit", "exact"): "cf4806372c85ee3801709b9075dc7daaa4cf09c01a797fd226225a88a41f1c15",
-    ("explicit_mixture", "exact"): "5c08d5155acd7bb487b78aeef10d2f3a5ce8ab31be7cbdd87d8ac58a8a0180e2",
+    ("explicit_mixture", "exact"): "95571efee4aea06e66e06862ba149301a3d7907ce046dd5f170a970c704a2214",
 }
 
 
@@ -452,10 +459,60 @@ def test_restricted_lambda_prime_digests_are_pinned(spec, method, request):
     assert _sha256(values) == _RESTRICTED_DIGESTS[name, method]
 
 
-def test_the_explicit_mixture_has_an_asymmetric_exact_p():
-    # What makes its restricted digests pin the symmetrization of the blocks.
-    entries = _p(_explicit_mixture())
-    assert not np.array_equal(entries, entries.T)
+def test_every_exact_rule_is_exactly_symmetric():
+    # What lets restricted_lambda_primes skip the one-set form's
+    # symmetrization of each block without changing a bit.
+    rng = ek.rng_for_stream(49, 0)
+    specs = [*every_kind(), _explicit_mixture()]
+    specs += [ek.random_spec(rng, int(rng.integers(1, 9))) for _ in range(200)]
+    for spec in specs:
+        entries = _p(spec)
+        assert np.array_equal(entries, entries.T), spec.kind
+
+
+_P_BYTES_SCRIPT = """
+import json
+import numpy as np
+import esokit as ek
+from test_probability import _explicit_mixture
+from conftest import random_sparse_matrix
+spec = _explicit_mixture()
+data = random_sparse_matrix(ek.rng_for_stream(50, 0), 40, spec.n, 0.1)
+print(json.dumps({
+    "p": ek.prob_matrix(spec).entries.tobytes().hex(),
+    "v": ek.compute_v(data, spec, "coupled-exact").v.tobytes().hex(),
+}))
+"""
+
+
+def _p_bytes(threads: int) -> dict:
+    paths = [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=os.pathsep.join(paths))
+    done = subprocess.run(
+        [sys.executable, "-c", _P_BYTES_SCRIPT],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    return json.loads(done.stdout)
+
+
+def test_the_enumerated_p_does_not_depend_on_the_blas_thread_count():
+    # The explicit component's P and the coupled-exact v read from it give
+    # the same bytes with one BLAS thread and with two.
+    one, two = _p_bytes(1), _p_bytes(2)
+    assert one == two
+
+
+def test_monte_carlo_matrix_memory_grows_with_the_draws_not_with_n():
+    # 200,000 draws of 8 of 500 indices: bool rows would take 100 MB, their
+    # index lists 12.8 MB.
+    tracemalloc.start()
+    try:
+        pm = ek.prob_matrix(ek.tau_nice(500, 8), "monte_carlo", mc_samples=200_000, rng_seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pm.mc_samples == 200_000 and abs(np.trace(pm.entries) - 8.0) < 1e-9
+    assert peak < 40 * 2**20, peak
 
 
 @pytest.mark.parametrize("method", ["auto", "closed_form", "enumerate", "monte_carlo"])
@@ -465,7 +522,7 @@ def test_probability_matrix_refuses_n_above_the_dense_cap(monkeypatch, method):
 
     specs = (ek.tau_nice(5, 2), ek.explicit(5, [[0, 1], [2, 3, 4]], [0.5, 0.5]))
     monkeypatch.setattr(ek.config, "DENSE_EIG_CAP", 4)
-    for name in ("weighted_masks", "draw_masks"):
+    for name in ("weighted_sets", "_draw_blocks"):
         monkeypatch.setattr(ek.samplings, name, refuse)
     monkeypatch.setattr(probability, "exact_rule", refuse)
     for spec in specs:

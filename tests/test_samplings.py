@@ -153,8 +153,7 @@ def test_draw_masks_match_per_stream_draws():
                 per_stream[r] += 1
             expected = []
             for stream_index, draws in enumerate(per_stream):
-                block = np.zeros((draws, spec.n), dtype=bool)
-                ek.samplings._draw_block(spec, block, ek.rng_for_stream(seed, stream_index))
+                block = ek.samplings._scatter(spec.n, *ek.samplings._draw_block(spec, draws, ek.rng_for_stream(seed, stream_index)))
                 expected += [np.flatnonzero(row).tolist() for row in block]
             masks = draw_masks(spec, count, rng_seed=seed, streams=streams)
             assert masks.dtype == bool and masks.shape == (count, spec.n)
@@ -162,10 +161,41 @@ def test_draw_masks_match_per_stream_draws():
         assert np.array_equal(draw_masks(spec, count, seed, streams=0), draw_masks(spec, count, seed))
         # draw() is the one-row block of its stream.
         for stream_index in range(3):
-            one = np.zeros((1, spec.n), dtype=bool)
-            ek.samplings._draw_block(spec, one, ek.rng_for_stream(seed, stream_index))
+            one = ek.samplings._scatter(spec.n, *ek.samplings._draw_block(spec, 1, ek.rng_for_stream(seed, stream_index)))
             assert ek.draw(spec, seed, stream_index) == frozenset(np.flatnonzero(one[0]).tolist())
         assert ek.draw(spec, seed) == frozenset(np.flatnonzero(draw_masks(spec, 1, seed)[0]).tolist())
+
+
+def _all_kinds(rng, n):
+    """random_spec draws every kind but the graph one; a graph sampling over
+    the independent singletons and pairs of a random conflict graph joins it."""
+    specs = [ek.random_spec(rng, n) for _ in range(10)]
+    edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.5]
+    graph = ek.ConflictGraph(n, edges)
+    members = [[i] for i in range(n)] + [[a, b] for a in range(n) for b in range(a + 1, n) if (a, b) not in edges]
+    specs.append(ek.graph_sampling(n, members, rng.dirichlet(np.ones(len(members))), graph))
+    return specs
+
+
+@pytest.mark.parametrize("streams", [1, 3])
+def test_drawn_sets_are_sorted_distinct_in_range_and_scatter_to_the_masks(streams):
+    rng = ek.rng_for_stream(62, streams)
+    kinds = set()
+    for _ in range(12):
+        for spec in _all_kinds(rng, int(rng.integers(1, 9))):
+            kinds.add(spec.kind)
+            count = int(rng.integers(0, 300))
+            ptr, indices = ek.samplings.draw_sets(spec, count, rng_seed=5, streams=streams)
+            assert ptr.shape == (count + 1,) and ptr[0] == 0 and ptr[-1] == indices.size
+            assert np.all(np.diff(ptr) >= 0)
+            assert indices.size == 0 or (indices.min() >= 0 and indices.max() < spec.n)
+            # Strictly ascending within each set: sorted and distinct.
+            inner = np.ones(indices.size, dtype=bool)
+            inner[ptr[:-1][np.diff(ptr) > 0]] = False
+            assert np.all(np.diff(indices)[inner[1:]] > 0)
+            masks = draw_masks(spec, count, rng_seed=5, streams=streams)
+            assert np.array_equal(ek.samplings._scatter(spec.n, ptr, indices), masks)
+    assert kinds == set(ek.samplings.ALL_KINDS)
 
 
 def test_draw_inputs_are_checked():
@@ -382,8 +412,7 @@ def _reference_draws(spec, count, rng):
 def test_subset_draws_and_generator_state_match_the_pool_copying_shuffle(spec):
     ours, theirs = ek.rng_for_stream(61, 0), ek.rng_for_stream(61, 0)
     count = 300
-    masks = np.zeros((count, spec.n), dtype=bool)
-    ek.samplings._draw_block(spec, masks, ours)
+    masks = ek.samplings._scatter(spec.n, *ek.samplings._draw_block(spec, count, ours))
     assert [frozenset(np.flatnonzero(row).tolist()) for row in masks] == _reference_draws(spec, count, theirs)
     assert ours.bit_generator.state == theirs.bit_generator.state
 
@@ -395,12 +424,10 @@ def test_one_batched_draw_equals_each_generator_drawing_alone(spec):
     counts = [5, 0, 700, 64, 12_000] if spec.n <= 16 else [5, 0, 300, 64]
     batched = [ek.rng_for_stream(7, s) for s in range(len(counts))]
     alone = [ek.rng_for_stream(7, s) for s in range(len(counts))]
-    out = np.zeros((sum(counts), spec.n), dtype=bool)
-    ek.samplings._draw_blocks(spec, out, batched, counts)
+    out = ek.samplings._scatter(spec.n, *ek.samplings._draw_blocks(spec, batched, counts))
     parts = []
     for rng, count in zip(alone, counts):
-        parts.append(np.zeros((count, spec.n), dtype=bool))
-        ek.samplings._draw_block(spec, parts[-1], rng)
+        parts.append(ek.samplings._scatter(spec.n, *ek.samplings._draw_block(spec, count, rng)))
     assert np.array_equal(out, np.concatenate(parts))
     assert [g.bit_generator.state for g in batched] == [g.bit_generator.state for g in alone]
 

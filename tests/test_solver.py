@@ -490,8 +490,7 @@ def _reference_solve(problem, spec, v, x0, epsilon, max_iter, rng_seed, stream_i
     gap_floor = 10.0 * np.finfo(float).eps * max(1.0, abs(f_star))
     while not converged and k < max_iter:
         if not pending:
-            block = np.zeros((64, spec.n), dtype=bool)
-            samplings._draw_block(spec, block, rng)
+            block = samplings._scatter(spec.n, *samplings._draw_block(spec, 64, rng))
             pending = [np.flatnonzero(row).tolist() for row in block[::-1]]
         idx = pending.pop()
         deltas = []

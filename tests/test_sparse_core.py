@@ -113,8 +113,7 @@ def _dense_reference_solve(problem, spec, v, x0, epsilon, max_iter, rng_seed, st
     while gap > epsilon and k < max_iter:
         if not pending:
             # The solver takes its draws in blocks of 64 per stream.
-            block = np.zeros((64, spec.n), dtype=bool)
-            samplings._draw_block(spec, block, rng)
+            block = samplings._scatter(spec.n, *samplings._draw_block(spec, 64, rng))
             pending = [np.flatnonzero(row).tolist() for row in block[::-1]]
         idx = pending.pop()
         deltas = []

@@ -51,6 +51,14 @@ def test_lambda_prime_zero_matrix_and_invalid_psd():
         ek.lambda_prime(bad)
 
 
+@pytest.mark.parametrize("function", [ek.lambda_max, ek.lambda_prime])
+@pytest.mark.parametrize("matrix", [np.zeros((2, 2)), np.eye(2)], ids=["zero", "identity"])
+def test_an_unknown_eigenvalue_method_is_refused_on_every_matrix(function, matrix):
+    # The zero matrix takes an early return; the method is checked before it.
+    with pytest.raises(UnsupportedMethodError, match="nonsense"):
+        function(matrix, "nonsense")
+
+
 def test_dense_residual_is_small():
     rng = ek.rng_for_stream(31, 0)
     for _ in range(20):

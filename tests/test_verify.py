@@ -245,7 +245,8 @@ def test_quadratic_check_refuses_n_above_the_dense_cap(monkeypatch):
         raise AssertionError("the check drew or enumerated before refusing")
 
     monkeypatch.setattr(config, "DENSE_EIG_CAP", 4)
-    monkeypatch.setattr(samplings, "weighted_masks", refuse)
+    for name in ("weighted_sets", "_draw_blocks"):
+        monkeypatch.setattr(samplings, name, refuse)
     for mode in ("exhaustive", "monte_carlo"):
         with pytest.raises(ValidationError, match="n <= 4"):
             ek.check_eso_quadratic(data, spec, np.ones(5), mode=mode, trials=100)
@@ -265,7 +266,8 @@ def test_quadratic_check_rejects_an_empty_point_list(monkeypatch):
         raise AssertionError("the check did work before refusing")
 
     monkeypatch.setattr(ek.DataMatrix, "gram", refuse)
-    monkeypatch.setattr(samplings, "weighted_masks", refuse)
+    for name in ("weighted_sets", "_draw_blocks"):
+        monkeypatch.setattr(samplings, name, refuse)
     for mode in ("exhaustive", "monte_carlo"):
         with pytest.raises(ValidationError, match="at least one point") as info:
             ek.check_eso_quadratic(FIXTURE_A, SPEC, V_OK, points=[], mode=mode)
