@@ -129,18 +129,17 @@ def _resolved(args: argparse.Namespace, keys: list[str]) -> dict:
 def cmd_compute_v(args) -> int:
     data = read_matrix(args.matrix)
     spec = _load_sampling(args.sampling)
-    result = eso.compute_v(data, spec, formula=args.formula, tau_cap=args.tau_cap)
+    result = eso.compute_v(data, spec, formula=args.formula)
     if args.certify:
         result = result.with_margin(eso.certify(data, spec, result.v))
-    # A cap below 1 certifies nothing, so the ratio reads the sampling's own cap.
-    tau = args.tau_cap if (args.tau_cap or 0) >= 1 else samplings.cardinality_cap(spec)
+    tau = samplings.cardinality_cap(spec)
     max_ratio = float(np.max(result.v * tau / (result.p * data.n)))
     payload = result.to_dict()
     payload["max_ratio"] = max_ratio
     _write_report(
         args.out,
         "compute-v",
-        _resolved(args, ["matrix", "sampling", "formula", "tau_cap", "seed"]),
+        _resolved(args, ["matrix", "sampling", "formula", "seed"]),
         payload,
     )
     v = result.v
@@ -345,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--sampling", required=True, help="spec file path or inline JSON")
     p.add_argument("--formula", default="auto", choices=list(eso.FORMULAS))
-    p.add_argument("--tau-cap", type=int, default=None, dest="tau_cap")
     p.add_argument("--certify", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_compute_v)

@@ -20,8 +20,8 @@ from . import config
 from .errors import ParseError, ValidationError
 
 
-# Products of entry pairs per np.bincount call in DataMatrix.gram: bounds the
-# temporaries (a few arrays of this length) however dense the rows are.
+# Entry pairs per chunk of DataMatrix.gram: bounds its temporaries (a few
+# arrays of this length) however dense the rows are; any size gives the same bits.
 _GRAM_PAIRS = 1 << 20
 
 
@@ -179,8 +179,9 @@ class DataMatrix:
     def gram(self) -> np.ndarray:
         """Dense A^T A; refused beyond ``config.DENSE_EIG_CAP``.
 
-        Entry (a, b) sums A_ja A_jb over the rows j in row order: the entry
-        pairs of each row go into one bincount per ``_GRAM_PAIRS`` pairs.
+        Entry (a, b) sums A_ja A_jb over the rows j in row order for any
+        ``_GRAM_PAIRS``: each chunk of entry pairs adds its products into the
+        one n x n output with ``np.add.at``, so the result is exactly symmetric.
         """
         cap = config.DENSE_EIG_CAP
         if self.n > cap:
@@ -198,11 +199,7 @@ class DataMatrix:
             hi = max(hi, lo + 1)
             left = np.repeat(np.arange(lo, hi), reps[lo:hi])
             right = first[left] + np.arange(pair_start[lo], pair_start[hi]) - pair_start[left]
-            g += np.bincount(
-                self.cols[left] * n + self.cols[right],
-                weights=self.values[left] * self.values[right],
-                minlength=n * n,
-            )
+            np.add.at(g, self.cols[left] * n + self.cols[right], self.values[left] * self.values[right])
             lo = hi
         return g.reshape(n, n)
 

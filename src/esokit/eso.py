@@ -158,15 +158,10 @@ def _rules_out_sampling(moments: samplings.Moments, lambda_prime_ata: float) -> 
     return first != 0.0 and lambda_prime_ata < second / first * (1.0 - 1e-9)
 
 
-def eso_conservative(
-    data: DataMatrix, spec: SamplingSpec, tau_cap: int | None = None
-) -> EsoResult:
-    """One-pass envelope v_i = min(tau, max_j |J_j|) * w_i."""
+def eso_conservative(data: DataMatrix, spec: SamplingSpec) -> EsoResult:
+    """One-pass envelope v_i = min(tau, max_j |J_j|) * w_i, tau the cardinality cap."""
     p = _require_proper(spec)
-    tau = int(tau_cap) if tau_cap is not None else samplings.cardinality_cap(spec)
-    if tau <= 0:
-        raise UnsupportedMethodError("conservative formula needs a positive cardinality cap")
-    factor = float(min(tau, data.max_row_support))
+    factor = float(min(samplings.cardinality_cap(spec), data.max_row_support))
     return _one_pass(data, p, factor * data.column_sq_norms, FORMULA_CONSERVATIVE)
 
 
@@ -199,22 +194,18 @@ def eso_coupled(data: DataMatrix, spec: SamplingSpec, restricted_eig_method: str
 # Closed forms requiring no eigenvalues
 
 
-def eso_specialized(
-    data: DataMatrix,
-    spec: SamplingSpec,
-    tau_cap: int | None = None,
-    case: str = "auto",
-) -> EsoResult:
+def eso_specialized(data: DataMatrix, spec: SamplingSpec, case: str = "auto") -> EsoResult:
     """Dispatch to the per-family closed form; at most two passes over data.
 
     ``case='generic'`` forces the cardinality-cap formula
-    v_i = sum_j min(|J_j|, tau) A_ji^2 even when a sharper family form exists.
+    v_i = sum_j min(|J_j|, tau) A_ji^2, tau the sampling's cardinality cap,
+    even when a sharper family form exists.
     Raises UnsupportedMethodError when no case applies (callers fall back to
     the coupled formula).
     """
     p = _require_proper(spec)
     if case == "generic":
-        return _generic_tau(data, spec, tau_cap, p)
+        return _generic_tau(data, spec, p)
     if case != "auto":
         raise UnsupportedMethodError(f"unknown specialization case {case!r}")
 
@@ -230,18 +221,16 @@ def eso_specialized(
     if (first, second) == (1.0, 1.0):
         # |S-hat| = 1 almost surely: the serial case in disguise.
         return _one_pass(data, p, data.column_sq_norms, FORMULA_SERIAL)
-    return _generic_tau(data, spec, tau_cap, p)
+    return _generic_tau(data, spec, p)
 
 
 def _one_pass(data: DataMatrix, p: np.ndarray, v: np.ndarray, formula_id: str) -> EsoResult:
     return EsoResult(_floor(v), p, formula_id, cost_estimate=2.0 * data.nnz)
 
 
-def _generic_tau(data, spec, tau_cap, p) -> EsoResult:
-    tau = int(tau_cap) if tau_cap is not None else samplings.cardinality_cap(spec)
-    if tau <= 0:
-        raise UnsupportedMethodError("generic case needs a positive certified cardinality cap")
-    multipliers = np.minimum(data.row_sizes.astype(float), float(tau))
+def _generic_tau(data, spec, p) -> EsoResult:
+    # A proper sampling over n >= 1 coordinates draws a nonempty set, so tau >= 1.
+    multipliers = np.minimum(data.row_sizes.astype(float), float(samplings.cardinality_cap(spec)))
     return _one_pass(data, p, _accumulate_rows(data, multipliers), FORMULA_GENERIC_TAU)
 
 
@@ -265,13 +254,23 @@ def _check_graph_matches_data(data: DataMatrix, spec: SamplingSpec) -> None:
 # The PSD certificate
 
 
+def _require_same_n(data: DataMatrix, spec: SamplingSpec) -> None:
+    """Refuse a sampling over another n than the data's, before anything sized by n is built."""
+    if data.n != spec.n:
+        raise ValidationError(
+            "sampling", f"spec is over {spec.n} coordinates (indices in [0, {spec.n})), data has {data.n}"
+        )
+
+
 def certificate_matrix(data: DataMatrix, spec: SamplingSpec, v: np.ndarray) -> np.ndarray:
     """Diag(v o p) - P o (A'A), PSD exactly when v certifies the overapproximation
     for every function whose curvature is dominated by A'A. Needs the exact
-    probability matrix: an estimate cannot certify a matrix inequality."""
+    probability matrix, read from :func:`probability.exact_rule` in one
+    buffer: an estimate cannot certify a matrix inequality."""
     v = np.asarray(v, dtype=float)
     if v.shape != (data.n,):
         raise ValidationError("v", f"expected shape ({data.n},)")
+    _require_same_n(data, spec)
     if data.n > config.DENSE_EIG_CAP:
         raise ValidationError("n", f"certification needs n <= {config.DENSE_EIG_CAP}")
     return _certificate(data.gram(), spec, v)
@@ -280,15 +279,16 @@ def certificate_matrix(data: DataMatrix, spec: SamplingSpec, v: np.ndarray) -> n
 def _certificate(gram: np.ndarray, spec: SamplingSpec, v: np.ndarray) -> np.ndarray:
     """:func:`certificate_matrix` from the Gram matrix A'A, unchecked.
 
-    Assembled in the fresh entries of P, never in ``gram``, which callers
-    reuse. 0 - x (not -x) keeps the zeros of P o G positive, and adding v o p
-    to the diagonal afterwards rounds as subtracting from it does, so the
+    Assembled in the one fresh buffer of :func:`probability.exact_grid` (the
+    exact P, no ``ProbMatrix``), never in ``gram``, which callers reuse.
+    0 - x (not -x) keeps the zeros of P o G positive, and adding v o p to
+    the diagonal afterwards rounds as subtracting from it does, so the
     result is bit-identical to Diag(v o p) - P o G.
     """
-    c = probability.prob_matrix(spec, "auto").entries
+    c, _ = probability.exact_grid(spec)
     np.multiply(c, gram, out=c)
     np.subtract(0.0, c, out=c)
-    c[np.diag_indices_from(c)] += v * samplings.marginals(spec)
+    c.flat[:: spec.n + 1] += v * samplings.marginals(spec)
     return c
 
 
@@ -315,13 +315,13 @@ class Formula:
 
 def _auto(data, spec, options):
     try:
-        return eso_specialized(data, spec, options.tau_cap)
+        return eso_specialized(data, spec)
     except UnsupportedMethodError:
         return eso_coupled(data, spec, "bound")
 
 
 def _specialized(data, spec, options):
-    return eso_specialized(data, spec, options.tau_cap)
+    return eso_specialized(data, spec)
 
 
 FORMULAS: dict[str, Formula] = {
@@ -329,14 +329,14 @@ FORMULAS: dict[str, Formula] = {
     "uncoupled": Formula(FORMULA_UNCOUPLED, lambda d, s, o: eso_uncoupled(d, s, o.lambda_prime_ata)),
     "coupled-exact": Formula(FORMULA_COUPLED_EXACT, lambda d, s, o: eso_coupled(d, s, "exact")),
     "coupled-bound": Formula(FORMULA_COUPLED_BOUND, lambda d, s, o: eso_coupled(d, s, "bound")),
-    "generic": Formula(FORMULA_GENERIC_TAU, lambda d, s, o: eso_specialized(d, s, o.tau_cap, "generic")),
+    "generic": Formula(FORMULA_GENERIC_TAU, lambda d, s, o: eso_specialized(d, s, "generic")),
     "specialized": Formula(None, _specialized),
     "taunice": Formula(FORMULA_TAU_NICE, _specialized, samplings.KIND_TAU_NICE),
     "ctau": Formula(FORMULA_CTAU, _specialized, samplings.KIND_CTAU),
     "doubly-uniform": Formula(FORMULA_DOUBLY_UNIFORM, _specialized, samplings.KIND_DOUBLY_UNIFORM),
     "graph": Formula(FORMULA_GRAPH, _specialized, samplings.KIND_GRAPH),
     "serial": Formula(FORMULA_SERIAL, _specialized, samplings.KIND_SERIAL),
-    "conservative": Formula(FORMULA_CONSERVATIVE, lambda d, s, o: eso_conservative(d, s, o.tau_cap)),
+    "conservative": Formula(FORMULA_CONSERVATIVE, lambda d, s, o: eso_conservative(d, s)),
 }
 
 _FAMILY_IDS = {f.kind: f.formula_id for f in FORMULAS.values() if f.kind is not None}
@@ -346,7 +346,6 @@ def compute_v(
     data: DataMatrix,
     spec: SamplingSpec,
     formula: str = "auto",
-    tau_cap: int | None = None,
     lambda_prime_ata: float | None = None,
 ) -> EsoResult:
     """Compute stepsizes by a name of :data:`FORMULAS`.
@@ -355,8 +354,8 @@ def compute_v(
     restricted lambda', ``coupled-bound`` replaces it by a structural bound.
     ``auto`` runs :func:`eso_specialized`, whose generic case covers every
     proper sampling. It falls back to ``coupled-bound`` only when that raises
-    UnsupportedMethodError: for a graph sampling whose conflict graph does not
-    cover the data, or for a ``tau_cap`` below 1.
+    UnsupportedMethodError, for a graph sampling whose conflict graph does not
+    cover the data.
     """
     entry = FORMULAS.get(formula)
     if entry is None:
@@ -365,9 +364,6 @@ def compute_v(
         raise UnsupportedMethodError(
             f"formula {formula!r} applies to {entry.kind} samplings, not {spec.kind!r}"
         )
-    if data.n != spec.n:
-        raise ValidationError(
-            "sampling", f"spec is over {spec.n} coordinates (indices in [0, {spec.n})), data has {data.n}"
-        )
-    options = SimpleNamespace(tau_cap=tau_cap, lambda_prime_ata=lambda_prime_ata)
+    _require_same_n(data, spec)
+    options = SimpleNamespace(lambda_prime_ata=lambda_prime_ata)
     return entry.run(data, spec, options)

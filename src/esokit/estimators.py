@@ -46,8 +46,6 @@ class EsoStepsizes(ParamsMixin):
     formula : str
         A name of ``eso.FORMULAS``; ``auto`` prefers the per-family
         closed form.
-    tau_cap : int, optional
-        Externally certified cardinality cap for the generic formula.
     certify : bool
         Compute the PSD certificate margin during fit (exact matrices only).
 
@@ -65,18 +63,16 @@ class EsoStepsizes(ParamsMixin):
         self,
         sampling=None,
         formula: str = "auto",
-        tau_cap: int | None = None,
         certify: bool = False,
     ):
         self.sampling = sampling
         self.formula = formula
-        self.tau_cap = tau_cap
         self.certify = certify
 
     def fit(self, X, y=None):
         data = as_data_matrix(X)
         spec = as_sampling_spec(self.sampling)
-        result = eso.compute_v(data, spec, formula=self.formula, tau_cap=self.tau_cap)
+        result = eso.compute_v(data, spec, formula=self.formula)
         if self.certify:
             result = result.with_margin(eso.certify(data, spec, result.v))
         self.result_ = result

@@ -5,9 +5,10 @@ symmetric, positive semidefinite, and carries the marginals on its diagonal.
 Exact matrices exist for every kind and come from one set of rules,
 :func:`exact_rule`: per-kind closed forms, support enumeration for graph and
 explicit kinds, and the mixture, intersection and restriction rules for
-composites. A rule gives P_ij at any index arrays, so :func:`prob_matrix`
-evaluates it on the full grid and :func:`spectral.restricted_lambda_primes`
-only on the blocks it needs. Monte-Carlo estimates are made only on request,
+composites. A rule gives P_ij at any index arrays, so :func:`exact_grid`
+evaluates it on the full grid (for :func:`prob_matrix` and the PSD
+certificate) and :func:`spectral.restricted_lambda_primes` only on the
+blocks it needs. Monte-Carlo estimates are made only on request,
 are tagged with their sample count and per-entry standard errors, and are
 never accepted as PSD certificates. Enumerated matrices and
 :func:`check_identities` read their sets from :func:`samplings.weighted_sets`,
@@ -150,13 +151,18 @@ def prob_matrix(
 
 
 def exact_matrix(spec: SamplingSpec) -> ProbMatrix:
-    """:func:`exact_rule` on the full grid at any n (no dense cap). The rule,
-    and with it an enumerated P, is freed before the result is validated."""
+    """:func:`exact_grid` validated as a ``ProbMatrix`` at any n (no dense cap);
+    the rule, and with it an enumerated P, is freed before the validation."""
+    return ProbMatrix(spec.n, *exact_grid(spec))
+
+
+def exact_grid(spec: SamplingSpec) -> tuple[np.ndarray, str]:
+    """:func:`exact_rule` on the full grid, unvalidated (the test suite checks
+    every rule's grid): (entries, provenance), the entries one fresh n x n
+    float64 array that the caller may overwrite."""
     entry, tag = exact_rule(spec)
     idx = np.arange(spec.n)
-    entries = entry(idx[:, None], idx[None, :])
-    del entry
-    return ProbMatrix(spec.n, entries, tag)
+    return entry(idx[:, None], idx[None, :]), tag
 
 
 Entry = Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -351,51 +357,58 @@ def check_identities(
     With ``trials == 0`` the expectations are computed exactly by summing over
     the enumerated support; otherwise they are Monte-Carlo averages over
     ``trials`` draws of stream 0 (requires trials >= 1000). Discrepancies are
-    data, not errors.
+    data, not errors. The one-pair case of :func:`_identity_reports`.
     """
-    m_matrix = np.asarray(m_matrix, dtype=float)
-    h = np.asarray(h, dtype=float)
+    return _identity_reports(spec, [(m_matrix, h)], trials, rng_seed)[0]
+
+
+def _identity_reports(spec: SamplingSpec, pairs, trials: int = 0, rng_seed: int = 0) -> list[IdentityReport]:
+    """:func:`check_identities` for each (M, h) of ``pairs``, in order. The
+    sampling's side (the exact P, the weighted sets and p-hat) is built once,
+    and each stack of equal-size sets (at most ``_STACK_ENTRIES`` entries) is
+    gathered once for all pairs: sum_k |S_k|^2 work per pair in all."""
     n = spec.n
-    if m_matrix.shape != (n, n):
-        raise ValidationError("m_matrix", f"expected shape ({n},{n})")
-    if h.shape != (n,):
-        raise ValidationError("h", f"expected shape ({n},)")
+    checked = [(np.asarray(m_matrix, dtype=float), np.asarray(h, dtype=float)) for m_matrix, h in pairs]
+    for m_matrix, h in checked:
+        if m_matrix.shape != (n, n):
+            raise ValidationError("m_matrix", f"expected shape ({n},{n})")
+        if h.shape != (n,):
+            raise ValidationError("h", f"expected shape ({n},)")
     if 0 < trials < 1000:
         raise ValidationError("trials", "Monte-Carlo mode requires trials >= 1000")
 
     p_entries = exact_matrix(spec).entries
     e = np.ones(n)
-    lhs = {
-        "quadratic_form": float(h @ (p_entries * m_matrix) @ h),
-        "square_of_sum": float(h @ p_entries @ h),
-        "diagonal_linear": float(np.diag(p_entries) @ h),
-        "second_moment": float(e @ p_entries @ e),
-        "first_moment": float(np.trace(p_entries)),
-    }
-    # Each expectation sum_k w_k g(S_k) over stacks of equal-size sets, each
-    # gathering at most _STACK_ENTRIES entries: sum_k |S_k|^2 work in all.
     ptr, indices, weights = samplings.weighted_sets(spec, trials, rng_seed)
     sizes = np.diff(ptr)
     p_hat = _pair_sum(n, ptr, indices, weights)
-    quad = square = linear = 0.0
+    sums = [[0.0, 0.0, 0.0] for _ in checked]  # quadratic form, square of sum, linear
     for sets, idx in _size_stacks(ptr, indices, _STACK_ENTRIES):
-        w, h_s = weights[sets], h[idx]
-        quad += w @ np.einsum("ki,kij,kj->k", h_s, m_matrix[idx[:, :, None], idx[:, None, :]], h_s)
-        totals = h_s.sum(axis=1)
-        square += w @ (totals * totals)
-        linear += w @ totals
-    rhs = {
-        "quadratic_form": float(quad),
-        "square_of_sum": float(square),
-        "diagonal_linear": float(linear),
-        "second_moment": float(weights @ (sizes * sizes)),
-        "first_moment": float(weights @ sizes),
+        w = weights[sets]
+        for (m_matrix, h), acc in zip(checked, sums):
+            h_s = h[idx]
+            acc[0] += w @ np.einsum("ki,kij,kj->k", h_s, m_matrix[idx[:, :, None], idx[:, None, :]], h_s)
+            totals = h_s.sum(axis=1)
+            acc[1] += w @ (totals * totals)
+            acc[2] += w @ totals
+    moments = {
+        "second_moment": (float(e @ p_entries @ e), float(weights @ (sizes * sizes))),
+        "first_moment": (float(np.trace(p_entries)), float(weights @ sizes)),
     }
-    hadamard = np.max(np.abs(p_entries * m_matrix - m_matrix * p_hat))
-    results = {"hadamard_matrix": {"lhs": None, "rhs": None, "discrepancy": float(hadamard)}}
-    for name, value in lhs.items():
-        results[name] = {"lhs": value, "rhs": rhs[name], "discrepancy": abs(value - rhs[name])}
-    return IdentityReport(mode="monte_carlo" if trials else "exact", trials=trials, results=results)
+    reports = []
+    for (m_matrix, h), (quad, square, linear) in zip(checked, sums):
+        sides = {
+            "quadratic_form": (float(h @ (p_entries * m_matrix) @ h), float(quad)),
+            "square_of_sum": (float(h @ p_entries @ h), float(square)),
+            "diagonal_linear": (float(np.diag(p_entries) @ h), float(linear)),
+            **moments,
+        }
+        hadamard = np.max(np.abs(p_entries * m_matrix - m_matrix * p_hat))
+        results = {"hadamard_matrix": {"lhs": None, "rhs": None, "discrepancy": float(hadamard)}}
+        for name, (lhs, rhs) in sides.items():
+            results[name] = {"lhs": lhs, "rhs": rhs, "discrepancy": abs(lhs - rhs)}
+        reports.append(IdentityReport("monte_carlo" if trials else "exact", trials, results))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -207,7 +207,7 @@ class BoundsReport:
         }
 
 
-def lambda_bounds(spec: SamplingSpec, tau_cap: int | None = None) -> BoundsReport:
+def lambda_bounds(spec: SamplingSpec) -> BoundsReport:
     """Moment-based sandwich bounds on the sampling eigenvalues.
 
     The lower bound on lambda' is the second-to-first cardinality moment
@@ -219,7 +219,7 @@ def lambda_bounds(spec: SamplingSpec, tau_cap: int | None = None) -> BoundsRepor
     Monte-Carlo estimate enters.
     """
     first, second = samplings.cardinality_moments(spec)
-    tau = int(tau_cap) if tau_cap is not None else samplings.cardinality_cap(spec)
+    tau = samplings.cardinality_cap(spec)
     notes: list[str] = []
     if first == 0.0:
         lp_lower = None

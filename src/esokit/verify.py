@@ -113,6 +113,7 @@ def check_eso_quadratic(
         raise ValidationError("v", f"expected shape ({n},)")
     if np.any(v <= 0):
         raise ValidationError("v", "stepsize parameters must be positive")
+    eso._require_same_n(data, spec)
     if n > config.DENSE_EIG_CAP:
         raise ValidationError("n", f"the quadratic check needs n <= {config.DENSE_EIG_CAP}")
     if mode not in ("exhaustive", "monte_carlo"):
@@ -277,10 +278,8 @@ def run_identity_battery(
     for n in sizes:
         for _ in range(specs_per_size):
             spec = samplings.random_spec(rng, n)
-            for _ in range(pairs_per_spec):
-                m_matrix = rng.standard_normal((n, n))
-                h = rng.standard_normal(n)
-                report = probability.check_identities(spec, m_matrix, h)
+            pairs = [(rng.standard_normal((n, n)), rng.standard_normal(n)) for _ in range(pairs_per_spec)]
+            for report in probability._identity_reports(spec, pairs):
                 for name, res in report.results.items():
                     record(f"identity:{name}", res["discrepancy"])
 

@@ -56,29 +56,16 @@ def test_unsupported_formula_pairing_exits_3(workdir, capsys):
     assert "unsupported" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("cap", ["0", "-3"])
-def test_conservative_with_a_cap_below_one_exits_3(workdir, capsys, cap):
+@pytest.mark.parametrize("cap", ["0", "-3", "1"])
+def test_the_removed_tau_cap_option_exits_2(workdir, capsys, cap):
+    # The cap is always the sampling's own: a caller's cap could only loosen
+    # v or break the certificate, so compute-v no longer takes one.
     tmp, matrix, sampling = workdir
-    code = main(
-        ["compute-v", "--matrix", str(matrix), "--sampling", str(sampling), "--formula",
-         "conservative", f"--tau-cap={cap}", "--certify"]
-    )
-    assert code == 3
-    assert "positive cardinality cap" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("cap", ["0", "-3"])
-def test_a_cap_below_one_leaves_max_ratio_to_the_sampling(workdir, cap):
-    # auto and taunice ignore such a cap; the ratio must not read it either.
-    tmp, matrix, sampling = workdir
-    ratios = []
-    for extra in ([], [f"--tau-cap={cap}"]):
-        out = tmp / "v.json"
-        assert main(["compute-v", "--matrix", str(matrix), "--sampling", str(sampling),
-                     "--out", str(out), *extra]) == 0
-        ratios.append(json.loads(out.read_text())["result"]["max_ratio"])
-    assert ratios[0] > 0.0
-    assert ratios[1] == ratios[0]
+    with pytest.raises(SystemExit) as info:
+        main(["compute-v", "--matrix", str(matrix), "--sampling", str(sampling), "--formula",
+              "conservative", f"--tau-cap={cap}", "--certify"])
+    assert info.value.code == 2
+    assert "--tau-cap" in capsys.readouterr().err
 
 
 def test_verify_pass_and_fail_with_witness(workdir, capsys):
@@ -374,3 +361,17 @@ def test_probmatrix_above_the_dense_cap_is_an_input_error(monkeypatch, capsys):
     for method in ("auto", "monte-carlo"):
         assert main(["probmatrix", "--sampling", spec, "--method", method]) == 2
         assert "input error: n: a dense probability matrix needs n <= 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["matrix", "exhaustive", "monte-carlo"])
+def test_verify_with_a_sampling_above_the_dense_cap_is_an_input_error(workdir, monkeypatch, capsys, mode):
+    # The matrix has 4 columns and v 4 entries; the sampling's n, above the
+    # (patched) dense cap, is refused before any grid sized by it is built.
+    tmp, matrix, _ = workdir
+    monkeypatch.setattr(ek.config, "DENSE_EIG_CAP", 8)
+    vfile = tmp / "v.json"
+    vfile.write_text(json.dumps([1.0] * 4))
+    spec = json.dumps({"n": 50, "kind": "tau_nice", "tau": 2})
+    code = main(["verify", "--matrix", str(matrix), "--sampling", spec, "--v", str(vfile), "--mode", mode])
+    assert code == 2
+    assert "input error: sampling: spec is over 50 coordinates" in capsys.readouterr().err

@@ -7,7 +7,7 @@ import pytest
 
 import esokit as ek
 from conftest import capped_partition_spec, graph_spec_for, random_sparse_matrix
-from esokit import eso
+from esokit import eso, verify
 from esokit.cli import main
 from esokit.datamatrix import write_matrix
 from esokit.errors import UnsupportedMethodError, ValidationError
@@ -287,10 +287,18 @@ def test_conservative_variant():
     assert result.v == pytest.approx(
         np.maximum(min(3, omega) * data.column_sq_norms, 1e-12)
     )
-    # A cap below 1 certifies nothing, as in the generic case.
-    for cap in (0, -3):
-        with pytest.raises(UnsupportedMethodError, match="positive"):
-            ek.compute_v(data, spec, "conservative", tau_cap=cap)
+
+
+@pytest.mark.parametrize("formula", ["generic", "conservative"])
+def test_a_caller_cannot_pass_a_cardinality_cap(formula):
+    # A cap of 1, below the sampling's own 2, gave v = (3, 3, 3, 3) here, which
+    # fails the certificate (margin -1.5); every formula reads the sampling's cap.
+    data = ek.DataMatrix.from_dense(np.ones((3, 4)))
+    spec = ek.tau_nice(4, 2)
+    with pytest.raises(TypeError, match="tau_cap"):
+        ek.compute_v(data, spec, formula, tau_cap=1)
+    result = ek.compute_v(data, spec, formula)
+    assert ek.certify(data, spec, result.v) >= -1e-8
 
 
 def test_specialized_ctau_and_doubly_uniform_examples():
@@ -339,6 +347,50 @@ def test_certificate_is_bit_identical_to_the_reference_formula():
         assert eso._certificate(gram, spec, v).tobytes() == reference.tobytes()
         assert gram.tobytes() == kept.tobytes()
         assert eso.certificate_matrix(data, spec, v).tobytes() == reference.tobytes()
+
+
+def test_the_certificate_builds_no_prob_matrix(monkeypatch):
+    # The certificate reads the exact rule unvalidated: the suite checks the
+    # rule's grid (test_probability.py), so no run-time ProbMatrix is made.
+    def refuse(self):
+        raise AssertionError("a ProbMatrix was built")
+
+    monkeypatch.setattr(ek.ProbMatrix, "__post_init__", refuse)
+    data = ek.DataMatrix.from_dense(np.array([[1.0, 1.0, 0.0, 2.0], [0.0, 2.0, 1.0, 0.0]]))
+    spec = ek.intersection(ek.tau_nice(4, 3), ek.explicit(4, [[0, 1, 2], [1, 3]], [0.5, 0.5]))
+    v = np.full(4, 6.0)
+    certificate = eso.certificate_matrix(data, spec, v)
+    assert ek.certify(data, spec, v) == float(np.linalg.eigvalsh(certificate)[0]) >= 0.0
+    assert verify.check_eso_quadratic(data, spec, v).passed
+    assert verify.check_eso_matrix_form(data, spec, v).passed
+
+
+@pytest.mark.parametrize("spec_n", [1, 5, 50])
+def test_a_sampling_over_other_coordinates_is_refused_before_any_grid(monkeypatch, spec_n):
+    # The dense cap is on the data's n; the sampling's n is checked against
+    # it first, so a spec far above the cap builds no n x n grid or set stack.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sampling-sized array was built")
+
+    monkeypatch.setattr(ek.config, "DENSE_EIG_CAP", 8)
+    monkeypatch.setattr(ek.probability, "exact_grid", refuse)
+    monkeypatch.setattr(ek.samplings, "weighted_masks", refuse)
+    data = ek.DataMatrix.from_dense(np.ones((3, 4)))
+    spec = ek.tau_nice(spec_n, 1)
+    v = np.ones(4)
+    calls = [
+        lambda: ek.certify(data, spec, v),
+        lambda: eso.certificate_matrix(data, spec, v),
+        lambda: verify.check_eso_quadratic(data, spec, v),
+        lambda: verify.check_eso_quadratic(data, spec, v, points=[(v, v)], mode="monte_carlo", trials=10),
+        lambda: verify.check_eso_matrix_form(data, spec, v),
+        lambda: ek.compute_v(data, spec),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert err.value.field == "sampling"
+        assert f"spec is over {spec_n} coordinates" in str(err.value)
 
 
 def test_certify_tight_case_serial_identity():

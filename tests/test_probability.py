@@ -461,13 +461,19 @@ def test_restricted_lambda_prime_digests_are_pinned(spec, method, request):
 
 def test_every_exact_rule_is_exactly_symmetric():
     # What lets restricted_lambda_primes skip the one-set form's
-    # symmetrization of each block without changing a bit.
+    # symmetrization of each block without changing a bit. The certificate
+    # overwrites exact_grid's buffer without building a ProbMatrix, so this
+    # is also where every grid meets ProbMatrix's range, symmetry and
+    # off-diagonal <= min(diagonal pair) checks.
     rng = ek.rng_for_stream(49, 0)
     specs = [*every_kind(), _explicit_mixture()]
     specs += [ek.random_spec(rng, int(rng.integers(1, 9))) for _ in range(200)]
     for spec in specs:
-        entries = _p(spec)
+        entries, tag = probability.exact_grid(spec)
         assert np.array_equal(entries, entries.T), spec.kind
+        assert entries.dtype == np.float64 and entries.flags.writeable, spec.kind
+        assert not np.shares_memory(entries, probability.exact_grid(spec)[0]), spec.kind
+        assert ek.ProbMatrix(spec.n, entries, tag).is_exact, spec.kind
 
 
 _P_BYTES_SCRIPT = """

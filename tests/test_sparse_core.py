@@ -75,10 +75,18 @@ def test_views_products_and_gram_match_dense(name):
 
 
 def test_gram_chunks_give_the_single_chunk_sums(monkeypatch):
-    data = _with_edge_cases()
-    whole = data.gram()
-    monkeypatch.setattr(datamatrix, "_GRAM_PAIRS", 5)
-    np.testing.assert_allclose(data.gram(), whole, rtol=1e-14, atol=1e-14)
+    # Every chunk adds into the one output in row order, so any chunk size
+    # gives the bits of a single chunk, and the result is exactly symmetric.
+    default = datamatrix._GRAM_PAIRS
+    for data in (_with_edge_cases(), _dense_beyond_one_gram_chunk()):
+        monkeypatch.setattr(datamatrix, "_GRAM_PAIRS", 1 << 62)
+        whole = data.gram()
+        assert np.array_equal(whole, whole.T)
+        for pairs in (1, 5, default):
+            monkeypatch.setattr(datamatrix, "_GRAM_PAIRS", pairs)
+            gram = data.gram()
+            assert gram.tobytes() == whole.tobytes(), pairs
+            assert np.array_equal(gram, gram.T), pairs
 
 
 def test_gram_keeps_the_dense_cap(monkeypatch):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import tracemalloc
 import warnings
 
@@ -148,6 +150,20 @@ def test_identity_battery_passes_and_writes_junit(tmp_path):
     write_junit(report, path)
     text = path.read_text()
     assert "<testsuite" in text and 'failures="0"' in text
+
+
+# Any change to the battery's draws or to the arithmetic of its checks
+# changes these digests of the default report.
+_BATTERY_DIGESTS = {
+    0: "a97e0939ef73045daa9fbf1c4f31f21ffe51e095ecf531862a62aed8741aa498",
+    7: "f520a3cc0e77c0a46c740453b8b1522dc9661f54733b3ab50411be5b0f9dfe63",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_BATTERY_DIGESTS))
+def test_identity_battery_report_digests_are_pinned(seed):
+    text = json.dumps(ek.run_identity_battery(seed).to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == _BATTERY_DIGESTS[seed]
 
 
 def test_junit_escapes_quotes_and_markup_in_check_names(tmp_path):
