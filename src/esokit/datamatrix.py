@@ -45,6 +45,12 @@ class DataMatrix:
     array except :meth:`to_dense`. ``row_supports``, ``row_entries`` and
     ``column_entries`` are per-row and per-column Python views split from
     them for callers; no module of the package reads them.
+
+    The dense Gram matrix A'A of :meth:`gram` is read-only. It is kept with
+    the matrix when it has at most three entries per nonzero
+    (``n**2 <= 3 * nnz``), so it is no larger than the triplets and keeping
+    it at most doubles the matrix's memory; a larger one is rebuilt on
+    every call.
     """
 
     m: int
@@ -177,7 +183,13 @@ class DataMatrix:
         return np.bincount(self.cols, weights=self.values * y[self.rows], minlength=self.n)
 
     def gram(self) -> np.ndarray:
-        """Dense A^T A; refused beyond ``config.DENSE_EIG_CAP``.
+        """Dense A^T A, read-only; refused beyond ``config.DENSE_EIG_CAP``.
+
+        The cap is checked on every call. The result is built once and kept
+        when ``n**2 <= 3 * nnz`` (its 8 n^2 bytes are then no more than the
+        24 bytes per nonzero of the triplets); a larger Gram matrix is built
+        anew on each call, so it lives only as long as its caller holds it.
+        Callers that change it work on a copy.
 
         Entry (a, b) sums A_ja A_jb over the rows j in row order for any
         ``_GRAM_PAIRS``: each chunk of entry pairs adds its products into the
@@ -186,6 +198,15 @@ class DataMatrix:
         cap = config.DENSE_EIG_CAP
         if self.n > cap:
             raise ValidationError("n", f"gram matrix of size {self.n} exceeds dense cap {cap}")
+        g = self.__dict__.get("_gram")
+        if g is None:
+            g = self._build_gram()
+            g.flags.writeable = False
+            if self.n * self.n <= 3 * self.nnz:
+                object.__setattr__(self, "_gram", g)
+        return g
+
+    def _build_gram(self) -> np.ndarray:
         n = self.n
         reps = self.row_sizes[self.rows]
         # Entry e owns pairs pair_start[e] .. pair_start[e + 1] - 1, one with

@@ -16,6 +16,7 @@ tightness against preprocessing cost:
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -217,9 +218,9 @@ def eso_specialized(data: DataMatrix, spec: SamplingSpec, case: str = "auto") ->
     family = spectral.restricted_closed_form(spec, data.row_ptr, data.cols)
     if family is not None:
         return _one_pass(data, p, _accumulate_rows(data, family[0]), _FAMILY_IDS[kind])
-    first, second = samplings.cardinality_moments(spec)
-    if (first, second) == (1.0, 1.0):
-        # |S-hat| = 1 almost surely: the serial case in disguise.
+    if samplings.cardinality_cap(spec) <= 1 and math.fsum(p) == 1.0:
+        # |S-hat| <= 1 surely and E|S-hat| = 1, so |S-hat| = 1 surely: the
+        # serial case in disguise, told in O(n) without the pairwise law.
         return _one_pass(data, p, data.column_sq_norms, FORMULA_SERIAL)
     return _generic_tau(data, spec, p)
 
@@ -280,7 +281,8 @@ def _certificate(gram: np.ndarray, spec: SamplingSpec, v: np.ndarray) -> np.ndar
     """:func:`certificate_matrix` from the Gram matrix A'A, unchecked.
 
     Assembled in the one fresh buffer of :func:`probability.exact_grid` (the
-    exact P, no ``ProbMatrix``), never in ``gram``, which callers reuse.
+    exact P, no ``ProbMatrix``); ``gram`` is only read, as the read-only
+    array :meth:`DataMatrix.gram` may keep and hand to every caller.
     0 - x (not -x) keeps the zeros of P o G positive, and adding v o p to
     the diagonal afterwards rounds as subtracting from it does, so the
     result is bit-identical to Diag(v o p) - P o G.

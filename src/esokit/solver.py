@@ -100,7 +100,9 @@ class QuadraticProblem:
         return self.data.n
 
     def hessian(self) -> np.ndarray:
-        h = self.data.gram()
+        """A'A + ridge I as a new writable array; the Gram matrix the data
+        may keep (see :meth:`DataMatrix.gram`) is copied, never changed."""
+        h = self.data.gram().copy()
         h[np.diag_indices_from(h)] += self.ridge
         return h
 

@@ -47,6 +47,9 @@ def test_tracer_installs_counts_and_removes(tmp_path):
         data = datamatrix.read_matrix(str(matrix))
         inter = samplings.intersection(samplings.tau_nice(4, 3), samplings.tau_nice(4, 2))
         result = eso.compute_v(data, inter, "auto")
+        # auto reads no moments (the cardinality cap decides the serial case);
+        # the moment bounds do.
+        spectral.lambda_bounds(inter)
         probability.prob_matrix(inter, "monte_carlo", mc_samples=200)
         verify.check_eso_quadratic(data, inter, result.v, mode="monte_carlo", trials=200)
         problem = solver.QuadraticProblem(data, ridge=0.1)

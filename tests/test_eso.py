@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -275,6 +276,33 @@ def test_specialized_generic_with_cap_one_matches_serial_values():
     forced = ek.eso_specialized(data, spec, case="generic")
     assert forced.formula_id == "GENERIC_TAU"
     assert forced.v == pytest.approx(data.column_sq_norms)
+
+
+def test_specialized_tells_the_serial_case_without_the_pairwise_law():
+    # The cardinality cap and the marginals decide |S| = 1: an intersection
+    # at n = 5000 gets the generic form without an n x n P (about 400 MB).
+    n = 5000
+    data = ek.DataMatrix(3, n, np.arange(n) % 3, np.arange(n), np.ones(n))
+    spec = ek.intersection(ek.tau_nice(n, 3), ek.tau_nice(n, 4))
+    tracemalloc.start()
+    try:
+        result = eso.compute_v(data, spec, "auto")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.formula_id == "GENERIC_TAU"
+    assert peak < 20_000_000
+
+
+def test_a_cap_of_one_gives_serial_bits_under_either_id():
+    # A restriction of a one-block product draws one coordinate surely; its
+    # moments off P round to 1 - 2^-53, its marginals sum to 1 exactly.
+    data = random_sparse_matrix(ek.rng_for_stream(54, 0), 7, 6, 0.5)
+    spec = ek.restriction(ek.product_sampling([range(6)]), range(6))
+    result = ek.eso_specialized(data, spec)
+    assert result.formula_id == "SERIAL"
+    generic = ek.eso_specialized(data, spec, case="generic")
+    assert result.v.tobytes() == generic.v.tobytes()
 
 
 def test_conservative_variant():

@@ -77,16 +77,25 @@ def test_views_products_and_gram_match_dense(name):
 def test_gram_chunks_give_the_single_chunk_sums(monkeypatch):
     # Every chunk adds into the one output in row order, so any chunk size
     # gives the bits of a single chunk, and the result is exactly symmetric.
+    # A matrix keeps its Gram matrix, so each chunk size gets a fresh matrix,
+    # built at the default size (which the larger fixture reads).
     default = datamatrix._GRAM_PAIRS
-    for data in (_with_edge_cases(), _dense_beyond_one_gram_chunk()):
-        monkeypatch.setattr(datamatrix, "_GRAM_PAIRS", 1 << 62)
-        whole = data.gram()
+
+    def gram(make, pairs):
+        data = make()
+        monkeypatch.setattr(datamatrix, "_GRAM_PAIRS", pairs)
+        try:
+            return data.gram()
+        finally:
+            monkeypatch.setattr(datamatrix, "_GRAM_PAIRS", default)
+
+    for make in (_with_edge_cases, _dense_beyond_one_gram_chunk):
+        whole = gram(make, 1 << 62)
         assert np.array_equal(whole, whole.T)
         for pairs in (1, 5, default):
-            monkeypatch.setattr(datamatrix, "_GRAM_PAIRS", pairs)
-            gram = data.gram()
-            assert gram.tobytes() == whole.tobytes(), pairs
-            assert np.array_equal(gram, gram.T), pairs
+            chunked = gram(make, pairs)
+            assert chunked.tobytes() == whole.tobytes(), pairs
+            assert np.array_equal(chunked, chunked.T), pairs
 
 
 def test_gram_keeps_the_dense_cap(monkeypatch):
@@ -94,6 +103,57 @@ def test_gram_keeps_the_dense_cap(monkeypatch):
     monkeypatch.setattr(config, "DENSE_EIG_CAP", 4)
     with pytest.raises(ek.ValidationError):
         data.gram()
+
+
+def test_a_small_gram_is_kept_read_only():
+    data = _with_edge_cases()
+    assert data.n**2 <= 3 * data.nnz
+    gram = data.gram()
+    assert data.gram() is gram
+    assert not gram.flags.writeable
+    with pytest.raises(ValueError):
+        gram[0, 0] = 1.0
+    a = data.to_dense()
+    np.testing.assert_allclose(gram, a.T @ a, rtol=1e-12, atol=1e-12)
+
+
+def test_a_gram_larger_than_its_triplets_is_rebuilt_on_every_call():
+    data = DataMatrix(3, 6, [0, 1, 2], [0, 2, 5], [1.0, -2.0, 0.5])
+    assert data.n**2 > 3 * data.nnz
+    first, second = data.gram(), data.gram()
+    assert first is not second
+    assert first.tobytes() == second.tobytes()
+    assert not first.flags.writeable
+
+
+def test_a_kept_gram_still_obeys_a_lowered_dense_cap(monkeypatch):
+    data = _with_edge_cases()
+    data.gram()
+    monkeypatch.setattr(config, "DENSE_EIG_CAP", data.n - 1)
+    with pytest.raises(ek.ValidationError):
+        data.gram()
+
+
+def test_the_hessian_is_a_writable_copy_of_the_kept_gram():
+    problem = ek.QuadraticProblem(_with_edge_cases(), ridge=0.25)
+    gram = problem.data.gram()
+    before = gram.tobytes()
+    h = problem.hessian()
+    assert h.flags.writeable and h is not gram
+    assert h.tobytes() == (gram + 0.25 * np.eye(problem.n)).tobytes()
+    h[0, 0] = -1.0
+    assert problem.data.gram() is gram and gram.tobytes() == before
+
+
+def test_a_gram_that_overflows_is_refused():
+    # Finite entries near 1e200 square to inf in A'A.
+    data = DataMatrix(2, 2, [0, 0, 1], [0, 1, 1], [1e200, 2e200, 1.0])
+    with np.errstate(over="ignore"):
+        assert np.isinf(data.gram()).any()
+        with pytest.raises(ek.ValidationError):
+            eso.compute_v(data, samplings.tau_nice(2, 1), "uncoupled")
+        with pytest.raises(ek.ValidationError):
+            ek.lambda_prime(data.gram())
 
 
 # ---------------------------------------------------------------------------
