@@ -1,11 +1,12 @@
 """Command-line front door.
 
 Subcommands: compute-v, verify, probmatrix, solve, tradeoff, design-serial,
-battery. All randomness flows from --seed; reports are deterministic JSON
-(byte-identical across runs apart from the generated_at timestamp) carrying a
-schema_version and the resolved configuration, with the RNG scheme
-(``config.RNG_SCHEME``) and, where Monte-Carlo draws are split across
-streams, the --threads value that sets them.
+battery. ``--formula`` (compute-v, solve) and ``--formulas`` (tradeoff) take
+the names of ``eso.FORMULAS``. All randomness flows from --seed; reports are
+deterministic JSON (byte-identical across runs apart from the generated_at
+timestamp) carrying a schema_version and the resolved configuration, with
+the RNG scheme (``config.RNG_SCHEME``) and, where Monte-Carlo draws are
+split across streams, the --threads value that sets them.
 
 Exit codes: 0 success/pass, 1 a check failed, 2 input error, 3 unsupported
 formula/spec combination.
@@ -268,14 +269,13 @@ def cmd_tradeoff(args) -> int:
         data,
         spec,
         formulas=tuple(args.formulas.split(",")),
-        power_iterations=args.power_iterations,
         lambda_sc=args.lambda_sc,
         epsilon=args.epsilon,
     )
     _write_report(
         args.out,
         "tradeoff",
-        _resolved(args, ["matrix", "sampling", "formulas", "power_iterations", "lambda_sc", "epsilon"]),
+        _resolved(args, ["matrix", "sampling", "formulas", "lambda_sc", "epsilon"]),
         report.to_dict(),
     )
     for row in report.rows:
@@ -381,8 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tradeoff", help="preprocessing vs iteration cost per formula")
     p.add_argument("--matrix", required=True)
     p.add_argument("--sampling", required=True)
-    p.add_argument("--formulas", default="conservative,generic,coupled")
-    p.add_argument("--power-iterations", type=int, default=config.POWER_ITERATIONS, dest="power_iterations")
+    p.add_argument("--formulas", default="conservative,generic,coupled-exact", help="comma-separated --formula names")
     p.add_argument("--lambda-sc", type=float, default=1.0, dest="lambda_sc")
     p.add_argument("--epsilon", type=float, default=1e-6)
     p.add_argument("--out", default=None)

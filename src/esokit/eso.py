@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -65,7 +64,7 @@ class EsoResult:
 
 def _require_proper(spec: SamplingSpec) -> np.ndarray:
     p = samplings.marginals(spec)
-    if np.any(p <= 0.0):
+    if not p.min() > 0.0:
         dead = int(np.argmin(p))
         raise ValidationError(
             "spec", f"sampling is not proper: coordinate {dead} is never selected"
@@ -74,8 +73,12 @@ def _require_proper(spec: SamplingSpec) -> np.ndarray:
 
 
 def _floor(v: np.ndarray) -> np.ndarray:
-    # Empty columns get an epsilon so v > 0 holds; they never move the objective.
+    # Every formula's v passes here. Empty columns get an epsilon so v > 0
+    # holds; they never move the objective.
     out = np.asarray(v, dtype=float).copy()
+    # v >= 0, so its max (NaN propagates) is finite exactly when every entry is.
+    if not out.max() < math.inf:
+        raise ValidationError("data", "the stepsizes overflow the float range; rescale A")
     out[out <= 0.0] = config.V_FLOOR
     return out
 
@@ -111,6 +114,9 @@ def eso_uncoupled(
     """
     p = _require_proper(spec)
     w = data.column_sq_norms
+    # w is the diagonal of A'A, and |G_ik| <= sqrt(G_ii G_kk) bounds the rest.
+    if not np.isfinite(w).all():
+        raise ValidationError("data", "A'A overflows the float range; rescale A")
     cost = 2.0 * data.nnz
     dense_p = spec.n <= config.DENSE_EIG_CAP
     if dense_p:
@@ -170,6 +176,9 @@ def eso_conservative(data: DataMatrix, spec: SamplingSpec) -> EsoResult:
 # Formula: coupling the sampling with the data row supports
 
 
+_COUPLED_IDS = {"exact": FORMULA_COUPLED_EXACT, "bound": FORMULA_COUPLED_BOUND}
+
+
 def eso_coupled(data: DataMatrix, spec: SamplingSpec, restricted_eig_method: str = "exact") -> EsoResult:
     """v_i = sum_j lambda'(J_j intersect S-hat) * A_ji^2.
 
@@ -178,8 +187,8 @@ def eso_coupled(data: DataMatrix, spec: SamplingSpec, restricted_eig_method: str
     ``exact`` eigen-solves them, ``bound`` takes the tightest structural
     upper bound. Either gives a valid v; ``exact`` gives the tightest.
     """
-    entry = FORMULAS.get(f"coupled-{restricted_eig_method}")
-    if entry is None:
+    formula_id = _COUPLED_IDS.get(restricted_eig_method)
+    if formula_id is None:
         raise UnsupportedMethodError(f"unknown restricted eigenvalue method {restricted_eig_method!r}")
     p = _require_proper(spec)
     cost = 2.0 * data.nnz
@@ -187,7 +196,7 @@ def eso_coupled(data: DataMatrix, spec: SamplingSpec, restricted_eig_method: str
         cost += float(np.sum(data.row_sizes**3))
     multipliers = spectral.restricted_lambda_primes(spec, data.row_ptr, data.cols, restricted_eig_method)
     return EsoResult(
-        _floor(_accumulate_rows(data, multipliers)), p, entry.formula_id, cost_estimate=cost
+        _floor(_accumulate_rows(data, multipliers)), p, formula_id, cost_estimate=cost
     )
 
 
@@ -278,7 +287,8 @@ def certificate_matrix(data: DataMatrix, spec: SamplingSpec, v: np.ndarray) -> n
 
 
 def _certificate(gram: np.ndarray, spec: SamplingSpec, v: np.ndarray) -> np.ndarray:
-    """:func:`certificate_matrix` from the Gram matrix A'A, unchecked.
+    """:func:`certificate_matrix` from the Gram matrix A'A, its inputs
+    unchecked; a non-finite result (from a non-finite v or A'A) is refused.
 
     Assembled in the one fresh buffer of :func:`probability.exact_grid` (the
     exact P, no ``ProbMatrix``); ``gram`` is only read, as the read-only
@@ -291,6 +301,10 @@ def _certificate(gram: np.ndarray, spec: SamplingSpec, v: np.ndarray) -> np.ndar
     np.multiply(c, gram, out=c)
     np.subtract(0.0, c, out=c)
     c.flat[:: spec.n + 1] += v * samplings.marginals(spec)
+    # The diagonal v_i p_i - p_i G_ii is finite exactly when v and the
+    # diagonal of A'A are, and that diagonal bounds every entry of A'A.
+    if not np.isfinite(c.diagonal()).all():
+        raise ValidationError("certificate", "overflows the float range: v or A'A is not finite")
     return c
 
 
@@ -307,38 +321,38 @@ def certify(data: DataMatrix, spec: SamplingSpec, v: np.ndarray) -> float:
 @dataclass(frozen=True)
 class Formula:
     """One formula by name: the id it reports (None: the sampling decides),
-    ``run(data, spec, options)`` with compute_v's keyword arguments as
-    ``options``, and the sampling kind it requires (None: any)."""
+    ``run(data, spec, lambda_prime_ata)`` (only ``uncoupled`` reads the
+    last), and the sampling kind it requires (None: any)."""
 
     formula_id: str | None
-    run: Callable[[DataMatrix, SamplingSpec, SimpleNamespace], EsoResult]
+    run: Callable[[DataMatrix, SamplingSpec, float | None], EsoResult]
     kind: str | None = None
 
 
-def _auto(data, spec, options):
+def _auto(data, spec, lambda_prime_ata):
     try:
         return eso_specialized(data, spec)
     except UnsupportedMethodError:
         return eso_coupled(data, spec, "bound")
 
 
-def _specialized(data, spec, options):
+def _specialized(data, spec, lambda_prime_ata):
     return eso_specialized(data, spec)
 
 
 FORMULAS: dict[str, Formula] = {
     "auto": Formula(None, _auto),
-    "uncoupled": Formula(FORMULA_UNCOUPLED, lambda d, s, o: eso_uncoupled(d, s, o.lambda_prime_ata)),
-    "coupled-exact": Formula(FORMULA_COUPLED_EXACT, lambda d, s, o: eso_coupled(d, s, "exact")),
-    "coupled-bound": Formula(FORMULA_COUPLED_BOUND, lambda d, s, o: eso_coupled(d, s, "bound")),
-    "generic": Formula(FORMULA_GENERIC_TAU, lambda d, s, o: eso_specialized(d, s, "generic")),
+    "uncoupled": Formula(FORMULA_UNCOUPLED, eso_uncoupled),
+    "coupled-exact": Formula(FORMULA_COUPLED_EXACT, lambda d, s, _: eso_coupled(d, s, "exact")),
+    "coupled-bound": Formula(FORMULA_COUPLED_BOUND, lambda d, s, _: eso_coupled(d, s, "bound")),
+    "generic": Formula(FORMULA_GENERIC_TAU, lambda d, s, _: eso_specialized(d, s, "generic")),
     "specialized": Formula(None, _specialized),
     "taunice": Formula(FORMULA_TAU_NICE, _specialized, samplings.KIND_TAU_NICE),
     "ctau": Formula(FORMULA_CTAU, _specialized, samplings.KIND_CTAU),
     "doubly-uniform": Formula(FORMULA_DOUBLY_UNIFORM, _specialized, samplings.KIND_DOUBLY_UNIFORM),
     "graph": Formula(FORMULA_GRAPH, _specialized, samplings.KIND_GRAPH),
     "serial": Formula(FORMULA_SERIAL, _specialized, samplings.KIND_SERIAL),
-    "conservative": Formula(FORMULA_CONSERVATIVE, lambda d, s, o: eso_conservative(d, s)),
+    "conservative": Formula(FORMULA_CONSERVATIVE, lambda d, s, _: eso_conservative(d, s)),
 }
 
 _FAMILY_IDS = {f.kind: f.formula_id for f in FORMULAS.values() if f.kind is not None}
@@ -367,5 +381,4 @@ def compute_v(
             f"formula {formula!r} applies to {entry.kind} samplings, not {spec.kind!r}"
         )
     _require_same_n(data, spec)
-    options = SimpleNamespace(lambda_prime_ata=lambda_prime_ata)
-    return entry.run(data, spec, options)
+    return entry.run(data, spec, lambda_prime_ata)

@@ -321,9 +321,10 @@ _INDEX_ENTRIES = 1 << 14
 
 def _solve_streams(problem, spec, v, streams, x0, epsilon, max_iter, rng_seed) -> list[SolverTrace]:
     """Validate once, then run the streams in batches of the lockstep kernel."""
-    p = samplings.marginals(spec)
-    if np.any(p <= 0):
-        raise ValidationError("spec", "sampling is not proper")
+    eso._require_same_n(problem.data, spec)
+    p = eso._require_proper(spec)
+    if math.isnan(epsilon):
+        raise ValidationError("epsilon", "must be a number, not NaN")
     v = np.asarray(v, dtype=float)
     if v.shape != (problem.n,) or not np.all(np.isfinite(v) & (v > 0)):
         raise ValidationError("v", "v must be finite and positive with one entry per coordinate")
@@ -545,8 +546,8 @@ def complexity_estimate(
     p = np.asarray(p, dtype=float)
     if np.any(p <= 0):
         raise ValidationError("p", "probabilities must be positive")
-    if epsilon <= 0:
-        raise ValidationError("epsilon", "must be positive")
+    if not epsilon > 0:
+        raise ValidationError("epsilon", f"must be positive, got {epsilon}")
 
     def log_term() -> float:
         if gap0 is not None:
@@ -554,13 +555,11 @@ def complexity_estimate(
         return math.log(1.0 / epsilon)
 
     kind = kind.upper()
+    if kind in ("NSYNC", "QUARTZ") and not (lambda_sc is not None and lambda_sc > 0):
+        raise ValidationError("lambda_sc", f"{kind} needs a positive strong convexity constant, got {lambda_sc}")
     if kind == "NSYNC":
-        if lambda_sc is None or lambda_sc <= 0:
-            raise ValidationError("lambda_sc", "NSYNC needs a positive strong convexity constant")
         return float(np.max(v / (p * lambda_sc)) * log_term())
     if kind == "QUARTZ":
-        if lambda_sc is None or lambda_sc <= 0:
-            raise ValidationError("lambda_sc", "QUARTZ needs a positive strong convexity constant")
         size = n if n is not None else v.size
         return float(np.max(1.0 / p + v / (p * lambda_sc * size)) * log_term())
     if kind == "ALPHA":
@@ -622,12 +621,12 @@ def optimal_serial_sampling(
 
 @dataclass(frozen=True)
 class TradeoffReport:
-    """Passes-over-data accounting for the competing stepsize formulas."""
+    """Passes over the data per stepsize formula: preprocessing as the
+    formula's ``cost_estimate`` over nnz, iterations by the NSYNC bound."""
 
     tau: int
     lambda_sc: float
     epsilon: float
-    power_iterations: int
     rows: tuple[dict, ...]
 
     def to_dict(self) -> dict:
@@ -635,48 +634,35 @@ class TradeoffReport:
             "tau": self.tau,
             "lambda_sc": self.lambda_sc,
             "epsilon": self.epsilon,
-            "power_iterations": self.power_iterations,
             "rows": [dict(r) for r in self.rows],
         }
-
-
-_TRADEOFF_FORMULAS = {"coupled": "coupled-exact", "generic": "generic", "conservative": "conservative"}
 
 
 def tradeoff_report(
     data: DataMatrix,
     spec: SamplingSpec,
-    formulas: tuple[str, ...] = ("conservative", "generic", "coupled"),
-    power_iterations: int = config.POWER_ITERATIONS,
+    formulas: tuple[str, ...] = ("conservative", "generic", "coupled-exact"),
     lambda_sc: float = 1.0,
     epsilon: float = 1e-6,
 ) -> TradeoffReport:
-    """Per-formula preprocessing passes, iteration passes and the stepsize
-    quality ratio max_i v_i tau / (p_i n).
-
-    Pass counts price an at-scale pipeline: the coupled formula as
-    power_iterations * sum_j |J_j|^2 / nnz passes of a power method on every
-    restricted matrix, the closed forms as a constant number of passes. The
-    ``coupled`` row's stepsizes are computed by ``coupled-exact`` all the
-    same, so they agree bit-for-bit with the closed forms at tau = 1.
+    """One row per name of :data:`eso.FORMULAS`, labelled with it: the
+    preprocessing passes ``cost_estimate / max(nnz, 1)`` of
+    :func:`eso.compute_v`, the iteration passes max_ratio * log(1/epsilon) /
+    lambda_sc, and the stepsize quality ratio max_ratio = max_i v_i tau /
+    (p_i n), tau the sampling's cardinality cap. ``compute_v`` refuses an
+    unknown name, a family name on another kind and an improper sampling.
     """
+    for name, value in (("lambda_sc", lambda_sc), ("epsilon", epsilon)):
+        if not 0 < value < math.inf:
+            raise ValidationError(name, f"must be positive and finite, got {value}")
     tau = samplings.cardinality_cap(spec)
-    if tau < 1:
-        raise ValidationError("spec", "trade-off report needs a sampling with |S| >= 1 possible")
-    if power_iterations < 1:
-        raise ValidationError("power_iterations", f"must be at least 1, got {power_iterations}")
-    if lambda_sc <= 0 or epsilon <= 0:
-        raise ValidationError("lambda_sc", "lambda_sc and epsilon must be positive")
-    sum_sq_supports = float(np.sum(data.row_sizes**2))
     nnz = max(data.nnz, 1)
     log_term = math.log(1.0 / epsilon)
 
     rows = []
     for name in formulas:
-        if name not in _TRADEOFF_FORMULAS:
-            raise UnsupportedMethodError(f"unknown trade-off formula {name!r}")
-        result = eso.compute_v(data, spec, _TRADEOFF_FORMULAS[name])
-        preprocessing = power_iterations * sum_sq_supports / nnz if name == "coupled" else 1.0
+        result = eso.compute_v(data, spec, name)
+        preprocessing = result.cost_estimate / nnz
         max_ratio = float(np.max(result.v * tau / (result.p * data.n)))
         iteration_passes = max_ratio * log_term / lambda_sc
         rows.append(
@@ -689,10 +675,4 @@ def tradeoff_report(
                 "max_ratio": max_ratio,
             }
         )
-    return TradeoffReport(
-        tau=tau,
-        lambda_sc=lambda_sc,
-        epsilon=epsilon,
-        power_iterations=power_iterations,
-        rows=tuple(rows),
-    )
+    return TradeoffReport(tau=tau, lambda_sc=lambda_sc, epsilon=epsilon, rows=tuple(rows))

@@ -342,9 +342,9 @@ def test_criterion_11_tradeoff_reproduces_table_structure():
     for tau in (8, 16, 32):
         blocks = [sorted(int(i) for i in part) for part in np.array_split(rng.permutation(500), tau)]
         spec = ek.product_sampling(blocks)
-        report = ek.tradeoff_report(data, spec, power_iterations=10, lambda_sc=0.1)
+        report = ek.tradeoff_report(data, spec, lambda_sc=0.1)
         rows = {r["formula"]: r for r in report.rows}
-        coupled, generic = rows["coupled"], rows["generic"]
+        coupled, generic = rows["coupled-exact"], rows["generic"]
         ok &= coupled["max_ratio"] < generic["max_ratio"]
         ok &= coupled["preprocessing_passes"] > generic["preprocessing_passes"]
         details.append(

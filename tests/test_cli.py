@@ -152,7 +152,7 @@ def test_tradeoff_and_design_serial(workdir):
     assert main(["tradeoff", "--matrix", str(matrix), "--sampling", str(sampling),
                  "--lambda-sc", "0.5", "--out", str(out)]) == 0
     rows = json.loads(out.read_text())["result"]["rows"]
-    assert {r["formula"] for r in rows} == {"conservative", "generic", "coupled"}
+    assert [r["formula"] for r in rows] == ["conservative", "generic", "coupled-exact"]
 
     points = tmp / "points.json"
     points.write_text(json.dumps({"x0": [1.0, 2.0, 0.0, 1.0], "xstar": [0.0] * 4}))
@@ -164,12 +164,46 @@ def test_tradeoff_and_design_serial(workdir):
     assert design["p"][2] == 0.0
 
 
-def test_tradeoff_with_no_power_iterations_is_an_input_error(workdir, capsys):
+def test_tradeoff_takes_formula_names_and_no_power_iterations(workdir, capsys):
     tmp, matrix, sampling = workdir
-    code = main(["tradeoff", "--matrix", str(matrix), "--sampling", str(sampling),
-                 "--power-iterations", "-5"])
+    base = ["tradeoff", "--matrix", str(matrix), "--sampling", str(sampling)]
+    out = tmp / "tradeoff.json"
+    assert main(base + ["--formulas", "auto,taunice,uncoupled", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert [r["formula"] for r in report["result"]["rows"]] == ["auto", "taunice", "uncoupled"]
+    assert "power_iterations" not in report["config"] and "power_iterations" not in report["result"]
+    assert main(base + ["--formulas", "coupled"]) == 3
+    with pytest.raises(SystemExit) as info:
+        main(base + ["--power-iterations", "5"])
+    assert info.value.code == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("extra", [["--lambda-sc", "nan"], ["--epsilon", "nan"], ["--epsilon", "-1"]])
+def test_tradeoff_with_a_bad_number_is_an_input_error(workdir, capsys, extra):
+    _, matrix, sampling = workdir
+    assert main(["tradeoff", "--matrix", str(matrix), "--sampling", str(sampling), *extra]) == 2
+    err = capsys.readouterr().err
+    assert extra[0][2:].replace("-", "_") in err and "Traceback" not in err
+
+
+def test_solve_with_a_nan_epsilon_is_an_input_error(workdir, capsys):
+    _, matrix, sampling = workdir
+    code = main(["solve", "--matrix", str(matrix), "--sampling", str(sampling), "--ridge", "0.1", "--epsilon", "nan"])
     assert code == 2
-    assert "power_iterations" in capsys.readouterr().err
+    assert "epsilon" in capsys.readouterr().err
+
+
+def test_solve_with_a_sampling_over_another_n_is_an_input_error(workdir, capsys):
+    tmp, _, _ = workdir
+    matrix, vfile = tmp / "A3.mtx", tmp / "v3.json"
+    write_matrix(ek.DataMatrix.from_dense(np.eye(3)), matrix)
+    vfile.write_text("[1.0, 1.0, 1.0]")
+    spec = json.dumps({"n": 2, "kind": "tau_nice", "tau": 1})
+    code = main(["solve", "--matrix", str(matrix), "--sampling", spec, "--v", str(vfile)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "sampling" in err and "Traceback" not in err
 
 
 def test_battery_command(workdir):
@@ -186,14 +220,16 @@ def test_battery_command(workdir):
 def test_reports_are_deterministic_modulo_timestamp(workdir):
     tmp, matrix, sampling = workdir
     out1, out2 = tmp / "r1.json", tmp / "r2.json"
-    args = ["compute-v", "--matrix", str(matrix), "--sampling", str(sampling), "--certify"]
-    assert main(args + ["--out", str(out1)]) == 0
-    assert main(args + ["--out", str(out2)]) == 0
-    a = json.loads(out1.read_text())
-    b = json.loads(out2.read_text())
-    a.pop("generated_at")
-    b.pop("generated_at")
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    inputs = ["--matrix", str(matrix), "--sampling", str(sampling)]
+    for args in (["compute-v", *inputs, "--certify"], ["tradeoff", *inputs]):
+        assert main(args + ["--out", str(out1)]) == 0
+        assert main(args + ["--out", str(out2)]) == 0
+        a = json.loads(out1.read_text())
+        b = json.loads(out2.read_text())
+        a.pop("generated_at")
+        b.pop("generated_at")
+        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+        assert "power_iterations" not in a["config"]
 
 
 def test_reports_record_the_rng_scheme_and_the_streams(workdir):

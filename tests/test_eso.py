@@ -234,6 +234,37 @@ def test_every_formula_rejects_a_matrix_of_another_width():
                 ek.compute_v(data, ek.tau_nice(8, 2), name)
 
 
+# Finite entries whose squares pass the float range.
+OVERFLOWING = ek.DataMatrix(2, 2, [0, 0, 1], [0, 1, 1], [1e200, 2e200, 1.0])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_data_is_refused_by_every_formula_and_the_certificate(tmp_path, capsys):
+    spec = ek.tau_nice(2, 1)
+    names = [name for name, entry in eso.FORMULAS.items() if entry.kind in (None, "tau_nice")]
+    for name in names:
+        with pytest.raises(ValidationError, match="overflow"):
+            ek.compute_v(OVERFLOWING, spec, name)
+    # Finite squared column norms (1e308 each), but tau-nice v = 2 w overflows.
+    big = math.sqrt(5e307)
+    doubled = ek.DataMatrix.from_dense([[big, big], [big, big]])
+    assert np.isfinite(doubled.column_sq_norms).all()
+    with pytest.raises(ValidationError, match="stepsizes overflow"):
+        ek.compute_v(doubled, ek.tau_nice(2, 2), "taunice")
+    with pytest.raises(ValidationError, match="overflow"):
+        ek.certify(OVERFLOWING, spec, np.ones(2))
+    for v in ([1.0, math.inf], [math.nan, 1.0]):
+        with pytest.raises(ValidationError, match="^certificate: .*v or A'A is not finite"):
+            eso.certificate_matrix(FIXTURE_A, TAU_NICE_32, np.array(v + [1.0]))
+
+    matrix, out = tmp_path / "A.mtx", tmp_path / "v.json"
+    write_matrix(OVERFLOWING, matrix)
+    code = main(["compute-v", "--matrix", str(matrix), "--sampling", json.dumps(spec.to_dict()), "--out", str(out)])
+    assert code == 2 and not out.exists()
+    err = capsys.readouterr().err
+    assert "overflow" in err and "Traceback" not in err
+
+
 def test_specialized_graph_fixture():
     data = ek.DataMatrix.from_triplets(
         2, 3, [(0, 0, 1.0), (0, 1, 1.0), (1, 1, 1.0), (1, 2, 1.0)]

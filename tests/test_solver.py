@@ -9,7 +9,7 @@ import pytest
 
 import esokit as ek
 from conftest import random_sparse_matrix
-from esokit import samplings, solver
+from esokit import eso, samplings, solver
 from esokit.errors import DivergenceError, UnsupportedMethodError, ValidationError
 
 
@@ -195,6 +195,11 @@ def test_complexity_estimate_full_form_and_errors():
         ek.complexity_estimate("ALPHA", np.ones(2), np.ones(2))
     with pytest.raises(UnsupportedMethodError):
         ek.complexity_estimate("NOPE", np.ones(2), np.ones(2))
+    for kind in ("NSYNC", "QUARTZ"):
+        for field in ("lambda_sc", "epsilon"):
+            kwargs = {"lambda_sc": 1.0, "epsilon": 0.01, field: math.nan}
+            with pytest.raises(ValidationError, match=f"^{field}: "):
+                ek.complexity_estimate(kind, np.ones(2), np.ones(2), **kwargs)
 
 
 def test_optimal_serial_sampling_examples():
@@ -233,23 +238,79 @@ def test_optimal_serial_degenerate_input():
 
 
 def test_tradeoff_preprocessing_pass_arithmetic():
-    # Every row support has size 2, so sum |J_j|^2 = 2 * nnz and the coupled
-    # preprocessing cost is exactly T * 2 = 20 passes.
+    # Every row support has size 2 and nnz = 6: coupled-exact costs
+    # 2 nnz + sum_j |J_j|^3 = 12 + 24 = 36, so 6 passes; generic 2 nnz, so 2.
     data = ek.DataMatrix.from_triplets(
         3, 6, [(j, 2 * j, 1.0) for j in range(3)] + [(j, 2 * j + 1, 1.0) for j in range(3)]
     )
     spec = ek.tau_nice(6, 2)
-    report = ek.tradeoff_report(data, spec, power_iterations=10, lambda_sc=0.5)
+    report = ek.tradeoff_report(data, spec, lambda_sc=0.5)
     rows = {r["formula"]: r for r in report.rows}
-    assert rows["coupled"]["preprocessing_passes"] == pytest.approx(20.0)
-    assert rows["generic"]["preprocessing_passes"] == pytest.approx(1.0)
+    assert rows["coupled-exact"]["preprocessing_passes"] == 6.0
+    assert rows["generic"]["preprocessing_passes"] == 2.0
 
 
-@pytest.mark.parametrize("iterations", [0, -5])
-def test_tradeoff_refuses_fewer_than_one_power_iteration(iterations):
+@pytest.mark.parametrize(
+    "spec", [ek.tau_nice(6, 2), ek.explicit(6, [(0, 1), (2, 3, 4), (5,), (0, 5)], [0.3, 0.3, 0.2, 0.2])],
+    ids=["tau_nice", "explicit"],
+)
+def test_every_tradeoff_row_is_priced_by_its_cost_estimate(spec):
+    rng = ek.rng_for_stream(77, 0)
+    data = random_sparse_matrix(rng, 9, 6, 0.5)
+    names = tuple(name for name, entry in eso.FORMULAS.items() if entry.kind in (None, spec.kind))
+    report = ek.tradeoff_report(data, spec, names)
+    assert [r["formula"] for r in report.rows] == list(names)
+    for row in report.rows:
+        result = ek.compute_v(data, spec, row["formula"])
+        assert row["formula_id"] == result.formula_id
+        assert row["preprocessing_passes"] == result.cost_estimate / data.nnz
+        assert row["total_passes"] == row["preprocessing_passes"] + row["iteration_passes"]
+
+
+def test_tradeoff_refuses_what_compute_v_refuses():
     data = ek.DataMatrix.from_dense(np.eye(3))
-    with pytest.raises(ValidationError, match="power_iterations"):
-        ek.tradeoff_report(data, ek.tau_nice(3, 2), power_iterations=iterations)
+    for names in (("coupled",), ("generic", "nonsense"), ("serial",)):
+        with pytest.raises(UnsupportedMethodError):
+            ek.tradeoff_report(data, ek.tau_nice(3, 2), names)
+    with pytest.raises(ValidationError, match="not proper"):
+        ek.tradeoff_report(data, ek.explicit(3, [(0, 1)], [1.0]))
+
+
+def test_tradeoff_takes_no_power_iterations():
+    with pytest.raises(TypeError):
+        ek.tradeoff_report(ek.DataMatrix.from_dense(np.eye(3)), ek.tau_nice(3, 2), power_iterations=10)
+
+
+@pytest.mark.parametrize(
+    "field, kwargs",
+    [("lambda_sc", {"lambda_sc": math.nan}), ("lambda_sc", {"lambda_sc": 0.0}), ("epsilon", {"epsilon": math.nan}),
+     ("epsilon", {"epsilon": -1.0}), ("epsilon", {"epsilon": math.inf})],
+)
+def test_tradeoff_names_the_bad_number(field, kwargs):
+    with pytest.raises(ValidationError, match=f"^{field}: "):
+        ek.tradeoff_report(ek.DataMatrix.from_dense(np.eye(3)), ek.tau_nice(3, 2), **kwargs)
+
+
+def test_solve_refuses_a_nan_epsilon_and_keeps_nonpositive_ones():
+    problem = _fixture_problem()
+    spec = ek.tau_nice(problem.n, 2)
+    v = problem.stepsizes(spec).v
+    for run in (lambda e: [ek.solve(problem, spec, v, epsilon=e, max_iter=5)],
+                lambda e: ek.solve_many(problem, spec, v, n_runs=2, epsilon=e, max_iter=5)):
+        with pytest.raises(ValidationError, match="^epsilon: "):
+            run(math.nan)
+        traces = run(-1.0)
+        assert [t.iterations for t in traces] == [5] * len(traces)
+
+
+@pytest.mark.parametrize("spec_n", [2, 8])
+def test_solve_refuses_a_sampling_over_other_coordinates(spec_n):
+    problem = _fixture_problem()
+    spec, v = ek.tau_nice(spec_n, 1), np.ones(problem.n)
+    with pytest.raises(ValidationError, match="^sampling: .*coordinates"):
+        ek.solve(problem, spec, v)
+    with pytest.raises(ValidationError, match="^sampling: .*coordinates"):
+        ek.solve_many(problem, spec, v, n_runs=2)
 
 
 def test_tradeoff_serial_case_all_formulas_coincide():
@@ -269,7 +330,7 @@ def test_tradeoff_coupled_never_worse_than_generic():
     spec = ek.product_sampling(blocks)
     report = ek.tradeoff_report(data, spec, lambda_sc=0.1)
     rows = {r["formula"]: r for r in report.rows}
-    assert rows["coupled"]["max_ratio"] <= rows["generic"]["max_ratio"] + 1e-9
+    assert rows["coupled-exact"]["max_ratio"] <= rows["generic"]["max_ratio"] + 1e-9
     assert rows["generic"]["max_ratio"] <= rows["conservative"]["max_ratio"] + 1e-9
 
 
