@@ -16,19 +16,8 @@ from typing import Iterable
 
 import numpy as np
 
-from . import config
+from . import config, csr
 from .errors import ParseError, ValidationError
-
-
-# Entry pairs per chunk of DataMatrix.gram: bounds its temporaries (a few
-# arrays of this length) however dense the rows are; any size gives the same bits.
-_GRAM_PAIRS = 1 << 20
-
-
-def _pointers(index: np.ndarray, size: int) -> np.ndarray:
-    """Offsets (length size + 1) of each index value's run once the entries
-    are sorted by index."""
-    return np.concatenate(([0], np.cumsum(np.bincount(index, minlength=size))))
 
 
 @dataclass(frozen=True)
@@ -113,7 +102,7 @@ class DataMatrix:
     @cached_property
     def row_ptr(self) -> np.ndarray:
         """CSR pointer (length m + 1) into ``cols`` and ``values``."""
-        return _pointers(self.rows, self.m)
+        return csr._ptr(np.bincount(self.rows, minlength=self.m))
 
     @cached_property
     def row_sizes(self) -> np.ndarray:
@@ -128,7 +117,7 @@ class DataMatrix:
     @cached_property
     def col_ptr(self) -> np.ndarray:
         """CSC pointer (length n + 1) into ``col_rows`` and ``col_values``."""
-        return _pointers(self.cols, self.n)
+        return csr._ptr(np.bincount(self.cols, minlength=self.n))
 
     @cached_property
     def col_rows(self) -> np.ndarray:
@@ -149,8 +138,10 @@ class DataMatrix:
 
     @cached_property
     def column_sq_norms(self) -> np.ndarray:
-        """w_i = sum_j A_ji^2."""
-        return np.bincount(self.cols, weights=self.values**2, minlength=self.n)
+        """w_i = sum_j A_ji^2; inf, without a warning, where it overflows
+        (the stepsize formulas refuse a non-finite w or v)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.bincount(self.cols, weights=self.values**2, minlength=self.n)
 
     @property
     def max_row_support(self) -> int:
@@ -191,38 +182,21 @@ class DataMatrix:
         anew on each call, so it lives only as long as its caller holds it.
         Callers that change it work on a copy.
 
-        Entry (a, b) sums A_ja A_jb over the rows j in row order for any
-        ``_GRAM_PAIRS``: each chunk of entry pairs adds its products into the
-        one n x n output with ``np.add.at``, so the result is exactly symmetric.
+        It is the index-pair sum :func:`csr._pair_sum` of A's rows: entry
+        (a, b), a <= b, adds A_ja A_jb over the rows j in row order into +0.0
+        with ``np.add.at`` for any chunk size, and entry (b, a) mirrors it, so
+        the result is exactly symmetric.
         """
         cap = config.DENSE_EIG_CAP
         if self.n > cap:
             raise ValidationError("n", f"gram matrix of size {self.n} exceeds dense cap {cap}")
         g = self.__dict__.get("_gram")
         if g is None:
-            g = self._build_gram()
+            g = csr._pair_sum(self.n, self.row_ptr, self.cols, values=self.values)
             g.flags.writeable = False
             if self.n * self.n <= 3 * self.nnz:
                 object.__setattr__(self, "_gram", g)
         return g
-
-    def _build_gram(self) -> np.ndarray:
-        n = self.n
-        reps = self.row_sizes[self.rows]
-        # Entry e owns pairs pair_start[e] .. pair_start[e + 1] - 1, one with
-        # each entry of its row, which start at first[e].
-        pair_start = np.concatenate(([0], np.cumsum(reps)))
-        first = self.row_ptr[self.rows]
-        g = np.zeros(n * n)
-        lo = 0
-        while lo < self.nnz:
-            hi = int(np.searchsorted(pair_start, pair_start[lo] + _GRAM_PAIRS, side="right")) - 1
-            hi = max(hi, lo + 1)
-            left = np.repeat(np.arange(lo, hi), reps[lo:hi])
-            right = first[left] + np.arange(pair_start[lo], pair_start[hi]) - pair_start[left]
-            np.add.at(g, self.cols[left] * n + self.cols[right], self.values[left] * self.values[right])
-            lo = hi
-        return g.reshape(n, n)
 
     def scaled(self, factor: float) -> "DataMatrix":
         return DataMatrix(self.m, self.n, self.rows, self.cols, self.values * factor)

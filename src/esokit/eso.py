@@ -84,8 +84,10 @@ def _floor(v: np.ndarray) -> np.ndarray:
 
 
 def _accumulate_rows(data: DataMatrix, multipliers: np.ndarray) -> np.ndarray:
-    """v_i = sum_j multipliers_j A_ji^2."""
-    return np.bincount(data.cols, weights=multipliers[data.rows] * data.values**2, minlength=data.n)
+    """v_i = sum_j multipliers_j A_ji^2; an overflow gives inf without a
+    warning, and ``_floor`` refuses it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.bincount(data.cols, weights=multipliers[data.rows] * data.values**2, minlength=data.n)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +149,7 @@ def eso_uncoupled(
         moments = samplings.closed_form_moments(spec)
         if moments is None:
             pm = probability.prob_matrix(spec, "auto")
-            moments = samplings.matrix_moments(pm)
+            moments = samplings.matrix_moments(pm.entries, pm.provenance)
         if _rules_out_sampling(moments, lambda_prime_ata):
             factor = lambda_prime_ata
         else:

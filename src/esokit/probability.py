@@ -13,9 +13,10 @@ are tagged with their sample count and per-entry standard errors, and are
 never accepted as PSD certificates. Enumerated matrices and
 :func:`check_identities` read their sets from :func:`samplings.weighted_sets`,
 and Monte-Carlo matrices the raw draws of :func:`samplings.draw_sets`, all
-as CSR index lists. One kernel, :func:`_pair_sum`, sums every P built from
-sets: it scatters each set's weight into its index pairs, O(sum_k |S_k|^2)
-work without BLAS, so the enumerated P of a graph or explicit sampling is
+as CSR index lists. Every P built from sets is summed by the index-pair
+kernel :func:`csr._pair_sum`, the one that builds A'A from the rows of A:
+it scatters each set's weight into its index pairs, O(sum_k |S_k|^2) work
+without BLAS, so the enumerated P of a graph or explicit sampling is
 exactly symmetric and the same at any BLAS thread count, and a Monte-Carlo
 P is the exact integer counts over the sample count.
 """
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import config, samplings
+from . import config, csr, samplings
 from .errors import CertificateUnavailableError, UnsupportedMethodError, ValidationError
 from .samplings import SamplingSpec
 
@@ -36,10 +37,6 @@ PROVENANCE_ENUM = "enumerated"
 PROVENANCE_MC = "monte_carlo"
 
 _PROVENANCE_RANK = {PROVENANCE_CLOSED: 0, PROVENANCE_ENUM: 1, PROVENANCE_MC: 2}
-
-# Index pairs of the largest chunk of sets _pair_sum scatters, and of the
-# largest (sets, |S|, |S|) stack of equal-size sets check_identities gathers.
-_STACK_ENTRIES = 1 << 16
 
 _CLOSED_FORM_KINDS = (
     samplings.KIND_ELEMENTARY,
@@ -142,18 +139,12 @@ def prob_matrix(
     if method in ("auto", "closed_form"):
         if method == "closed_form" and spec.kind not in _CLOSED_FORM_KINDS:
             raise UnsupportedMethodError(f"no closed-form probability matrix for kind {spec.kind!r}")
-        return exact_matrix(spec)
+        return ProbMatrix(spec.n, *exact_grid(spec))
     if method == "enumerate":
-        return ProbMatrix(spec.n, _pair_sum(spec.n, *samplings.weighted_sets(spec)), PROVENANCE_ENUM)
+        return ProbMatrix(spec.n, csr._pair_sum(spec.n, *samplings.weighted_sets(spec)), PROVENANCE_ENUM)
     if method == "monte_carlo":
         return _monte_carlo(spec, mc_samples, rng_seed, streams)
     raise UnsupportedMethodError(f"unknown method {method!r}")
-
-
-def exact_matrix(spec: SamplingSpec) -> ProbMatrix:
-    """:func:`exact_grid` validated as a ``ProbMatrix`` at any n (no dense cap);
-    the rule, and with it an enumerated P, is freed before the validation."""
-    return ProbMatrix(spec.n, *exact_grid(spec))
 
 
 def exact_grid(spec: SamplingSpec) -> tuple[np.ndarray, str]:
@@ -201,14 +192,15 @@ def exact_rule(spec: SamplingSpec) -> tuple[Entry, str]:
         mask[list(spec.set)] = 1.0
         return (lambda i, j: entry(i, j) * (mask[i] * mask[j])), tag
     # graph / explicit: support is explicit in the parameters.
-    entries = _pair_sum(spec.n, *samplings.weighted_sets(spec))
+    entries = csr._pair_sum(spec.n, *samplings.weighted_sets(spec))
     return (lambda i, j: entries[i, j]), PROVENANCE_ENUM
 
 
 def _closed_rule(spec: SamplingSpec) -> Entry:
     n = spec.n
     k = spec.kind
-    p = samplings.marginals(spec)
+    if k in (samplings.KIND_ELEMENTARY, samplings.KIND_SERIAL, samplings.KIND_PRODUCT):
+        p = samplings.marginals(spec)
     if k == samplings.KIND_ELEMENTARY:
         return lambda i, j: p[i] * p[j]
     if k == samplings.KIND_SERIAL:
@@ -254,74 +246,9 @@ def _monte_carlo(spec: SamplingSpec, samples: int, rng_seed: int, streams: int) 
     if samples < 1:
         raise ValidationError("mc_samples", "must be positive")
     # Integer counts: the mean is exactly symmetric, in [0, 1].
-    mean = _pair_sum(spec.n, *samplings.draw_sets(spec, samples, rng_seed, streams)) / samples
+    mean = csr._pair_sum(spec.n, *samplings.draw_sets(spec, samples, rng_seed, streams)) / samples
     stderr = np.sqrt(mean * (1.0 - mean) / samples)
     return ProbMatrix(spec.n, mean, PROVENANCE_MC, mc_samples=samples, stderr=stderr)
-
-
-def _size_stacks(ptr: np.ndarray, indices: np.ndarray, entries: int):
-    """Stacks of the nonempty sets of ``(ptr, indices)`` that share a size s:
-    yields (sets, idx) with ``idx[r]`` the indices of set ``sets[r]``, at
-    most ``entries`` index pairs (and at least one set) per stack, sizes
-    ascending and sets in order within a size."""
-    sizes = np.diff(ptr)
-    for s in np.unique(sizes[sizes > 0]).tolist():
-        rows = np.flatnonzero(sizes == s)
-        step = max(1, entries // (s * s))
-        for lo in range(0, rows.size, step):
-            sets = rows[lo : lo + step]
-            yield sets, indices[ptr[sets, None] + np.arange(s)]
-
-
-def _upper_pairs(position: np.ndarray, after: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The position pairs (p, q) with p in ``position`` and p <= q < p +
-    after[p]: an index and the ones after it in its set."""
-    return np.repeat(position, after), samplings._spans(position, after)
-
-
-def _pair_sum(n: int, ptr: np.ndarray, indices: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """sum_k weights[k] 1_{S_k} 1_{S_k}' over the sets of ``(ptr, indices)``:
-    O(sum_k |S_k|^2) work, no BLAS.
-
-    The sets are taken in order, in chunks of consecutive sets that hold at
-    most ``_STACK_ENTRIES`` index pairs i <= j (each set ascends; at least
-    one set). A chunk of sets of one size is a (sets, size) block of the
-    indices; any other chunk lists, for each index, the indices after it in
-    its set. Each chunk scatters its weights into its pairs with one
-    ``bincount``, so every entry is summed in set order, and the entries
-    below the diagonal mirror those above: the result is exactly symmetric
-    and a function of the inputs alone. Unit weights (None) give the exact
-    integer counts, which any order sums alike: ``np.add.at`` adds them in
-    place, in O(pairs) and not the O(n^2) of a ``bincount`` per chunk.
-    """
-    sizes = np.diff(ptr)
-    half = sizes * (sizes + 1) // 2
-    ends = np.cumsum(half)
-    out = np.zeros(n * n, dtype=float if weights is not None else np.int64)
-    lo = 0
-    while lo < sizes.size:
-        done = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, done + _STACK_ENTRIES, "right")))
-        own, start, stop = sizes[lo:hi], ptr[lo], ptr[hi]
-        if own.min() == own.max():
-            block = indices[start:stop].reshape(hi - lo, -1)
-            column = np.arange(block.shape[1])
-            first, second = _upper_pairs(column, block.shape[1] - column)
-            pairs = block[:, first] * n + block[:, second]
-        else:
-            entry = np.arange(start, stop)
-            first, second = _upper_pairs(entry, np.repeat(ptr[lo + 1 : hi + 1], own) - entry)
-            pairs = indices[first] * n + indices[second]
-        if weights is None:
-            np.add.at(out, pairs.reshape(-1), 1)
-        else:
-            out += np.bincount(pairs.reshape(-1), np.repeat(weights[lo:hi], half[lo:hi]), n * n)
-        lo = hi
-    upper = out.reshape(n, n)
-    # Each entry off the diagonal is zero on one side, so the sum is exact.
-    full = upper + upper.T
-    np.fill_diagonal(full, np.diagonal(upper))
-    return full
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +292,7 @@ def check_identities(
 def _identity_reports(spec: SamplingSpec, pairs, trials: int = 0, rng_seed: int = 0) -> list[IdentityReport]:
     """:func:`check_identities` for each (M, h) of ``pairs``, in order. The
     sampling's side (the exact P, the weighted sets and p-hat) is built once,
-    and each stack of equal-size sets (at most ``_STACK_ENTRIES`` entries) is
+    and each stack of equal-size sets (at most ``csr._STACK_ENTRIES`` entries) is
     gathered once for all pairs: sum_k |S_k|^2 work per pair in all."""
     n = spec.n
     checked = [(np.asarray(m_matrix, dtype=float), np.asarray(h, dtype=float)) for m_matrix, h in pairs]
@@ -377,13 +304,13 @@ def _identity_reports(spec: SamplingSpec, pairs, trials: int = 0, rng_seed: int 
     if 0 < trials < 1000:
         raise ValidationError("trials", "Monte-Carlo mode requires trials >= 1000")
 
-    p_entries = exact_matrix(spec).entries
+    p_entries, _ = exact_grid(spec)
     e = np.ones(n)
     ptr, indices, weights = samplings.weighted_sets(spec, trials, rng_seed)
     sizes = np.diff(ptr)
-    p_hat = _pair_sum(n, ptr, indices, weights)
+    p_hat = csr._pair_sum(n, ptr, indices, weights)
     sums = [[0.0, 0.0, 0.0] for _ in checked]  # quadratic form, square of sum, linear
-    for sets, idx in _size_stacks(ptr, indices, _STACK_ENTRIES):
+    for sets, idx in csr._size_stacks(ptr, indices, csr._STACK_ENTRIES):
         w = weights[sets]
         for (m_matrix, h), acc in zip(checked, sums):
             h_s = h[idx]

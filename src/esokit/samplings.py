@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import config
+from .csr import _csr, _filter, _ptr, _row_of, _scatter, _spans, _take
 from .errors import CapacityError, ValidationError
 
 KIND_ELEMENTARY = "elementary"
@@ -408,8 +409,9 @@ def spec_from_dict(payload: dict) -> SamplingSpec:
 #
 # A block of drawn sets is held as CSR ``(ptr, indices)``: set k is
 # ``indices[ptr[k]:ptr[k + 1]]``, ascending, the layout of ``DataMatrix``
-# rows. No draw path builds a sets x n array; ``draw_masks`` and
-# ``weighted_masks`` scatter the sets into bool rows for their callers.
+# rows, with the helpers of :mod:`esokit.csr`. No draw path builds a
+# sets x n array; ``draw_masks`` scatters the sets into bool rows for its
+# callers.
 
 
 # Entries of one Fisher-Yates permutation chunk (rows x size), and of one
@@ -422,52 +424,6 @@ _CHUNK_ENTRIES = 1 << 16
 # call saves the fixed cost of a call per round (about 10 us) but costs
 # about 2.5 times as much per integer, so longer chunks draw round by round.
 _MERGED_ROWS = 512
-
-
-def _ptr(sizes) -> np.ndarray:
-    """CSR row pointer of sets of the given sizes."""
-    return np.concatenate(([0], np.cumsum(sizes, dtype=np.intp)))
-
-
-def _csr(sets) -> tuple[np.ndarray, np.ndarray]:
-    """``(ptr, indices)`` of a sequence of sorted index tuples."""
-    return _ptr([len(s) for s in sets]), np.fromiter(itertools.chain(*sets), dtype=np.intp)
-
-
-def _row_of(ptr: np.ndarray) -> np.ndarray:
-    """The set number of each index of ``(ptr, indices)``."""
-    return np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
-
-
-def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The ranges ``range(starts[k], starts[k] + lengths[k])``, concatenated."""
-    ends = np.cumsum(lengths, dtype=np.intp)
-    total = int(ends[-1]) if ends.size else 0
-    return np.arange(total) + np.repeat(starts - (ends - lengths), lengths)
-
-
-def _take(ptr: np.ndarray, indices: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sets ``rows`` of ``(ptr, indices)``, in that order, as CSR."""
-    starts = ptr[rows]
-    lengths = ptr[rows + 1] - starts
-    if lengths.size and lengths.min() == lengths.max():
-        # Sets of one size: a single 2-D gather.
-        size = int(lengths[0])
-        return np.arange(rows.size + 1) * size, indices[starts[:, None] + np.arange(size)].reshape(-1)
-    return _ptr(lengths), indices[_spans(starts, lengths)]
-
-
-def _filter(ptr: np.ndarray, indices: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(ptr, indices)`` with the indices where ``keep`` is false dropped."""
-    kept = np.concatenate(([0], np.cumsum(keep, dtype=np.intp)))
-    return kept[ptr], indices[keep]
-
-
-def _scatter(n: int, ptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """(sets, n) bool rows with row k set on set k of ``(ptr, indices)``."""
-    masks = np.zeros((len(ptr) - 1, n), dtype=bool)
-    masks[_row_of(ptr), indices] = True
-    return masks
 
 
 def _groups(counts: Sequence[int], width: int):
@@ -754,15 +710,6 @@ def weighted_sets(
     return *_take(ptr, indices, first), counts / trials
 
 
-def weighted_masks(
-    spec: SamplingSpec, trials: int = 0, rng_seed: int = 0, streams: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """The sets of :func:`weighted_sets` as distinct bool rows, with their
-    weights."""
-    ptr, indices, weights = weighted_sets(spec, trials, rng_seed, streams)
-    return _scatter(spec.n, ptr, indices), weights
-
-
 _WITHOUT_ENUMERATION = (
     'prob_matrix(spec, "auto") (probmatrix --method auto) gives the exact probability matrix '
     "without enumeration; support-wide checks have a Monte-Carlo mode"
@@ -927,7 +874,7 @@ def cardinality_moments(spec: SamplingSpec) -> Moments:
 
     Kinds with a closed form use it. The rest (intersections, restrictions
     and mixtures containing them) read E|S-hat| = tr P and E|S-hat|^2 = 1'P1
-    off the exact probability matrix (``probability.exact_matrix``): no
+    off the exact probability matrix (``probability.exact_grid``): no
     enumeration and no draws, at any n.
     """
     closed = closed_form_moments(spec)
@@ -935,13 +882,13 @@ def cardinality_moments(spec: SamplingSpec) -> Moments:
         return closed
     from . import probability  # deferred: probability imports this module
 
-    return matrix_moments(probability.exact_matrix(spec))
+    return matrix_moments(*probability.exact_grid(spec))
 
 
-def matrix_moments(matrix) -> Moments:
-    """(E|S-hat|, E|S-hat|^2) = (tr P, 1'P1) of a probability matrix, with
-    its provenance as the method."""
-    return Moments(float(np.trace(matrix.entries)), float(matrix.entries.sum()), matrix.provenance)
+def matrix_moments(entries: np.ndarray, provenance: str) -> Moments:
+    """(E|S-hat|, E|S-hat|^2) = (tr P, 1'P1) of the entries of a probability
+    matrix, with its provenance as the method."""
+    return Moments(float(np.trace(entries)), float(entries.sum()), provenance)
 
 
 def closed_form_moments(spec: SamplingSpec) -> Moments | None:

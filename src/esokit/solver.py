@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import config, eso, samplings
+from . import config, csr, eso, samplings
 from .datamatrix import DataMatrix
 from .errors import DivergenceError, UnsupportedMethodError, ValidationError
 from .samplings import SamplingSpec
@@ -482,8 +482,8 @@ def _steps(ptr, indices, count, data, b, v):
         hi = max(lo + 1, bisect.bisect_right(sel_at, sel_at[lo] + _INDEX_ENTRIES) - 1)
         # The sets of steps lo .. hi - 1 in (step, row) order.
         sets = (np.arange(lo, hi)[:, None] + depth * np.arange(count)).reshape(-1)
-        set_ptr, col = samplings._take(ptr, indices, sets)
-        step, row = np.divmod(samplings._row_of(set_ptr), count)
+        set_ptr, col = csr._take(ptr, indices, sets)
+        step, row = np.divmod(csr._row_of(set_ptr), count)
         yield from _gathered_steps(step, row, col, hi - lo, data, b, v)
         lo = hi
 
@@ -506,7 +506,7 @@ def _gathered_steps(step, row, col, depth, data, b, v):
         hi = max(lo + 1, bisect.bisect_right(ent_at, ent_at[lo] + _INDEX_ENTRIES) - 1)
         a, c = sel_at[lo], sel_at[hi]
         g_col, g_sizes = col[a:c], sizes[a:c]
-        pos = samplings._spans(col_ptr[g_col], g_sizes)
+        pos = csr._spans(col_ptr[g_col], g_sizes)
         rows = row[a:c].repeat(g_sizes) * data.m + col_rows[pos]
         vals = col_values[pos]
         seg = within[a:c].repeat(g_sizes)
@@ -539,8 +539,9 @@ def complexity_estimate(
     NSYNC: max_i v_i/(p_i lambda) * log(1/eps); QUARTZ:
     max_i (1/p_i + v_i/(p_i lambda n)) * log(1/eps); ALPHA:
     sqrt(2 sum_i v_i (x0_i - x*_i)^2 / p_i^2) / sqrt(eps). Passing ``gap0``
-    replaces log(1/eps) by the full log(gap0/eps) form. Only the NSYNC-style
-    solver is implemented here; the others are estimators.
+    replaces log(1/eps) by the full log(gap0/eps) form; either log is 0 once
+    eps reaches the gap (1 without ``gap0``), see :func:`_log_term`. Only the
+    NSYNC-style solver is implemented here; the others are estimators.
     """
     v = np.asarray(v, dtype=float)
     p = np.asarray(p, dtype=float)
@@ -548,20 +549,16 @@ def complexity_estimate(
         raise ValidationError("p", "probabilities must be positive")
     if not epsilon > 0:
         raise ValidationError("epsilon", f"must be positive, got {epsilon}")
-
-    def log_term() -> float:
-        if gap0 is not None:
-            return math.log(gap0 / epsilon) if gap0 > epsilon else 0.0
-        return math.log(1.0 / epsilon)
+    log_term = _log_term(1.0 if gap0 is None else gap0, epsilon)
 
     kind = kind.upper()
     if kind in ("NSYNC", "QUARTZ") and not (lambda_sc is not None and lambda_sc > 0):
         raise ValidationError("lambda_sc", f"{kind} needs a positive strong convexity constant, got {lambda_sc}")
     if kind == "NSYNC":
-        return float(np.max(v / (p * lambda_sc)) * log_term())
+        return float(np.max(v / (p * lambda_sc)) * log_term)
     if kind == "QUARTZ":
         size = n if n is not None else v.size
-        return float(np.max(1.0 / p + v / (p * lambda_sc * size)) * log_term())
+        return float(np.max(1.0 / p + v / (p * lambda_sc * size)) * log_term)
     if kind == "ALPHA":
         if x0 is None or xstar is None:
             raise ValidationError("x0", "ALPHA needs the initial and optimal points")
@@ -570,6 +567,12 @@ def complexity_estimate(
         inner = 2.0 * float(np.sum(v * (x0 - xstar) ** 2 / p**2))
         return math.sqrt(inner) / math.sqrt(epsilon)
     raise UnsupportedMethodError(f"unknown complexity kind {kind!r}")
+
+
+def _log_term(gap0: float, epsilon: float) -> float:
+    """log(gap0 / epsilon), the iteration bounds' log factor; 0 once
+    epsilon >= gap0, as a gap already within epsilon needs no iteration."""
+    return math.log(gap0 / epsilon) if gap0 > epsilon else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -648,16 +651,17 @@ def tradeoff_report(
     """One row per name of :data:`eso.FORMULAS`, labelled with it: the
     preprocessing passes ``cost_estimate / max(nnz, 1)`` of
     :func:`eso.compute_v`, the iteration passes max_ratio * log(1/epsilon) /
-    lambda_sc, and the stepsize quality ratio max_ratio = max_i v_i tau /
-    (p_i n), tau the sampling's cardinality cap. ``compute_v`` refuses an
-    unknown name, a family name on another kind and an improper sampling.
+    lambda_sc (0 for epsilon >= 1), and the stepsize quality ratio max_ratio
+    = max_i v_i tau / (p_i n), tau the sampling's cardinality cap.
+    ``compute_v`` refuses an unknown name, a family name on another kind and
+    an improper sampling.
     """
     for name, value in (("lambda_sc", lambda_sc), ("epsilon", epsilon)):
         if not 0 < value < math.inf:
             raise ValidationError(name, f"must be positive and finite, got {value}")
     tau = samplings.cardinality_cap(spec)
     nnz = max(data.nnz, 1)
-    log_term = math.log(1.0 / epsilon)
+    log_term = _log_term(1.0, epsilon)
 
     rows = []
     for name in formulas:

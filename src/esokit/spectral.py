@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import config, probability, samplings
+from . import config, csr, probability, samplings
 from .errors import UnsupportedMethodError, ValidationError
 from .samplings import SamplingSpec
 
@@ -292,8 +292,8 @@ def lambda_prime_restricted(spec: SamplingSpec, j, method: str = "exact") -> Eig
         raise ValidationError("set", f"indices must lie in [0, {spec.n})")
 
     if method == "exact":
-        sub = probability.exact_matrix(spec).entries[np.ix_(j_idx, j_idx)]
-        return lambda_prime(sub)
+        j = np.array(j_idx)
+        return lambda_prime(probability.exact_rule(spec)[0](j[:, None], j[None, :]))
 
     if method == "formula":
         if spec.kind != samplings.KIND_TAU_NICE:
@@ -351,7 +351,7 @@ def restricted_lambda_primes(spec: SamplingSpec, ptr, indices, method: str = "ex
         raise UnsupportedMethodError(f"unknown restricted-eigenvalue method {method!r}")
     entry, _ = probability.exact_rule(spec)
     out = np.zeros(len(ptr) - 1)
-    for sets, idx in probability._size_stacks(ptr, indices, _STACK_ENTRIES):
+    for sets, idx in csr._size_stacks(ptr, indices, _STACK_ENTRIES):
         # lambda_prime's normalization, so each value is bit-identical to
         # the one-set form.
         j = np.sort(idx, axis=1)

@@ -6,14 +6,15 @@ inequality
     E[f(x + h_S)] <= f(x) + sum_i p_i grad_i f(x) h_i + 0.5 sum_i p_i v_i h_i^2
 
 over the enumerated support (exact) or over seeded draws (statistical, with a
-one-sided z-slack), both from :func:`samplings.weighted_masks`, as
+one-sided z-slack), both from :func:`samplings.weighted_sets`, as
 f(x + h_S) = f(x) + grad f(x)'h_S + 0.5 h_S'(A'A)h_S: no dense A, no
 m-by-trials array. Draws collapse to their distinct sets weighted by count,
-so the cost grows with the sets a sampling can draw, not with the trials,
-and the quadratic term is computed once per distinct h. The matrix-form
-check re-exports the PSD certificate and produces a violating direction when
-the margin is negative. The identity battery sweeps random samplings and
-matrices against brute-force expectation oracles.
+so the cost grows with the sets a sampling can draw, not with the trials;
+f(x) and grad f(x) are computed once per distinct x, and the quadratic term
+once per distinct h. The matrix-form check re-exports the PSD certificate
+and produces a violating direction when the margin is negative. The
+identity battery sweeps random samplings and matrices against brute-force
+expectation oracles.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import config, eso, probability, samplings
+from . import config, csr, eso, probability, samplings
 from .datamatrix import DataMatrix
 from .errors import ValidationError
 from .samplings import SamplingSpec
@@ -128,21 +129,28 @@ def check_eso_quadratic(
         labelled = _canonical_points(eso._certificate(gram, spec, v), rng_seed)
     else:
         labelled = [(np.asarray(x, float), np.asarray(h, float), f"point{i}") for i, (x, h) in enumerate(points)]
-    for x, h, _ in labelled:
-        if x.shape != (n,) or h.shape != (n,):
-            raise ValidationError("points", f"points must have shape ({n},)")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(h))):
-            raise ValidationError("points", "points must be finite")
+        for x, h, _ in labelled:
+            if x.shape != (n,) or h.shape != (n,):
+                raise ValidationError("points", f"points must have shape ({n},)")
+            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(h))):
+                raise ValidationError("points", "points must be finite")
 
     trials_used = 0 if exhaustive else trials
-    masks, weights = samplings.weighted_masks(spec, trials_used, rng_seed, streams)
+    ptr, indices, weights = samplings.weighted_sets(spec, trials_used, rng_seed, streams)
+    masks = csr._scatter(n, ptr, indices)
     p = samplings.marginals(spec)
     rows = masks.shape[0]
     chunk = max(1, _CHUNK_ENTRIES // max(n, 1))
 
     # f(x + h_S) = f(x) + grad'h_S + 0.5 h_S'(A'A)h_S over chunks of sets.
-    # The quadratic term does not depend on x, so it is computed once per
-    # distinct h and read by every point that shares that h.
+    # f(x) and grad f(x) do not depend on h, nor the quadratic term on x, so
+    # each is computed once per distinct x or h and read by every point that
+    # shares it.
+    at_x: dict[bytes, tuple[float, np.ndarray]] = {}
+    for x, _, _ in labelled:
+        if x.tobytes() not in at_x:
+            ax = data.matvec(x)
+            at_x[x.tobytes()] = 0.5 * float(np.dot(ax, ax)), data.rmatvec(ax)
     groups: dict[bytes, list[int]] = {}
     for k, (_, h, _) in enumerate(labelled):
         groups.setdefault(h.tobytes(), []).append(k)
@@ -155,9 +163,7 @@ def check_eso_quadratic(
             quad[lo : lo + chunk] = np.einsum("ki,ki->k", h_s @ gram, h_s)
         for k in group:
             x, _, label = labelled[k]
-            ax = data.matvec(x)
-            fx = 0.5 * float(np.dot(ax, ax))
-            grad = data.rmatvec(ax)
+            fx, grad = at_x[x.tobytes()]
             rhs = fx + float(np.sum(p * grad * h)) + 0.5 * float(np.sum(p * v * h * h))
             values = np.empty(rows)
             for lo in range(0, rows, chunk):

@@ -187,6 +187,15 @@ def test_tradeoff_with_a_bad_number_is_an_input_error(workdir, capsys, extra):
     assert extra[0][2:].replace("-", "_") in err and "Traceback" not in err
 
 
+def test_tradeoff_with_epsilon_above_one_reports_no_iteration_passes(workdir):
+    tmp, matrix, sampling = workdir
+    out = tmp / "tradeoff.json"
+    assert main(["tradeoff", "--matrix", str(matrix), "--sampling", str(sampling),
+                 "--epsilon", "10", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["result"]["rows"]
+    assert rows and all(r["iteration_passes"] == 0.0 for r in rows)
+
+
 def test_solve_with_a_nan_epsilon_is_an_input_error(workdir, capsys):
     _, matrix, sampling = workdir
     code = main(["solve", "--matrix", str(matrix), "--sampling", str(sampling), "--ridge", "0.1", "--epsilon", "nan"])

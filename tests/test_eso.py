@@ -1,7 +1,12 @@
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +18,7 @@ from esokit.cli import main
 from esokit.datamatrix import write_matrix
 from esokit.errors import UnsupportedMethodError, ValidationError
 
+ROOT = Path(__file__).resolve().parents[1]
 FIXTURE_A = ek.DataMatrix.from_dense(np.array([[1.0, 1.0, 0.0], [0.0, 2.0, 0.0]]))
 TAU_NICE_32 = ek.tau_nice(3, 2)
 
@@ -265,6 +271,31 @@ def test_overflowing_data_is_refused_by_every_formula_and_the_certificate(tmp_pa
     assert "overflow" in err and "Traceback" not in err
 
 
+def test_overflowing_data_is_refused_without_a_warning(tmp_path):
+    spec = ek.tau_nice(2, 1)
+    names = [name for name, entry in eso.FORMULAS.items() if entry.kind in (None, "tau_nice")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name in names:
+            # A fresh matrix, as a matrix keeps its squared column norms.
+            data = ek.DataMatrix(2, 2, OVERFLOWING.rows, OVERFLOWING.cols, OVERFLOWING.values)
+            with pytest.raises(ValidationError, match="overflow"):
+                ek.compute_v(data, spec, name)
+
+    # The CLI in a fresh interpreter, whose stderr shows any warning (the
+    # test runner records warnings instead of printing them).
+    matrix = tmp_path / "A.mtx"
+    write_matrix(OVERFLOWING, matrix)
+    argv = [["compute-v", "--matrix", str(matrix), "--sampling", json.dumps(spec.to_dict()), "--formula", name]
+            for name in names]
+    script = "import sys, json\nfrom esokit.cli import main\nprint([main(a) for a in json.loads(sys.argv[1])])"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert json.loads(done.stdout.splitlines()[-1]) == [2] * len(names)
+    assert done.stderr.count("overflow") == len(names) and "RuntimeWarning" not in done.stderr
+
+
 def test_specialized_graph_fixture():
     data = ek.DataMatrix.from_triplets(
         2, 3, [(0, 0, 1.0), (0, 1, 1.0), (1, 1, 1.0), (1, 2, 1.0)]
@@ -433,7 +464,7 @@ def test_a_sampling_over_other_coordinates_is_refused_before_any_grid(monkeypatc
 
     monkeypatch.setattr(ek.config, "DENSE_EIG_CAP", 8)
     monkeypatch.setattr(ek.probability, "exact_grid", refuse)
-    monkeypatch.setattr(ek.samplings, "weighted_masks", refuse)
+    monkeypatch.setattr(ek.samplings, "weighted_sets", refuse)
     data = ek.DataMatrix.from_dense(np.ones((3, 4)))
     spec = ek.tau_nice(spec_n, 1)
     v = np.ones(4)

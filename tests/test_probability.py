@@ -247,9 +247,9 @@ def _identities_by_loop(spec, m, h, trials, rng_seed):
     }
 
 
-@pytest.mark.parametrize("stack_entries", [probability._STACK_ENTRIES, 5])
+@pytest.mark.parametrize("stack_entries", [ek.csr._STACK_ENTRIES, 5])
 def test_check_identities_match_the_per_set_loop(stack_entries, monkeypatch):
-    monkeypatch.setattr(probability, "_STACK_ENTRIES", stack_entries)
+    monkeypatch.setattr(ek.csr, "_STACK_ENTRIES", stack_entries)
     rng = ek.rng_for_stream(27, 0)
     for k in range(30):
         spec = ek.random_spec(rng, int(rng.integers(2, 7)))

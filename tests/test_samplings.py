@@ -9,7 +9,7 @@ import pytest
 import esokit as ek
 from conftest import every_kind, random_sparse_matrix
 from esokit.errors import CapacityError, ValidationError
-from esokit.samplings import draw_masks, spec_from_dict, spec_to_dict, weighted_masks
+from esokit.samplings import draw_masks, spec_from_dict, spec_to_dict, weighted_sets
 
 
 def test_elementary_draw_is_deterministic():
@@ -153,7 +153,7 @@ def test_draw_masks_match_per_stream_draws():
                 per_stream[r] += 1
             expected = []
             for stream_index, draws in enumerate(per_stream):
-                block = ek.samplings._scatter(spec.n, *ek.samplings._draw_block(spec, draws, ek.rng_for_stream(seed, stream_index)))
+                block = ek.csr._scatter(spec.n, *ek.samplings._draw_block(spec, draws, ek.rng_for_stream(seed, stream_index)))
                 expected += [np.flatnonzero(row).tolist() for row in block]
             masks = draw_masks(spec, count, rng_seed=seed, streams=streams)
             assert masks.dtype == bool and masks.shape == (count, spec.n)
@@ -161,7 +161,7 @@ def test_draw_masks_match_per_stream_draws():
         assert np.array_equal(draw_masks(spec, count, seed, streams=0), draw_masks(spec, count, seed))
         # draw() is the one-row block of its stream.
         for stream_index in range(3):
-            one = ek.samplings._scatter(spec.n, *ek.samplings._draw_block(spec, 1, ek.rng_for_stream(seed, stream_index)))
+            one = ek.csr._scatter(spec.n, *ek.samplings._draw_block(spec, 1, ek.rng_for_stream(seed, stream_index)))
             assert ek.draw(spec, seed, stream_index) == frozenset(np.flatnonzero(one[0]).tolist())
         assert ek.draw(spec, seed) == frozenset(np.flatnonzero(draw_masks(spec, 1, seed)[0]).tolist())
 
@@ -194,7 +194,7 @@ def test_drawn_sets_are_sorted_distinct_in_range_and_scatter_to_the_masks(stream
             inner[ptr[:-1][np.diff(ptr) > 0]] = False
             assert np.all(np.diff(indices)[inner[1:]] > 0)
             masks = draw_masks(spec, count, rng_seed=5, streams=streams)
-            assert np.array_equal(ek.samplings._scatter(spec.n, ptr, indices), masks)
+            assert np.array_equal(ek.csr._scatter(spec.n, ptr, indices), masks)
     assert kinds == set(ek.samplings.ALL_KINDS)
 
 
@@ -207,6 +207,12 @@ def test_draw_inputs_are_checked():
     with pytest.raises(ValidationError) as info:
         ek.draw(spec, 0, -1)
     assert info.value.field == "stream_index"
+
+
+def weighted_masks(spec, *args, **kwargs):
+    """The sets of weighted_sets scattered into distinct bool rows, with their weights."""
+    ptr, indices, weights = weighted_sets(spec, *args, **kwargs)
+    return ek.csr._scatter(spec.n, ptr, indices), weights
 
 
 def test_weighted_masks_are_the_support_or_the_draws():
@@ -412,7 +418,7 @@ def _reference_draws(spec, count, rng):
 def test_subset_draws_and_generator_state_match_the_pool_copying_shuffle(spec):
     ours, theirs = ek.rng_for_stream(61, 0), ek.rng_for_stream(61, 0)
     count = 300
-    masks = ek.samplings._scatter(spec.n, *ek.samplings._draw_block(spec, count, ours))
+    masks = ek.csr._scatter(spec.n, *ek.samplings._draw_block(spec, count, ours))
     assert [frozenset(np.flatnonzero(row).tolist()) for row in masks] == _reference_draws(spec, count, theirs)
     assert ours.bit_generator.state == theirs.bit_generator.state
 
@@ -424,10 +430,10 @@ def test_one_batched_draw_equals_each_generator_drawing_alone(spec):
     counts = [5, 0, 700, 64, 12_000] if spec.n <= 16 else [5, 0, 300, 64]
     batched = [ek.rng_for_stream(7, s) for s in range(len(counts))]
     alone = [ek.rng_for_stream(7, s) for s in range(len(counts))]
-    out = ek.samplings._scatter(spec.n, *ek.samplings._draw_blocks(spec, batched, counts))
+    out = ek.csr._scatter(spec.n, *ek.samplings._draw_blocks(spec, batched, counts))
     parts = []
     for rng, count in zip(alone, counts):
-        parts.append(ek.samplings._scatter(spec.n, *ek.samplings._draw_block(spec, count, rng)))
+        parts.append(ek.csr._scatter(spec.n, *ek.samplings._draw_block(spec, count, rng)))
     assert np.array_equal(out, np.concatenate(parts))
     assert [g.bit_generator.state for g in batched] == [g.bit_generator.state for g in alone]
 

@@ -9,7 +9,7 @@ import pytest
 
 import esokit as ek
 from conftest import random_sparse_matrix
-from esokit import eso, samplings, solver
+from esokit import csr, eso, samplings, solver
 from esokit.errors import DivergenceError, UnsupportedMethodError, ValidationError
 
 
@@ -200,6 +200,21 @@ def test_complexity_estimate_full_form_and_errors():
             kwargs = {"lambda_sc": 1.0, "epsilon": 0.01, field: math.nan}
             with pytest.raises(ValidationError, match=f"^{field}: "):
                 ek.complexity_estimate(kind, np.ones(2), np.ones(2), **kwargs)
+
+
+@pytest.mark.parametrize("epsilon", [1.0, 10.0, math.inf])
+@pytest.mark.parametrize("kind", ["NSYNC", "QUARTZ"])
+def test_complexity_estimate_needs_no_iterations_once_epsilon_reaches_the_gap(kind, epsilon):
+    # Without gap0 the gap is normalised to 1, so epsilon >= 1 is already met.
+    assert ek.complexity_estimate(kind, np.ones(2), np.ones(2), lambda_sc=1.0, epsilon=epsilon) == 0.0
+    assert ek.complexity_estimate(kind, np.ones(2), np.ones(2), lambda_sc=1.0, epsilon=epsilon, gap0=1.0) == 0.0
+
+
+def test_tradeoff_with_epsilon_above_one_needs_no_iterations():
+    report = ek.tradeoff_report(ek.DataMatrix.from_dense(np.eye(3)), ek.tau_nice(3, 2), epsilon=10.0)
+    for row in report.rows:
+        assert row["iteration_passes"] == 0.0
+        assert row["total_passes"] == row["preprocessing_passes"]
 
 
 def test_optimal_serial_sampling_examples():
@@ -551,7 +566,7 @@ def _reference_solve(problem, spec, v, x0, epsilon, max_iter, rng_seed, stream_i
     gap_floor = 10.0 * np.finfo(float).eps * max(1.0, abs(f_star))
     while not converged and k < max_iter:
         if not pending:
-            block = samplings._scatter(spec.n, *samplings._draw_block(spec, 64, rng))
+            block = csr._scatter(spec.n, *samplings._draw_block(spec, 64, rng))
             pending = [np.flatnonzero(row).tolist() for row in block[::-1]]
         idx = pending.pop()
         deltas = []

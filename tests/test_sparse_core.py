@@ -13,7 +13,7 @@ import pytest
 
 import esokit as ek
 from conftest import capped_partition_spec, graph_spec_for
-from esokit import config, datamatrix, eso, samplings
+from esokit import config, csr, eso, samplings
 from esokit.cli import main
 from esokit.datamatrix import DataMatrix, write_matrix
 
@@ -31,9 +31,9 @@ def _with_edge_cases() -> DataMatrix:
 
 
 def _dense_beyond_one_gram_chunk() -> DataMatrix:
-    """A full matrix whose entry pairs exceed one gram chunk."""
+    """A full matrix whose entry pairs span several gram chunks."""
     n = 32
-    m = datamatrix._GRAM_PAIRS // (n * n) + 3
+    m = 3 * csr._STACK_ENTRIES // (n * (n + 1) // 2) + 3
     return DataMatrix.from_dense(np.random.default_rng(6).standard_normal((m, n)))
 
 
@@ -79,15 +79,15 @@ def test_gram_chunks_give_the_single_chunk_sums(monkeypatch):
     # gives the bits of a single chunk, and the result is exactly symmetric.
     # A matrix keeps its Gram matrix, so each chunk size gets a fresh matrix,
     # built at the default size (which the larger fixture reads).
-    default = datamatrix._GRAM_PAIRS
+    default = csr._STACK_ENTRIES
 
     def gram(make, pairs):
         data = make()
-        monkeypatch.setattr(datamatrix, "_GRAM_PAIRS", pairs)
+        monkeypatch.setattr(csr, "_STACK_ENTRIES", pairs)
         try:
             return data.gram()
         finally:
-            monkeypatch.setattr(datamatrix, "_GRAM_PAIRS", default)
+            monkeypatch.setattr(csr, "_STACK_ENTRIES", default)
 
     for make in (_with_edge_cases, _dense_beyond_one_gram_chunk):
         whole = gram(make, 1 << 62)
@@ -96,6 +96,35 @@ def test_gram_chunks_give_the_single_chunk_sums(monkeypatch):
             chunked = gram(make, pairs)
             assert chunked.tobytes() == whole.tobytes(), pairs
             assert np.array_equal(chunked, chunked.T), pairs
+
+
+def _gram_by_row_pairs(data: DataMatrix) -> np.ndarray:
+    """A'A as every entry pair of each row, rows in order, added by np.add.at."""
+    g = np.zeros((data.n, data.n))
+    for j in range(data.m):
+        cols = data.cols[data.row_ptr[j] : data.row_ptr[j + 1]]
+        vals = data.values[data.row_ptr[j] : data.row_ptr[j + 1]]
+        np.add.at(g, (cols[:, None], cols[None, :]), vals[:, None] * vals[None, :])
+    return g
+
+
+def _ragged_over_several_gram_chunks() -> DataMatrix:
+    rng = np.random.default_rng(10)
+    a = np.where(rng.random((3000, 200)) < 0.1, rng.standard_normal((3000, 200)), 0.0)
+    return DataMatrix.from_dense(a)
+
+
+@pytest.mark.parametrize(
+    "make, one_size, chunks",
+    [(_with_edge_cases, False, 1), (_dense_beyond_one_gram_chunk, True, 3), (_ragged_over_several_gram_chunks, False, 3)],
+    ids=["ragged", "one-size", "ragged-several-chunks"],
+)
+def test_gram_is_the_row_pair_sum(make, one_size, chunks):
+    data = make()
+    sizes = np.diff(data.row_ptr)
+    assert (sizes.min() == sizes.max()) == one_size
+    assert np.sum(sizes * (sizes + 1) // 2) > (chunks - 1) * csr._STACK_ENTRIES
+    assert np.array_equal(data.gram(), _gram_by_row_pairs(data))
 
 
 def test_gram_keeps_the_dense_cap(monkeypatch):
@@ -181,7 +210,7 @@ def _dense_reference_solve(problem, spec, v, x0, epsilon, max_iter, rng_seed, st
     while gap > epsilon and k < max_iter:
         if not pending:
             # The solver takes its draws in blocks of 64 per stream.
-            block = samplings._scatter(spec.n, *samplings._draw_block(spec, 64, rng))
+            block = csr._scatter(spec.n, *samplings._draw_block(spec, 64, rng))
             pending = [np.flatnonzero(row).tolist() for row in block[::-1]]
         idx = pending.pop()
         deltas = []

@@ -422,7 +422,7 @@ def test_values_only_restricted_lambda_primes_are_the_eigh_top_eigenvalues(monke
     ]
     for spec in specs:
         values = restricted_lambda_primes(spec, *csr(sets), "exact")
-        entries = ek.probability.exact_matrix(spec).entries
+        entries, _ = ek.probability.exact_grid(spec)
         for j, value in zip(sets, values):
             reference, size = _eigh_top_normalized(entries[np.ix_(j, j)])
             assert size == len(j)

@@ -392,3 +392,28 @@ def test_one_monte_carlo_trial_has_zero_stderr_and_no_warning():
     assert report.trials == 1
     assert all(d["stderr"] == 0.0 for d in report.details)
     assert report.lhs_stderr == 0.0
+
+
+def test_quadratic_check_evaluates_f_and_its_gradient_once_per_distinct_x(monkeypatch):
+    rng = ek.rng_for_stream(69, 0)
+    data = random_sparse_matrix(rng, 20, 12, 0.3)
+    spec = ek.tau_nice(12, 3)
+    v = ek.compute_v(data, spec, "auto").v
+    calls = {"matvec": 0, "rmatvec": 0}
+    for name in calls:
+        method = getattr(ek.DataMatrix, name)
+
+        def counted(self, x, name=name, method=method):
+            calls[name] += 1
+            return method(self, x)
+
+        monkeypatch.setattr(ek.DataMatrix, name, counted)
+    # The default grid: 3 values of x times n + 3 values of h.
+    report = ek.check_eso_quadratic(data, spec, v)
+    assert report.points_tested == 3 * (12 + 3) and report.passed
+    assert calls == {"matvec": 3, "rmatvec": 3}
+    x1, x2, h = rng.standard_normal(12), rng.standard_normal(12), rng.standard_normal(12)
+    points = [(x1, h), (x2, h), (x1.copy(), 2.0 * h), (x2, np.ones(12))]
+    report = ek.check_eso_quadratic(data, spec, v, points=points, mode="monte_carlo", trials=200)
+    assert report.points_tested == 4
+    assert calls == {"matvec": 5, "rmatvec": 5}
