@@ -30,6 +30,14 @@ def _row_of(ptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(len(ptr) - 1), np.diff(ptr))
 
 
+def _block_ids(n: int, blocks) -> np.ndarray:
+    """Block number of each index of a partition of [n]."""
+    out = np.empty(n, dtype=int)
+    for b, members in enumerate(blocks):
+        out[list(members)] = b
+    return out
+
+
 def _spans(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The ranges ``range(starts[k], starts[k] + lengths[k])``, concatenated."""
     ends = np.cumsum(lengths, dtype=np.intp)
@@ -84,26 +92,25 @@ def _upper_pairs(position: np.ndarray, after: np.ndarray) -> tuple[np.ndarray, n
 def _pair_sum(
     n: int, ptr: np.ndarray, indices: np.ndarray, weights: np.ndarray | None = None, values: np.ndarray | None = None
 ) -> np.ndarray:
-    """sum_k weights[k] 1_{S_k} 1_{S_k}' over the sets of ``(ptr, indices)``,
-    or sum_k a_k a_k' with a_k set k's ``values`` at its indices:
-    O(sum_k |S_k|^2) work, no BLAS.
+    """sum_k weights[k] 1_{S_k} 1_{S_k}' over the sets of ``(ptr, indices)``
+    (unit weights for None), or sum_k a_k a_k' with a_k set k's ``values``
+    at its indices: O(sum_k |S_k|^2) work, no BLAS.
 
     The sets are taken in order, in chunks of consecutive sets that hold at
     most ``_STACK_ENTRIES`` index pairs i <= j (each set ascends; at least
     one set). A chunk of sets of one size is a (sets, size) block of the
     indices; any other chunk lists, for each index, the indices after it in
-    its set. A chunk scatters its weights into its pairs with one
-    ``bincount``; unit weights (None), exact integer counts that any order
-    sums alike, and the products values[p] * values[q] are added in place by
-    ``np.add.at``, in O(pairs) and not the O(n^2) of a ``bincount`` per
-    chunk. Either way every entry is summed in set order from zero, and the
-    entries below the diagonal mirror those above: the result is exactly
-    symmetric and a function of the inputs alone.
+    its set. Each pair's term (1, the set's weight, or the product
+    values[p] * values[q]) is added in place by ``np.add.at``, in pair
+    order, so every entry is summed in set order from zero whatever the
+    chunk size, in O(pairs) per chunk; unit counts are exact integers up to
+    2^53. The entries below the diagonal mirror those above: the result is
+    exactly symmetric and a function of the inputs alone.
     """
     sizes = np.diff(ptr)
     half = sizes * (sizes + 1) // 2
     ends = np.cumsum(half)
-    out = np.zeros(n * n, dtype=np.int64 if weights is None and values is None else float)
+    out = np.zeros(n * n)
     lo = 0
     while lo < sizes.size:
         done = ends[lo - 1] if lo else 0
@@ -116,19 +123,16 @@ def _pair_sum(
             pairs = block[:, first] * n + block[:, second]
             if values is not None:
                 held = values[start:stop].reshape(hi - lo, -1)
-                products = held[:, first] * held[:, second]
+                terms = (held[:, first] * held[:, second]).reshape(-1)
         else:
             entry = np.arange(start, stop)
             first, second = _upper_pairs(entry, np.repeat(ptr[lo + 1 : hi + 1], own) - entry)
             pairs = indices[first] * n + indices[second]
             if values is not None:
-                products = values[first] * values[second]
-        if values is not None:
-            np.add.at(out, pairs.reshape(-1), products.reshape(-1))
-        elif weights is None:
-            np.add.at(out, pairs.reshape(-1), 1)
-        else:
-            out += np.bincount(pairs.reshape(-1), np.repeat(weights[lo:hi], half[lo:hi]), n * n)
+                terms = values[first] * values[second]
+        if values is None:
+            terms = 1.0 if weights is None else np.repeat(weights[lo:hi], half[lo:hi])
+        np.add.at(out, pairs.reshape(-1), terms)
         lo = hi
     upper = out.reshape(n, n)
     # Each entry off the diagonal is zero on one side, so the sum is exact.

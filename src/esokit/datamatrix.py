@@ -30,8 +30,9 @@ class DataMatrix:
     copy (compressed sparse columns) is ``col_ptr``, ``col_rows`` and
     ``col_values``, built on first use. These arrays are the only storage.
     The package reads them directly (the stepsize formulas, the graph checks
-    and the products with A and A'), and nothing here builds a dense m-by-n
-    array except :meth:`to_dense`. ``row_supports``, ``row_entries`` and
+    and the products with A and A'), and nothing in it builds a dense m-by-n
+    array except :meth:`to_dense`: :func:`assemble_from_pieces` joins its
+    maps' triplets. ``row_supports``, ``row_entries`` and
     ``column_entries`` are per-row and per-column Python views split from
     them for callers; no module of the package reads them.
 
@@ -315,51 +316,50 @@ def _parse_lines(text: str) -> DataMatrix:
 
 @dataclass(frozen=True)
 class ComposedFunction:
-    """Sum of gamma_j-smooth terms phi_j(M_j x); its Gram matrix is
-    sum_j gamma_j M_j' M_j."""
+    """Sum of gamma_j-smooth terms phi_j(M_j x), each map M_j held as a
+    :class:`DataMatrix` (a dense 2-d map is converted once); :meth:`gram`,
+    sum_j gamma_j M_j' M_j, sums the maps' Gram matrices under their cap."""
 
-    pieces: tuple[tuple[float, np.ndarray], ...]
+    pieces: tuple[tuple[float, DataMatrix], ...]
 
     def __post_init__(self):
-        pieces = tuple((float(g), np.asarray(m, dtype=float)) for g, m in self.pieces)
+        pieces = []
+        for g, a in self.pieces:
+            g = float(g)
+            if not isinstance(a, DataMatrix):
+                if np.ndim(a) != 2:
+                    raise ValidationError("pieces", "each map must be a DataMatrix or a 2-d array")
+                a = DataMatrix.from_dense(a)
+            if not g > 0:
+                raise ValidationError("pieces", "smoothness constants must be positive")
+            if pieces and a.n != pieces[0][1].n:
+                raise ValidationError("pieces", "all maps must share the column dimension")
+            pieces.append((g, a))
         if not pieces:
             raise ValidationError("pieces", "at least one piece required")
-        n = pieces[0][1].shape[1]
-        for g, m in pieces:
-            if g <= 0:
-                raise ValidationError("pieces", "smoothness constants must be positive")
-            if m.ndim != 2 or m.shape[1] != n:
-                raise ValidationError("pieces", "all maps must share the column dimension")
-        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "pieces", tuple(pieces))
 
     @property
     def n(self) -> int:
-        return self.pieces[0][1].shape[1]
+        return self.pieces[0][1].n
 
     def gram(self) -> np.ndarray:
-        return sum(g * m.T @ m for g, m in self.pieces)
-
-
-def _is_binary_diagonal(m: np.ndarray) -> bool:
-    if m.shape[0] != m.shape[1]:
-        return False
-    if np.any(m - np.diag(np.diag(m))):
-        return False
-    d = np.diag(m)
-    return bool(np.all((d == 0.0) | (d == 1.0)))
+        return sum(g * a.gram() for g, a in self.pieces)
 
 
 def assemble_from_pieces(pieces: ComposedFunction) -> DataMatrix:
-    """Single data matrix whose Gram matrix equals the composite one.
-
-    Coordinate-subset indicators give a diagonal matrix; otherwise the scaled
-    maps are stacked, which also covers a single map (the scaled map) and
-    all-scalar rows (a row-scaled stack).
-    """
-    parts = pieces.pieces
-    if all(_is_binary_diagonal(m) for _, m in parts):
-        weights = np.zeros(pieces.n)
-        for g, m in parts:
-            weights += g * np.diag(m)
-        return DataMatrix.from_dense(np.diag(np.sqrt(weights)))
-    return DataMatrix.from_dense(np.vstack([np.sqrt(g) * m for g, m in parts]))
+    """Single data matrix whose Gram matrix is the composite one, from the
+    maps' triplets: coordinate-subset indicators (square, ones on the diagonal
+    only) give a diagonal matrix, other maps are stacked as sqrt(gamma_j) M_j."""
+    parts, n = pieces.pieces, pieces.n
+    if all(a.m == n and np.array_equal(a.rows, a.cols) and np.all(a.values == 1.0) for _, a in parts):
+        weights = np.zeros(n)
+        for g, a in parts:
+            weights[a.cols] += g
+        idx = np.flatnonzero(weights)
+        return DataMatrix(n, n, idx, idx, np.sqrt(weights[idx]))
+    tops = np.cumsum([0] + [a.m for _, a in parts])
+    rows = np.concatenate([a.rows + top for (_, a), top in zip(parts, tops)])
+    cols = np.concatenate([a.cols for _, a in parts])
+    values = np.concatenate([np.sqrt(g) * a.values for g, a in parts])
+    return DataMatrix(int(tops[-1]), n, rows, cols, values)

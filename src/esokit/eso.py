@@ -83,6 +83,13 @@ def _floor(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _require_finite_gram(data: DataMatrix) -> None:
+    """Refuse A whose A'A overflows, before A'A is built: its diagonal w bounds
+    every entry and partial sum of :meth:`DataMatrix.gram` by Cauchy-Schwarz."""
+    if not np.isfinite(data.column_sq_norms).all():
+        raise ValidationError("data", "A'A overflows the float range; rescale A")
+
+
 def _accumulate_rows(data: DataMatrix, multipliers: np.ndarray) -> np.ndarray:
     """v_i = sum_j multipliers_j A_ji^2; an overflow gives inf without a
     warning, and ``_floor`` refuses it."""
@@ -115,10 +122,8 @@ def eso_uncoupled(
     ``cost_estimate`` is the worst case, with every eigen-solve.
     """
     p = _require_proper(spec)
+    _require_finite_gram(data)
     w = data.column_sq_norms
-    # w is the diagonal of A'A, and |G_ik| <= sqrt(G_ii G_kk) bounds the rest.
-    if not np.isfinite(w).all():
-        raise ValidationError("data", "A'A overflows the float range; rescale A")
     cost = 2.0 * data.nnz
     dense_p = spec.n <= config.DENSE_EIG_CAP
     if dense_p:
@@ -285,6 +290,7 @@ def certificate_matrix(data: DataMatrix, spec: SamplingSpec, v: np.ndarray) -> n
     _require_same_n(data, spec)
     if data.n > config.DENSE_EIG_CAP:
         raise ValidationError("n", f"certification needs n <= {config.DENSE_EIG_CAP}")
+    _require_finite_gram(data)
     return _certificate(data.gram(), spec, v)
 
 

@@ -206,7 +206,7 @@ def _closed_rule(spec: SamplingSpec) -> Entry:
     if k == samplings.KIND_SERIAL:
         return lambda i, j: np.where(i == j, p[i], 0.0)
     if k == samplings.KIND_PRODUCT:
-        block = _block_ids(n, spec.blocks)
+        block = csr._block_ids(n, spec.blocks)
         return lambda i, j: np.where(i == j, p[i], np.where(block[i] == block[j], 0.0, p[i] * p[j]))
     if k == samplings.KIND_DOUBLY_UNIFORM:
         first, second = samplings.cardinality_moments(spec)
@@ -221,7 +221,7 @@ def _closed_rule(spec: SamplingSpec) -> Entry:
     # (c,tau)-distributed
     s = len(spec.partition[0])
     diagonal, inner, outer = tau / s, tau * (tau - 1) / (s * max(s - 1, 1)), (tau / s) ** 2
-    block = _block_ids(n, spec.partition)
+    block = csr._block_ids(n, spec.partition)
     return lambda i, j: np.where(i == j, diagonal, np.where(block[i] == block[j], inner, outer))
 
 
@@ -232,14 +232,6 @@ def _zeros(i, j) -> np.ndarray:
 def _uniform(c: float, beta: float) -> Entry:
     """Entries of c * ((1 - beta) I + beta 11')."""
     return lambda i, j: c * ((1.0 - beta) * (i == j) + beta)
-
-
-def _block_ids(n: int, blocks) -> np.ndarray:
-    """Block number of each index of a partition of [n]."""
-    out = np.empty(n, dtype=int)
-    for b, members in enumerate(blocks):
-        out[list(members)] = b
-    return out
 
 
 def _monte_carlo(spec: SamplingSpec, samples: int, rng_seed: int, streams: int) -> ProbMatrix:

@@ -124,6 +124,7 @@ def check_eso_quadratic(
         raise ValidationError("trials", "must be positive")
     if points is not None and not len(points):
         raise ValidationError("points", "needs at least one point")
+    eso._require_finite_gram(data)
     gram = data.gram()
     if points is None:
         labelled = _canonical_points(eso._certificate(gram, spec, v), rng_seed)

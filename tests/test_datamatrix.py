@@ -1,8 +1,11 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import esokit as ek
-from esokit import datamatrix
+from esokit import config, datamatrix
 from esokit.datamatrix import ComposedFunction, read_matrix, write_matrix
 from esokit.errors import ParseError, ValidationError
 
@@ -203,6 +206,123 @@ def test_composed_function_rejects_bad_pieces():
         ComposedFunction(((0.0, np.eye(2)),))
     with pytest.raises(ValidationError, match="column"):
         ComposedFunction(((1.0, np.eye(2)), (1.0, np.eye(3))))
+
+
+def _random_composite(rng, indicator: bool):
+    """Dense pieces: 1-4 indicator maps (some all-zero, overlapping), or 1-4
+    maps with zero rows, zero entries and now and then an all-zero map."""
+    n = int(rng.integers(1, 9))
+    pieces = []
+    for _ in range(int(rng.integers(1, 5))):
+        if indicator:
+            m = np.diag((rng.random(n) < 0.5).astype(float))
+        else:
+            m = np.where(rng.random((int(rng.integers(1, 6)), n)) < 0.6, rng.standard_normal((1, n)), 0.0)
+            m[rng.random(m.shape[0]) < 0.3] = 0.0
+            m *= rng.random() > 0.1
+        pieces.append((float(rng.uniform(0.1, 5.0)), m))
+    return pieces
+
+
+def _assembled_densely(pieces) -> ek.DataMatrix:
+    """The dense assembly: diag(sqrt(sum_j gamma_j diag(M_j))) for indicator
+    maps, else the dense stack of the sqrt(gamma_j) M_j."""
+    if all(m.shape[0] == m.shape[1] and not np.any(m - np.diag(np.diag(m))) and np.isin(m, (0.0, 1.0)).all()
+           for _, m in pieces):
+        weights = np.zeros(pieces[0][1].shape[1])
+        for g, m in pieces:
+            weights += g * np.diag(m)
+        return ek.DataMatrix.from_dense(np.diag(np.sqrt(weights)))
+    return ek.DataMatrix.from_dense(np.vstack([np.sqrt(g) * m for g, m in pieces]))
+
+
+@pytest.mark.parametrize("as_data", ["dense", "data", "mixed"])
+def test_assembled_triplets_are_the_dense_assembly_bit_for_bit(as_data):
+    rng = np.random.default_rng(71)
+    for case in range(200):
+        pieces = _random_composite(rng, indicator=case % 2 == 0)
+        given = [
+            (g, ek.DataMatrix.from_dense(m) if as_data == "data" or (as_data == "mixed" and k % 2) else m)
+            for k, (g, m) in enumerate(pieces)
+        ]
+        data, reference = ek.assemble_from_pieces(ComposedFunction(tuple(given))), _assembled_densely(pieces)
+        assert (data.m, data.n) == (reference.m, reference.n)
+        for got, want in ((data.rows, reference.rows), (data.cols, reference.cols), (data.values, reference.values)):
+            assert got.tobytes() == want.tobytes()
+
+
+def _no_dense_path(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("densified")
+
+    monkeypatch.setattr(ek.DataMatrix, "from_dense", staticmethod(refuse))
+    monkeypatch.setattr(ek.DataMatrix, "to_dense", refuse)
+
+
+def test_assembling_data_matrix_pieces_never_densifies(monkeypatch):
+    indicator = ek.DataMatrix(4, 4, [0, 2], [0, 2], [1.0, 1.0])
+    other = ek.DataMatrix(2, 4, [0, 1, 1], [3, 0, 2], [2.0, -1.0, 0.5])
+    _no_dense_path(monkeypatch)
+    diagonal = ek.assemble_from_pieces(ComposedFunction(((2.0, indicator), (3.0, indicator))))
+    assert diagonal.rows.tolist() == diagonal.cols.tolist() == [0, 2]
+    assert diagonal.values.tolist() == [np.sqrt(5.0)] * 2
+    stack = ek.assemble_from_pieces(ComposedFunction(((4.0, other), (1.0, indicator))))
+    assert (stack.m, stack.n, stack.rows.tolist()) == (6, 4, [0, 1, 1, 2, 4])
+    assert stack.values.tolist() == [4.0, -2.0, 1.0, 1.0, 1.0]
+
+
+def _assemble_and_run_auto(pieces):
+    """Traced peak bytes and seconds of assembling ``pieces`` and running
+    ``auto`` under tau_nice(n, 16) on the result."""
+    tracemalloc.start()
+    try:
+        start = time.monotonic()
+        data = ek.assemble_from_pieces(ComposedFunction(pieces))
+        result = ek.compute_v(data, ek.tau_nice(data.n, 16), "auto")
+        elapsed = time.monotonic() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(result.v).all()
+    return peak, elapsed
+
+
+def test_indicator_pieces_past_the_dense_cap_assemble_in_little_memory(monkeypatch):
+    # Eight overlapping indicator maps at n = 50k; densely each is 20 GB.
+    n = 50_000
+    maps = [np.arange(start, min(start + 9_000, n)) for start in range(0, 8 * 6_000, 6_000)]
+    pieces = tuple((1.0 + k, ek.DataMatrix(n, n, idx, idx, np.ones(idx.size))) for k, idx in enumerate(maps))
+    _no_dense_path(monkeypatch)
+    peak, elapsed = _assemble_and_run_auto(pieces)
+    assert peak < 16 * 2**20 and elapsed < 5.0
+
+
+def test_stacked_pieces_past_the_dense_cap_assemble_in_little_memory(monkeypatch):
+    m, n, nnz = 100_000, 50_000, 250_000
+    rng = np.random.default_rng(72)
+    pieces = []
+    for gamma in (0.5, 2.0):
+        keys = rng.choice(m * n, size=nnz, replace=False)
+        pieces.append((gamma, ek.DataMatrix(m, n, keys // n, keys % n, rng.standard_normal(nnz))))
+    _no_dense_path(monkeypatch)
+    peak, elapsed = _assemble_and_run_auto(tuple(pieces))
+    assert peak < 128 * 2**20 and elapsed < 20.0
+
+
+def test_composite_gram_keeps_the_dense_cap(monkeypatch):
+    pieces = ComposedFunction(((1.0, np.eye(5)), (2.0, ek.DataMatrix(1, 5, [0], [4], [3.0]))))
+    assert np.array_equal(pieces.gram(), np.diag([1.0, 1.0, 1.0, 1.0, 19.0]))
+    monkeypatch.setattr(config, "DENSE_EIG_CAP", 4)
+    with pytest.raises(ValidationError) as info:
+        pieces.gram()
+    assert info.value.field == "n"
+
+
+@pytest.mark.parametrize("bad", [np.ones(3), np.ones((1, 3, 3)), 2.0])
+def test_a_map_that_is_not_two_dimensional_is_refused(bad):
+    with pytest.raises(ValidationError) as info:
+        ComposedFunction(((1.0, np.eye(3)), (1.0, bad)))
+    assert info.value.field == "pieces"
 
 
 def test_canonical_order_is_row_major_from_one_sort():

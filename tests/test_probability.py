@@ -427,7 +427,7 @@ _P_DIGESTS = {
     "intersection": "31a2754b2a070e2fe62456759d3d73a95527b5d114dc0688f6274278aa47ddfb",
     "restriction": "9368e7b7ec16dd7adae0dc72cf9069028333106053f8a67bc489510579a073be",
     "explicit": "b4418454c0f74ee026e29bf5e027b23dbca22e7d2ab96993ecdd38a7fc5d42c6",
-    "explicit_mixture": "3eca2f32029ce74144be031fe19c0f58ed7d6273b15464645382b53bed561eb1",
+    "explicit_mixture": "aba5d37303b45becf59d2f8ddb3d12c30280768bb71c63e48582083dcdae38c2",
 }
 _RESTRICTED_DIGESTS = {
     ("elementary", "exact"): "92bc32054257afb5ba8fdf868f59032d54c96f2f290b80f757b14c797faaa81e",
@@ -441,7 +441,7 @@ _RESTRICTED_DIGESTS = {
     ("intersection", "exact"): "36ab03d361bc0295f18ff290e71d0fc14525922a2a6cd5b6af9f920445cd9927",
     ("restriction", "exact"): "59fbaccd53b63055e85fee2231273cee81239aba4dda2ec9eb408bd0c4ff11c1",
     ("explicit", "exact"): "cf4806372c85ee3801709b9075dc7daaa4cf09c01a797fd226225a88a41f1c15",
-    ("explicit_mixture", "exact"): "95571efee4aea06e66e06862ba149301a3d7907ce046dd5f170a970c704a2214",
+    ("explicit_mixture", "exact"): "8dc8fee5aae4a07cb26c5f124e011db71cb68b880f1eacfc0f9063cc518f04db",
 }
 
 

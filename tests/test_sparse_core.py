@@ -127,6 +127,23 @@ def test_gram_is_the_row_pair_sum(make, one_size, chunks):
     assert np.array_equal(data.gram(), _gram_by_row_pairs(data))
 
 
+@pytest.mark.parametrize("mode", ["weights", "unit", "values"])
+def test_pair_sum_does_not_depend_on_the_chunk_size(mode, monkeypatch):
+    # Ragged sets and a run of one size, over three default chunks of pairs.
+    rng = np.random.default_rng(12)
+    sizes = np.concatenate([rng.integers(0, 30, 1500), np.full(300, 12)])
+    sets = [np.sort(rng.choice(40, size=s, replace=False)) for s in sizes]
+    ptr, indices = csr._ptr(sizes), np.concatenate(sets)
+    assert np.sum(sizes * (sizes + 1) // 2) > 3 * csr._STACK_ENTRIES
+    weights = rng.random(sizes.size) / 7 if mode == "weights" else None
+    values = rng.standard_normal(indices.size) if mode == "values" else None
+    sums = []
+    for pairs in (64, csr._STACK_ENTRIES, 1 << 30):
+        monkeypatch.setattr(csr, "_STACK_ENTRIES", pairs)
+        sums.append(csr._pair_sum(40, ptr, indices, weights, values))
+    assert all(np.array_equal(sums[0], other) for other in sums[1:])
+
+
 def test_gram_keeps_the_dense_cap(monkeypatch):
     data = DataMatrix(1, 5, [0], [4], [1.0])
     monkeypatch.setattr(config, "DENSE_EIG_CAP", 4)

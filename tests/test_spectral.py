@@ -320,6 +320,41 @@ def test_restricted_closed_form_matches_per_set_reference():
     assert restricted_closed_form(ek.doubly_uniform([1.0] + [0.0] * n), *csr(sets)) is None
 
 
+@pytest.mark.parametrize("blocks, tau, size", [(40, 4, 5), (400, 2, 2), (2000, 1, 1), (1, 7, 20), (10, 0, 3)])
+def test_ctau_closed_form_equals_the_one_set_bound(blocks, tau, size):
+    # Empty sets, singleton blocks (size 1) and one block (c = 1) included.
+    n = blocks * size
+    spec = ek.ctau_distributed([range(b * size, (b + 1) * size) for b in range(blocks)], tau)
+    rng = np.random.default_rng(45)
+    sets = [tuple(sorted(rng.choice(n, size=int(rng.integers(0, min(n, 12) + 1)), replace=False).tolist()))
+            for _ in range(300)]
+    values, source = restricted_closed_form(spec, *csr(sets + [()]))
+    assert source == "ctau_restriction"
+    assert values.tolist() == [ctau_restricted_bound(spec, j) if j else 0.0 for j in sets] + [0.0]
+
+
+@pytest.mark.parametrize("method", ["exact", "bound"])
+def test_a_repeated_index_counts_once_in_the_restriction_set(method):
+    spec = ek.ctau_distributed([[0, 1], [2, 3]], 2)
+    repeated = ek.lambda_prime_restricted(spec, [2, 0, 2, 0], method)
+    assert repeated.value == ek.lambda_prime_restricted(spec, [0, 2], method).value
+
+
+def test_ctau_formulas_do_not_call_the_one_set_bound(monkeypatch):
+    from conftest import random_sparse_matrix
+
+    data = random_sparse_matrix(ek.rng_for_stream(46, 0), 60, 40, 0.2)
+    spec = ek.ctau_distributed([range(b * 8, (b + 1) * 8) for b in range(5)], 3)
+    expected = {name: ek.compute_v(data, spec, name).v for name in ("auto", "ctau", "coupled-bound")}
+
+    def refuse(*args):
+        raise AssertionError("one-set bound called")
+
+    monkeypatch.setattr(spectral, "ctau_restricted_bound", refuse)
+    for name, v in expected.items():
+        assert np.array_equal(ek.compute_v(data, spec, name).v, v), name
+
+
 @pytest.mark.parametrize("stack_entries", [spectral._STACK_ENTRIES, 50])
 @pytest.mark.parametrize("method", ["exact", "bound"])
 def test_restricted_lambda_primes_match_the_one_set_form(method, stack_entries, monkeypatch):

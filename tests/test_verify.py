@@ -9,6 +9,7 @@ import pytest
 import esokit as ek
 from conftest import random_sparse_matrix
 from esokit import config, samplings, verify
+from esokit.cli import main
 from esokit.errors import ValidationError
 from esokit.verify import write_junit
 
@@ -417,3 +418,33 @@ def test_quadratic_check_evaluates_f_and_its_gradient_once_per_distinct_x(monkey
     report = ek.check_eso_quadratic(data, spec, v, points=points, mode="monte_carlo", trials=200)
     assert report.points_tested == 4
     assert calls == {"matvec": 5, "rmatvec": 5}
+
+
+def test_overflowing_data_is_refused_by_every_check_without_a_warning(tmp_path, capsys):
+    # Finite entries whose squares pass the float range: every check refuses
+    # the matrix before it builds A'A, and no RuntimeWarning is raised.
+    def overflowing():
+        return ek.DataMatrix(2, 2, [0, 0, 1], [0, 1, 1], [1e200, 2e200, 1.0])
+
+    spec, v, points = ek.tau_nice(2, 1), np.ones(2), [(np.ones(2), np.ones(2))]
+    checks = [
+        lambda: ek.certify(overflowing(), spec, v),
+        lambda: verify.check_eso_matrix_form(overflowing(), spec, v),
+        lambda: verify.check_eso_quadratic(overflowing(), spec, v),
+        lambda: verify.check_eso_quadratic(overflowing(), spec, v, points),
+        lambda: verify.check_eso_quadratic(overflowing(), spec, v, points, "monte_carlo", trials=1000),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for check in checks:
+            with pytest.raises(ValidationError, match="overflow"):
+                check()
+
+        matrix, vfile = tmp_path / "A.mtx", tmp_path / "v.json"
+        ek.write_matrix(overflowing(), matrix)
+        vfile.write_text(json.dumps(v.tolist()))
+        for mode in ("matrix", "exhaustive", "monte-carlo"):
+            argv = ["verify", "--matrix", str(matrix), "--sampling", json.dumps(spec.to_dict()), "--v", str(vfile),
+                    "--mode", mode]
+            assert main(argv) == 2
+            assert "overflow" in capsys.readouterr().err
