@@ -135,7 +135,10 @@ def _pair_sum(
         np.add.at(out, pairs.reshape(-1), terms)
         lo = hi
     upper = out.reshape(n, n)
-    # Each entry off the diagonal is zero on one side, so the sum is exact.
+    # Each entry off the diagonal is zero on one side, so the sum is exact;
+    # the diagonal is set aside first, as doubling it could overflow.
+    diagonal = upper.diagonal().copy()
+    np.fill_diagonal(upper, 0.0)
     full = upper + upper.T
-    np.fill_diagonal(full, np.diagonal(upper))
+    np.fill_diagonal(full, diagonal)
     return full

@@ -10,6 +10,7 @@ they never contribute to supports or norms.
 from __future__ import annotations
 
 import io
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -143,6 +144,24 @@ class DataMatrix:
         (the stepsize formulas refuse a non-finite w or v)."""
         with np.errstate(over="ignore", invalid="ignore"):
             return np.bincount(self.cols, weights=self.values**2, minlength=self.n)
+
+    @cached_property
+    def largest_sq_norm(self) -> float:
+        """max_i w_i, kept as the verdict on A'A: A'A is finite exactly when
+        this is, as its diagonal w bounds every entry by Cauchy-Schwarz; and
+        c * w is finite for a c >= 0 exactly when c * max_i w_i is, as
+        rounding is monotone."""
+        return float(self.column_sq_norms.max())
+
+    @cached_property
+    def scaled_squares_are_finite(self) -> bool:
+        """Whether c * A_ji^2 is finite for every entry and every 0 <= c <=
+        2 * omega: true when 4 * omega * max A_ji^2 < float max, which leaves
+        a factor 2 for the rounding of c."""
+        if not self.nnz:
+            return True
+        largest = float(np.abs(self.values).max())
+        return 4.0 * self.max_row_support * largest * largest < sys.float_info.max
 
     @property
     def max_row_support(self) -> int:

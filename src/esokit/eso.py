@@ -72,29 +72,53 @@ def _require_proper(spec: SamplingSpec) -> np.ndarray:
     return p
 
 
+_OVERFLOW = "the stepsizes overflow the float range; rescale A"
+
+
 def _floor(v: np.ndarray) -> np.ndarray:
     # Every formula's v passes here. Empty columns get an epsilon so v > 0
     # holds; they never move the objective.
     out = np.asarray(v, dtype=float).copy()
     # v >= 0, so its max (NaN propagates) is finite exactly when every entry is.
     if not out.max() < math.inf:
-        raise ValidationError("data", "the stepsizes overflow the float range; rescale A")
+        raise ValidationError("data", _OVERFLOW)
     out[out <= 0.0] = config.V_FLOOR
     return out
 
 
 def _require_finite_gram(data: DataMatrix) -> None:
-    """Refuse A whose A'A overflows, before A'A is built: its diagonal w bounds
-    every entry and partial sum of :meth:`DataMatrix.gram` by Cauchy-Schwarz."""
-    if not np.isfinite(data.column_sq_norms).all():
+    """Refuse A whose A'A overflows, before A'A is built, by the verdict the
+    matrix keeps (see :attr:`DataMatrix.largest_sq_norm`)."""
+    if not data.largest_sq_norm < math.inf:
         raise ValidationError("data", "A'A overflows the float range; rescale A")
+
+
+def _scaled_norms(data: DataMatrix, factor: float) -> np.ndarray:
+    """factor * w for a factor >= 0, refused before it can overflow (it is
+    finite exactly when factor * max_i w_i is)."""
+    if not factor * data.largest_sq_norm < math.inf:
+        raise ValidationError("data", _OVERFLOW)
+    return factor * data.column_sq_norms
 
 
 def _accumulate_rows(data: DataMatrix, multipliers: np.ndarray) -> np.ndarray:
     """v_i = sum_j multipliers_j A_ji^2; an overflow gives inf without a
-    warning, and ``_floor`` refuses it."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    warning, and ``_floor`` refuses it.
+
+    Every multiplier the package passes is at most 2 |J_j| (the (c,tau)
+    bound's worst case; the others are at most |J_j|), so where the matrix's
+    verdict :attr:`DataMatrix.scaled_squares_are_finite` holds no product
+    can overflow and no ``np.errstate`` is entered; ``np.bincount``'s sums
+    never warn.
+    """
+
+    def accumulate():
         return np.bincount(data.cols, weights=multipliers[data.rows] * data.values**2, minlength=data.n)
+
+    if data.scaled_squares_are_finite:
+        return accumulate()
+    with np.errstate(over="ignore", invalid="ignore"):
+        return accumulate()
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +147,6 @@ def eso_uncoupled(
     """
     p = _require_proper(spec)
     _require_finite_gram(data)
-    w = data.column_sq_norms
     cost = 2.0 * data.nnz
     dense_p = spec.n <= config.DENSE_EIG_CAP
     if dense_p:
@@ -160,7 +183,7 @@ def eso_uncoupled(
         else:
             pm = pm or probability.prob_matrix(spec, "auto")
             factor = min(spectral.lambda_prime(pm.entries).value, lambda_prime_ata)
-    return EsoResult(_floor(factor * w), p, FORMULA_UNCOUPLED, cost_estimate=cost)
+    return EsoResult(_floor(_scaled_norms(data, factor)), p, FORMULA_UNCOUPLED, cost_estimate=cost)
 
 
 def _rules_out_sampling(moments: samplings.Moments, lambda_prime_ata: float) -> bool:
@@ -176,7 +199,7 @@ def eso_conservative(data: DataMatrix, spec: SamplingSpec) -> EsoResult:
     """One-pass envelope v_i = min(tau, max_j |J_j|) * w_i, tau the cardinality cap."""
     p = _require_proper(spec)
     factor = float(min(samplings.cardinality_cap(spec), data.max_row_support))
-    return _one_pass(data, p, factor * data.column_sq_norms, FORMULA_CONSERVATIVE)
+    return _one_pass(data, p, _scaled_norms(data, factor), FORMULA_CONSERVATIVE)
 
 
 # ---------------------------------------------------------------------------

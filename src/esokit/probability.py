@@ -230,8 +230,10 @@ def _zeros(i, j) -> np.ndarray:
 
 
 def _uniform(c: float, beta: float) -> Entry:
-    """Entries of c * ((1 - beta) I + beta 11')."""
-    return lambda i, j: c * ((1.0 - beta) * (i == j) + beta)
+    """Entries of c * ((1 - beta) I + beta 11'): its two values, each by
+    the scalar form of c * ((1 - beta) * [i == j] + beta), in one np.where."""
+    on, off = (c * ((1.0 - beta) * same + beta) for same in (1.0, 0.0))
+    return lambda i, j: np.where(i == j, on, off)
 
 
 def _monte_carlo(spec: SamplingSpec, samples: int, rng_seed: int, streams: int) -> ProbMatrix:

@@ -803,7 +803,17 @@ def _enumerate(spec: SamplingSpec) -> dict[tuple[int, ...], float]:
 
 
 def marginals(spec: SamplingSpec) -> np.ndarray:
-    """Inclusion probabilities p_i = Prob(i in S-hat), exact for every kind."""
+    """Inclusion probabilities p_i = Prob(i in S-hat), exact for every kind:
+    a read-only array, computed once and kept with the (frozen) spec."""
+    p = spec.__dict__.get("_marginals")
+    if p is None:
+        p = _marginals(spec)
+        p.flags.writeable = False
+        object.__setattr__(spec, "_marginals", p)
+    return p
+
+
+def _marginals(spec: SamplingSpec) -> np.ndarray:
     k = spec.kind
     n = spec.n
     if k == KIND_ELEMENTARY:
@@ -811,7 +821,7 @@ def marginals(spec: SamplingSpec) -> np.ndarray:
         p[list(spec.set)] = 1.0
         return p
     if k == KIND_SERIAL:
-        return np.asarray(spec.q, dtype=float)
+        return np.array(spec.q, dtype=float)
     if k == KIND_TAU_NICE:
         return np.full(n, spec.tau / n)
     if k == KIND_CTAU:

@@ -73,9 +73,11 @@ def _check_square_symmetric(m: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValidationError("matrix", "contains NaN or infinite entries")
     scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
-    if m.size and np.max(np.abs(m - m.T)) > 1e-10 * scale:
+    asymmetry = float(np.max(np.abs(m - m.T))) if m.size else 0.0
+    if asymmetry > 1e-10 * scale:
         raise ValidationError("matrix", "not symmetric within 1e-10")
-    return 0.5 * (m + m.T)
+    # An exactly symmetric m is its own symmetrization, and m + m' could overflow.
+    return m if asymmetry == 0.0 else 0.5 * (m + m.T)
 
 
 def lambda_max(
@@ -255,9 +257,10 @@ def restricted_closed_form(spec: SamplingSpec, ptr, indices) -> tuple[np.ndarray
     """lambda'(J intersect S-hat) for each set J of ``(ptr, indices)`` by the
     sampling family's proposition (exact for tau-nice, an upper bound for the
     (c,tau)-distributed and doubly-uniform families), with the proposition's
-    name; None for other kinds and the nil doubly-uniform sampling."""
+    name; None for other kinds and the nil doubly-uniform sampling. Each set
+    holds distinct indices, as a :class:`DataMatrix`'s rows do."""
     k = spec.kind
-    sizes = np.diff(ptr).astype(float)
+    sizes = (ptr[1:] - ptr[:-1]).astype(float)
     if k == samplings.KIND_CTAU:
         # ctau_restricted_bound's arithmetic on every set at once, in O(nnz):
         # omega counts the distinct (set, block) keys; empty sets and tau = 0 give 0.
@@ -310,7 +313,8 @@ def lambda_prime_restricted(spec: SamplingSpec, j, method: str = "exact") -> Eig
         return EigenEstimate(value, METHOD_FORMULA, 0.0, bound_source="tau_nice_restriction")
 
     if method == "bound":
-        candidates = {name: float(c[0]) for name, c in _bound_candidates(spec, [0, len(j_idx)], j_idx).items()}
+        bounds = _bound_candidates(spec, np.array([0, len(j_idx)]), j_idx)
+        candidates = {name: float(c[0]) for name, c in bounds.items()}
         source = min(candidates, key=candidates.get)
         return EigenEstimate(
             candidates[source],
@@ -337,7 +341,8 @@ def restricted_lambda_primes(spec: SamplingSpec, ptr, indices, method: str = "ex
     """lambda'(J intersect S-hat) for every set J of ``(ptr, indices)`` of a
     proper sampling, by the ``exact`` or ``bound`` method of
     :func:`lambda_prime_restricted` and bit-identical to it; an empty set
-    gives 0. Indices outside [0, n) raise ``ValidationError``.
+    gives 0. Indices outside [0, n), and a set that repeats an index, raise
+    ``ValidationError``; the sets need not be sorted.
 
     The restricted matrices of the sets of one size are evaluated from
     :func:`probability.exact_rule` in stacks of at most ``_STACK_ENTRIES``
@@ -351,6 +356,10 @@ def restricted_lambda_primes(spec: SamplingSpec, ptr, indices, method: str = "ex
     ptr, indices = np.asarray(ptr, dtype=np.int64), np.asarray(indices, dtype=np.int64)
     if indices.size and (indices.min() < 0 or indices.max() >= spec.n):
         raise ValidationError("set", f"indices must lie in [0, {spec.n})")
+    keys = np.sort(csr._row_of(ptr) * spec.n + indices)
+    repeated = np.unique(keys[1:][keys[1:] == keys[:-1]] % spec.n)
+    if repeated.size:
+        raise ValidationError("set", f"a set repeats the indices {repeated.tolist()}")
     if method == "bound":
         return np.min(list(_bound_candidates(spec, ptr, indices).values()), axis=0)
     if method != "exact":

@@ -274,13 +274,23 @@ def test_overflowing_data_is_refused_by_every_formula_and_the_certificate(tmp_pa
 def test_overflowing_data_is_refused_without_a_warning(tmp_path):
     spec = ek.tau_nice(2, 1)
     names = [name for name, entry in eso.FORMULAS.items() if entry.kind in (None, "tau_nice")]
+    big = math.sqrt(5e307)
+    cases = [
+        (OVERFLOWING.to_dense(), spec),
+        # Finite squared column norms (1e308 each): A'A's diagonal is as large
+        # as a float gets, and every v overflows.
+        ([[big, big], [big, big]], ek.tau_nice(2, 2)),
+        # Finite squares, but the weighted row sums overflow.
+        (np.full((2, 3), 1e154), ek.tau_nice(3, 3)),
+    ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for name in names:
-            # A fresh matrix, as a matrix keeps its squared column norms.
-            data = ek.DataMatrix(2, 2, OVERFLOWING.rows, OVERFLOWING.cols, OVERFLOWING.values)
-            with pytest.raises(ValidationError, match="overflow"):
-                ek.compute_v(data, spec, name)
+        for dense, case_spec in cases:
+            for name in names:
+                # A fresh matrix, as a matrix keeps its squared column norms.
+                data = ek.DataMatrix.from_dense(dense)
+                with pytest.raises(ValidationError, match="overflow"):
+                    ek.compute_v(data, case_spec, name)
 
     # The CLI in a fresh interpreter, whose stderr shows any warning (the
     # test runner records warnings instead of printing them).

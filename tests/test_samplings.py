@@ -91,6 +91,22 @@ def test_marginals_closed_forms():
     assert ek.marginals(ek.elementary(3, [1])) == pytest.approx([0.0, 1.0, 0.0])
 
 
+def test_marginals_are_one_read_only_array_kept_with_the_spec():
+    data = random_sparse_matrix(np.random.default_rng(2), 8, 6, 0.5).with_ridge_rows(0.1)
+    for spec in every_kind():
+        p = ek.marginals(spec)
+        assert ek.marginals(spec) is p and not p.flags.writeable
+        with pytest.raises(ValueError):
+            p[0] = 0.5
+    spec = ek.tau_nice(6, 2)
+    result = ek.compute_v(data, spec, "taunice")
+    assert result.p is ek.marginals(spec)
+    assert result.to_dict()["p"] == [2 / 6] * 6
+    problem = ek.QuadraticProblem(data, ridge=0.1)
+    trace = ek.solve(problem, spec, result.v, x0=np.ones(6), max_iter=12)
+    assert trace.to_dict()["p"] == [2 / 6] * 6
+
+
 def test_marginals_match_enumeration_on_random_specs():
     rng = ek.rng_for_stream(4, 0)
     for _ in range(60):

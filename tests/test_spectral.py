@@ -383,7 +383,7 @@ def test_restricted_lambda_primes_match_the_one_set_form(method, stack_entries, 
         reference = [ek.lambda_prime_restricted(spec, j, method).value for j in sets]
         assert np.array_equal(batch, reference), spec.kind
         assert restricted_lambda_primes(spec, *csr([()]), method).tolist() == [0.0]
-        for bad in ([0, n], [-1, 2]):
+        for bad in ([0, n], [-1, 2], [0, 0], [5, 1, 5]):
             with pytest.raises(ValidationError, match="indices"):
                 restricted_lambda_primes(spec, *csr([bad]), method)
 
