@@ -1,9 +1,13 @@
 """Project-wide numerical policy: caps, tolerances and the RNG scheme.
 
-Every random draw in the library flows through :func:`rng_for_stream`, so a
-(seed, stream_index) pair pins the full sequence of results bit-for-bit on
-any platform. Parallel work (Monte-Carlo replicas, multi-seed solver runs)
-uses disjoint stream indices and merges results in stream order.
+Every random draw in the library flows through the generator of
+:func:`rng_for_stream`, so a (seed, stream_index) pair pins the full sequence
+of results bit-for-bit on any platform. Parallel work (Monte-Carlo replicas,
+multi-seed solver runs) uses disjoint stream indices and merges results in
+stream order. :func:`rngs_for_streams` builds a batch of streams' generators
+in one pass, mixing the seed once and the streams' spawn keys as arrays; its
+generators are the same, bit for bit, as :func:`rng_for_stream`'s, so it
+leaves the RNG scheme unchanged.
 
 ``RNG_SCHEME`` versions how draws consume a stream, and CLI reports record
 it. Scheme 2 draws in blocks: one vectorized call per kind draws many sets
@@ -18,6 +22,9 @@ the same seed gives other sets under scheme 2.
 """
 
 from __future__ import annotations
+
+import functools
+import operator
 
 import numpy as np
 
@@ -47,6 +54,7 @@ POWER_ITERATIONS = 10
 POWER_SAFEGUARD = 1.01
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
 
 
 def rng_for_stream(seed: int, stream_index: int = 0) -> np.random.Generator:
@@ -60,3 +68,122 @@ def rng_for_stream(seed: int, stream_index: int = 0) -> np.random.Generator:
         raise ValidationError("stream_index", "must be nonnegative")
     ss = np.random.SeedSequence(entropy=int(seed) & _MASK64, spawn_key=(stream_index,))
     return np.random.default_rng(ss)
+
+
+def rngs_for_streams(seed: int, streams) -> list[np.random.Generator]:
+    """``[rng_for_stream(seed, s) for s in streams]``, built in one pass.
+
+    Each generator's state, and so every draw, is bit-identical to that of
+    :func:`rng_for_stream`. The SeedSequence pool of ``seed`` is mixed once;
+    each stream's spawn words are mixed into it and its four PCG64 seed
+    words generated by uint64 array arithmetic over all streams at once (a
+    lone stream takes the same arithmetic on Python ints). Each PCG64 is
+    then seeded from its precomputed words. Indices of 2**64 and above,
+    which take three or more spawn words, go through :func:`rng_for_stream`.
+    """
+    streams = [operator.index(s) for s in streams]
+    if not streams:
+        return []
+    if min(streams) < 0:
+        raise ValidationError("stream_index", "must be nonnegative")
+    if max(streams) > _MASK64:
+        return [rng_for_stream(seed, s) for s in streams]
+    pool = _seed_pool(int(seed) & _MASK64)
+    if len(streams) == 1:
+        (s,) = streams
+        words = [s] if s <= _MASK32 else [s & _MASK32, s >> 32]
+        states = [np.array(_pcg64_words(_spawn(pool, words)), dtype=np.uint64)]
+    else:
+        index = np.array(streams, dtype=np.uint64)
+        spawned = _spawn(pool, [index & _MASK32])
+        wide = index > _MASK32
+        if wide.any():
+            # Indices of 2**32 and above carry a second spawn word.
+            second = _spawn(pool, [index & _MASK32, index >> 32])
+            spawned = [np.where(wide, b, a) for a, b in zip(spawned, second)]
+        states = np.stack(_pcg64_words(spawned), axis=1)
+    seeded = _seeded_words_class()
+    return [np.random.Generator(np.random.PCG64(seeded(words))) for words in states]
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx, pool size 4),
+# written so one code path runs on Python ints and on uint64 arrays of
+# 32-bit values: a product of two 32-bit values fits in 64 bits, and every
+# result is reduced mod 2**32 (a wrapped uint64 difference keeps its low
+# 32 bits). The multiplier of the k-th hashmix call is fixed, so all are
+# tabled up front: call k xors with _HASH_A[k] and multiplies by
+# _HASH_A[k + 1]; state word k does the same with _HASH_B. A pool takes 16
+# calls and each of at most two spawn words 4; PCG64 takes 8 state words.
+_HASH_A = [0x43B0D7E5]
+for _ in range(24):
+    _HASH_A.append(_HASH_A[-1] * 0x931E8875 & _MASK32)
+_HASH_B = [0x8B51F9DD]
+for _ in range(8):
+    _HASH_B.append(_HASH_B[-1] * 0x58F38DED & _MASK32)
+del _
+
+
+def _hashmix(value, call: int):
+    value = (value ^ _HASH_A[call]) * _HASH_A[call + 1] & _MASK32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+    return value ^ (value >> 16)
+
+
+@functools.lru_cache(maxsize=64)
+def _seed_pool(entropy: int) -> tuple[int, ...]:
+    """The pool after SeedSequence has mixed in ``entropy`` (below 2**64),
+    zero-padded to the pool size as it is whenever a spawn key is given.
+    Cached, as callers reuse a seed across calls."""
+    pool = [_hashmix(word, call) for call, word in enumerate((entropy & _MASK32, entropy >> 32, 0, 0))]
+    call = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], call))
+                call += 1
+    return tuple(pool)
+
+
+def _spawn(pool: tuple, words: list) -> list:
+    """Mix spawn-key words (ints or arrays, low word first) into a copy of a
+    seed pool."""
+    pool = list(pool)
+    call = 16
+    for word in words:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], _hashmix(word, call))
+            call += 1
+    return pool
+
+
+def _pcg64_words(pool: list) -> list:
+    """SeedSequence.generate_state(4, uint64) of a mixed pool."""
+    state = []
+    for k in range(8):
+        value = (pool[k % 4] ^ _HASH_B[k]) * _HASH_B[k + 1] & _MASK32
+        state.append(value ^ (value >> 16))
+    return [state[2 * k] | state[2 * k + 1] << 32 for k in range(4)]
+
+
+@functools.cache
+def _seeded_words_class():
+    """An ISeedSequence that hands PCG64 four precomputed seed words.
+
+    Made on first use: subclassing ISeedSequence imports numpy.random,
+    which ``import esokit`` does not otherwise pay for.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeededWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 asks for exactly generate_state(4, np.uint64).
+            return self.words
+
+    return SeededWords

@@ -63,13 +63,12 @@ class EsoResult:
 
 
 def _require_proper(spec: SamplingSpec) -> np.ndarray:
-    p = samplings.marginals(spec)
-    if not p.min() > 0.0:
-        dead = int(np.argmin(p))
+    dead = samplings.never_selected(spec)
+    if dead is not None:
         raise ValidationError(
             "spec", f"sampling is not proper: coordinate {dead} is never selected"
         )
-    return p
+    return samplings.marginals(spec)
 
 
 _OVERFLOW = "the stepsizes overflow the float range; rescale A"
@@ -342,7 +341,17 @@ def _certificate(gram: np.ndarray, spec: SamplingSpec, v: np.ndarray) -> np.ndar
 def certify(data: DataMatrix, spec: SamplingSpec, v: np.ndarray) -> float:
     """Smallest eigenvalue of :func:`certificate_matrix`; nonnegative (within
     -1e-8) certifies the overapproximation."""
-    return float(np.linalg.eigvalsh(certificate_matrix(data, spec, v))[0])
+    return _margin(np.linalg.eigvalsh(certificate_matrix(data, spec, v)))
+
+
+def _margin(eigenvalues: np.ndarray) -> float:
+    """The smallest of a certificate's ascending eigenvalues, refused where
+    it overflows. Only it can: P o A'A is PSD, so the largest is at most
+    max_i v_i p_i, which the certificate's finite diagonal bounds."""
+    margin = float(eigenvalues[0])
+    if not math.isfinite(margin):
+        raise ValidationError("certificate", "its smallest eigenvalue overflows the float range; rescale A")
+    return margin
 
 
 # ---------------------------------------------------------------------------

@@ -622,9 +622,10 @@ def draw_sets(
     each set ascending.
 
     Sets come stream by stream: stream s draws its sets from
-    ``config.rng_for_stream(rng_seed, s)`` (RNG scheme ``config.RNG_SCHEME``),
-    and the first ``count % streams`` streams take one draw more than the
-    rest; one :func:`_draw_blocks` call draws them all. The result is a pure
+    ``config.rng_for_stream(rng_seed, s)`` (RNG scheme ``config.RNG_SCHEME``;
+    ``config.rngs_for_streams`` builds them all in one pass), and the first
+    ``count % streams`` streams take one draw more than the rest; one
+    :func:`_draw_blocks` call draws them all. The result is a pure
     function of (spec, count, rng_seed, streams), and its memory is
     O(count + sum of the set sizes). Every Monte-Carlo estimate in the
     package reads its draws from here.
@@ -632,7 +633,7 @@ def draw_sets(
     if count < 0:
         raise ValidationError("count", "must be nonnegative")
     streams = max(1, int(streams))
-    rngs = [config.rng_for_stream(rng_seed, s) for s in range(streams)]
+    rngs = config.rngs_for_streams(rng_seed, range(streams))
     return _draw_blocks(spec, rngs, [count // streams + (s < count % streams) for s in range(streams)])
 
 
@@ -804,13 +805,22 @@ def _enumerate(spec: SamplingSpec) -> dict[tuple[int, ...], float]:
 
 def marginals(spec: SamplingSpec) -> np.ndarray:
     """Inclusion probabilities p_i = Prob(i in S-hat), exact for every kind:
-    a read-only array, computed once and kept with the (frozen) spec."""
+    a read-only array, computed once and kept with the (frozen) spec, as is
+    the verdict :func:`never_selected` reads."""
     p = spec.__dict__.get("_marginals")
     if p is None:
         p = _marginals(spec)
         p.flags.writeable = False
         object.__setattr__(spec, "_marginals", p)
+        object.__setattr__(spec, "_never_selected", None if p.min() > 0.0 else int(np.argmin(p)))
     return p
+
+
+def never_selected(spec: SamplingSpec) -> int | None:
+    """The first coordinate with the smallest p_i when that p_i is not
+    positive, or None for a proper sampling; decided once per spec."""
+    marginals(spec)
+    return spec.__dict__["_never_selected"]
 
 
 def _marginals(spec: SamplingSpec) -> np.ndarray:
@@ -858,7 +868,7 @@ def _marginals(spec: SamplingSpec) -> np.ndarray:
 
 def is_proper(spec: SamplingSpec) -> bool:
     """True when every coordinate has positive inclusion probability."""
-    return bool(np.all(marginals(spec) > 0.0))
+    return never_selected(spec) is None
 
 
 def is_nil(spec: SamplingSpec) -> bool:

@@ -21,12 +21,14 @@ in batches whose per-run state (r, x and a block of draws) fits a fixed
 entry budget. A stopped run's row is carried, frozen and unread, to the
 end of its block of draws, so each block is drawn and indexed once.
 
-Each run draws from its own ``config.rng_for_stream(seed, stream)``, 64 sets
-at a time. One ``samplings._draw_blocks`` call draws the block of every
-active run: each run's generator makes the calls it would make alone
-(``config.RNG_SCHEME`` 2, unchanged), and only the arithmetic on the draws
-is shared. No operation mixes runs' values, so a run's output is a pure
-function of its (seed, stream index), the same alone or in any batch.
+Each run draws from its own ``config.rng_for_stream(seed, stream)`` generator,
+64 sets at a time; ``config.rngs_for_streams`` builds a batch's generators,
+bit-identical to those, in one pass. One ``samplings._draw_blocks`` call
+draws the block of every active run: each run's generator makes the calls it
+would make alone (``config.RNG_SCHEME`` 2, unchanged), and only the
+arithmetic on the draws is shared. No operation mixes runs' values, so a
+run's output is a pure function of its (seed, stream index), the same alone
+or in any batch.
 
 The stop rule ``gap <= epsilon`` reads f* = ``QuadraticProblem.f_star()``,
 the objective at the cached optimum. With ridge > 0 that optimum comes from
@@ -379,7 +381,7 @@ def _lockstep(problem, spec, v, x0, rng_seed, streams, epsilon, max_iter, gap0, 
     epoch = max(n, 1)
     gap_floor = 10.0 * np.finfo(float).eps * max(1.0, abs(f_star))
 
-    rngs = [config.rng_for_stream(rng_seed, s) for s in streams]
+    rngs = config.rngs_for_streams(rng_seed, streams)
     count = len(rngs)
     ids = np.arange(count)
     x = np.tile(x0, (count, 1))

@@ -73,7 +73,9 @@ def _check_square_symmetric(m: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValidationError("matrix", "contains NaN or infinite entries")
     scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
-    asymmetry = float(np.max(np.abs(m - m.T))) if m.size else 0.0
+    with np.errstate(over="ignore"):
+        # A difference that overflows is inf, which is refused below.
+        asymmetry = float(np.max(np.abs(m - m.T))) if m.size else 0.0
     if asymmetry > 1e-10 * scale:
         raise ValidationError("matrix", "not symmetric within 1e-10")
     # An exactly symmetric m is its own symmetrization, and m + m' could overflow.

@@ -112,8 +112,8 @@ def check_eso_quadratic(
     n = data.n
     if v.shape != (n,):
         raise ValidationError("v", f"expected shape ({n},)")
-    if np.any(v <= 0):
-        raise ValidationError("v", "stepsize parameters must be positive")
+    if not np.all(np.isfinite(v) & (v > 0)):
+        raise ValidationError("v", "stepsize parameters must be finite and positive")
     eso._require_same_n(data, spec)
     if n > config.DENSE_EIG_CAP:
         raise ValidationError("n", f"the quadratic check needs n <= {config.DENSE_EIG_CAP}")
@@ -147,47 +147,53 @@ def check_eso_quadratic(
     # f(x) and grad f(x) do not depend on h, nor the quadratic term on x, so
     # each is computed once per distinct x or h and read by every point that
     # shares it.
-    at_x: dict[bytes, tuple[float, np.ndarray]] = {}
-    for x, _, _ in labelled:
-        if x.tobytes() not in at_x:
-            ax = data.matvec(x)
-            at_x[x.tobytes()] = 0.5 * float(np.dot(ax, ax)), data.rmatvec(ax)
-    groups: dict[bytes, list[int]] = {}
-    for k, (_, h, _) in enumerate(labelled):
-        groups.setdefault(h.tobytes(), []).append(k)
-    details = [None] * len(labelled)
-    for group in groups.values():
-        h = labelled[group[0]][1]
-        quad = np.empty(rows)
-        for lo in range(0, rows, chunk):
-            h_s = masks[lo : lo + chunk] * h
-            quad[lo : lo + chunk] = np.einsum("ki,ki->k", h_s @ gram, h_s)
-        for k in group:
-            x, _, label = labelled[k]
-            fx, grad = at_x[x.tobytes()]
-            rhs = fx + float(np.sum(p * grad * h)) + 0.5 * float(np.sum(p * v * h * h))
-            values = np.empty(rows)
+    # Finite data and points can still overflow a sum or a product here;
+    # every such overflow reaches a slack or a standard error, which are
+    # checked once at the end instead of warning on the way.
+    with np.errstate(over="ignore", invalid="ignore"):
+        at_x: dict[bytes, tuple[float, np.ndarray]] = {}
+        for x, _, _ in labelled:
+            if x.tobytes() not in at_x:
+                ax = data.matvec(x)
+                at_x[x.tobytes()] = 0.5 * float(np.dot(ax, ax)), data.rmatvec(ax)
+        groups: dict[bytes, list[int]] = {}
+        for k, (_, h, _) in enumerate(labelled):
+            groups.setdefault(h.tobytes(), []).append(k)
+        details = [None] * len(labelled)
+        for group in groups.values():
+            h = labelled[group[0]][1]
+            quad = np.empty(rows)
             for lo in range(0, rows, chunk):
                 h_s = masks[lo : lo + chunk] * h
-                values[lo : lo + chunk] = fx + h_s @ grad + 0.5 * quad[lo : lo + chunk]
-            lhs = float(weights @ values)
-            if exhaustive:
-                stderr = 0.0
-                ok = (rhs - lhs) >= -EXHAUSTIVE_TOL
-            else:
-                # The sample standard error over the draws: each distinct set
-                # stands for its count = weight * trials draws.
-                spread = float(weights @ np.square(values - lhs))
-                stderr = math.sqrt(spread / (trials - 1)) if trials > 1 else 0.0
-                ok = (rhs - lhs) >= -3.0 * stderr
-            details[k] = {
-                "label": label,
-                "lhs": lhs,
-                "rhs": rhs,
-                "slack": rhs - lhs,
-                "stderr": stderr,
-                "pass": bool(ok),
-            }
+                quad[lo : lo + chunk] = np.einsum("ki,ki->k", h_s @ gram, h_s)
+            for k in group:
+                x, _, label = labelled[k]
+                fx, grad = at_x[x.tobytes()]
+                rhs = fx + float(np.sum(p * grad * h)) + 0.5 * float(np.sum(p * v * h * h))
+                values = np.empty(rows)
+                for lo in range(0, rows, chunk):
+                    h_s = masks[lo : lo + chunk] * h
+                    values[lo : lo + chunk] = fx + h_s @ grad + 0.5 * quad[lo : lo + chunk]
+                lhs = float(weights @ values)
+                if exhaustive:
+                    stderr = 0.0
+                    ok = (rhs - lhs) >= -EXHAUSTIVE_TOL
+                else:
+                    # The sample standard error over the draws: each distinct set
+                    # stands for its count = weight * trials draws.
+                    spread = float(weights @ np.square(values - lhs))
+                    stderr = math.sqrt(spread / (trials - 1)) if trials > 1 else 0.0
+                    ok = (rhs - lhs) >= -3.0 * stderr
+                details[k] = {
+                    "label": label,
+                    "lhs": lhs,
+                    "rhs": rhs,
+                    "slack": rhs - lhs,
+                    "stderr": stderr,
+                    "pass": bool(ok),
+                }
+    if not all(math.isfinite(d["slack"]) and math.isfinite(d["stderr"]) for d in details):
+        raise ValidationError("data", "the quadratic check overflows the float range; rescale A or the points")
 
     worst = min(details, key=lambda d: d["slack"])
     return EsoCheckReport(
@@ -229,7 +235,7 @@ def check_eso_matrix_form(
     """PSD certificate with a violating direction when the margin is negative."""
     certificate = eso.certificate_matrix(data, spec, v)
     eigvals, eigvecs = np.linalg.eigh(certificate)
-    margin = float(eigvals[0])
+    margin = eso._margin(eigvals)
     if margin < -tol:
         witness = eigvecs[:, 0]
         gap = float(witness @ certificate @ witness)

@@ -536,6 +536,17 @@ def test_improper_sampling_rejected():
         ek.eso_uncoupled(FIXTURE_A, spec)
 
 
+def test_properness_verdict_is_kept_with_the_spec():
+    improper = ek.elementary(3, [0])
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="sampling is not proper: coordinate 1 is never selected"):
+            ek.compute_v(FIXTURE_A, improper, "uncoupled")
+    assert not ek.is_proper(improper)
+    proper = ek.tau_nice(3, 2)
+    first, second = (ek.compute_v(FIXTURE_A, proper, "uncoupled").v for _ in range(2))
+    assert np.array_equal(first, second) and ek.is_proper(proper)
+
+
 def test_family_formula_dispatch_rejects_mismatched_kind():
     with pytest.raises(UnsupportedMethodError):
         ek.compute_v(FIXTURE_A, ek.serial([1 / 3] * 3), "ctau")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -402,6 +403,16 @@ def test_symmetry_check_symmetrizes_near_symmetric_input_and_rejects_the_rest():
     far[0, 1] += 1e-9
     with pytest.raises(ValidationError, match="symmetric"):
         spectral._check_square_symmetric(far)
+
+
+def test_asymmetric_near_max_input_is_refused_without_a_warning():
+    # m - m' overflows here; the check must refuse, not warn first.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="not symmetric within 1e-10"):
+            ek.lambda_max(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+        with pytest.raises(ValidationError, match="not symmetric within 1e-10"):
+            ek.lambda_prime(np.array([[1.0, 1e308], [-1e308, 1.0]]))
 
 
 def _eigh_top_normalized(m):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import tracemalloc
 import warnings
 
@@ -422,29 +423,34 @@ def test_quadratic_check_evaluates_f_and_its_gradient_once_per_distinct_x(monkey
 
 def test_overflowing_data_is_refused_by_every_check_without_a_warning(tmp_path, capsys):
     # Finite entries whose squares pass the float range: every check refuses
-    # the matrix before it builds A'A, and no RuntimeWarning is raised.
-    def overflowing():
-        return ek.DataMatrix(2, 2, [0, 0, 1], [0, 1, 1], [1e200, 2e200, 1.0])
-
-    spec, v, points = ek.tau_nice(2, 1), np.ones(2), [(np.ones(2), np.ones(2))]
-    checks = [
-        lambda: ek.certify(overflowing(), spec, v),
-        lambda: verify.check_eso_matrix_form(overflowing(), spec, v),
-        lambda: verify.check_eso_quadratic(overflowing(), spec, v),
-        lambda: verify.check_eso_quadratic(overflowing(), spec, v, points),
-        lambda: verify.check_eso_quadratic(overflowing(), spec, v, points, "monte_carlo", trials=1000),
+    # the matrix before it builds A'A. A'A of the second is finite (every
+    # entry 1e308), but the certificate's eigenvalue and the quadratic
+    # check's products overflow. No RuntimeWarning is raised.
+    b = math.sqrt(5e307)
+    cases = [
+        (lambda: ek.DataMatrix(2, 2, [0, 0, 1], [0, 1, 1], [1e200, 2e200, 1.0]), ek.tau_nice(2, 1)),
+        (lambda: ek.DataMatrix.from_dense([[b, b], [b, b]]), ek.tau_nice(2, 2)),
     ]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for check in checks:
-            with pytest.raises(ValidationError, match="overflow"):
-                check()
+    v, points = np.ones(2), [(np.ones(2), np.ones(2))]
+    for case, (overflowing, spec) in enumerate(cases):
+        checks = [
+            lambda: ek.certify(overflowing(), spec, v),
+            lambda: verify.check_eso_matrix_form(overflowing(), spec, v),
+            lambda: verify.check_eso_quadratic(overflowing(), spec, v),
+            lambda: verify.check_eso_quadratic(overflowing(), spec, v, points),
+            lambda: verify.check_eso_quadratic(overflowing(), spec, v, points, "monte_carlo", trials=1000),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for check in checks:
+                with pytest.raises(ValidationError, match="overflow"):
+                    check()
 
-        matrix, vfile = tmp_path / "A.mtx", tmp_path / "v.json"
-        ek.write_matrix(overflowing(), matrix)
-        vfile.write_text(json.dumps(v.tolist()))
-        for mode in ("matrix", "exhaustive", "monte-carlo"):
-            argv = ["verify", "--matrix", str(matrix), "--sampling", json.dumps(spec.to_dict()), "--v", str(vfile),
-                    "--mode", mode]
-            assert main(argv) == 2
-            assert "overflow" in capsys.readouterr().err
+            matrix, vfile = tmp_path / f"A{case}.mtx", tmp_path / "v.json"
+            ek.write_matrix(overflowing(), matrix)
+            vfile.write_text(json.dumps(v.tolist()))
+            for mode in ("matrix", "exhaustive", "monte-carlo"):
+                argv = ["verify", "--matrix", str(matrix), "--sampling", json.dumps(spec.to_dict()), "--v", str(vfile),
+                        "--mode", mode]
+                assert main(argv) == 2
+                assert "overflow" in capsys.readouterr().err
