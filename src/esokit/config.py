@@ -6,8 +6,8 @@ of results bit-for-bit on any platform. Parallel work (Monte-Carlo replicas,
 multi-seed solver runs) uses disjoint stream indices and merges results in
 stream order. :func:`rngs_for_streams` builds a batch of streams' generators
 in one pass, mixing the seed once and the streams' spawn keys as arrays; its
-generators are the same, bit for bit, as :func:`rng_for_stream`'s, so it
-leaves the RNG scheme unchanged.
+generators' states, and so their draws, are the same, bit for bit, as
+:func:`rng_for_stream`'s, so it leaves the RNG scheme unchanged.
 
 ``RNG_SCHEME`` versions how draws consume a stream, and CLI reports record
 it. Scheme 2 draws in blocks: one vectorized call per kind draws many sets
@@ -71,44 +71,42 @@ def rng_for_stream(seed: int, stream_index: int = 0) -> np.random.Generator:
 
 
 def rngs_for_streams(seed: int, streams) -> list[np.random.Generator]:
-    """``[rng_for_stream(seed, s) for s in streams]``, built in one pass.
+    """A generator for each of ``streams``, built in one pass.
 
     Each generator's state, and so every draw, is bit-identical to that of
-    :func:`rng_for_stream`. The SeedSequence pool of ``seed`` is mixed once;
-    each stream's spawn words are mixed into it and its four PCG64 seed
-    words generated by uint64 array arithmetic over all streams at once (a
-    lone stream takes the same arithmetic on Python ints). Each PCG64 is
-    then seeded from its precomputed words. Indices of 2**64 and above,
-    which take three or more spawn words, go through :func:`rng_for_stream`.
+    ``rng_for_stream(seed, s)``. The SeedSequence pool of ``seed`` is mixed
+    once; each stream's spawn words are mixed into it and its four PCG64
+    seed words generated by uint64 array arithmetic over all streams at
+    once, and each PCG64 is seeded from its precomputed words. Such
+    generators match only in state: they hold no numpy SeedSequence, so
+    they can be neither spawned nor pickled. A lone stream, and any batch
+    holding an index of 2**64 or above (three or more spawn words), goes
+    through :func:`rng_for_stream`.
     """
     streams = [operator.index(s) for s in streams]
     if not streams:
         return []
     if min(streams) < 0:
         raise ValidationError("stream_index", "must be nonnegative")
-    if max(streams) > _MASK64:
+    if len(streams) == 1 or max(streams) > _MASK64:
         return [rng_for_stream(seed, s) for s in streams]
     pool = _seed_pool(int(seed) & _MASK64)
-    if len(streams) == 1:
-        (s,) = streams
-        words = [s] if s <= _MASK32 else [s & _MASK32, s >> 32]
-        states = [np.array(_pcg64_words(_spawn(pool, words)), dtype=np.uint64)]
-    else:
-        index = np.array(streams, dtype=np.uint64)
-        spawned = _spawn(pool, [index & _MASK32])
-        wide = index > _MASK32
-        if wide.any():
-            # Indices of 2**32 and above carry a second spawn word.
-            second = _spawn(pool, [index & _MASK32, index >> 32])
-            spawned = [np.where(wide, b, a) for a, b in zip(spawned, second)]
-        states = np.stack(_pcg64_words(spawned), axis=1)
+    index = np.array(streams, dtype=np.uint64)
+    spawned = _spawn(pool, [index & _MASK32])
+    wide = index > _MASK32
+    if wide.any():
+        # Indices of 2**32 and above carry a second spawn word.
+        second = _spawn(pool, [index & _MASK32, index >> 32])
+        spawned = [np.where(wide, b, a) for a, b in zip(spawned, second)]
+    states = np.stack(_pcg64_words(spawned), axis=1)
     seeded = _seeded_words_class()
     return [np.random.Generator(np.random.PCG64(seeded(words))) for words in states]
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx, pool size 4),
-# written so one code path runs on Python ints and on uint64 arrays of
-# 32-bit values: a product of two 32-bit values fits in 64 bits, and every
+# written so one code path runs on the seed's Python ints and on the
+# streams' uint64 arrays of 32-bit values: a product of two 32-bit values
+# fits in 64 bits, and every
 # result is reduced mod 2**32 (a wrapped uint64 difference keeps its low
 # 32 bits). The multiplier of the k-th hashmix call is fixed, so all are
 # tabled up front: call k xors with _HASH_A[k] and multiplies by
@@ -133,11 +131,9 @@ def _mix(x, y):
     return value ^ (value >> 16)
 
 
-@functools.lru_cache(maxsize=64)
-def _seed_pool(entropy: int) -> tuple[int, ...]:
+def _seed_pool(entropy: int) -> list[int]:
     """The pool after SeedSequence has mixed in ``entropy`` (below 2**64),
-    zero-padded to the pool size as it is whenever a spawn key is given.
-    Cached, as callers reuse a seed across calls."""
+    zero-padded to the pool size as it is whenever a spawn key is given."""
     pool = [_hashmix(word, call) for call, word in enumerate((entropy & _MASK32, entropy >> 32, 0, 0))]
     call = 4
     for src in range(4):
@@ -145,12 +141,12 @@ def _seed_pool(entropy: int) -> tuple[int, ...]:
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hashmix(pool[src], call))
                 call += 1
-    return tuple(pool)
+    return pool
 
 
-def _spawn(pool: tuple, words: list) -> list:
-    """Mix spawn-key words (ints or arrays, low word first) into a copy of a
-    seed pool."""
+def _spawn(pool: list, words: list) -> list:
+    """Mix spawn-key word arrays (low word first) into a copy of a seed
+    pool."""
     pool = list(pool)
     call = 16
     for word in words:
@@ -183,7 +179,10 @@ def _seeded_words_class():
             self.words = words
 
         def generate_state(self, n_words, dtype=np.uint32):
-            # PCG64 asks for exactly generate_state(4, np.uint64).
+            # PCG64 asks for exactly generate_state(4, np.uint64); these
+            # words answer nothing else.
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("SeededWords holds only PCG64's four uint64 seed words")
             return self.words
 
     return SeededWords

@@ -28,13 +28,21 @@ def test_batch_generators_equal_rng_for_stream_bit_for_bit():
 
 
 def test_lone_and_huge_streams_match():
-    # A single stream mixes on Python ints, and a batch holding an index of
-    # 2**64 or more (three spawn words) takes numpy's own path.
+    # A single stream, and a batch holding an index of 2**64 or more (three
+    # spawn words), takes numpy's own path.
     for seed in (0, 7, 2**64 - 1):
         for streams in ([0], [2**32 - 1], [2**32], [2**63], [2**64 - 1], [2**64], [5, 2**100 + 7, 2**64 - 1]):
             for s, ours in zip(streams, config.rngs_for_streams(seed, streams)):
                 assert _same_generator(ours, config.rng_for_stream(seed, s)), (seed, s)
     assert config.rngs_for_streams(3, []) == []
+
+
+def test_batch_seed_words_answer_only_pcg64():
+    words = config.rngs_for_streams(5, [0, 1])[1].bit_generator.seed_seq
+    assert words.generate_state(4, np.uint64).tolist() == config.rng_for_stream(5, 1).bit_generator.seed_seq.generate_state(4, np.uint64).tolist()
+    for call in ((8, np.uint64), (4, np.uint32), (4,)):
+        with pytest.raises(ValueError):
+            words.generate_state(*call)
 
 
 def test_negative_streams_are_refused():
