@@ -80,7 +80,7 @@ def rngs_for_streams(seed: int, streams) -> list[np.random.Generator]:
     once, and each PCG64 is seeded from its precomputed words. Such
     generators match only in state: they hold no numpy SeedSequence, so
     they can be neither spawned nor pickled. A lone stream, and any batch
-    holding an index of 2**64 or above (three or more spawn words), goes
+    holding an index of 2**32 or above (two or more spawn words), goes
     through :func:`rng_for_stream`.
     """
     streams = [operator.index(s) for s in streams]
@@ -88,16 +88,10 @@ def rngs_for_streams(seed: int, streams) -> list[np.random.Generator]:
         return []
     if min(streams) < 0:
         raise ValidationError("stream_index", "must be nonnegative")
-    if len(streams) == 1 or max(streams) > _MASK64:
+    if len(streams) == 1 or max(streams) > _MASK32:
         return [rng_for_stream(seed, s) for s in streams]
     pool = _seed_pool(int(seed) & _MASK64)
-    index = np.array(streams, dtype=np.uint64)
-    spawned = _spawn(pool, [index & _MASK32])
-    wide = index > _MASK32
-    if wide.any():
-        # Indices of 2**32 and above carry a second spawn word.
-        second = _spawn(pool, [index & _MASK32, index >> 32])
-        spawned = [np.where(wide, b, a) for a, b in zip(spawned, second)]
+    spawned = _spawn(pool, np.array(streams, dtype=np.uint64))
     states = np.stack(_pcg64_words(spawned), axis=1)
     seeded = _seeded_words_class()
     return [np.random.Generator(np.random.PCG64(seeded(words))) for words in states]
@@ -111,9 +105,9 @@ def rngs_for_streams(seed: int, streams) -> list[np.random.Generator]:
 # 32 bits). The multiplier of the k-th hashmix call is fixed, so all are
 # tabled up front: call k xors with _HASH_A[k] and multiplies by
 # _HASH_A[k + 1]; state word k does the same with _HASH_B. A pool takes 16
-# calls and each of at most two spawn words 4; PCG64 takes 8 state words.
+# calls and the one spawn word 4; PCG64 takes 8 state words.
 _HASH_A = [0x43B0D7E5]
-for _ in range(24):
+for _ in range(20):
     _HASH_A.append(_HASH_A[-1] * 0x931E8875 & _MASK32)
 _HASH_B = [0x8B51F9DD]
 for _ in range(8):
@@ -144,16 +138,10 @@ def _seed_pool(entropy: int) -> list[int]:
     return pool
 
 
-def _spawn(pool: list, words: list) -> list:
-    """Mix spawn-key word arrays (low word first) into a copy of a seed
-    pool."""
-    pool = list(pool)
-    call = 16
-    for word in words:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], _hashmix(word, call))
-            call += 1
-    return pool
+def _spawn(pool: list, word: np.ndarray) -> list:
+    """Mix an array of one-word spawn keys (each below 2**32) into a copy
+    of a seed pool."""
+    return [_mix(pool[dst], _hashmix(word, 16 + dst)) for dst in range(4)]
 
 
 def _pcg64_words(pool: list) -> list:

@@ -11,7 +11,8 @@ import itertools
 import numpy as np
 
 # Index pairs of the largest chunk of sets _pair_sum scatters, and of the
-# largest (sets, |S|, |S|) stack of equal-size sets check_identities gathers.
+# largest (sets, |S|, |S|) stack of equal-size sets _size_stacks yields for
+# check_identities and restricted_lambda_primes: the one stack budget.
 _STACK_ENTRIES = 1 << 16
 
 
@@ -69,15 +70,15 @@ def _scatter(n: int, ptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     return masks
 
 
-def _size_stacks(ptr: np.ndarray, indices: np.ndarray, entries: int):
+def _size_stacks(ptr: np.ndarray, indices: np.ndarray):
     """Stacks of the nonempty sets of ``(ptr, indices)`` that share a size s:
     yields (sets, idx) with ``idx[r]`` the indices of set ``sets[r]``, at
-    most ``entries`` index pairs (and at least one set) per stack, sizes
-    ascending and sets in order within a size."""
+    most ``_STACK_ENTRIES`` index pairs (and at least one set) per stack,
+    sizes ascending and sets in order within a size."""
     sizes = np.diff(ptr)
     for s in np.unique(sizes[sizes > 0]).tolist():
         rows = np.flatnonzero(sizes == s)
-        step = max(1, entries // (s * s))
+        step = max(1, _STACK_ENTRIES // (s * s))
         for lo in range(0, rows.size, step):
             sets = rows[lo : lo + step]
             yield sets, indices[ptr[sets, None] + np.arange(s)]

@@ -286,8 +286,9 @@ def check_identities(
 def _identity_reports(spec: SamplingSpec, pairs, trials: int = 0, rng_seed: int = 0) -> list[IdentityReport]:
     """:func:`check_identities` for each (M, h) of ``pairs``, in order. The
     sampling's side (the exact P, the weighted sets and p-hat) is built once,
-    and each stack of equal-size sets (at most ``csr._STACK_ENTRIES`` entries) is
-    gathered once for all pairs: sum_k |S_k|^2 work per pair in all."""
+    and each stack of equal-size sets (within the one stack budget of
+    ``csr._size_stacks``) is gathered once for all pairs: sum_k |S_k|^2 work
+    per pair in all."""
     n = spec.n
     checked = [(np.asarray(m_matrix, dtype=float), np.asarray(h, dtype=float)) for m_matrix, h in pairs]
     for m_matrix, h in checked:
@@ -304,7 +305,7 @@ def _identity_reports(spec: SamplingSpec, pairs, trials: int = 0, rng_seed: int 
     sizes = np.diff(ptr)
     p_hat = csr._pair_sum(n, ptr, indices, weights)
     sums = [[0.0, 0.0, 0.0] for _ in checked]  # quadratic form, square of sum, linear
-    for sets, idx in csr._size_stacks(ptr, indices, csr._STACK_ENTRIES):
+    for sets, idx in csr._size_stacks(ptr, indices):
         w = weights[sets]
         for (m_matrix, h), acc in zip(checked, sums):
             h_s = h[idx]

@@ -598,11 +598,6 @@ def _draw_blocks(
     raise ValidationError("kind", f"unknown kind {k!r}")
 
 
-def _draw_block(spec: SamplingSpec, count: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_draw_blocks` of ``count`` sets, all drawn from ``rng``."""
-    return _draw_blocks(spec, [rng], [count])
-
-
 def draw(spec: SamplingSpec, rng_seed: int, stream_index: int = 0) -> frozenset[int]:
     """Draw one realization of the sampling: the one-set case of the block
     draw on ``config.rng_for_stream(rng_seed, stream_index)``, so it equals
@@ -611,7 +606,7 @@ def draw(spec: SamplingSpec, rng_seed: int, stream_index: int = 0) -> frozenset[
     The result is a pure function of (spec, rng_seed, stream_index); replicas
     running in parallel use distinct stream indices.
     """
-    _, indices = _draw_block(spec, 1, config.rng_for_stream(rng_seed, stream_index))
+    _, indices = _draw_blocks(spec, [config.rng_for_stream(rng_seed, stream_index)], [1])
     return frozenset(indices.tolist())
 
 
@@ -804,9 +799,10 @@ def _enumerate(spec: SamplingSpec) -> dict[tuple[int, ...], float]:
 
 
 def marginals(spec: SamplingSpec) -> np.ndarray:
-    """Inclusion probabilities p_i = Prob(i in S-hat), exact for every kind:
-    a read-only array, computed once and kept with the (frozen) spec, as is
-    the verdict :func:`never_selected` reads."""
+    """Inclusion probabilities p_i = Prob(i in S-hat), exact for every kind
+    and equal, bit for bit, to the diagonal of the exact P
+    (``probability.exact_grid``): a read-only array, computed once and kept
+    with the (frozen) spec, as is the verdict :func:`never_selected` reads."""
     p = spec.__dict__.get("_marginals")
     if p is None:
         p = _marginals(spec)
@@ -846,10 +842,9 @@ def _marginals(spec: SamplingSpec) -> np.ndarray:
             p[list(b)] = 1.0 / len(b)
         return p
     if k in (KIND_GRAPH, KIND_EXPLICIT):
-        p = np.zeros(n)
-        for s, w in zip(spec.members, spec.weights):
-            p[list(s)] += w
-        return p
+        # The support and weights, in the order, that the enumerated P sums.
+        ptr, indices, w = weighted_sets(spec)
+        return np.bincount(indices, weights=np.repeat(w, np.diff(ptr)), minlength=n)
     if k == KIND_CONVEX:
         p = np.zeros(n)
         for w, comp in zip(spec.weights, spec.components):
@@ -915,23 +910,14 @@ def closed_form_moments(spec: SamplingSpec) -> Moments | None:
     """The closed-form cardinality moments, or None for the kinds that read
     them off P (intersections, restrictions and mixtures containing them)."""
     k = spec.kind
-    if k == KIND_ELEMENTARY:
-        c = float(len(spec.set))
-        return Moments(c, c * c, "closed_form")
-    if k == KIND_SERIAL:
-        return Moments(1.0, 1.0, "closed_form")
-    if k == KIND_TAU_NICE:
-        return Moments(float(spec.tau), float(spec.tau) ** 2, "closed_form")
-    if k == KIND_CTAU:
-        c = float(spec.tau * len(spec.partition))
+    if k in (KIND_ELEMENTARY, KIND_SERIAL, KIND_TAU_NICE, KIND_CTAU, KIND_PRODUCT):
+        # |S-hat| is fixed at its cap.
+        c = float(cardinality_cap(spec))
         return Moments(c, c * c, "closed_form")
     if k == KIND_DOUBLY_UNIFORM:
         taus = np.arange(spec.n + 1, dtype=float)
         q = np.asarray(spec.q)
         return Moments(float(q @ taus), float(q @ taus**2), "closed_form")
-    if k == KIND_PRODUCT:
-        c = float(len(spec.blocks))
-        return Moments(c, c * c, "closed_form")
     if k in (KIND_GRAPH, KIND_EXPLICIT):
         sizes = np.array([len(s) for s in spec.members], dtype=float)
         w = np.asarray(spec.weights)
@@ -975,12 +961,6 @@ def cardinality_cap(spec: SamplingSpec) -> int:
     if k == KIND_RESTRICTION:
         return min(cardinality_cap(spec.components[0]), len(spec.set))
     raise ValidationError("kind", f"unknown kind {k!r}")
-
-
-def is_certified_uniform(spec: SamplingSpec) -> bool:
-    """Kinds whose marginals are structurally constant (tau-nice, doubly
-    uniform, equal-block (c,tau)-distributed)."""
-    return spec.kind in (KIND_TAU_NICE, KIND_DOUBLY_UNIFORM, KIND_CTAU)
 
 
 # ---------------------------------------------------------------------------

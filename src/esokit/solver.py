@@ -51,6 +51,7 @@ from . import config, csr, eso, samplings
 from .datamatrix import DataMatrix
 from .errors import DivergenceError, UnsupportedMethodError, ValidationError
 from .samplings import SamplingSpec
+from .validation import as_vector
 
 
 @dataclass
@@ -89,13 +90,9 @@ class QuadraticProblem:
     )
 
     def __post_init__(self):
-        if self.ridge < 0:
-            raise ValidationError("ridge", "must be nonnegative")
-        if self.b is None:
-            self.b = np.zeros(self.data.n)
-        self.b = np.asarray(self.b, dtype=float)
-        if self.b.shape != (self.data.n,):
-            raise ValidationError("b", f"expected shape ({self.data.n},)")
+        if not (math.isfinite(self.ridge) and self.ridge >= 0):
+            raise ValidationError("ridge", f"must be a finite number >= 0, got {self.ridge}")
+        self.b = np.zeros(self.data.n) if self.b is None else as_vector(self.b, self.data.n, "b")
 
     @property
     def n(self) -> int:
@@ -606,10 +603,7 @@ def optimal_serial_sampling(
 ) -> SerialDesign:
     """p_i proportional to (w_i (x0_i - x*_i)^2)^(1/3); coordinates already
     optimal at the start are never selected."""
-    x0 = np.asarray(x0, dtype=float)
-    xstar = np.asarray(xstar, dtype=float)
-    if x0.shape != (data.n,) or xstar.shape != (data.n,):
-        raise ValidationError("x0", f"expected vectors of length {data.n}")
+    x0, xstar = as_vector(x0, data.n, "x0"), as_vector(xstar, data.n, "xstar")
     base = data.column_sq_norms * (x0 - xstar) ** 2
     total_cbrt = float(np.sum(np.cbrt(base)))
     if total_cbrt <= 0.0:

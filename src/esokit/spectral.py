@@ -27,10 +27,6 @@ METHOD_POWER = "power_method"
 METHOD_FORMULA = "closed_form"
 METHOD_BOUND = "bound"
 
-# restricted_lambda_primes eigen-solves its restricted matrices in stacks of
-# at most this many entries, so temporaries stay bounded for long rows.
-_STACK_ENTRIES = 1 << 20
-
 
 @dataclass(frozen=True)
 class EigenEstimate:
@@ -78,8 +74,8 @@ def _check_square_symmetric(m: np.ndarray) -> np.ndarray:
         asymmetry = float(np.max(np.abs(m - m.T))) if m.size else 0.0
     if asymmetry > 1e-10 * scale:
         raise ValidationError("matrix", "not symmetric within 1e-10")
-    # An exactly symmetric m is its own symmetrization, and m + m' could overflow.
-    return m if asymmetry == 0.0 else 0.5 * (m + m.T)
+    # An exactly symmetric m is its own symmetrization; halving first keeps m + m' finite.
+    return m if asymmetry == 0.0 else 0.5 * m + 0.5 * m.T
 
 
 def lambda_max(
@@ -230,7 +226,8 @@ def lambda_bounds(spec: SamplingSpec) -> BoundsReport:
         notes.append("nil sampling: lambda' lower bound undefined")
     else:
         lp_lower = second / first
-    uniform = samplings.is_certified_uniform(spec)
+    # Kinds whose marginals are structurally constant.
+    uniform = spec.kind in (samplings.KIND_TAU_NICE, samplings.KIND_DOUBLY_UNIFORM, samplings.KIND_CTAU)
     lam_upper = first * tau / spec.n if uniform else first
     return BoundsReport(
         lambda_prime_lower=lp_lower,
@@ -347,11 +344,12 @@ def restricted_lambda_primes(spec: SamplingSpec, ptr, indices, method: str = "ex
     ``ValidationError``; the sets need not be sorted.
 
     The restricted matrices of the sets of one size are evaluated from
-    :func:`probability.exact_rule` in stacks of at most ``_STACK_ENTRIES``
-    entries, each normalized as the one-set form treats its block (every
-    rule is exactly symmetric, so the one-set form's symmetrization changes
-    no bit); ``exact`` makes one values-only ``eigvalsh`` call per stack. No
-    n x n matrix is built unless the sampling's support is enumerated. A
+    :func:`probability.exact_rule` in the stacks of ``csr._size_stacks``,
+    within its one stack budget (which the identity reports share), each
+    normalized as the one-set form treats its block (every rule is exactly
+    symmetric, so the one-set form's symmetrization changes no bit);
+    ``exact`` makes one values-only ``eigvalsh`` call per stack. No n x n
+    matrix is built unless the sampling's support is enumerated. A
     proper sampling has a positive diagonal, so every restricted matrix is
     normalized on its whole set.
     """
@@ -368,7 +366,7 @@ def restricted_lambda_primes(spec: SamplingSpec, ptr, indices, method: str = "ex
         raise UnsupportedMethodError(f"unknown restricted-eigenvalue method {method!r}")
     entry, _ = probability.exact_rule(spec)
     out = np.zeros(len(ptr) - 1)
-    for sets, idx in csr._size_stacks(ptr, indices, _STACK_ENTRIES):
+    for sets, idx in csr._size_stacks(ptr, indices):
         # lambda_prime's normalization, so each value is bit-identical to
         # the one-set form.
         j = np.sort(idx, axis=1)

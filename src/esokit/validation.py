@@ -25,10 +25,13 @@ def as_sampling_spec(s) -> SamplingSpec:
     """Accept a SamplingSpec, a payload dict, or a JSON string."""
     if isinstance(s, SamplingSpec):
         return s
+    if isinstance(s, str):
+        try:
+            s = json.loads(s)
+        except json.JSONDecodeError as e:
+            raise ValidationError("sampling", f"not valid JSON: {e}") from None
     if isinstance(s, dict):
         return spec_from_dict(s)
-    if isinstance(s, str):
-        return spec_from_dict(json.loads(s))
     raise ValidationError("sampling", f"cannot interpret {type(s).__name__} as a sampling spec")
 
 

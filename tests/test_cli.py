@@ -203,6 +203,25 @@ def test_solve_with_a_nan_epsilon_is_an_input_error(workdir, capsys):
     assert "epsilon" in capsys.readouterr().err
 
 
+def test_solve_with_a_nan_ridge_blames_the_ridge(workdir, capsys):
+    _, matrix, sampling = workdir
+    code = main(["solve", "--matrix", str(matrix), "--sampling", str(sampling), "--ridge", "nan"])
+    assert code == 2
+    assert "input error: ridge" in capsys.readouterr().err
+
+
+def test_solve_with_diverging_stepsizes_exits_1(workdir, capsys):
+    tmp, _, _ = workdir
+    matrix, vfile, problem = tmp / "A3.mtx", tmp / "v3.json", tmp / "problem3.json"
+    write_matrix(ek.DataMatrix.from_dense(np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])), matrix)
+    vfile.write_text("[0.01, 0.01, 0.01]")
+    problem.write_text(json.dumps({"b": [1.0, -2.0, 0.5]}))
+    spec = json.dumps(ek.tau_nice(3, 2).to_dict())
+    code = main(["solve", "--matrix", str(matrix), "--sampling", spec, "--v", str(vfile), "--problem", str(problem)])
+    assert code == 1
+    assert "check failed" in capsys.readouterr().err
+
+
 def test_solve_with_a_sampling_over_another_n_is_an_input_error(workdir, capsys):
     tmp, _, _ = workdir
     matrix, vfile = tmp / "A3.mtx", tmp / "v3.json"

@@ -493,6 +493,20 @@ def test_a_sampling_over_other_coordinates_is_refused_before_any_grid(monkeypatc
         assert f"spec is over {spec_n} coordinates" in str(err.value)
 
 
+@pytest.mark.parametrize("lambda_prime_ata, factor", [(1.5, 1.5), (3.0, 2.0)])
+def test_uncoupled_past_the_dense_cap_takes_the_cardinality_cap(monkeypatch, lambda_prime_ata, factor):
+    # Past the cap lambda'(P) is replaced by the cap tau = 2, and no P is built.
+    def refuse(*args, **kwargs):
+        raise AssertionError("a probability matrix was built")
+
+    monkeypatch.setattr(ek.config, "DENSE_EIG_CAP", 4)
+    monkeypatch.setattr(ek.probability, "exact_grid", refuse)
+    monkeypatch.setattr(ek.probability, "prob_matrix", refuse)
+    data = random_sparse_matrix(ek.rng_for_stream(29, 0), 9, 6, 0.5).with_ridge_rows(0.3)
+    result = eso.eso_uncoupled(data, ek.tau_nice(6, 2), lambda_prime_ata=lambda_prime_ata)
+    assert np.array_equal(result.v, factor * data.column_sq_norms)
+
+
 def test_certify_tight_case_serial_identity():
     data = ek.DataMatrix.from_dense(np.eye(4))
     spec = ek.serial([0.25] * 4)

@@ -32,6 +32,16 @@ def test_eso_stepsizes_accepts_json_and_dict_sampling():
         assert est.formula_id_ == "TAU_NICE"
 
 
+@pytest.mark.parametrize("payload", ["{bad", "[1]"])
+def test_a_malformed_sampling_string_names_the_sampling(payload):
+    with pytest.raises(ValidationError) as info:
+        ek.validation.as_sampling_spec(payload)
+    assert info.value.field == "sampling"
+    with pytest.raises(ValidationError) as info:
+        ek.EsoStepsizes(sampling=payload).fit(_dense_fixture())
+    assert info.value.field == "sampling"
+
+
 def test_eso_stepsizes_rejects_dimension_mismatch():
     with pytest.raises(ValidationError, match="coordinates"):
         ek.EsoStepsizes(sampling=ek.tau_nice(4, 2)).fit(_dense_fixture())

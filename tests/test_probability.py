@@ -166,6 +166,15 @@ def test_probability_matrices_are_psd_with_marginal_diagonal():
         assert pm.diagonal() == pytest.approx(ek.marginals(spec), abs=1e-12)
 
 
+def test_marginals_are_the_diagonal_of_exact_p_bit_for_bit():
+    # p and P's diagonal come from one sum for every kind and composite.
+    rng = ek.rng_for_stream(2029, 0)
+    for _ in range(3000):
+        n = int(rng.integers(2, 9))
+        spec = ek.samplings.random_spec(rng, n, max_depth=3)
+        assert np.array_equal(ek.marginals(spec), np.diagonal(probability.exact_grid(spec)[0])), spec
+
+
 def test_mixture_spec_matches_combined_components():
     rng = ek.rng_for_stream(23, 0)
     for _ in range(20):

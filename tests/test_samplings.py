@@ -169,7 +169,7 @@ def test_draw_masks_match_per_stream_draws():
                 per_stream[r] += 1
             expected = []
             for stream_index, draws in enumerate(per_stream):
-                block = ek.csr._scatter(spec.n, *ek.samplings._draw_block(spec, draws, ek.rng_for_stream(seed, stream_index)))
+                block = ek.csr._scatter(spec.n, *ek.samplings._draw_blocks(spec, [ek.rng_for_stream(seed, stream_index)], [draws]))
                 expected += [np.flatnonzero(row).tolist() for row in block]
             masks = draw_masks(spec, count, rng_seed=seed, streams=streams)
             assert masks.dtype == bool and masks.shape == (count, spec.n)
@@ -177,7 +177,7 @@ def test_draw_masks_match_per_stream_draws():
         assert np.array_equal(draw_masks(spec, count, seed, streams=0), draw_masks(spec, count, seed))
         # draw() is the one-row block of its stream.
         for stream_index in range(3):
-            one = ek.csr._scatter(spec.n, *ek.samplings._draw_block(spec, 1, ek.rng_for_stream(seed, stream_index)))
+            one = ek.csr._scatter(spec.n, *ek.samplings._draw_blocks(spec, [ek.rng_for_stream(seed, stream_index)], [1]))
             assert ek.draw(spec, seed, stream_index) == frozenset(np.flatnonzero(one[0]).tolist())
         assert ek.draw(spec, seed) == frozenset(np.flatnonzero(draw_masks(spec, 1, seed)[0]).tolist())
 
@@ -330,6 +330,68 @@ def test_validation_reports_offending_field():
         ek.product_sampling([[0, 1], []])
 
 
+_NICE = {"n": 3, "kind": "tau_nice", "tau": 1}
+_NICE4 = {"n": 4, "kind": "tau_nice", "tau": 1}
+
+
+@pytest.mark.parametrize(
+    "payload, field, message",
+    [
+        ({"n": 0, "kind": "tau_nice", "tau": 0}, "n", "must be positive"),
+        ({"n": 3, "kind": "bogus"}, "kind", "unknown kind"),
+        ({"n": 3, "kind": "elementary"}, "set", "required"),
+        ({"n": 3, "kind": "elementary", "set": [1, 1]}, "set", "duplicate"),
+        ({"n": 3, "kind": "elementary", "set": [3]}, "set", "must lie in"),
+        ({"n": 3, "kind": "serial"}, "q", "length n"),
+        ({"n": 3, "kind": "serial", "q": [0.5, 0.5]}, "q", "length n"),
+        ({"n": 2, "kind": "serial", "q": [float("nan"), 1.0]}, "q", "non-finite"),
+        ({"n": 2, "kind": "serial", "q": [1.5, -0.5]}, "q", "negative"),
+        ({"n": 2, "kind": "serial", "q": [0.5, 0.4]}, "q", "sum to"),
+        ({"n": 3, "kind": "tau_nice"}, "tau", "must lie in"),
+        ({"n": 3, "kind": "tau_nice", "tau": 4}, "tau", "must lie in"),
+        ({"n": 2, "kind": "ctau_distributed", "tau": 1}, "partition", "required"),
+        ({"n": 2, "kind": "ctau_distributed", "partition": [], "tau": 1}, "partition", "required"),
+        ({"n": 2, "kind": "ctau_distributed", "partition": [[0, 1], []], "tau": 1}, "partition", "empty block"),
+        ({"n": 2, "kind": "ctau_distributed", "partition": [[0, 2]], "tau": 1}, "partition", "out of range"),
+        ({"n": 3, "kind": "ctau_distributed", "partition": [[0], [1, 2]], "tau": 1}, "partition", "equal size"),
+        ({"n": 4, "kind": "ctau_distributed", "partition": [[0, 1], [2, 3]]}, "tau", "must lie in"),
+        ({"n": 4, "kind": "ctau_distributed", "partition": [[0, 1], [2, 3]], "tau": 3}, "tau", "must lie in"),
+        ({"n": 2, "kind": "doubly_uniform", "q": [0.5, 0.5]}, "q", "one weight per cardinality"),
+        ({"n": 3, "kind": "product"}, "blocks", "required"),
+        ({"n": 3, "kind": "product", "blocks": []}, "blocks", "required"),
+        ({"n": 3, "kind": "product", "blocks": [[0, 1], [1, 2]]}, "blocks", "two blocks"),
+        ({"n": 3, "kind": "product", "blocks": [[0, 1]]}, "blocks", "do not cover"),
+        ({"n": 3, "kind": "explicit", "weights": [1.0]}, "members", "required"),
+        ({"n": 3, "kind": "explicit", "members": [[0]]}, "members", "required"),
+        ({"n": 3, "kind": "explicit", "members": [[0], [1]], "weights": [1.0]}, "weights", "length mismatch"),
+        ({"n": 3, "kind": "explicit", "members": [[0, 0]], "weights": [1.0]}, "members", "duplicate"),
+        ({"n": 3, "kind": "explicit", "members": [[3]], "weights": [1.0]}, "members", "must lie in"),
+        ({"n": 3, "kind": "explicit", "members": [[0], [1]], "weights": [0.5, 0.4]}, "weights", "sum to"),
+        ({"n": 3, "kind": "graph", "members": [[0]], "weights": [1.0]}, "graph", "required"),
+        ({"n": 3, "kind": "graph", "members": [[0, 1]], "weights": [1.0], "graph_edges": [[0, 1]]}, "members", "independent"),
+        ({"n": 0, "kind": "graph", "members": [], "weights": [], "graph_edges": []}, "n", "must be positive"),
+        ({"n": 3, "kind": "graph", "members": [[0]], "weights": [1.0], "graph_edges": [[1, 1]]}, "edges", "self-loop"),
+        ({"n": 3, "kind": "graph", "members": [[0]], "weights": [1.0], "graph_edges": [[0, 3]]}, "edges", "out of range"),
+        ({"n": 3, "kind": "convex_combination", "weights": [1.0]}, "components", "required"),
+        ({"n": 3, "kind": "convex_combination", "components": [_NICE]}, "components", "required"),
+        ({"n": 3, "kind": "convex_combination", "components": [], "weights": []}, "components", "required"),
+        ({"n": 3, "kind": "convex_combination", "components": [_NICE], "weights": [0.5, 0.5]}, "weights", "length mismatch"),
+        ({"n": 3, "kind": "convex_combination", "components": [_NICE], "weights": [0.5]}, "weights", "sum to"),
+        ({"n": 3, "kind": "convex_combination", "components": [_NICE4], "weights": [1.0]}, "components", "share n"),
+        ({"n": 3, "kind": "intersection", "components": [_NICE]}, "components", "exactly two"),
+        ({"n": 3, "kind": "intersection", "components": [_NICE, _NICE4]}, "components", "share n"),
+        ({"n": 3, "kind": "restriction", "set": [0]}, "components", "exactly one"),
+        ({"n": 3, "kind": "restriction", "components": [_NICE]}, "set", "required"),
+        ({"n": 3, "kind": "restriction", "components": [_NICE], "set": [1, 1]}, "set", "duplicate"),
+        ({"n": 3, "kind": "restriction", "components": [_NICE4], "set": [0]}, "components", "share n"),
+    ],
+)
+def test_every_spec_refusal_names_its_field(payload, field, message):
+    with pytest.raises(ValidationError, match=message) as info:
+        spec_from_dict(payload)
+    assert info.value.field == field
+
+
 def test_conflict_graph_from_row_supports():
     data = ek.DataMatrix.from_triplets(2, 3, [(0, 0, 1.0), (0, 1, 2.0), (1, 1, 1.0), (1, 2, 3.0)])
     assert ek.build_conflict_graph(data).edges == ((0, 1), (1, 2))
@@ -434,7 +496,7 @@ def _reference_draws(spec, count, rng):
 def test_subset_draws_and_generator_state_match_the_pool_copying_shuffle(spec):
     ours, theirs = ek.rng_for_stream(61, 0), ek.rng_for_stream(61, 0)
     count = 300
-    masks = ek.csr._scatter(spec.n, *ek.samplings._draw_block(spec, count, ours))
+    masks = ek.csr._scatter(spec.n, *ek.samplings._draw_blocks(spec, [ours], [count]))
     assert [frozenset(np.flatnonzero(row).tolist()) for row in masks] == _reference_draws(spec, count, theirs)
     assert ours.bit_generator.state == theirs.bit_generator.state
 
@@ -449,7 +511,7 @@ def test_one_batched_draw_equals_each_generator_drawing_alone(spec):
     out = ek.csr._scatter(spec.n, *ek.samplings._draw_blocks(spec, batched, counts))
     parts = []
     for rng, count in zip(alone, counts):
-        parts.append(ek.csr._scatter(spec.n, *ek.samplings._draw_block(spec, count, rng)))
+        parts.append(ek.csr._scatter(spec.n, *ek.samplings._draw_blocks(spec, [rng], [count])))
     assert np.array_equal(out, np.concatenate(parts))
     assert [g.bit_generator.state for g in batched] == [g.bit_generator.state for g in alone]
 

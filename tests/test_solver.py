@@ -252,6 +252,23 @@ def test_optimal_serial_degenerate_input():
         ek.optimal_serial_sampling(ek.DataMatrix.from_dense(np.eye(2)), np.ones(2), np.ones(2))
 
 
+@pytest.mark.parametrize("x0, xstar, field", [([np.nan, 1.0], [0.0, 0.0], "x0"), ([1.0, 1.0], [0.0, np.inf], "xstar")])
+def test_optimal_serial_refuses_non_finite_points(x0, xstar, field):
+    with pytest.raises(ValidationError, match="non-finite") as info:
+        ek.optimal_serial_sampling(ek.DataMatrix.from_dense(np.eye(2)), np.array(x0), np.array(xstar))
+    assert info.value.field == field
+
+
+@pytest.mark.parametrize(
+    "ridge, b, field",
+    [(float("nan"), None, "ridge"), (float("inf"), None, "ridge"), (-0.5, None, "ridge"), (0.1, [1.0, np.nan], "b")],
+)
+def test_problem_refuses_a_non_finite_ridge_or_b(ridge, b, field):
+    with pytest.raises(ValidationError) as info:
+        ek.QuadraticProblem(ek.DataMatrix.from_dense(np.eye(2)), ridge=ridge, b=b)
+    assert info.value.field == field
+
+
 def test_tradeoff_preprocessing_pass_arithmetic():
     # Every row support has size 2 and nnz = 6: coupled-exact costs
     # 2 nnz + sum_j |J_j|^3 = 12 + 24 = 36, so 6 passes; generic 2 nnz, so 2.
@@ -566,7 +583,7 @@ def _reference_solve(problem, spec, v, x0, epsilon, max_iter, rng_seed, stream_i
     gap_floor = 10.0 * np.finfo(float).eps * max(1.0, abs(f_star))
     while not converged and k < max_iter:
         if not pending:
-            block = csr._scatter(spec.n, *samplings._draw_block(spec, 64, rng))
+            block = csr._scatter(spec.n, *samplings._draw_blocks(spec, [rng], [64]))
             pending = [np.flatnonzero(row).tolist() for row in block[::-1]]
         idx = pending.pop()
         deltas = []

@@ -227,7 +227,7 @@ def _dense_reference_solve(problem, spec, v, x0, epsilon, max_iter, rng_seed, st
     while gap > epsilon and k < max_iter:
         if not pending:
             # The solver takes its draws in blocks of 64 per stream.
-            block = csr._scatter(spec.n, *samplings._draw_block(spec, 64, rng))
+            block = csr._scatter(spec.n, *samplings._draw_blocks(spec, [rng], [64]))
             pending = [np.flatnonzero(row).tolist() for row in block[::-1]]
         idx = pending.pop()
         deltas = []

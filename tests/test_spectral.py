@@ -356,14 +356,14 @@ def test_ctau_formulas_do_not_call_the_one_set_bound(monkeypatch):
         assert np.array_equal(ek.compute_v(data, spec, name).v, v), name
 
 
-@pytest.mark.parametrize("stack_entries", [spectral._STACK_ENTRIES, 50])
+@pytest.mark.parametrize("stack_entries", [ek.csr._STACK_ENTRIES, 50])
 @pytest.mark.parametrize("method", ["exact", "bound"])
 def test_restricted_lambda_primes_match_the_one_set_form(method, stack_entries, monkeypatch):
     # The batch path equals the one-set reference bit for bit, also when a
     # small stack budget splits the sets of one size into several chunks.
     from conftest import random_sparse_matrix
 
-    monkeypatch.setattr(spectral, "_STACK_ENTRIES", stack_entries)
+    monkeypatch.setattr(ek.csr, "_STACK_ENTRIES", stack_entries)
     rng = np.random.default_rng(7)
     n = 48
     data = random_sparse_matrix(rng, 60, n, 0.12).with_ridge_rows(0.5)
@@ -415,6 +415,18 @@ def test_asymmetric_near_max_input_is_refused_without_a_warning():
             ek.lambda_prime(np.array([[1.0, 1e308], [-1e308, 1.0]]))
 
 
+def test_near_max_nearly_symmetric_input_is_symmetrized_without_a_warning():
+    # m + m' overflows here; halving before the sum keeps it finite.
+    a = 1.7e308
+    b = np.nextafter(a, np.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = spectral._check_square_symmetric(np.array([[0.0, a], [b, 0.0]]))
+        assert np.array_equal(out, out.T) and np.all(np.isfinite(out))
+        assert out[0, 1] == 0.5 * a + 0.5 * b
+        assert ek.lambda_max(np.array([[0.0, a], [b, 0.0]])).value == pytest.approx(a, rel=1e-15)
+
+
 def _eigh_top_normalized(m):
     """Top eigenvalue by ``eigh`` (with eigenvectors) of the matrix that
     lambda_prime normalizes: m symmetrized, cut to its positive diagonal and
@@ -452,7 +464,7 @@ def test_values_only_lambda_prime_is_the_eigh_top_eigenvalue_to_rounding():
 def test_values_only_restricted_lambda_primes_are_the_eigh_top_eigenvalues(monkeypatch):
     # The stacked eigvalsh of restricted_lambda_primes, split into many small
     # stacks, against eigh on each normalized restricted block of exact P.
-    monkeypatch.setattr(spectral, "_STACK_ENTRIES", 50)
+    monkeypatch.setattr(ek.csr, "_STACK_ENTRIES", 50)
     rng = ek.rng_for_stream(84, 0)
     eps = np.finfo(float).eps
     n = 60
