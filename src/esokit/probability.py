@@ -18,11 +18,15 @@ kernel :func:`csr._pair_sum`, the one that builds A'A from the rows of A:
 it scatters each set's weight into its index pairs, O(sum_k |S_k|^2) work
 without BLAS, so the enumerated P of a graph or explicit sampling is
 exactly symmetric and the same at any BLAS thread count, and a Monte-Carlo
-P is the exact integer counts over the sample count.
+P is the exact integer counts over the sample count. :func:`_enumerated_stack`
+sums the enumerated P of many samplings in stacked kernel calls, with the
+bits of :func:`prob_matrix` ``"enumerate"`` on each, and runs
+:class:`ProbMatrix`'s checks (:func:`_check_entries`) over the whole stack.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -65,20 +69,7 @@ class ProbMatrix:
             raise ValidationError("entries", f"expected shape ({self.n},{self.n})")
         if self.provenance not in _PROVENANCE_RANK:
             raise ValidationError("provenance", f"unknown tag {self.provenance!r}")
-        if not entries.size:
-            return
-        slack = 1e-12 + (3.0 * self.max_stderr if self.provenance == PROVENANCE_MC else 0.0)
-        if entries.min() < -slack or entries.max() > 1.0 + slack:
-            raise ValidationError("entries", "entries outside [0, 1]")
-        # One n x n buffer serves both pairwise checks. A NaN entry passes the
-        # range check and fails the symmetry check, as it compares false.
-        work = np.subtract(entries, entries.T)
-        if not np.abs(work, out=work).max() <= 1e-12:
-            raise ValidationError("entries", "matrix is not symmetric")
-        diag = np.diag(entries)
-        np.minimum.outer(diag, diag, out=work)
-        if np.subtract(entries, work, out=work).max() > slack:
-            raise ValidationError("entries", "off-diagonal exceeds min of its diagonal pair")
+        _check_entries(entries, 1e-12 + (3.0 * self.max_stderr if self.provenance == PROVENANCE_MC else 0.0))
 
     @property
     def max_stderr(self) -> float:
@@ -104,6 +95,25 @@ class ProbMatrix:
             out["mc_samples"] = self.mc_samples
             out["max_stderr"] = self.max_stderr
         return out
+
+
+def _check_entries(entries: np.ndarray, slack: float) -> None:
+    """The checks of a P, or of every P of a (k, n, n) stack at once: each
+    entry in [-slack, 1 + slack], symmetry within 1e-12, and no entry above
+    the smaller of its two diagonal entries by more than slack."""
+    if not entries.size:
+        return
+    if entries.min() < -slack or entries.max() > 1.0 + slack:
+        raise ValidationError("entries", "entries outside [0, 1]")
+    # One buffer serves both pairwise checks. A NaN entry passes the range
+    # check and fails the symmetry check, as it compares false.
+    work = np.subtract(entries, np.swapaxes(entries, -1, -2))
+    if not np.abs(work, out=work).max() <= 1e-12:
+        raise ValidationError("entries", "matrix is not symmetric")
+    diag = np.diagonal(entries, axis1=-2, axis2=-1)
+    np.minimum(diag[..., :, None], diag[..., None, :], out=work)
+    if np.subtract(entries, work, out=work).max() > slack:
+        raise ValidationError("entries", "off-diagonal exceeds min of its diagonal pair")
 
 
 def _worst_provenance(tags) -> str:
@@ -145,6 +155,36 @@ def prob_matrix(
     if method == "monte_carlo":
         return _monte_carlo(spec, mc_samples, rng_seed, streams)
     raise UnsupportedMethodError(f"unknown method {method!r}")
+
+
+def _enumerated_stack(specs) -> np.ndarray:
+    """``prob_matrix(spec, "enumerate").entries`` of every spec, all of one
+    n, as a (len(specs), n, n) stack with the same bits: each spec's
+    enumerated support (the sets and weights of its
+    :func:`samplings.weighted_sets`) goes into its own matrix of a stacked
+    :func:`csr._pair_sum` call, and the stack passes the checks of
+    :class:`ProbMatrix` as one. The specs go to the kernel in runs that end
+    once they hold ``csr._STACK_ENTRIES`` indices, so one run's indices and
+    one spec's support are the most held at once."""
+    n = specs[0].n
+    if n > config.DENSE_EIG_CAP:
+        raise ValidationError("n", f"a dense probability matrix needs n <= {config.DENSE_EIG_CAP}")
+    stack = np.empty((len(specs), n, n))
+    first, sizes, indices, probs, slot = 0, [], [], [], []
+    for k, spec in enumerate(specs):
+        sets, weights = zip(*samplings.enumerate_support(spec))
+        sizes += map(len, sets)
+        indices += itertools.chain(*sets)
+        probs += weights
+        slot += [k - first] * len(sets)
+        if len(indices) >= csr._STACK_ENTRIES or k == len(specs) - 1:
+            ptr, held = csr._ptr(sizes), np.array(indices, dtype=np.intp)
+            stack[first : k + 1] = csr._pair_sum(
+                n, ptr, held, np.array(probs), slot=np.array(slot), slots=k + 1 - first
+            )
+            first, sizes, indices, probs, slot = k + 1, [], [], [], []
+    _check_entries(stack, 1e-12)
+    return stack
 
 
 def exact_grid(spec: SamplingSpec) -> tuple[np.ndarray, str]:

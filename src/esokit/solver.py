@@ -75,6 +75,10 @@ class QuadraticProblem:
     matrix and the CSR/CSC views and column norms it builds on first use.
     With ridge > 0 that matrix (A with n ridge rows below it) and its views
     stay in memory as long as the problem does, beside ``data`` itself.
+    A ``ridge`` or ``b`` reassigned after construction misses one of these
+    caches, and both fields are checked again there: a ridge that is not a
+    finite number >= 0, or a non-finite ``b``, raises ``ValidationError``
+    naming the field.
     """
 
     data: DataMatrix
@@ -90,6 +94,9 @@ class QuadraticProblem:
     )
 
     def __post_init__(self):
+        self._check_fields()
+
+    def _check_fields(self) -> None:
         if not (math.isfinite(self.ridge) and self.ridge >= 0):
             raise ValidationError("ridge", f"must be a finite number >= 0, got {self.ridge}")
         self.b = np.zeros(self.data.n) if self.b is None else as_vector(self.b, self.data.n, "b")
@@ -120,6 +127,8 @@ class QuadraticProblem:
             or cached[1] != self.ridge
             or not np.array_equal(cached[2], self.b)
         ):
+            # A reassigned ridge or b misses the cache, and is checked here.
+            self._check_fields()
             if self.ridge > 0:
                 x = self._conjugate_gradients()
             else:
@@ -202,6 +211,7 @@ class QuadraticProblem:
         is ``data`` itself."""
         cached = self._augmented
         if cached is None or cached[0] is not self.data or cached[1] != self.ridge:
+            self._check_fields()
             cached = self._augmented = (self.data, self.ridge, self.data.with_ridge_rows(self.ridge))
         return cached[2]
 
@@ -327,9 +337,7 @@ def _solve_streams(problem, spec, v, streams, x0, epsilon, max_iter, rng_seed) -
     v = np.asarray(v, dtype=float)
     if v.shape != (problem.n,) or not np.all(np.isfinite(v) & (v > 0)):
         raise ValidationError("v", "v must be finite and positive with one entry per coordinate")
-    x0 = np.zeros(problem.n) if x0 is None else np.asarray(x0, dtype=float)
-    if x0.shape != (problem.n,):
-        raise ValidationError("x0", f"expected shape ({problem.n},)")
+    x0 = np.zeros(problem.n) if x0 is None else as_vector(x0, problem.n, "x0")
 
     f_star = problem.f_star()
     gap0 = problem.objective(x0) - f_star

@@ -279,7 +279,21 @@ def run_identity_battery(
 ) -> BatteryReport:
     """Exercise the expectation identities, the doubly-uniform decomposition
     and the mixture/intersection/restriction rules against enumeration
-    oracles over random samplings and matrices."""
+    oracles over random samplings and matrices.
+
+    The specs of a size run in batches, each in two phases. The first
+    draws every spec, (M, h) pair, Dirichlet weight and restriction set of
+    the batch, in the order of checking each spec as it is drawn (the
+    checks draw nothing), and builds the mixture and the intersection of
+    each. The second checks the specs in that order, reading the six
+    enumerated P of each spec (the mixture and its two components, the
+    intersection and its two factors) from one stack that
+    :func:`probability._enumerated_stack` sums, in one :func:`csr._pair_sum`
+    call unless the batch's supports hold more than ``csr._STACK_ENTRIES``
+    indices. A batch holds as many specs as fit their P in that one stack
+    budget (at least one), so neither the stack nor the draws held grow
+    with ``specs_per_size``, and each P has the bits of
+    ``prob_matrix(spec, "enumerate")``."""
     rng = config.rng_for_stream(rng_seed, 0)
     tracker: dict[str, float] = {}
     counts: dict[str, int] = {}
@@ -289,55 +303,38 @@ def run_identity_battery(
         counts[name] = counts.get(name, 0) + 1
 
     for n in sizes:
-        for _ in range(specs_per_size):
-            spec = samplings.random_spec(rng, n)
-            pairs = [(rng.standard_normal((n, n)), rng.standard_normal(n)) for _ in range(pairs_per_spec)]
-            for report in probability._identity_reports(spec, pairs):
-                for name, res in report.results.items():
-                    record(f"identity:{name}", res["discrepancy"])
+        batch = max(1, csr._STACK_ENTRIES // (6 * n * n))
+        for lo in range(0, specs_per_size, batch):
+            drawn = [_battery_case(rng, n, pairs_per_spec) for _ in range(min(batch, specs_per_size - lo))]
+            stack = probability._enumerated_stack([e for *_, enumerated in drawn for e in enumerated])
+            for (spec, pairs, q, w, j, _), ps in zip(drawn, stack.reshape(-1, 6, n, n)):
+                mix_p, *comp_ps, lhs, first, second = ps
+                for report in probability._identity_reports(spec, pairs):
+                    for name, res in report.results.items():
+                        record(f"identity:{name}", res["discrepancy"])
 
-            # Doubly-uniform = cardinality-weighted mixture of tau-nice laws.
-            q = rng.dirichlet(np.ones(n + 1))
-            q = q / q.sum()
-            du = samplings.doubly_uniform(q)
-            mix = samplings.convex_combination(
-                q, [samplings.tau_nice(n, t) for t in range(n + 1)]
-            )
-            record(
-                "doubly_uniform_decomposition",
-                _support_distance(samplings.enumerate_support(du), samplings.enumerate_support(mix)),
-            )
+                # Doubly-uniform = cardinality-weighted mixture of tau-nice laws.
+                du = samplings.doubly_uniform(q)
+                mix = samplings.convex_combination(q, [samplings.tau_nice(n, t) for t in range(n + 1)])
+                record(
+                    "doubly_uniform_decomposition",
+                    _support_distance(samplings.enumerate_support(du), samplings.enumerate_support(mix)),
+                )
 
-            # Mixture rule for probability matrices.
-            comps = [samplings.random_spec(rng, n) for _ in range(2)]
-            w = rng.dirichlet(np.ones(2))
-            w = w / w.sum()
-            mixture = samplings.convex_combination(w, comps)
-            mix_p = probability.prob_matrix(mixture, "enumerate").entries
-            comp_ps = [probability.prob_matrix(c, "enumerate").entries for c in comps]
-            rhs = sum(wi * pc for wi, pc in zip(w, comp_ps))
-            record("convex_combination_rule", np.max(np.abs(mix_p - rhs)))
+                # Mixture rule for probability matrices.
+                rhs = sum(wi * pc for wi, pc in zip(w, comp_ps))
+                record("convex_combination_rule", np.max(np.abs(mix_p - rhs)))
 
-            # Intersection rule: enumerate the joint law vs Hadamard product.
-            pair = (samplings.random_spec(rng, n), samplings.random_spec(rng, n))
-            joint = samplings.intersection(*pair)
-            lhs = probability.prob_matrix(joint, "enumerate").entries
-            rhs = (
-                probability.prob_matrix(pair[0], "enumerate").entries
-                * probability.prob_matrix(pair[1], "enumerate").entries
-            )
-            record("intersection_rule", np.max(np.abs(lhs - rhs)))
+                # Intersection rule: enumerate the joint law vs Hadamard product.
+                record("intersection_rule", np.max(np.abs(lhs - first * second)))
 
-            # Restriction distributes over mixtures.
-            j = np.flatnonzero(rng.random(n) < 0.6)
-            if j.size == 0:
-                j = np.array([int(rng.integers(n))])
-            mask = np.zeros(n)
-            mask[j] = 1.0
-            outer = np.outer(mask, mask)
-            restricted_mix = mix_p * outer
-            mix_restricted = sum(wi * (pc * outer) for wi, pc in zip(w, comp_ps))
-            record("restriction_chain", np.max(np.abs(restricted_mix - mix_restricted)))
+                # Restriction distributes over mixtures.
+                mask = np.zeros(n)
+                mask[j] = 1.0
+                outer = np.outer(mask, mask)
+                restricted_mix = mix_p * outer
+                mix_restricted = sum(wi * (pc * outer) for wi, pc in zip(w, comp_ps))
+                record("restriction_chain", np.max(np.abs(restricted_mix - mix_restricted)))
 
     checks = {
         name: {
@@ -348,6 +345,27 @@ def run_identity_battery(
         for name in sorted(tracker)
     }
     return BatteryReport(checks=checks, tolerance=tolerance, seed=rng_seed, sizes=tuple(sizes))
+
+
+def _battery_case(rng: np.random.Generator, n: int, pairs_per_spec: int):
+    """One spec's draws for the identity battery, in the battery's order:
+    the spec, its (M, h) pairs, the doubly-uniform law q, the mixture's
+    components and weights, the intersection's factors and the restriction
+    set; with the mixture, its components, the intersection and its
+    factors, whose enumerated P the rule checks read."""
+    spec = samplings.random_spec(rng, n)
+    pairs = [(rng.standard_normal((n, n)), rng.standard_normal(n)) for _ in range(pairs_per_spec)]
+    q = rng.dirichlet(np.ones(n + 1))
+    q = q / q.sum()
+    comps = [samplings.random_spec(rng, n) for _ in range(2)]
+    w = rng.dirichlet(np.ones(2))
+    w = w / w.sum()
+    factors = [samplings.random_spec(rng, n), samplings.random_spec(rng, n)]
+    j = np.flatnonzero(rng.random(n) < 0.6)
+    if j.size == 0:
+        j = np.array([int(rng.integers(n))])
+    enumerated = [samplings.convex_combination(w, comps), *comps, samplings.intersection(*factors), *factors]
+    return spec, pairs, q, w, j, enumerated
 
 
 def _support_distance(first, second) -> float:

@@ -392,6 +392,43 @@ def test_invalid_entries_are_named(bad, message):
         ek.ProbMatrix(2, entries, "enumerated")
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ((0, 1, -0.1), "outside"),
+        ((1, 0, 0.3), "not symmetric"),
+        ((0, 0, np.nan), "not symmetric"),
+        (None, "off-diagonal"),
+    ],
+)
+def test_a_stack_is_refused_as_its_worst_matrix(change, message):
+    # The last matrix alone is refused with the same message as the stack.
+    good = np.array([[0.5, 0.25], [0.25, 0.5]])
+    bad = np.array([[0.2, 0.4], [0.4, 0.9]]) if change is None else good.copy()
+    if change is not None:
+        bad[change[:2]] = change[2]
+        if message == "outside":
+            bad[change[1], change[0]] = change[2]
+    for check in (
+        lambda: ek.ProbMatrix(2, bad, "enumerated"),
+        lambda: probability._check_entries(np.stack([good, good, bad]), 1e-12),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            check()
+    probability._check_entries(np.stack([good, good]), 1e-12)
+
+
+@pytest.mark.parametrize("stack_entries", [ek.csr._STACK_ENTRIES, 16])
+def test_an_enumerated_stack_is_each_enumerated_p(stack_entries, monkeypatch):
+    # 16 indices end a run of specs every spec or few.
+    monkeypatch.setattr(ek.csr, "_STACK_ENTRIES", stack_entries)
+    rng = ek.rng_for_stream(5, 0)
+    specs = [ek.random_spec(rng, 4) for _ in range(12)]
+    stack = probability._enumerated_stack(specs)
+    for spec, entries in zip(specs, stack):
+        assert entries.tobytes() == ek.prob_matrix(spec, "enumerate").entries.tobytes()
+
+
 def _explicit_mixture():
     """A mixture whose explicit component sums 110 weighted sets of up to 100
     indices into its enumerated P: any change to the order of that sum

@@ -269,6 +269,34 @@ def test_problem_refuses_a_non_finite_ridge_or_b(ridge, b, field):
     assert info.value.field == field
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("ridge", float("nan")), ("ridge", -1.0), ("ridge", float("inf")), ("b", np.array([1.0, np.nan]))],
+)
+def test_a_reassigned_ridge_or_b_is_checked_again(field, value):
+    # Both caches are filled first, so the reassignment is what each call sees.
+    problem = ek.QuadraticProblem(ek.DataMatrix.from_dense(np.eye(2)), ridge=0.5, b=np.ones(2))
+    problem.f_star()
+    problem.augmented_data()
+    setattr(problem, field, value)
+    calls = [problem.f_star, problem.x_star] + ([problem.augmented_data] if field == "ridge" else [])
+    for call in calls:
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert info.value.field == field
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_solvers_refuse_a_non_finite_x0(entry):
+    problem = ek.QuadraticProblem(ek.DataMatrix.from_dense(np.eye(3)), ridge=0.5, b=np.ones(3))
+    spec, v = ek.tau_nice(3, 1), np.full(3, 1.5)
+    x0 = np.array([entry, 0.0, 0.0])
+    for call in (lambda: ek.solve(problem, spec, v, x0=x0), lambda: ek.solve_many(problem, spec, v, 2, x0=x0)):
+        with pytest.raises(ValidationError, match="non-finite") as info:
+            call()
+        assert info.value.field == "x0"
+
+
 def test_tradeoff_preprocessing_pass_arithmetic():
     # Every row support has size 2 and nnz = 6: coupled-exact costs
     # 2 nnz + sum_j |J_j|^3 = 12 + 24 = 36, so 6 passes; generic 2 nnz, so 2.

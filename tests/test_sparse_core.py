@@ -144,6 +144,32 @@ def test_pair_sum_does_not_depend_on_the_chunk_size(mode, monkeypatch):
     assert all(np.array_equal(sums[0], other) for other in sums[1:])
 
 
+@pytest.mark.parametrize("mode", ["weights", "unit", "values"])
+@pytest.mark.parametrize("pairs", [64, None, 1 << 30], ids=["64", "default", "2^30"])
+def test_each_slot_of_a_stack_is_the_call_on_its_own_sets(mode, pairs, monkeypatch):
+    # Empty sets, mixed sizes, a run of one size, and slots 2 and 6 empty.
+    rng = np.random.default_rng(13)
+    sizes = np.concatenate([rng.integers(0, 30, 600), np.full(200, 12), [0, 0]])
+    sets = [np.sort(rng.choice(40, size=s, replace=False)) for s in sizes]
+    ptr, indices = csr._ptr(sizes), np.concatenate(sets)
+    slot = rng.choice([0, 1, 3, 4, 5], size=sizes.size)
+    weights = rng.random(sizes.size) / 7 if mode == "weights" else None
+    values = rng.standard_normal(indices.size) if mode == "values" else None
+    if pairs is not None:
+        monkeypatch.setattr(csr, "_STACK_ENTRIES", pairs)
+    stack = csr._pair_sum(40, ptr, indices, weights, values, slot=slot, slots=7)
+    assert stack.shape == (7, 40, 40)
+    for k in range(7):
+        own = np.flatnonzero(slot == k)
+        own_ptr, own_indices = csr._take(ptr, indices, own)
+        own_values = None if values is None else values[csr._spans(ptr[own], sizes[own])]
+        own_weights = None if weights is None else weights[own]
+        alone = csr._pair_sum(40, own_ptr, own_indices, own_weights, own_values)
+        assert np.array_equal(stack[k], alone), k
+        assert np.array_equal(np.signbit(stack[k]), np.signbit(alone)), k
+        assert own.size or not stack[k].any(), k
+
+
 def test_gram_keeps_the_dense_cap(monkeypatch):
     data = DataMatrix(1, 5, [0], [4], [1.0])
     monkeypatch.setattr(config, "DENSE_EIG_CAP", 4)

@@ -9,7 +9,7 @@ import pytest
 
 import esokit as ek
 from conftest import random_sparse_matrix
-from esokit import config, samplings, verify
+from esokit import config, csr, probability, samplings, verify
 from esokit.cli import main
 from esokit.errors import ValidationError
 from esokit.verify import write_junit
@@ -166,6 +166,43 @@ _BATTERY_DIGESTS = {
 def test_identity_battery_report_digests_are_pinned(seed):
     text = json.dumps(ek.run_identity_battery(seed).to_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == _BATTERY_DIGESTS[seed]
+
+
+def test_identity_battery_digest_holds_when_a_stack_flushes_within_a_size(monkeypatch):
+    # Six 5 x 5 matrices per spec: a budget of 450 entries stacks 3 specs of
+    # size 5 at a time (and 8 of size 3, 4 of size 4), so each size flushes
+    # several stacks, the last one short.
+    monkeypatch.setattr(csr, "_STACK_ENTRIES", 450)
+    text = json.dumps(ek.run_identity_battery(0).to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == _BATTERY_DIGESTS[0]
+
+
+@pytest.mark.parametrize("budget", [None, 450])
+def test_identity_battery_rule_checks_stack_their_kernel_calls(budget, monkeypatch):
+    # The identity reports are stubbed out, so every kernel call counted
+    # comes from the mixture, intersection and restriction checks.
+    if budget is not None:
+        monkeypatch.setattr(csr, "_STACK_ENTRIES", budget)
+    kernel = csr._pair_sum
+    calls = []
+
+    def counted(n, *args, slot=None, slots=1, **kwargs):
+        calls.append(slots * n * n)
+        return kernel(n, *args, slot=slot, slots=slots, **kwargs)
+
+    monkeypatch.setattr(csr, "_pair_sum", counted)
+    monkeypatch.setattr(probability, "_identity_reports", lambda spec, pairs: [])
+    counts = []
+    for specs in (10, 20, 40):
+        calls.clear()
+        ek.run_identity_battery(0, sizes=(3, 4), specs_per_size=specs)
+        assert max(calls) <= max(csr._STACK_ENTRIES, 6 * 4 * 4)
+        counts.append(len(calls))
+    if budget is None:
+        assert counts == [2, 2, 2]
+    else:
+        # 450 entries hold 8 specs of size 3 and 4 of size 4.
+        assert counts == [2 + 3, 3 + 5, 5 + 10]
 
 
 def test_junit_escapes_quotes_and_markup_in_check_names(tmp_path):
