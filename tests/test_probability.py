@@ -488,6 +488,18 @@ _RESTRICTED_DIGESTS = {
     ("restriction", "exact"): "59fbaccd53b63055e85fee2231273cee81239aba4dda2ec9eb408bd0c4ff11c1",
     ("explicit", "exact"): "cf4806372c85ee3801709b9075dc7daaa4cf09c01a797fd226225a88a41f1c15",
     ("explicit_mixture", "exact"): "8dc8fee5aae4a07cb26c5f124e011db71cb68b880f1eacfc0f9063cc518f04db",
+    ("elementary", "bound"): "92bc32054257afb5ba8fdf868f59032d54c96f2f290b80f757b14c797faaa81e",
+    ("serial", "bound"): "b6d21acfe48fd3cd1da6ae57a947d7c15f9263fac01f0c131027a5b98ac95f1f",
+    ("tau_nice", "bound"): "2e8bc590cbb599ecb91751f4d1a2657a7e9ec5f5ed50a39fcacf982325616a53",
+    ("ctau_distributed", "bound"): "7eca82a8c105062abda9195cb81d5bb8c29ac65b001b340924c6996dda43f206",
+    ("doubly_uniform", "bound"): "468b9f7b45d39820066a60e50ed0d42565b9d19c545240e04bfb487b522f6467",
+    ("product", "bound"): "7e85e383cbfed3c08f7584112de96735133c199e335138b3335b5bf793dc8055",
+    ("graph", "bound"): "7cd2596f7aa49d0d3a028062259b27623d819a0e11e97d7c016d66e7184ee4c2",
+    ("convex_combination", "bound"): "7cd2596f7aa49d0d3a028062259b27623d819a0e11e97d7c016d66e7184ee4c2",
+    ("intersection", "bound"): "b4dfcd3698a08a9934b42461a4ea2b4ca5b5ed92d81a83fc828c5eb81f290750",
+    ("restriction", "bound"): "e09fb79756fbdbe37c62b9add6f63d3f3ecf3907d35d7f70f517b553ca63c409",
+    ("explicit", "bound"): "9eae319902158f67e97a0e2190014f4062c8963526d6ff58ab053f47fa304be3",
+    ("explicit_mixture", "bound"): "922e66204fa7d352eefc644ed5391d2f102b0dec3020d39ce82c640edc36db09",
 }
 
 
@@ -497,12 +509,43 @@ def test_exact_probability_matrix_digests_are_pinned(spec, request):
     assert _sha256(ek.prob_matrix(spec, "auto").entries) == _P_DIGESTS[name]
 
 
-@pytest.mark.parametrize("method", ["exact"])
+@pytest.mark.parametrize("method", ["exact", "bound"])
 @pytest.mark.parametrize("spec", _DIGEST_SPECS, ids=_DIGEST_IDS)
 def test_restricted_lambda_prime_digests_are_pinned(spec, method, request):
     name = request.node.callspec.id.rsplit("-", 1)[0]
     values = spectral.restricted_lambda_primes(spec, *csr(_restriction_sets(spec)), method)
     assert _sha256(values) == _RESTRICTED_DIGESTS[name, method]
+
+
+# Any change to a kind's cardinality cap, its cardinality moments (values
+# and method), its lambda bounds or its enumerated support changes these.
+_FACTS_DIGESTS = {
+    "elementary": "69762e824206342e86f863c4cfd3f1f576c92aa9aa453d64473f6ff0c4de97d8",
+    "serial": "c510e6a0e9989ca46ac6246b45c630cd86505fe4d69b1526b29323db448f17c0",
+    "tau_nice": "af125ebc0c8ac1dddbb6a65b2523305d9093c5dd2f5d406c2a13d91b0126dc0e",
+    "ctau_distributed": "ad3e5d3434c7045716261f6761ed8c8b1b08c81d3985c71f5b29fff1c784a24c",
+    "doubly_uniform": "01f9399f3cb19866f2cae6f25e2006284e869fb06d4daf773aa92aa021b45307",
+    "product": "6ef85a8184afe107e27e2938a7c4278cc0463a1260031fe667eae73d8572c0b0",
+    "graph": "72835576a6e6b28f4259424776d5bb8f004110eaae55c4efaf00495518476cd6",
+    "convex_combination": "1e10712a461357c19d4bf3074771348ed0f2f82bce64aa815150da4d22eea4c3",
+    "intersection": "3589112d53b31c7fa6a51e490050eba16bdaabf1809b7ae7cc4b6f94e6b0ac6a",
+    "restriction": "08c160a0abe3884c8f541dce4bda8afeb5ee7ae0951ed93322865a85b272feea",
+    "explicit": "c2225c7a65dfa5793bc9d569854692e9cfc783b5523324d6a542d817aa3b8883",
+}
+
+
+@pytest.mark.parametrize("spec", every_kind(), ids=[spec.kind for spec in every_kind()])
+def test_kind_facts_digests_are_pinned(spec):
+    # JSON writes each float by its repr, which gives back its bits.
+    moments = ek.samplings.cardinality_moments(spec)
+    facts = {
+        "cap": ek.samplings.cardinality_cap(spec),
+        "moments": [moments.first, moments.second, moments.method],
+        "bounds": ek.lambda_bounds(spec).to_dict(),
+        "support": ek.enumerate_support(spec),
+    }
+    digest = hashlib.sha256(json.dumps(facts, sort_keys=True).encode()).hexdigest()
+    assert digest == _FACTS_DIGESTS[spec.kind]
 
 
 def test_every_exact_rule_is_exactly_symmetric():
