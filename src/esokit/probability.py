@@ -5,51 +5,36 @@ symmetric, positive semidefinite, and carries the marginals on its diagonal.
 Exact matrices exist for every kind and come from one set of rules,
 :func:`exact_rule`: per-kind closed forms, support enumeration for graph and
 explicit kinds, and the mixture, intersection and restriction rules for
-composites. A rule gives P_ij at any index arrays, so :func:`exact_grid`
-evaluates it on the full grid (for :func:`prob_matrix` and the PSD
-certificate) and :func:`spectral.restricted_lambda_primes` only on the
-blocks it needs. Monte-Carlo estimates are made only on request,
-are tagged with their sample count and per-entry standard errors, and are
-never accepted as PSD certificates. Enumerated matrices and
-:func:`check_identities` read their sets from :func:`samplings.weighted_sets`,
-and Monte-Carlo matrices the raw draws of :func:`samplings.draw_sets`, all
-as CSR index lists. Every P built from sets is summed by the index-pair
-kernel :func:`csr._pair_sum`, the one that builds A'A from the rows of A:
-it scatters each set's weight into its index pairs, O(sum_k |S_k|^2) work
-without BLAS, so the enumerated P of a graph or explicit sampling is
-exactly symmetric and the same at any BLAS thread count, and a Monte-Carlo
-P is the exact integer counts over the sample count. :func:`_enumerated_stack`
-sums the enumerated P of many samplings in stacked kernel calls, with the
-bits of :func:`prob_matrix` ``"enumerate"`` on each, and runs
-:class:`ProbMatrix`'s checks (:func:`_check_entries`) over the whole stack.
+composites, each a field of the kind's one ``samplings.KINDS`` record (a new
+kind adds a record, not a branch here). A rule gives P_ij at any index arrays,
+so :func:`exact_grid` evaluates it on the full grid (for :func:`prob_matrix`
+and the PSD certificate) and :func:`spectral.restricted_lambda_primes` only on
+the blocks it needs. Monte-Carlo estimates are made only on request, are
+tagged with their sample count and per-entry standard errors, and are never
+accepted as PSD certificates. Enumerated matrices and :func:`check_identities`
+read their sets from :func:`samplings.weighted_sets`, and Monte-Carlo matrices
+the raw draws of :func:`samplings.draw_sets`, all as CSR index lists. Every P
+built from sets is summed by the index-pair kernel :func:`csr._pair_sum`, the
+one that builds A'A from the rows of A: it scatters each set's weight into its
+index pairs, O(sum_k |S_k|^2) work without BLAS, so the enumerated P of a
+graph or explicit sampling is exactly symmetric and the same at any BLAS
+thread count, and a Monte-Carlo P is the exact integer counts over the sample
+count. :func:`_enumerated_stack` sums the enumerated P of many samplings in
+stacked kernel calls, with the bits of :func:`prob_matrix` ``"enumerate"`` on
+each, and runs :class:`ProbMatrix`'s checks (:func:`_check_entries`) over the
+whole stack.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import config, csr, samplings
 from .errors import CertificateUnavailableError, UnsupportedMethodError, ValidationError
-from .samplings import SamplingSpec
-
-PROVENANCE_CLOSED = "closed_form"
-PROVENANCE_ENUM = "enumerated"
-PROVENANCE_MC = "monte_carlo"
-
-_PROVENANCE_RANK = {PROVENANCE_CLOSED: 0, PROVENANCE_ENUM: 1, PROVENANCE_MC: 2}
-
-_CLOSED_FORM_KINDS = (
-    samplings.KIND_ELEMENTARY,
-    samplings.KIND_SERIAL,
-    samplings.KIND_TAU_NICE,
-    samplings.KIND_CTAU,
-    samplings.KIND_DOUBLY_UNIFORM,
-    samplings.KIND_PRODUCT,
-)
+from .samplings import PROVENANCE_CLOSED, PROVENANCE_ENUM, PROVENANCE_MC, _PROVENANCE_RANK, Entry, SamplingSpec
 
 
 @dataclass(frozen=True)
@@ -116,10 +101,6 @@ def _check_entries(entries: np.ndarray, slack: float) -> None:
         raise ValidationError("entries", "off-diagonal exceeds min of its diagonal pair")
 
 
-def _worst_provenance(tags) -> str:
-    return max(tags, key=lambda t: _PROVENANCE_RANK[t])
-
-
 # ---------------------------------------------------------------------------
 # Construction
 
@@ -147,7 +128,7 @@ def prob_matrix(
     if spec.n > config.DENSE_EIG_CAP:
         raise ValidationError("n", f"a dense probability matrix needs n <= {config.DENSE_EIG_CAP}")
     if method in ("auto", "closed_form"):
-        if method == "closed_form" and spec.kind not in _CLOSED_FORM_KINDS:
+        if method == "closed_form" and not samplings.KINDS[spec.kind].closed_p:
             raise UnsupportedMethodError(f"no closed-form probability matrix for kind {spec.kind!r}")
         return ProbMatrix(spec.n, *exact_grid(spec))
     if method == "enumerate":
@@ -196,9 +177,6 @@ def exact_grid(spec: SamplingSpec) -> tuple[np.ndarray, str]:
     return entry(idx[:, None], idx[None, :]), tag
 
 
-Entry = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
 def exact_rule(spec: SamplingSpec) -> tuple[Entry, str]:
     """The exact P of a sampling as a rule: (entry, provenance).
 
@@ -210,70 +188,7 @@ def exact_rule(spec: SamplingSpec) -> tuple[Entry, str]:
     explicit kinds enumerate their P once, when the rule is built. Every
     rule is exactly symmetric: entry(i, j) and entry(j, i) are the same bits.
     """
-    k = spec.kind
-    if k in _CLOSED_FORM_KINDS:
-        return _closed_rule(spec), PROVENANCE_CLOSED
-    if k == samplings.KIND_CONVEX:
-        parts = [(w, exact_rule(comp)) for w, comp in zip(spec.weights, spec.components) if w != 0.0]
-
-        def mixture(i, j):
-            total = _zeros(i, j)
-            for w, (entry, _) in parts:
-                total += w * entry(i, j)
-            return total
-
-        return mixture, _worst_provenance([PROVENANCE_CLOSED] + [tag for _, (_, tag) in parts])
-    if k == samplings.KIND_INTERSECTION:
-        (first, t1), (second, t2) = map(exact_rule, spec.components)
-        return (lambda i, j: first(i, j) * second(i, j)), _worst_provenance([t1, t2])
-    if k == samplings.KIND_RESTRICTION:
-        entry, tag = exact_rule(spec.components[0])
-        mask = np.zeros(spec.n)
-        mask[list(spec.set)] = 1.0
-        return (lambda i, j: entry(i, j) * (mask[i] * mask[j])), tag
-    # graph / explicit: support is explicit in the parameters.
-    entries = csr._pair_sum(spec.n, *samplings.weighted_sets(spec))
-    return (lambda i, j: entries[i, j]), PROVENANCE_ENUM
-
-
-def _closed_rule(spec: SamplingSpec) -> Entry:
-    n = spec.n
-    k = spec.kind
-    if k in (samplings.KIND_ELEMENTARY, samplings.KIND_SERIAL, samplings.KIND_PRODUCT):
-        p = samplings.marginals(spec)
-    if k == samplings.KIND_ELEMENTARY:
-        return lambda i, j: p[i] * p[j]
-    if k == samplings.KIND_SERIAL:
-        return lambda i, j: np.where(i == j, p[i], 0.0)
-    if k == samplings.KIND_PRODUCT:
-        block = csr._block_ids(n, spec.blocks)
-        return lambda i, j: np.where(i == j, p[i], np.where(block[i] == block[j], 0.0, p[i] * p[j]))
-    if k == samplings.KIND_DOUBLY_UNIFORM:
-        first, second = samplings.cardinality_moments(spec)
-        if first == 0.0:
-            return _zeros
-        return _uniform(first / n, (second / first - 1.0) / max(n - 1, 1))
-    tau = spec.tau
-    if tau == 0:
-        return _zeros
-    if k == samplings.KIND_TAU_NICE:
-        return _uniform(tau / n, (tau - 1) / max(n - 1, 1))
-    # (c,tau)-distributed
-    s = len(spec.partition[0])
-    diagonal, inner, outer = tau / s, tau * (tau - 1) / (s * max(s - 1, 1)), (tau / s) ** 2
-    block = csr._block_ids(n, spec.partition)
-    return lambda i, j: np.where(i == j, diagonal, np.where(block[i] == block[j], inner, outer))
-
-
-def _zeros(i, j) -> np.ndarray:
-    return np.zeros(np.broadcast(i, j).shape)
-
-
-def _uniform(c: float, beta: float) -> Entry:
-    """Entries of c * ((1 - beta) I + beta 11'): its two values, each by
-    the scalar form of c * ((1 - beta) * [i == j] + beta), in one np.where."""
-    on, off = (c * ((1.0 - beta) * same + beta) for same in (1.0, 0.0))
-    return lambda i, j: np.where(i == j, on, off)
+    return samplings.KINDS[spec.kind].rule(spec)
 
 
 def _monte_carlo(spec: SamplingSpec, samples: int, rng_seed: int, streams: int) -> ProbMatrix:

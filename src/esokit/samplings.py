@@ -3,7 +3,9 @@
 A sampling is described declaratively by a :class:`SamplingSpec` (kind plus
 parameters) and can be drawn from, enumerated exactly (small supports), or
 combined with other samplings (mixtures, independent intersections,
-restrictions to a fixed index set).
+restrictions to a fixed index set). A kind is one record of :data:`KINDS`,
+which every function that depends on the kind looks up; adding a kind adds
+one record.
 
 All indices are 0-based throughout the library. Probability vectors must sum
 to one within ``config.PROB_SUM_TOL``; nothing is ever renormalized silently.
@@ -14,13 +16,14 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import config
-from .csr import _csr, _filter, _ptr, _row_of, _scatter, _spans, _take
+from . import config, csr
+from .csr import _block_ids, _csr, _filter, _ptr, _row_of, _scatter, _spans, _take
 from .errors import CapacityError, ValidationError
 
 KIND_ELEMENTARY = "elementary"
@@ -35,19 +38,11 @@ KIND_INTERSECTION = "intersection"
 KIND_RESTRICTION = "restriction"
 KIND_EXPLICIT = "explicit"
 
-ALL_KINDS = (
-    KIND_ELEMENTARY,
-    KIND_SERIAL,
-    KIND_TAU_NICE,
-    KIND_CTAU,
-    KIND_DOUBLY_UNIFORM,
-    KIND_PRODUCT,
-    KIND_GRAPH,
-    KIND_CONVEX,
-    KIND_INTERSECTION,
-    KIND_RESTRICTION,
-    KIND_EXPLICIT,
-)
+PROVENANCE_CLOSED = "closed_form"
+PROVENANCE_ENUM = "enumerated"
+PROVENANCE_MC = "monte_carlo"
+
+_PROVENANCE_RANK = {PROVENANCE_CLOSED: 0, PROVENANCE_ENUM: 1, PROVENANCE_MC: 2}
 
 
 def _as_index_tuple(items: Iterable[int], n: int, field_name: str) -> tuple[int, ...]:
@@ -225,7 +220,9 @@ def _check_prob_vector(q: Sequence[float], field_name: str) -> None:
         raise ValidationError(field_name, f"probabilities sum to {arr.sum()!r}, not 1")
 
 
-def _check_partition(blocks: Sequence[tuple[int, ...]], n: int, field_name: str) -> None:
+def _check_partition(blocks: Sequence[tuple[int, ...]] | None, n: int, field_name: str) -> None:
+    if not blocks:
+        raise ValidationError(field_name, "required")
     seen: set[int] = set()
     for b in blocks:
         if len(b) == 0:
@@ -240,6 +237,18 @@ def _check_partition(blocks: Sequence[tuple[int, ...]], n: int, field_name: str)
         raise ValidationError(field_name, "blocks do not cover the ground set")
 
 
+def _check_index_set(items: Sequence[int] | None, n: int, field_name: str) -> None:
+    """A payload set: given, distinct, in [0, n) and ascending, as draws and enumeration hand sets on."""
+    if items is None:
+        raise ValidationError(field_name, "required")
+    if _as_index_tuple(items, n, field_name) != tuple(items):
+        raise ValidationError(field_name, "indices must be ascending")
+
+
+# The payload fields of a spec; a kind reads the ones its record lists.
+_PAYLOAD = tuple(f.name for f in fields(SamplingSpec))[2:]
+
+
 def validate_spec(spec: SamplingSpec) -> None:
     """Check all invariants of ``spec``, raising ValidationError with the field name.
 
@@ -247,78 +256,70 @@ def validate_spec(spec: SamplingSpec) -> None:
     components of a composite were checked when they were built."""
     if spec.n <= 0:
         raise ValidationError("n", "must be positive")
-    if spec.kind not in ALL_KINDS:
+    kind = KINDS.get(spec.kind) if isinstance(spec.kind, str) else None
+    if kind is None:
         raise ValidationError("kind", f"unknown kind {spec.kind!r}")
+    for name in _PAYLOAD:
+        if getattr(spec, name) is not None and name not in kind.fields:
+            raise ValidationError(name, f"not a field of {spec.kind} samplings")
+    kind.check(spec)
+    if spec.components and any(c.n != spec.n for c in spec.components):
+        raise ValidationError("components", "components must share n")
 
-    k = spec.kind
-    if k == KIND_ELEMENTARY:
-        if spec.set is None:
-            raise ValidationError("set", "required for elementary sampling")
-        _as_index_tuple(spec.set, spec.n, "set")
-    elif k == KIND_SERIAL:
-        if spec.q is None or len(spec.q) != spec.n:
-            raise ValidationError("q", "must have length n")
-        _check_prob_vector(spec.q, "q")
-    elif k == KIND_TAU_NICE:
-        if spec.tau is None or not (0 <= spec.tau <= spec.n):
-            raise ValidationError("tau", "must lie in {0, ..., n}")
-    elif k == KIND_CTAU:
-        if spec.partition is None or not spec.partition:
-            raise ValidationError("partition", "required")
-        _check_partition(spec.partition, spec.n, "partition")
-        sizes = {len(b) for b in spec.partition}
-        if len(sizes) != 1:
-            raise ValidationError("partition", "blocks must all have equal size")
-        s = sizes.pop()
-        if spec.tau is None or not (0 <= spec.tau <= s):
-            raise ValidationError("tau", f"must lie in {{0, ..., {s}}}")
-    elif k == KIND_DOUBLY_UNIFORM:
-        if spec.q is None or len(spec.q) != spec.n + 1:
-            raise ValidationError("q", "must have length n + 1 (one weight per cardinality)")
-        _check_prob_vector(spec.q, "q")
-    elif k == KIND_PRODUCT:
-        if spec.blocks is None or not spec.blocks:
-            raise ValidationError("blocks", "required")
-        _check_partition(spec.blocks, spec.n, "blocks")
-    elif k in (KIND_GRAPH, KIND_EXPLICIT):
-        if spec.members is None or spec.weights is None:
-            raise ValidationError("members", "members and weights required")
-        if len(spec.members) != len(spec.weights):
-            raise ValidationError("weights", "length mismatch with members")
-        for s in spec.members:
-            _as_index_tuple(s, spec.n, "members")
-        _check_prob_vector(spec.weights, "weights")
-        if k == KIND_GRAPH:
-            if spec.graph is None:
-                raise ValidationError("graph", "conflict graph required")
-            if spec.graph.n != spec.n:
-                raise ValidationError("graph", "graph size differs from n")
-            for s in spec.members:
-                if not spec.graph.is_independent(s):
-                    raise ValidationError("members", f"set {s} is not independent in the conflict graph")
-    elif k == KIND_CONVEX:
-        if spec.components is None or spec.weights is None or not spec.components:
-            raise ValidationError("components", "components and weights required")
-        if len(spec.components) != len(spec.weights):
-            raise ValidationError("weights", "length mismatch with components")
-        _check_prob_vector(spec.weights, "weights")
-        for c in spec.components:
-            if c.n != spec.n:
-                raise ValidationError("components", "all components must share n")
-    elif k == KIND_INTERSECTION:
-        if spec.components is None or len(spec.components) != 2:
-            raise ValidationError("components", "exactly two components required")
-        for c in spec.components:
-            if c.n != spec.n:
-                raise ValidationError("components", "components must share n")
-    elif k == KIND_RESTRICTION:
-        if spec.components is None or len(spec.components) != 1:
-            raise ValidationError("components", "exactly one component required")
-        if spec.set is None:
-            raise ValidationError("set", "restriction set required")
-        _as_index_tuple(spec.set, spec.n, "set")
-        if spec.components[0].n != spec.n:
-            raise ValidationError("components", "component must share n")
+
+def _check_q(spec: SamplingSpec, length: int, message: str) -> None:
+    if spec.q is None or len(spec.q) != length:
+        raise ValidationError("q", message)
+    _check_prob_vector(spec.q, "q")
+
+
+def _check_tau(spec: SamplingSpec, top: int, shown) -> None:
+    if spec.tau is None or not (0 <= spec.tau <= top):
+        raise ValidationError("tau", f"must lie in {{0, ..., {shown}}}")
+
+
+def _check_ctau(spec: SamplingSpec) -> None:
+    _check_partition(spec.partition, spec.n, "partition")
+    if len({len(b) for b in spec.partition}) != 1:
+        raise ValidationError("partition", "blocks must all have equal size")
+    _check_tau(spec, len(spec.partition[0]), len(spec.partition[0]))
+
+
+def _check_weighted(spec: SamplingSpec, name: str) -> None:
+    """At least one item in the field ``name``, and ``weights`` a probability vector with one entry per item."""
+    items = getattr(spec, name)
+    if not items or spec.weights is None:
+        raise ValidationError(name, f"{name} and weights required")
+    if len(items) != len(spec.weights):
+        raise ValidationError("weights", f"length mismatch with {name}")
+    _check_prob_vector(spec.weights, "weights")
+
+
+def _check_explicit(spec: SamplingSpec) -> None:
+    _check_weighted(spec, "members")
+    for s in spec.members:
+        _check_index_set(s, spec.n, "members")
+
+
+def _check_graph(spec: SamplingSpec) -> None:
+    _check_explicit(spec)
+    if spec.graph is None:
+        raise ValidationError("graph", "conflict graph required")
+    if spec.graph.n != spec.n:
+        raise ValidationError("graph", "graph size differs from n")
+    for s in spec.members:
+        if not spec.graph.is_independent(s):
+            raise ValidationError("members", f"set {s} is not independent in the conflict graph")
+
+
+def _check_components(spec: SamplingSpec, count: int, message: str) -> None:
+    if spec.components is None or len(spec.components) != count:
+        raise ValidationError("components", message)
+
+
+def _check_restriction(spec: SamplingSpec) -> None:
+    _check_components(spec, 1, "exactly one component required")
+    _check_index_set(spec.set, spec.n, "set")
 
 
 # ---------------------------------------------------------------------------
@@ -327,25 +328,18 @@ def validate_spec(spec: SamplingSpec) -> None:
 
 def spec_to_dict(spec: SamplingSpec) -> dict:
     out: dict = {"n": spec.n, "kind": spec.kind}
-    if spec.set is not None:
-        out["set"] = list(spec.set)
-    if spec.q is not None:
-        out["q"] = list(spec.q)
-    if spec.tau is not None:
-        out["tau"] = spec.tau
-    if spec.partition is not None:
-        out["partition"] = [list(b) for b in spec.partition]
-    if spec.blocks is not None:
-        out["blocks"] = [list(b) for b in spec.blocks]
-    if spec.members is not None:
-        out["members"] = [list(s) for s in spec.members]
-    if spec.weights is not None:
-        out["weights"] = list(spec.weights)
-    if spec.components is not None:
-        out["components"] = [spec_to_dict(c) for c in spec.components]
-    if spec.graph is not None:
-        out["graph_edges"] = [list(e) for e in spec.graph.edges]
+    for name in _PAYLOAD:
+        value = getattr(spec, name)
+        if value is not None:
+            out["graph_edges" if name == "graph" else name] = _plain(value)
     return out
+
+
+def _plain(value):
+    """A payload value in JSON types: sequences as lists, specs as dicts, a graph as its edges."""
+    if isinstance(value, (SamplingSpec, ConflictGraph)):
+        return spec_to_dict(value) if isinstance(value, SamplingSpec) else _plain(value.edges)
+    return [_plain(v) for v in value] if isinstance(value, (tuple, list)) else value
 
 
 def _parsed(payload: dict, key: str, convert):
@@ -382,26 +376,28 @@ def _floats(raw) -> tuple[float, ...]:
     return tuple(float(x) for x in raw)
 
 
+# The parser of each payload key but graph_edges; malformed values raise TypeError or ValueError.
+_PARSERS = {
+    "set": _index_set, "q": _floats, "tau": _integer, "partition": _index_sets, "blocks": _index_sets,
+    "members": _index_sets, "weights": _floats, "components": lambda cs: tuple(spec_from_dict(c) for c in cs),
+}
+
+
 def spec_from_dict(payload: dict) -> SamplingSpec:
+    """The spec of a :func:`spec_to_dict` payload. A missing, unknown or malformed key, or one the
+    kind does not read, raises ValidationError naming it (``graph_edges`` by its field, ``graph``)."""
     if not isinstance(payload, dict):
         raise TypeError(f"a sampling spec is a dict, not a {type(payload).__name__}")
     for key in ("n", "kind"):
         if key not in payload:
             raise ValidationError(key, "missing required key")
-    n = _parsed(payload, "n", _integer)
-    return SamplingSpec(
-        n=n,
-        kind=_parsed(payload, "kind", str),
-        set=_parsed(payload, "set", _index_set),
-        q=_parsed(payload, "q", _floats),
-        tau=_parsed(payload, "tau", _integer),
-        partition=_parsed(payload, "partition", _index_sets),
-        blocks=_parsed(payload, "blocks", _index_sets),
-        members=_parsed(payload, "members", _index_sets),
-        weights=_parsed(payload, "weights", _floats),
-        components=_parsed(payload, "components", lambda cs: tuple(spec_from_dict(c) for c in cs)),
-        graph=_parsed(payload, "graph_edges", lambda e: ConflictGraph(n, tuple((_integer(a), _integer(b)) for a, b in e))),
-    )
+    for key in payload:
+        if key not in _PARSERS and key not in ("n", "kind", "graph_edges"):
+            raise ValidationError(str(key), "unknown key")
+    n, kind = _parsed(payload, "n", _integer), _parsed(payload, "kind", str)
+    parsed = {key: _parsed(payload, key, parse) for key, parse in _PARSERS.items()}
+    graph = _parsed(payload, "graph_edges", lambda e: ConflictGraph(n, tuple((_integer(a), _integer(b)) for a, b in e)))
+    return SamplingSpec(n=n, kind=kind, graph=graph, **parsed)
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +448,10 @@ def _groups(counts: Sequence[int], width: int):
 
 def _uniform_subsets(
     sizes: np.ndarray, size: int, rngs: Sequence[np.random.Generator], counts: Sequence[int]
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact uniform sizes[r]-subsets of range(size), one per row r, with
-    counts[g] consecutive rows drawn from rngs[g]; returned as the indices
-    of CSR rows of those sizes, each row ascending.
+    counts[g] consecutive rows drawn from rngs[g]; returned as CSR
+    ``(ptr, indices)``, each row ascending.
 
     A partial Fisher-Yates shuffle of a (rows, size) identity block keeps
     row r's first sizes[r] positions. Each chunk of a generator's rows (see
@@ -503,7 +499,7 @@ def _uniform_subsets(
             picked = np.where(keep, picked, size)
             picked.sort(axis=1)
             out[first:last] = picked[keep]
-    return out
+    return _ptr(sizes), out
 
 
 def _choices(rngs, counts, options: int, p) -> np.ndarray:
@@ -532,70 +528,62 @@ def _draw_blocks(
     one row of n), so no kind builds a sets x n temporary.
     """
     counts = [int(c) for c in rows_per_rng]
-    total, k, n = sum(counts), spec.kind, spec.n
+    total = sum(counts)
     if total == 0:
         return np.zeros(1, dtype=np.intp), np.empty(0, dtype=np.intp)
-    if k == KIND_ELEMENTARY:
-        return np.arange(total + 1) * len(spec.set), np.tile(np.array(spec.set, dtype=np.intp), total)
-    if k == KIND_SERIAL:
-        return np.arange(total + 1), _choices(rngs, counts, n, spec.q)
-    if k in (KIND_TAU_NICE, KIND_DOUBLY_UNIFORM):
-        if k == KIND_TAU_NICE:
-            sizes = np.full(total, spec.tau)
-        else:
-            sizes = _choices(rngs, counts, n + 1, spec.q)
-        return _ptr(sizes), _uniform_subsets(sizes, n, rngs, counts)
-    if k == KIND_CTAU:
-        # Every (set, block) pair is one tau-subset of the block's positions.
-        part = np.asarray(spec.partition)
-        blocks, width = len(part), spec.tau * len(part)
-        sizes = np.full(total * blocks, spec.tau)
-        positions = _uniform_subsets(sizes, part.shape[1], rngs, [c * blocks for c in counts])
-        picks = part[np.arange(blocks).repeat(spec.tau), positions.reshape(total, width)]
-        picks.sort(axis=1)
-        return np.arange(total + 1) * width, picks.reshape(-1)
-    if k == KIND_PRODUCT:
-        lengths = np.array([len(b) for b in spec.blocks])
-        offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        flat = np.concatenate(spec.blocks)
-        picks = np.empty((total, len(lengths)), dtype=np.intp)
-        for start, stop, chunks in _groups(counts, len(lengths)):
-            drawn = np.concatenate(
-                [rngs[g].integers(0, lengths, size=(hi - lo, len(lengths))) for g, lo, hi in chunks]
-            )
-            picks[start:stop] = flat[offsets + drawn]
-        picks.sort(axis=1)
-        return np.arange(total + 1) * len(lengths), picks.reshape(-1)
-    if k in (KIND_GRAPH, KIND_EXPLICIT):
-        picks = _choices(rngs, counts, len(spec.members), spec.weights)
-        return _take(*_csr(spec.members), picks)
-    if k == KIND_CONVEX:
-        picks = _choices(rngs, counts, len(spec.components), spec.weights)
-        owner = np.repeat(np.arange(len(counts)), counts)
-        sizes, parts = np.zeros(total, dtype=np.intp), []
-        for t, comp in enumerate(spec.components):
-            rows = np.flatnonzero(picks == t)
-            if rows.size:
-                part_ptr, part_indices = _draw_blocks(comp, rngs, np.bincount(owner[rows], minlength=len(counts)))
-                sizes[rows] = np.diff(part_ptr)
-                parts.append((rows, part_indices))
-        ptr = _ptr(sizes)
-        indices = np.empty(ptr[-1], dtype=np.intp)
-        for rows, part_indices in parts:
-            indices[_spans(ptr[rows], sizes[rows])] = part_indices
-        return ptr, indices
-    if k == KIND_INTERSECTION:
-        ptr, indices = _draw_blocks(spec.components[0], rngs, counts)
-        other_ptr, other = _draw_blocks(spec.components[1], rngs, counts)
-        # Both key arrays ascend: set number first, then index.
-        keys = _row_of(ptr) * n + indices
-        return _filter(ptr, indices, np.isin(keys, _row_of(other_ptr) * n + other, assume_unique=True))
-    if k == KIND_RESTRICTION:
-        ptr, indices = _draw_blocks(spec.components[0], rngs, counts)
-        member = np.zeros(n, dtype=bool)
-        member[list(spec.set)] = True
-        return _filter(ptr, indices, member[indices])
-    raise ValidationError("kind", f"unknown kind {k!r}")
+    return KINDS[spec.kind].draw(spec, rngs, counts, total)
+
+
+def _draw_ctau(spec: SamplingSpec, rngs, counts, total: int) -> tuple[np.ndarray, np.ndarray]:
+    # Every (set, block) pair is one tau-subset of the block's positions.
+    part = np.asarray(spec.partition)
+    blocks, width = len(part), spec.tau * len(part)
+    sizes = np.full(total * blocks, spec.tau)
+    _, positions = _uniform_subsets(sizes, part.shape[1], rngs, [c * blocks for c in counts])
+    picks = part[np.arange(blocks).repeat(spec.tau), positions.reshape(total, width)]
+    picks.sort(axis=1)
+    return np.arange(total + 1) * width, picks.reshape(-1)
+
+
+def _draw_product(spec: SamplingSpec, rngs, counts, total: int) -> tuple[np.ndarray, np.ndarray]:
+    lengths = np.array([len(b) for b in spec.blocks])
+    offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
+    flat = np.concatenate(spec.blocks)
+    picks = np.empty((total, len(lengths)), dtype=np.intp)
+    for start, stop, chunks in _groups(counts, len(lengths)):
+        drawn = np.concatenate([rngs[g].integers(0, lengths, size=(hi - lo, len(lengths))) for g, lo, hi in chunks])
+        picks[start:stop] = flat[offsets + drawn]
+    picks.sort(axis=1)
+    return np.arange(total + 1) * len(lengths), picks.reshape(-1)
+
+
+def _draw_mixture(spec: SamplingSpec, rngs, counts, total: int) -> tuple[np.ndarray, np.ndarray]:
+    picks = _choices(rngs, counts, len(spec.components), spec.weights)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    sizes, parts = np.zeros(total, dtype=np.intp), []
+    for t, comp in enumerate(spec.components):
+        rows = np.flatnonzero(picks == t)
+        if rows.size:
+            part_ptr, part_indices = _draw_blocks(comp, rngs, np.bincount(owner[rows], minlength=len(counts)))
+            sizes[rows] = np.diff(part_ptr)
+            parts.append((rows, part_indices))
+    ptr = _ptr(sizes)
+    indices = np.empty(ptr[-1], dtype=np.intp)
+    for rows, part_indices in parts:
+        indices[_spans(ptr[rows], sizes[rows])] = part_indices
+    return ptr, indices
+
+
+def _draw_intersection(spec: SamplingSpec, rngs, counts, total: int) -> tuple[np.ndarray, np.ndarray]:
+    (ptr, indices), (other_ptr, other) = (_draw_blocks(c, rngs, counts) for c in spec.components)
+    # Both key arrays ascend: set number first, then index.
+    keys = _row_of(ptr) * spec.n + indices
+    return _filter(ptr, indices, np.isin(keys, _row_of(other_ptr) * spec.n + other, assume_unique=True))
+
+
+def _draw_restriction(spec: SamplingSpec, rngs, counts, total: int) -> tuple[np.ndarray, np.ndarray]:
+    ptr, indices = _draw_blocks(spec.components[0], rngs, counts)
+    return _filter(ptr, indices, _set_indicator(spec)[indices] > 0.0)
 
 
 def draw(spec: SamplingSpec, rng_seed: int, stream_index: int = 0) -> frozenset[int]:
@@ -641,9 +629,11 @@ def draw_masks(spec: SamplingSpec, count: int, rng_seed: int = 0, streams: int =
 # Exact enumeration
 
 
-def _merge(into: dict[tuple[int, ...], float], key: tuple[int, ...], prob: float) -> None:
-    if prob != 0.0:
-        into[key] = into.get(key, 0.0) + prob
+def _merge(into: dict[tuple[int, ...], float], pairs) -> dict[tuple[int, ...], float]:
+    for key, prob in pairs:
+        if prob != 0.0:
+            into[key] = into.get(key, 0.0) + prob
+    return into
 
 
 def enumerate_support(spec: SamplingSpec) -> list[tuple[tuple[int, ...], float]]:
@@ -729,69 +719,52 @@ def _guard_support(size: int) -> None:
 
 
 def _enumerate(spec: SamplingSpec) -> dict[tuple[int, ...], float]:
-    k = spec.kind
+    kind = KINDS[spec.kind]
+    if kind.capped:
+        _require_cap(spec)
+    return kind.enumerate(spec)
+
+
+def _equally_likely(size: int, sets: Iterable[tuple[int, ...]]) -> dict[tuple[int, ...], float]:
+    """``size`` equally likely distinct ``sets``, generated once the support guard passes."""
+    _guard_support(size)
+    return dict.fromkeys(sets, 1.0 / size)
+
+
+def _enumerate_ctau(spec: SamplingSpec) -> dict[tuple[int, ...], float]:
+    combos = itertools.product(*(itertools.combinations(b, spec.tau) for b in spec.partition))
+    size = math.comb(len(spec.partition[0]), spec.tau) ** len(spec.partition)
+    return _equally_likely(size, (tuple(sorted(i for part in c for i in part)) for c in combos))
+
+
+def _enumerate_doubly_uniform(spec: SamplingSpec) -> dict[tuple[int, ...], float]:
+    _guard_support(sum(math.comb(spec.n, t) for t, qt in enumerate(spec.q) if qt > 0))
+    probs = [qt / math.comb(spec.n, t) for t, qt in enumerate(spec.q)]
+    return {s: p for t, p in enumerate(probs) if p for s in itertools.combinations(range(spec.n), t)}
+
+
+def _enumerate_mixture(spec: SamplingSpec) -> dict[tuple[int, ...], float]:
     out: dict[tuple[int, ...], float] = {}
-    if k == KIND_ELEMENTARY:
-        out[spec.set] = 1.0
-    elif k == KIND_SERIAL:
-        for i, qi in enumerate(spec.q):
-            _merge(out, (i,), qi)
-    elif k == KIND_TAU_NICE:
-        _require_cap(spec)
-        count = math.comb(spec.n, spec.tau)
-        _guard_support(count)
-        prob = 1.0 / count
-        for s in itertools.combinations(range(spec.n), spec.tau):
-            out[s] = prob
-    elif k == KIND_CTAU:
-        _require_cap(spec)
-        per_block = [list(itertools.combinations(b, spec.tau)) for b in spec.partition]
-        size = math.prod(len(ch) for ch in per_block)
-        _guard_support(size)
-        prob = 1.0 / size
-        for combo in itertools.product(*per_block):
-            s = tuple(sorted(i for part in combo for i in part))
-            out[s] = prob
-    elif k == KIND_DOUBLY_UNIFORM:
-        _require_cap(spec)
-        _guard_support(sum(math.comb(spec.n, t) for t, qt in enumerate(spec.q) if qt > 0))
-        for t, qt in enumerate(spec.q):
-            if qt == 0.0:
-                continue
-            prob = qt / math.comb(spec.n, t)
-            for s in itertools.combinations(range(spec.n), t):
-                _merge(out, s, prob)
-    elif k == KIND_PRODUCT:
-        size = math.prod(len(b) for b in spec.blocks)
-        _guard_support(size)
-        prob = 1.0 / size
-        for combo in itertools.product(*spec.blocks):
-            out[tuple(sorted(combo))] = prob
-    elif k in (KIND_GRAPH, KIND_EXPLICIT):
-        for s, w in zip(spec.members, spec.weights):
-            _merge(out, s, w)
-    elif k == KIND_CONVEX:
-        for w, comp in zip(spec.weights, spec.components):
-            if w == 0.0:
-                continue
-            for s, p in _enumerate(comp).items():
-                _merge(out, s, w * p)
+    for w, comp in zip(spec.weights, spec.components):
+        if w != 0.0:
+            _merge(out, [(s, w * p) for s, p in _enumerate(comp).items()])
             _guard_support(len(out))
-    elif k == KIND_INTERSECTION:
-        first = _enumerate(spec.components[0])
-        second = _enumerate(spec.components[1])
-        _guard_support(len(first) * len(second))
-        for s1, p1 in first.items():
-            set1 = set(s1)
-            for s2, p2 in second.items():
-                _merge(out, tuple(sorted(set1.intersection(s2))), p1 * p2)
-    elif k == KIND_RESTRICTION:
-        j = set(spec.set)
-        for s, p in _enumerate(spec.components[0]).items():
-            _merge(out, tuple(sorted(j.intersection(s))), p)
-    else:
-        raise ValidationError("kind", f"unknown kind {k!r}")
     return out
+
+
+def _enumerate_intersection(spec: SamplingSpec) -> dict[tuple[int, ...], float]:
+    first, second = (_enumerate(c) for c in spec.components)
+    _guard_support(len(first) * len(second))
+    out: dict[tuple[int, ...], float] = {}
+    for s1, p1 in first.items():
+        set1 = set(s1)
+        _merge(out, [(tuple(sorted(set1.intersection(s2))), p1 * p2) for s2, p2 in second.items()])
+    return out
+
+
+def _enumerate_restriction(spec: SamplingSpec) -> dict[tuple[int, ...], float]:
+    j = set(spec.set)
+    return _merge({}, [(tuple(sorted(j.intersection(s))), p) for s, p in _enumerate(spec.components[0]).items()])
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +778,7 @@ def marginals(spec: SamplingSpec) -> np.ndarray:
     with the (frozen) spec, as is the verdict :func:`never_selected` reads."""
     p = spec.__dict__.get("_marginals")
     if p is None:
-        p = _marginals(spec)
+        p = KINDS[spec.kind].marginals(spec)
         p.flags.writeable = False
         object.__setattr__(spec, "_marginals", p)
         object.__setattr__(spec, "_never_selected", None if p.min() > 0.0 else int(np.argmin(p)))
@@ -819,46 +792,16 @@ def never_selected(spec: SamplingSpec) -> int | None:
     return spec.__dict__["_never_selected"]
 
 
-def _marginals(spec: SamplingSpec) -> np.ndarray:
-    k = spec.kind
-    n = spec.n
-    if k == KIND_ELEMENTARY:
-        p = np.zeros(n)
-        p[list(spec.set)] = 1.0
-        return p
-    if k == KIND_SERIAL:
-        return np.array(spec.q, dtype=float)
-    if k == KIND_TAU_NICE:
-        return np.full(n, spec.tau / n)
-    if k == KIND_CTAU:
-        s = len(spec.partition[0])
-        return np.full(n, spec.tau / s)
-    if k == KIND_DOUBLY_UNIFORM:
-        mean_card = float(np.dot(spec.q, np.arange(n + 1)))
-        return np.full(n, mean_card / n)
-    if k == KIND_PRODUCT:
-        p = np.zeros(n)
-        for b in spec.blocks:
-            p[list(b)] = 1.0 / len(b)
-        return p
-    if k in (KIND_GRAPH, KIND_EXPLICIT):
-        # The support and weights, in the order, that the enumerated P sums.
-        ptr, indices, w = weighted_sets(spec)
-        return np.bincount(indices, weights=np.repeat(w, np.diff(ptr)), minlength=n)
-    if k == KIND_CONVEX:
-        p = np.zeros(n)
-        for w, comp in zip(spec.weights, spec.components):
-            p += w * marginals(comp)
-        return p
-    if k == KIND_INTERSECTION:
-        return marginals(spec.components[0]) * marginals(spec.components[1])
-    if k == KIND_RESTRICTION:
-        p = marginals(spec.components[0]).copy()
-        mask = np.zeros(n, dtype=bool)
-        mask[list(spec.set)] = True
-        p[~mask] = 0.0
-        return p
-    raise ValidationError("kind", f"unknown kind {k!r}")
+def _set_indicator(spec: SamplingSpec) -> np.ndarray:
+    out = np.zeros(spec.n)
+    out[list(spec.set)] = 1.0
+    return out
+
+
+def _listed_marginals(spec: SamplingSpec) -> np.ndarray:
+    # The support and weights, in the order, that the enumerated P sums.
+    ptr, indices, w = weighted_sets(spec)
+    return np.bincount(indices, weights=np.repeat(w, np.diff(ptr)), minlength=spec.n)
 
 
 def is_proper(spec: SamplingSpec) -> bool:
@@ -909,58 +852,226 @@ def matrix_moments(entries: np.ndarray, provenance: str) -> Moments:
 def closed_form_moments(spec: SamplingSpec) -> Moments | None:
     """The closed-form cardinality moments, or None for the kinds that read
     them off P (intersections, restrictions and mixtures containing them)."""
-    k = spec.kind
-    if k in (KIND_ELEMENTARY, KIND_SERIAL, KIND_TAU_NICE, KIND_CTAU, KIND_PRODUCT):
-        # |S-hat| is fixed at its cap.
-        c = float(cardinality_cap(spec))
-        return Moments(c, c * c, "closed_form")
-    if k == KIND_DOUBLY_UNIFORM:
-        taus = np.arange(spec.n + 1, dtype=float)
-        q = np.asarray(spec.q)
-        return Moments(float(q @ taus), float(q @ taus**2), "closed_form")
-    if k in (KIND_GRAPH, KIND_EXPLICIT):
-        sizes = np.array([len(s) for s in spec.members], dtype=float)
-        w = np.asarray(spec.weights)
-        return Moments(float(w @ sizes), float(w @ sizes**2), "closed_form")
-    if k == KIND_CONVEX:
-        parts = [closed_form_moments(c) for c in spec.components]
-        if any(p is None for p in parts):
-            return None
-        first = sum(w * p.first for w, p in zip(spec.weights, parts))
-        second = sum(w * p.second for w, p in zip(spec.weights, parts))
-        return Moments(float(first), float(second), "closed_form")
-    # Intersections and restrictions need the joint pairwise law: read off P
-    # in cardinality_moments.
-    return None
+    return KINDS[spec.kind].moments(spec)
+
+
+def _fixed_moments(spec: SamplingSpec) -> Moments:
+    # |S-hat| is fixed at its cap.
+    c = float(cardinality_cap(spec))
+    return Moments(c, c * c, PROVENANCE_CLOSED)
+
+
+def _size_moments(weights, sizes) -> Moments:
+    """(E|S-hat|, E|S-hat|^2) when |S-hat| is sizes[k] with probability weights[k]."""
+    w, x = np.asarray(weights), np.asarray(sizes, dtype=float)
+    return Moments(float(w @ x), float(w @ x**2), PROVENANCE_CLOSED)
+
+
+def _mixture_moments(spec: SamplingSpec) -> Moments | None:
+    parts = [closed_form_moments(c) for c in spec.components]
+    if any(p is None for p in parts):
+        return None
+    first = sum(w * p.first for w, p in zip(spec.weights, parts))
+    second = sum(w * p.second for w, p in zip(spec.weights, parts))
+    return Moments(float(first), float(second), PROVENANCE_CLOSED)
 
 
 def cardinality_cap(spec: SamplingSpec) -> int:
     """Smallest structural tau with |S-hat| <= tau surely (certified, exact)."""
-    k = spec.kind
-    if k == KIND_ELEMENTARY:
-        return len(spec.set)
-    if k == KIND_SERIAL:
-        return 1
-    if k == KIND_TAU_NICE:
-        return spec.tau
-    if k == KIND_CTAU:
-        return spec.tau * len(spec.partition)
-    if k == KIND_DOUBLY_UNIFORM:
-        positive = [t for t, qt in enumerate(spec.q) if qt > 0]
-        return max(positive) if positive else 0
-    if k == KIND_PRODUCT:
-        return len(spec.blocks)
-    if k in (KIND_GRAPH, KIND_EXPLICIT):
-        sizes = [len(s) for s, w in zip(spec.members, spec.weights) if w > 0]
-        return max(sizes) if sizes else 0
-    if k == KIND_CONVEX:
-        caps = [cardinality_cap(c) for c, w in zip(spec.components, spec.weights) if w > 0]
-        return max(caps) if caps else 0
-    if k == KIND_INTERSECTION:
-        return min(cardinality_cap(spec.components[0]), cardinality_cap(spec.components[1]))
-    if k == KIND_RESTRICTION:
-        return min(cardinality_cap(spec.components[0]), len(spec.set))
-    raise ValidationError("kind", f"unknown kind {k!r}")
+    return KINDS[spec.kind].cap(spec)
+
+
+# ---------------------------------------------------------------------------
+# Exact P rules (see probability.exact_rule), restricted lambda' closed forms
+# and the kind table
+
+Entry = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _zeros(i, j) -> np.ndarray:
+    return np.zeros(np.broadcast(i, j).shape)
+
+
+def _uniform(c: float, beta: float) -> Entry:
+    """Entries of c * ((1 - beta) I + beta 11'): its two values, each by
+    the scalar form of c * ((1 - beta) * [i == j] + beta), in one np.where."""
+    on, off = (c * ((1.0 - beta) * same + beta) for same in (1.0, 0.0))
+    return lambda i, j: np.where(i == j, on, off)
+
+
+def _outer(p: np.ndarray) -> tuple[Entry, str]:
+    """P = pp' of a sampling that draws one set surely: an elementary one, or the set a restriction keeps."""
+    return (lambda i, j: p[i] * p[j]), PROVENANCE_CLOSED
+
+
+def _block_rule(p: np.ndarray, block: np.ndarray) -> tuple[Entry, str]:
+    """P of a sampling that picks at most one index per block, independently across blocks: p_i on the
+    diagonal, 0 within a block, p_i p_j across blocks (a serial sampling is one block)."""
+    return (lambda i, j: np.where(i == j, p[i], np.where(block[i] == block[j], 0.0, p[i] * p[j]))), PROVENANCE_CLOSED
+
+
+def _ctau_rule(spec: SamplingSpec) -> tuple[Entry, str]:
+    tau, s = spec.tau, len(spec.partition[0])
+    if tau == 0:
+        return _zeros, PROVENANCE_CLOSED
+    diagonal, inner, outer = tau / s, tau * (tau - 1) / (s * max(s - 1, 1)), (tau / s) ** 2
+    block = _block_ids(spec.n, spec.partition)
+    return (lambda i, j: np.where(i == j, diagonal, np.where(block[i] == block[j], inner, outer))), PROVENANCE_CLOSED
+
+
+def _doubly_uniform_rule(spec: SamplingSpec) -> tuple[Entry, str]:
+    first, second = cardinality_moments(spec)
+    entry = _uniform(first / spec.n, (second / first - 1.0) / max(spec.n - 1, 1)) if first else _zeros
+    return entry, PROVENANCE_CLOSED
+
+
+def _listed_rule(spec: SamplingSpec) -> tuple[Entry, str]:
+    # The support is explicit in the parameters: its P is enumerated once.
+    entries = csr._pair_sum(spec.n, *weighted_sets(spec))
+    return (lambda i, j: entries[i, j]), PROVENANCE_ENUM
+
+
+def _mixture_rule(spec: SamplingSpec) -> tuple[Entry, str]:
+    parts = [(w, KINDS[c.kind].rule(c)) for w, c in zip(spec.weights, spec.components) if w != 0.0]
+
+    def mixture(i, j):
+        total = _zeros(i, j)
+        for w, (entry, _) in parts:
+            total += w * entry(i, j)
+        return total
+
+    return mixture, max([PROVENANCE_CLOSED] + [tag for _, (_, tag) in parts], key=_PROVENANCE_RANK.get)
+
+
+def _both(first: tuple[Entry, str], second: tuple[Entry, str]) -> tuple[Entry, str]:
+    """The rule of the intersection of two independent samplings: the entries' product."""
+    (one, t1), (other, t2) = first, second
+    return (lambda i, j: one(i, j) * other(i, j)), max(t1, t2, key=_PROVENANCE_RANK.get)
+
+
+def tau_nice_restricted_value(n: int, tau: int, j_size):
+    """Exact lambda'(J intersect S-hat) for the tau-nice sampling; ``j_size``
+    = |J| may be an array of sizes."""
+    if tau == 0:
+        return 0.0 * j_size
+    return 1.0 + (j_size - 1) * (tau - 1) / max(n - 1, 1)
+
+
+def _ctau_restricted(spec: SamplingSpec, ptr, indices, sizes) -> tuple[np.ndarray, str]:
+    # ctau_restricted_bound's arithmetic on every set at once, in O(nnz):
+    # omega counts the distinct (set, block) keys; empty sets and tau = 0 give 0.
+    tau, s, c = spec.tau, len(spec.partition[0]), len(spec.partition)
+    s1 = max(s - 1, 1)
+    keys = np.unique(_row_of(ptr) * c + _block_ids(spec.n, spec.partition)[indices])
+    omega = np.maximum(np.bincount(keys // c, minlength=sizes.size), 1)
+    bound = 1.0 + (sizes - 1) * (tau - 1) / s1 + sizes * (tau / s - (tau - 1) / s1) * (omega - 1) / omega
+    return np.where((sizes > 0) & (tau > 0), bound, 0.0), "ctau_restriction"
+
+
+def _doubly_uniform_restricted(spec: SamplingSpec, ptr, indices, sizes) -> tuple[np.ndarray, str] | None:
+    first, second = cardinality_moments(spec)
+    if first == 0.0:
+        return None
+    return 1.0 + (sizes - 1.0) * ((second / first - 1.0) / max(spec.n - 1, 1)), "doubly_uniform_restriction"
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """Everything the package knows of one sampling kind; each callable takes the spec first."""
+
+    fields: tuple[str, ...]  # the payload fields it reads; validate_spec refuses the rest
+    check: Callable[[SamplingSpec], None]  # validates those fields
+    draw: Callable  # (spec, rngs, counts, total): the total = sum(counts) > 0 sets of _draw_blocks
+    enumerate: Callable[[SamplingSpec], dict]  # _enumerate
+    marginals: Callable[[SamplingSpec], np.ndarray]  # marginals
+    cap: Callable[[SamplingSpec], int]  # cardinality_cap
+    rule: Callable[[SamplingSpec], tuple[Entry, str]]  # probability.exact_rule
+    moments: Callable[[SamplingSpec], Moments | None] = lambda s: None  # closed_form_moments
+    restricted: Callable | None = None  # (spec, ptr, indices, sizes): spectral.restricted_closed_form
+    restricted_exact: bool = False  # restricted is an equality (lambda_prime_restricted's "formula")
+    closed_p: bool = False  # rule is a closed form (prob_matrix's "closed_form")
+    uniform: bool = False  # the marginals are structurally constant (lambda_bounds)
+    capped: bool = False  # the support grows exponentially: enumerated only up to config.ENUMERATION_CAP
+
+
+KINDS: dict[str, _Kind] = {
+    KIND_ELEMENTARY: _Kind(
+        ("set",), check=lambda s: _check_index_set(s.set, s.n, "set"),
+        draw=lambda s, rngs, counts, total: (
+            np.arange(total + 1) * len(s.set), np.tile(np.array(s.set, dtype=np.intp), total)
+        ),
+        enumerate=lambda s: {s.set: 1.0}, marginals=_set_indicator, cap=lambda s: len(s.set),
+        rule=lambda s: _outer(marginals(s)), moments=_fixed_moments, closed_p=True,
+    ),
+    KIND_SERIAL: _Kind(
+        ("q",), check=lambda s: _check_q(s, s.n, "must have length n"),
+        draw=lambda s, rngs, counts, total: (np.arange(total + 1), _choices(rngs, counts, s.n, s.q)),
+        enumerate=lambda s: {(i,): qi for i, qi in enumerate(s.q) if qi},
+        marginals=lambda s: np.array(s.q, dtype=float), cap=lambda s: 1,
+        rule=lambda s: _block_rule(marginals(s), np.zeros(s.n, dtype=np.intp)), moments=_fixed_moments, closed_p=True,
+    ),
+    KIND_TAU_NICE: _Kind(
+        ("tau",), check=lambda s: _check_tau(s, s.n, "n"),
+        draw=lambda s, rngs, counts, total: _uniform_subsets(np.full(total, s.tau), s.n, rngs, counts),
+        enumerate=lambda s: _equally_likely(math.comb(s.n, s.tau), itertools.combinations(range(s.n), s.tau)),
+        marginals=lambda s: np.full(s.n, s.tau / s.n), cap=lambda s: s.tau, moments=_fixed_moments,
+        rule=lambda s: (_uniform(s.tau / s.n, (s.tau - 1) / max(s.n - 1, 1)) if s.tau else _zeros, PROVENANCE_CLOSED),
+        restricted=lambda s, ptr, idx, sizes: (tau_nice_restricted_value(s.n, s.tau, sizes), "tau_nice_restriction"),
+        restricted_exact=True, closed_p=True, uniform=True, capped=True,
+    ),
+    KIND_CTAU: _Kind(
+        ("partition", "tau"), check=_check_ctau, draw=_draw_ctau, enumerate=_enumerate_ctau,
+        marginals=lambda s: np.full(s.n, s.tau / len(s.partition[0])), cap=lambda s: s.tau * len(s.partition),
+        rule=_ctau_rule, moments=_fixed_moments, restricted=_ctau_restricted, closed_p=True, uniform=True, capped=True,
+    ),
+    KIND_DOUBLY_UNIFORM: _Kind(
+        ("q",), check=lambda s: _check_q(s, s.n + 1, "must have length n + 1 (one weight per cardinality)"),
+        draw=lambda s, rngs, counts, total: _uniform_subsets(_choices(rngs, counts, s.n + 1, s.q), s.n, rngs, counts),
+        enumerate=_enumerate_doubly_uniform,
+        marginals=lambda s: np.full(s.n, float(np.dot(s.q, np.arange(s.n + 1))) / s.n),
+        cap=lambda s: max((t for t, qt in enumerate(s.q) if qt > 0), default=0),
+        rule=_doubly_uniform_rule, moments=lambda s: _size_moments(s.q, np.arange(s.n + 1)),
+        restricted=_doubly_uniform_restricted, closed_p=True, uniform=True, capped=True,
+    ),
+    KIND_PRODUCT: _Kind(
+        ("blocks",), check=lambda s: _check_partition(s.blocks, s.n, "blocks"), draw=_draw_product,
+        enumerate=lambda s: _equally_likely(
+            math.prod(map(len, s.blocks)), (tuple(sorted(c)) for c in itertools.product(*s.blocks))
+        ),
+        marginals=lambda s: 1.0 / np.array([len(b) for b in s.blocks])[_block_ids(s.n, s.blocks)],
+        cap=lambda s: len(s.blocks), rule=lambda s: _block_rule(marginals(s), _block_ids(s.n, s.blocks)),
+        moments=_fixed_moments, closed_p=True,
+    ),
+    KIND_CONVEX: _Kind(
+        ("weights", "components"), check=lambda s: _check_weighted(s, "components"),
+        draw=_draw_mixture, enumerate=_enumerate_mixture,
+        marginals=lambda s: sum(w * marginals(c) for w, c in zip(s.weights, s.components)),
+        cap=lambda s: max((cardinality_cap(c) for c, w in zip(s.components, s.weights) if w > 0), default=0),
+        rule=_mixture_rule, moments=_mixture_moments,
+    ),
+    KIND_INTERSECTION: _Kind(
+        ("components",), check=lambda s: _check_components(s, 2, "exactly two components required"),
+        draw=_draw_intersection, enumerate=_enumerate_intersection,
+        marginals=lambda s: marginals(s.components[0]) * marginals(s.components[1]),
+        cap=lambda s: min(cardinality_cap(s.components[0]), cardinality_cap(s.components[1])),
+        rule=lambda s: _both(*(KINDS[c.kind].rule(c) for c in s.components)),
+    ),
+    KIND_RESTRICTION: _Kind(
+        ("set", "components"), check=_check_restriction, draw=_draw_restriction, enumerate=_enumerate_restriction,
+        marginals=lambda s: marginals(s.components[0]) * _set_indicator(s),
+        cap=lambda s: min(cardinality_cap(s.components[0]), len(s.set)),
+        rule=lambda s: _both(KINDS[s.components[0].kind].rule(s.components[0]), _outer(_set_indicator(s))),
+    ),
+    KIND_EXPLICIT: _Kind(
+        ("members", "weights"), check=_check_explicit,
+        draw=lambda s, rngs, counts, total: _take(*_csr(s.members), _choices(rngs, counts, len(s.members), s.weights)),
+        enumerate=lambda s: _merge({}, zip(s.members, s.weights)), marginals=_listed_marginals,
+        cap=lambda s: max((len(m) for m, w in zip(s.members, s.weights) if w > 0), default=0),
+        rule=_listed_rule, moments=lambda s: _size_moments(s.weights, [len(m) for m in s.members]),
+    ),
+}
+# A graph sampling is an explicit one whose sets are independent in its graph.
+KINDS[KIND_GRAPH] = replace(KINDS[KIND_EXPLICIT], fields=("members", "weights", "graph"), check=_check_graph)
 
 
 # ---------------------------------------------------------------------------

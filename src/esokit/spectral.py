@@ -20,7 +20,7 @@ import numpy as np
 
 from . import config, csr, probability, samplings
 from .errors import UnsupportedMethodError, ValidationError
-from .samplings import SamplingSpec
+from .samplings import SamplingSpec, tau_nice_restricted_value
 
 METHOD_DENSE = "dense_exact"
 METHOD_POWER = "power_method"
@@ -226,8 +226,7 @@ def lambda_bounds(spec: SamplingSpec) -> BoundsReport:
         notes.append("nil sampling: lambda' lower bound undefined")
     else:
         lp_lower = second / first
-    # Kinds whose marginals are structurally constant.
-    uniform = spec.kind in (samplings.KIND_TAU_NICE, samplings.KIND_DOUBLY_UNIFORM, samplings.KIND_CTAU)
+    uniform = samplings.KINDS[spec.kind].uniform
     lam_upper = first * tau / spec.n if uniform else first
     return BoundsReport(
         lambda_prime_lower=lp_lower,
@@ -244,40 +243,14 @@ def lambda_bounds(spec: SamplingSpec) -> BoundsReport:
 # Restricted samplings
 
 
-def tau_nice_restricted_value(n: int, tau: int, j_size):
-    """Exact lambda'(J intersect S-hat) for the tau-nice sampling; ``j_size``
-    = |J| may be an array of sizes."""
-    if tau == 0:
-        return 0.0 * j_size
-    return 1.0 + (j_size - 1) * (tau - 1) / max(n - 1, 1)
-
-
 def restricted_closed_form(spec: SamplingSpec, ptr, indices) -> tuple[np.ndarray, str] | None:
     """lambda'(J intersect S-hat) for each set J of ``(ptr, indices)`` by the
     sampling family's proposition (exact for tau-nice, an upper bound for the
     (c,tau)-distributed and doubly-uniform families), with the proposition's
     name; None for other kinds and the nil doubly-uniform sampling. Each set
     holds distinct indices, as a :class:`DataMatrix`'s rows do."""
-    k = spec.kind
-    sizes = (ptr[1:] - ptr[:-1]).astype(float)
-    if k == samplings.KIND_CTAU:
-        # ctau_restricted_bound's arithmetic on every set at once, in O(nnz):
-        # omega counts the distinct (set, block) keys; empty sets and tau = 0 give 0.
-        tau, s, c = spec.tau, len(spec.partition[0]), len(spec.partition)
-        s1 = max(s - 1, 1)
-        keys = np.unique(csr._row_of(ptr) * c + csr._block_ids(spec.n, spec.partition)[indices])
-        omega = np.maximum(np.bincount(keys // c, minlength=sizes.size), 1)
-        bound = 1.0 + (sizes - 1) * (tau - 1) / s1 + sizes * (tau / s - (tau - 1) / s1) * (omega - 1) / omega
-        return np.where((sizes > 0) & (tau > 0), bound, 0.0), "ctau_restriction"
-    if k == samplings.KIND_TAU_NICE:
-        return tau_nice_restricted_value(spec.n, spec.tau, sizes), "tau_nice_restriction"
-    if k == samplings.KIND_DOUBLY_UNIFORM:
-        first, second = samplings.cardinality_moments(spec)
-        if first == 0.0:
-            return None
-        beta = (second / first - 1.0) / max(spec.n - 1, 1)
-        return 1.0 + (sizes - 1.0) * beta, "doubly_uniform_restriction"
-    return None
+    restricted = samplings.KINDS[spec.kind].restricted
+    return None if restricted is None else restricted(spec, ptr, indices, (ptr[1:] - ptr[:-1]).astype(float))
 
 
 def lambda_prime_restricted(spec: SamplingSpec, j, method: str = "exact") -> EigenEstimate:
@@ -304,12 +277,12 @@ def lambda_prime_restricted(spec: SamplingSpec, j, method: str = "exact") -> Eig
         return lambda_prime(probability.exact_rule(spec)[0](j[:, None], j[None, :]))
 
     if method == "formula":
-        if spec.kind != samplings.KIND_TAU_NICE:
+        if not samplings.KINDS[spec.kind].restricted_exact:
             raise UnsupportedMethodError(
                 f"restricted closed form only exists for tau-nice samplings, not {spec.kind!r}"
             )
-        value = tau_nice_restricted_value(spec.n, spec.tau, len(j_idx))
-        return EigenEstimate(value, METHOD_FORMULA, 0.0, bound_source="tau_nice_restriction")
+        values, source = restricted_closed_form(spec, np.array([0, len(j_idx)]), np.array(j_idx))
+        return EigenEstimate(float(values[0]), METHOD_FORMULA, 0.0, bound_source=source)
 
     if method == "bound":
         bounds = _bound_candidates(spec, np.array([0, len(j_idx)]), j_idx)

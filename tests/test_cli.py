@@ -342,6 +342,8 @@ def test_design_serial_points_errors_are_input_errors(workdir, capsys):
         ({"n": 4, "kind": "convex_combination", "components": [{"n": 4, "kind": "tau_nice", "tau": 1}] * 2,
           "weights": ["1", False]}, "weights"),
         ({"n": 4, "kind": "explicit", "members": [[0, 1], [2, 3]], "weights": [True, 0.0]}, "weights"),
+        # A misspelled key is refused, not dropped.
+        ({"n": 4, "kind": "tau_nice", "taus": 2}, "taus"),
     ],
 )
 def test_mistyped_sampling_field_is_input_error(workdir, capsys, payload, field):

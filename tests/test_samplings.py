@@ -1,7 +1,9 @@
+import ast
 import hashlib
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +85,15 @@ def test_enumerate_probabilities_sum_to_one():
 def test_enumeration_cap_enforced():
     with pytest.raises(CapacityError):
         ek.enumerate_support(ek.tau_nice(20, 3))
+    # Refused before any block's C(18, 9) = 48620 combinations are held.
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            ek.enumerate_support(ek.ctau_distributed([range(18), range(18, 36)], 9))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
 
 
 def test_marginals_closed_forms():
@@ -211,7 +222,7 @@ def test_drawn_sets_are_sorted_distinct_in_range_and_scatter_to_the_masks(stream
             assert np.all(np.diff(indices)[inner[1:]] > 0)
             masks = draw_masks(spec, count, rng_seed=5, streams=streams)
             assert np.array_equal(ek.csr._scatter(spec.n, ptr, indices), masks)
-    assert kinds == set(ek.samplings.ALL_KINDS)
+    assert kinds == set(ek.samplings.KINDS)
 
 
 def test_draw_inputs_are_checked():
@@ -384,12 +395,66 @@ _NICE4 = {"n": 4, "kind": "tau_nice", "tau": 1}
         ({"n": 3, "kind": "restriction", "components": [_NICE]}, "set", "required"),
         ({"n": 3, "kind": "restriction", "components": [_NICE], "set": [1, 1]}, "set", "duplicate"),
         ({"n": 3, "kind": "restriction", "components": [_NICE4], "set": [0]}, "components", "share n"),
+        # A field the kind does not read, and a key no kind reads, are refused, not kept or dropped.
+        ({"n": 4, "kind": "tau_nice", "tau": 2, "q": [1.0]}, "q", "not a field of tau_nice"),
+        ({"n": 3, "kind": "explicit", "members": [[0]], "weights": [1.0], "graph_edges": []}, "graph", "not a field"),
+        ({"n": 3, "kind": "intersection", "components": [_NICE, _NICE], "set": [0]}, "set", "not a field"),
+        ({"n": 3, "kind": "tau_nice", "taus": 1}, "taus", "unknown key"),
     ],
 )
 def test_every_spec_refusal_names_its_field(payload, field, message):
     with pytest.raises(ValidationError, match=message) as info:
         spec_from_dict(payload)
     assert info.value.field == field
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        (dict(kind="elementary", set=(3, 1)), "set"),
+        (dict(kind="explicit", members=((2, 0), (0, 2)), weights=(0.5, 0.5)), "members"),
+        (dict(kind="restriction", components=(ek.tau_nice(4, 2),), set=(2, 1)), "set"),
+    ],
+)
+def test_direct_construction_refuses_a_set_that_does_not_ascend(payload, field):
+    # Draws and enumeration hand each set on as it is given, ascending; the
+    # factories and spec_from_dict sort, so only direct construction can
+    # give one that does not ascend.
+    with pytest.raises(ValidationError, match="ascending") as info:
+        ek.SamplingSpec(n=4, **payload)
+    assert info.value.field == field
+
+
+# Comparisons of a sampling's kind that are formula facts, not kind facts,
+# and the one-set reference of the (c,tau) restriction bound.
+_KIND_TESTS_OUTSIDE_THE_TABLE = {
+    ("eso.py", "eso_specialized"),
+    ("eso.py", "_FAMILY_IDS"),
+    ("eso.py", "compute_v"),
+    ("spectral.py", "ctau_restricted_bound"),
+}
+
+
+def _names_a_kind(expr) -> bool:
+    if isinstance(expr, (ast.Tuple, ast.List, ast.Set)):
+        return any(_names_a_kind(e) for e in expr.elts)
+    if isinstance(expr, ast.Attribute):
+        return expr.attr == "kind" or expr.attr.startswith("KIND_")
+    return isinstance(expr, ast.Name) and expr.id.startswith("KIND_")
+
+
+def test_only_the_kind_table_tests_a_sampling_kind():
+    found = set()
+    for path in sorted(Path(ek.samplings.__file__).parent.glob("*.py")):
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                owner = ast.unparse(statement.targets[0] if isinstance(statement, ast.Assign) else statement.target)
+            else:
+                owner = getattr(statement, "name", "<module>")
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Compare) and any(map(_names_a_kind, [node.left, *node.comparators])):
+                    found.add((path.name, owner))
+    assert found - {("samplings.py", "KINDS")} == _KIND_TESTS_OUTSIDE_THE_TABLE
 
 
 def test_conflict_graph_from_row_supports():
