@@ -104,23 +104,21 @@ def _load_v(path: str, n: int) -> np.ndarray:
     return v
 
 
-def _write_report(out: str | None, command: str, resolved: dict, result: dict) -> None:
+def _write_report(args: argparse.Namespace, command: str, keys: list[str], result: dict) -> None:
+    """The JSON report of a subcommand, to ``args.out`` or stdout; its config
+    holds the arguments named by ``keys`` and the RNG scheme."""
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "config": {**resolved, "rng_scheme": config.RNG_SCHEME},
+        "config": {**{k: getattr(args, k) for k in keys}, "rng_scheme": config.RNG_SCHEME},
         "generated_at": datetime.now(timezone.utc).isoformat(),
         "result": result,
     }
     text = json.dumps(report, indent=2, sort_keys=True)
-    if out:
-        Path(out).write_text(text + "\n", encoding="utf-8")
+    if args.out:
+        Path(args.out).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
-
-
-def _resolved(args: argparse.Namespace, keys: list[str]) -> dict:
-    return {k: getattr(args, k) for k in keys}
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +135,7 @@ def cmd_compute_v(args) -> int:
     max_ratio = float(np.max(result.v * tau / (result.p * data.n)))
     payload = result.to_dict()
     payload["max_ratio"] = max_ratio
-    _write_report(
-        args.out,
-        "compute-v",
-        _resolved(args, ["matrix", "sampling", "formula", "seed"]),
-        payload,
-    )
+    _write_report(args, "compute-v", ["matrix", "sampling", "formula", "seed"], payload)
     v = result.v
     print(
         f"v: min={v.min():.6g} max={v.max():.6g} mean={v.mean():.6g}  "
@@ -179,12 +172,8 @@ def cmd_verify(args) -> int:
         results["quadratic"] = report.to_dict()
         passed &= report.passed
     results["pass"] = passed
-    _write_report(
-        args.out,
-        "verify",
-        _resolved(args, ["matrix", "sampling", "v", "mode", "trials", "seed", "threads", "tolerance"]),
-        results,
-    )
+    keys = ["matrix", "sampling", "v", "mode", "trials", "seed", "threads", "tolerance"]
+    _write_report(args, "verify", keys, results)
     print(f"verify: {'PASS' if passed else 'FAIL'}")
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
@@ -199,12 +188,7 @@ def cmd_probmatrix(args) -> int:
         probability.write_csv(pm, args.out)
         print(f"wrote {args.out} (n={pm.n}, provenance={pm.provenance})")
     else:
-        _write_report(
-            args.out,
-            "probmatrix",
-            _resolved(args, ["sampling", "method", "samples", "seed", "threads"]),
-            pm.to_dict(),
-        )
+        _write_report(args, "probmatrix", ["sampling", "method", "samples", "seed", "threads"], pm.to_dict())
     return EXIT_OK
 
 
@@ -244,15 +228,8 @@ def cmd_solve(args) -> int:
         "theoretical_iteration_bound": traces[0].theoretical_iteration_bound,
         "traces": [t.to_dict() for t in traces],
     }
-    _write_report(
-        args.out,
-        "solve",
-        _resolved(
-            args,
-            ["matrix", "sampling", "problem", "formula", "epsilon", "max_iter", "seeds", "seed"],
-        ),
-        summary,
-    )
+    keys = ["matrix", "sampling", "problem", "formula", "epsilon", "max_iter", "seeds", "seed"]
+    _write_report(args, "solve", keys, summary)
     if args.trace_csv:
         traces[0].write_csv(args.trace_csv)
     print(
@@ -272,12 +249,7 @@ def cmd_tradeoff(args) -> int:
         lambda_sc=args.lambda_sc,
         epsilon=args.epsilon,
     )
-    _write_report(
-        args.out,
-        "tradeoff",
-        _resolved(args, ["matrix", "sampling", "formulas", "lambda_sc", "epsilon"]),
-        report.to_dict(),
-    )
+    _write_report(args, "tradeoff", ["matrix", "sampling", "formulas", "lambda_sc", "epsilon"], report.to_dict())
     for row in report.rows:
         print(
             f"{row['formula']:>13}: preprocessing {row['preprocessing_passes']:10.2f} passes, "
@@ -294,7 +266,7 @@ def cmd_design_serial(args) -> int:
         raise ParseError(f"{args.points} lacks {' and '.join(missing)}")
     x0, xstar = (_numbers(payload[key], f"{key} in {args.points}") for key in ("x0", "xstar"))
     design = solver.optimal_serial_sampling(data, x0, xstar)
-    _write_report(args.out, "design-serial", _resolved(args, ["matrix", "points"]), design.to_dict())
+    _write_report(args, "design-serial", ["matrix", "points"], design.to_dict())
     print(f"design-serial: C_opt={design.c_opt:.6g} C_unif={design.c_unif:.6g} ratio={design.ratio:.6g}")
     return EXIT_OK
 
@@ -311,12 +283,7 @@ def cmd_battery(args) -> int:
         pairs_per_spec=args.pairs_per_spec,
         tolerance=args.tolerance,
     )
-    _write_report(
-        args.out,
-        "battery",
-        _resolved(args, ["sizes", "specs_per_size", "pairs_per_spec", "seed", "tolerance"]),
-        report.to_dict(),
-    )
+    _write_report(args, "battery", ["sizes", "specs_per_size", "pairs_per_spec", "seed", "tolerance"], report.to_dict())
     if args.junit:
         verify.write_junit(report, args.junit)
     for name, check in report.checks.items():

@@ -3,7 +3,9 @@
 sampling's support, a block of draws. :func:`_pair_sum` builds every n x n
 sum of outer products over them: A'A over the rows of A, and every P
 summed from sets, one matrix per call or, given each set's slot, a stack
-of them in one call (the identity battery's enumerated P)."""
+of them in one call (the identity battery's enumerated P). Every per-set
+quadratic form h_S' M_SS h_S is :func:`_quadratic_forms` on a stack of
+equal-size sets from :func:`_size_stacks`: O(sum_k |S_k|^2), no sets x n array."""
 
 from __future__ import annotations
 
@@ -13,8 +15,9 @@ import numpy as np
 
 # Index pairs of the largest chunk of sets _pair_sum scatters, of the
 # largest (sets, |S|, |S|) stack of equal-size sets _size_stacks yields for
-# check_identities and restricted_lambda_primes, and entries of the largest
-# (matrices, n, n) stack the identity battery sums: the one stack budget.
+# the per-set quadratic forms and restricted_lambda_primes, and entries of
+# the largest (matrices, n, n) stack the identity battery sums: the one
+# stack budget.
 _STACK_ENTRIES = 1 << 16
 
 
@@ -84,6 +87,14 @@ def _size_stacks(ptr: np.ndarray, indices: np.ndarray):
         for lo in range(0, rows.size, step):
             sets = rows[lo : lo + step]
             yield sets, indices[ptr[sets, None] + np.arange(s)]
+
+
+def _quadratic_forms(m: np.ndarray, h_s: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """h_S' M_SS h_S for each row S of a stack ``idx`` of :func:`_size_stacks`,
+    given ``h_s = h[idx]``. The blocks M_SS are gathered by flat index, which
+    is faster than by an index pair."""
+    n = m.shape[0]
+    return np.einsum("ki,kij,kj->k", h_s, m.reshape(-1)[idx[:, :, None] * n + idx[:, None, :]], h_s)
 
 
 def _upper_pairs(position: np.ndarray, after: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

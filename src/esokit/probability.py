@@ -264,7 +264,7 @@ def _identity_reports(spec: SamplingSpec, pairs, trials: int = 0, rng_seed: int 
         w = weights[sets]
         for (m_matrix, h), acc in zip(checked, sums):
             h_s = h[idx]
-            acc[0] += w @ np.einsum("ki,kij,kj->k", h_s, m_matrix[idx[:, :, None], idx[:, None, :]], h_s)
+            acc[0] += w @ csr._quadratic_forms(m_matrix, h_s, idx)
             totals = h_s.sum(axis=1)
             acc[1] += w @ (totals * totals)
             acc[2] += w @ totals

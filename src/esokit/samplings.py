@@ -124,14 +124,14 @@ def serial(q: Sequence[float]) -> SamplingSpec:
 
 def tau_nice(n: int, tau: int) -> SamplingSpec:
     """Uniform law over all subsets of cardinality tau (tau = 0 is nil)."""
-    return SamplingSpec(n=n, kind=KIND_TAU_NICE, tau=int(tau))
+    return SamplingSpec(n=n, kind=KIND_TAU_NICE, tau=_tau(tau))
 
 
 def ctau_distributed(partition: Sequence[Iterable[int]], tau: int) -> SamplingSpec:
     """Union of independent tau-nice draws on c equal-size blocks of a partition."""
     blocks = tuple(tuple(sorted(int(i) for i in b)) for b in partition)
     n = sum(len(b) for b in blocks)
-    return SamplingSpec(n=n, kind=KIND_CTAU, partition=blocks, tau=int(tau))
+    return SamplingSpec(n=n, kind=KIND_CTAU, partition=blocks, tau=_tau(tau))
 
 
 def doubly_uniform(q: Sequence[float]) -> SamplingSpec:
@@ -254,6 +254,8 @@ def validate_spec(spec: SamplingSpec) -> None:
 
     Runs when a SamplingSpec is built, so every spec in hand is valid; the
     components of a composite were checked when they were built."""
+    if not _is_int(spec.n):
+        raise ValidationError("n", f"must be an integer, not {spec.n!r}")
     if spec.n <= 0:
         raise ValidationError("n", "must be positive")
     kind = KINDS.get(spec.kind) if isinstance(spec.kind, str) else None
@@ -274,7 +276,7 @@ def _check_q(spec: SamplingSpec, length: int, message: str) -> None:
 
 
 def _check_tau(spec: SamplingSpec, top: int, shown) -> None:
-    if spec.tau is None or not (0 <= spec.tau <= top):
+    if not (_is_int(spec.tau) and 0 <= spec.tau <= top):
         raise ValidationError("tau", f"must lie in {{0, ..., {shown}}}")
 
 
@@ -352,14 +354,26 @@ def _parsed(payload: dict, key: str, convert):
         raise ValidationError(key, f"malformed value {payload[key]!r}") from e
 
 
+def _is_int(value) -> bool:
+    """A value of an integer type other than bool. A plain int skips the
+    slower abstract-class check, which every spec built would pay."""
+    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _integer(raw) -> int:
     """An integral number such as 4 or 4.0. A bool, a string or a fraction
     is malformed, not truncated."""
-    if isinstance(raw, bool) or not (
-        isinstance(raw, numbers.Integral) or isinstance(raw, float) and raw.is_integer()
-    ):
+    if not (_is_int(raw) or isinstance(raw, float) and raw.is_integer()):
         raise ValueError(f"{raw!r} is not an integer")
     return int(raw)
+
+
+def _tau(raw) -> int:
+    """A factory's tau as :func:`_integer` reads it; anything else is refused by name."""
+    try:
+        return _integer(raw)
+    except ValueError:
+        raise ValidationError("tau", f"must be an integer, not {raw!r}") from None
 
 
 def _index_set(raw) -> tuple[int, ...]:

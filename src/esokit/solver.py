@@ -358,7 +358,10 @@ def _solve_streams(problem, spec, v, streams, x0, epsilon, max_iter, rng_seed) -
     traces = []
     for lo in range(0, len(streams), per_batch):
         batch = streams[lo : lo + per_batch]
-        runs = _lockstep(problem, spec, v, x0, rng_seed, batch, epsilon, max_iter, gap0, f_star)
+        # A step that overflows makes the objective non-finite, which
+        # _lockstep refuses by name with DivergenceError, not with a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            runs = _lockstep(problem, spec, v, x0, rng_seed, batch, epsilon, max_iter, gap0, f_star)
         for s, run in zip(batch, runs):
             traces.append(
                 SolverTrace(

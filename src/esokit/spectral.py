@@ -253,6 +253,16 @@ def restricted_closed_form(spec: SamplingSpec, ptr, indices) -> tuple[np.ndarray
     return None if restricted is None else restricted(spec, ptr, indices, (ptr[1:] - ptr[:-1]).astype(float))
 
 
+def _restriction_set(spec: SamplingSpec, j) -> list[int]:
+    """The distinct indices of J, ascending; an empty J or one outside [0, n) is refused."""
+    j_idx = sorted({int(i) for i in j})
+    if not j_idx:
+        raise ValidationError("set", "restriction set must be nonempty")
+    if j_idx[0] < 0 or j_idx[-1] >= spec.n:
+        raise ValidationError("set", f"indices must lie in [0, {spec.n})")
+    return j_idx
+
+
 def lambda_prime_restricted(spec: SamplingSpec, j, method: str = "exact") -> EigenEstimate:
     """lambda' of the restriction of a sampling to the nonempty set ``j``
     (a repeated index counts once).
@@ -266,12 +276,7 @@ def lambda_prime_restricted(spec: SamplingSpec, j, method: str = "exact") -> Eig
     :func:`restricted_lambda_primes` gives the same values for many sets at
     once; this one-set form is its reference.
     """
-    j_idx = sorted({int(i) for i in j})
-    if not j_idx:
-        raise ValidationError("set", "restriction set must be nonempty")
-    if j_idx[0] < 0 or j_idx[-1] >= spec.n:
-        raise ValidationError("set", f"indices must lie in [0, {spec.n})")
-
+    j_idx = _restriction_set(spec, j)
     if method == "exact":
         j = np.array(j_idx)
         return lambda_prime(probability.exact_rule(spec)[0](j[:, None], j[None, :]))
@@ -351,16 +356,16 @@ def restricted_lambda_primes(spec: SamplingSpec, ptr, indices, method: str = "ex
 
 
 def ctau_restricted_bound(spec: SamplingSpec, j_idx) -> float:
-    """Restriction bound for the (c,tau)-distributed sampling; tight when the
-    blocks hit by J each contribute at most one coordinate."""
+    """Restriction bound for the (c,tau)-distributed sampling on a nonempty J
+    in [0, n); tight when the blocks hit by J each contribute at most one coordinate."""
     if spec.kind != samplings.KIND_CTAU:
         raise UnsupportedMethodError("requires a (c,tau)-distributed sampling")
+    j_set = set(_restriction_set(spec, j_idx))
     tau = spec.tau
     if tau == 0:
         return 0.0
     s = len(spec.partition[0])
     s1 = max(s - 1, 1)
-    j_set = set(int(i) for i in j_idx)
     omega = sum(1 for block in spec.partition if j_set.intersection(block))
     j_size = len(j_set)
     return (

@@ -7,14 +7,16 @@ inequality
 
 over the enumerated support (exact) or over seeded draws (statistical, with a
 one-sided z-slack), both from :func:`samplings.weighted_sets`, as
-f(x + h_S) = f(x) + grad f(x)'h_S + 0.5 h_S'(A'A)h_S: no dense A, no
-m-by-trials array. Draws collapse to their distinct sets weighted by count,
-so the cost grows with the sets a sampling can draw, not with the trials;
-f(x) and grad f(x) are computed once per distinct x, and the quadratic term
-once per distinct h. The matrix-form check re-exports the PSD certificate
-and produces a violating direction when the margin is negative. The
-identity battery sweeps random samplings and matrices against brute-force
-expectation oracles.
+f(x + h_S) = f(x) + grad f(x)'h_S + 0.5 h_S'(A'A)h_S on the CSR sets: no
+dense A, no m-by-trials array and no sets-by-n one. Draws collapse to their
+distinct sets weighted by count, so the cost grows with the sets a sampling
+can draw, not with the trials; f(x) and grad f(x) are computed once per
+distinct x, and the quadratic term once per distinct h, in O(sum_k |S_k|^2)
+from the equal-size stacks of :func:`csr._size_stacks`. Beyond A'A, memory
+is O(distinct sets + one stack). The matrix-form check re-exports the PSD
+certificate and produces a violating direction when the margin is negative.
+The identity battery sweeps random samplings and matrices against
+brute-force expectation oracles.
 """
 
 from __future__ import annotations
@@ -31,9 +33,6 @@ from .errors import ValidationError
 from .samplings import SamplingSpec
 
 EXHAUSTIVE_TOL = 1e-10
-
-# Entries of each chunk-by-n float temporary of check_eso_quadratic.
-_CHUNK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -106,7 +105,8 @@ def check_eso_quadratic(
     In Monte-Carlo mode the expectation is the weighted sum over the
     distinct drawn sets, with weight count / trials, and the standard error
     is that of the trials raw draws, sqrt(sum_s w_s (value_s - lhs)^2 /
-    (trials - 1)), or 0 for a single trial.
+    (trials - 1)), or 0 for a single trial. Per distinct h the quadratic
+    terms cost O(sum_k |S_k|^2); memory beyond A'A is O(distinct sets + one stack).
     """
     v = np.asarray(v, dtype=float)
     n = data.n
@@ -138,12 +138,11 @@ def check_eso_quadratic(
 
     trials_used = 0 if exhaustive else trials
     ptr, indices, weights = samplings.weighted_sets(spec, trials_used, rng_seed, streams)
-    masks = csr._scatter(n, ptr, indices)
     p = samplings.marginals(spec)
-    rows = masks.shape[0]
-    chunk = max(1, _CHUNK_ENTRIES // max(n, 1))
+    rows, row_of = weights.size, csr._row_of(ptr)
+    stacks = list(csr._size_stacks(ptr, indices))
 
-    # f(x + h_S) = f(x) + grad'h_S + 0.5 h_S'(A'A)h_S over chunks of sets.
+    # f(x + h_S) = f(x) + grad'h_S + 0.5 h_S'(A'A)h_S on the sets' indices.
     # f(x) and grad f(x) do not depend on h, nor the quadratic term on x, so
     # each is computed once per distinct x or h and read by every point that
     # shares it.
@@ -162,18 +161,16 @@ def check_eso_quadratic(
         details = [None] * len(labelled)
         for group in groups.values():
             h = labelled[group[0]][1]
-            quad = np.empty(rows)
-            for lo in range(0, rows, chunk):
-                h_s = masks[lo : lo + chunk] * h
-                quad[lo : lo + chunk] = np.einsum("ki,ki->k", h_s @ gram, h_s)
+            # h_S'(A'A)h_S stack by stack of equal-size sets; 0 on an empty set.
+            quad = np.zeros(rows)
+            for sets, idx in stacks:
+                quad[sets] = csr._quadratic_forms(gram, h[idx], idx)
             for k in group:
                 x, _, label = labelled[k]
                 fx, grad = at_x[x.tobytes()]
                 rhs = fx + float(np.sum(p * grad * h)) + 0.5 * float(np.sum(p * v * h * h))
-                values = np.empty(rows)
-                for lo in range(0, rows, chunk):
-                    h_s = masks[lo : lo + chunk] * h
-                    values[lo : lo + chunk] = fx + h_s @ grad + 0.5 * quad[lo : lo + chunk]
+                linear = np.bincount(row_of, weights=(h * grad)[indices], minlength=rows)
+                values = fx + linear + 0.5 * quad
                 lhs = float(weights @ values)
                 if exhaustive:
                     stderr = 0.0

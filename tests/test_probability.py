@@ -95,6 +95,16 @@ def test_closed_form_refused_for_composite_kinds():
         ek.prob_matrix(spec, "closed_form")
 
 
+def test_prob_matrix_refuses_an_unknown_method_and_no_samples():
+    spec = ek.tau_nice(4, 2)
+    with pytest.raises(UnsupportedMethodError, match="unknown method 'exact'"):
+        ek.prob_matrix(spec, "exact")
+    for samples in (0, -5):
+        with pytest.raises(ValidationError, match="must be positive") as info:
+            ek.prob_matrix(spec, "monte_carlo", mc_samples=samples)
+        assert info.value.field == "mc_samples"
+
+
 def test_auto_is_exact_for_composites_of_closed_form_kinds():
     # Restriction of a tau-nice sampling at n far beyond the enumeration cap.
     spec = ek.restriction(ek.tau_nice(100, 7), range(10))
@@ -256,6 +266,19 @@ def _identities_by_loop(spec, m, h, trials, rng_seed):
     }
 
 
+def test_check_identities_refuse_a_wrongly_shaped_m_or_h():
+    spec = ek.tau_nice(4, 2)
+    for m, h, field in (
+        (np.eye(3), np.ones(4), "m_matrix"),
+        (np.ones(4), np.ones(4), "m_matrix"),
+        (np.eye(4), np.ones(3), "h"),
+        (np.eye(4), np.ones((4, 1)), "h"),
+    ):
+        with pytest.raises(ValidationError, match="expected shape") as info:
+            ek.check_identities(spec, m, h)
+        assert info.value.field == field
+
+
 @pytest.mark.parametrize("stack_entries", [ek.csr._STACK_ENTRIES, 5])
 def test_check_identities_match_the_per_set_loop(stack_entries, monkeypatch):
     monkeypatch.setattr(ek.csr, "_STACK_ENTRIES", stack_entries)
@@ -365,6 +388,14 @@ def test_malformed_csv_is_a_validation_error(tmp_path, text, field):
     path.write_text(text)
     with pytest.raises(ValidationError, match=f"^{field}:"):
         read_csv(path)
+
+
+def test_csv_without_its_header_is_refused(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_text("0.5,0.25\n0.25,0.5\n")
+    with pytest.raises(ValidationError, match="missing prob_matrix header") as info:
+        read_csv(path)
+    assert info.value.field == "header"
 
 
 def test_invariant_off_diagonal_dominated_by_diagonal():

@@ -425,6 +425,44 @@ def test_direct_construction_refuses_a_set_that_does_not_ascend(payload, field):
     assert info.value.field == field
 
 
+_PARTITION = ((0, 1), (2, 3))
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "2", np.float64(1.0)], ids=repr)
+@pytest.mark.parametrize(
+    "kind, payload", [("tau_nice", {}), ("ctau_distributed", {"partition": _PARTITION})], ids=["tau_nice", "ctau"]
+)
+def test_direct_construction_refuses_a_non_integral_or_bool_tau(kind, payload, bad):
+    # Such a tau would be read as p = tau / n or by math.comb, or be taken as 1.
+    with pytest.raises(ValidationError, match=r"must lie in \{0, \.\.\., ") as info:
+        ek.SamplingSpec(n=4, kind=kind, tau=bad, **payload)
+    assert info.value.field == "tau"
+
+
+@pytest.mark.parametrize("bad", [4.5, 4.0, True, "4"], ids=repr)
+@pytest.mark.parametrize(
+    "kind, payload", [("tau_nice", {"tau": 1}), ("serial", {"q": (0.25,) * 4})], ids=["tau_nice", "serial"]
+)
+def test_direct_construction_refuses_a_non_integral_or_bool_n(kind, payload, bad):
+    with pytest.raises(ValidationError, match="must be an integer") as info:
+        ek.SamplingSpec(n=bad, kind=kind, **payload)
+    assert info.value.field == "n"
+
+
+def test_factories_refuse_a_fractional_or_bool_tau_and_take_an_integral_one():
+    for make in (lambda t: ek.tau_nice(4, t), lambda t: ek.ctau_distributed(_PARTITION, t)):
+        for bad in (1.5, True):
+            with pytest.raises(ValidationError, match="must be an integer") as info:
+                make(bad)
+            assert info.value.field == "tau"
+        for good in (1, 1.0, np.int64(1)):
+            spec = make(good)
+            assert spec.tau == 1 and type(spec.tau) is int
+    with pytest.raises(ValidationError, match="must be an integer") as info:
+        ek.tau_nice(4.0, 2)
+    assert info.value.field == "n"
+
+
 # Comparisons of a sampling's kind that are formula facts, not kind facts,
 # and the one-set reference of the (c,tau) restriction bound.
 _KIND_TESTS_OUTSIDE_THE_TABLE = {

@@ -99,6 +99,18 @@ def test_divergence_guard_trips_on_invalid_stepsizes():
         ek.solve(problem, spec, v / 200.0, x0=np.ones(problem.n), max_iter=5_000)
 
 
+def test_an_overflowing_step_is_a_divergence_error_not_a_warning():
+    # Stepsizes near the float minimum overflow the first step; the
+    # non-finite objective is refused by name (tier-1 turns any
+    # RuntimeWarning into an error).
+    problem = _fixture_problem(ridge=0.05)
+    spec = ek.tau_nice(problem.n, 3)
+    v = problem.stepsizes(spec, "taunice").v
+    for runs in (1, 3):
+        with pytest.raises(DivergenceError, match="objective of stream 0 became non-finite at iteration 1"):
+            ek.solve_many(problem, spec, v * 1e-300, n_runs=runs, x0=np.ones(problem.n), max_iter=50)
+
+
 def test_solver_rejects_improper_sampling_and_bad_v():
     problem = _fixture_problem()
     with pytest.raises(ValidationError, match="proper"):

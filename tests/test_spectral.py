@@ -294,6 +294,18 @@ def test_ctau_bound_requires_ctau_kind():
         ctau_restricted_bound(ek.tau_nice(4, 2), [0, 1])
 
 
+def test_ctau_bound_refuses_an_empty_or_out_of_range_set():
+    spec = ek.ctau_distributed([[0, 1], [2, 3]], 1)
+    with pytest.raises(ValidationError, match="nonempty") as info:
+        ctau_restricted_bound(spec, [])
+    assert info.value.field == "set"
+    for j in ([7], [0, 9], [-1, 2]):
+        with pytest.raises(ValidationError, match=r"must lie in \[0, 4\)") as info:
+            ctau_restricted_bound(spec, j)
+        assert info.value.field == "set"
+    assert ctau_restricted_bound(spec, [0, 2, 2]) == ctau_restricted_bound(spec, [0, 2])
+
+
 def test_restricted_closed_form_matches_per_set_reference():
     # The family closed forms run on many sets at once; each entry equals the
     # same proposition evaluated on one set in Python arithmetic.

@@ -1,8 +1,10 @@
+import ast
 import hashlib
 import json
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,6 +214,24 @@ def test_junit_escapes_quotes_and_markup_in_check_names(tmp_path):
     assert '<testcase name="a&quot;b&lt;c&gt;&amp;d" classname="identity_battery">' in path.read_text()
 
 
+def test_junit_reports_each_failing_check_as_a_failure(tmp_path):
+    checks = {
+        "intersection_rule": {"max_discrepancy": 2.5e-3, "cases": 4, "pass": False},
+        "restriction_chain": {"max_discrepancy": 0.0, "cases": 4, "pass": True},
+    }
+    report = verify.BatteryReport(checks=checks, tolerance=1e-10, seed=0, sizes=(3,))
+    assert not report.passed
+    path = tmp_path / "battery.xml"
+    write_junit(report, path)
+    lines = path.read_text().splitlines()
+    assert lines[1] == '<testsuite name="identity_battery" tests="2" failures="1">'
+    assert lines[2] == (
+        '  <testcase name="intersection_rule" classname="identity_battery">'
+        '<failure message="max discrepancy 2.500e-03 exceeds 1.0e-10"/></testcase>'
+    )
+    assert lines[3] == '  <testcase name="restriction_chain" classname="identity_battery"></testcase>'
+
+
 def test_matrix_form_rejects_wrong_length_v():
     with pytest.raises(ValidationError):
         ek.check_eso_matrix_form(FIXTURE_A, SPEC, V_OK[:-1])
@@ -255,10 +275,16 @@ def _dense_reference_details(data, spec, v, labelled, mode, trials, rng_seed, st
     return details
 
 
-@pytest.mark.parametrize("chunk_entries", [verify._CHUNK_ENTRIES, 50])
+# The default stack budget, and one that puts at most two sets of size 1
+# and one larger set in each stack, so every set size drawn more than once
+# spans several stacks.
+_STACK_BUDGETS = pytest.mark.parametrize("stack_entries", [csr._STACK_ENTRIES, 2], ids=["default", "split"])
+
+
+@_STACK_BUDGETS
 @pytest.mark.parametrize("mode", ["exhaustive", "monte_carlo"])
-def test_quadratic_check_matches_the_dense_formula(mode, chunk_entries, monkeypatch):
-    monkeypatch.setattr(verify, "_CHUNK_ENTRIES", chunk_entries)
+def test_quadratic_check_matches_the_dense_formula(mode, stack_entries, monkeypatch):
+    monkeypatch.setattr(csr, "_STACK_ENTRIES", stack_entries)
     rng = ek.rng_for_stream(64, 0)
     for k in range(6):
         n = int(rng.integers(4, 10))
@@ -329,6 +355,56 @@ def test_quadratic_check_rejects_an_empty_point_list(monkeypatch):
         assert info.value.field == "points"
 
 
+def test_quadratic_check_refuses_an_unknown_mode_no_trials_and_non_finite_points():
+    with pytest.raises(ValidationError, match="unknown mode 'exact'") as info:
+        ek.check_eso_quadratic(FIXTURE_A, SPEC, V_OK, mode="exact")
+    assert info.value.field == "mode"
+    for trials in (0, -1):
+        with pytest.raises(ValidationError, match="must be positive") as info:
+            ek.check_eso_quadratic(FIXTURE_A, SPEC, V_OK, mode="monte_carlo", trials=trials)
+        assert info.value.field == "trials"
+    for bad in (np.array([0.0, np.nan, 0.0]), np.array([np.inf, 0.0, 0.0])):
+        for point in ((bad, np.ones(3)), (np.zeros(3), bad)):
+            with pytest.raises(ValidationError, match="finite") as info:
+                ek.check_eso_quadratic(FIXTURE_A, SPEC, V_OK, points=[point])
+            assert info.value.field == "points"
+
+
+def test_quadratic_check_memory_stays_below_a_sets_by_n_array():
+    # 20k draws of tau_nice(600, 8) are about 20k distinct sets: as bool
+    # rows they alone are 12 MB, and h_S as floats in chunks more again.
+    rng = ek.rng_for_stream(70, 0)
+    data = random_sparse_matrix(rng, 6000, 600, 0.035)
+    spec = ek.tau_nice(600, 8)
+    v = ek.compute_v(data, spec, "taunice").v
+    # n^2 <= 3 nnz, so the Gram matrix is built once and kept.
+    assert data.gram() is data.gram()
+    points = [(rng.standard_normal(600), rng.standard_normal(600)) for _ in range(2)]
+    tracemalloc.start()
+    try:
+        report = ek.check_eso_quadratic(data, spec, v, points=points, mode="monte_carlo", trials=20_000, rng_seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.points_tested == 2 and report.trials == 20_000
+    assert peak <= 16 * 2**20, peak
+
+
+def test_only_draw_masks_scatters_sets_into_bool_rows():
+    # Sets pass between layers as CSR index lists; only the public mask
+    # form of the draws turns them back into (sets, n) rows.
+    src = Path(ek.__file__).parent
+    callers = set()
+    for path in sorted(src.glob("*.py")):
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Call):
+                    callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                    if callee == "_scatter":
+                        callers.add((path.name, getattr(statement, "name", "<module>")))
+    assert callers == {("samplings.py", "draw_masks")}
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo expectations over the distinct drawn sets
 
@@ -380,31 +456,34 @@ _DISTINCT_SET_SPECS = [
 
 @pytest.mark.parametrize("streams", [1, 4])
 @pytest.mark.parametrize("name, make", _DISTINCT_SET_SPECS, ids=[name for name, _ in _DISTINCT_SET_SPECS])
-def test_monte_carlo_checks_match_the_per_draw_sums(name, make, streams):
+def test_monte_carlo_checks_match_the_per_draw_sums(name, make, streams, monkeypatch):
     rng = ek.rng_for_stream(67, 0)
     spec = make(int(rng.integers(6, 10)))
     n = spec.n
     data = random_sparse_matrix(rng, int(rng.integers(n, 2 * n)), n, 0.4)
     trials = 2_000
     v = ek.compute_v(data, spec, "uncoupled").v
-    for scale in (1.0, 0.6):
-        report = ek.check_eso_quadratic(data, spec, scale * v, mode="monte_carlo", trials=trials, rng_seed=5, streams=streams)
-        labelled = verify.canonical_points(data, spec, scale * v, rng_seed=5)
-        expected = _per_draw_quadratic(data, spec, scale * v, labelled, trials, 5, streams)
-        assert report.trials == trials
-        assert [d["label"] for d in report.details] == [d["label"] for d in expected]
-        for got, want in zip(report.details, expected):
-            bound = 1e-12 * max(1.0, abs(want["lhs"]))
-            for key in ("lhs", "rhs", "stderr"):
-                assert abs(got[key] - want[key]) <= bound, (name, got["label"], key)
-            assert got["pass"] == want["pass"], (name, got["label"])
-
     m, h = rng.standard_normal((n, n)), rng.standard_normal(n)
-    identities = ek.check_identities(spec, m, h, trials=1_000, rng_seed=streams)
-    for key, want in _per_draw_identities(spec, m, h, 1_000, streams).items():
-        got = identities.results[key]
-        value = got["discrepancy"] if key == "hadamard_matrix" else got["rhs"]
-        assert abs(value - want) <= 1e-12 * max(1.0, abs(want)), (name, key)
+    identities_want = _per_draw_identities(spec, m, h, 1_000, streams)
+    for stack_entries in (csr._STACK_ENTRIES, 2):
+        monkeypatch.setattr(csr, "_STACK_ENTRIES", stack_entries)
+        for scale in (1.0, 0.6):
+            report = ek.check_eso_quadratic(data, spec, scale * v, mode="monte_carlo", trials=trials, rng_seed=5, streams=streams)
+            labelled = verify.canonical_points(data, spec, scale * v, rng_seed=5)
+            expected = _per_draw_quadratic(data, spec, scale * v, labelled, trials, 5, streams)
+            assert report.trials == trials
+            assert [d["label"] for d in report.details] == [d["label"] for d in expected]
+            for got, want in zip(report.details, expected):
+                bound = 1e-12 * max(1.0, abs(want["lhs"]))
+                for key in ("lhs", "rhs", "stderr"):
+                    assert abs(got[key] - want[key]) <= bound, (name, stack_entries, got["label"], key)
+                assert got["pass"] == want["pass"], (name, stack_entries, got["label"])
+
+        identities = ek.check_identities(spec, m, h, trials=1_000, rng_seed=streams)
+        for key, want in identities_want.items():
+            got = identities.results[key]
+            value = got["discrepancy"] if key == "hadamard_matrix" else got["rhs"]
+            assert abs(value - want) <= 1e-12 * max(1.0, abs(want)), (name, stack_entries, key)
 
 
 def test_monte_carlo_points_sharing_an_h_keep_their_order():
