@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from . import config, csr
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, _is_int
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,13 @@ class DataMatrix:
     ``column_entries`` are per-row and per-column Python views split from
     them for callers; no module of the package reads them.
 
-    The dense Gram matrix A'A of :meth:`gram` is read-only. It is kept with
-    the matrix when it has at most three entries per nonzero
-    (``n**2 <= 3 * nnz``), so it is no larger than the triplets and keeping
-    it at most doubles the matrix's memory; a larger one is rebuilt on
-    every call.
+    Every array it holds or builds (triplets, compressed views, column norms,
+    Gram matrix) is read-only, so none can fall out of step with the
+    triplets; a changed matrix is a new ``DataMatrix``. The dense Gram
+    matrix A'A of :meth:`gram` is kept with the matrix when it has at most
+    three entries per nonzero (``n**2 <= 3 * nnz``), so it is no larger than
+    the triplets and keeping it at most doubles the matrix's memory; a
+    larger one is rebuilt on every call.
     """
 
     m: int
@@ -54,8 +56,8 @@ class DataMatrix:
         rows = np.asarray(self.rows, dtype=np.int64)
         cols = np.asarray(self.cols, dtype=np.int64)
         values = np.asarray(self.values, dtype=float)
-        if self.m < 1 or self.n < 1:
-            raise ValidationError("shape", "m and n must be positive")
+        if not (_is_int(self.m) and _is_int(self.n) and self.m >= 1 and self.n >= 1):
+            raise ValidationError("shape", f"m and n must be positive integers, got {self.m!r} and {self.n!r}")
         if not (rows.shape == cols.shape == values.shape) or rows.ndim != 1:
             raise ValidationError("triplets", "rows, cols and values must be equal-length vectors")
         if rows.size:
@@ -73,9 +75,9 @@ class DataMatrix:
         if np.any(keys[1:] == keys[:-1]):
             raise ValidationError("triplets", "duplicate (row, col) entries are rejected")
         order = order[values[order] != 0.0]
-        object.__setattr__(self, "rows", rows[order])
-        object.__setattr__(self, "cols", cols[order])
-        object.__setattr__(self, "values", values[order])
+        object.__setattr__(self, "rows", _kept(rows[order]))
+        object.__setattr__(self, "cols", _kept(cols[order]))
+        object.__setattr__(self, "values", _kept(values[order]))
 
     # -- constructors ------------------------------------------------------
 
@@ -104,30 +106,30 @@ class DataMatrix:
     @cached_property
     def row_ptr(self) -> np.ndarray:
         """CSR pointer (length m + 1) into ``cols`` and ``values``."""
-        return csr._ptr(np.bincount(self.rows, minlength=self.m))
+        return _kept(csr._ptr(np.bincount(self.rows, minlength=self.m)))
 
     @cached_property
     def row_sizes(self) -> np.ndarray:
         """|J_j| for every row j."""
-        return np.diff(self.row_ptr)
+        return _kept(np.diff(self.row_ptr))
 
     @cached_property
     def _col_order(self) -> np.ndarray:
         # Stable, so each column keeps its entries in row order.
-        return np.argsort(self.cols, kind="stable")
+        return _kept(np.argsort(self.cols, kind="stable"))
 
     @cached_property
     def col_ptr(self) -> np.ndarray:
         """CSC pointer (length n + 1) into ``col_rows`` and ``col_values``."""
-        return csr._ptr(np.bincount(self.cols, minlength=self.n))
+        return _kept(csr._ptr(np.bincount(self.cols, minlength=self.n)))
 
     @cached_property
     def col_rows(self) -> np.ndarray:
-        return self.rows[self._col_order]
+        return _kept(self.rows[self._col_order])
 
     @cached_property
     def col_values(self) -> np.ndarray:
-        return self.values[self._col_order]
+        return _kept(self.values[self._col_order])
 
     # -- derived quantities --------------------------------------------------
 
@@ -143,7 +145,7 @@ class DataMatrix:
         """w_i = sum_j A_ji^2; inf, without a warning, where it overflows
         (the stepsize formulas refuse a non-finite w or v)."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return np.bincount(self.cols, weights=self.values**2, minlength=self.n)
+            return _kept(np.bincount(self.cols, weights=self.values**2, minlength=self.n))
 
     @cached_property
     def largest_sq_norm(self) -> float:
@@ -212,8 +214,7 @@ class DataMatrix:
             raise ValidationError("n", f"gram matrix of size {self.n} exceeds dense cap {cap}")
         g = self.__dict__.get("_gram")
         if g is None:
-            g = csr._pair_sum(self.n, self.row_ptr, self.cols, values=self.values)
-            g.flags.writeable = False
+            g = _kept(csr._pair_sum(self.n, self.row_ptr, self.cols, values=self.values))
             if self.n * self.n <= 3 * self.nnz:
                 object.__setattr__(self, "_gram", g)
         return g
@@ -235,6 +236,12 @@ class DataMatrix:
             np.concatenate([self.cols, extra]),
             np.concatenate([self.values, np.full(self.n, np.sqrt(ridge))]),
         )
+
+
+def _kept(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only."""
+    array.setflags(write=False)
+    return array
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+
 
 class EsoKitError(Exception):
     """Base class for all esokit errors."""
@@ -16,6 +18,13 @@ class ValidationError(EsoKitError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
+
+
+def _is_int(value) -> bool:
+    """A value of an integer type other than bool: the test a count, a
+    size or a shape passes before a ``ValidationError`` names it. A plain int
+    skips the slower abstract-class check, which every spec built would pay."""
+    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class CapacityError(EsoKitError):

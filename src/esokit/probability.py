@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config, csr, samplings
-from .errors import CertificateUnavailableError, UnsupportedMethodError, ValidationError
+from .errors import CertificateUnavailableError, UnsupportedMethodError, ValidationError, _is_int
 from .samplings import PROVENANCE_CLOSED, PROVENANCE_ENUM, PROVENANCE_MC, _PROVENANCE_RANK, Entry, SamplingSpec
 
 
@@ -192,8 +192,8 @@ def exact_rule(spec: SamplingSpec) -> tuple[Entry, str]:
 
 
 def _monte_carlo(spec: SamplingSpec, samples: int, rng_seed: int, streams: int) -> ProbMatrix:
-    if samples < 1:
-        raise ValidationError("mc_samples", "must be positive")
+    if not (_is_int(samples) and samples >= 1):
+        raise ValidationError("mc_samples", f"must be positive and an integer, got {samples!r}")
     # Integer counts: the mean is exactly symmetric, in [0, 1].
     mean = csr._pair_sum(spec.n, *samplings.draw_sets(spec, samples, rng_seed, streams)) / samples
     stderr = np.sqrt(mean * (1.0 - mean) / samples)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import config, csr
 from .csr import _block_ids, _csr, _filter, _ptr, _row_of, _scatter, _spans, _take
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, _is_int
 
 KIND_ELEMENTARY = "elementary"
 KIND_SERIAL = "serial"
@@ -354,12 +354,6 @@ def _parsed(payload: dict, key: str, convert):
         raise ValidationError(key, f"malformed value {payload[key]!r}") from e
 
 
-def _is_int(value) -> bool:
-    """A value of an integer type other than bool. A plain int skips the
-    slower abstract-class check, which every spec built would pay."""
-    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _integer(raw) -> int:
     """An integral number such as 4 or 4.0. A bool, a string or a fraction
     is malformed, not truncated."""
@@ -627,8 +621,8 @@ def draw_sets(
     O(count + sum of the set sizes). Every Monte-Carlo estimate in the
     package reads its draws from here.
     """
-    if count < 0:
-        raise ValidationError("count", "must be nonnegative")
+    if not (_is_int(count) and count >= 0):
+        raise ValidationError("count", f"must be nonnegative and an integer, got {count!r}")
     streams = max(1, int(streams))
     rngs = config.rngs_for_streams(rng_seed, range(streams))
     return _draw_blocks(spec, rngs, [count // streams + (s < count % streams) for s in range(streams)])
@@ -686,8 +680,8 @@ def weighted_sets(
     rounding; an expectation costs one evaluation per distinct set, not per
     draw. The keys are packed from the indices: no trials x n array.
     """
-    if trials < 0:
-        raise ValidationError("trials", "must be nonnegative")
+    if not (_is_int(trials) and trials >= 0):
+        raise ValidationError("trials", f"must be nonnegative and an integer, got {trials!r}")
     if not trials:
         sets, probs = zip(*enumerate_support(spec))
         return *_csr(sets), np.array(probs)

@@ -30,6 +30,10 @@ arithmetic on the draws is shared. No operation mixes runs' values, so a
 run's output is a pure function of its (seed, stream index), the same alone
 or in any batch.
 
+A ``QuadraticProblem`` is a frozen value, checked once when built, with
+``b`` and x* read-only, so nothing it keeps can go stale; a problem with
+other fields is a new one, from ``dataclasses.replace``.
+
 The stop rule ``gap <= epsilon`` reads f* = ``QuadraticProblem.f_star()``,
 the objective at the cached optimum. With ridge > 0 that optimum comes from
 conjugate gradients at O(nnz) per step, with no n x n array and no cap on n,
@@ -43,63 +47,55 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import config, csr, eso, samplings
-from .datamatrix import DataMatrix
-from .errors import DivergenceError, UnsupportedMethodError, ValidationError
+from .datamatrix import DataMatrix, _kept
+from .errors import DivergenceError, UnsupportedMethodError, ValidationError, _is_int
 from .samplings import SamplingSpec
 from .validation import as_vector
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class QuadraticProblem:
-    """f(x) = 0.5 ||Ax||^2 + (ridge/2) ||x||^2 - b'x.
+    """f(x) = 0.5 ||Ax||^2 + (ridge/2) ||x||^2 - b'x, as a frozen value.
 
-    Strong convexity requires ridge > 0 or A with full column rank. The
-    optimum x* and f* = ``objective(x*)`` are cached for gap reporting,
-    keyed on the ``data`` object, the ``ridge`` value and a copy of ``b``.
-    Every x* passes ``||grad f(x*)|| <= 1e-12 max(1, ||b||)``. With ridge > 0
-    it comes from conjugate gradients, two sparse products per step and no
-    n x n array, and ``f(x*) - min f <= ||grad f(x*)||^2 / (2 ridge)``
-    certifies f*. The dense solve (:meth:`hessian`, n <= ``config.DENSE_EIG_CAP``)
-    runs with ridge 0 and as the fallback when conjugate gradients miss the
-    test within n + 100 steps; above the cap both raise ``ValidationError``.
+    ``ridge`` (a finite number >= 0, not a bool) and ``b`` (a finite
+    n-vector, zeros by default) are checked once, when the problem is built,
+    and ``b`` is kept as a read-only copy. For other fields build a new
+    problem, e.g. ``dataclasses.replace(problem, ridge=0.5)``.
 
-    The ridge-augmented data matrix of :meth:`augmented_data` is cached too,
-    with the ``data`` object and the ``ridge`` value it was built from, and
-    rebuilt on the next call after either field is reassigned. Every
-    stepsize and certificate computed through the problem then shares one
-    matrix and the CSR/CSC views and column norms it builds on first use.
-    With ridge > 0 that matrix (A with n ridge rows below it) and its views
-    stay in memory as long as the problem does, beside ``data`` itself.
-    A ``ridge`` or ``b`` reassigned after construction misses one of these
-    caches, and both fields are checked again there: a ridge that is not a
-    finite number >= 0, or a non-finite ``b``, raises ``ValidationError``
-    naming the field.
+    Strong convexity requires ridge > 0 or A with full column rank. x*
+    (read-only) and f* = ``objective(x*)`` are computed on the first
+    :meth:`x_star` call and kept for gap reporting. Every x* passes
+    ``||grad f(x*)|| <= 1e-12 max(1, ||b||)``. With ridge > 0 it comes from
+    conjugate gradients, two sparse products per step and no n x n array,
+    and ``f(x*) - min f <= ||grad f(x*)||^2 / (2 ridge)`` certifies f*. The
+    dense solve (:meth:`hessian`, n <= ``config.DENSE_EIG_CAP``) runs with
+    ridge 0 and as the fallback when conjugate gradients miss the test
+    within n + 100 steps; above the cap both raise ``ValidationError``.
+
+    The ridge-augmented matrix of :meth:`augmented_data` is built on first
+    use and kept too, so every stepsize and certificate computed through the
+    problem shares one matrix and the CSR/CSC views and column norms it
+    builds on first use. With ridge > 0 that matrix (A with n ridge rows
+    below it) and its views stay in memory as long as the problem does.
     """
 
     data: DataMatrix
     ridge: float = 0.0
     b: np.ndarray | None = None
-    # (data, ridge, copy of b, x*, f*); holding data keeps the identity test sound.
-    _optimum: tuple[DataMatrix, float, np.ndarray, np.ndarray, float] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    # (data, ridge, augmented matrix), held as _optimum holds data.
-    _augmented: tuple[DataMatrix, float, DataMatrix] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
-        self._check_fields()
-
-    def _check_fields(self) -> None:
-        if not (math.isfinite(self.ridge) and self.ridge >= 0):
-            raise ValidationError("ridge", f"must be a finite number >= 0, got {self.ridge}")
-        self.b = np.zeros(self.data.n) if self.b is None else as_vector(self.b, self.data.n, "b")
+        ridge = self.ridge
+        if isinstance(ridge, bool) or not (isinstance(ridge, numbers.Real) and 0 <= ridge < math.inf):
+            raise ValidationError("ridge", f"must be a finite number >= 0, got {ridge!r}")
+        b = np.zeros(self.data.n) if self.b is None else np.array(as_vector(self.b, self.data.n, "b"))
+        object.__setattr__(self, "b", _kept(b))
 
     @property
     def n(self) -> int:
@@ -120,25 +116,20 @@ class QuadraticProblem:
         return self.data.rmatvec(self.data.matvec(x)) + self.ridge * x - self.b
 
     def x_star(self) -> np.ndarray:
-        cached = self._optimum
-        if (
-            cached is None
-            or cached[0] is not self.data
-            or cached[1] != self.ridge
-            or not np.array_equal(cached[2], self.b)
-        ):
-            # A reassigned ridge or b misses the cache, and is checked here.
-            self._check_fields()
-            if self.ridge > 0:
-                x = self._conjugate_gradients()
-            else:
-                x = self._dense_optimum(f"ridge = {self.ridge!r} leaves conjugate gradients no certificate")
-            cached = self._optimum = (self.data, self.ridge, np.array(self.b, dtype=float), x, self.objective(x))
-        return cached[3]
+        return self._optimum[0]
 
     def f_star(self) -> float:
         self.x_star()
-        return self._optimum[4]
+        return self._optimum[1]
+
+    @cached_property
+    def _optimum(self) -> tuple[np.ndarray, float]:
+        """(x*, f*), built on the first ``x_star`` call."""
+        if self.ridge > 0:
+            x = self._conjugate_gradients()
+        else:
+            x = self._dense_optimum(f"ridge = {self.ridge!r} leaves conjugate gradients no certificate")
+        return _kept(x), self.objective(x)
 
     def _conjugate_gradients(self) -> np.ndarray:
         """Conjugate gradients from x = 0 until ``||grad f(x)|| <= 1e-12
@@ -207,13 +198,13 @@ class QuadraticProblem:
     def augmented_data(self) -> DataMatrix:
         """Data matrix whose Gram matrix includes the ridge term; stepsize
         formulas run on this so the overapproximation covers the full
-        objective. Built once per (data, ridge) and cached; with ridge 0 it
-        is ``data`` itself."""
-        cached = self._augmented
-        if cached is None or cached[0] is not self.data or cached[1] != self.ridge:
-            self._check_fields()
-            cached = self._augmented = (self.data, self.ridge, self.data.with_ridge_rows(self.ridge))
-        return cached[2]
+        objective. Built on first use and kept; with ridge 0 it is ``data``
+        itself."""
+        return self._augmented
+
+    @cached_property
+    def _augmented(self) -> DataMatrix:
+        return self.data.with_ridge_rows(self.ridge)
 
     def stepsizes(self, spec: SamplingSpec, formula: str = "auto", **kwargs) -> eso.EsoResult:
         return eso.compute_v(self.augmented_data(), spec, formula=formula, **kwargs)
@@ -312,8 +303,8 @@ def solve_many(
     every run of a batch advances in the same array operations, on one
     thread. ``n_runs`` below 1 raises ``ValidationError``.
     """
-    if n_runs < 1:
-        raise ValidationError("n_runs", "must be at least 1")
+    if not (_is_int(n_runs) and n_runs >= 1):
+        raise ValidationError("n_runs", f"must be an integer of at least 1, got {n_runs!r}")
     return _solve_streams(problem, spec, v, range(n_runs), x0, epsilon, max_iter, rng_seed)
 
 
@@ -334,6 +325,8 @@ def _solve_streams(problem, spec, v, streams, x0, epsilon, max_iter, rng_seed) -
     p = eso._require_proper(spec)
     if math.isnan(epsilon):
         raise ValidationError("epsilon", "must be a number, not NaN")
+    if not _is_int(max_iter):
+        raise ValidationError("max_iter", f"must be an integer, got {max_iter!r}")
     v = np.asarray(v, dtype=float)
     if v.shape != (problem.n,) or not np.all(np.isfinite(v) & (v > 0)):
         raise ValidationError("v", "v must be finite and positive with one entry per coordinate")

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import config, csr, eso, probability, samplings
 from .datamatrix import DataMatrix
-from .errors import ValidationError
+from .errors import ValidationError, _is_int
 from .samplings import SamplingSpec
 
 EXHAUSTIVE_TOL = 1e-10
@@ -120,8 +120,8 @@ def check_eso_quadratic(
     if mode not in ("exhaustive", "monte_carlo"):
         raise ValidationError("mode", f"unknown mode {mode!r}")
     exhaustive = mode == "exhaustive"
-    if not exhaustive and trials < 1:
-        raise ValidationError("trials", "must be positive")
+    if not exhaustive and not (_is_int(trials) and trials >= 1):
+        raise ValidationError("trials", f"must be positive and an integer, got {trials!r}")
     if points is not None and not len(points):
         raise ValidationError("points", "needs at least one point")
     eso._require_finite_gram(data)

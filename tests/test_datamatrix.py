@@ -345,3 +345,44 @@ def test_duplicate_pair_is_rejected_even_when_one_copy_is_zero(second):
     with pytest.raises(ValidationError) as info:
         ek.DataMatrix(3, 3, [2, 0, 1, 0], [1, 2, 0, 2], [1.0, 3.0, 4.0, second])
     assert info.value.field == "triplets"
+
+
+@pytest.mark.parametrize("m, n", [(4.5, 3), (4, 3.0), (True, 3), (4, False), ("4", 3), (np.float64(4.0), 3)])
+def test_a_shape_that_is_not_an_integer_pair_is_refused(m, n):
+    with pytest.raises(ValidationError) as info:
+        ek.DataMatrix(m, n, [0], [1], [1.0])
+    assert info.value.field == "shape"
+
+
+def test_an_integer_shape_of_any_integer_type_is_kept():
+    data = ek.DataMatrix(np.int64(4), np.int32(3), [0], [1], [1.0])
+    assert (data.m, data.n) == (4, 3) and data.row_ptr.tolist() == [0, 1, 1, 1, 1]
+
+
+# Every array a matrix holds or builds: its triplets, compressed views and norms.
+_KEPT_ARRAYS = ("rows", "cols", "values", "row_ptr", "row_sizes", "_col_order", "col_ptr", "col_rows",
+                "col_values", "column_sq_norms")
+
+
+def test_every_array_a_matrix_holds_or_builds_is_read_only():
+    data = ek.DataMatrix.from_dense([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0], [4.0, 0.0, 0.0]])
+    fresh = ek.DataMatrix.from_dense(data.to_dense())
+    arrays = [getattr(data, name) for name in _KEPT_ARRAYS] + [data.gram()]
+    arrays += [a for entry in data.row_entries + data.column_entries for a in entry]
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[:1] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        data.values[:] *= 10
+    # So nothing built from the triplets can fall out of step with them.
+    for name in _KEPT_ARRAYS:
+        assert getattr(data, name).tobytes() == getattr(fresh, name).tobytes()
+    assert data.gram().tobytes() == fresh.gram().tobytes()
+
+
+def test_read_only_triplets_leave_the_callers_arrays_writable():
+    rows, cols, values = np.array([1, 0]), np.array([0, 1]), np.array([2.0, 3.0])
+    data = ek.DataMatrix(2, 2, rows, cols, values)
+    values[0] = 5.0
+    assert values.flags.writeable and data.values.tolist() == [3.0, 2.0]
+    assert data.scaled(2.0).values.tolist() == [6.0, 4.0]

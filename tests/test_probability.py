@@ -105,6 +105,13 @@ def test_prob_matrix_refuses_an_unknown_method_and_no_samples():
         assert info.value.field == "mc_samples"
 
 
+@pytest.mark.parametrize("samples", [2.5, True, np.float64(2.0)])
+def test_prob_matrix_refuses_a_fractional_or_bool_sample_count(samples):
+    with pytest.raises(ValidationError) as info:
+        ek.prob_matrix(ek.tau_nice(4, 2), "monte_carlo", mc_samples=samples)
+    assert info.value.field == "mc_samples"
+
+
 def test_auto_is_exact_for_composites_of_closed_form_kinds():
     # Restriction of a tau-nice sampling at n far beyond the enumeration cap.
     spec = ek.restriction(ek.tau_nice(100, 7), range(10))

@@ -236,6 +236,15 @@ def test_draw_inputs_are_checked():
     assert info.value.field == "stream_index"
 
 
+@pytest.mark.parametrize("count", [2.5, True, np.float64(2.0)])
+def test_a_fractional_or_bool_draw_count_is_refused_by_name(count):
+    spec = ek.tau_nice(4, 2)
+    for call, field in ((ek.samplings.draw_sets, "count"), (draw_masks, "count"), (weighted_sets, "trials")):
+        with pytest.raises(ValidationError) as info:
+            call(spec, count)
+        assert info.value.field == field
+
+
 def weighted_masks(spec, *args, **kwargs):
     """The sets of weighted_sets scattered into distinct bool rows, with their weights."""
     ptr, indices, weights = weighted_sets(spec, *args, **kwargs)

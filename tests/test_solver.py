@@ -1,8 +1,11 @@
+import ast
+import dataclasses
 import json
 import math
 import tracemalloc
 import warnings
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,16 +289,46 @@ def test_problem_refuses_a_non_finite_ridge_or_b(ridge, b, field):
     [("ridge", float("nan")), ("ridge", -1.0), ("ridge", float("inf")), ("b", np.array([1.0, np.nan]))],
 )
 def test_a_reassigned_ridge_or_b_is_checked_again(field, value):
-    # Both caches are filled first, so the reassignment is what each call sees.
+    # A problem is frozen: no field can be assigned. Reassigning one means
+    # building a new problem with dataclasses.replace, which checks it again.
     problem = ek.QuadraticProblem(ek.DataMatrix.from_dense(np.eye(2)), ridge=0.5, b=np.ones(2))
-    problem.f_star()
-    problem.augmented_data()
-    setattr(problem, field, value)
-    calls = [problem.f_star, problem.x_star] + ([problem.augmented_data] if field == "ridge" else [])
-    for call in calls:
+    f_star, augmented = problem.f_star(), problem.augmented_data()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(problem, field, value)
+    with pytest.raises(ValidationError) as info:
+        dataclasses.replace(problem, **{field: value})
+    assert info.value.field == field
+    assert problem.ridge == 0.5 and problem.b.tolist() == [1.0, 1.0]
+    assert problem.f_star() == f_star and problem.augmented_data() is augmented
+
+
+@pytest.mark.parametrize("count", [2.5, True, np.float64(2.0), "2"])
+def test_a_fractional_or_bool_count_is_refused_by_name(count):
+    problem = ek.QuadraticProblem(ek.DataMatrix.from_dense(np.eye(3)), ridge=0.5, b=np.ones(3))
+    spec, v = ek.tau_nice(3, 1), np.full(3, 1.5)
+    for call, field in (
+        (lambda: ek.solve_many(problem, spec, v, n_runs=count), "n_runs"),
+        (lambda: ek.solve(problem, spec, v, max_iter=count), "max_iter"),
+        (lambda: ek.solve_many(problem, spec, v, 2, max_iter=count), "max_iter"),
+    ):
         with pytest.raises(ValidationError) as info:
             call()
         assert info.value.field == field
+
+
+@pytest.mark.parametrize("ridge", [True, False, "0.5", None, np.array([0.5])])
+def test_a_ridge_that_is_a_bool_or_not_a_real_number_is_refused(ridge):
+    with pytest.raises(ValidationError) as info:
+        ek.QuadraticProblem(ek.DataMatrix.from_dense(np.eye(2)), ridge=ridge)
+    assert info.value.field == "ridge"
+
+
+def test_an_integer_count_of_any_integer_type_is_accepted():
+    problem = ek.QuadraticProblem(ek.DataMatrix.from_dense(np.eye(3)), ridge=0.5, b=np.ones(3))
+    spec, v = ek.tau_nice(3, 1), np.full(3, 1.5)
+    runs = ek.solve_many(problem, spec, v, n_runs=np.int64(2), max_iter=np.int32(3), epsilon=0.0)
+    assert [t.iterations for t in runs] == [3, 3]
+    assert ek.QuadraticProblem(problem.data, ridge=1).f_star() == ek.QuadraticProblem(problem.data, ridge=1.0).f_star()
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf])
@@ -427,6 +460,12 @@ def test_hessian_adds_the_ridge_to_the_gram_diagonal_bit_for_bit():
     assert problem.hessian().tobytes() == reference.tobytes()
 
 
+def _same_matrix(a, b):
+    return (a.m, a.n) == (b.m, b.n) and all(
+        getattr(a, name).tobytes() == getattr(b, name).tobytes() for name in ("rows", "cols", "values")
+    )
+
+
 def test_augmented_data_is_built_once_per_data_and_ridge():
     problem = _fixture_problem()
     first = problem.augmented_data()
@@ -435,21 +474,22 @@ def test_augmented_data_is_built_once_per_data_and_ridge():
     problem.stepsizes(ek.tau_nice(problem.n, 2), "taunice")
     assert problem.augmented_data() is first and "row_ptr" in vars(first)
 
-    problem.ridge = 0.5
-    second = problem.augmented_data()
-    assert second is not first and problem.augmented_data() is second
-    assert np.array_equal(second.to_dense(), problem.data.with_ridge_rows(0.5).to_dense())
+    # Other fields make another problem, which builds its own matrix once,
+    # bit for bit that of a newly built problem; the first keeps its own.
+    ridged = dataclasses.replace(problem, ridge=0.5)
+    second = ridged.augmented_data()
+    assert second is not first and ridged.augmented_data() is second and problem.augmented_data() is first
+    assert _same_matrix(second, ek.QuadraticProblem(problem.data, ridge=0.5).augmented_data())
 
-    problem.data = problem.data.scaled(2.0)
-    third = problem.augmented_data()
-    assert third is not second and problem.augmented_data() is third
-    assert np.array_equal(third.to_dense(), problem.data.with_ridge_rows(0.5).to_dense())
+    scaled = dataclasses.replace(ridged, data=problem.data.scaled(2.0))
+    third = scaled.augmented_data()
+    assert third is not second and scaled.augmented_data() is third
+    assert _same_matrix(third, ek.QuadraticProblem(problem.data.scaled(2.0), ridge=0.5).augmented_data())
 
-    problem.ridge = 0.0
-    assert problem.augmented_data() is problem.data
+    assert dataclasses.replace(scaled, ridge=0.0).augmented_data() is scaled.data
     # The cache is not a constructor argument, so no caller can seed it.
     with pytest.raises(TypeError):
-        ek.QuadraticProblem(problem.data, ridge=0.5, _augmented=(problem.data, 0.5, problem.data))
+        ek.QuadraticProblem(problem.data, ridge=0.5, _augmented=problem.data)
 
 
 def _dense_reference_optimum(problem):
@@ -466,31 +506,77 @@ def _dense_reference_optimum(problem):
     return x
 
 
-def _fresh_f_star(problem):
-    return ek.QuadraticProblem(problem.data, ridge=problem.ridge, b=problem.b.copy()).f_star()
-
-
-def test_optimum_follows_reassigned_fields_and_b_changed_in_place():
+def test_optimum_follows_replaced_fields_and_not_a_callers_later_edit_to_b():
     problem = _fixture_problem(seed=81, m=14, n=6, ridge=0.3)
     first = problem.f_star()
     assert problem.x_star() is problem.x_star()
 
-    problem.data = random_sparse_matrix(ek.rng_for_stream(82, 0), 14, 6, 0.4)
-    assert problem.f_star() == _fresh_f_star(problem) != first
-    problem.ridge = 0.7
-    assert problem.f_star() == _fresh_f_star(problem)
-    problem.ridge = 0.0  # the dense path
-    assert problem.f_star() == _fresh_f_star(problem)
-    problem.ridge = 0.7
-    problem.b = ek.rng_for_stream(83, 0).standard_normal(6)
-    assert problem.f_star() == _fresh_f_star(problem)
-    before = problem.f_star()
-    problem.b[2] += 1.0
-    assert problem.f_star() == _fresh_f_star(problem) != before
-    problem.b *= -2.0
-    assert problem.f_star() == _fresh_f_star(problem)
+    data = random_sparse_matrix(ek.rng_for_stream(82, 0), 14, 6, 0.4)
+    b = ek.rng_for_stream(83, 0).standard_normal(6)
+    # ridge 0 takes the dense path.
+    for changes in ({"data": data}, {"ridge": 0.7}, {"ridge": 0.0}, {"b": b}, {"data": data, "ridge": 0.0, "b": b}):
+        replaced = dataclasses.replace(problem, **changes)
+        fields = {"data": problem.data, "ridge": problem.ridge, "b": problem.b, **changes}
+        fresh = ek.QuadraticProblem(**fields)
+        assert replaced.x_star().tobytes() == fresh.x_star().tobytes()
+        assert replaced.f_star() == fresh.f_star() != first
+    assert problem.f_star() == first
+
+    # The problem keeps its own copy of b, so a caller's later edit of its
+    # array reaches it neither before nor after x* is computed.
+    original = b.copy()
+    for solve_first in (False, True):
+        b = original.copy()
+        problem = ek.QuadraticProblem(data, ridge=0.7, b=b)
+        if solve_first:
+            problem.f_star()
+        b[2] += 1.0
+        b *= -2.0
+        assert problem.b.tobytes() == original.tobytes()
+        assert problem.f_star() == ek.QuadraticProblem(data, ridge=0.7, b=original).f_star()
     with pytest.raises(TypeError):
         ek.QuadraticProblem(problem.data, ridge=0.5, _optimum=None)
+
+
+def test_a_problem_refuses_in_place_writes_to_b_and_x_star():
+    for ridge in (0.3, 0.0):
+        problem = _fixture_problem(seed=81, m=14, n=6, ridge=ridge)
+        f_star = problem.f_star()
+        for array in (problem.b, problem.x_star(), ek.QuadraticProblem(problem.data, ridge=ridge).b):
+            with pytest.raises(ValueError, match="read-only"):
+                array[:1] = 0.0
+        assert problem.f_star() == f_star == problem.objective(problem.x_star())
+
+
+def test_a_problem_is_frozen_with_no_cache_among_its_fields():
+    assert [f.name for f in dataclasses.fields(ek.QuadraticProblem)] == ["data", "ridge", "b"]
+    problem = _fixture_problem()
+    problem.f_star()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        problem.data = problem.data.scaled(2.0)
+    # Equality is identity: a problem holds arrays, which have no truth value.
+    assert problem == problem and problem != dataclasses.replace(problem) and len({problem, problem}) == 1
+
+
+def test_every_dataclass_of_the_package_is_frozen():
+    # A frozen value cannot change under the caches built from it.
+    src = Path(ek.__file__).parent
+    found, loose = set(), set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for decorator in node.decorator_list:
+                call = decorator if isinstance(decorator, ast.Call) else None
+                func = call.func if call else decorator
+                if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) != "dataclass":
+                    continue
+                found.add((path.name, node.name))
+                keywords = call.keywords if call else []
+                if not any(k.arg == "frozen" and getattr(k.value, "value", None) is True for k in keywords):
+                    loose.add((path.name, node.name))
+    assert ("solver.py", "QuadraticProblem") in found and ("datamatrix.py", "DataMatrix") in found
+    assert loose == set()
 
 
 def test_optimum_with_a_ridge_builds_no_dense_array(monkeypatch, tmp_path):
@@ -547,9 +633,8 @@ def test_optimum_above_the_dense_cap_without_a_ridge_is_refused(monkeypatch, tmp
     assert "ridge = 0.0" in capsys.readouterr().err
     # Conjugate gradients that miss their test have no fallback above the cap either.
     monkeypatch.setattr(solver, "_CG_EXTRA_STEPS", -problem.n)
-    problem.ridge = 0.5
     with pytest.raises(ValidationError, match="gradient norm"):
-        problem.f_star()
+        dataclasses.replace(problem, ridge=0.5).f_star()
 
 
 def test_conjugate_gradient_optimum_is_certified_and_matches_the_dense_solve(monkeypatch):

@@ -355,6 +355,13 @@ def test_quadratic_check_rejects_an_empty_point_list(monkeypatch):
         assert info.value.field == "points"
 
 
+@pytest.mark.parametrize("trials", [2.5, True, np.float64(2.0)])
+def test_quadratic_check_refuses_a_fractional_or_bool_trial_count(trials):
+    with pytest.raises(ValidationError) as info:
+        ek.check_eso_quadratic(FIXTURE_A, SPEC, V_OK, mode="monte_carlo", trials=trials)
+    assert info.value.field == "trials"
+
+
 def test_quadratic_check_refuses_an_unknown_mode_no_trials_and_non_finite_points():
     with pytest.raises(ValidationError, match="unknown mode 'exact'") as info:
         ek.check_eso_quadratic(FIXTURE_A, SPEC, V_OK, mode="exact")
