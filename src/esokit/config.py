@@ -24,11 +24,10 @@ the same seed gives other sets under scheme 2.
 from __future__ import annotations
 
 import functools
-import operator
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _is_int
 
 # Version of the way draws consume a random stream (see the module docstring).
 RNG_SCHEME = 2
@@ -62,12 +61,23 @@ def rng_for_stream(seed: int, stream_index: int = 0) -> np.random.Generator:
 
     Streams are separated through the SeedSequence spawn key, so replicas
     with distinct stream indices are statistically independent while staying
-    reproducible.
+    reproducible. A negative seed is taken modulo 2**64; a fractional or
+    bool seed or stream index is refused, not truncated.
     """
-    if stream_index < 0:
-        raise ValidationError("stream_index", "must be nonnegative")
-    ss = np.random.SeedSequence(entropy=int(seed) & _MASK64, spawn_key=(stream_index,))
+    ss = np.random.SeedSequence(entropy=_seed_word(seed), spawn_key=(_stream_index(stream_index),))
     return np.random.default_rng(ss)
+
+
+def _seed_word(seed) -> int:
+    if not _is_int(seed):
+        raise ValidationError("rng_seed", f"must be an integer, got {seed!r}")
+    return int(seed) & _MASK64
+
+
+def _stream_index(index) -> int:
+    if not (_is_int(index) and index >= 0):
+        raise ValidationError("stream_index", f"must be nonnegative and an integer, got {index!r}")
+    return int(index)
 
 
 def rngs_for_streams(seed: int, streams) -> list[np.random.Generator]:
@@ -83,14 +93,13 @@ def rngs_for_streams(seed: int, streams) -> list[np.random.Generator]:
     holding an index of 2**32 or above (two or more spawn words), goes
     through :func:`rng_for_stream`.
     """
-    streams = [operator.index(s) for s in streams]
+    word = _seed_word(seed)
+    streams = [_stream_index(s) for s in streams]
     if not streams:
         return []
-    if min(streams) < 0:
-        raise ValidationError("stream_index", "must be nonnegative")
     if len(streams) == 1 or max(streams) > _MASK32:
         return [rng_for_stream(seed, s) for s in streams]
-    pool = _seed_pool(int(seed) & _MASK64)
+    pool = _seed_pool(word)
     spawned = _spawn(pool, np.array(streams, dtype=np.uint64))
     states = np.stack(_pcg64_words(spawned), axis=1)
     seeded = _seeded_words_class()

@@ -25,7 +25,7 @@ import numpy as np
 from . import config, probability, samplings, spectral
 from .datamatrix import DataMatrix
 from .errors import UnsupportedMethodError, ValidationError
-from .samplings import SamplingSpec
+from .samplings import SamplingSpec, _Report
 
 FORMULA_UNCOUPLED = "UNCOUPLED"
 FORMULA_COUPLED_EXACT = "COUPLED_EXACT"
@@ -40,7 +40,7 @@ FORMULA_CONSERVATIVE = "CONSERVATIVE"
 
 
 @dataclass(frozen=True)
-class EsoResult:
+class EsoResult(_Report):
     """Stepsize parameters with their provenance and optional PSD margin."""
 
     v: np.ndarray
@@ -48,15 +48,6 @@ class EsoResult:
     formula_id: str
     certificate_margin: float | None = None
     cost_estimate: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "v": self.v.tolist(),
-            "p": self.p.tolist(),
-            "formula_id": self.formula_id,
-            "certificate_margin": self.certificate_margin,
-            "cost_estimate": self.cost_estimate,
-        }
 
     def with_margin(self, margin: float) -> "EsoResult":
         return EsoResult(self.v, self.p, self.formula_id, margin, self.cost_estimate)

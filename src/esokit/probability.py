@@ -34,7 +34,7 @@ import numpy as np
 
 from . import config, csr, samplings
 from .errors import CertificateUnavailableError, UnsupportedMethodError, ValidationError, _is_int
-from .samplings import PROVENANCE_CLOSED, PROVENANCE_ENUM, PROVENANCE_MC, _PROVENANCE_RANK, Entry, SamplingSpec
+from .samplings import PROVENANCE_CLOSED, PROVENANCE_ENUM, PROVENANCE_MC, _PROVENANCE_RANK, Entry, SamplingSpec, _Report
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,9 @@ class ProbMatrix:
         return float(np.linalg.eigvalsh(self.entries)[0])
 
     def to_dict(self) -> dict:
+        """Not a :class:`samplings._Report` form: ``mc_samples`` and
+        ``max_stderr`` appear only for a Monte-Carlo matrix, and ``stderr``
+        never appears."""
         out = {
             "n": self.n,
             "provenance": self.provenance,
@@ -205,7 +208,7 @@ def _monte_carlo(spec: SamplingSpec, samples: int, rng_seed: int, streams: int) 
 
 
 @dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(_Report):
     """Left/right values and discrepancies for the six expectation identities
     linking P to moments of the sampling."""
 
@@ -216,9 +219,6 @@ class IdentityReport:
     @property
     def max_discrepancy(self) -> float:
         return max(r["discrepancy"] for r in self.results.values())
-
-    def to_dict(self) -> dict:
-        return {"mode": self.mode, "trials": self.trials, "results": self.results}
 
 
 def check_identities(

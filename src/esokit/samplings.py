@@ -105,6 +105,8 @@ class SamplingSpec:
         validate_spec(self)
 
     def to_dict(self) -> dict:
+        """Not a :class:`_Report` form: unset payload fields are omitted, and
+        ``graph`` is written as ``graph_edges``."""
         return spec_to_dict(self)
 
 
@@ -338,10 +340,30 @@ def spec_to_dict(spec: SamplingSpec) -> dict:
 
 
 def _plain(value):
-    """A payload value in JSON types: sequences as lists, specs as dicts, a graph as its edges."""
-    if isinstance(value, (SamplingSpec, ConflictGraph)):
-        return spec_to_dict(value) if isinstance(value, SamplingSpec) else _plain(value.edges)
-    return [_plain(v) for v in value] if isinstance(value, (tuple, list)) else value
+    """A value in JSON types: arrays, tuples and lists as lists, dicts rebuilt
+    value by value, a graph as its edges, and anything with a ``to_dict`` (a
+    spec, a nested report) through it."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, ConflictGraph):
+        return _plain(value.edges)
+    return value.to_dict() if hasattr(value, "to_dict") else value
+
+
+class _Report:
+    """The JSON form of a result dataclass: every field by name through
+    :func:`_plain`, with the verdict ``passed``, a field or a property,
+    written as ``"pass"``."""
+
+    def to_dict(self) -> dict:
+        out = {"pass" if f.name == "passed" else f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+        if hasattr(self, "passed"):
+            out["pass"] = self.passed
+        return out
 
 
 def _parsed(payload: dict, key: str, convert):
@@ -623,7 +645,8 @@ def draw_sets(
     """
     if not (_is_int(count) and count >= 0):
         raise ValidationError("count", f"must be nonnegative and an integer, got {count!r}")
-    streams = max(1, int(streams))
+    if not (_is_int(streams) and streams >= 1):
+        raise ValidationError("streams", f"must be positive and an integer, got {streams!r}")
     rngs = config.rngs_for_streams(rng_seed, range(streams))
     return _draw_blocks(spec, rngs, [count // streams + (s < count % streams) for s in range(streams)])
 

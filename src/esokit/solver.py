@@ -56,7 +56,7 @@ import numpy as np
 from . import config, csr, eso, samplings
 from .datamatrix import DataMatrix, _kept
 from .errors import DivergenceError, UnsupportedMethodError, ValidationError, _is_int
-from .samplings import SamplingSpec
+from .samplings import SamplingSpec, _Report
 from .validation import as_vector
 
 
@@ -216,7 +216,7 @@ _CG_EXTRA_STEPS = 100
 
 
 @dataclass(frozen=True)
-class SolverTrace:
+class SolverTrace(_Report):
     """Objective gaps along one solver run (recorded per epoch and at exit)."""
 
     iterations: int
@@ -230,21 +230,6 @@ class SolverTrace:
     converged: bool
     final_gap: float
     x_final: np.ndarray | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "gaps": [[k, g] for k, g in self.gaps],
-            "seed": self.seed,
-            "stream_index": self.stream_index,
-            "spec": self.spec.to_dict(),
-            "v": self.v.tolist(),
-            "p": self.p.tolist(),
-            "theoretical_iteration_bound": self.theoretical_iteration_bound,
-            "converged": self.converged,
-            "final_gap": self.final_gap,
-            "x_final": self.x_final.tolist() if self.x_final is not None else None,
-        }
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -583,7 +568,7 @@ def _log_term(gap0: float, epsilon: float) -> float:
 
 
 @dataclass(frozen=True)
-class SerialDesign:
+class SerialDesign(_Report):
     """Serial sampling minimizing the accelerated complexity bound, with the
     optimal and uniform bound values (common sqrt(2)/sqrt(eps) factor
     dropped)."""
@@ -592,14 +577,6 @@ class SerialDesign:
     c_opt: float
     c_unif: float
     ratio: float
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p.tolist(),
-            "c_opt": self.c_opt,
-            "c_unif": self.c_unif,
-            "ratio": self.ratio,
-        }
 
 
 def optimal_serial_sampling(
@@ -623,7 +600,7 @@ def optimal_serial_sampling(
 
 
 @dataclass(frozen=True)
-class TradeoffReport:
+class TradeoffReport(_Report):
     """Passes over the data per stepsize formula: preprocessing as the
     formula's ``cost_estimate`` over nnz, iterations by the NSYNC bound."""
 
@@ -631,14 +608,6 @@ class TradeoffReport:
     lambda_sc: float
     epsilon: float
     rows: tuple[dict, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "tau": self.tau,
-            "lambda_sc": self.lambda_sc,
-            "epsilon": self.epsilon,
-            "rows": [dict(r) for r in self.rows],
-        }
 
 
 def tradeoff_report(

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import config, csr, probability, samplings
 from .errors import UnsupportedMethodError, ValidationError
-from .samplings import SamplingSpec, tau_nice_restricted_value
+from .samplings import SamplingSpec, _Report, tau_nice_restricted_value
 
 METHOD_DENSE = "dense_exact"
 METHOD_POWER = "power_method"
@@ -47,6 +47,8 @@ class EigenEstimate:
     candidates: dict = field(default_factory=dict, compare=False)
 
     def to_dict(self) -> dict:
+        """Not a :class:`samplings._Report` form: ``iterations``,
+        ``safeguard`` and ``candidates`` appear only when set."""
         out = {
             "value": self.value,
             "method": self.method,
@@ -184,7 +186,7 @@ def lambda_prime(
 
 
 @dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(_Report):
     """Structural bounds on lambda(P) and lambda'(P) for a sampling."""
 
     lambda_prime_lower: float | None
@@ -194,17 +196,6 @@ class BoundsReport:
     tau: int
     uniform_sharpened: bool
     notes: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "lambda_prime_lower": self.lambda_prime_lower,
-            "lambda_prime_upper": self.lambda_prime_upper,
-            "lambda_lower": self.lambda_lower,
-            "lambda_upper": self.lambda_upper,
-            "tau": self.tau,
-            "uniform_sharpened": self.uniform_sharpened,
-            "notes": list(self.notes),
-        }
 
 
 def lambda_bounds(spec: SamplingSpec) -> BoundsReport:

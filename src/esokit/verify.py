@@ -30,13 +30,13 @@ import numpy as np
 from . import config, csr, eso, probability, samplings
 from .datamatrix import DataMatrix
 from .errors import ValidationError, _is_int
-from .samplings import SamplingSpec
+from .samplings import SamplingSpec, _Report
 
 EXHAUSTIVE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class EsoCheckReport:
+class EsoCheckReport(_Report):
     """Worst-point summary of the quadratic inequality check."""
 
     mode: str  # exhaustive | monte_carlo
@@ -48,19 +48,6 @@ class EsoCheckReport:
     passed: bool
     points_tested: int
     details: tuple[dict, ...] = field(default=(), compare=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "trials": self.trials,
-            "lhs_mean": self.lhs_mean,
-            "lhs_stderr": self.lhs_stderr,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "pass": self.passed,
-            "points_tested": self.points_tested,
-            "details": [dict(d) for d in self.details],
-        }
 
 
 def canonical_points(
@@ -211,19 +198,11 @@ def check_eso_quadratic(
 
 
 @dataclass(frozen=True)
-class MatrixFormReport:
+class MatrixFormReport(_Report):
     margin: float
     passed: bool
     witness: np.ndarray | None
     witness_gap: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "margin": self.margin,
-            "pass": self.passed,
-            "witness": self.witness.tolist() if self.witness is not None else None,
-            "witness_gap": self.witness_gap,
-        }
 
 
 def check_eso_matrix_form(
@@ -245,7 +224,7 @@ def check_eso_matrix_form(
 
 
 @dataclass(frozen=True)
-class BatteryReport:
+class BatteryReport(_Report):
     """Max discrepancy per structural check across a random corpus."""
 
     checks: dict  # name -> {"max_discrepancy": float, "cases": int, "pass": bool}
@@ -256,15 +235,6 @@ class BatteryReport:
     @property
     def passed(self) -> bool:
         return all(c["pass"] for c in self.checks.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "checks": {k: dict(c) for k, c in self.checks.items()},
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-            "sizes": list(self.sizes),
-            "pass": self.passed,
-        }
 
 
 def run_identity_battery(

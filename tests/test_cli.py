@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -441,3 +442,93 @@ def test_verify_with_a_sampling_above_the_dense_cap_is_an_input_error(workdir, m
     code = main(["verify", "--matrix", str(matrix), "--sampling", spec, "--v", str(vfile), "--mode", mode])
     assert code == 2
     assert "input error: sampling: spec is over 50 coordinates" in capsys.readouterr().err
+
+
+def _default_reports(tmp, matrix, sampling):
+    """command label -> (exit code, report) for every subcommand's default
+    report on the 6 x 4 fixture, n = 4, so no eigen-solve depends on the BLAS
+    thread count."""
+    vfile, half = tmp / "v.json", tmp / "half.json"
+    problem, points = tmp / "problem.json", tmp / "points.json"
+    problem.write_text(json.dumps({"lambda": 0.2, "b": [1.0, -1.0, 0.5, 0.0], "x0": [1.0] * 4}))
+    points.write_text(json.dumps({"x0": [1.0, 2.0, 0.0, 1.0], "xstar": [0.0] * 4}))
+    inputs = ["--matrix", str(matrix), "--sampling", str(sampling)]
+    commands = {
+        "compute-v --certify": ["compute-v", *inputs, "--certify"],
+        "compute-v coupled-exact": ["compute-v", *inputs, "--formula", "coupled-exact"],
+        "verify exhaustive": ["verify", *inputs, "--v", str(vfile)],
+        "verify monte-carlo": ["verify", *inputs, "--v", str(vfile), "--mode", "monte-carlo", "--trials", "2000"],
+        "verify matrix": ["verify", *inputs, "--v", str(vfile), "--mode", "matrix"],
+        "verify matrix failing": ["verify", *inputs, "--v", str(half), "--mode", "matrix"],
+        "probmatrix auto": ["probmatrix", "--sampling", str(sampling)],
+        "probmatrix monte-carlo": ["probmatrix", "--sampling", str(sampling), "--method", "monte-carlo",
+                                   "--samples", "2000"],
+        "solve": ["solve", *inputs, "--problem", str(problem), "--epsilon", "1e-8", "--seeds", "2"],
+        "tradeoff": ["tradeoff", *inputs],
+        "design-serial": ["design-serial", "--matrix", str(matrix), "--points", str(points)],
+        "battery": ["battery", "--sizes", "3,4"],
+    }
+    assert main(["compute-v", *inputs, "--out", str(vfile)]) == 0
+    half.write_text(json.dumps([x / 2 for x in json.loads(vfile.read_text())["result"]["v"]]))
+    reports = {}
+    for label, argv in commands.items():
+        out = tmp / "report.json"
+        code = main(["--seed", "3", *argv, "--out", str(out)])
+        reports[label] = code, json.loads(out.read_text())
+    return reports
+
+
+# Any change to a subcommand's default report changes these digests of its
+# command, schema version and result (the config holds the fixture's paths).
+# A change that moves a report re-pins its digest and says why.
+_REPORT_DIGESTS = {
+    "compute-v --certify": "c42c85942af568eac2e66586b8b38b7af5dd0e3610b011dc6a76e9fba227b6a5",
+    "compute-v coupled-exact": "d779fbfc8183383fce20faa6e0bfc6a93a2997f26f7f40cd3e21f42e35ce40b6",
+    "verify exhaustive": "9fe7b395704eae85c8d9565d0253676b2254b1b058075d28072c1376cb859810",
+    "verify monte-carlo": "150758978f41cf9b087d3aec87e7c6b8d65c68c907559b5c7cf2dcd9103e45c2",
+    "verify matrix": "82beaf4ee7d157181a7aaa3e73eac7323e12c5f21282c8ffbe7f09e4aa7fb707",
+    "verify matrix failing": "90b664313487d4afa4d27e6a1a673e3a41006d32492552e11eda40709399a9b3",
+    "probmatrix auto": "da0c85b4624ed1a07bab1bff3598af920e14520ac47839be75138f04f118cc25",
+    "probmatrix monte-carlo": "f5d21b50ca2b59b7b3864b5161b234fea2ed54e22c7d7fbb64c48a6d00533c5b",
+    "solve": "f787679dc319fd33c97e90756d3cf8af98d72f0ac99ce20a903f64085055ccc4",
+    "tradeoff": "02365be464ee9d6525c23c86a15f34e8db69f586255acd7ea2ad7823b566574d",
+    "design-serial": "8b9094ac7045a10f0f597db5259ff0b30b713f6d854ff0142261e025a3f76cac",
+    "battery": "0d8e427aa1c16e9a4402a773bd6b26d718a3197bd69a1e74e6e4fab4fc28afb1",
+}
+
+
+def test_every_commands_default_report_is_pinned(workdir, capsys):
+    reports = _default_reports(*workdir)
+    capsys.readouterr()
+    digests = {}
+    for label, (code, report) in reports.items():
+        assert code == (1 if label == "verify matrix failing" else 0), label
+        pinned = {key: report[key] for key in ("command", "schema_version", "result")}
+        digests[label] = hashlib.sha256(json.dumps(pinned, sort_keys=True).encode()).hexdigest()
+    assert digests == _REPORT_DIGESTS
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_sub_one_threads_for_a_monte_carlo_run_exits_2(workdir, capsys, threads):
+    tmp, matrix, sampling = workdir
+    vfile = tmp / "v.json"
+    vfile.write_text(json.dumps([1.0] * 4))
+    commands = (
+        ["probmatrix", "--sampling", str(sampling), "--method", "monte-carlo", "--samples", "100"],
+        ["verify", "--matrix", str(matrix), "--sampling", str(sampling), "--v", str(vfile),
+         "--mode", "monte-carlo", "--trials", "100"],
+    )
+    for argv in commands:
+        assert main(["--threads", threads, *argv]) == 2
+        assert "input error: streams: must be positive and an integer" in capsys.readouterr().err
+    # The exact modes draw nothing, so they never read --threads.
+    assert main(["--threads", threads, "probmatrix", "--sampling", str(sampling)]) == 0
+
+
+def test_a_negative_seed_is_taken(workdir, capsys):
+    _, _, sampling = workdir
+    argv = ["probmatrix", "--sampling", str(sampling), "--method", "monte-carlo", "--samples", "100"]
+    assert main(["--seed", "-1", *argv]) == 0
+    negative = json.loads(capsys.readouterr().out)["result"]
+    assert main(["--seed", str(2**64 - 1), *argv]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == negative

@@ -56,6 +56,48 @@ def test_negative_streams_are_refused():
     assert caught.value.field == "stream_index"
 
 
+@pytest.mark.parametrize("seed", [2.7, 2.0, True, False, np.float64(3.0), "1"], ids=repr)
+def test_a_fractional_or_bool_seed_is_refused_by_name(seed):
+    problem = ek.QuadraticProblem(ek.DataMatrix.from_dense(np.eye(2)), ridge=0.1, b=np.ones(2))
+    calls = (
+        lambda: config.rng_for_stream(seed),
+        lambda: config.rngs_for_streams(seed, [0, 1]),
+        lambda: config.rngs_for_streams(seed, []),
+        lambda: ek.draw(ek.tau_nice(4, 2), rng_seed=seed),
+        lambda: ek.samplings.draw_sets(ek.tau_nice(4, 2), 5, rng_seed=seed, streams=2),
+        lambda: ek.solve(problem, ek.tau_nice(2, 1), np.ones(2), rng_seed=seed),
+    )
+    for call in calls:
+        with pytest.raises(ValidationError) as caught:
+            call()
+        assert caught.value.field == "rng_seed"
+
+
+@pytest.mark.parametrize("index", [1.5, 1.0, True, np.float64(1.0), "1"], ids=repr)
+def test_a_fractional_or_bool_stream_index_is_refused_by_name(index):
+    problem = ek.QuadraticProblem(ek.DataMatrix.from_dense(np.eye(2)), ridge=0.1, b=np.ones(2))
+    calls = (
+        lambda: config.rng_for_stream(0, index),
+        lambda: config.rngs_for_streams(0, [index]),
+        lambda: config.rngs_for_streams(0, [0, index]),
+        lambda: ek.draw(ek.tau_nice(4, 2), 0, index),
+        lambda: ek.solve(problem, ek.tau_nice(2, 1), np.ones(2), stream_index=index),
+    )
+    for call in calls:
+        with pytest.raises(ValidationError) as caught:
+            call()
+        assert caught.value.field == "stream_index"
+
+
+def test_negative_and_numpy_integer_seeds_and_indices_are_taken():
+    # A negative seed is taken modulo 2**64; numpy integers are their values.
+    assert _same_generator(config.rng_for_stream(-1, 2), config.rng_for_stream(2**64 - 1, 2))
+    assert _same_generator(config.rng_for_stream(np.int64(7), np.uint32(2)), config.rng_for_stream(7, 2))
+    for ours, s in zip(config.rngs_for_streams(np.int32(-5), np.arange(3)), range(3)):
+        assert _same_generator(ours, config.rng_for_stream(2**64 - 5, s))
+    assert ek.draw(ek.tau_nice(6, 3), np.int64(11), np.int8(1)) == ek.draw(ek.tau_nice(6, 3), 11, 1)
+
+
 def test_import_does_not_load_numpy_random():
     # The batch builder subclasses numpy's ISeedSequence on first use, so
     # importing the package never pays for numpy.random.

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -185,7 +186,8 @@ def test_draw_masks_match_per_stream_draws():
             masks = draw_masks(spec, count, rng_seed=seed, streams=streams)
             assert masks.dtype == bool and masks.shape == (count, spec.n)
             assert [np.flatnonzero(row).tolist() for row in masks] == expected
-        assert np.array_equal(draw_masks(spec, count, seed, streams=0), draw_masks(spec, count, seed))
+        with pytest.raises(ValidationError, match="streams: must be positive and an integer, got 0"):
+            draw_masks(spec, count, seed, streams=0)
         # draw() is the one-row block of its stream.
         for stream_index in range(3):
             one = ek.csr._scatter(spec.n, *ek.samplings._draw_blocks(spec, [ek.rng_for_stream(seed, stream_index)], [1]))
@@ -243,6 +245,33 @@ def test_a_fractional_or_bool_draw_count_is_refused_by_name(count):
         with pytest.raises(ValidationError) as info:
             call(spec, count)
         assert info.value.field == field
+
+
+@pytest.mark.parametrize("streams", [2.5, True, 0, -3, np.float64(2.0), "2"], ids=repr)
+def test_a_fractional_bool_or_sub_one_streams_is_refused_by_name(streams):
+    spec = ek.tau_nice(4, 2)
+    data = ek.DataMatrix.from_dense(np.eye(4))
+    calls = (
+        lambda: ek.samplings.draw_sets(spec, 10, streams=streams),
+        lambda: draw_masks(spec, 10, streams=streams),
+        lambda: weighted_sets(spec, 10, streams=streams),
+        lambda: ek.prob_matrix(spec, "monte_carlo", mc_samples=10, streams=streams),
+        lambda: ek.check_eso_quadratic(data, spec, np.ones(4), mode="monte_carlo", trials=10, streams=streams),
+    )
+    for call in calls:
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert info.value.field == "streams"
+    # The exact and exhaustive modes draw nothing and never read streams.
+    assert weighted_sets(spec, 0, streams=streams)[2].sum() == pytest.approx(1.0)
+    assert ek.prob_matrix(spec, "closed_form", streams=streams).provenance != "monte_carlo"
+    assert ek.check_eso_quadratic(data, spec, np.ones(4), mode="exhaustive", streams=streams).passed
+
+
+def test_numpy_integer_streams_are_taken():
+    spec = ek.tau_nice(5, 2)
+    for draws in (ek.samplings.draw_sets(spec, 9, 4, np.int64(3)), ek.samplings.draw_sets(spec, 9, 4, np.uint8(3))):
+        assert all(np.array_equal(a, b) for a, b in zip(draws, ek.samplings.draw_sets(spec, 9, 4, 3)))
 
 
 def weighted_masks(spec, *args, **kwargs):
@@ -502,6 +531,56 @@ def test_only_the_kind_table_tests_a_sampling_kind():
                 if isinstance(node, ast.Compare) and any(map(_names_a_kind, [node.left, *node.comparators])):
                     found.add((path.name, owner))
     assert found - {("samplings.py", "KINDS")} == _KIND_TESTS_OUTSIDE_THE_TABLE
+
+
+def test_only_the_report_mixin_and_the_three_kept_forms_define_to_dict():
+    # Every other result writes its JSON form through samplings._Report.
+    found = set()
+    for path in sorted(Path(ek.samplings.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(item, ast.FunctionDef) and item.name == "to_dict" for item in node.body
+            ):
+                found.add((path.name, node.name))
+    assert found == {
+        ("samplings.py", "_Report"),
+        ("samplings.py", "SamplingSpec"),
+        ("probability.py", "ProbMatrix"),
+        ("spectral.py", "EigenEstimate"),
+    }
+
+
+def test_a_report_writes_its_fields_through_plain_and_its_verdict_as_pass():
+    @dataclass(frozen=True)
+    class Checked(ek.samplings._Report):
+        passed: bool
+        values: np.ndarray
+        rows: tuple[dict, ...]
+        spec: ek.SamplingSpec
+        graph: ek.ConflictGraph
+        missing: np.ndarray | None = None
+
+    @dataclass(frozen=True)
+    class Summary(ek.samplings._Report):
+        checks: dict
+        nested: Checked
+
+        @property
+        def passed(self) -> bool:
+            return self.nested.passed
+
+    checked = Checked(False, np.array([[1.0, 2.5]]), ({"a": (1, 2)},), ek.tau_nice(3, 2), ek.ConflictGraph(3, ((0, 2),)))
+    expected = {
+        "pass": False,
+        "values": [[1.0, 2.5]],
+        "rows": [{"a": [1, 2]}],
+        "spec": {"n": 3, "kind": "tau_nice", "tau": 2},
+        "graph": [[0, 2]],
+        "missing": None,
+    }
+    assert list(checked.to_dict().items()) == list(expected.items())
+    summary = Summary({"x": {"cases": np.arange(2)}}, checked).to_dict()
+    assert list(summary.items()) == [("checks", {"x": {"cases": [0, 1]}}), ("nested", expected), ("pass", False)]
 
 
 def test_conflict_graph_from_row_supports():
