@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import config, eso, probability, samplings, solver, verify
+from . import config, eso, probability, samplings, solver, validation, verify
 from .datamatrix import read_matrix
 from .errors import (
     CapacityError,
@@ -48,17 +48,14 @@ def _require_object(payload, source: str) -> dict:
 
 
 def _load_sampling(arg: str) -> samplings.SamplingSpec:
-    text = arg.strip()
-    if not text.startswith("{"):
+    """The spec of inline JSON or of a JSON file, read as the estimators read it."""
+    text = arg
+    if not arg.strip().startswith("{"):
         path = Path(arg)
         if not path.exists():
             raise ParseError(f"sampling file not found: {arg}")
         text = path.read_text(encoding="utf-8")
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"bad sampling JSON: {e.msg}", e.lineno) from e
-    return samplings.spec_from_dict(_require_object(payload, "the sampling spec"))
+    return validation.as_sampling_spec(text)
 
 
 def _read_json(path: str):

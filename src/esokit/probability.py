@@ -251,6 +251,9 @@ def _identity_reports(spec: SamplingSpec, pairs, trials: int = 0, rng_seed: int 
             raise ValidationError("m_matrix", f"expected shape ({n},{n})")
         if h.shape != (n,):
             raise ValidationError("h", f"expected shape ({n},)")
+        for name, value in (("m_matrix", m_matrix), ("h", h)):
+            if not np.all(np.isfinite(value)):
+                raise ValidationError(name, "non-finite entries")
     if 0 < trials < 1000:
         raise ValidationError("trials", "Monte-Carlo mode requires trials >= 1000")
 

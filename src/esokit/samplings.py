@@ -45,15 +45,6 @@ PROVENANCE_MC = "monte_carlo"
 _PROVENANCE_RANK = {PROVENANCE_CLOSED: 0, PROVENANCE_ENUM: 1, PROVENANCE_MC: 2}
 
 
-def _as_index_tuple(items: Iterable[int], n: int, field_name: str) -> tuple[int, ...]:
-    out = tuple(sorted(int(i) for i in items))
-    if len(set(out)) != len(out):
-        raise ValidationError(field_name, "duplicate indices")
-    if out and (out[0] < 0 or out[-1] >= n):
-        raise ValidationError(field_name, f"indices must lie in [0, {n})")
-    return out
-
-
 @dataclass(frozen=True)
 class ConflictGraph:
     """Undirected graph on n vertices; an edge joins coordinates that co-occur
@@ -66,8 +57,11 @@ class ConflictGraph:
         if self.n <= 0:
             raise ValidationError("n", "must be positive")
         normalized = set()
-        for (a, b) in self.edges:
-            a, b = int(a), int(b)
+        for edge in self.edges:
+            try:
+                a, b = map(_integer, edge)
+            except (TypeError, ValueError) as e:
+                raise ValidationError("edges", f"malformed edge {edge!r}: {e}") from e
             if a == b:
                 raise ValidationError("edges", f"self-loop at {a}")
             if not (0 <= a < self.n and 0 <= b < self.n):
@@ -116,36 +110,36 @@ class SamplingSpec:
 
 def elementary(n: int, s: Iterable[int]) -> SamplingSpec:
     """Deterministic sampling that always returns the set ``s``."""
-    return SamplingSpec(n=n, kind=KIND_ELEMENTARY, set=_as_index_tuple(s, n, "set"))
+    return SamplingSpec(n=n, kind=KIND_ELEMENTARY, set=_read("set", s))
 
 
 def serial(q: Sequence[float]) -> SamplingSpec:
     """Singleton sampling: {i} is drawn with probability q[i]."""
-    return SamplingSpec(n=len(q), kind=KIND_SERIAL, q=tuple(float(x) for x in q))
+    q = _read("q", q)
+    return SamplingSpec(n=len(q), kind=KIND_SERIAL, q=q)
 
 
 def tau_nice(n: int, tau: int) -> SamplingSpec:
     """Uniform law over all subsets of cardinality tau (tau = 0 is nil)."""
-    return SamplingSpec(n=n, kind=KIND_TAU_NICE, tau=_tau(tau))
+    return SamplingSpec(n=n, kind=KIND_TAU_NICE, tau=_read("tau", tau))
 
 
 def ctau_distributed(partition: Sequence[Iterable[int]], tau: int) -> SamplingSpec:
     """Union of independent tau-nice draws on c equal-size blocks of a partition."""
-    blocks = tuple(tuple(sorted(int(i) for i in b)) for b in partition)
-    n = sum(len(b) for b in blocks)
-    return SamplingSpec(n=n, kind=KIND_CTAU, partition=blocks, tau=_tau(tau))
+    blocks = _read("partition", partition)
+    return SamplingSpec(n=sum(map(len, blocks)), kind=KIND_CTAU, partition=blocks, tau=_read("tau", tau))
 
 
 def doubly_uniform(q: Sequence[float]) -> SamplingSpec:
     """Cardinality-distribution sampling: draw tau ~ q then a uniform tau-subset."""
-    return SamplingSpec(n=len(q) - 1, kind=KIND_DOUBLY_UNIFORM, q=tuple(float(x) for x in q))
+    q = _read("q", q)
+    return SamplingSpec(n=len(q) - 1, kind=KIND_DOUBLY_UNIFORM, q=q)
 
 
 def product_sampling(blocks: Sequence[Iterable[int]]) -> SamplingSpec:
     """One uniformly chosen element per block of a partition (blocks may differ in size)."""
-    blk = tuple(tuple(sorted(int(i) for i in b)) for b in blocks)
-    n = sum(len(b) for b in blk)
-    return SamplingSpec(n=n, kind=KIND_PRODUCT, blocks=blk)
+    blocks = _read("blocks", blocks)
+    return SamplingSpec(n=sum(map(len, blocks)), kind=KIND_PRODUCT, blocks=blocks)
 
 
 def graph_sampling(
@@ -159,13 +153,8 @@ def graph_sampling(
     The distribution is supplied, never synthesized; validation checks that
     every member set is independent in ``graph``.
     """
-    mem = tuple(_as_index_tuple(s, n, "members") for s in members)
     return SamplingSpec(
-        n=n,
-        kind=KIND_GRAPH,
-        members=mem,
-        weights=tuple(float(w) for w in weights),
-        graph=graph,
+        n=n, kind=KIND_GRAPH, members=_read("members", members), weights=_read("weights", weights), graph=graph
     )
 
 
@@ -175,12 +164,7 @@ def convex_combination(
     """Mixture sampling: pick component t with probability weights[t], then draw from it."""
     comps = tuple(components)
     n = comps[0].n if comps else 0
-    return SamplingSpec(
-        n=n,
-        kind=KIND_CONVEX,
-        weights=tuple(float(w) for w in weights),
-        components=comps,
-    )
+    return SamplingSpec(n=n, kind=KIND_CONVEX, weights=_read("weights", weights), components=comps)
 
 
 def intersection(first: SamplingSpec, second: SamplingSpec) -> SamplingSpec:
@@ -190,20 +174,12 @@ def intersection(first: SamplingSpec, second: SamplingSpec) -> SamplingSpec:
 
 def restriction(spec: SamplingSpec, j: Iterable[int]) -> SamplingSpec:
     """Sampling whose draws are intersections of ``spec`` draws with the fixed set ``j``."""
-    return SamplingSpec(
-        n=spec.n,
-        kind=KIND_RESTRICTION,
-        components=(spec,),
-        set=_as_index_tuple(j, spec.n, "set"),
-    )
+    return SamplingSpec(n=spec.n, kind=KIND_RESTRICTION, components=(spec,), set=_read("set", j))
 
 
 def explicit(n: int, members: Sequence[Iterable[int]], weights: Sequence[float]) -> SamplingSpec:
     """Fully explicit distribution: list of (set, probability) pairs."""
-    mem = tuple(_as_index_tuple(s, n, "members") for s in members)
-    return SamplingSpec(
-        n=n, kind=KIND_EXPLICIT, members=mem, weights=tuple(float(w) for w in weights)
-    )
+    return SamplingSpec(n=n, kind=KIND_EXPLICIT, members=_read("members", members), weights=_read("weights", weights))
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +216,17 @@ def _check_partition(blocks: Sequence[tuple[int, ...]] | None, n: int, field_nam
 
 
 def _check_index_set(items: Sequence[int] | None, n: int, field_name: str) -> None:
-    """A payload set: given, distinct, in [0, n) and ascending, as draws and enumeration hand sets on."""
+    """A payload set: given, of distinct integers in [0, n), ascending, as draws and enumeration hand sets on."""
     if items is None:
         raise ValidationError(field_name, "required")
-    if _as_index_tuple(items, n, field_name) != tuple(items):
+    if not all(map(_is_int, items)):
+        raise ValidationError(field_name, f"indices must be integers, not {items!r}")
+    ordered = sorted(set(items))
+    if len(ordered) != len(items):
+        raise ValidationError(field_name, "duplicate indices")
+    if ordered and (ordered[0] < 0 or ordered[-1] >= n):
+        raise ValidationError(field_name, f"indices must lie in [0, {n})")
+    if tuple(ordered) != tuple(items):
         raise ValidationError(field_name, "indices must be ascending")
 
 
@@ -366,51 +349,50 @@ class _Report:
         return out
 
 
-def _parsed(payload: dict, key: str, convert):
-    """convert(payload[key]), or None when absent; malformed values name the key."""
-    if key not in payload:
-        return None
-    try:
-        return convert(payload[key])
-    except (TypeError, ValueError) as e:
-        raise ValidationError(key, f"malformed value {payload[key]!r}") from e
-
-
 def _integer(raw) -> int:
     """An integral number such as 4 or 4.0. A bool, a string or a fraction
     is malformed, not truncated."""
     if not (_is_int(raw) or isinstance(raw, float) and raw.is_integer()):
-        raise ValueError(f"{raw!r} is not an integer")
+        raise ValueError(f"must be an integer, not {raw!r}")
     return int(raw)
 
 
-def _tau(raw) -> int:
-    """A factory's tau as :func:`_integer` reads it; anything else is refused by name."""
-    try:
-        return _integer(raw)
-    except ValueError:
-        raise ValidationError("tau", f"must be an integer, not {raw!r}") from None
+def _real(raw) -> float:
+    """A real number as a float; a bool or a string is malformed, not converted."""
+    if not (isinstance(raw, float) or isinstance(raw, numbers.Real) and not isinstance(raw, bool)):
+        raise ValueError(f"must be a number, not {raw!r}")
+    return float(raw)
 
 
 def _index_set(raw) -> tuple[int, ...]:
-    return tuple(sorted(_integer(i) for i in raw))
+    return tuple(sorted(map(_integer, raw)))
 
 
 def _index_sets(raw) -> tuple[tuple[int, ...], ...]:
-    return tuple(_index_set(s) for s in raw)
+    return tuple(map(_index_set, raw))
 
 
 def _floats(raw) -> tuple[float, ...]:
-    if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in raw):
-        raise ValueError(f"{raw!r} holds a bool, a string or another non-number")
-    return tuple(float(x) for x in raw)
+    return tuple(map(_real, raw))
 
 
-# The parser of each payload key but graph_edges; malformed values raise TypeError or ValueError.
+# The one reader of raw sampling values, for the factories and spec_from_dict
+# alike: the parser of each key of a spec payload but graph_edges. A malformed
+# value raises TypeError or ValueError, which _read turns into ValidationError.
 _PARSERS = {
-    "set": _index_set, "q": _floats, "tau": _integer, "partition": _index_sets, "blocks": _index_sets,
-    "members": _index_sets, "weights": _floats, "components": lambda cs: tuple(spec_from_dict(c) for c in cs),
+    "n": _integer, "kind": str, "set": _index_set, "q": _floats, "tau": _integer, "partition": _index_sets,
+    "blocks": _index_sets, "members": _index_sets, "weights": _floats,
+    "components": lambda cs: tuple(spec_from_dict(c) for c in cs),
 }
+
+
+def _read(key: str, raw, parse=None):
+    """parse(raw), by default ``_PARSERS[key](raw)``; a malformed value raises
+    ValidationError naming the key and saying why."""
+    try:
+        return (parse or _PARSERS[key])(raw)
+    except (TypeError, ValueError) as e:
+        raise ValidationError(key, f"malformed value {raw!r}: {e}") from e
 
 
 def spec_from_dict(payload: dict) -> SamplingSpec:
@@ -422,12 +404,12 @@ def spec_from_dict(payload: dict) -> SamplingSpec:
         if key not in payload:
             raise ValidationError(key, "missing required key")
     for key in payload:
-        if key not in _PARSERS and key not in ("n", "kind", "graph_edges"):
+        if key not in _PARSERS and key != "graph_edges":
             raise ValidationError(str(key), "unknown key")
-    n, kind = _parsed(payload, "n", _integer), _parsed(payload, "kind", str)
-    parsed = {key: _parsed(payload, key, parse) for key, parse in _PARSERS.items()}
-    graph = _parsed(payload, "graph_edges", lambda e: ConflictGraph(n, tuple((_integer(a), _integer(b)) for a, b in e)))
-    return SamplingSpec(n=n, kind=kind, graph=graph, **parsed)
+    parsed = {key: _read(key, payload[key]) for key in _PARSERS if key in payload}
+    if "graph_edges" in payload:
+        parsed["graph"] = _read("graph_edges", payload["graph_edges"], lambda e: ConflictGraph(parsed["n"], tuple(e)))
+    return SamplingSpec(**parsed)
 
 
 # ---------------------------------------------------------------------------

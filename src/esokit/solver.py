@@ -529,14 +529,20 @@ def complexity_estimate(
     sqrt(2 sum_i v_i (x0_i - x*_i)^2 / p_i^2) / sqrt(eps). Passing ``gap0``
     replaces log(1/eps) by the full log(gap0/eps) form; either log is 0 once
     eps reaches the gap (1 without ``gap0``), see :func:`_log_term`. Only the
-    NSYNC-style solver is implemented here; the others are estimators.
+    NSYNC-style solver is implemented here; the others are estimators. A v
+    that is not finite and nonnegative, a p of another length or outside
+    (0, 1], and a non-finite ``gap0`` are refused by name.
     """
     v = np.asarray(v, dtype=float)
     p = np.asarray(p, dtype=float)
-    if np.any(p <= 0):
-        raise ValidationError("p", "probabilities must be positive")
+    if v.ndim != 1 or not np.all(np.isfinite(v) & (v >= 0)):
+        raise ValidationError("v", "must be a vector of finite nonnegative stepsizes")
+    if p.shape != v.shape or not np.all((p > 0) & (p <= 1)):
+        raise ValidationError("p", f"must hold {v.size} probabilities in (0, 1]")
     if not epsilon > 0:
         raise ValidationError("epsilon", f"must be positive, got {epsilon}")
+    if gap0 is not None and not math.isfinite(gap0):
+        raise ValidationError("gap0", f"must be finite, got {gap0}")
     log_term = _log_term(1.0 if gap0 is None else gap0, epsilon)
 
     kind = kind.upper()

@@ -245,8 +245,9 @@ def restricted_closed_form(spec: SamplingSpec, ptr, indices) -> tuple[np.ndarray
 
 
 def _restriction_set(spec: SamplingSpec, j) -> list[int]:
-    """The distinct indices of J, ascending; an empty J or one outside [0, n) is refused."""
-    j_idx = sorted({int(i) for i in j})
+    """The distinct indices of J, ascending, read as a payload set; an empty J
+    or one outside [0, n) is refused."""
+    j_idx = sorted(set(samplings._read("set", j)))
     if not j_idx:
         raise ValidationError("set", "restriction set must be nonempty")
     if j_idx[0] < 0 or j_idx[-1] >= spec.n:

@@ -32,7 +32,7 @@ def as_sampling_spec(s) -> SamplingSpec:
             raise ValidationError("sampling", f"not valid JSON: {e}") from None
     if isinstance(s, dict):
         return spec_from_dict(s)
-    raise ValidationError("sampling", f"cannot interpret {type(s).__name__} as a sampling spec")
+    raise ValidationError("sampling", f"a sampling spec is a SamplingSpec or a JSON object, not a {type(s).__name__}")
 
 
 def as_vector(x, n: int, name: str) -> np.ndarray:

@@ -261,6 +261,12 @@ def run_identity_battery(
     budget (at least one), so neither the stack nor the draws held grow
     with ``specs_per_size``, and each P has the bits of
     ``prob_matrix(spec, "enumerate")``."""
+    sizes = tuple(sizes)
+    if not sizes or not all(_is_int(n) and n >= 1 for n in sizes):
+        raise ValidationError("sizes", f"must be a nonempty list of integers of at least 1, not {sizes!r}")
+    for name, count in (("specs_per_size", specs_per_size), ("pairs_per_spec", pairs_per_spec)):
+        if not (_is_int(count) and count >= 1):
+            raise ValidationError(name, f"must be an integer of at least 1, not {count!r}")
     rng = config.rng_for_stream(rng_seed, 0)
     tracker: dict[str, float] = {}
     counts: dict[str, int] = {}
@@ -311,7 +317,7 @@ def run_identity_battery(
         }
         for name in sorted(tracker)
     }
-    return BatteryReport(checks=checks, tolerance=tolerance, seed=rng_seed, sizes=tuple(sizes))
+    return BatteryReport(checks=checks, tolerance=tolerance, seed=rng_seed, sizes=sizes)
 
 
 def _battery_case(rng: np.random.Generator, n: int, pairs_per_spec: int):

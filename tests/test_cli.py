@@ -11,6 +11,7 @@ import pytest
 import esokit as ek
 from esokit.cli import main
 from esokit.datamatrix import write_matrix
+from esokit.errors import ValidationError
 
 
 @pytest.fixture()
@@ -385,6 +386,39 @@ def test_non_numeric_solve_sidecar_is_an_input_error(workdir, capsys, sidecar, f
 def test_non_integer_battery_sizes_are_an_input_error(capsys):
     assert main(["battery", "--sizes", "3,a"]) == 2
     assert "input error: --sizes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["--sizes", "0"], "sizes"),
+        (["--sizes", "-2"], "sizes"),
+        (["--specs-per-size", "0"], "specs_per_size"),
+        (["--pairs-per-spec", "0"], "pairs_per_spec"),
+    ],
+)
+def test_degenerate_battery_arguments_are_an_input_error(argv, field, capsys):
+    assert main(["battery", *argv]) == 2
+    err = capsys.readouterr().err
+    assert f"input error: {field}: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        ({"n": 4, "kind": "elementary", "set": [0.7, 2]}, "set"),
+        ({"n": 2, "kind": "serial", "q": [True, False]}, "q"),
+        ({"n": 4, "kind": "tau_nice", "tau": 1.5}, "tau"),
+    ],
+)
+def test_a_malformed_sampling_value_is_refused_as_the_factories_refuse_it(workdir, payload, field, capsys):
+    # --sampling is read as the estimators read a sampling, through spec_from_dict.
+    _, matrix, _ = workdir
+    assert main(["compute-v", "--matrix", str(matrix), "--sampling", json.dumps(payload)]) == 2
+    err = capsys.readouterr().err
+    with pytest.raises(ValidationError) as info:
+        ek.validation.as_sampling_spec(payload)
+    assert info.value.field == field and str(info.value) in err
 
 
 def test_enumeration_cap_names_the_exact_auto_method(capsys):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -283,6 +284,18 @@ def test_check_identities_refuse_a_wrongly_shaped_m_or_h():
     ):
         with pytest.raises(ValidationError, match="expected shape") as info:
             ek.check_identities(spec, m, h)
+        assert info.value.field == field
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+def test_check_identities_refuse_a_non_finite_m_or_h(bad):
+    # A NaN loses every max (the discrepancy read 0.0) and an inf overflows.
+    spec = ek.tau_nice(3, 2)
+    m = np.eye(3)
+    m[0, 1] = bad
+    for args, field in (((np.eye(3), [1.0, bad, 0.0]), "h"), ((m, np.ones(3)), "m_matrix")):
+        with pytest.raises(ValidationError, match="non-finite") as info:
+            ek.check_identities(spec, *args)
         assert info.value.field == field
 
 

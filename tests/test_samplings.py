@@ -463,6 +463,24 @@ def test_direct_construction_refuses_a_set_that_does_not_ascend(payload, field):
     assert info.value.field == field
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.0, True, "1", None], ids=repr)
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        (lambda x: dict(kind="elementary", set=(x, 3)), "set"),
+        (lambda x: dict(kind="explicit", members=((x, 3),), weights=(1.0,)), "members"),
+        (lambda x: dict(kind="restriction", components=(ek.tau_nice(4, 2),), set=(x, 3)), "set"),
+    ],
+    ids=["elementary", "explicit", "restriction"],
+)
+def test_direct_construction_refuses_an_index_that_is_not_an_integer(payload, field, bad):
+    # The factories read indices through spec_from_dict's parser; a spec
+    # built directly is checked for integers, which a draw's indices must be.
+    with pytest.raises(ValidationError, match="must be integers") as info:
+        ek.SamplingSpec(n=4, **payload(bad))
+    assert info.value.field == field
+
+
 _PARTITION = ((0, 1), (2, 3))
 
 
@@ -499,6 +517,120 @@ def test_factories_refuse_a_fractional_or_bool_tau_and_take_an_integral_one():
     with pytest.raises(ValidationError, match="must be an integer") as info:
         ek.tau_nice(4.0, 2)
     assert info.value.field == "n"
+
+
+def _nice4(tau: int) -> dict:
+    return {"n": 4, "kind": "tau_nice", "tau": tau}
+
+
+def _restricted_value(x):
+    return ek.lambda_prime_restricted(ek.tau_nice(4, 2), x).value
+
+
+# One row per reader of a raw sampling value: the value's slot ("index" wants
+# 2, "probability" 0.5, "tau" 2), the reader given x in that slot, and the
+# spec_from_dict payload holding x in the same place.
+_READERS = {
+    "elementary": (
+        "index", lambda x: ek.elementary(4, [x, 3]), lambda x: {"n": 4, "kind": "elementary", "set": [x, 3]}
+    ),
+    "serial": ("probability", lambda x: ek.serial([x, 0.5]), lambda x: {"n": 2, "kind": "serial", "q": [x, 0.5]}),
+    "tau_nice": ("tau", lambda x: ek.tau_nice(4, x), lambda x: _nice4(x)),
+    "ctau_partition": (
+        "index", lambda x: ek.ctau_distributed([[x, 0], [1, 3]], 1),
+        lambda x: {"n": 4, "kind": "ctau_distributed", "partition": [[x, 0], [1, 3]], "tau": 1},
+    ),
+    "ctau_tau": (
+        "tau", lambda x: ek.ctau_distributed([[0, 1], [2, 3]], x),
+        lambda x: {"n": 4, "kind": "ctau_distributed", "partition": [[0, 1], [2, 3]], "tau": x},
+    ),
+    "doubly_uniform": (
+        "probability", lambda x: ek.doubly_uniform([x, 0.5, 0.0]),
+        lambda x: {"n": 2, "kind": "doubly_uniform", "q": [x, 0.5, 0.0]},
+    ),
+    "product": (
+        "index", lambda x: ek.product_sampling([[x, 0], [1, 3]]),
+        lambda x: {"n": 4, "kind": "product", "blocks": [[x, 0], [1, 3]]},
+    ),
+    "graph_members": (
+        "index", lambda x: ek.graph_sampling(4, [[x, 3]], [1.0], ek.ConflictGraph(4, ())),
+        lambda x: {"n": 4, "kind": "graph", "members": [[x, 3]], "weights": [1.0], "graph_edges": []},
+    ),
+    "graph_weights": (
+        "probability", lambda x: ek.graph_sampling(4, [[0], [1]], [x, 0.5], ek.ConflictGraph(4, ())),
+        lambda x: {"n": 4, "kind": "graph", "members": [[0], [1]], "weights": [x, 0.5], "graph_edges": []},
+    ),
+    "convex_combination": (
+        "probability", lambda x: ek.convex_combination([x, 0.5], [ek.tau_nice(4, 1), ek.tau_nice(4, 2)]),
+        lambda x: {"n": 4, "kind": "convex_combination", "weights": [x, 0.5], "components": [_nice4(1), _nice4(2)]},
+    ),
+    "restriction": (
+        "index", lambda x: ek.restriction(ek.tau_nice(4, 2), [x, 3]),
+        lambda x: {"n": 4, "kind": "restriction", "components": [_nice4(2)], "set": [x, 3]},
+    ),
+    "explicit_members": (
+        "index", lambda x: ek.explicit(4, [[x, 3], [0]], [0.5, 0.5]),
+        lambda x: {"n": 4, "kind": "explicit", "members": [[x, 3], [0]], "weights": [0.5, 0.5]},
+    ),
+    "explicit_weights": (
+        "probability", lambda x: ek.explicit(4, [[0], [1]], [x, 0.5]),
+        lambda x: {"n": 4, "kind": "explicit", "members": [[0], [1]], "weights": [x, 0.5]},
+    ),
+    "conflict_graph": (
+        "index", lambda x: ek.ConflictGraph(4, [[x, 3]]),
+        lambda x: {"n": 4, "kind": "graph", "members": [[0]], "weights": [1.0], "graph_edges": [[x, 3]]},
+    ),
+    "restricted_lambda_prime": (
+        "index", lambda x: _restricted_value([x, 3]),
+        lambda x: {"n": 4, "kind": "restriction", "components": [_nice4(2)], "set": [x, 3]},
+    ),
+}
+_BAD = {"index": (1.5, True, "1"), "probability": (True, "0.5"), "tau": (2.5, 1.5, True, "1")}
+_GOOD = {"index": (2.0, np.int64(2), np.float64(2.0)), "probability": (np.float64(0.5),), "tau": (2.0, np.int64(2))}
+
+
+# What of spec_from_dict's spec a reader's result equals; the spec itself by default.
+_VIEWS = {
+    "conflict_graph": lambda spec: spec.graph,
+    "restricted_lambda_prime": lambda spec: _restricted_value(spec.set),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_every_reader_of_a_raw_value_refuses_and_takes_what_spec_from_dict_does(reader):
+    slot, read, payload = _READERS[reader]
+    for bad in _BAD[slot]:
+        with pytest.raises(ValidationError) as direct:
+            read(bad)
+        with pytest.raises(ValidationError) as parsed:
+            spec_from_dict(payload(bad))
+        assert str(direct.value) == str(parsed.value) and direct.value.field == parsed.value.field
+        assert direct.value.field in ("set", "q", "tau", "partition", "blocks", "members", "weights", "edges")
+    view = _VIEWS.get(reader, lambda spec: spec)
+    for good in _GOOD[slot]:
+        assert read(good) == view(spec_from_dict(payload(good)))
+
+
+_FACTORIES = {
+    "elementary", "serial", "tau_nice", "ctau_distributed", "doubly_uniform", "product_sampling",
+    "graph_sampling", "convex_combination", "intersection", "restriction", "explicit",
+}
+
+
+def test_the_factories_and_the_conflict_graph_read_raw_values_only_through_the_parsers():
+    # spec_from_dict's parsers are the one reader of raw sampling values; a
+    # coercion of the factories' own would take what they refuse.
+    tree = ast.parse(Path(ek.samplings.__file__).read_text(encoding="utf-8"))
+    defined = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert _FACTORIES <= set(defined) and not {"_as_index_tuple", "_tau"} & set(defined)
+
+    def called(node) -> set:
+        return {n.func.id for n in ast.walk(node) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+
+    for name in _FACTORIES:
+        assert not called(defined[name]) & {"int", "float", "sorted"}, name
+    post_init = next(n for n in defined["ConflictGraph"].body if getattr(n, "name", None) == "__post_init__")
+    assert not called(post_init) & {"int", "float"}
 
 
 # Comparisons of a sampling's kind that are formula facts, not kind facts,

@@ -217,6 +217,27 @@ def test_complexity_estimate_full_form_and_errors():
                 ek.complexity_estimate(kind, np.ones(2), np.ones(2), **kwargs)
 
 
+@pytest.mark.parametrize(
+    "v, p, gap0, field",
+    [
+        (np.ones(3), np.full(4, 0.5), None, "p"),
+        (np.array([1.0, math.nan]), np.ones(2), None, "v"),
+        (np.array([1.0, math.inf]), np.ones(2), None, "v"),
+        (np.array([1.0, -1.0]), np.ones(2), None, "v"),
+        (np.ones((2, 2)), np.ones((2, 2)), None, "v"),
+        (np.ones(2), np.array([1.0, 2.0]), None, "p"),
+        (np.ones(2), np.array([1.0, math.nan]), None, "p"),
+        (np.ones(2), np.ones(2), math.nan, "gap0"),
+        (np.ones(2), np.ones(2), math.inf, "gap0"),
+    ],
+)
+@pytest.mark.parametrize("kind", ["NSYNC", "QUARTZ"])
+def test_complexity_estimate_refuses_malformed_v_p_and_gap0_by_name(kind, v, p, gap0, field):
+    # They raised a bare broadcast error or returned a NaN bound or 0.0 iterations.
+    with pytest.raises(ValidationError, match=f"^{field}: "):
+        ek.complexity_estimate(kind, v, p, lambda_sc=1.0, epsilon=0.01, gap0=gap0)
+
+
 @pytest.mark.parametrize("epsilon", [1.0, 10.0, math.inf])
 @pytest.mark.parametrize("kind", ["NSYNC", "QUARTZ"])
 def test_complexity_estimate_needs_no_iterations_once_epsilon_reaches_the_gap(kind, epsilon):

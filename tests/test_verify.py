@@ -156,6 +156,33 @@ def test_identity_battery_passes_and_writes_junit(tmp_path):
     assert "<testsuite" in text and 'failures="0"' in text
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"sizes": ()}, "sizes"),
+        ({"sizes": (0,)}, "sizes"),
+        ({"sizes": (3, -2)}, "sizes"),
+        ({"sizes": (2.5,)}, "sizes"),
+        ({"sizes": (True,)}, "sizes"),
+        ({"specs_per_size": 0}, "specs_per_size"),
+        ({"specs_per_size": 2.5}, "specs_per_size"),
+        ({"pairs_per_spec": 0}, "pairs_per_spec"),
+        ({"pairs_per_spec": -1}, "pairs_per_spec"),
+    ],
+)
+def test_identity_battery_refuses_empty_or_degenerate_arguments_by_name(kwargs, field):
+    # Each ran no check, reported a pass over no cases or failed deep inside.
+    with pytest.raises(ValidationError) as info:
+        ek.run_identity_battery(0, **kwargs)
+    assert info.value.field == field
+
+
+def test_identity_battery_runs_on_one_coordinate():
+    report = ek.run_identity_battery(0, sizes=(1,), specs_per_size=np.int64(2), pairs_per_spec=1)
+    assert report.passed and report.sizes == (1,)
+    assert report.checks["identity:first_moment"]["cases"] == 2
+
+
 # Any change to the battery's draws or to the arithmetic of its checks
 # changes these digests of the default report.
 _BATTERY_DIGESTS = {
