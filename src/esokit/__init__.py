@@ -16,7 +16,6 @@ from .config import rng_for_stream
 from .datamatrix import ComposedFunction, DataMatrix, assemble_from_pieces, read_matrix, write_matrix
 from .errors import (
     CapacityError,
-    CertificateUnavailableError,
     DivergenceError,
     EsoKitError,
     ParseError,

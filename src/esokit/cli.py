@@ -26,7 +26,6 @@ from . import config, eso, probability, samplings, solver, validation, verify
 from .datamatrix import read_matrix
 from .errors import (
     CapacityError,
-    CertificateUnavailableError,
     DivergenceError,
     ParseError,
     UnsupportedMethodError,
@@ -376,7 +375,7 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError, FileNotFoundError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (UnsupportedMethodError, CapacityError, CertificateUnavailableError) as e:
+    except (UnsupportedMethodError, CapacityError) as e:
         print(f"unsupported combination: {e}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except DivergenceError as e:

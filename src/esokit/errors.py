@@ -39,11 +39,6 @@ class UnsupportedMethodError(EsoKitError):
     """The requested method/formula does not apply to the given inputs."""
 
 
-class CertificateUnavailableError(EsoKitError):
-    """A PSD certificate was requested but only a statistical estimate of the
-    probability matrix exists; use the Monte-Carlo verifier instead."""
-
-
 class DivergenceError(EsoKitError):
     """The solver's objective gap grew persistently, signalling invalid
     stepsize parameters."""

@@ -224,21 +224,13 @@ def eso_coupled(data: DataMatrix, spec: SamplingSpec, restricted_eig_method: str
 # Closed forms requiring no eigenvalues
 
 
-def eso_specialized(data: DataMatrix, spec: SamplingSpec, case: str = "auto") -> EsoResult:
+def eso_specialized(data: DataMatrix, spec: SamplingSpec) -> EsoResult:
     """Dispatch to the per-family closed form; at most two passes over data.
 
-    ``case='generic'`` forces the cardinality-cap formula
-    v_i = sum_j min(|J_j|, tau) A_ji^2, tau the sampling's cardinality cap,
-    even when a sharper family form exists.
     Raises UnsupportedMethodError when no case applies (callers fall back to
     the coupled formula).
     """
     p = _require_proper(spec)
-    if case == "generic":
-        return _generic_tau(data, spec, p)
-    if case != "auto":
-        raise UnsupportedMethodError(f"unknown specialization case {case!r}")
-
     kind = spec.kind
     if kind == samplings.KIND_GRAPH:
         _check_graph_matches_data(data, spec)
@@ -259,7 +251,8 @@ def _one_pass(data: DataMatrix, p: np.ndarray, v: np.ndarray, formula_id: str) -
 
 
 def _generic_tau(data, spec, p) -> EsoResult:
-    # A proper sampling over n >= 1 coordinates draws a nonempty set, so tau >= 1.
+    # The cardinality-cap formula v_i = sum_j min(|J_j|, tau) A_ji^2, tau the cap;
+    # a proper sampling over n >= 1 coordinates draws a nonempty set, so tau >= 1.
     multipliers = np.minimum(data.row_sizes.astype(float), float(samplings.cardinality_cap(spec)))
     return _one_pass(data, p, _accumulate_rows(data, multipliers), FORMULA_GENERIC_TAU)
 
@@ -376,7 +369,7 @@ FORMULAS: dict[str, Formula] = {
     "uncoupled": Formula(FORMULA_UNCOUPLED, eso_uncoupled),
     "coupled-exact": Formula(FORMULA_COUPLED_EXACT, lambda d, s, _: eso_coupled(d, s, "exact")),
     "coupled-bound": Formula(FORMULA_COUPLED_BOUND, lambda d, s, _: eso_coupled(d, s, "bound")),
-    "generic": Formula(FORMULA_GENERIC_TAU, lambda d, s, _: eso_specialized(d, s, "generic")),
+    "generic": Formula(FORMULA_GENERIC_TAU, lambda d, s, _: _generic_tau(d, s, _require_proper(s))),
     "specialized": Formula(None, _specialized),
     "taunice": Formula(FORMULA_TAU_NICE, _specialized, samplings.KIND_TAU_NICE),
     "ctau": Formula(FORMULA_CTAU, _specialized, samplings.KIND_CTAU),

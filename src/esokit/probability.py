@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config, csr, samplings
-from .errors import CertificateUnavailableError, UnsupportedMethodError, ValidationError, _is_int
-from .samplings import PROVENANCE_CLOSED, PROVENANCE_ENUM, PROVENANCE_MC, _PROVENANCE_RANK, Entry, SamplingSpec, _Report
+from .errors import UnsupportedMethodError, ValidationError, _is_int
+from .samplings import PROVENANCE_ENUM, PROVENANCE_MC, _PROVENANCE_RANK, Entry, SamplingSpec, _Report
 
 
 @dataclass(frozen=True)
@@ -59,16 +59,6 @@ class ProbMatrix:
     @property
     def max_stderr(self) -> float:
         return float(self.stderr.max()) if self.stderr is not None and self.stderr.size else 0.0
-
-    @property
-    def is_exact(self) -> bool:
-        return self.provenance != PROVENANCE_MC
-
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.entries).copy()
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[0])
 
     def to_dict(self) -> dict:
         """Not a :class:`samplings._Report` form: ``mc_samples`` and
@@ -296,38 +286,8 @@ def _identity_reports(spec: SamplingSpec, pairs, trials: int = 0, rng_seed: int 
 
 
 def write_csv(matrix: ProbMatrix, path) -> None:
+    """``np.loadtxt(path, delimiter=",", comments="#")`` reads the entries back."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# prob_matrix n={matrix.n} provenance={matrix.provenance}\n")
         for row in matrix.entries:
             fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
-
-def read_csv(path) -> ProbMatrix:
-    """Read a :func:`write_csv` file; malformed text raises ValidationError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("# prob_matrix"):
-            raise ValidationError("header", "missing prob_matrix header")
-        lines = [line for line in fh if line.strip()]
-    try:
-        fields = dict(part.split("=", 1) for part in header.split()[2:])
-        n = int(fields["n"])
-    except (KeyError, ValueError) as e:
-        raise ValidationError("header", f"expected n=<int> and key=value tokens, got {header!r}") from e
-    try:
-        rows = [[float(x) for x in line.split(",")] for line in lines]
-    except ValueError as e:
-        raise ValidationError("entries", f"non-numeric entry: {e}") from e
-    if len(rows) != n or any(len(row) != n for row in rows):
-        raise ValidationError("entries", f"expected {n} rows of {n} entries")
-    return ProbMatrix(n, np.asarray(rows, dtype=float), fields.get("provenance", PROVENANCE_ENUM))
-
-
-def require_exact(matrix: ProbMatrix, purpose: str) -> ProbMatrix:
-    """Reject Monte-Carlo matrices where a deterministic certificate is needed."""
-    if not matrix.is_exact:
-        raise CertificateUnavailableError(
-            f"{purpose} needs an exact probability matrix; this one is a Monte-Carlo "
-            f"estimate ({matrix.mc_samples} samples)"
-        )
-    return matrix

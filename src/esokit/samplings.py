@@ -54,6 +54,7 @@ class ConflictGraph:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _read("n", self.n))
         if self.n <= 0:
             raise ValidationError("n", "must be positive")
         normalized = set()
@@ -163,18 +164,27 @@ def convex_combination(
 ) -> SamplingSpec:
     """Mixture sampling: pick component t with probability weights[t], then draw from it."""
     comps = tuple(components)
-    n = comps[0].n if comps else 0
-    return SamplingSpec(n=n, kind=KIND_CONVEX, weights=_read("weights", weights), components=comps)
+    return SamplingSpec(n=_component_n(comps), kind=KIND_CONVEX, weights=_read("weights", weights), components=comps)
 
 
 def intersection(first: SamplingSpec, second: SamplingSpec) -> SamplingSpec:
     """Intersection of two samplings drawn independently."""
-    return SamplingSpec(n=first.n, kind=KIND_INTERSECTION, components=(first, second))
+    return SamplingSpec(n=_component_n((first, second)), kind=KIND_INTERSECTION, components=(first, second))
 
 
 def restriction(spec: SamplingSpec, j: Iterable[int]) -> SamplingSpec:
     """Sampling whose draws are intersections of ``spec`` draws with the fixed set ``j``."""
-    return SamplingSpec(n=spec.n, kind=KIND_RESTRICTION, components=(spec,), set=_read("set", j))
+    return SamplingSpec(n=_component_n((spec,)), kind=KIND_RESTRICTION, components=(spec,), set=_read("set", j))
+
+
+def _component_n(components: tuple) -> int:
+    """The n the components of a composite share; none, or a non-SamplingSpec, is refused by name."""
+    if not components or not all(isinstance(c, SamplingSpec) for c in components):
+        types = [type(c).__name__ for c in components]
+        raise ValidationError("components", f"must be one or more SamplingSpecs, got {types}")
+    if any(c.n != components[0].n for c in components):
+        raise ValidationError("components", "components must share n")
+    return components[0].n
 
 
 def explicit(n: int, members: Sequence[Iterable[int]], weights: Sequence[float]) -> SamplingSpec:
@@ -250,7 +260,7 @@ def validate_spec(spec: SamplingSpec) -> None:
         if getattr(spec, name) is not None and name not in kind.fields:
             raise ValidationError(name, f"not a field of {spec.kind} samplings")
     kind.check(spec)
-    if spec.components and any(c.n != spec.n for c in spec.components):
+    if spec.components is not None and _component_n(spec.components) != spec.n:
         raise ValidationError("components", "components must share n")
 
 

@@ -531,8 +531,12 @@ def complexity_estimate(
     eps reaches the gap (1 without ``gap0``), see :func:`_log_term`. Only the
     NSYNC-style solver is implemented here; the others are estimators. A v
     that is not finite and nonnegative, a p of another length or outside
-    (0, 1], and a non-finite ``gap0`` are refused by name.
+    (0, 1], a non-finite ``gap0``, a non-string ``kind``, a QUARTZ ``n`` that
+    is not a positive integer, and an ALPHA ``x0`` or ``xstar`` that is not a
+    finite vector of v's length are refused by name.
     """
+    if not isinstance(kind, str):
+        raise ValidationError("kind", f"must be a string, not {kind!r}")
     v = np.asarray(v, dtype=float)
     p = np.asarray(p, dtype=float)
     if v.ndim != 1 or not np.all(np.isfinite(v) & (v >= 0)):
@@ -551,13 +555,14 @@ def complexity_estimate(
     if kind == "NSYNC":
         return float(np.max(v / (p * lambda_sc)) * log_term)
     if kind == "QUARTZ":
+        if n is not None and not (_is_int(n) and n >= 1):
+            raise ValidationError("n", f"must be a positive integer, not {n!r}")
         size = n if n is not None else v.size
         return float(np.max(1.0 / p + v / (p * lambda_sc * size)) * log_term)
     if kind == "ALPHA":
         if x0 is None or xstar is None:
             raise ValidationError("x0", "ALPHA needs the initial and optimal points")
-        x0 = np.asarray(x0, dtype=float)
-        xstar = np.asarray(xstar, dtype=float)
+        x0, xstar = as_vector(x0, v.size, "x0"), as_vector(xstar, v.size, "xstar")
         inner = 2.0 * float(np.sum(v * (x0 - xstar) ** 2 / p**2))
         return math.sqrt(inner) / math.sqrt(epsilon)
     raise UnsupportedMethodError(f"unknown complexity kind {kind!r}")

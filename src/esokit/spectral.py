@@ -306,12 +306,19 @@ def _bound_candidates(spec: SamplingSpec, ptr, indices) -> dict[str, np.ndarray]
     return candidates
 
 
+def _index_array(key: str, raw) -> np.ndarray:
+    if isinstance(raw, np.ndarray) and np.issubdtype(raw.dtype, np.integer):
+        return raw.astype(np.int64, copy=False)
+    return np.array(samplings._read(key, raw, lambda r: [samplings._integer(x) for x in r]), dtype=np.int64)
+
+
 def restricted_lambda_primes(spec: SamplingSpec, ptr, indices, method: str = "exact") -> np.ndarray:
     """lambda'(J intersect S-hat) for every set J of ``(ptr, indices)`` of a
     proper sampling, by the ``exact`` or ``bound`` method of
     :func:`lambda_prime_restricted` and bit-identical to it; an empty set
     gives 0. Indices outside [0, n), and a set that repeats an index, raise
-    ``ValidationError``; the sets need not be sorted.
+    ``ValidationError``; the sets need not be sorted. An integer array is
+    taken as it is; a fractional, bool or string entry is refused, not truncated.
 
     The restricted matrices of the sets of one size are evaluated from
     :func:`probability.exact_rule` in the stacks of ``csr._size_stacks``,
@@ -323,7 +330,9 @@ def restricted_lambda_primes(spec: SamplingSpec, ptr, indices, method: str = "ex
     proper sampling has a positive diagonal, so every restricted matrix is
     normalized on its whole set.
     """
-    ptr, indices = np.asarray(ptr, dtype=np.int64), np.asarray(indices, dtype=np.int64)
+    ptr, indices = _index_array("ptr", ptr), _index_array("set", indices)
+    if ptr.ndim != 1 or not ptr.size or ptr[0] != 0 or np.any(np.diff(ptr) < 0) or ptr[-1] != indices.size:
+        raise ValidationError("ptr", f"must rise from 0 to len(indices) = {indices.size}")
     if indices.size and (indices.min() < 0 or indices.max() >= spec.n):
         raise ValidationError("set", f"indices must lie in [0, {spec.n})")
     keys = np.sort(csr._row_of(ptr) * spec.n + indices)

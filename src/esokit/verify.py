@@ -50,16 +50,10 @@ class EsoCheckReport(_Report):
     details: tuple[dict, ...] = field(default=(), compare=False)
 
 
-def canonical_points(
-    data: DataMatrix, spec: SamplingSpec, v: np.ndarray, rng_seed: int = 0
-) -> list[tuple[np.ndarray, np.ndarray, str]]:
+def _canonical_points(certificate: np.ndarray, rng_seed: int) -> list[tuple[np.ndarray, np.ndarray, str]]:
     """The canonical (x, h) grid: x in {0, ones, random unit}, h in the basis
     vectors, ones, a random unit vector, and the certificate's bottom
-    eigenvector (so n <= ``config.DENSE_EIG_CAP``)."""
-    return _canonical_points(eso.certificate_matrix(data, spec, v), rng_seed)
-
-
-def _canonical_points(certificate: np.ndarray, rng_seed: int) -> list[tuple[np.ndarray, np.ndarray, str]]:
+    eigenvector."""
     n = certificate.shape[0]
     rng = config.rng_for_stream(rng_seed, 0)
     x_rand = rng.standard_normal(n)

@@ -77,7 +77,7 @@ def matching_stepsizes(rng: np.random.Generator, data: ek.DataMatrix):
     out.append(("case-iii tau-nice", nice, ek.eso_specialized(data, nice)))
 
     capped = capped_partition_spec(rng, n, max(1, int(rng.integers(1, n + 1))))
-    out.append(("case-i generic", capped, ek.eso_specialized(data, capped, case="generic")))
+    out.append(("case-i generic", capped, ek.compute_v(data, capped, "generic")))
     out.append(("conservative", capped, ek.eso_conservative(data, capped)))
 
     c = 2 if n % 2 == 0 else 1

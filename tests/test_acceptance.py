@@ -211,7 +211,7 @@ def test_criterion_07_dominance_chain():
         spec = capped_partition_spec(rng, n, tau)
         exact = ek.eso_coupled(data, spec, "exact").v
         bound = ek.eso_coupled(data, spec, "bound").v
-        generic = ek.eso_specialized(data, spec, case="generic").v
+        generic = ek.compute_v(data, spec, "generic").v
         conservative = ek.eso_conservative(data, spec).v
         worst_gap = max(
             worst_gap,

@@ -345,7 +345,7 @@ def test_specialized_generic_with_cap_one_matches_serial_values():
     assert result.formula_id == "SERIAL"
     assert result.v == pytest.approx(data.column_sq_norms)
 
-    forced = ek.eso_specialized(data, spec, case="generic")
+    forced = ek.compute_v(data, spec, "generic")
     assert forced.formula_id == "GENERIC_TAU"
     assert forced.v == pytest.approx(data.column_sq_norms)
 
@@ -373,7 +373,7 @@ def test_a_cap_of_one_gives_serial_bits_under_either_id():
     spec = ek.restriction(ek.product_sampling([range(6)]), range(6))
     result = ek.eso_specialized(data, spec)
     assert result.formula_id == "SERIAL"
-    generic = ek.eso_specialized(data, spec, case="generic")
+    generic = ek.compute_v(data, spec, "generic")
     assert result.v.tobytes() == generic.v.tobytes()
 
 
@@ -523,7 +523,7 @@ def test_dominance_chain_random_fixtures():
         spec = capped_partition_spec(rng, n, tau)
         exact = ek.eso_coupled(data, spec, "exact").v
         bound = ek.eso_coupled(data, spec, "bound").v
-        generic = ek.eso_specialized(data, spec, case="generic").v
+        generic = ek.compute_v(data, spec, "generic").v
         conservative = ek.eso_conservative(data, spec).v
         assert np.all(exact <= bound + 1e-10)
         assert np.all(bound <= generic + 1e-10)

@@ -195,6 +195,12 @@ def test_complexity_estimates_match_hand_values():
     assert ek.complexity_estimate(
         "QUARTZ", np.zeros(3), np.ones(3), lambda_sc=1.0, n=3, epsilon=0.1
     ) == pytest.approx(math.log(10.0))
+    assert ek.complexity_estimate(
+        "QUARTZ", np.zeros(3), np.ones(3), lambda_sc=1.0, n=np.int64(3), epsilon=0.1
+    ) == pytest.approx(math.log(10.0))
+    assert ek.complexity_estimate(
+        "ALPHA", np.ones(2), np.ones(2), epsilon=2.0, x0=[1, 0], xstar=[0.0, 0.0]
+    ) == pytest.approx(1.0)
 
 
 def test_complexity_estimate_full_form_and_errors():
@@ -236,6 +242,27 @@ def test_complexity_estimate_refuses_malformed_v_p_and_gap0_by_name(kind, v, p, 
     # They raised a bare broadcast error or returned a NaN bound or 0.0 iterations.
     with pytest.raises(ValidationError, match=f"^{field}: "):
         ek.complexity_estimate(kind, v, p, lambda_sc=1.0, epsilon=0.01, gap0=gap0)
+
+
+@pytest.mark.parametrize(
+    "kind, kwargs, field",
+    [
+        (3, {}, "kind"),
+        (None, {}, "kind"),
+        ("ALPHA", {"x0": np.ones(3), "xstar": np.zeros(2)}, "x0"),
+        ("ALPHA", {"x0": np.ones(2), "xstar": np.zeros(1)}, "xstar"),
+        ("ALPHA", {"x0": np.array([1.0, math.nan]), "xstar": np.zeros(2)}, "x0"),
+        ("ALPHA", {"x0": np.ones(2), "xstar": np.array([math.inf, 0.0])}, "xstar"),
+        ("QUARTZ", {"n": 2.5}, "n"),
+        ("QUARTZ", {"n": True}, "n"),
+        ("QUARTZ", {"n": 0}, "n"),
+        ("QUARTZ", {"n": "3"}, "n"),
+    ],
+)
+def test_complexity_estimate_refuses_a_malformed_kind_point_or_quartz_n_by_name(kind, kwargs, field):
+    # A bare AttributeError or broadcast error, a NaN bound, or n = 2.5 taken before.
+    with pytest.raises(ValidationError, match=f"^{field}: "):
+        ek.complexity_estimate(kind, np.ones(2), np.ones(2), lambda_sc=1.0, epsilon=0.01, **kwargs)
 
 
 @pytest.mark.parametrize("epsilon", [1.0, 10.0, math.inf])

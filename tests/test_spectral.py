@@ -401,6 +401,37 @@ def test_restricted_lambda_primes_match_the_one_set_form(method, stack_entries, 
                 restricted_lambda_primes(spec, *csr([bad]), method)
 
 
+@pytest.mark.parametrize("bad", [1.5, True, "1"])
+def test_restricted_lambda_primes_refuse_a_fractional_bool_or_string_ptr_by_name(bad):
+    # An int64 cast truncated it, as it did the indices (the reader table's
+    # restricted_lambda_primes row): ptr [0, 1.5] read as [0, 1].
+    spec = ek.tau_nice(3, 2)
+    with pytest.raises(ValidationError, match="must be an integer") as info:
+        restricted_lambda_primes(spec, [0, bad], [0, 1])
+    assert info.value.field == "ptr"
+    with pytest.raises(ValidationError, match="must be an integer"):
+        restricted_lambda_primes(spec, np.array([0, 2]), np.array([0.0, bad], dtype=object))
+
+
+def test_restricted_lambda_primes_refuse_a_ptr_that_does_not_fit_and_take_integer_arrays_as_they_are(monkeypatch):
+    from conftest import random_sparse_matrix
+
+    spec = ek.tau_nice(3, 2)
+    want = restricted_lambda_primes(spec, *csr([(0, 1)])).tolist()
+    assert restricted_lambda_primes(spec, [0, 2.0], [0, np.int64(1)]).tolist() == want
+    for ptr in ([0, 3], [1, 2], [0, 2, 1], [], [[0, 2]]):
+        with pytest.raises(ValidationError) as info:
+            restricted_lambda_primes(spec, ptr, [0, 1])
+        assert info.value.field == "ptr"
+    # A DataMatrix's int64 arrays, and any integer array, skip the per-index reader.
+    data = random_sparse_matrix(np.random.default_rng(8), 30, 12, 0.3)
+    big = ek.tau_nice(12, 4)
+    values = restricted_lambda_primes(big, data.row_ptr, data.cols)
+    monkeypatch.setattr(ek.samplings, "_integer", lambda raw: pytest.fail(f"read {raw!r} one by one"))
+    assert np.array_equal(restricted_lambda_primes(big, data.row_ptr, data.cols), values)
+    assert restricted_lambda_primes(spec, np.array([0, 2], np.int32), np.array([0, 1], np.uint8)).tolist() == want
+
+
 def test_symmetry_check_symmetrizes_near_symmetric_input_and_rejects_the_rest():
     rng = ek.rng_for_stream(84, 0)
     g = rng.standard_normal((6, 6))

@@ -11,7 +11,7 @@ import pytest
 
 import esokit as ek
 from conftest import random_sparse_matrix
-from esokit import config, csr, probability, samplings, verify
+from esokit import config, csr, eso, probability, samplings, verify
 from esokit.cli import main
 from esokit.errors import ValidationError
 from esokit.verify import write_junit
@@ -319,7 +319,8 @@ def test_quadratic_check_matches_the_dense_formula(mode, stack_entries, monkeypa
         spec = [ek.tau_nice(n, 2), ek.serial(np.full(n, 1.0 / n)), ek.doubly_uniform(np.full(n + 1, 1.0 / (n + 1)))][k % 3]
         v = ek.compute_v(data, spec, "auto").v * (1.0 if k < 3 else 0.7)
         report = ek.check_eso_quadratic(data, spec, v, mode=mode, trials=3_000, rng_seed=k, streams=2)
-        labelled = verify.canonical_points(data, spec, v, rng_seed=k)
+        certificate = eso.certificate_matrix(data, spec, v)
+        labelled = verify._canonical_points(certificate, k)
         expected = _dense_reference_details(data, spec, v, labelled, mode, 3_000, k, 2)
         assert [d["label"] for d in report.details] == [d["label"] for d in expected]
         for got, want in zip(report.details, expected):
@@ -503,7 +504,8 @@ def test_monte_carlo_checks_match_the_per_draw_sums(name, make, streams, monkeyp
         monkeypatch.setattr(csr, "_STACK_ENTRIES", stack_entries)
         for scale in (1.0, 0.6):
             report = ek.check_eso_quadratic(data, spec, scale * v, mode="monte_carlo", trials=trials, rng_seed=5, streams=streams)
-            labelled = verify.canonical_points(data, spec, scale * v, rng_seed=5)
+            certificate = eso.certificate_matrix(data, spec, scale * v)
+            labelled = verify._canonical_points(certificate, 5)
             expected = _per_draw_quadratic(data, spec, scale * v, labelled, trials, 5, streams)
             assert report.trials == trials
             assert [d["label"] for d in report.details] == [d["label"] for d in expected]
