@@ -42,6 +42,18 @@ MAX_ENUM_SUPPORT = 1 << 20
 # Largest n for which dense eigenvalue work (and explicit A^T A) is allowed.
 DENSE_EIG_CAP = 4096
 
+# Above this order, spectral._certified_lowest proves the extreme eigenvalue
+# of a dense symmetric matrix (certify's margin, the dense lambda') from
+# Lanczos steps and one Cholesky factorization, in place of a full
+# eigvalsh; at or below it, eigvalsh runs as before.
+CERTIFIED_EIG_ORDER = 512
+
+# Lanczos steps before that proof gives up and eigvalsh runs instead, and
+# the relative accuracy (against the largest Ritz value in magnitude) at
+# which its Ritz value counts as converged.
+LANCZOS_STEPS = 200
+LANCZOS_RTOL = 1e-10
+
 # Probability mass must sum to one within this.
 PROB_SUM_TOL = 1e-12
 

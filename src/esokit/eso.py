@@ -122,18 +122,25 @@ def eso_uncoupled(
 ) -> EsoResult:
     """v_i = min(lambda'(P), lambda'(A'A)) * w_i.
 
-    lambda'(A'A) comes first: eigen-solved on the Gram matrix, or supplied as
-    ``lambda_prime_ata``, which must be at least 1 (lambda' of any nonzero PSD
-    matrix is; NaN is rejected, +inf is a vacuous bound). lambda'(P) is needed
-    only when it can be the minimum. The all-ones vector gives the exact
-    moment bound lambda'(P) >= E|S|^2 / E|S|, so when lambda'(A'A) lies below
-    it by more than a relative 1e-9, far above the rounding of ``eigvalsh``, the
-    minimum is lambda'(A'A) and P is not solved. Otherwise lambda'(P) is
-    eigen-solved on the exact probability matrix when n is at most the dense
-    cap, and replaced by the cardinality cap beyond it. P is built at most
-    once: kinds without closed-form moments read the bound off the same P
-    the solve uses, and the others build it only for the solve.
-    ``cost_estimate`` is the worst case, with every eigen-solve.
+    lambda'(A'A) comes first: from :func:`spectral.lambda_prime` of the Gram
+    matrix, or supplied as ``lambda_prime_ata``, which must be at least 1
+    (lambda' of any nonzero PSD matrix is; NaN is rejected, +inf is a vacuous
+    bound). lambda'(P) is needed only when it can be the minimum. The all-ones
+    vector gives the exact moment bound lambda'(P) >= E|S|^2 / E|S|, so when
+    lambda'(A'A) lies below it by more than a relative 1e-9, the minimum is
+    lambda'(A'A) and P is not solved. Otherwise lambda'(P) is eigen-solved on
+    the exact probability matrix when n is at most the dense cap, and
+    replaced by the cardinality cap beyond it. P is built at most once:
+    kinds without closed-form moments read the bound off the same P the
+    solve uses, and the others build it only for the solve.
+
+    Up to ``config.CERTIFIED_EIG_ORDER`` coordinates each lambda' is
+    ``eigvalsh``'s value, which may lie a few ulps low. Above it each is a
+    proven upper bound (``lambda_prime``'s ``certified_upper`` values, about
+    1e-9 relative above), so v is valid despite rounding. The Gram matrix
+    is passed on with no reference kept here, so where the matrix does not
+    keep it, CPython 3.11 and later free it before the factorization.
+    ``cost_estimate`` is the worst case, with every eigen-solve dense.
     """
     p = _require_proper(spec)
     _require_finite_gram(data)
@@ -180,7 +187,11 @@ def _rules_out_sampling(moments: samplings.Moments, lambda_prime_ata: float) -> 
     """True when lambda_prime_ata is below the moment bound E|S|^2 / E|S| <=
     lambda'(P) (``lambda_bounds``' lambda_prime_lower, undefined for a nil
     sampling) by more than a relative 1e-9, so min(lambda'(P),
-    lambda_prime_ata) is lambda_prime_ata without solving for lambda'(P)."""
+    lambda_prime_ata) is lambda_prime_ata without solving for lambda'(P).
+    The margin lies far above the rounding of the moment ratio. Above
+    ``config.CERTIFIED_EIG_ORDER``, where lambda_prime_ata is a proven bound
+    about 1e-9 relative high, a borderline case may solve for lambda'(P);
+    v is valid either way."""
     first, second = moments
     return first != 0.0 and lambda_prime_ata < second / first * (1.0 - 1e-9)
 
@@ -324,15 +335,36 @@ def _certificate(gram: np.ndarray, spec: SamplingSpec, v: np.ndarray) -> np.ndar
 
 def certify(data: DataMatrix, spec: SamplingSpec, v: np.ndarray) -> float:
     """Smallest eigenvalue of :func:`certificate_matrix`; nonnegative (within
-    -1e-8) certifies the overapproximation."""
-    return _margin(np.linalg.eigvalsh(certificate_matrix(data, spec, v)))
+    -1e-8) certifies the overapproximation.
+
+    Up to ``config.CERTIFIED_EIG_ORDER`` coordinates it is ``eigvalsh``'s
+    value. Above, it is a proven lower bound on that eigenvalue, from Lanczos
+    steps and one Cholesky factorization of the shifted certificate in its
+    own buffer (:func:`spectral._certified_lowest`): a nonnegative margin
+    then proves the matrix inequality despite rounding. It lies below the
+    eigenvalue by about n u tr(C) (u the unit roundoff), 1e-11 on a
+    2000-coordinate certificate with margin 0.006. Should Lanczos or the
+    factorization give up, ``eigvalsh`` runs as below the order. A sampling
+    that never draws two coordinates has a diagonal certificate, whose
+    smallest entry is its margin, exactly.
+    """
+    c = certificate_matrix(data, spec, v)
+    if data.n > config.CERTIFIED_EIG_ORDER:
+        if samplings.cardinality_cap(spec) <= 1:
+            # No two coordinates are ever drawn together, so P and the
+            # certificate are diagonal: its entries are its eigenvalues.
+            return _margin(c.diagonal().min())
+        certified = spectral._certified_lowest(c, np.ones(data.n))
+        if certified is not None:
+            return _margin(certified[0])
+    return _margin(np.linalg.eigvalsh(c)[0])
 
 
-def _margin(eigenvalues: np.ndarray) -> float:
-    """The smallest of a certificate's ascending eigenvalues, refused where
-    it overflows. Only it can: P o A'A is PSD, so the largest is at most
+def _margin(smallest: float) -> float:
+    """A certificate's smallest eigenvalue (or a lower bound on it), refused
+    where it overflows. Only it can: P o A'A is PSD, so the largest is at most
     max_i v_i p_i, which the certificate's finite diagonal bounds."""
-    margin = float(eigenvalues[0])
+    margin = float(smallest)
     if not math.isfinite(margin):
         raise ValidationError("certificate", "its smallest eigenvalue overflows the float range; rescale A")
     return margin

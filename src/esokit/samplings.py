@@ -97,12 +97,34 @@ class SamplingSpec:
     graph: ConflictGraph | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        # A list or array payload is kept as the tuple a factory passes, so
+        # the spec stays hashable and equal to its factory-built twin.
+        for name, depth in _SEQUENCE_FIELDS.items():
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _as_tuples(value, depth))
         validate_spec(self)
 
     def to_dict(self) -> dict:
         """Not a :class:`_Report` form: unset payload fields are omitted, and
         ``graph`` is written as ``graph_edges``."""
         return spec_to_dict(self)
+
+
+# Payload fields held as tuples, with their nesting depth.
+_SEQUENCE_FIELDS = {
+    "set": 1, "q": 1, "weights": 1, "components": 1, "partition": 2, "blocks": 2, "members": 2,
+}
+
+
+def _as_tuples(value, depth: int):
+    """``value`` with each list or array, down to ``depth`` levels, made a
+    tuple; anything else is left for validation to refuse."""
+    if isinstance(value, (list, np.ndarray)):
+        value = tuple(value)
+    if depth > 1 and isinstance(value, tuple):
+        value = tuple(_as_tuples(item, depth - 1) for item in value)
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,12 @@ values lambda'(J intersect S-hat) of the coupled formula are eigen-solved on
 |J|-by-|J| blocks of P evaluated from :func:`probability.exact_rule`, so they
 need no n-by-n matrix unless the sampling's support is enumerated. Sets J
 arrive as CSR ``(ptr, indices)``, set k being ``indices[ptr[k]:ptr[k + 1]]``.
+
+The dense lambda' of a matrix whose support is larger than
+``config.CERTIFIED_EIG_ORDER`` is not eigen-solved in full: Lanczos steps
+estimate it and one Cholesky factorization proves an upper bound on it
+despite rounding (:func:`_certified_lowest`, which ``eso.certify`` uses
+for its margin too). At or below that order every value is ``eigvalsh``'s.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ from .errors import UnsupportedMethodError, ValidationError
 from .samplings import SamplingSpec, _Report, tau_nice_restricted_value
 
 METHOD_DENSE = "dense_exact"
+METHOD_CERTIFIED = "certified_upper"
 METHOD_POWER = "power_method"
 METHOD_FORMULA = "closed_form"
 METHOD_BOUND = "bound"
@@ -36,6 +43,12 @@ class EigenEstimate:
     :func:`lambda_max` in dense mode and the last-two-iterate relative gap in
     power mode; formula values carry 0.0, and pure bounds and the dense
     lambda' values, which come from a values-only eigen-solve, carry None.
+
+    Method ``certified_upper`` marks a dense lambda' above
+    ``config.CERTIFIED_EIG_ORDER``: ``value`` is a proven upper bound on
+    lambda', within about 1e-9 relative of it, ``iterations`` the Lanczos
+    steps taken, and ``residual`` the residual norm of the Lanczos Ritz pair
+    in the diagonally normalized matrix.
     """
 
     value: float
@@ -71,9 +84,14 @@ def _check_square_symmetric(m: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(m)):
         raise ValidationError("matrix", "contains NaN or infinite entries")
     scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
-    with np.errstate(over="ignore"):
-        # A difference that overflows is inf, which is refused below.
-        asymmetry = float(np.max(np.abs(m - m.T))) if m.size else 0.0
+    asymmetry = 0.0
+    if m.size:
+        with np.errstate(over="ignore"):
+            # A difference that overflows is inf, which is refused below.
+            diff = m - m.T
+        # In place, so only one n x n temporary is held.
+        asymmetry = float(np.max(np.abs(diff, out=diff)))
+        del diff
     if asymmetry > 1e-10 * scale:
         raise ValidationError("matrix", "not symmetric within 1e-10")
     # An exactly symmetric m is its own symmetrization; halving first keeps m + m' finite.
@@ -171,14 +189,169 @@ def lambda_prime(
     if support.size == 0:
         return EigenEstimate(0.0, method, 0.0)
     sub = m if support.size == m.shape[0] else m[np.ix_(support, support)]
-    scale = 1.0 / np.sqrt(diag[support])
+    weights = diag[support]
+    scale = 1.0 / np.sqrt(weights)
+    if method == METHOD_DENSE and support.size > config.CERTIFIED_EIG_ORDER:
+        # -M on the support, in a buffer this call owns; every reference to
+        # m is dropped before the factorization, so a caller that passed a
+        # temporary (such as a Gram matrix) holds no copy of it meanwhile.
+        lowered = np.negative(sub, out=None if sub is m else sub)
+        del m, sub, diag
+        return _certified_prime(lowered, weights, scale)
     # Exactly symmetric, as m is: lambda_max's check would change nothing.
     normalized = sub * np.outer(scale, scale)
     if method == METHOD_DENSE:
-        # Values only: lambda' needs no eigenvector (and the unit diagonal is nonzero).
-        value = float(np.linalg.eigvalsh(normalized)[-1])
-        return EigenEstimate(max(value, 0.0), METHOD_DENSE, None)
+        return _dense_prime(normalized)
     return _top_eigenvalue(normalized, method, power_iterations, safeguard)
+
+
+def _dense_prime(normalized: np.ndarray) -> EigenEstimate:
+    # Values only: lambda' needs no eigenvector (and the unit diagonal is nonzero).
+    value = float(np.linalg.eigvalsh(normalized)[-1])
+    return EigenEstimate(max(value, 0.0), METHOD_DENSE, None)
+
+
+def _certified_prime(lowered: np.ndarray, weights: np.ndarray, scale: np.ndarray) -> EigenEstimate:
+    """lambda' of M from ``lowered`` = -M on the support of its positive
+    diagonal ``weights`` (``scale`` = 1 / sqrt(weights)), which it consumes:
+    the proven bound of :func:`_certified_lowest` on the pencil (-M,
+    Diag(weights)), whose smallest eigenvalue is -lambda'; or, when that
+    gives up, the dense value :func:`lambda_prime` computes at or below
+    ``config.CERTIFIED_EIG_ORDER``, from the same normalized matrix bit for bit
+    (negation is exact)."""
+    certified = _certified_lowest(lowered, weights)
+    if certified is not None:
+        low, residual, steps = certified
+        return EigenEstimate(max(-low, 0.0), METHOD_CERTIFIED, residual, steps)
+    np.negative(lowered, out=lowered)
+    lowered *= np.outer(scale, scale)
+    return _dense_prime(lowered)
+
+
+# float64's unit roundoff and its smallest positive (subnormal) number.
+_UNIT_ROUNDOFF = 2.0**-53
+_TINIEST = 2.0**-1074
+
+
+def _lanczos_start(n: int) -> np.ndarray:
+    """The fixed unit start vector of :func:`_certified_lowest`: a ramp, so
+    no random generator is read and every call takes the same steps."""
+    q = 1.0 + np.arange(n) / n
+    return q / np.linalg.norm(q)
+
+
+def _certified_lowest(x: np.ndarray, weights: np.ndarray) -> tuple[float, float, int] | None:
+    """A proven lower bound ``low`` on the smallest eigenvalue of the pencil
+    (X, W), W = Diag(weights) with positive weights: X - low W is positive
+    semidefinite, X being the symmetric matrix of the lower triangle of
+    ``x``, as ``eigvalsh`` reads it. Returns ``(low, residual, steps)``, or
+    None when the caller should eigen-solve instead: Lanczos reached
+    ``config.LANCZOS_STEPS`` or the factorization failed. ``x`` is left as
+    it was given.
+
+    1. Lanczos with full reorthogonalization (Gram-Schmidt twice) on
+       W^-1/2 X W^-1/2 from :func:`_lanczos_start`, until the smallest Ritz
+       value theta has converged: its error estimate min(r, r^2 / gap) is at
+       most ``config.LANCZOS_RTOL`` times the largest Ritz value in
+       magnitude (r the Ritz pair's residual norm, ``residual``; gap the
+       distance to the next Ritz value).
+    2. One Cholesky factorization of F = X - shift W, shift below theta by
+       twice the error estimate and the factorization's rounding allowance,
+       computed in ``x`` itself (its diagonal shifted in place).
+    3. If it runs to completion, Rump's theorem proves the bound (see
+       :func:`_proven_loss`): low = shift - loss. A floor that Lanczos has
+       not found (a start vector orthogonal to the lowest eigenvector, a
+       Ritz value not yet converged) makes F indefinite, so the
+       factorization fails and None is returned: no bound is ever claimed
+       from the estimate alone.
+    """
+    n = x.shape[0]
+    steps = config.LANCZOS_STEPS
+    root = np.sqrt(weights)
+    basis = np.empty((steps + 1, n))
+    basis[0] = _lanczos_start(n)
+    alphas, betas = np.zeros(steps), np.zeros(steps)
+    for k in range(steps):
+        w = (x @ (basis[k] / root)) / root
+        alphas[k] = basis[k] @ w
+        done = basis[: k + 1]
+        for _ in range(2):
+            w -= (done @ w) @ done
+        betas[k] = np.linalg.norm(w)
+        ritz, vectors = np.linalg.eigh(np.diag(alphas[: k + 1]) + np.diag(betas[:k], 1) + np.diag(betas[:k], -1))
+        residual = betas[k] * abs(vectors[-1, 0])
+        gap = ritz[1] - ritz[0] if k else 0.0
+        error = min(residual, residual * residual / gap) if gap > 0.0 else residual
+        size = max(abs(ritz[0]), abs(ritz[-1]))
+        if error <= config.LANCZOS_RTOL * size:
+            break
+        basis[k + 1] = w / betas[k]
+    else:
+        return None
+    del basis, done, w
+    theta = float(ritz[0])
+    diag = x.diagonal().copy()
+    rounding = _cholesky_rounding(n)
+    shift = theta - 2.0 * (error + rounding * float(np.sum(np.abs(diag / weights - theta)))) - _UNIT_ROUNDOFF * size
+    scaled = shift * weights
+    x.flat[:: n + 1] = diag - scaled
+    shifted = x.diagonal().copy()
+    try:
+        np.linalg.cholesky(x)
+    except np.linalg.LinAlgError:
+        return None
+    finally:
+        x.flat[:: n + 1] = diag
+    low = np.nextafter(shift - _proven_loss(shifted, scaled, weights, rounding), -np.inf)
+    return float(low), float(residual), k + 1
+
+
+def _cholesky_rounding(n: int) -> float:
+    """alpha = gamma_k / (1 - gamma_k) = k u / (1 - 2 k u), gamma_k = k u /
+    (1 - k u), for k = n + 2 and u the unit roundoff (see :func:`_proven_loss`)."""
+    k = n + 2
+    return k * _UNIT_ROUNDOFF / (1.0 - 2.0 * k * _UNIT_ROUNDOFF)
+
+
+def _proven_loss(shifted: np.ndarray, scaled: np.ndarray, weights: np.ndarray, rounding: float) -> float:
+    """How far below ``shift`` the smallest eigenvalue of the pencil (X, W)
+    can lie, once floating-point Cholesky has run to completion on F, the
+    matrix X with diagonal ``shifted`` = fl(x_ii - ``scaled``_i), ``scaled``_i
+    = fl(shift w_i); ``rounding`` is :func:`_cholesky_rounding` of the order n.
+
+    The factorization's rounding. S. M. Rump, *Verification of positive
+    definiteness*, BIT Numerical Mathematics 46 (2006) 433-452, after
+    Demmel's bound: if floating-point Cholesky (rounding to nearest, inner
+    products in any order) of a symmetric F of order n runs to completion,
+    then F + dF = R'R is positive semidefinite with |dF_ij| <= alpha
+    sqrt(f_ii f_jj), alpha = gamma_{n+1} / (1 - gamma_{n+1}), gamma_k = k u /
+    (1 - k u), 2 (n + 1) u < 1, plus terms for underflow. LAPACK's ``potrf``
+    scales by the reciprocal of each pivot, one rounding more than a
+    division, so alpha here takes gamma_{n+2}. Underflow adds at most eta
+    (the smallest subnormal) times 2 (1 + max f_ii) per operation of an
+    entry, at most n + 2 of them, so the allowance U = 4 (n + 2)^2 (1 + max
+    f_ii) eta bounds its 2-norm (and the underflow of each scaled_i).
+    By Cauchy-Schwarz, for every h,
+        h'Fh >= -alpha (sum_i sqrt(f_ii) |h_i|)^2 - U |h|^2
+             >= -(alpha sum_i f_ii / w_i + U / min_i w_i) h'Wh.
+
+    The shift's rounding. X - shift W = F + E with E diagonal, |E_ii| <= 2 u
+    (|scaled_i| + |f_ii|): two roundings, each within u / (1 - u) of its
+    result. So X - (shift - loss) W is positive semidefinite for
+
+        loss = alpha sum_i f_ii / w_i + max_i |E_ii| / w_i + U / min_i w_i.
+
+    Computed in rounding to nearest, the sum of positive terms is within
+    gamma_{n-1} of its value and the few other operations within u each;
+    the factor 1 + 4 (n + 2) u covers them all. The caller rounds
+    shift - loss down.
+    """
+    n = shifted.size
+    u = _UNIT_ROUNDOFF
+    spread = rounding * float(np.sum(shifted / weights))
+    diagonal = float(np.max(2.0 * u * (np.abs(scaled) + np.abs(shifted)) / weights))
+    underflow = (1.0 + float(np.max(shifted))) * _TINIEST * 4.0 * (n + 2) ** 2 / float(np.min(weights))
+    return (spread + diagonal + underflow) * (1.0 + 4.0 * (n + 2) * u)
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +498,16 @@ def restricted_lambda_primes(spec: SamplingSpec, ptr, indices, method: str = "ex
     within its one stack budget (which the identity reports share), each
     normalized as the one-set form treats its block (every rule is exactly
     symmetric, so the one-set form's symmetrization changes no bit);
-    ``exact`` makes one values-only ``eigvalsh`` call per stack. No n x n
+    ``exact`` makes one values-only ``eigvalsh`` call per stack, or, for
+    sets larger than ``config.CERTIFIED_EIG_ORDER``, takes the one-set
+    form's certified bound set by set. No n x n
     matrix is built unless the sampling's support is enumerated. A
     proper sampling has a positive diagonal, so every restricted matrix is
     normalized on its whole set.
     """
     ptr, indices = _index_array("ptr", ptr), _index_array("set", indices)
+    if indices.ndim != 1:
+        raise ValidationError("set", f"indices must be 1-d, not of shape {indices.shape}")
     if ptr.ndim != 1 or not ptr.size or ptr[0] != 0 or np.any(np.diff(ptr) < 0) or ptr[-1] != indices.size:
         raise ValidationError("ptr", f"must rise from 0 to len(indices) = {indices.size}")
     if indices.size and (indices.min() < 0 or indices.max() >= spec.n):
@@ -350,7 +527,12 @@ def restricted_lambda_primes(spec: SamplingSpec, ptr, indices, method: str = "ex
         # the one-set form.
         j = np.sort(idx, axis=1)
         sub = entry(j[:, :, None], j[:, None, :])
-        scale = 1.0 / np.sqrt(np.diagonal(sub, axis1=1, axis2=2))
+        weights = np.diagonal(sub, axis1=1, axis2=2)
+        scale = 1.0 / np.sqrt(weights)
+        if j.shape[1] > config.CERTIFIED_EIG_ORDER:
+            # The one-set form's certified path, set by set.
+            out[sets] = [_certified_prime(-m, w.copy(), s).value for m, w, s in zip(sub, weights, scale)]
+            continue
         m = sub * (scale[:, :, None] * scale[:, None, :])
         out[sets] = np.maximum(np.linalg.eigvalsh(m)[:, -1], 0.0)
     return out

@@ -205,7 +205,7 @@ def check_eso_matrix_form(
     """PSD certificate with a violating direction when the margin is negative."""
     certificate = eso.certificate_matrix(data, spec, v)
     eigvals, eigvecs = np.linalg.eigh(certificate)
-    margin = eso._margin(eigvals)
+    margin = eso._margin(eigvals[0])
     if margin < -tol:
         witness = eigvecs[:, 0]
         gap = float(witness @ certificate @ witness)

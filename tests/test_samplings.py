@@ -541,6 +541,31 @@ def test_a_component_that_is_not_a_sampling_spec_is_refused_by_name(build):
     assert info.value.field == "components"
 
 
+@pytest.mark.parametrize(
+    "direct, factory",
+    [
+        (lambda: ek.SamplingSpec(n=3, kind="convex_combination", weights=[1.0], components=[ek.tau_nice(3, 1)]),
+         lambda: ek.convex_combination([1.0], [ek.tau_nice(3, 1)])),
+        (lambda: ek.SamplingSpec(n=4, kind="ctau_distributed", partition=[[0, 1], [2, 3]], tau=1),
+         lambda: ek.ctau_distributed([[0, 1], [2, 3]], 1)),
+        (lambda: ek.SamplingSpec(n=4, kind="product", blocks=[[0, 1], np.array([2, 3])]),
+         lambda: ek.product_sampling([[0, 1], [2, 3]])),
+        (lambda: ek.SamplingSpec(n=3, kind="explicit", members=[[0], [1, 2]], weights=np.array([0.5, 0.5])),
+         lambda: ek.explicit(3, [[0], [1, 2]], [0.5, 0.5])),
+        (lambda: ek.SamplingSpec(n=4, kind="restriction", components=(ek.tau_nice(4, 2),), set=[0, 1]),
+         lambda: ek.restriction(ek.tau_nice(4, 2), [0, 1])),
+        (lambda: ek.SamplingSpec(n=3, kind="serial", q=[0.2, 0.3, 0.5]), lambda: ek.serial([0.2, 0.3, 0.5])),
+    ],
+    ids=["components", "partition", "blocks", "members", "set", "q"],
+)
+def test_direct_construction_with_lists_is_hashable_and_equal_to_the_factory_spec(direct, factory):
+    # A list payload was kept as it was: hash() refused the spec, and it
+    # compared unequal to the factory's.
+    spec = direct()
+    assert spec == factory() and hash(spec) == hash(factory())
+    assert len({spec, factory()}) == 1
+
+
 def _nice4(tau: int) -> dict:
     return {"n": 4, "kind": "tau_nice", "tau": tau}
 

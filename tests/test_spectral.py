@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -423,6 +424,10 @@ def test_restricted_lambda_primes_refuse_a_ptr_that_does_not_fit_and_take_intege
         with pytest.raises(ValidationError) as info:
             restricted_lambda_primes(spec, ptr, [0, 1])
         assert info.value.field == "ptr"
+    # A 2-d integer indices array fits [0, 2] by size; it raised a bare IndexError.
+    with pytest.raises(ValidationError, match="1-d") as info:
+        restricted_lambda_primes(spec, [0, 2], np.array([[0, 1]]))
+    assert info.value.field == "set"
     # A DataMatrix's int64 arrays, and any integer array, skip the per-index reader.
     data = random_sparse_matrix(np.random.default_rng(8), 30, 12, 0.3)
     big = ek.tau_nice(12, 4)
@@ -528,3 +533,174 @@ def test_values_only_restricted_lambda_primes_are_the_eigh_top_eigenvalues(monke
             reference, size = _eigh_top_normalized(entries[np.ix_(j, j)])
             assert size == len(j)
             assert abs(value - reference) <= 8 * size * eps * reference, (spec.kind, j)
+
+
+# ---------------------------------------------------------------------------
+# Certified extreme eigenvalues above config.CERTIFIED_EIG_ORDER
+
+# The certified lambda' lies within a relative _CERTIFIED_DELTA above
+# eigvalsh's value, and the certified margin within _CERTIFIED_DELTA * max|C|
+# below eigvalsh's smallest eigenvalue. The loss is twice the Lanczos error
+# (at most config.LANCZOS_RTOL = 1e-10 of the largest Ritz value) plus about
+# three times Rump's allowance, (n + 2) u times the trace of the shifted
+# matrix: about 1e-9 relative at these orders.
+_CERTIFIED_DELTA = 1e-8
+
+
+def _random_order_spec(rng, n: int):
+    """A closed-form sampling over n coordinates, n divisible by 4."""
+    quarter = n // 4
+    choices = [
+        lambda: ek.tau_nice(n, int(rng.integers(1, 40))),
+        lambda: ek.ctau_distributed([range(k, k + quarter) for k in range(0, n, quarter)], int(rng.integers(1, 20))),
+        lambda: ek.doubly_uniform(rng.dirichlet(np.ones(n + 1))),
+        lambda: ek.product_sampling([range(0, quarter), range(quarter, n)]),
+        lambda: ek.serial(rng.dirichlet(np.ones(n))),
+    ]
+    return choices[int(rng.integers(len(choices)))]()
+
+
+def test_certified_margins_and_lambda_primes_bound_eigvalsh_within_delta():
+    from conftest import random_sparse_matrix
+
+    rng = np.random.default_rng(37)
+    order = ek.config.CERTIFIED_EIG_ORDER
+    for case in range(20):
+        # Orders from just above the threshold to about twice it.
+        n = order + 4 + 4 * int(rng.integers(0, order // 4))
+        data = random_sparse_matrix(rng, n + 40, n, 8.0 / n)
+        spec = _random_order_spec(rng, n)
+        v = ek.compute_v(data, spec, "auto").v * rng.uniform(0.9, 1.5)
+        c = ek.eso.certificate_matrix(data, spec, v)
+        smallest = float(np.linalg.eigvalsh(c)[0])
+        margin = ek.certify(data, spec, v)
+        assert smallest - _CERTIFIED_DELTA * np.max(np.abs(c)) <= margin <= smallest, (case, n, spec.kind)
+        if spec.kind == "serial":
+            # A diagonal certificate: its smallest entry, exactly.
+            assert margin == np.min(np.diag(c))
+        else:
+            # Strictly below: the proof, not the eigvalsh fallback, gave it.
+            assert margin < smallest
+
+        gram = data.gram()
+        scale = 1.0 / np.sqrt(np.diag(gram))
+        top = float(np.linalg.eigvalsh(gram * np.outer(scale, scale))[-1])
+        est = ek.lambda_prime(gram)
+        assert est.method == spectral.METHOD_CERTIFIED and est.iterations <= ek.config.LANCZOS_STEPS
+        assert top <= est.value <= top * (1.0 + _CERTIFIED_DELTA), (case, n)
+
+
+def _hidden_extreme(n: int) -> np.ndarray:
+    """(1 - b) I + b s s' with unit diagonal: its top eigenvector s (signs
+    + - - + repeated) is orthogonal to the Lanczos start ramp 1 + i / n, as
+    each run of four ramp entries cancels."""
+    signs = np.resize([1.0, -1.0, -1.0, 1.0], n)
+    return 0.5 * np.eye(n) + 0.5 * np.outer(signs, signs)
+
+
+def test_an_extreme_eigenvector_orthogonal_to_the_start_falls_back_to_eigvalsh():
+    n = ek.config.CERTIFIED_EIG_ORDER + 8
+    m = _hidden_extreme(n)
+    start = spectral._lanczos_start(n)
+    assert abs(start @ np.resize([1.0, -1.0, -1.0, 1.0], n)) < 1e-12
+    # Lanczos sees only the eigenvalue 0.5, so the factorization meant to
+    # prove lambda' <= 0.5 fails; eigvalsh gives 0.5 + 0.5 n.
+    est = ek.lambda_prime(m)
+    assert est.method == spectral.METHOD_DENSE
+    assert est.value == float(np.linalg.eigvalsh(m)[-1])
+    assert est.value == pytest.approx(0.5 + 0.5 * n)
+    # The same for the smallest eigenvalue of -m, and the matrix is left as given.
+    lowered = -m
+    assert spectral._certified_lowest(lowered, np.ones(n)) is None
+    assert np.array_equal(lowered, -m)
+
+
+def test_certified_values_are_deterministic():
+    from conftest import random_sparse_matrix
+
+    n = ek.config.CERTIFIED_EIG_ORDER + 40
+    data = random_sparse_matrix(np.random.default_rng(5), n + 40, n, 8.0 / n)
+    spec = ek.tau_nice(n, 6)
+    v = ek.compute_v(data, spec, "auto").v
+    first, second = ek.lambda_prime(data.gram()), ek.lambda_prime(data.gram())
+    assert first.method == spectral.METHOD_CERTIFIED
+    assert (first.value, first.residual, first.iterations) == (second.value, second.residual, second.iterations)
+    assert ek.certify(data, spec, v) == ek.certify(data, spec, v)
+    uncoupled = ek.compute_v(data, spec, "uncoupled").v
+    assert np.array_equal(uncoupled, ek.compute_v(data, spec, "uncoupled").v)
+
+
+def test_at_the_threshold_lambda_prime_and_certify_are_eigvalsh_values():
+    from conftest import random_sparse_matrix
+
+    n = ek.config.CERTIFIED_EIG_ORDER
+    data = random_sparse_matrix(np.random.default_rng(6), n + 40, n, 8.0 / n)
+    spec = ek.tau_nice(n, 6)
+    v = ek.compute_v(data, spec, "auto").v
+    gram = data.gram()
+    scale = 1.0 / np.sqrt(np.diag(gram))
+    est = ek.lambda_prime(gram)
+    assert est.method == spectral.METHOD_DENSE
+    assert est.value == float(np.linalg.eigvalsh(gram * np.outer(scale, scale))[-1])
+    assert ek.certify(data, spec, v) == float(np.linalg.eigvalsh(ek.eso.certificate_matrix(data, spec, v))[0])
+
+
+def test_symmetry_check_holds_one_temporary_at_a_time():
+    # m - m' and its abs were two n x n temporaries at once.
+    import tracemalloc
+
+    n = 1000
+    g = np.random.default_rng(3).standard_normal((n, n))
+    m = g + g.T
+    tracemalloc.start()
+    try:
+        assert spectral._check_square_symmetric(m) is m
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * m.nbytes
+
+
+def test_large_restricted_sets_take_the_one_set_forms_certified_bound():
+    n = ek.config.CERTIFIED_EIG_ORDER + 88
+    spec = ek.tau_nice(n, 9)
+    sets = [tuple(range(5, n - 3)), (0, 7, 9)]
+    batch = restricted_lambda_primes(spec, *csr(sets))
+    one_set = [ek.lambda_prime_restricted(spec, j) for j in sets]
+    assert batch.tolist() == [est.value for est in one_set]
+    assert [est.method for est in one_set] == [spectral.METHOD_CERTIFIED, spectral.METHOD_DENSE]
+    exact = 1.0 + (len(sets[0]) - 1) * (9 - 1) / (n - 1)
+    assert exact <= batch[0] <= exact * (1.0 + _CERTIFIED_DELTA)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="older CPython keeps a call's arguments on the caller's stack")
+def test_no_gram_matrix_is_held_while_the_certified_paths_factor(monkeypatch):
+    # Above the order, uncoupled's lambda'(A'A) and certify factor a buffer
+    # they own, with every reference to the (uncached) Gram matrix dropped.
+    import weakref
+
+    from conftest import random_sparse_matrix
+
+    n = ek.config.CERTIFIED_EIG_ORDER + 48
+    data = random_sparse_matrix(np.random.default_rng(9), n + 40, n, 8.0 / n)
+    assert n * n > 3 * data.nnz  # so the matrix does not keep its Gram matrix
+    spec = ek.tau_nice(n, 6)
+    grams, factored = [], []
+    gram = ek.DataMatrix.gram
+
+    def tracked_gram(self):
+        g = gram(self)
+        grams.append(weakref.ref(g))
+        return g
+
+    cholesky = np.linalg.cholesky
+
+    def checked_cholesky(a):
+        factored.append([ref() is None for ref in grams])
+        return cholesky(a)
+
+    monkeypatch.setattr(ek.DataMatrix, "gram", tracked_gram)
+    monkeypatch.setattr(np.linalg, "cholesky", checked_cholesky)
+    v = ek.compute_v(data, spec, "uncoupled").v
+    ek.certify(data, spec, v)
+    assert factored == [[True], [True, True]]
