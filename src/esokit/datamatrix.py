@@ -10,6 +10,8 @@ they never contribute to supports or norms.
 from __future__ import annotations
 
 import io
+import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -17,7 +19,7 @@ from typing import Iterable
 
 import numpy as np
 
-from . import config, csr
+from . import config, csr, samplings
 from .errors import ParseError, ValidationError, _is_int
 
 
@@ -27,9 +29,13 @@ class DataMatrix:
 
     The triplets are kept in row-major order (by row, then column), which
     makes them compressed sparse rows with pointer :attr:`row_ptr`: row j's
-    entries are ``cols/values[row_ptr[j]:row_ptr[j + 1]]``. The column-major
-    copy (compressed sparse columns) is ``col_ptr``, ``col_rows`` and
-    ``col_values``, built on first use. These arrays are the only storage.
+    entries are ``cols/values[row_ptr[j]:row_ptr[j + 1]]``. That canonical
+    order is the permutation of a stable sort of the keys row * n + col;
+    with m and n at most 2^16 it comes from two stable radix passes over
+    16-bit keys, by column and then by row (see :func:`_canonical_order`).
+    The column-major copy (compressed sparse columns) is ``col_ptr``,
+    ``col_rows`` and ``col_values``, built on first use from one more
+    stable pass, by column. These arrays are the only storage.
     The package reads them directly (the stepsize formulas, the graph checks
     and the products with A and A'), and nothing in it builds a dense m-by-n
     array except :meth:`to_dense`: :func:`assemble_from_pieces` joins its
@@ -44,6 +50,10 @@ class DataMatrix:
     three entries per nonzero (``n**2 <= 3 * nnz``), so it is no larger than
     the triplets and keeping it at most doubles the matrix's memory; a
     larger one is rebuilt on every call.
+
+    ``rows`` and ``cols`` are read as :func:`samplings._index_array` reads
+    indices: an integer array as it is, anything else entry by entry, so a
+    fractional, bool or string index is refused by its field, not truncated.
     """
 
     m: int
@@ -53,11 +63,11 @@ class DataMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.int64)
-        cols = np.asarray(self.cols, dtype=np.int64)
-        values = np.asarray(self.values, dtype=float)
         if not (_is_int(self.m) and _is_int(self.n) and self.m >= 1 and self.n >= 1):
             raise ValidationError("shape", f"m and n must be positive integers, got {self.m!r} and {self.n!r}")
+        rows = samplings._index_array("rows", self.rows)
+        cols = samplings._index_array("cols", self.cols)
+        values = np.asarray(self.values, dtype=float)
         if not (rows.shape == cols.shape == values.shape) or rows.ndim != 1:
             raise ValidationError("triplets", "rows, cols and values must be equal-length vectors")
         if rows.size:
@@ -67,27 +77,26 @@ class DataMatrix:
                 raise ValidationError("cols", f"column indices must lie in [0, {self.n})")
             if not np.all(np.isfinite(values)):
                 raise ValidationError("values", "non-finite entry")
-        # Canonical order by one sort of the (row, col) keys; duplicates are
-        # then adjacent. Explicit zeros are dropped after the duplicate check.
-        keys = rows * self.n + cols
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        if np.any(keys[1:] == keys[:-1]):
+        # Canonical order, in which duplicates are adjacent; explicit zeros
+        # are dropped after the duplicate check.
+        order = _canonical_order(self.m, self.n, rows, cols)
+        rows, cols, values = rows[order], cols[order], values[order]
+        if np.any((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])):
             raise ValidationError("triplets", "duplicate (row, col) entries are rejected")
-        order = order[values[order] != 0.0]
-        object.__setattr__(self, "rows", _kept(rows[order]))
-        object.__setattr__(self, "cols", _kept(cols[order]))
-        object.__setattr__(self, "values", _kept(values[order]))
+        kept = values != 0.0
+        if not kept.all():
+            rows, cols, values = rows[kept], cols[kept], values[kept]
+        object.__setattr__(self, "rows", _kept(rows))
+        object.__setattr__(self, "cols", _kept(cols))
+        object.__setattr__(self, "values", _kept(values))
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_triplets(m: int, n: int, triplets: Iterable[tuple[int, int, float]]) -> "DataMatrix":
         items = list(triplets)
-        rows = np.array([t[0] for t in items], dtype=np.int64)
-        cols = np.array([t[1] for t in items], dtype=np.int64)
         values = np.array([t[2] for t in items], dtype=float)
-        return DataMatrix(m, n, rows, cols, values)
+        return DataMatrix(m, n, [t[0] for t in items], [t[1] for t in items], values)
 
     @staticmethod
     def from_dense(a) -> "DataMatrix":
@@ -116,7 +125,7 @@ class DataMatrix:
     @cached_property
     def _col_order(self) -> np.ndarray:
         # Stable, so each column keeps its entries in row order.
-        return _kept(np.argsort(self.cols, kind="stable"))
+        return _kept(np.argsort(_radix_keys(self.n, self.cols), kind="stable"))
 
     @cached_property
     def col_ptr(self) -> np.ndarray:
@@ -223,9 +232,9 @@ class DataMatrix:
         return DataMatrix(self.m, self.n, self.rows, self.cols, self.values * factor)
 
     def with_ridge_rows(self, ridge: float) -> "DataMatrix":
-        """Append sqrt(ridge) * e_i rows so the Gram matrix gains ridge * I."""
-        if ridge < 0:
-            raise ValidationError("ridge", "must be nonnegative")
+        """Append sqrt(ridge) * e_i rows so the Gram matrix gains ridge * I;
+        ``ridge`` is read by :func:`_check_ridge`."""
+        _check_ridge(ridge)
         if ridge == 0.0:
             return self
         extra = np.arange(self.n, dtype=np.int64)
@@ -236,6 +245,34 @@ class DataMatrix:
             np.concatenate([self.cols, extra]),
             np.concatenate([self.values, np.full(self.n, np.sqrt(ridge))]),
         )
+
+
+# The largest dimension whose indices fit the 16-bit keys of a radix pass.
+_RADIX_LIMIT = 1 << 16
+
+
+def _radix_keys(size: int, indices: np.ndarray) -> np.ndarray:
+    """``indices`` in [0, size), as 16-bit keys when they fit: numpy's
+    stable sort of 16-bit integers is one radix pass, and the order it
+    gives is the stable order of the indices themselves."""
+    return indices.astype(np.uint16) if size <= _RADIX_LIMIT else indices
+
+
+def _canonical_order(m: int, n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The stable order of the triplets by row, then column: the
+    permutation of a stable argsort of ``rows * n + cols``. With m and n at
+    most 2^16 it is two stable radix passes, by column and then by row."""
+    if max(m, n) > _RADIX_LIMIT:
+        return np.argsort(rows * n + cols, kind="stable")
+    order = np.argsort(_radix_keys(n, cols), kind="stable")
+    return order[np.argsort(_radix_keys(m, rows)[order], kind="stable")]
+
+
+def _check_ridge(ridge) -> None:
+    """Refuse a ridge that is not a finite real number >= 0: a bool, a
+    string or a non-scalar is refused, not converted."""
+    if isinstance(ridge, bool) or not (isinstance(ridge, numbers.Real) and 0 <= ridge < math.inf):
+        raise ValidationError("ridge", f"must be a finite number >= 0, got {ridge!r}")
 
 
 def _kept(array: np.ndarray) -> np.ndarray:

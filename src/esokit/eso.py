@@ -123,10 +123,11 @@ def eso_uncoupled(
     """v_i = min(lambda'(P), lambda'(A'A)) * w_i.
 
     lambda'(A'A) comes first: from :func:`spectral.lambda_prime` of the Gram
-    matrix, or supplied as ``lambda_prime_ata``, which must be at least 1
-    (lambda' of any nonzero PSD matrix is; NaN is rejected, +inf is a vacuous
-    bound). lambda'(P) is needed only when it can be the minimum. The all-ones
-    vector gives the exact moment bound lambda'(P) >= E|S|^2 / E|S|, so when
+    matrix, or supplied as ``lambda_prime_ata``, a real number (not a bool,
+    a string or an array) that must be at least 1 (lambda' of any nonzero
+    PSD matrix is; NaN is rejected, +inf is a vacuous bound). lambda'(P) is
+    needed only when it can be the minimum. The all-ones vector gives the
+    exact moment bound lambda'(P) >= E|S|^2 / E|S|, so when
     lambda'(A'A) lies below it by more than a relative 1e-9, the minimum is
     lambda'(A'A) and P is not solved. Otherwise lambda'(P) is eigen-solved on
     the exact probability matrix when n is at most the dense cap, and
@@ -157,7 +158,7 @@ def eso_uncoupled(
         lambda_prime_ata = spectral.lambda_prime(data.gram()).value
         cost += float(data.n) ** 3
     else:
-        lambda_prime_ata = float(lambda_prime_ata)
+        lambda_prime_ata = samplings._read("lambda_prime_ata", lambda_prime_ata, samplings._real)
         if not lambda_prime_ata >= 1.0:
             raise ValidationError(
                 "lambda_prime_ata",

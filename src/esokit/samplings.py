@@ -427,6 +427,16 @@ def _read(key: str, raw, parse=None):
         raise ValidationError(key, f"malformed value {raw!r}: {e}") from e
 
 
+def _index_array(key: str, raw) -> np.ndarray:
+    """Indices as an int64 array: an integer array is taken as it is, any
+    other value is read entry by entry with :func:`_integer`, so a
+    fractional, bool or string index raises ValidationError naming ``key``
+    rather than being truncated."""
+    if isinstance(raw, np.ndarray) and np.issubdtype(raw.dtype, np.integer):
+        return raw.astype(np.int64, copy=False)
+    return np.array(_read(key, raw, lambda r: [_integer(x) for x in r]), dtype=np.int64)
+
+
 def spec_from_dict(payload: dict) -> SamplingSpec:
     """The spec of a :func:`spec_to_dict` payload. A missing, unknown or malformed key, or one the
     kind does not read, raises ValidationError naming it (``graph_edges`` by its field, ``graph``)."""

@@ -47,14 +47,13 @@ from __future__ import annotations
 
 import bisect
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import config, csr, eso, samplings
-from .datamatrix import DataMatrix, _kept
+from .datamatrix import DataMatrix, _check_ridge, _kept
 from .errors import DivergenceError, UnsupportedMethodError, ValidationError, _is_int
 from .samplings import SamplingSpec, _Report
 from .validation import as_vector
@@ -91,9 +90,7 @@ class QuadraticProblem:
     b: np.ndarray | None = None
 
     def __post_init__(self):
-        ridge = self.ridge
-        if isinstance(ridge, bool) or not (isinstance(ridge, numbers.Real) and 0 <= ridge < math.inf):
-            raise ValidationError("ridge", f"must be a finite number >= 0, got {ridge!r}")
+        _check_ridge(self.ridge)
         b = np.zeros(self.data.n) if self.b is None else np.array(as_vector(self.b, self.data.n, "b"))
         object.__setattr__(self, "b", _kept(b))
 

@@ -20,6 +20,7 @@ for its margin too). At or below that order every value is ``eigvalsh``'s.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,25 +78,71 @@ class EigenEstimate:
         return out
 
 
-def _check_square_symmetric(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
+# The side of the square tiles in which the symmetry check compares m with m'.
+_TILE = 128
+
+
+def _check_square_symmetric(m) -> tuple[np.ndarray, float]:
+    """``(m, scale)``: ``m`` as a float array, made exactly symmetric, and
+    scale = max(1, max_ij |m_ij|) of that array. A matrix that is not
+    real, square and finite, or whose asymmetry max |m - m'| exceeds 1e-10
+    of the scale, is refused with ``ValidationError("matrix", ...)``.
+
+    Finiteness and the scale come from one max and one min (NaN and +-inf
+    propagate through both). The asymmetry is the largest |m[a, c] -
+    m[c, a]'| over the pairs of ``_TILE``-square tiles with a <= c: the same
+    number as max |m - m'|, as fl(x - y) = -fl(y - x), held in one tile
+    rather than an n x n temporary. An exactly symmetric ``m`` is returned
+    as it is; a nearly symmetric one as 0.5 m + 0.5 m' (halving first keeps
+    the sum finite), with the scale taken again from the result.
+    """
+    m = _real_matrix(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError("matrix", "must be square")
-    if not np.all(np.isfinite(m)):
+    if not m.size:
+        return m, 1.0
+    scale = _scale(m)
+    if not math.isfinite(scale):
         raise ValidationError("matrix", "contains NaN or infinite entries")
-    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
+    n = m.shape[0]
+    tile = np.empty((min(n, _TILE), min(n, _TILE)))
     asymmetry = 0.0
-    if m.size:
-        with np.errstate(over="ignore"):
-            # A difference that overflows is inf, which is refused below.
-            diff = m - m.T
-        # In place, so only one n x n temporary is held.
-        asymmetry = float(np.max(np.abs(diff, out=diff)))
-        del diff
+    # A difference that overflows is inf, which is refused below.
+    with np.errstate(over="ignore"):
+        for a in range(0, n, _TILE):
+            for c in range(a, n, _TILE):
+                upper = m[a : a + _TILE, c : c + _TILE]
+                diff = tile[: upper.shape[0], : upper.shape[1]]
+                np.subtract(upper, m[c : c + _TILE, a : a + _TILE].T, out=diff)
+                asymmetry = max(asymmetry, float(np.max(np.abs(diff, out=diff))))
     if asymmetry > 1e-10 * scale:
         raise ValidationError("matrix", "not symmetric within 1e-10")
-    # An exactly symmetric m is its own symmetrization; halving first keeps m + m' finite.
-    return m if asymmetry == 0.0 else 0.5 * m + 0.5 * m.T
+    if asymmetry == 0.0:
+        return m, scale
+    m = 0.5 * m + 0.5 * m.T
+    return m, _scale(m)
+
+
+def _scale(m: np.ndarray) -> float:
+    """max(1, max_ij |m_ij|) of a nonempty ``m``, from its max and min: NaN
+    when ``m`` holds a NaN, inf when it holds an infinity."""
+    high, low = float(np.max(m)), float(np.min(m))
+    return high if math.isnan(high) else max(1.0, high, -low)
+
+
+def _real_matrix(raw) -> np.ndarray:
+    """``raw`` as a float array. A complex, string or other non-numeric
+    array is refused, not converted; an object array is read entry by entry
+    as ``samplings._real`` reads a number."""
+    try:
+        m = np.asarray(raw)
+        if m.dtype == object:
+            m = np.array([samplings._real(x) for x in m.flat], dtype=float).reshape(m.shape)
+    except (TypeError, ValueError) as e:
+        raise ValidationError("matrix", f"must hold real numbers: {e}") from e
+    if not np.isdtype(m.dtype, ("bool", "integral", "real floating")):
+        raise ValidationError("matrix", f"must hold real numbers, not {m.dtype} entries")
+    return m.astype(float, copy=False)
 
 
 def lambda_max(
@@ -106,7 +153,7 @@ def lambda_max(
 ) -> EigenEstimate:
     """Largest eigenvalue of a symmetric PSD matrix."""
     _check_power_inputs(method, power_iterations, safeguard)
-    return _top_eigenvalue(_check_square_symmetric(m), method, power_iterations, safeguard)
+    return _top_eigenvalue(_check_square_symmetric(m)[0], method, power_iterations, safeguard)
 
 
 def _check_power_inputs(method: str, iterations: int, safeguard: float) -> None:
@@ -175,9 +222,9 @@ def lambda_prime(
     semidefiniteness and is rejected.
     """
     _check_power_inputs(method, power_iterations, safeguard)
-    m = _check_square_symmetric(m)
+    m, largest = _check_square_symmetric(m)
     diag = np.diag(m)
-    atol = 1e-12 * max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
+    atol = 1e-12 * largest
     if np.any(diag < -atol):
         raise ValidationError("matrix", "negative diagonal entry; not PSD")
     support = np.flatnonzero(diag > 0.0)
@@ -240,11 +287,17 @@ def _lanczos_start(n: int) -> np.ndarray:
     return q / np.linalg.norm(q)
 
 
+# The Ritz schedule of _certified_lowest (see its step 1).
+_RITZ_EVERY_STEP = 16
+_RITZ_STRIDE = 4
+
+
 def _certified_lowest(x: np.ndarray, weights: np.ndarray) -> tuple[float, float, int] | None:
     """A proven lower bound ``low`` on the smallest eigenvalue of the pencil
     (X, W), W = Diag(weights) with positive weights: X - low W is positive
-    semidefinite, X being the symmetric matrix of the lower triangle of
-    ``x``, as ``eigvalsh`` reads it. Returns ``(low, residual, steps)``, or
+    semidefinite, X being ``x``, which must be exactly symmetric (every
+    caller's is: a symmetrized matrix, a block of an exactly symmetric rule,
+    or P o A'A with a diagonal added). Returns ``(low, residual, steps)``, or
     None when the caller should eigen-solve instead: Lanczos reached
     ``config.LANCZOS_STEPS`` or the factorization failed. ``x`` is left as
     it was given.
@@ -254,10 +307,22 @@ def _certified_lowest(x: np.ndarray, weights: np.ndarray) -> tuple[float, float,
        value theta has converged: its error estimate min(r, r^2 / gap) is at
        most ``config.LANCZOS_RTOL`` times the largest Ritz value in
        magnitude (r the Ritz pair's residual norm, ``residual``; gap the
-       distance to the next Ritz value).
+       distance to the next Ritz value). The tridiagonal Ritz problem is
+       solved, and the test made, at each of the first ``_RITZ_EVERY_STEP``
+       steps, then at every ``_RITZ_STRIDE``-th step and at the last one,
+       so the test may pass up to ``_RITZ_STRIDE - 1`` steps after it first
+       could. A step whose new Lanczos vector has norm beta at most
+       ``config.LANCZOS_RTOL`` times the last solve's largest Ritz value
+       (0 when the Krylov space is exhausted) is solved at once: the
+       largest Ritz value in magnitude never falls from step to step
+       (interlacing) and r <= beta, so the test then passes, and no vector
+       is ever divided by a vanishing beta.
     2. One Cholesky factorization of F = X - shift W, shift below theta by
        twice the error estimate and the factorization's rounding allowance,
-       computed in ``x`` itself (its diagonal shifted in place).
+       computed in ``x`` itself (its diagonal shifted in place) and read
+       through ``x.T``, which holds the same values and in column-major
+       order spares numpy the transposed copy it makes of a row-major
+       array.
     3. If it runs to completion, Rump's theorem proves the bound (see
        :func:`_proven_loss`): low = shift - loss. A floor that Lanczos has
        not found (a start vector orthogonal to the lowest eigenvector, a
@@ -271,6 +336,7 @@ def _certified_lowest(x: np.ndarray, weights: np.ndarray) -> tuple[float, float,
     basis = np.empty((steps + 1, n))
     basis[0] = _lanczos_start(n)
     alphas, betas = np.zeros(steps), np.zeros(steps)
+    size = 0.0
     for k in range(steps):
         w = (x @ (basis[k] / root)) / root
         alphas[k] = basis[k] @ w
@@ -278,13 +344,15 @@ def _certified_lowest(x: np.ndarray, weights: np.ndarray) -> tuple[float, float,
         for _ in range(2):
             w -= (done @ w) @ done
         betas[k] = np.linalg.norm(w)
-        ritz, vectors = np.linalg.eigh(np.diag(alphas[: k + 1]) + np.diag(betas[:k], 1) + np.diag(betas[:k], -1))
-        residual = betas[k] * abs(vectors[-1, 0])
-        gap = ritz[1] - ritz[0] if k else 0.0
-        error = min(residual, residual * residual / gap) if gap > 0.0 else residual
-        size = max(abs(ritz[0]), abs(ritz[-1]))
-        if error <= config.LANCZOS_RTOL * size:
-            break
+        scheduled = k < _RITZ_EVERY_STEP or (k + 1) % _RITZ_STRIDE == 0 or k + 1 == steps
+        if scheduled or betas[k] <= config.LANCZOS_RTOL * size:
+            ritz, vectors = np.linalg.eigh(np.diag(alphas[: k + 1]) + np.diag(betas[:k], 1) + np.diag(betas[:k], -1))
+            residual = betas[k] * abs(vectors[-1, 0])
+            gap = ritz[1] - ritz[0] if k else 0.0
+            error = min(residual, residual * residual / gap) if gap > 0.0 else residual
+            size = max(abs(ritz[0]), abs(ritz[-1]))
+            if error <= config.LANCZOS_RTOL * size:
+                break
         basis[k + 1] = w / betas[k]
     else:
         return None
@@ -297,7 +365,7 @@ def _certified_lowest(x: np.ndarray, weights: np.ndarray) -> tuple[float, float,
     x.flat[:: n + 1] = diag - scaled
     shifted = x.diagonal().copy()
     try:
-        np.linalg.cholesky(x)
+        np.linalg.cholesky(x.T)
     except np.linalg.LinAlgError:
         return None
     finally:
@@ -479,12 +547,6 @@ def _bound_candidates(spec: SamplingSpec, ptr, indices) -> dict[str, np.ndarray]
     return candidates
 
 
-def _index_array(key: str, raw) -> np.ndarray:
-    if isinstance(raw, np.ndarray) and np.issubdtype(raw.dtype, np.integer):
-        return raw.astype(np.int64, copy=False)
-    return np.array(samplings._read(key, raw, lambda r: [samplings._integer(x) for x in r]), dtype=np.int64)
-
-
 def restricted_lambda_primes(spec: SamplingSpec, ptr, indices, method: str = "exact") -> np.ndarray:
     """lambda'(J intersect S-hat) for every set J of ``(ptr, indices)`` of a
     proper sampling, by the ``exact`` or ``bound`` method of
@@ -497,15 +559,20 @@ def restricted_lambda_primes(spec: SamplingSpec, ptr, indices, method: str = "ex
     :func:`probability.exact_rule` in the stacks of ``csr._size_stacks``,
     within its one stack budget (which the identity reports share), each
     normalized as the one-set form treats its block (every rule is exactly
-    symmetric, so the one-set form's symmetrization changes no bit);
-    ``exact`` makes one values-only ``eigvalsh`` call per stack, or, for
-    sets larger than ``config.CERTIFIED_EIG_ORDER``, takes the one-set
-    form's certified bound set by set. No n x n
-    matrix is built unless the sampling's support is enumerated. A
-    proper sampling has a positive diagonal, so every restricted matrix is
-    normalized on its whole set.
+    symmetric, so the one-set form's symmetrization changes no bit).
+    ``exact`` solves one block for a whole stack whose blocks are all
+    bitwise equal to the first block of their size, as they are for every
+    sampling whose P depends only on whether i = j (tau-nice, doubly
+    uniform and their mixtures): one eigen-solve per distinct size. Any
+    other stack takes one values-only ``eigvalsh`` call, or, for sets
+    larger than ``config.CERTIFIED_EIG_ORDER``, the one-set form's
+    certified bound set by set. LAPACK solves each matrix of a stack on its
+    own, so either way the values keep their bits. No n x n matrix is built
+    unless the sampling's support is enumerated. A proper sampling has a
+    positive diagonal, so every restricted matrix is normalized on its
+    whole set.
     """
-    ptr, indices = _index_array("ptr", ptr), _index_array("set", indices)
+    ptr, indices = samplings._index_array("ptr", ptr), samplings._index_array("set", indices)
     if indices.ndim != 1:
         raise ValidationError("set", f"indices must be 1-d, not of shape {indices.shape}")
     if ptr.ndim != 1 or not ptr.size or ptr[0] != 0 or np.any(np.diff(ptr) < 0) or ptr[-1] != indices.size:
@@ -522,20 +589,35 @@ def restricted_lambda_primes(spec: SamplingSpec, ptr, indices, method: str = "ex
         raise UnsupportedMethodError(f"unknown restricted-eigenvalue method {method!r}")
     entry, _ = probability.exact_rule(spec)
     out = np.zeros(len(ptr) - 1)
+    size = 0
     for sets, idx in csr._size_stacks(ptr, indices):
-        # lambda_prime's normalization, so each value is bit-identical to
-        # the one-set form.
         j = np.sort(idx, axis=1)
         sub = entry(j[:, :, None], j[:, None, :])
-        weights = np.diagonal(sub, axis1=1, axis2=2)
-        scale = 1.0 / np.sqrt(weights)
-        if j.shape[1] > config.CERTIFIED_EIG_ORDER:
-            # The one-set form's certified path, set by set.
-            out[sets] = [_certified_prime(-m, w.copy(), s).value for m, w, s in zip(sub, weights, scale)]
+        bits = sub.view(np.int64)
+        if j.shape[1] != size:
+            # The first block of a new size, and its value once solved.
+            size, first, value = j.shape[1], bits[0].copy(), None
+        if not np.all(bits == first):
+            out[sets] = _stack_primes(sub)
             continue
-        m = sub * (scale[:, :, None] * scale[:, None, :])
-        out[sets] = np.maximum(np.linalg.eigvalsh(m)[:, -1], 0.0)
+        if value is None:
+            value = _stack_primes(sub[:1])[0]
+        out[sets] = value
     return out
+
+
+def _stack_primes(sub: np.ndarray) -> np.ndarray:
+    """lambda' of each block of a (sets, s, s) stack of restricted matrices,
+    each normalized as :func:`lambda_prime` treats it, so each value is
+    bit-identical to the one-set form: one values-only ``eigvalsh`` call on
+    the stack, or, above ``config.CERTIFIED_EIG_ORDER``, the certified bound
+    block by block."""
+    weights = np.diagonal(sub, axis1=1, axis2=2)
+    scale = 1.0 / np.sqrt(weights)
+    if sub.shape[1] > config.CERTIFIED_EIG_ORDER:
+        return np.array([_certified_prime(-m, w.copy(), s).value for m, w, s in zip(sub, weights, scale)])
+    m = sub * (scale[:, :, None] * scale[:, None, :])
+    return np.maximum(np.linalg.eigvalsh(m)[:, -1], 0.0)
 
 
 def ctau_restricted_bound(spec: SamplingSpec, j_idx) -> float:

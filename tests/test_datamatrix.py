@@ -340,6 +340,78 @@ def test_canonical_order_is_row_major_from_one_sort():
         assert np.array_equal(data.values, values[keep][order])
 
 
+def _stable_key_order(m, n, rows, cols, values):
+    """The canonical triplets and CSC views by stable argsorts of the keys
+    row * n + col and of the columns: the reference for the radix order."""
+    order = np.argsort(rows * n + cols, kind="stable")
+    order = order[values[order] != 0.0]
+    rows, cols, values = rows[order], cols[order], values[order]
+    by_col = np.argsort(cols, kind="stable")
+    return rows, cols, values, rows[by_col], values[by_col]
+
+
+@pytest.mark.parametrize("m, n", [(65536, 7), (65537, 7), (7, 65536), (7, 65537), (65536, 65536), (65537, 65537)])
+def test_radix_canonical_order_is_the_stable_key_sort(m, n):
+    # Two 16-bit radix passes up to 2^16 rows and columns, the key sort past it.
+    rng = np.random.default_rng(m + 3 * n)
+    nnz = 4000
+    rows = np.concatenate([rng.integers(0, m, nnz - 2), [0, m - 1]])
+    cols = np.concatenate([rng.integers(0, n, nnz - 2), [n - 1, 0]])
+    _, first = np.unique(rows * n + cols, return_index=True)
+    rows, cols = rows[np.sort(first)], cols[np.sort(first)]
+    values = rng.standard_normal(rows.size)
+    values[rng.random(rows.size) < 0.1] = 0.0
+    data = ek.DataMatrix(m, n, rows, cols, values)
+    want = _stable_key_order(m, n, rows, cols, values)
+    got = (data.rows, data.cols, data.values, data.col_rows, data.col_values)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert np.array_equal(data.col_ptr, np.concatenate(([0], np.cumsum(np.bincount(want[1], minlength=n)))))
+    with pytest.raises(ValidationError, match="duplicate"):
+        ek.DataMatrix(m, n, np.append(rows, rows[5]), np.append(cols, cols[5]), np.append(values, 1.0))
+
+
+@pytest.mark.parametrize("bad", [1.9, True, "1", None])
+@pytest.mark.parametrize("field", ["rows", "cols"])
+def test_a_fractional_bool_or_string_index_is_refused_by_name(field, bad):
+    # Each was truncated: rows [1.9], [True] and ["1"] all became row 1.
+    triplets = {"rows": [0, 1], "cols": [1, 0], "values": [1.0, 2.0]}
+    triplets[field] = [0, bad]
+    with pytest.raises(ValidationError) as info:
+        ek.DataMatrix(2, 2, **triplets)
+    assert info.value.field == field
+    triplets[field] = np.array([0, bad], dtype=object)
+    with pytest.raises(ValidationError) as info:
+        ek.DataMatrix(2, 2, **triplets)
+    assert info.value.field == field
+
+
+def test_from_triplets_refuses_a_fractional_index_and_reads_integral_floats():
+    # (0.5, 1, 2.0) went into row 0.
+    with pytest.raises(ValidationError) as info:
+        ek.DataMatrix.from_triplets(2, 2, [(0.5, 1, 2.0)])
+    assert info.value.field == "rows"
+    with pytest.raises(ValidationError) as info:
+        ek.DataMatrix(2, 2, np.array([0, 1]), np.array([1.0, 0.5]), [1.0, 2.0])
+    assert info.value.field == "cols"
+    data = ek.DataMatrix.from_triplets(2, 2, [(1.0, np.int32(0), 2.0), (0, np.uint8(1), 3.0)])
+    assert data.rows.tolist() == [0, 1] and data.cols.tolist() == [1, 0] and data.rows.dtype == np.int64
+
+
+@pytest.mark.parametrize("ridge", ["1", True, [1.0], np.array([1.0]), None, float("nan"), float("inf"), -0.5])
+def test_ridge_rows_refuse_what_a_quadratic_problem_refuses(ridge):
+    # with_ridge_rows("1") raised a bare TypeError and True appended ridge rows.
+    data = ek.DataMatrix.from_triplets(2, 3, [(0, 0, 1.0), (1, 2, 2.0)])
+    with pytest.raises(ValidationError) as info:
+        data.with_ridge_rows(ridge)
+    assert info.value.field == "ridge"
+    with pytest.raises(ValidationError) as info:
+        ek.QuadraticProblem(data, ridge=ridge)
+    assert info.value.field == "ridge"
+    assert data.with_ridge_rows(np.float64(0.0)) is data
+    assert data.with_ridge_rows(1).m == 5
+
+
 @pytest.mark.parametrize("second", [2.0, 0.0])
 def test_duplicate_pair_is_rejected_even_when_one_copy_is_zero(second):
     with pytest.raises(ValidationError) as info:

@@ -52,6 +52,17 @@ def test_uncoupled_rejects_an_invalid_lambda_prime_ata(bad):
     assert err.value.field == "lambda_prime_ata"
 
 
+@pytest.mark.parametrize("bad", ["2", True, [2.0], np.array([2.0])])
+def test_uncoupled_refuses_a_lambda_prime_ata_that_is_not_a_real_number(bad):
+    # "2" ran with 2.0, True with 1.0, and [2.0] raised a bare TypeError.
+    with pytest.raises(ValidationError) as err:
+        eso.compute_v(FIXTURE_A, TAU_NICE_32, "uncoupled", lambda_prime_ata=bad)
+    assert err.value.field == "lambda_prime_ata"
+    want = eso.compute_v(FIXTURE_A, TAU_NICE_32, "uncoupled", lambda_prime_ata=2.0).v
+    for good in (2, np.float64(2.0), np.int32(2)):
+        assert np.array_equal(eso.compute_v(FIXTURE_A, TAU_NICE_32, "uncoupled", lambda_prime_ata=good).v, want)
+
+
 def test_uncoupled_accepts_an_infinite_lambda_prime_ata():
     # +inf bounds nothing: the factor is lambda'(P) = tau.
     result = eso.compute_v(FIXTURE_A, TAU_NICE_32, "uncoupled", lambda_prime_ata=math.inf)

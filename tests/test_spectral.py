@@ -402,6 +402,53 @@ def test_restricted_lambda_primes_match_the_one_set_form(method, stack_entries, 
                 restricted_lambda_primes(spec, *csr([bad]), method)
 
 
+def test_coupled_exact_solves_one_block_per_row_size_on_tau_nice(monkeypatch):
+    # Every restricted block of tau-nice P of one size is the same matrix,
+    # so one eigen-solve serves all the stacks of that size: here rows of
+    # sizes 3, 64 and 100, the last two split into 3 and 4 stacks.
+    rng = np.random.default_rng(12)
+    n = 128
+    sizes = [3] * 5 + [64] * 40 + [100] * 20
+    rows = np.repeat(np.arange(len(sizes)), sizes)
+    cols = np.concatenate([rng.choice(n, size=s, replace=False) for s in sizes])
+    data = ek.DataMatrix(len(sizes), n, rows, cols, rng.standard_normal(rows.size) + 3.0)
+    spec = ek.tau_nice(n, 9)
+    reference = restricted_lambda_primes(spec, data.row_ptr, data.cols)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    v = ek.compute_v(data, spec, "coupled-exact").v
+    assert sorted(shape[-1] for shape in calls) == [3, 64, 100]
+    assert np.array_equal(restricted_lambda_primes(spec, data.row_ptr, data.cols), reference)
+    expected = [ek.lambda_prime_restricted(spec, j).value for j in data.row_supports]
+    assert np.array_equal(reference, expected)
+    assert np.all(v > 0)
+
+
+def test_restricted_lambda_primes_match_the_one_set_form_on_random_specs(monkeypatch):
+    # Every kind random_spec draws, mixtures whose blocks differ among them,
+    # in stacks small enough that each size spans several.
+    monkeypatch.setattr(ek.csr, "_STACK_ENTRIES", 40)
+    rng = ek.rng_for_stream(38, 0)
+    kinds = set()
+    for _ in range(120):
+        n = int(rng.integers(2, 9))
+        spec = ek.random_spec(rng, n)
+        if not ek.samplings.is_proper(spec):
+            continue
+        kinds.add(spec.kind)
+        sets = [tuple(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)) for _ in range(30)]
+        batch = restricted_lambda_primes(spec, *csr(sets))
+        reference = [ek.lambda_prime_restricted(spec, j).value for j in sets]
+        assert np.array_equal(batch, reference), spec
+    assert kinds == {kind for kind in ek.samplings.KINDS if kind != "graph"}
+
+
 @pytest.mark.parametrize("bad", [1.5, True, "1"])
 def test_restricted_lambda_primes_refuse_a_fractional_bool_or_string_ptr_by_name(bad):
     # An int64 cast truncated it, as it did the indices (the reader table's
@@ -441,16 +488,107 @@ def test_symmetry_check_symmetrizes_near_symmetric_input_and_rejects_the_rest():
     rng = ek.rng_for_stream(84, 0)
     g = rng.standard_normal((6, 6))
     m = (g + g.T) / (2.0 * np.max(np.abs(g)))  # exactly symmetric, entries within [-1, 1]
-    assert np.array_equal(spectral._check_square_symmetric(m), m)
+    assert np.array_equal(spectral._check_square_symmetric(m)[0], m)
     near = m.copy()
     near[0, 1] += 1e-13
-    out = spectral._check_square_symmetric(near)
+    out, _ = spectral._check_square_symmetric(near)
     assert out is not near and np.array_equal(out, out.T)
     assert np.array_equal(out, 0.5 * (near + near.T))
     far = m.copy()
     far[0, 1] += 1e-9
     with pytest.raises(ValidationError, match="symmetric"):
         spectral._check_square_symmetric(far)
+
+
+def _untiled_symmetry_check(m: np.ndarray) -> np.ndarray:
+    """The symmetry check as it was before the tiled one: n x n passes for
+    finiteness, the scale and m - m'. The reference for the tiled check."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValidationError("matrix", "must be square")
+    if not np.all(np.isfinite(m)):
+        raise ValidationError("matrix", "contains NaN or infinite entries")
+    scale = max(1.0, float(np.max(np.abs(m))) if m.size else 1.0)
+    asymmetry = 0.0
+    if m.size:
+        with np.errstate(over="ignore"):
+            diff = m - m.T
+        asymmetry = float(np.max(np.abs(diff, out=diff)))
+    if asymmetry > 1e-10 * scale:
+        raise ValidationError("matrix", "not symmetric within 1e-10")
+    return m if asymmetry == 0.0 else 0.5 * m + 0.5 * m.T
+
+
+def _symmetry_cases() -> dict[str, np.ndarray]:
+    g = np.random.default_rng(21).standard_normal((300, 300))
+    sym = g + g.T  # exactly symmetric, scale above 1
+    scale = np.max(np.abs(sym))
+    cases = {"symmetric": sym, "empty": np.zeros((0, 0)), "small": sym[:5, :5] * 1e-3}
+    for name, value in [("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf)]:
+        bad = sym.copy()
+        bad[250, 3] = value  # below the diagonal only
+        cases[name + " below"] = bad
+    for name, delta in [("far refused", 1e-6), ("far symmetrized", 1e-13)]:
+        far = sym.copy()
+        far[0, 299] += delta * scale  # the corner tile, far from the diagonal
+        cases[name] = far
+    for name, factor in [("just below", 1.0 - 1e-6), ("just above", 1.0 + 1e-6)]:
+        edge = sym.copy()
+        edge[140, 7] = edge[7, 140] + factor * 1e-10 * scale
+        cases[name] = edge
+    near = sym.copy()
+    near[17, 203] = np.nextafter(near[17, 203], np.inf)
+    near[260, 261] *= 1.0 + 1e-12
+    cases["symmetrized"] = near
+    return cases
+
+
+@pytest.mark.parametrize("name", list(_symmetry_cases()))
+def test_tiled_symmetry_check_keeps_the_untiled_verdicts_and_bits(name):
+    m = _symmetry_cases()[name]
+    try:
+        want = _untiled_symmetry_check(m)
+    except ValidationError as e:
+        with pytest.raises(ValidationError, match=f"^{e}$"):
+            spectral._check_square_symmetric(m)
+        assert name.endswith(("below", "refused", "above")) and name != "just below"
+        return
+    out, scale = spectral._check_square_symmetric(m)
+    assert out.dtype == want.dtype and np.array_equal(out, want) and np.array_equal(out, out.T)
+    assert (out is m) == (want is m)
+    # The scale is that of the matrix returned, which lambda_prime's zero-row tolerance reads.
+    assert scale == max(1.0, float(np.max(np.abs(out))) if out.size else 1.0)
+    assert name in ("symmetric", "empty", "small", "far symmetrized", "just below", "symmetrized")
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[2, 1j], [-1j, 2]],
+        np.array([[2, 1j], [-1j, 2]], dtype=object),
+        np.array([["a", "b"], ["c", "d"]], dtype=object),
+        np.array([[1.0, "2"], [2.0, 1.0]], dtype=object),
+        [["1", "2"], ["2", "1"]],
+        np.array([[True, 1.0], [1.0, 1.0]], dtype=object),
+    ],
+)
+def test_non_real_or_non_numeric_matrices_are_refused_by_name(matrix):
+    # A complex matrix lost its imaginary part with a ComplexWarning:
+    # lambda_prime([[2, 1j], [-1j, 2]]) was 1.0 (lambda' is 1.5) and
+    # lambda_max 2.0 (it is 3.0); strings raised a bare ValueError.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for function in (ek.lambda_prime, ek.lambda_max):
+            with pytest.raises(ValidationError, match="real numbers") as info:
+                function(matrix)
+            assert info.value.field == "matrix"
+
+
+def test_integer_bool_and_object_matrices_of_real_numbers_are_read_as_floats():
+    want = ek.lambda_max(np.array([[2.0, 1.0], [1.0, 2.0]])).value
+    for matrix in ([[2, 1], [1, 2]], np.array([[2, 1], [1, 2]], dtype=object), np.array([[2, 1], [1, 2]], np.uint8)):
+        assert ek.lambda_max(matrix).value == want
+    assert ek.lambda_prime(np.eye(3, dtype=bool)).value == 1.0
 
 
 def test_asymmetric_near_max_input_is_refused_without_a_warning():
@@ -469,7 +607,7 @@ def test_near_max_nearly_symmetric_input_is_symmetrized_without_a_warning():
     b = np.nextafter(a, np.inf)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = spectral._check_square_symmetric(np.array([[0.0, a], [b, 0.0]]))
+        out, _ = spectral._check_square_symmetric(np.array([[0.0, a], [b, 0.0]]))
         assert np.array_equal(out, out.T) and np.all(np.isfinite(out))
         assert out[0, 1] == 0.5 * a + 0.5 * b
         assert ek.lambda_max(np.array([[0.0, a], [b, 0.0]])).value == pytest.approx(a, rel=1e-15)
@@ -615,6 +753,46 @@ def test_an_extreme_eigenvector_orthogonal_to_the_start_falls_back_to_eigvalsh()
     assert np.array_equal(lowered, -m)
 
 
+def test_a_krylov_space_exhausted_between_ritz_solves_gives_a_valid_bound(monkeypatch):
+    # 18 distinct eigenvalues: the Krylov space is exhausted at step 18,
+    # where no Ritz solve is scheduled (every step up to 16, then every 4th).
+    # The vanishing beta triggers the solve at once, which converges; no
+    # vector is divided by it.
+    n, distinct = 600, 18
+    assert distinct > spectral._RITZ_EVERY_STEP and distinct % spectral._RITZ_STRIDE
+    eigenvalues = np.linspace(1.0, 2.0, distinct)[np.arange(n) % distinct]
+    x = np.diag(eigenvalues)
+    solves = []
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        solves.append(a.shape[0])
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        low, residual, steps = spectral._certified_lowest(x, np.ones(n))
+    assert steps == distinct and solves == [*range(1, 17), distinct]
+    assert math.isfinite(low) and math.isfinite(residual)
+    assert 1.0 - _CERTIFIED_DELTA <= low <= 1.0
+    assert np.array_equal(x, np.diag(eigenvalues))
+    # Through lambda_prime: 0.9 I + 0.1 E, E block diagonal with all-ones
+    # blocks of sizes 1 to 17, has unit diagonal and the 18 distinct
+    # eigenvalues 0.9 and 0.9 + 0.1 s.
+    sizes = [*range(2, 18), *[1] * (n - sum(range(2, 18)))]
+    blocks = np.repeat(np.arange(len(sizes)), sizes)
+    m = 0.9 * np.eye(n) + 0.1 * (blocks[:, None] == blocks[None, :])
+    solves.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = ek.lambda_prime(m)
+    assert est.method == spectral.METHOD_CERTIFIED and est.iterations == distinct
+    assert len(solves) == 17
+    top = float(np.linalg.eigvalsh(m)[-1])
+    assert top <= est.value <= top * (1.0 + _CERTIFIED_DELTA)
+
+
 def test_certified_values_are_deterministic():
     from conftest import random_sparse_matrix
 
@@ -646,7 +824,9 @@ def test_at_the_threshold_lambda_prime_and_certify_are_eigvalsh_values():
 
 
 def test_symmetry_check_holds_one_temporary_at_a_time():
-    # m - m' and its abs were two n x n temporaries at once.
+    # m - m' and its abs were two n x n temporaries at once; the check now
+    # holds one tile, besides the buffers numpy's ufuncs take (8192 entries
+    # per operand by default).
     import tracemalloc
 
     n = 1000
@@ -654,11 +834,11 @@ def test_symmetry_check_holds_one_temporary_at_a_time():
     m = g + g.T
     tracemalloc.start()
     try:
-        assert spectral._check_square_symmetric(m) is m
+        assert spectral._check_square_symmetric(m)[0] is m
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * m.nbytes
+    assert peak <= 8 * (spectral._TILE**2 + 4 * np.getbufsize())
 
 
 def test_large_restricted_sets_take_the_one_set_forms_certified_bound():
