@@ -42,10 +42,10 @@ MAX_ENUM_SUPPORT = 1 << 20
 # Largest n for which dense eigenvalue work (and explicit A^T A) is allowed.
 DENSE_EIG_CAP = 4096
 
-# Above this order, spectral._certified_lowest proves the extreme eigenvalue
-# of a dense symmetric matrix (certify's margin, the dense lambda') from
-# Lanczos steps and one Cholesky factorization, in place of a full
-# eigvalsh; at or below it, eigvalsh runs as before.
+# Above this order, spectral._extreme proves the extreme eigenvalue of a
+# dense symmetric matrix (certify's margin, the dense lambda', the smallest
+# Gram eigenvalue) from Lanczos steps and one Cholesky factorization, in
+# place of a full eigvalsh; at or below it, eigvalsh runs.
 CERTIFIED_EIG_ORDER = 512
 
 # Lanczos steps before that proof gives up and eigvalsh runs instead, and

@@ -135,13 +135,12 @@ def eso_uncoupled(
     kinds without closed-form moments read the bound off the same P the
     solve uses, and the others build it only for the solve.
 
-    Up to ``config.CERTIFIED_EIG_ORDER`` coordinates each lambda' is
-    ``eigvalsh``'s value, which may lie a few ulps low. Above it each is a
-    proven upper bound (``lambda_prime``'s ``certified_upper`` values, about
-    1e-9 relative above), so v is valid despite rounding. The Gram matrix
-    is passed on with no reference kept here, so where the matrix does not
-    keep it, CPython 3.11 and later free it before the factorization.
-    ``cost_estimate`` is the worst case, with every eigen-solve dense.
+    Each lambda' follows the package's eigen policy (README "Numerical
+    policy"): above its order it is a proven upper bound, so v is valid
+    despite rounding. The Gram matrix is passed on with no reference kept
+    here, so where the matrix does not keep it, CPython 3.11 and later free
+    it before the factorization. ``cost_estimate`` is the worst case, with
+    every eigen-solve dense.
     """
     p = _require_proper(spec)
     _require_finite_gram(data)
@@ -189,10 +188,9 @@ def _rules_out_sampling(moments: samplings.Moments, lambda_prime_ata: float) -> 
     lambda'(P) (``lambda_bounds``' lambda_prime_lower, undefined for a nil
     sampling) by more than a relative 1e-9, so min(lambda'(P),
     lambda_prime_ata) is lambda_prime_ata without solving for lambda'(P).
-    The margin lies far above the rounding of the moment ratio. Above
-    ``config.CERTIFIED_EIG_ORDER``, where lambda_prime_ata is a proven bound
-    about 1e-9 relative high, a borderline case may solve for lambda'(P);
-    v is valid either way."""
+    The margin lies far above the rounding of the moment ratio. Where
+    lambda_prime_ata is a proven bound about 1e-9 relative high, a
+    borderline case may solve for lambda'(P); v is valid either way."""
     first, second = moments
     return first != 0.0 and lambda_prime_ata < second / first * (1.0 - 1e-9)
 
@@ -335,30 +333,20 @@ def _certificate(gram: np.ndarray, spec: SamplingSpec, v: np.ndarray) -> np.ndar
 
 
 def certify(data: DataMatrix, spec: SamplingSpec, v: np.ndarray) -> float:
-    """Smallest eigenvalue of :func:`certificate_matrix`; nonnegative (within
-    -1e-8) certifies the overapproximation.
-
-    Up to ``config.CERTIFIED_EIG_ORDER`` coordinates it is ``eigvalsh``'s
-    value. Above, it is a proven lower bound on that eigenvalue, from Lanczos
-    steps and one Cholesky factorization of the shifted certificate in its
-    own buffer (:func:`spectral._certified_lowest`): a nonnegative margin
-    then proves the matrix inequality despite rounding. It lies below the
-    eigenvalue by about n u tr(C) (u the unit roundoff), 1e-11 on a
-    2000-coordinate certificate with margin 0.006. Should Lanczos or the
-    factorization give up, ``eigvalsh`` runs as below the order. A sampling
-    that never draws two coordinates has a diagonal certificate, whose
-    smallest entry is its margin, exactly.
+    """Smallest eigenvalue of :func:`certificate_matrix`, by the package's
+    eigen policy (:func:`spectral._extreme`, README "Numerical policy"), in
+    the certificate's own buffer; nonnegative (within -1e-8) certifies the
+    overapproximation. Above the policy's order it is a proven lower bound,
+    so a nonnegative margin proves the matrix inequality despite rounding.
+    A sampling that never draws two coordinates has a diagonal certificate,
+    whose smallest entry is its margin, exactly.
     """
     c = certificate_matrix(data, spec, v)
-    if data.n > config.CERTIFIED_EIG_ORDER:
-        if samplings.cardinality_cap(spec) <= 1:
-            # No two coordinates are ever drawn together, so P and the
-            # certificate are diagonal: its entries are its eigenvalues.
-            return _margin(c.diagonal().min())
-        certified = spectral._certified_lowest(c, np.ones(data.n))
-        if certified is not None:
-            return _margin(certified[0])
-    return _margin(np.linalg.eigvalsh(c)[0])
+    if samplings.cardinality_cap(spec) <= 1:
+        # No two coordinates are ever drawn together, so P and the
+        # certificate are diagonal: its entries are its eigenvalues.
+        return _margin(c.diagonal().min())
+    return _margin(spectral._extreme(c[None])[0][0])
 
 
 def _margin(smallest: float) -> float:

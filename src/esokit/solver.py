@@ -52,7 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import config, csr, eso, samplings
+from . import config, csr, eso, samplings, spectral
 from .datamatrix import DataMatrix, _check_ridge, _kept
 from .errors import DivergenceError, UnsupportedMethodError, ValidationError, _is_int
 from .samplings import SamplingSpec, _Report
@@ -184,10 +184,12 @@ class QuadraticProblem:
 
     def strong_convexity(self) -> float:
         """The ridge when positive (a certified underestimate), otherwise the
-        smallest Gram eigenvalue."""
+        smallest Gram eigenvalue by the package's eigen policy (README
+        "Numerical policy"): above its order a proven underestimate too."""
         if self.ridge > 0:
             return self.ridge
-        value = float(np.linalg.eigvalsh(self.data.gram())[0])
+        # A copy for the routine to consume: the matrix may keep its Gram matrix.
+        value = float(spectral._extreme(self.data.gram()[None].copy())[0][0])
         if value <= 0:
             raise ValidationError("problem", "objective is not strongly convex")
         return value

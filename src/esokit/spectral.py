@@ -11,11 +11,9 @@ values lambda'(J intersect S-hat) of the coupled formula are eigen-solved on
 need no n-by-n matrix unless the sampling's support is enumerated. Sets J
 arrive as CSR ``(ptr, indices)``, set k being ``indices[ptr[k]:ptr[k + 1]]``.
 
-The dense lambda' of a matrix whose support is larger than
-``config.CERTIFIED_EIG_ORDER`` is not eigen-solved in full: Lanczos steps
-estimate it and one Cholesky factorization proves an upper bound on it
-despite rounding (:func:`_certified_lowest`, which ``eso.certify`` uses
-for its margin too). At or below that order every value is ``eigvalsh``'s.
+Every dense extreme eigenvalue of the package, here and in ``eso.certify``
+and ``QuadraticProblem.strong_convexity``, comes from :func:`_extreme`,
+whose policy README "Numerical policy" states.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ METHOD_BOUND = "bound"
 
 
 @dataclass(frozen=True)
-class EigenEstimate:
+class EigenEstimate(_Report):
     """A (possibly safeguarded or bounded) eigenvalue estimate.
 
     ``residual`` is the absolute eigenpair residual ||Mv - lambda v||_2 of
@@ -45,11 +43,11 @@ class EigenEstimate:
     power mode; formula values carry 0.0, and pure bounds and the dense
     lambda' values, which come from a values-only eigen-solve, carry None.
 
-    Method ``certified_upper`` marks a dense lambda' above
-    ``config.CERTIFIED_EIG_ORDER``: ``value`` is a proven upper bound on
-    lambda', within about 1e-9 relative of it, ``iterations`` the Lanczos
-    steps taken, and ``residual`` the residual norm of the Lanczos Ritz pair
-    in the diagonally normalized matrix.
+    Method ``certified_upper`` marks a dense lambda' that :func:`_extreme`
+    proved: ``value`` is a proven upper bound on lambda', within about 1e-9
+    relative of it, ``iterations`` the Lanczos steps taken, and ``residual``
+    the residual norm of the Lanczos Ritz pair in the diagonally normalized
+    matrix.
     """
 
     value: float
@@ -59,23 +57,6 @@ class EigenEstimate:
     safeguard: float | None = None
     bound_source: str | None = None
     candidates: dict = field(default_factory=dict, compare=False)
-
-    def to_dict(self) -> dict:
-        """Not a :class:`samplings._Report` form: ``iterations``,
-        ``safeguard`` and ``candidates`` appear only when set."""
-        out = {
-            "value": self.value,
-            "method": self.method,
-            "residual": self.residual,
-            "bound_source": self.bound_source,
-        }
-        if self.iterations is not None:
-            out["iterations"] = self.iterations
-        if self.safeguard is not None:
-            out["safeguard"] = self.safeguard
-        if self.candidates:
-            out["candidates"] = dict(self.candidates)
-        return out
 
 
 # The side of the square tiles in which the symmetry check compares m with m'.
@@ -237,42 +218,59 @@ def lambda_prime(
         return EigenEstimate(0.0, method, 0.0)
     sub = m if support.size == m.shape[0] else m[np.ix_(support, support)]
     weights = diag[support]
-    scale = 1.0 / np.sqrt(weights)
-    if method == METHOD_DENSE and support.size > config.CERTIFIED_EIG_ORDER:
-        # -M on the support, in a buffer this call owns; every reference to
-        # m is dropped before the factorization, so a caller that passed a
-        # temporary (such as a Gram matrix) holds no copy of it meanwhile.
-        lowered = np.negative(sub, out=None if sub is m else sub)
-        del m, sub, diag
-        return _certified_prime(lowered, weights, scale)
-    # Exactly symmetric, as m is: lambda_max's check would change nothing.
-    normalized = sub * np.outer(scale, scale)
-    if method == METHOD_DENSE:
-        return _dense_prime(normalized)
-    return _top_eigenvalue(normalized, method, power_iterations, safeguard)
+    if method == METHOD_POWER:
+        scale = 1.0 / np.sqrt(weights)
+        # Exactly symmetric, as m is: lambda_max's check would change nothing.
+        return _top_eigenvalue(sub * np.outer(scale, scale), method, power_iterations, safeguard)
+    # M on the support, in a buffer this call owns for _extreme to consume;
+    # every reference to m is dropped first, so a caller that passed a
+    # temporary (such as a Gram matrix) holds no copy of it meanwhile.
+    owned = (sub.copy() if sub is m else sub)[None]
+    del m, sub, diag
+    values, proofs = _extreme(owned, weights[None], top=True)
+    value = max(float(values[0]), 0.0)
+    if proofs:
+        return EigenEstimate(value, METHOD_CERTIFIED, *proofs[0])
+    return EigenEstimate(value, METHOD_DENSE, None)
 
 
-def _dense_prime(normalized: np.ndarray) -> EigenEstimate:
-    # Values only: lambda' needs no eigenvector (and the unit diagonal is nonzero).
-    value = float(np.linalg.eigvalsh(normalized)[-1])
-    return EigenEstimate(max(value, 0.0), METHOD_DENSE, None)
+def _extreme(x: np.ndarray, weights: np.ndarray | None = None, top: bool = False) -> tuple[np.ndarray, dict]:
+    """The smallest eigenvalue of the pencil (X, Diag(w)) for each matrix X
+    of the (k, s, s) stack ``x``, or the largest with ``top``; w is the
+    matching row of the (k, s) positive ``weights``, all ones for None.
+    Every X must be exactly symmetric; ``x`` is consumed. This is the
+    package's one eigen policy (README "Numerical policy"):
 
+    * above ``config.CERTIFIED_EIG_ORDER``, the value is the proven bound
+      of :func:`_certified_lowest` on X, or on -X for ``top`` (negation is
+      exact);
+    * at or below the order, and for each X whose proof gives up, it is
+      ``eigvalsh``'s of W^-1/2 X W^-1/2, from one stacked call, which
+      solves each matrix as a one-matrix call does, bit for bit.
 
-def _certified_prime(lowered: np.ndarray, weights: np.ndarray, scale: np.ndarray) -> EigenEstimate:
-    """lambda' of M from ``lowered`` = -M on the support of its positive
-    diagonal ``weights`` (``scale`` = 1 / sqrt(weights)), which it consumes:
-    the proven bound of :func:`_certified_lowest` on the pencil (-M,
-    Diag(weights)), whose smallest eigenvalue is -lambda'; or, when that
-    gives up, the dense value :func:`lambda_prime` computes at or below
-    ``config.CERTIFIED_EIG_ORDER``, from the same normalized matrix bit for bit
-    (negation is exact)."""
-    certified = _certified_lowest(lowered, weights)
-    if certified is not None:
-        low, residual, steps = certified
-        return EigenEstimate(max(-low, 0.0), METHOD_CERTIFIED, residual, steps)
-    np.negative(lowered, out=lowered)
-    lowered *= np.outer(scale, scale)
-    return _dense_prime(lowered)
+    Returns the k values and, for each proven one by its index, the
+    ``(residual, steps)`` of its proof.
+    """
+    values, proofs = np.empty(len(x)), {}
+    if x.shape[1] > config.CERTIFIED_EIG_ORDER:
+        for b, block in enumerate(x):
+            if top:
+                np.negative(block, out=block)
+            proof = _certified_lowest(block, np.ones(len(block)) if weights is None else weights[b])
+            if proof is not None:
+                low, residual, steps = proof
+                values[b], proofs[b] = (-low if top else low), (residual, steps)
+            elif top:
+                np.negative(block, out=block)
+    rest = [b for b in range(len(x)) if b not in proofs] if proofs else slice(None)
+    solved = x[rest]
+    if weights is not None:
+        scale = 1.0 / np.sqrt(weights[rest])
+        solved *= scale[:, :, None] * scale[:, None, :]
+    # Values only: no caller needs an eigenvector.
+    eigenvalues = np.linalg.eigvalsh(solved)
+    values[rest] = eigenvalues[:, -1] if top else eigenvalues[:, 0]
+    return values, proofs
 
 
 # float64's unit roundoff and its smallest positive (subnormal) number.
@@ -296,9 +294,10 @@ def _certified_lowest(x: np.ndarray, weights: np.ndarray) -> tuple[float, float,
     """A proven lower bound ``low`` on the smallest eigenvalue of the pencil
     (X, W), W = Diag(weights) with positive weights: X - low W is positive
     semidefinite, X being ``x``, which must be exactly symmetric (every
-    caller's is: a symmetrized matrix, a block of an exactly symmetric rule,
-    or P o A'A with a diagonal added). Returns ``(low, residual, steps)``, or
-    None when the caller should eigen-solve instead: Lanczos reached
+    matrix :func:`_extreme` is handed is: a symmetrized matrix, a Gram
+    matrix, a block of an exactly symmetric rule, or P o A'A with a diagonal
+    added). Returns ``(low, residual, steps)``, or None when the caller
+    should eigen-solve instead: Lanczos reached
     ``config.LANCZOS_STEPS`` or the factorization failed. ``x`` is left as
     it was given.
 
@@ -564,13 +563,10 @@ def restricted_lambda_primes(spec: SamplingSpec, ptr, indices, method: str = "ex
     bitwise equal to the first block of their size, as they are for every
     sampling whose P depends only on whether i = j (tau-nice, doubly
     uniform and their mixtures): one eigen-solve per distinct size. Any
-    other stack takes one values-only ``eigvalsh`` call, or, for sets
-    larger than ``config.CERTIFIED_EIG_ORDER``, the one-set form's
-    certified bound set by set. LAPACK solves each matrix of a stack on its
-    own, so either way the values keep their bits. No n x n matrix is built
-    unless the sampling's support is enumerated. A proper sampling has a
-    positive diagonal, so every restricted matrix is normalized on its
-    whole set.
+    other stack goes to :func:`_extreme` whole, which keeps each value's
+    bits. No n x n matrix is built unless the sampling's support is
+    enumerated. A proper sampling has a positive diagonal, so every
+    restricted matrix is normalized on its whole set.
     """
     ptr, indices = samplings._index_array("ptr", ptr), samplings._index_array("set", indices)
     if indices.ndim != 1:
@@ -608,16 +604,9 @@ def restricted_lambda_primes(spec: SamplingSpec, ptr, indices, method: str = "ex
 
 def _stack_primes(sub: np.ndarray) -> np.ndarray:
     """lambda' of each block of a (sets, s, s) stack of restricted matrices,
-    each normalized as :func:`lambda_prime` treats it, so each value is
-    bit-identical to the one-set form: one values-only ``eigvalsh`` call on
-    the stack, or, above ``config.CERTIFIED_EIG_ORDER``, the certified bound
-    block by block."""
-    weights = np.diagonal(sub, axis1=1, axis2=2)
-    scale = 1.0 / np.sqrt(weights)
-    if sub.shape[1] > config.CERTIFIED_EIG_ORDER:
-        return np.array([_certified_prime(-m, w.copy(), s).value for m, w, s in zip(sub, weights, scale)])
-    m = sub * (scale[:, :, None] * scale[:, None, :])
-    return np.maximum(np.linalg.eigvalsh(m)[:, -1], 0.0)
+    which it consumes, each bit-identical to :func:`lambda_prime`'s."""
+    weights = np.diagonal(sub, axis1=1, axis2=2).copy()
+    return np.maximum(_extreme(sub, weights, top=True)[0], 0.0)
 
 
 def ctau_restricted_bound(spec: SamplingSpec, j_idx) -> float:

@@ -202,15 +202,27 @@ class MatrixFormReport(_Report):
 def check_eso_matrix_form(
     data: DataMatrix, spec: SamplingSpec, v: np.ndarray, tol: float = 1e-8
 ) -> MatrixFormReport:
-    """PSD certificate with a violating direction when the margin is negative."""
+    """The margin of :func:`eso.certify`, passing at ``margin >= -tol``; a
+    failing check also reports the certificate's bottom eigenvector as a
+    violating direction, with its gap w'Cw. ``tol`` is read by
+    :func:`_tolerance`."""
+    tol = _tolerance(tol)
+    margin = eso.certify(data, spec, v)
+    if margin >= -tol:
+        return MatrixFormReport(margin, True, None, None)
     certificate = eso.certificate_matrix(data, spec, v)
-    eigvals, eigvecs = np.linalg.eigh(certificate)
-    margin = eso._margin(eigvals[0])
-    if margin < -tol:
-        witness = eigvecs[:, 0]
-        gap = float(witness @ certificate @ witness)
-        return MatrixFormReport(margin, False, witness, gap)
-    return MatrixFormReport(margin, True, None, None)
+    witness = np.linalg.eigh(certificate)[1][:, 0]
+    return MatrixFormReport(margin, False, witness, float(witness @ certificate @ witness))
+
+
+def _tolerance(raw) -> float:
+    """A tolerance: a finite number of at least 0. NaN, an infinity, a
+    negative value, a bool or a non-number is refused with
+    ``ValidationError("tolerance", ...)``; NaN and +inf passed every check."""
+    tol = samplings._read("tolerance", raw, samplings._real)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValidationError("tolerance", f"must be finite and at least 0, got {tol}")
+    return tol
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +266,9 @@ def run_identity_battery(
     indices. A batch holds as many specs as fit their P in that one stack
     budget (at least one), so neither the stack nor the draws held grow
     with ``specs_per_size``, and each P has the bits of
-    ``prob_matrix(spec, "enumerate")``."""
+    ``prob_matrix(spec, "enumerate")``. ``tolerance`` is read by
+    :func:`_tolerance`."""
+    tolerance = _tolerance(tolerance)
     sizes = tuple(sizes)
     if not sizes or not all(_is_int(n) and n >= 1 for n in sizes):
         raise ValidationError("sizes", f"must be a nonempty list of integers of at least 1, not {sizes!r}")

@@ -381,6 +381,21 @@ def test_non_numeric_solve_sidecar_is_an_input_error(workdir, capsys, sidecar, f
     assert f"input error: {field} in " in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1e-8"])
+def test_a_malformed_tolerance_is_an_input_error(workdir, capsys, tolerance):
+    # verify --mode matrix printed PASS for v / 4 under a NaN tolerance.
+    tmp, matrix, sampling = workdir
+    vfile = tmp / "v.json"
+    assert main(["compute-v", "--matrix", str(matrix), "--sampling", str(sampling), "--out", str(vfile)]) == 0
+    vfile.write_text(json.dumps([x / 4 for x in json.loads(vfile.read_text())["result"]["v"]]))
+    capsys.readouterr()
+    verify = ["verify", "--matrix", str(matrix), "--sampling", str(sampling), "--v", str(vfile), "--mode", "matrix"]
+    for argv in (verify, ["battery", "--sizes", "2"]):
+        assert main([f"--tolerance={tolerance}", *argv]) == 2
+        err = capsys.readouterr().err
+        assert "input error: tolerance: " in err and "Traceback" not in err
+
+
 def test_non_integer_battery_sizes_are_an_input_error(capsys):
     assert main(["battery", "--sizes", "3,a"]) == 2
     assert "input error: --sizes" in capsys.readouterr().err
@@ -516,10 +531,10 @@ def _default_reports(tmp, matrix, sampling):
 _REPORT_DIGESTS = {
     "compute-v --certify": "c42c85942af568eac2e66586b8b38b7af5dd0e3610b011dc6a76e9fba227b6a5",
     "compute-v coupled-exact": "d779fbfc8183383fce20faa6e0bfc6a93a2997f26f7f40cd3e21f42e35ce40b6",
-    "verify exhaustive": "9fe7b395704eae85c8d9565d0253676b2254b1b058075d28072c1376cb859810",
-    "verify monte-carlo": "150758978f41cf9b087d3aec87e7c6b8d65c68c907559b5c7cf2dcd9103e45c2",
-    "verify matrix": "82beaf4ee7d157181a7aaa3e73eac7323e12c5f21282c8ffbe7f09e4aa7fb707",
-    "verify matrix failing": "90b664313487d4afa4d27e6a1a673e3a41006d32492552e11eda40709399a9b3",
+    "verify exhaustive": "8e7b20e5fe1ecc0b1784834c0e2933f8cee5142db370d6939db8c8f83cc8eb80",
+    "verify monte-carlo": "fe809afc1be7d93606b8bba53b6703e028ae03c0bed0aeffbf346272eca382f0",
+    "verify matrix": "2e8b8662ea489fb3d155bbe31a9f2995be9b02c46cb0b178a30d6cdaaa6ebe82",
+    "verify matrix failing": "ddfb585373ec16d4be7db6e687a8b0716218eabfb9d35e9006915eb9573c0798",
     "probmatrix auto": "da0c85b4624ed1a07bab1bff3598af920e14520ac47839be75138f04f118cc25",
     "probmatrix monte-carlo": "f5d21b50ca2b59b7b3864b5161b234fea2ed54e22c7d7fbb64c48a6d00533c5b",
     "solve": "f787679dc319fd33c97e90756d3cf8af98d72f0ac99ce20a903f64085055ccc4",

@@ -749,7 +749,7 @@ def test_every_public_function_and_class_of_the_package_has_a_reader():
     assert not unread
 
 
-def test_only_the_report_mixin_and_the_three_kept_forms_define_to_dict():
+def test_only_the_report_mixin_and_the_two_kept_forms_define_to_dict():
     # Every other result writes its JSON form through samplings._Report.
     found = set()
     for path in sorted(Path(ek.samplings.__file__).parent.glob("*.py")):
@@ -762,7 +762,6 @@ def test_only_the_report_mixin_and_the_three_kept_forms_define_to_dict():
         ("samplings.py", "_Report"),
         ("samplings.py", "SamplingSpec"),
         ("probability.py", "ProbMatrix"),
-        ("spectral.py", "EigenEstimate"),
     }
 
 

@@ -1,6 +1,8 @@
+import ast
 import math
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -751,6 +753,95 @@ def test_an_extreme_eigenvector_orthogonal_to_the_start_falls_back_to_eigvalsh()
     lowered = -m
     assert spectral._certified_lowest(lowered, np.ones(n)) is None
     assert np.array_equal(lowered, -m)
+
+
+def test_a_mixed_stack_proves_one_block_and_solves_the_other_by_eigvalsh():
+    from conftest import random_sparse_matrix
+
+    # The first block's proof gives up (see _hidden_extreme); the second,
+    # a Gram matrix with its diagonal as weights, is proven.
+    n = ek.config.CERTIFIED_EIG_ORDER + 8
+    hidden = _hidden_extreme(n)
+    gram = random_sparse_matrix(np.random.default_rng(14), n + 40, n, 8.0 / n).gram()
+    weights = np.stack([np.ones(n), np.diag(gram)])
+    values, proofs = spectral._extreme(np.stack([hidden, gram]), weights, top=True)
+    assert values[0] == float(np.linalg.eigvalsh(hidden)[-1])
+    assert list(proofs) == [1]
+    residual, steps = proofs[1]
+    assert math.isfinite(residual) and 1 <= steps <= ek.config.LANCZOS_STEPS
+    scale = 1.0 / np.sqrt(weights[1])
+    top = float(np.linalg.eigvalsh(gram * np.outer(scale, scale))[-1])
+    assert top <= values[1] <= top * (1.0 + _CERTIFIED_DELTA)
+
+
+def test_strong_convexity_with_ridge_0_above_the_order_is_a_proven_underestimate(monkeypatch):
+    from conftest import random_sparse_matrix
+
+    # A stacks the identity over sparse rows, so A'A - I is PSD. The matrix
+    # hands out its Gram matrix read-only, as one it keeps, and it is left as it was.
+    n = ek.config.CERTIFIED_EIG_ORDER + 8
+    extra = random_sparse_matrix(np.random.default_rng(15), 60, n, 8.0 / n)
+    rows = np.concatenate([np.arange(n), extra.rows + n])
+    cols = np.concatenate([np.arange(n), extra.cols])
+    data = ek.DataMatrix(n + extra.m, n, rows, cols, np.concatenate([np.ones(n), extra.values]))
+    gram = data.gram()
+    gram.setflags(write=False)
+    kept = gram.copy()
+    monkeypatch.setattr(ek.DataMatrix, "gram", lambda self: gram)
+    value = ek.QuadraticProblem(data).strong_convexity()
+    smallest = float(np.linalg.eigvalsh(gram)[0])
+    assert smallest - _CERTIFIED_DELTA * np.max(np.abs(gram)) <= value < smallest
+    assert np.array_equal(gram, kept)
+
+
+def _functions_naming(*names) -> set[tuple[str, str]]:
+    """(module, function) of each function of the package that reads one of
+    ``names``, as a name or an attribute; "<module>" for module-level code."""
+    found = set()
+
+    def visit(node, owner, module):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name, module)
+                continue
+            name = child.id if isinstance(child, ast.Name) else child.attr if isinstance(child, ast.Attribute) else None
+            if name in names and not isinstance(child.ctx, ast.Store):
+                found.add((module, owner))
+            visit(child, owner, module)
+
+    for path in sorted(Path(spectral.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), "<module>", path.name)
+    return found
+
+
+def test_one_routine_holds_the_eigen_policy():
+    # Only spectral._extreme calls eigvalsh and chooses between it and the
+    # certified path; the eigh calls that stay need eigenvectors: the dense
+    # lambda_max residual, the Ritz solve, the canonical point along the
+    # certificate's bottom eigenvector and the matrix-form witness.
+    policy = {("spectral.py", "_extreme")}
+    assert _functions_naming("eigvalsh") == policy
+    assert _functions_naming("_certified_lowest", "CERTIFIED_EIG_ORDER") == policy
+    assert _functions_naming("eigh") == {
+        ("spectral.py", "_top_eigenvalue"),
+        ("spectral.py", "_certified_lowest"),
+        ("verify.py", "_canonical_points"),
+        ("verify.py", "check_eso_matrix_form"),
+    }
+
+
+def test_an_eigen_estimate_writes_every_field_through_the_report_form():
+    est = ek.lambda_prime_restricted(ek.tau_nice(6, 2), [0, 1, 2], "bound")
+    assert isinstance(est, ek.samplings._Report)
+    assert est.to_dict() == {
+        "value": est.value,
+        "method": "bound",
+        "residual": None,
+        "iterations": None,
+        "safeguard": None,
+        "bound_source": est.bound_source,
+        "candidates": dict(est.candidates),
+    }
 
 
 def test_a_krylov_space_exhausted_between_ritz_solves_gives_a_valid_bound(monkeypatch):

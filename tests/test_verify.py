@@ -67,6 +67,38 @@ def test_matrix_form_passes_and_fails_with_witness():
     assert report.slack < 0
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-8, True, "1e-8", None])
+def test_a_malformed_tolerance_is_refused_by_name(tol):
+    # NaN and +inf passed the matrix-form check of V_OK / 4 (margin about
+    # -2.47), and an infinite tolerance passed every battery check.
+    with pytest.raises(ValidationError) as info:
+        ek.check_eso_matrix_form(FIXTURE_A, SPEC, V_OK / 4, tol=tol)
+    assert info.value.field == "tolerance"
+    with pytest.raises(ValidationError) as info:
+        ek.run_identity_battery(0, sizes=(2,), specs_per_size=1, pairs_per_spec=1, tolerance=tol)
+    assert info.value.field == "tolerance"
+
+
+def test_a_zero_tolerance_is_taken():
+    assert ek.check_eso_matrix_form(FIXTURE_A, SPEC, V_OK, tol=0.0).passed
+    assert ek.run_identity_battery(0, sizes=(2,), specs_per_size=1, pairs_per_spec=1, tolerance=np.float64(0.0)).tolerance == 0.0
+
+
+def test_the_matrix_form_margin_is_certifys_above_the_certified_order():
+    # Above the order the verdict rests on certify's proven lower bound, not
+    # on eigh's value; eigh runs only for the witness of a failing check.
+    n = config.CERTIFIED_EIG_ORDER + 8
+    data = random_sparse_matrix(np.random.default_rng(11), n + 40, n, 8.0 / n)
+    spec = ek.tau_nice(n, 6)
+    v = ek.compute_v(data, spec, "auto").v
+    for factor in (1.0, 0.25):
+        report = ek.check_eso_matrix_form(data, spec, v * factor)
+        assert report.margin == eso.certify(data, spec, v * factor)
+        assert report.margin < float(np.linalg.eigvalsh(eso.certificate_matrix(data, spec, v * factor))[0])
+        assert report.passed == (factor == 1.0) == (report.witness is None)
+    assert report.margin <= report.witness_gap < 0.0
+
+
 def test_matrix_form_tight_identity_case():
     data = ek.DataMatrix.from_dense(np.eye(4))
     report = ek.check_eso_matrix_form(data, ek.serial([0.25] * 4), np.ones(4))
